@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _sp
 
-from .errors import QuadratureError
+from .errors import NonconvergenceError, QuadratureError
 from .geometry import ConeConfig
 
 _LEG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -26,35 +26,48 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _LEG_CACHE[n]
 
 
-def gauss_panel(f, a: float, b: float, order: int = 16) -> complex:
-    """Gauss-Legendre quadrature of a vectorized integrand on one panel."""
-    x, w = _leggauss(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * np.sum(w * f(mid + half * x))
-
-
-def _panel_with_l1(f, a: float, b: float, order: int) -> tuple[complex, float]:
-    x, w = _leggauss(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    vals = np.asarray(f(mid + half * x))
-    return half * np.sum(w * vals), abs(half) * float(np.sum(w * np.abs(vals)))
-
-
-def adaptive_panel(f, a: float, b: float, tol: float, order: int = 16, depth: int = 28) -> complex:
+def adaptive_panel(f, a: float, b: float, tol: float, order: int = 16, depth: int = 28,
+                   *, _coarse: tuple[complex, float] | None = None) -> complex:
     """Adaptive bisection: accept a panel when halving changes it by < tol.
 
     Also accepts once the change falls below the panel's own rounding floor
     (a small multiple of its L1 mass), so integrands dominated by
-    cancellation noise cannot recurse forever.
+    cancellation noise cannot recurse forever.  A panel still above both
+    after ``depth`` bisections raises NonconvergenceError.
+
+    f must be elementwise: it is called once per panel, on the concatenated
+    Gauss-Legendre nodes of the panel and of its two halves (3 * order
+    nodes), and each bisected half receives its own (value, L1 mass) from
+    its parent through ``_coarse``, so below the top only the halves are
+    evaluated (2 * order nodes).
     """
-    coarse, l1 = _panel_with_l1(f, a, b, order)
-    mid = 0.5 * (a + b)
-    fine = gauss_panel(f, a, mid, order) + gauss_panel(f, mid, b, order)
-    if abs(fine - coarse) <= max(tol, 1e-15 * l1) or depth <= 0:
+    x, w = _leggauss(order)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    mid_l, half_l = 0.5 * (a + mid), 0.5 * (mid - a)
+    mid_r, half_r = 0.5 * (mid + b), 0.5 * (b - mid)
+    halves = (mid_l + half_l * x, mid_r + half_r * x)
+    if _coarse is None:
+        vals = np.asarray(f(np.concatenate((mid + half * x, *halves))))
+        top, vals = vals[:order], vals[order:]
+        coarse = half * np.sum(w * top)
+        l1 = abs(half) * float(np.sum(w * np.abs(top)))
+    else:
+        coarse, l1 = _coarse
+        vals = np.asarray(f(np.concatenate(halves)))
+    vals_l, vals_r = vals[:order], vals[order:]
+    left = half_l * np.sum(w * vals_l)
+    right = half_r * np.sum(w * vals_r)
+    fine = left + right
+    if abs(fine - coarse) <= max(tol, 1e-15 * l1):
         return fine
-    return adaptive_panel(f, a, mid, 0.5 * tol, order, depth - 1) + adaptive_panel(
-        f, mid, b, 0.5 * tol, order, depth - 1
-    )
+    if depth <= 0:
+        raise NonconvergenceError(
+            f"adaptive_panel: [{a!r}, {b!r}] still changes by {abs(fine - coarse):.3g} "
+            f"> tol {max(tol, 1e-15 * l1):.3g} at the bisection depth limit")
+    l1_l = abs(half_l) * float(np.sum(w * np.abs(vals_l)))
+    l1_r = abs(half_r) * float(np.sum(w * np.abs(vals_r)))
+    return (adaptive_panel(f, a, mid, 0.5 * tol, order, depth - 1, _coarse=(left, l1_l))
+            + adaptive_panel(f, mid, b, 0.5 * tol, order, depth - 1, _coarse=(right, l1_r)))
 
 
 def adaptive_line(f, edges, tol: float, order: int = 16) -> complex:
@@ -64,19 +77,6 @@ def adaptive_line(f, edges, tol: float, order: int = 16) -> complex:
     per_panel = tol / max(len(edges) - 1, 1)
     for a, b in zip(edges[:-1], edges[1:]):
         total += adaptive_panel(f, a, b, per_panel, order)
-    return total
-
-
-def decaying_halfline(f, start: float, rate: float, tol: float, order: int = 16,
-                      width: float = 2.0, s_cap: float = 600.0) -> complex:
-    """Integrate f from start to infinity given an e^{-rate*s} envelope."""
-    total = 0.0 + 0.0j
-    a = start
-    while a < s_cap:
-        total += adaptive_panel(f, a, a + width, tol, order)
-        a += width
-        if math.exp(-rate * (a - start)) < tol / max(abs(total), tol):
-            break
     return total
 
 

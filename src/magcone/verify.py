@@ -369,6 +369,10 @@ def subordination_identity_check(z_grid=None, y_grid=None,
 # half-wave decay fit
 # ---------------------------------------------------------------------------
 
+_HALFWAVE_T_CHUNK = 4  # times per accumulator in _halfwave_sup_curve
+_HALFWAVE_K_CHUNK = 16  # angular blocks per phase contraction
+
+
 def _halfwave_sup_curve(cfg: ConeConfig, j: int, ts: np.ndarray, r_nodes: np.ndarray,
                         dth_nodes: np.ndarray, window: ModeWindow) -> np.ndarray:
     """sup_{p,q} |frequency-truncated half-wave kernel| at each time."""
@@ -401,13 +405,28 @@ def _halfwave_sup_curve(cfg: ConeConfig, j: int, ts: np.ndarray, r_nodes: np.nda
                 blocks.append((k, np.sqrt(lam_neg), w_neg, rad))
             k -= 1
 
+    # each block is symmetric in (r_i, r_j): only the pairs i <= j are formed.
+    # Times go in chunks so the accumulator and the pair products stay ~2 MB.
+    iu, ju = np.triu_indices(r_nodes.size)
     sups = np.empty(ts.size)
-    for i_t, t in enumerate(ts):
-        acc = np.zeros((dth_nodes.size, r_nodes.size * r_nodes.size), dtype=complex)
-        for k, sq, w, rad in blocks:
-            mk = np.einsum("m,mi,mj->ij", w * np.exp(1j * t * sq), rad, rad)
-            acc += np.outer(np.exp(1j * (k / cfg.sigma) * dth_nodes), mk.ravel())
-        sups[i_t] = float(np.abs(acc).max())
+    for t0 in range(0, ts.size, _HALFWAVE_T_CHUNK):
+        tc = ts[t0:t0 + _HALFWAVE_T_CHUNK]
+        acc = np.zeros((tc.size, dth_nodes.size, iu.size), dtype=complex)
+        for k0 in range(0, len(blocks), _HALFWAVE_K_CHUNK):
+            chunk = blocks[k0:k0 + _HALFWAVE_K_CHUNK]
+            mk = np.empty((tc.size, len(chunk), iu.size), dtype=complex)
+            for i, (k, sq, w, rad) in enumerate(chunk):
+                weights = w * np.exp(1j * tc[:, None] * sq)
+                pairs = rad[:, iu]
+                pairs *= rad[:, ju]
+                mk[:, i].real = weights.real @ pairs
+                mk[:, i].imag = weights.imag @ pairs
+            ks = np.array([k for k, *_ in chunk], dtype=float)
+            phase = np.exp(1j * np.multiply.outer(dth_nodes, ks / cfg.sigma))
+            for i_t in range(tc.size):
+                acc[i_t] += phase @ mk[i_t]
+        for i_t in range(tc.size):
+            sups[t0 + i_t] = float(np.abs(acc[i_t]).max())
     return sups
 
 
