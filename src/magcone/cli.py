@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,10 +94,18 @@ def parse_config_file(path: str | None) -> dict:
         key = key.strip()
         if key not in values:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        val = val.strip()
         try:
-            values[key] = type(_DEFAULTS[key])(float(val.strip()))
+            number = float(val)
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val.strip()!r}") from exc
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
+        if not math.isfinite(number):
+            raise ConfigError(f"{path}:{lineno}: {key} must be finite, got {val!r}")
+        if isinstance(_DEFAULTS[key], int):
+            if not number.is_integer():
+                raise ConfigError(f"{path}:{lineno}: {key} must be an integer, got {val!r}")
+            number = int(number)
+        values[key] = number
     return values
 
 

@@ -213,10 +213,3 @@ def bessel_i(nu: float, z: complex) -> SeriesResult:
         else:
             small_run = 0
     raise NonconvergenceError(f"bessel_i({nu}, {z}) hit the {_MAX_TERMS}-term cap")
-
-
-def bessel_i_imag_axis(nu: np.ndarray, rho: float) -> np.ndarray:
-    """Vectorized I_nu(i*rho) over an array of orders, via the J rotation."""
-    nu = np.asarray(nu, dtype=float)
-    rot = np.exp(1j * np.sign(rho) * nu * np.pi / 2.0)
-    return rot * _sp.jv(nu, abs(rho))

@@ -276,18 +276,6 @@ def halfwave_multiplier(t: float):
     return lambda lam: np.exp(1j * t * np.sqrt(lam))
 
 
-def wave_sine_multiplier(t: float):
-    return lambda lam: np.sin(t * np.sqrt(lam)) / np.sqrt(lam)
-
-
-def power_multiplier(s: float):
-    return lambda lam: lam ** (s / 2.0)
-
-
-def inhomogeneous_power_multiplier(s: float):
-    return lambda lam: (1.0 + lam) ** (s / 2.0)
-
-
 def fractional_flow_multiplier(nu: float, t: float):
     return lambda lam: np.exp(1j * t * lam ** nu)
 

@@ -14,6 +14,7 @@ value divided by 8 pi sigma.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GammaOutOfRangeError, QuadratureError
+from .errors import DomainError, GammaOutOfRangeError, QuadratureError
 from .geometry import ConeConfig, flux_distance
 from .kernels import TruncationSpec, reduced_kernel_matrix, schrodinger_angular_tail
 from .lpbesov import make_cutoff
@@ -64,6 +65,14 @@ class SweepGrids:
     r_min: float = 0.15
     r_max: float = 3.0
 
+    def __post_init__(self) -> None:
+        if min(self.n_time, self.n_radius, self.n_angle) < 1:
+            raise DomainError(f"sweep grid sizes must be >= 1, got n_time={self.n_time}, "
+                              f"n_radius={self.n_radius}, n_angle={self.n_angle}")
+        if not (math.isfinite(self.r_max) and 0.0 < self.r_min < self.r_max):
+            raise DomainError(f"sweep radii need 0 < r_min < r_max < inf, "
+                              f"got r_min={self.r_min}, r_max={self.r_max}")
+
     def refined(self) -> "SweepGrids":
         return replace(
             self,
@@ -77,8 +86,11 @@ class SweepGrids:
 class SweepReport:
     """Outcome of one certification sweep.
 
-    csv_header/csv_rows hold the grid samples; runtime_ms is console-only
-    diagnostics and never serialized (outputs must be bitwise reproducible).
+    csv_header/csv_rows hold the grid samples, csv_rows as a read-only
+    (N, len(csv_header)) float64 array that takes no part in ``==`` (compare
+    it with np.array_equal); runtime_ms is the wall time of the sweep call
+    that made the report, console-only diagnostics and never serialized
+    (outputs must be bitwise reproducible).
     """
 
     name: str
@@ -89,7 +101,7 @@ class SweepReport:
     passed: bool
     runtime_ms: int
     csv_header: tuple[str, ...] = ()
-    csv_rows: tuple[tuple[float, ...], ...] = field(default=())
+    csv_rows: np.ndarray = field(default_factory=lambda: _as_rows((), 0), compare=False)
 
     def json_dict(self) -> dict:
         return {
@@ -110,14 +122,25 @@ def write_report(report: SweepReport, out_dir: str | Path) -> tuple[Path, Path]:
     json_path.write_text(json.dumps(report.json_dict(), sort_keys=True, indent=2) + "\n",
                          encoding="utf-8")
     csv_path = out_dir / f"{stem}.csv"
-    lines = [",".join(report.csv_header)]
-    for row in report.csv_rows:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = report.csv_rows
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    body = (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+    csv_path.write_text(",".join(report.csv_header) + "\n" + body, encoding="utf-8")
     return json_path, csv_path
 
 
-def _report(name, cfg, grid_spec, constant, ratio, passed, t0, header=(), rows=()) -> SweepReport:
+def _as_rows(rows, n_cols: int) -> np.ndarray:
+    """Samples as a read-only (N, n_cols) float64 array."""
+    arr = np.array(rows, dtype=float).reshape(len(rows), n_cols)
+    arr.setflags(write=False)
+    return arr
+
+
+def _ms_since(t0: float) -> int:
+    return int(1000 * (time.perf_counter() - t0))
+
+
+def _report(name, cfg, grid_spec, constant, ratio, passed, runtime_ms, header=(), rows=()) -> SweepReport:
     return SweepReport(
         name=name,
         config=cfg,
@@ -125,9 +148,9 @@ def _report(name, cfg, grid_spec, constant, ratio, passed, t0, header=(), rows=(
         empirical_constant=float(constant),
         refinement_ratio=float(ratio),
         passed=bool(passed),
-        runtime_ms=int(1000 * (time.perf_counter() - t0)),
+        runtime_ms=runtime_ms,
         csv_header=tuple(header),
-        csv_rows=tuple(tuple(float(v) for v in r) for r in rows),
+        csv_rows=_as_rows(rows, len(header)),
     )
 
 
@@ -140,61 +163,83 @@ def _time_grid(grids: SweepGrids, cfg: ConeConfig) -> np.ndarray:
     return tb / cfg.b0
 
 
-def _dispersive_samples(cfg: ConeConfig, gamma: float, grids: SweepGrids,
-                        trunc: TruncationSpec):
-    """Rows (t, rho, delta, |K|, rho^-gamma |K|) over the induced grid."""
+def _dispersive_grid(cfg: ConeConfig, grids: SweepGrids, trunc: TruncationSpec) -> list:
+    """Per time, (t, rho, delta, |K|) over the induced grid; |K| is (delta, rho)."""
     r = np.linspace(grids.r_min, grids.r_max, grids.n_radius)
     dth = np.linspace(-0.5 * cfg.period + 0.11, 0.5 * cfg.period - 0.07, grids.n_angle)
-    rows = []
+    grid = []
     for t in _time_grid(grids, cfg):
         sin_tb = math.sin(t * cfg.b0)
         if abs(sin_tb) < 0.05:
             raise QuadratureError("dispersive time grid too close to a singular time")
         rho = (cfg.b0 * np.outer(r, r) / (2.0 * sin_tb)).ravel()
         delta = t * cfg.b0 - dth
-        mat = np.abs(reduced_kernel_matrix(rho, delta, cfg, trunc))
+        grid.append((t, rho, delta, np.abs(reduced_kernel_matrix(rho, delta, cfg, trunc))))
+    return grid
+
+
+def _dispersive_grid_pair(cfg: ConeConfig, grids: SweepGrids, trunc: TruncationSpec):
+    """() -> (coarse, fine) dispersive grids, built on the first call only.
+
+    The grids do not depend on gamma, so every sweep handed the same pair
+    shares one evaluation of the reduced kernel.
+    """
+    return functools.cache(lambda: (_dispersive_grid(cfg, grids, trunc),
+                                    _dispersive_grid(cfg, grids.refined(), trunc)))
+
+
+def _dispersive_rows(grid: list, gamma: float) -> np.ndarray:
+    """Rows (t, rho, delta, |K|, rho^-gamma |K|), ordered by t, then delta, then rho."""
+    blocks = []
+    for t, rho, delta, mat in grid:
         weighted = mat * rho[None, :] ** (-gamma)
-        for i_d, d in enumerate(delta):
-            for i_r, rh in enumerate(rho):
-                rows.append((t, rh, d, mat[i_d, i_r], weighted[i_d, i_r]))
-    return rows
+        blocks.append(np.column_stack([np.full(mat.size, t), np.tile(rho, delta.size),
+                                       np.repeat(delta, rho.size), mat.ravel(), weighted.ravel()]))
+    return np.concatenate(blocks)
 
 
-def _dispersive_constant(rows, mask=None) -> float:
-    vals = [w for (_, rh, _, _, w) in rows if mask is None or mask(rh)]
-    return max(vals) if vals else 0.0
+def _split_sups(rows: np.ndarray) -> tuple[float, float, float]:
+    """sup of the weighted column over all rows, over rho >= 1 and over rho < 1."""
+    rho, weighted = rows[:, 1], rows[:, 4]
+    return tuple(float(w.max()) if w.size else 0.0
+                 for w in (weighted, weighted[rho >= 1.0], weighted[rho < 1.0]))
 
 
 def weighted_dispersive_constant(cfg: ConeConfig, gamma: float,
                                  grids: SweepGrids = SweepGrids(),
                                  trunc: TruncationSpec = TruncationSpec(),
-                                 name: str = "weighted") -> list[SweepReport]:
+                                 name: str = "weighted", *, _grids=None) -> list[SweepReport]:
     """Weighted dispersive sweep; constants for the full grid and the
-    rho >= 1 / rho < 1 split are reported separately."""
+    rho >= 1 / rho < 1 split are reported separately.
+
+    ``_grids`` is a shared ``_dispersive_grid_pair`` for (cfg, grids, trunc);
+    without it the sweep builds its own.
+    """
     t0 = time.perf_counter()
     kappa = flux_distance(cfg).kappa
     if not (0.0 <= gamma <= kappa + 1e-12):
         raise GammaOutOfRangeError(f"gamma={gamma} outside [0, kappa={kappa}]")
-    rows_coarse = _dispersive_samples(cfg, gamma, grids, trunc)
-    rows_fine = _dispersive_samples(cfg, gamma, grids.refined(), trunc)
+    coarse, fine = (_grids or _dispersive_grid_pair(cfg, grids, trunc))()
+    rows_fine = _dispersive_rows(fine, gamma)
     header = ("t", "rho", "delta", "abs_series", "weighted")
     spec = (f"t x r x dtheta = {grids.n_time} x {grids.n_radius}^2 x {grids.n_angle}, "
             f"gamma={gamma:.6g}, reduced-kernel units (kernel constant = value / (8 pi sigma))")
-    reports = []
-    for suffix, mask in (("", None), ("/omega1", lambda rh: rh >= 1.0), ("/omega2", lambda rh: rh < 1.0)):
-        c = _dispersive_constant(rows_coarse, mask)
-        cf = _dispersive_constant(rows_fine, mask)
+    results = []
+    for suffix, c, cf in zip(("", "/omega1", "/omega2"),
+                             _split_sups(_dispersive_rows(coarse, gamma)), _split_sups(rows_fine)):
         ratio = cf / c if c > 0.0 else 1.0
         passed = math.isfinite(cf) and ratio <= 1.05
-        reports.append(_report(f"{name}{suffix}", cfg, spec, cf, ratio, passed, t0,
-                               header, rows_fine if suffix == "" else ()))
-    return reports
+        results.append((f"{name}{suffix}", cf, ratio, passed, rows_fine if suffix == "" else ()))
+    runtime_ms = _ms_since(t0)
+    return [_report(report_name, cfg, spec, cf, ratio, passed, runtime_ms, header, rows)
+            for report_name, cf, ratio, passed, rows in results]
 
 
 def dispersive_constant_schrodinger(cfg: ConeConfig, grids: SweepGrids = SweepGrids(),
-                                    trunc: TruncationSpec = TruncationSpec()) -> list[SweepReport]:
+                                    trunc: TruncationSpec = TruncationSpec(), *,
+                                    _grids=None) -> list[SweepReport]:
     """Unweighted dispersive sweep (the gamma = 0 specialization)."""
-    reports = weighted_dispersive_constant(cfg, 0.0, grids, trunc, name="dispersive")
+    reports = weighted_dispersive_constant(cfg, 0.0, grids, trunc, name="dispersive", _grids=_grids)
     return reports[:1]
 
 
@@ -227,7 +272,7 @@ def gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrids(),
         near_pi = near_pi[np.abs(near_pi) < 0.5 * cfg.period - 0.02]
         dth = np.unique(np.concatenate([base, near_pi]))
         ts = np.geomspace(0.1, 5.0, g.n_time) / cfg.b0
-        rows = []
+        blocks = []
         r1g, r2g = np.meshgrid(r, r, indexing="ij")
         rr = (r1g * r2g).ravel()
         # best-image angle per dtheta: the geodesic uses cos(theta_red), or -1 past pi
@@ -240,21 +285,21 @@ def gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrids(),
             raw = cfg.b0 / (4.0 * math.pi) * bracket  # |K| sinh e^{+Q}
             # distance envelope: e^{-Q + b0 d^2/(4 tanh)} = e^{-x cosh(tb) cosfac}
             dist_const = raw * np.exp(-x[None, :] * math.cosh(tb) * cosfac[:, None])
-            for i_d in range(len(dth)):
-                for i_x in range(len(rr)):
-                    rows.append((t, rr[i_x], dth[i_d], raw[i_d, i_x], dist_const[i_d, i_x]))
-        return rows
+            # rows ordered by t, then dtheta, then r1 r2
+            blocks.append(np.column_stack([np.full(raw.size, t), np.tile(rr, dth.size),
+                                           np.repeat(dth, rr.size), raw.ravel(), dist_const.ravel()]))
+        return np.concatenate(blocks)
 
     rows_c = samples(grids)
     rows_f = samples(grids.refined())
-    c = max(r[4] for r in rows_c)
-    cf = max(r[4] for r in rows_f)
+    c = rows_c[:, 4].max()
+    cf = rows_f[:, 4].max()
     ratio = cf / c if c > 0 else 1.0
     passed = math.isfinite(cf) and ratio <= 1.05
     spec = (f"t geomspace(0.1,5)/b0 x {grids.n_time}, r x {grids.n_radius}^2, "
             f"dtheta x {grids.n_angle}; distance-squared envelope, raw (r1^2+r2^2) variant in CSV")
     header = ("t", "r1r2", "dtheta", "raw_const", "distance_const")
-    return [_report("gaussian-heat", cfg, spec, cf, ratio, passed, t0, header, rows_f)]
+    return [_report("gaussian-heat", cfg, spec, cf, ratio, passed, _ms_since(t0), header, rows_f)]
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +313,13 @@ def reduced_kernel_bound_scan(cfg: ConeConfig, R: float = 2.0 * math.pi,
     the sup moves < 1% per doubling."""
     t0 = time.perf_counter()
 
-    def sup_for(rho_max: float, n_rho: int, n_delta: int):
+    def abs_kernel(rho_max: float, n_rho: int, n_delta: int):
         rho = np.linspace(0.0, rho_max, n_rho)
         delta = np.linspace(-R, R, n_delta)
-        return float(np.abs(reduced_kernel_matrix(rho, delta, cfg, trunc)).max())
+        return rho, delta, np.abs(reduced_kernel_matrix(rho, delta, cfg, trunc))
+
+    def sup_for(rho_max: float, n_rho: int, n_delta: int) -> float:
+        return float(abs_kernel(rho_max, n_rho, n_delta)[2].max())
 
     rho_max, n_rho = 12.5, 40 * grids.n_radius
     sup_prev = sup_for(rho_max, n_rho, 8 * grids.n_angle)
@@ -284,15 +332,13 @@ def reduced_kernel_bound_scan(cfg: ConeConfig, R: float = 2.0 * math.pi,
             break
         sup_prev = sup_new
     coarse = sup_prev
-    fine = sup_for(rho_max, 2 * n_rho - 1, 16 * grids.n_angle - 1)
+    rho, delta, mat = abs_kernel(rho_max, 2 * n_rho - 1, 16 * grids.n_angle - 1)
+    fine = float(mat.max())
     ratio = fine / coarse if coarse > 0 else 1.0
     passed = math.isfinite(fine) and ratio <= 1.05
-    rho = np.linspace(0.0, rho_max, 2 * n_rho - 1)
-    delta = np.linspace(-R, R, 16 * grids.n_angle - 1)
-    mat = np.abs(reduced_kernel_matrix(rho, delta, cfg, trunc))
-    rows = [(d, rho[int(np.argmax(mat[i_d]))], float(mat[i_d].max())) for i_d, d in enumerate(delta)]
+    rows = np.column_stack([delta, rho[mat.argmax(axis=1)], mat.max(axis=1)])
     spec = f"rho in [0,{rho_max}] (saturated by doubling), |delta| <= {R:.6g}"
-    return [_report("reduced-kernel", cfg, spec, fine, ratio, passed, t0,
+    return [_report("reduced-kernel", cfg, spec, fine, ratio, passed, _ms_since(t0),
                     ("delta", "argmax_rho", "max_abs"), rows)]
 
 
@@ -322,7 +368,7 @@ def angular_tail_l1_scan(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) -> l
     ratio = cf / c if c > 0 else 1.0
     passed = math.isfinite(cf) and ratio <= 1.05
     spec = f"theta x {16 * grids.n_angle - 1} over one period, adaptive quadrature to 1e-10"
-    return [_report("tail-l1", cfg, spec, cf, ratio, passed, t0, ("theta", "l1_norm"), rows_f)]
+    return [_report("tail-l1", cfg, spec, cf, ratio, passed, _ms_since(t0), ("theta", "l1_norm"), rows_f)]
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +407,7 @@ def subordination_identity_check(z_grid=None, y_grid=None,
     passed = math.isfinite(worst) and worst < 1e-10
     spec = (f"(z, y) geomspace grid {len(z_grid)} x {len(y_grid)}; saddle-scaled identity check, "
             "ratio not applicable")
-    return [_report("subordination", cfg, spec, worst, 1.0, passed, t0,
+    return [_report("subordination", cfg, spec, worst, 1.0, passed, _ms_since(t0),
                     ("z", "y", "scaled_lhs", "scaled_rhs", "rel_err"), rows)]
 
 
@@ -478,7 +524,7 @@ def halfwave_decay_fit(cfg: ConeConfig, j: int, grids: SweepGrids = SweepGrids()
     spec = (f"j={j}, t geomspace[{t_lo:.6g},{t_hi:.6g}] x {ts.size}, fit on 2^j t <= {_ONSET_TAU}, "
             f"r <= {r_max:.3g}, window k_max={window.k_max} m_max={window.m_max}; "
             "constant = fitted log-log slope")
-    return [_report("halfwave", cfg, spec, slope_f, ratio, passed, t0,
+    return [_report("halfwave", cfg, spec, slope_f, ratio, passed, _ms_since(t0),
                     ("t", "one_plus_2j_t", "sup_abs_kernel"), rows)]
 
 
@@ -512,7 +558,7 @@ def energy_conservation_check(cfg: ConeConfig, window: ModeWindow = ModeWindow(1
             worst = max(worst, g.coefficient_norm() - bound)
     passed = worst < 1e-12
     spec = f"{trials} random fields on window {window.k_max} x {window.m_max}, t uniform [-6,6]"
-    return [_report("energy", cfg, spec, worst, 1.0, passed, t0,
+    return [_report("energy", cfg, spec, worst, 1.0, passed, _ms_since(t0),
                     ("trial", "t", "deviation"), rows)]
 
 
@@ -522,17 +568,21 @@ def energy_conservation_check(cfg: ConeConfig, window: ModeWindow = ModeWindow(1
 
 def run_suite(name: str, cfg: ConeConfig, grids: SweepGrids = SweepGrids(),
               trunc: TruncationSpec = TruncationSpec(), seed: int = 20240901,
-              halfwave_j: int = 2, gamma: float | None = None) -> list[SweepReport]:
-    """Run one named sweep (or 'all') on a configuration."""
+              halfwave_j: int = 2, gamma: float | None = None, *, _grids=None) -> list[SweepReport]:
+    """Run one named sweep (or 'all') on a configuration.
+
+    The dispersive and weighted sweeps of one call share their grids.
+    """
+    shared = _grids or _dispersive_grid_pair(cfg, grids, trunc)
     if name == "dispersive":
-        return dispersive_constant_schrodinger(cfg, grids, trunc)
+        return dispersive_constant_schrodinger(cfg, grids, trunc, _grids=shared)
     if name == "weighted":
         kappa = flux_distance(cfg).kappa
         gammas = (gamma,) if gamma is not None else (0.0, kappa / 2.0, kappa)
         out = []
         for g in gammas:
             out.extend(weighted_dispersive_constant(cfg, g, grids, trunc,
-                                                    name=f"weighted-g{g:.4g}"))
+                                                    name=f"weighted-g{g:.4g}", _grids=shared))
         return out
     if name == "gaussian-heat":
         return gaussian_heat_constant(cfg, grids, trunc)
@@ -549,6 +599,6 @@ def run_suite(name: str, cfg: ConeConfig, grids: SweepGrids = SweepGrids(),
     if name == "all":
         out = []
         for suite in SUITE_NAMES:
-            out.extend(run_suite(suite, cfg, grids, trunc, seed, halfwave_j, gamma))
+            out.extend(run_suite(suite, cfg, grids, trunc, seed, halfwave_j, gamma, _grids=shared))
         return out
     raise QuadratureError(f"unknown suite '{name}'; choose from {SUITE_NAMES + ('all',)}")

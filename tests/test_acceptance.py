@@ -248,6 +248,7 @@ def test_criterion_4_semigroup_symmetry_unitarity():
               f"unitarity {worst_unit:.2e} < 1e-12")
 
 
+@pytest.mark.slow
 def test_criterion_5_estimate_certification():
     start = time.perf_counter()
     grids = SweepGrids(n_time=5, n_radius=7, n_angle=14)
@@ -271,6 +272,7 @@ def test_criterion_5_estimate_certification():
     report(5, "; ".join(lines) + f"; runtime {elapsed:.0f}s < 600s")
 
 
+@pytest.mark.slow
 def test_criterion_6_halfwave_decay_rate():
     cfg = REFERENCE_CONFIGS[0]
     slopes = []
@@ -316,6 +318,7 @@ def test_criterion_7_identity_checks():
               f"equivalence ratio in [{worst_lo:.4f}, {worst_hi:.4f}]")
 
 
+@pytest.mark.slow
 def test_criterion_8_reproducibility(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     for out in (out1, out2):

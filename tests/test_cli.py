@@ -168,3 +168,35 @@ def test_verify_reproducible_outputs(tmp_path):
                    "verify", "dispersive") == EXIT_OK
     for name in ("dispersive.json", "dispersive.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("line", ["k_max = 40.7", "k_max = inf", "k_max = nan",
+                                  "s_max = inf", "sigma = nan"])
+def test_config_rejects_non_finite_and_fractional_values(tmp_path, capsys, line):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(line + "\n")
+    with pytest.raises(ConfigError):
+        parse_config_file(str(cfgfile))
+    code = run_cli("--config", str(cfgfile), "--out", str(tmp_path / "o"), "spectrum", "table")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and line.split()[0] in err
+
+
+def test_config_accepts_integral_float_for_integer_key(tmp_path):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("k_max = 40.0\nn_time = 3e0\n")
+    values = parse_config_file(str(cfgfile))
+    assert values["k_max"] == 40 and isinstance(values["k_max"], int)
+    assert values["n_time"] == 3 and isinstance(values["n_time"], int)
+
+
+def test_verify_empty_sweep_grid_is_config_error(tmp_path, capsys):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("n_time = 0\n")
+    code = run_cli("--config", str(cfgfile), "--out", str(tmp_path / "o"), "verify", "dispersive")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n_time=0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()

@@ -163,6 +163,7 @@ def test_bernstein_scale_free_case(cfg):
     assert 0.0 < r <= 1.0 + 1e-12  # projector contracts L2
 
 
+@pytest.mark.slow
 def test_bernstein_uniform_over_j():
     cfg = ConeConfig(1.0, 1.0, 0.25)
     grid = evaluation_grid(cfg, n_radial=80, n_theta=512)

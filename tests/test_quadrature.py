@@ -226,7 +226,7 @@ def test_subordination_rows_bitwise_match_oracle(use_oracle):
     grid = np.geomspace(0.1, 10.0, 4)
     new = verify.subordination_identity_check(grid, grid)[0]
     old = use_oracle(verify.subordination_identity_check, grid, grid)[0]
-    assert new.csv_rows == old.csv_rows
+    assert np.array_equal(new.csv_rows, old.csv_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,325 @@
+"""Columnar certification sweeps against verbatim oracles.
+
+The oracles below are the earlier implementations, statement for statement: the
+per-time ``_dispersive_samples`` with its tuple rows, the tuple ``_report``,
+the per-value ``write_report``, and the row loops of the gaussian-heat and
+reduced-kernel sweeps.  Every artifact the columnar sweeps write must agree
+with the oracle's byte for byte.
+"""
+
+import json
+import math
+import time
+import types
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from magcone import verify
+from magcone.errors import DomainError, GammaOutOfRangeError, QuadratureError
+from magcone.geometry import ConeConfig, flux_distance
+from magcone.kernels import TruncationSpec, heat_closed_bracket_grid, reduced_kernel_matrix
+from magcone.verify import SweepGrids, SweepReport, _time_grid
+
+SMALL = SweepGrids(n_time=3, n_radius=4, n_angle=6)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the earlier implementations, verbatim
+# ---------------------------------------------------------------------------
+
+def oracle_write_report(report: SweepReport, out_dir) -> tuple[Path, Path]:
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stem = report.name.replace("/", "_")
+    json_path = out_dir / f"{stem}.json"
+    json_path.write_text(json.dumps(report.json_dict(), sort_keys=True, indent=2) + "\n",
+                         encoding="utf-8")
+    csv_path = out_dir / f"{stem}.csv"
+    lines = [",".join(report.csv_header)]
+    for row in report.csv_rows:
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return json_path, csv_path
+
+
+def _report(name, cfg, grid_spec, constant, ratio, passed, t0, header=(), rows=()) -> SweepReport:
+    return SweepReport(
+        name=name,
+        config=cfg,
+        grid_spec=grid_spec,
+        empirical_constant=float(constant),
+        refinement_ratio=float(ratio),
+        passed=bool(passed),
+        runtime_ms=int(1000 * (time.perf_counter() - t0)),
+        csv_header=tuple(header),
+        csv_rows=tuple(tuple(float(v) for v in r) for r in rows),
+    )
+
+
+def _dispersive_samples(cfg: ConeConfig, gamma: float, grids: SweepGrids,
+                        trunc: TruncationSpec):
+    """Rows (t, rho, delta, |K|, rho^-gamma |K|) over the induced grid."""
+    r = np.linspace(grids.r_min, grids.r_max, grids.n_radius)
+    dth = np.linspace(-0.5 * cfg.period + 0.11, 0.5 * cfg.period - 0.07, grids.n_angle)
+    rows = []
+    for t in _time_grid(grids, cfg):
+        sin_tb = math.sin(t * cfg.b0)
+        if abs(sin_tb) < 0.05:
+            raise QuadratureError("dispersive time grid too close to a singular time")
+        rho = (cfg.b0 * np.outer(r, r) / (2.0 * sin_tb)).ravel()
+        delta = t * cfg.b0 - dth
+        mat = np.abs(reduced_kernel_matrix(rho, delta, cfg, trunc))
+        weighted = mat * rho[None, :] ** (-gamma)
+        for i_d, d in enumerate(delta):
+            for i_r, rh in enumerate(rho):
+                rows.append((t, rh, d, mat[i_d, i_r], weighted[i_d, i_r]))
+    return rows
+
+
+def _dispersive_constant(rows, mask=None) -> float:
+    vals = [w for (_, rh, _, _, w) in rows if mask is None or mask(rh)]
+    return max(vals) if vals else 0.0
+
+
+def oracle_weighted_dispersive_constant(cfg: ConeConfig, gamma: float,
+                                        grids: SweepGrids = SweepGrids(),
+                                        trunc: TruncationSpec = TruncationSpec(),
+                                        name: str = "weighted") -> list[SweepReport]:
+    t0 = time.perf_counter()
+    kappa = flux_distance(cfg).kappa
+    if not (0.0 <= gamma <= kappa + 1e-12):
+        raise GammaOutOfRangeError(f"gamma={gamma} outside [0, kappa={kappa}]")
+    rows_coarse = _dispersive_samples(cfg, gamma, grids, trunc)
+    rows_fine = _dispersive_samples(cfg, gamma, grids.refined(), trunc)
+    header = ("t", "rho", "delta", "abs_series", "weighted")
+    spec = (f"t x r x dtheta = {grids.n_time} x {grids.n_radius}^2 x {grids.n_angle}, "
+            f"gamma={gamma:.6g}, reduced-kernel units (kernel constant = value / (8 pi sigma))")
+    reports = []
+    for suffix, mask in (("", None), ("/omega1", lambda rh: rh >= 1.0), ("/omega2", lambda rh: rh < 1.0)):
+        c = _dispersive_constant(rows_coarse, mask)
+        cf = _dispersive_constant(rows_fine, mask)
+        ratio = cf / c if c > 0.0 else 1.0
+        passed = math.isfinite(cf) and ratio <= 1.05
+        reports.append(_report(f"{name}{suffix}", cfg, spec, cf, ratio, passed, t0,
+                               header, rows_fine if suffix == "" else ()))
+    return reports
+
+
+def oracle_gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrids(),
+                                  trunc: TruncationSpec = TruncationSpec()) -> list[SweepReport]:
+    t0 = time.perf_counter()
+
+    def samples(g: SweepGrids):
+        r = np.linspace(g.r_min, g.r_max, g.n_radius)
+        base = np.linspace(-0.5 * cfg.period + 0.11, 0.5 * cfg.period - 0.07, g.n_angle)
+        cluster = np.array([0.03, 0.07, 0.15, 0.3, 0.6])
+        near_pi = np.concatenate([math.pi + cluster, math.pi - cluster,
+                                  -math.pi + cluster, -math.pi - cluster])
+        near_pi = near_pi[np.abs(near_pi) < 0.5 * cfg.period - 0.02]
+        dth = np.unique(np.concatenate([base, near_pi]))
+        ts = np.geomspace(0.1, 5.0, g.n_time) / cfg.b0
+        rows = []
+        r1g, r2g = np.meshgrid(r, r, indexing="ij")
+        rr = (r1g * r2g).ravel()
+        red = np.abs(np.remainder(dth + cfg.period / 2.0, cfg.period) - cfg.period / 2.0)
+        cosfac = np.where(red < math.pi, np.cos(red), -1.0)
+        for t in ts:
+            tb = t * cfg.b0
+            x = cfg.b0 * rr / (2.0 * math.sinh(tb))
+            bracket = np.abs(heat_closed_bracket_grid(x, dth, t, cfg))
+            raw = cfg.b0 / (4.0 * math.pi) * bracket  # |K| sinh e^{+Q}
+            dist_const = raw * np.exp(-x[None, :] * math.cosh(tb) * cosfac[:, None])
+            for i_d in range(len(dth)):
+                for i_x in range(len(rr)):
+                    rows.append((t, rr[i_x], dth[i_d], raw[i_d, i_x], dist_const[i_d, i_x]))
+        return rows
+
+    rows_c = samples(grids)
+    rows_f = samples(grids.refined())
+    c = max(r[4] for r in rows_c)
+    cf = max(r[4] for r in rows_f)
+    ratio = cf / c if c > 0 else 1.0
+    passed = math.isfinite(cf) and ratio <= 1.05
+    spec = (f"t geomspace(0.1,5)/b0 x {grids.n_time}, r x {grids.n_radius}^2, "
+            f"dtheta x {grids.n_angle}; distance-squared envelope, raw (r1^2+r2^2) variant in CSV")
+    header = ("t", "r1r2", "dtheta", "raw_const", "distance_const")
+    return [_report("gaussian-heat", cfg, spec, cf, ratio, passed, t0, header, rows_f)]
+
+
+def oracle_reduced_kernel_bound_scan(cfg: ConeConfig, R: float = 2.0 * math.pi,
+                                     grids: SweepGrids = SweepGrids(),
+                                     trunc: TruncationSpec = TruncationSpec()) -> list[SweepReport]:
+    t0 = time.perf_counter()
+
+    def sup_for(rho_max: float, n_rho: int, n_delta: int):
+        rho = np.linspace(0.0, rho_max, n_rho)
+        delta = np.linspace(-R, R, n_delta)
+        return float(np.abs(reduced_kernel_matrix(rho, delta, cfg, trunc)).max())
+
+    rho_max, n_rho = 12.5, 40 * grids.n_radius
+    sup_prev = sup_for(rho_max, n_rho, 8 * grids.n_angle)
+    while rho_max < 200.0:
+        rho_max *= 2.0
+        n_rho *= 2
+        sup_new = sup_for(rho_max, n_rho, 8 * grids.n_angle)
+        if abs(sup_new - sup_prev) < 0.01 * sup_new:
+            sup_prev = sup_new
+            break
+        sup_prev = sup_new
+    coarse = sup_prev
+    fine = sup_for(rho_max, 2 * n_rho - 1, 16 * grids.n_angle - 1)
+    ratio = fine / coarse if coarse > 0 else 1.0
+    passed = math.isfinite(fine) and ratio <= 1.05
+    rho = np.linspace(0.0, rho_max, 2 * n_rho - 1)
+    delta = np.linspace(-R, R, 16 * grids.n_angle - 1)
+    mat = np.abs(reduced_kernel_matrix(rho, delta, cfg, trunc))
+    rows = [(d, rho[int(np.argmax(mat[i_d]))], float(mat[i_d].max())) for i_d, d in enumerate(delta)]
+    spec = f"rho in [0,{rho_max}] (saturated by doubling), |delta| <= {R:.6g}"
+    return [_report("reduced-kernel", cfg, spec, fine, ratio, passed, t0,
+                    ("delta", "argmax_rho", "max_abs"), rows)]
+
+
+def oracle_reports(cfg: ConeConfig, grids: SweepGrids) -> list[SweepReport]:
+    """What `verify all` wrote for the dispersive family, gaussian-heat and reduced-kernel."""
+    kappa = flux_distance(cfg).kappa
+    reports = oracle_weighted_dispersive_constant(cfg, 0.0, grids, name="dispersive")[:1]
+    for g in (0.0, kappa / 2.0, kappa):
+        reports += oracle_weighted_dispersive_constant(cfg, g, grids, name=f"weighted-g{g:.4g}")
+    return (reports + oracle_gaussian_heat_constant(cfg, grids)
+            + oracle_reduced_kernel_bound_scan(cfg, grids=grids))
+
+
+# ---------------------------------------------------------------------------
+# artifacts: byte for byte against the oracles
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("i_cfg", range(3))
+def test_verify_all_artifacts_match_oracle(tmp_path, i_cfg):
+    cfg = verify.REFERENCE_CONFIGS[i_cfg]
+    expected = oracle_reports(cfg, SMALL)
+    names = {rep.name for rep in expected}
+    new = [rep for rep in verify.run_suite("all", cfg, SMALL) if rep.name in names]
+    assert [rep.name for rep in new] == [rep.name for rep in expected]
+    for old_rep, new_rep in zip(expected, new):
+        old_paths = oracle_write_report(old_rep, tmp_path / "old")
+        new_paths = verify.write_report(new_rep, tmp_path / "new")
+        for old_path, new_path in zip(old_paths, new_paths):
+            assert old_path.name == new_path.name
+            assert new_path.read_bytes() == old_path.read_bytes(), new_path.name
+
+
+def test_single_weighted_sweep_matches_oracle(tmp_path, cfg):
+    """A sweep called on its own builds its own grids and writes the same bytes."""
+    gamma = flux_distance(cfg).kappa / 3.0
+    old = oracle_weighted_dispersive_constant(cfg, gamma, SMALL)
+    new = verify.weighted_dispersive_constant(cfg, gamma, SMALL)
+    for old_rep, new_rep in zip(old, new, strict=True):
+        for old_path, new_path in zip(oracle_write_report(old_rep, tmp_path / "old"),
+                                      verify.write_report(new_rep, tmp_path / "new")):
+            assert new_path.read_bytes() == old_path.read_bytes()
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1.0 / 3.0]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_cols=st.integers(1, 5), data=st.data())
+def test_write_report_matches_per_value_format(tmp_path_factory, n_cols, data):
+    values = data.draw(st.lists(st.lists(_FLOATS, min_size=n_cols, max_size=n_cols), max_size=12))
+    header = tuple(f"c{i}" for i in range(n_cols))
+    cfg = verify.REFERENCE_CONFIGS[0]
+    old = _report("x/y", cfg, "spec", 1.0, 1.0, True, time.perf_counter(), header, values)
+    new = verify._report("x/y", cfg, "spec", 1.0, 1.0, True, 0, header, values)
+    out = tmp_path_factory.mktemp("w")
+    for old_path, new_path in zip(oracle_write_report(old, out / "old"),
+                                  verify.write_report(new, out / "new")):
+        assert new_path.read_bytes() == old_path.read_bytes()
+
+
+def test_csv_rows_are_a_read_only_float_array(cfg):
+    rep, omega1, _ = verify.weighted_dispersive_constant(cfg, 0.0, SMALL)
+    fine = SMALL.refined()
+    assert rep.csv_rows.dtype == np.float64
+    assert rep.csv_rows.shape == (fine.n_time * fine.n_radius ** 2 * fine.n_angle, 5)
+    assert omega1.csv_rows.shape == (0, 5)
+    with pytest.raises(ValueError):
+        rep.csv_rows[0, 0] = 1.0
+    assert SweepReport("x", cfg, "", 0.0, 1.0, True, 0).csv_rows.shape == (0, 0)
+    assert rep == replace(rep, csv_rows=rep.csv_rows[::-1]) != replace(rep, runtime_ms=-1)
+
+
+# ---------------------------------------------------------------------------
+# work: every kernel grid once per call
+# ---------------------------------------------------------------------------
+
+def _count_kernel_calls(monkeypatch) -> list:
+    calls = []
+
+    def counted(rho, delta, cfg, trunc=TruncationSpec()):
+        calls.append((float(rho[0]), rho.size, delta.size))
+        return reduced_kernel_matrix(rho, delta, cfg, trunc)
+
+    monkeypatch.setattr(verify, "reduced_kernel_matrix", counted)
+    return calls
+
+
+def test_verify_all_builds_each_kernel_grid_once(monkeypatch):
+    cfg = verify.REFERENCE_CONFIGS[1]
+    calls = _count_kernel_calls(monkeypatch)
+    verify.run_suite("all", cfg, SMALL)
+    # the dispersive grid has rho > 0; the reduced-kernel scan starts at rho = 0
+    dispersive = [c for c in calls if c[0] > 0.0]
+    scan = [c[1:] for c in calls if c[0] == 0.0]
+    assert len(dispersive) == SMALL.n_time + (2 * SMALL.n_time - 1)
+    assert len(scan) == len(set(scan))
+    assert scan[-1][1] == 16 * SMALL.n_angle - 1
+
+
+def test_standalone_weighted_sweep_builds_its_own_grids(monkeypatch):
+    cfg = verify.REFERENCE_CONFIGS[0]
+    calls = _count_kernel_calls(monkeypatch)
+    verify.weighted_dispersive_constant(cfg, 0.1, SMALL)
+    verify.dispersive_constant_schrodinger(cfg, SMALL)
+    assert len(calls) == 2 * (SMALL.n_time + (2 * SMALL.n_time - 1))
+
+
+def test_gamma_is_checked_before_any_kernel_call(monkeypatch):
+    cfg = verify.REFERENCE_CONFIGS[0]
+    calls = _count_kernel_calls(monkeypatch)
+    with pytest.raises(GammaOutOfRangeError):
+        verify.run_suite("weighted", cfg, SMALL, gamma=-0.1)
+    assert calls == []
+
+
+def test_reports_of_one_sweep_call_share_its_runtime(monkeypatch):
+    ticks = iter(np.arange(0.0, 1000.0, 0.25))
+    monkeypatch.setattr(verify, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+    reports = verify.weighted_dispersive_constant(verify.REFERENCE_CONFIGS[0], 0.0, SMALL)
+    assert len(reports) == 3
+    assert len({rep.runtime_ms for rep in reports}) == 1
+    assert reports[0].runtime_ms > 0
+
+
+# ---------------------------------------------------------------------------
+# grid validation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [dict(n_time=0), dict(n_radius=0), dict(n_angle=-2),
+                                 dict(r_min=0.0), dict(r_min=3.0), dict(r_min=4.0),
+                                 dict(r_max=math.inf), dict(r_min=math.nan)])
+def test_sweep_grids_reject_empty_or_bad_ranges(bad):
+    with pytest.raises(DomainError):
+        SweepGrids(**bad)
+
+
+def test_single_point_sweep_grids_are_valid():
+    grids = SweepGrids(n_time=1, n_radius=1, n_angle=1)
+    assert grids.refined() == grids
