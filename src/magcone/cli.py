@@ -141,7 +141,15 @@ def _out_path(args, default_name: str) -> Path:
 _KERNEL_CSV_HEADER = "t,r1,th1,r2,th2,re,im,largest_term,k_max_used"
 
 
+def _require_finite(args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"--{name} must be finite, got {value}")
+
+
 def cmd_kernel(args) -> int:
+    _require_finite(args, "t")
     rc = build_run_config(args)
     cfg = rc.cone
     p = _parse_point(cfg, args.p)
@@ -158,6 +166,7 @@ def cmd_kernel(args) -> int:
             kv = fn(args.t, p, q, cfg, rc.trunc)
             return kv.value, kv.largest_term
         # halfwave is only available spectrally; grow the window to the shell
+        _kernels._require_shell_bounded(args.j, cfg)
         lam_hi = 4.0 ** (args.j + 1)
         window = ModeWindow(
             max(rc.window.k_max, int(lam_hi / cfg.b0 * cfg.sigma / 2) + 8),
@@ -211,6 +220,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    _require_finite(args, "t", "nu")
     rc = build_run_config(args)
     cfg = rc.cone
     if args.action == "table":
@@ -281,26 +291,36 @@ def _load_samples(path: str):
         if len(parts) != 4:
             raise ConfigError(f"{path}:{lineno}: expected r,theta,re,im")
         try:
-            rows.append(tuple(float(x) for x in parts))
+            row = tuple(float(x) for x in parts)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad number") from exc
+        if not all(map(math.isfinite, row)):
+            raise ConfigError(f"{path}:{lineno}: samples must be finite")
+        rows.append(row)
     if not rows:
         raise ConfigError(f"{path}: empty sample file")
     return np.asarray(rows)
 
 
 def _expand_samples(samples: np.ndarray, rc: RunConfig) -> SpectralField:
-    """Expand scattered samples by nearest-sample lookup on the quadrature grid."""
-    pts = samples[:, :2]
+    """Expand scattered samples by nearest-sample lookup on the quadrature grid.
+
+    Nearness is Euclidean in (r, theta) with theta periodic: one k-d tree
+    over the samples, with theta canonicalized into [0, period), serves the
+    nodes of every mode.
+    """
+    from scipy.spatial import cKDTree  # about 0.1 s to import; only this command needs it
+
+    period = rc.cone.period
+    theta = np.mod(samples[:, 1], period)
+    theta[theta >= period] = 0.0  # np.mod rounds a tiny negative angle up to the period
+    tree = cKDTree(np.column_stack([samples[:, 0], theta]), boxsize=[0.0, period])
     vals = samples[:, 2] + 1j * samples[:, 3]
 
     def f(r, theta):
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        rr, tt = np.broadcast_arrays(r, theta)
-        flat_r, flat_t = rr.ravel(), tt.ravel()
-        d2 = (flat_r[:, None] - pts[None, :, 0]) ** 2 + (flat_t[:, None] - pts[None, :, 1]) ** 2
-        return vals[np.argmin(d2, axis=1)].reshape(rr.shape)
+        rr, tt = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(theta, dtype=float))
+        _, nearest = tree.query(np.column_stack([rr.ravel(), tt.ravel()]))  # the tree wraps theta
+        return vals[nearest].reshape(rr.shape)
 
     return expand(f, rc.window, rc.cone, rc.quad)
 

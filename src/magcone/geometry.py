@@ -33,10 +33,10 @@ class ConeConfig:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (self.sigma >= 1.0):
-            raise DomainError(f"sigma must be >= 1, got {self.sigma}")
-        if not (self.b0 > 0.0):
-            raise DomainError(f"b0 must be > 0, got {self.b0}")
+        if not (1.0 <= self.sigma < math.inf):
+            raise DomainError(f"sigma must be finite and >= 1, got {self.sigma}")
+        if not (0.0 < self.b0 < math.inf):
+            raise DomainError(f"b0 must be finite and > 0, got {self.b0}")
         if not (0.0 < self.alpha < 1.0 / self.sigma):
             raise DomainError(
                 f"alpha must lie in (0, {1.0 / self.sigma}) for sigma={self.sigma}, got {self.alpha}"
@@ -68,8 +68,10 @@ class ConePoint:
     theta: float
 
     def __post_init__(self) -> None:
-        if not (self.r >= 0.0):
-            raise DomainError(f"r must be >= 0, got {self.r}")
+        if not (0.0 <= self.r < math.inf):
+            raise DomainError(f"r must be finite and >= 0, got {self.r}")
+        if not math.isfinite(self.theta):
+            raise DomainError(f"theta must be finite, got {self.theta}")
 
 
 @dataclass(frozen=True)

@@ -38,14 +38,17 @@ from .spectrum import (
     ModeWindow,
     angular_order,
     eigenvalue,
-    eigenvalue_table,
+    point_field,
     radial_profiles,
     signed_order,
+    spectral_apply,
+    synthesize,
 )
 
 _SIN_GUARD = 1e-6
 _K_CAP = 8192
 _BOUNDARY_EPS = 1e-9
+_SHELL_MODE_CAP = 1 << 20  # half-wave shell work bound; j <= 3 holds <= 132k on the reference configs
 
 
 @dataclass(frozen=True)
@@ -119,15 +122,17 @@ def schrodinger_angular_tail(s, theta: float, cfg: ConeConfig):
     return out
 
 
-def heat_angular_tail(s, theta: float, t: float, cfg: ConeConfig):
+def heat_angular_tail(s, theta, t: float, cfg: ConeConfig):
     """Winding-number resummation entering the heat line integral.
 
     Evaluates b(w, theta) at w = s - t b0 with
     b(w, theta) = e^{alpha w} [ e^{i alpha pi} / (e^{(w + i(theta+pi))/sigma} - 1)
                               - e^{-i alpha pi} / (e^{(w + i(theta-pi))/sigma} - 1) ].
     Decays like e^{alpha w} as w -> -inf and e^{(alpha - 1/sigma) w} as w -> +inf.
+    s is real and theta broadcasts against it (a column of angles against a
+    row of nodes gives the product grid).
     """
-    w = np.asarray(s, dtype=complex) - t * cfg.b0
+    w = np.asarray(s, dtype=float) - t * cfg.b0
     sg, al = cfg.sigma, cfg.alpha
     plus = np.exp((w + 1j * (theta + math.pi)) / sg)
     minus = np.exp((w + 1j * (theta - math.pi)) / sg)
@@ -140,8 +145,43 @@ def heat_angular_tail(s, theta: float, t: float, cfg: ConeConfig):
 # heat kernel
 # ---------------------------------------------------------------------------
 
+def _angular_series(terms_for, k0: int, what: str):
+    """sum_k terms_for(k) over an adaptive, asymmetric k-range.
+
+    Starts from |k| <= k0 and extends each side by blocks of 16 until the
+    three terms at its edge fall below 1e-14 of the peak term; the edge
+    terms are those of the initial range or of the block just added.
+    Returns (total, peak, (k_lo, k_hi)).
+    """
+    k_lo, k_hi = -k0, k0
+    terms = terms_for(np.arange(k_lo, k_hi + 1))
+    mags = np.abs(terms)
+    peak = float(mags.max())
+    total = terms.sum()
+    edge_lo, edge_hi = mags[:3].max(), mags[-3:].max()
+
+    block = 16
+    while not (edge_lo <= 1e-14 * max(peak, 1e-300) or k_lo <= -_K_CAP):
+        new = terms_for(np.arange(k_lo - block, k_lo))
+        mags = np.abs(new)
+        total += new.sum()
+        peak = max(peak, float(mags.max()))
+        edge_lo = mags[:3].max()
+        k_lo -= block
+    while not (edge_hi <= 1e-14 * max(peak, 1e-300) or k_hi >= _K_CAP):
+        new = terms_for(np.arange(k_hi + 1, k_hi + block + 1))
+        mags = np.abs(new)
+        total += new.sum()
+        peak = max(peak, float(mags.max()))
+        edge_hi = mags[-3:].max()
+        k_hi += block
+    if k_lo <= -_K_CAP or k_hi >= _K_CAP:
+        raise NonconvergenceError(f"{what} angular series failed to converge within the k cap")
+    return total, peak, (k_lo, k_hi)
+
+
 def _heat_angular_series(cfg: ConeConfig, tb: float, x: float, theta: float, k0: int):
-    """sum_k e^{i(k/sigma)(theta + i t b0)} I_{a_k}(x) with adaptive, asymmetric range.
+    """sum_k e^{i(k/sigma)(theta + i t b0)} I_{a_k}(x).
 
     Negative k carry the growing factor e^{|k| t b0 / sigma}; the Bessel
     order decay always wins eventually, but the crossover is found by
@@ -156,32 +196,7 @@ def _heat_angular_series(cfg: ConeConfig, tb: float, x: float, theta: float, k0:
         log_mag = np.where(iv > 0.0, np.log(np.where(iv > 0.0, iv, 1.0)) + x - (ks / cfg.sigma) * tb, -np.inf)
         return np.exp(log_mag + 1j * (ks / cfg.sigma) * theta)
 
-    k_lo, k_hi = -k0, k0
-    ks = np.arange(k_lo, k_hi + 1)
-    terms = terms_for(ks)
-    peak = float(np.abs(terms).max())
-    total = terms.sum()
-
-    block = 16
-    while True:  # extend the negative side until its edge block is negligible
-        edge = np.abs(terms_for(np.arange(k_lo, min(k_lo + 3, k_hi + 1)))).max()
-        if edge <= 1e-14 * max(peak, 1e-300) or k_lo <= -_K_CAP:
-            break
-        new = terms_for(np.arange(k_lo - block, k_lo))
-        total += new.sum()
-        peak = max(peak, float(np.abs(new).max()))
-        k_lo -= block
-    while True:
-        edge = np.abs(terms_for(np.arange(max(k_hi - 2, k_lo), k_hi + 1))).max()
-        if edge <= 1e-14 * max(peak, 1e-300) or k_hi >= _K_CAP:
-            break
-        new = terms_for(np.arange(k_hi + 1, k_hi + block + 1))
-        total += new.sum()
-        peak = max(peak, float(np.abs(new).max()))
-        k_hi += block
-    if k_lo <= -_K_CAP or k_hi >= _K_CAP:
-        raise NonconvergenceError("heat angular series failed to converge within the k cap")
-    return total, peak, (k_lo, k_hi)
+    return _angular_series(terms_for, k0, "heat")
 
 
 def heat_kernel_series(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig,
@@ -244,19 +259,6 @@ def heat_kernel_closed(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig,
     return KernelValue(pref * bracket, pref * peak, trunc)
 
 
-def heat_tail_matrix(s_nodes: np.ndarray, theta_vec: np.ndarray, t: float,
-                     cfg: ConeConfig) -> np.ndarray:
-    """heat_angular_tail evaluated on a product grid; shape (n_theta, n_s)."""
-    w = np.asarray(s_nodes, dtype=float)[None, :] - t * cfg.b0
-    th = np.asarray(theta_vec, dtype=float)[:, None]
-    sg, al = cfg.sigma, cfg.alpha
-    plus = np.exp((w + 1j * (th + math.pi)) / sg)
-    minus = np.exp((w + 1j * (th - math.pi)) / sg)
-    return np.exp(al * w) * (
-        cmath.exp(1j * al * math.pi) / (plus - 1.0) - cmath.exp(-1j * al * math.pi) / (minus - 1.0)
-    )
-
-
 def heat_closed_bracket_grid(x_vec: np.ndarray, theta_vec: np.ndarray, t: float,
                              cfg: ConeConfig, order: int = 16) -> np.ndarray:
     """Closed-form heat bracket (without the e^{-Q} factor) on a product grid.
@@ -290,7 +292,7 @@ def heat_closed_bracket_grid(x_vec: np.ndarray, theta_vec: np.ndarray, t: float,
     nodes = (mids[:, None] + halfs[:, None] * gl_x[None, :]).ravel()
     weights = (halfs[:, None] * gl_w[None, :]).ravel()
 
-    tail = heat_tail_matrix(nodes, theta_vec, t, cfg) * weights[None, :]
+    tail = heat_angular_tail(nodes[None, :], theta_vec[:, None], t, cfg) * weights[None, :]
     envelope = np.exp(-np.outer(np.cosh(nodes), x_vec))
     integral = tail @ envelope  # (n_theta, n_x)
 
@@ -321,31 +323,12 @@ def _rotated_bessel(cfg: ConeConfig, ks: np.ndarray, rho: float) -> np.ndarray:
 
 
 def _schrodinger_angular_series(cfg: ConeConfig, rho: float, theta: float, k0: int):
-    """sum_k e^{i(k/sigma) theta} I_{a_k}(i rho), adaptive symmetric range."""
+    """sum_k e^{i(k/sigma) theta} I_{a_k}(i rho)."""
     if rho == 0.0:
         return 0.0 + 0.0j, 0.0, (0, 0)
-    k_lo, k_hi = -k0, k0
-    ks = np.arange(k_lo, k_hi + 1)
-    vals = _rotated_bessel(cfg, ks, rho)
-    total = np.sum(np.exp(1j * (ks / cfg.sigma) * theta) * vals)
-    peak = float(np.abs(vals).max())
-    block = 16
-    while True:
-        edge = max(abs(_rotated_bessel(cfg, np.array([k_lo]), rho)[0]),
-                   abs(_rotated_bessel(cfg, np.array([k_hi]), rho)[0]))
-        if edge <= 1e-14 * max(peak, 1e-300) or k_hi >= _K_CAP:
-            break
-        new_lo = np.arange(k_lo - block, k_lo)
-        new_hi = np.arange(k_hi + 1, k_hi + block + 1)
-        for new in (new_lo, new_hi):
-            vals = _rotated_bessel(cfg, new, rho)
-            total += np.sum(np.exp(1j * (new / cfg.sigma) * theta) * vals)
-            peak = max(peak, float(np.abs(vals).max()))
-        k_lo -= block
-        k_hi += block
-    if k_hi >= _K_CAP:
-        raise NonconvergenceError("Schrodinger angular series failed to converge within the k cap")
-    return total, peak, (k_lo, k_hi)
+    return _angular_series(
+        lambda ks: np.exp(1j * (ks / cfg.sigma) * theta) * _rotated_bessel(cfg, ks, rho), k0, "Schrodinger"
+    )
 
 
 def _schrodinger_prefactor(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig,
@@ -454,15 +437,22 @@ def reduced_kernel_matrix(rho: np.ndarray, delta: np.ndarray, cfg: ConeConfig,
 def spectral_kernel(multiplier, p: ConePoint, q: ConePoint, cfg: ConeConfig,
                     window: ModeWindow) -> complex:
     """Kernel of F(H) truncated to the window: sum F(lam) V(p) conj(V(q))."""
-    lam = eigenvalue_table(cfg, window)
-    weights = np.asarray(multiplier(lam))
-    total = 0.0 + 0.0j
-    dtheta = p.theta - q.theta
-    for ik, k in enumerate(window.k_values):
-        rad_p = radial_profiles(cfg, int(k), window.m_max, np.array([p.r]))[:, 0]
-        rad_q = radial_profiles(cfg, int(k), window.m_max, np.array([q.r]))[:, 0]
-        total += np.sum(weights[ik] * rad_p * rad_q) * cmath.exp(1j * (k / cfg.sigma) * dtheta)
-    return complex(total)
+    return synthesize(spectral_apply(multiplier, point_field(q, cfg, window), cfg), p, cfg)
+
+
+def _require_shell_bounded(j: int, cfg: ConeConfig) -> None:
+    """Raise WindowTooSmallError if dyadic shell j may hold more than _SHELL_MODE_CAP modes.
+
+    A closed form, so callers check it before they iterate or allocate
+    anything: at most sigma * lam_hi / (2 b0) + 1 rows k >= 0 lie below
+    lam_hi = 4^{j+1}, plus the degenerate row, each with at most
+    lam_hi / (2 b0) + 1 levels m.  The exponent is capped only so that the
+    bound stays a finite float.
+    """
+    half_levels = 2.0 ** (2 * min(j, 500) + 1) / cfg.b0  # lam_hi / (2 b0)
+    modes = (cfg.sigma * half_levels + 2.0) * (half_levels + 1.0)
+    if modes > _SHELL_MODE_CAP:
+        raise WindowTooSmallError(f"shell j={j} may hold {modes:.3g} modes, above the cap of {_SHELL_MODE_CAP}")
 
 
 def _shell_mode_lists(j: int, cfg: ConeConfig, window: ModeWindow):
@@ -470,8 +460,10 @@ def _shell_mode_lists(j: int, cfg: ConeConfig, window: ModeWindow):
 
     Returns [(k, m_array)] for k >= 0 (finite by growth in k) and the shell
     m-range shared by every k <= -1.  Raises WindowTooSmallError if the
-    window cannot contain the shell.
+    window cannot contain the shell, or if the shell holds more than
+    _SHELL_MODE_CAP modes.
     """
+    _require_shell_bounded(j, cfg)
     lam_lo, lam_hi = 4.0 ** (j - 1), 4.0 ** (j + 1)
     pos = []
     for k in range(0, window.k_max + 1):

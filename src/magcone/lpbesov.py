@@ -16,13 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, WindowTooSmallError
-from .geometry import ConeConfig
+from .geometry import ConeConfig, ConePoint
 from .quadrature import EvaluationGrid, evaluation_grid
 from .spectrum import (
     ModeWindow,
     SpectralField,
     eigenvalue_table,
     field_on_grid,
+    point_field,
+    random_field,
     spectral_apply,
 )
 
@@ -95,6 +97,26 @@ def _lp_norm(field: SpectralField, p: float, cfg: ConeConfig, grid: EvaluationGr
     return grid.lp_norm(values, p)
 
 
+def _shell_norms(field: SpectralField, p: float, cfg: ConeConfig, grid: EvaluationGrid | None,
+                 cutoff: DyadicCutoff) -> list[tuple[int, float]]:
+    """(j, ||shell_j f||_{L^p}) for every shell meeting the field's window."""
+    if grid is None and p != 2.0:
+        grid = evaluation_grid(cfg)
+    return [(j, _lp_norm(shell_project(field, j, cfg, cutoff), p, cfg, grid))
+            for j in shell_range(cfg, field.window)]
+
+
+def _besov(field: SpectralField, s: float, p: float, q: float, cfg: ConeConfig,
+           grid: EvaluationGrid | None, cutoff: DyadicCutoff) -> tuple[list[tuple[int, float]], float]:
+    """The shell norms and their ell^q sum of 2^{js} ||shell_j f||_{L^p}."""
+    if q < 1.0 or p < 1.0:
+        raise DomainError("besov_norm needs p, q >= 1")
+    pieces = _shell_norms(field, p, cfg, grid, cutoff)
+    if math.isinf(q):
+        return pieces, max(2.0 ** (j * s) * n for j, n in pieces)
+    return pieces, float(sum((2.0 ** (j * s) * n) ** q for j, n in pieces) ** (1.0 / q))
+
+
 def besov_norm(field: SpectralField, s: float, p: float, q: float, cfg: ConeConfig,
                grid: EvaluationGrid | None = None,
                cutoff: DyadicCutoff | None = None) -> float:
@@ -103,41 +125,20 @@ def besov_norm(field: SpectralField, s: float, p: float, q: float, cfg: ConeConf
     p = 2 is exact from coefficients; other p are quadrature norms on the
     fixed evaluation grid; p = inf means the grid maximum.
     """
-    if q < 1.0 or p < 1.0:
-        raise DomainError("besov_norm needs p, q >= 1")
-    if cutoff is None:
-        cutoff = make_cutoff()
-    if grid is None and p != 2.0:
-        grid = evaluation_grid(cfg)
-    pieces = []
-    for j in shell_range(cfg, field.window):
-        piece = shell_project(field, j, cfg, cutoff)
-        norm_p = _lp_norm(piece, p, cfg, grid) if p != 2.0 else piece.coefficient_norm()
-        pieces.append((j, norm_p))
-    if math.isinf(q):
-        return max(2.0 ** (j * s) * n for j, n in pieces)
-    return float(sum((2.0 ** (j * s) * n) ** q for j, n in pieces) ** (1.0 / q))
+    return _besov(field, s, p, q, cfg, grid, cutoff if cutoff is not None else make_cutoff())[1]
 
 
 def besov_report(field: SpectralField, s: float, p: float, q: float, cfg: ConeConfig,
                  grid: EvaluationGrid | None = None) -> dict:
     """Norm plus per-shell breakdown, JSON-ready."""
-    cutoff = make_cutoff()
-    if grid is None and p != 2.0:
-        grid = evaluation_grid(cfg)
-    shells = []
-    for j in shell_range(cfg, field.window):
-        piece = shell_project(field, j, cfg, cutoff)
-        norm_p = _lp_norm(piece, p, cfg, grid) if p != 2.0 else piece.coefficient_norm()
-        shells.append({"j": j, "lp_norm": norm_p})
-    value = besov_norm(field, s, p, q, cfg, grid=grid, cutoff=cutoff)
+    pieces, value = _besov(field, s, p, q, cfg, grid, make_cutoff())
     return {
         "s": s,
         "p": p,
         "q": q,
         "window": {"k_max": field.window.k_max, "m_max": field.window.m_max},
         "value": value,
-        "shells": shells,
+        "shells": [{"j": j, "lp_norm": n} for j, n in pieces],
     }
 
 
@@ -156,27 +157,13 @@ def square_function_l2(field: SpectralField, cfg: ConeConfig,
     """
     if cutoff is None:
         cutoff = make_cutoff()
-    total = 0.0
-    for j in shell_range(cfg, field.window):
-        total += shell_project(field, j, cfg, cutoff).coefficient_norm() ** 2
-    return total
+    return sum(n ** 2 for _, n in _shell_norms(field, 2.0, cfg, None, cutoff))
 
 
 def _require_shell_covered(j: int, cfg: ConeConfig, window: ModeWindow) -> None:
     from .kernels import _shell_mode_lists  # shared coverage rule
 
     _shell_mode_lists(j, cfg, window)
-
-
-def _point_kernel_field(cfg: ConeConfig, window: ModeWindow, r0: float, theta0: float) -> SpectralField:
-    """Coherent trial field c_{k,m} = conj(V_{k,m}(p0)): the L^p-extremizer shape."""
-    from .spectrum import radial_profiles
-
-    coeffs = np.empty(window.shape, dtype=complex)
-    for ik, k in enumerate(window.k_values):
-        rad = radial_profiles(cfg, int(k), window.m_max, np.array([r0]))[:, 0]
-        coeffs[ik] = rad * np.exp(-1j * (k / cfg.sigma) * theta0)
-    return SpectralField(window, coeffs)
 
 
 def bernstein_ratio(j: int, p: float, q_exp: float, cfg: ConeConfig, window: ModeWindow,
@@ -194,7 +181,6 @@ def bernstein_ratio(j: int, p: float, q_exp: float, cfg: ConeConfig, window: Mod
     if not (1.0 <= q_exp <= p):
         raise DomainError("bernstein_ratio needs 1 <= q_exp <= p")
     _require_shell_covered(j, cfg, window)
-    from .spectrum import random_field
 
     if grid is None:
         grid = evaluation_grid(cfg)
@@ -202,7 +188,7 @@ def bernstein_ratio(j: int, p: float, q_exp: float, cfg: ConeConfig, window: Mod
     rng = np.random.default_rng(seed)
     fields = [random_field(window, rng) for _ in range(trials)]
     for r0 in (0.35, 0.9, 1.7):
-        point = _point_kernel_field(cfg, window, r0, 0.0)
+        point = point_field(ConePoint(r0, 0.0), cfg, window)
         fields.append(point)
         # shell-localized variant: the L1-side extremizer shape
         fields.append(shell_project(point, j, cfg, cutoff))

@@ -65,23 +65,33 @@ def laguerre(alpha: float, m: int, x):
     return cur if cur.ndim else float(cur)
 
 
+def normalized_laguerre_rows(alpha: float, m_max: int, x) -> np.ndarray:
+    """Rows P[n] = L_n^alpha(x) / L_n^alpha(0) for n = 0..m_max; shape (m_max + 1,) + x.shape.
+
+    The one normalized-Laguerre recurrence: it builds the radial factors of
+    the eigenfunctions and the projections onto them.  Kept in the
+    normalized scale to avoid the large binomial factors.
+    """
+    x = np.asarray(x, dtype=float)
+    rows = np.empty((m_max + 1,) + x.shape)
+    rows[0] = 1.0
+    if m_max >= 1:
+        rows[1] = 1.0 - x / (1.0 + alpha)
+    for n in range(1, m_max):
+        rows[n + 1] = ((2 * n + 1 + alpha - x) * rows[n] - n * rows[n - 1]) / (n + 1 + alpha)
+    return rows
+
+
 def normalized_laguerre(alpha: float, m: int, x):
     """Laguerre polynomial rescaled so its value at x = 0 is exactly 1.
 
-    Equals laguerre(alpha, m, x) / binomial(m + alpha, m); this is the radial
-    polynomial entering the eigenfunctions.  Recurrence kept in the
-    normalized scale to avoid the large binomial factors.
+    Equals laguerre(alpha, m, x) / binomial(m + alpha, m), the radial
+    polynomial entering the eigenfunctions: row m of normalized_laguerre_rows.
     """
     if m < 0:
         raise DomainError(f"normalized_laguerre needs m >= 0, got {m}")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if m == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 1.0 - x / (1.0 + alpha)
-    for n in range(1, m):
-        prev, cur = cur, ((2 * n + 1 + alpha - x) * cur - n * prev) / (n + 1 + alpha)
-    return cur if cur.ndim else float(cur)
+    row = normalized_laguerre_rows(alpha, m, x)[m]
+    return row if row.ndim else float(row)
 
 
 def _nonpositive_int(a: float) -> bool:

@@ -23,6 +23,7 @@ from scipy import special as _sp
 from .errors import DomainError, QuadratureError
 from .geometry import ConeConfig, ConePoint
 from .quadrature import genlaguerre_rule
+from .specfun import normalized_laguerre_rows
 
 
 @dataclass(frozen=True)
@@ -145,17 +146,6 @@ def mode_data(idx: ModeIndex, cfg: ConeConfig) -> ModeData:
     return ModeData(alpha_k=a, beta_k=beta, lam=lam, norm_sq=nsq)
 
 
-def _unit_laguerre_rows(a: float, m_max: int, u: np.ndarray) -> np.ndarray:
-    """Rows of at-zero-normalized Laguerre polynomials over the nodes u."""
-    polys = np.empty((m_max + 1, u.size))
-    polys[0] = 1.0
-    if m_max >= 1:
-        polys[1] = 1.0 - u / (1.0 + a)
-    for n in range(1, m_max):
-        polys[n + 1] = ((2 * n + 1 + a - u) * polys[n] - n * polys[n - 1]) / (n + 1 + a)
-    return polys
-
-
 def radial_profiles(cfg: ConeConfig, k: int, m_max: int, r) -> np.ndarray:
     """Normalized radial factors R[m, i] of modes (k, 0..m_max) at radii r[i].
 
@@ -166,7 +156,7 @@ def radial_profiles(cfg: ConeConfig, k: int, m_max: int, r) -> np.ndarray:
     r = np.atleast_1d(np.asarray(r, dtype=float))
     a = float(angular_order(cfg, k))
     u = cfg.b0 * r * r / 2.0
-    polys = _unit_laguerre_rows(a, m_max, u)
+    polys = normalized_laguerre_rows(a, m_max, u)
 
     with np.errstate(divide="ignore"):
         log_radial = np.where(r > 0.0, a * np.log(np.where(r > 0.0, r, 1.0)), -np.inf if a > 0 else 0.0)
@@ -182,6 +172,19 @@ def eigenfunction(idx: ModeIndex, p: ConePoint, cfg: ConeConfig, normalized: boo
     if not normalized:
         rad *= math.exp(0.5 * float(log_norm_sq(cfg, idx.k, idx.m)))
     return rad * np.exp(1j * (idx.k / cfg.sigma) * p.theta)
+
+
+def point_field(q: ConePoint, cfg: ConeConfig, window: ModeWindow) -> SpectralField:
+    """Coefficients c[k, m] = conj(V_{k,m}(q)): the window's part of the delta at q.
+
+    Synthesizing F(H) applied to it at p gives the truncated kernel of F(H)
+    at (p, q).
+    """
+    coeffs = np.empty(window.shape, dtype=complex)
+    for ik, k in enumerate(window.k_values):
+        rad = radial_profiles(cfg, int(k), window.m_max, np.array([q.r]))[:, 0]
+        coeffs[ik] = rad * np.exp(-1j * (k / cfg.sigma) * q.theta)
+    return SpectralField(window, coeffs)
 
 
 def _angular_nodes(cfg: ConeConfig, n_theta: int) -> np.ndarray:
@@ -219,7 +222,7 @@ def expand(
 
         # node factors: weight * exp(u/2 - (a/2) ln u + (a/2) ln(2/b0)), in log space
         g = np.exp(np.log(w) + u / 2.0 - (a / 2.0) * np.log(u) + (a / 2.0) * math.log(2.0 / cfg.b0))
-        polys = _unit_laguerre_rows(a, window.m_max, u)
+        polys = normalized_laguerre_rows(a, window.m_max, u)
         log_norm = log_norm_sq(cfg, k, ms)
         pref = math.sqrt(cfg.period) / cfg.b0 * np.exp(-0.5 * log_norm)
         coeffs[ik] = pref * (polys @ (g * fk))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, GammaOutOfRangeError, QuadratureError
 from .geometry import ConeConfig, flux_distance
-from .kernels import TruncationSpec, reduced_kernel_matrix, schrodinger_angular_tail
+from .kernels import TruncationSpec, _require_shell_bounded, reduced_kernel_matrix, schrodinger_angular_tail
 from .lpbesov import make_cutoff
 from .quadrature import adaptive_panel
 from .spectrum import (
@@ -492,6 +492,7 @@ def halfwave_decay_fit(cfg: ConeConfig, j: int, grids: SweepGrids = SweepGrids()
     Pass criterion is the band [-0.75, -0.35] around the proved -1/2 rate.
     """
     t0 = time.perf_counter()
+    _require_shell_bounded(j, cfg)
     if window is None:
         lam_hi = 4.0 ** (j + 1)
         m_need = int(math.floor((lam_hi / cfg.b0 - 1.0) / 2.0)) + 1

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -200,3 +201,93 @@ def test_verify_empty_sweep_grid_is_config_error(tmp_path, capsys):
     assert err.startswith("error: ") and "n_time=0" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def _assert_one_line_error(capsys, code, elapsed=None):
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if elapsed is not None:
+        assert elapsed < 5.0
+    return err
+
+
+@pytest.mark.parametrize("kind,extra", [
+    ("heat", ["--repr", "both", "--t", "1.0", "--p", "inf,0", "--q", "1.0,0.5"]),
+    ("heat", ["--t", "1.0", "--p", "1.0,nan", "--q", "1.0,0.5"]),
+    ("schrodinger", ["--t", "inf", "--p", "1.0,0.3", "--q", "0.8,2.1"]),
+    ("halfwave", ["--t", "inf", "--p", "1.0,0.3", "--q", "0.8,2.1"]),
+    ("heat", ["--t", "nan", "--p", "1.0,0.3", "--q", "0.8,2.1"]),
+])
+def test_kernel_rejects_non_finite_input(tmp_path, capsys, kind, extra):
+    code = run_cli("--out", str(tmp_path / "o"), "kernel", kind, *extra)
+    _assert_one_line_error(capsys, code)
+    assert not (tmp_path / "o" / "kernel.csv").exists()
+
+
+@pytest.mark.parametrize("extra", [["--mult", "heat", "--t", "nan"],
+                                   ["--mult", "schrodinger", "--t", "inf"],
+                                   ["--mult", "fractional", "--nu", "nan"]])
+def test_spectrum_evolve_rejects_non_finite_input(tmp_path, capsys, extra):
+    field_csv = tmp_path / "field.csv"
+    field_csv.write_text("k,m,re_c,im_c\n0,0,1.0,0.0\n")
+    code = run_cli("--out", str(tmp_path / "o"), "spectrum", "evolve", "--input", str(field_csv), *extra)
+    _assert_one_line_error(capsys, code)
+    assert not (tmp_path / "o" / "field_evolved.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "halfwave", "--j", "30", "--t", "0.5", "--p", "1.0,0.3", "--q", "0.8,2.1"],
+    ["kernel", "halfwave", "--j", "600", "--t", "0.5", "--p", "1.0,0.3", "--q", "0.8,2.1"],
+    ["verify", "halfwave", "--j", "30"],
+    ["verify", "halfwave", "--j", "600"],
+])
+def test_halfwave_shell_work_bound(tmp_path, capsys, argv):
+    start = time.perf_counter()
+    code = run_cli("--out", str(tmp_path / "o"), *argv)
+    err = _assert_one_line_error(capsys, code, time.perf_counter() - start)
+    assert "modes, above the cap" in err
+
+
+DEFAULT_PERIOD = 2.0 * math.pi  # the default cone has sigma = 1
+
+
+def _captured_sample_function(monkeypatch, samples):
+    """The sample lookup that _expand_samples hands to expand, on the default cone."""
+    from magcone import cli
+
+    rc = cli.build_run_config(cli.build_parser().parse_args(["spectrum", "expand"]))
+    captured = {}
+    monkeypatch.setattr(cli, "expand", lambda f, *args: captured.setdefault("f", f))
+    cli._expand_samples(np.asarray(samples, dtype=float), rc)
+    assert rc.cone.period == DEFAULT_PERIOD
+    return captured["f"]
+
+
+def test_expand_samples_wraps_theta(monkeypatch):
+    """A sample just below the period is the nearest one to the node at theta = 0."""
+    f = _captured_sample_function(monkeypatch, [[1.0, DEFAULT_PERIOD - 1e-6, 1.0, 0.0],
+                                                [1.0, 0.5, 2.0, 0.0],
+                                                [2.0, DEFAULT_PERIOD + 1.0, 4.0, 0.0]])
+    # without the wrap the sample at theta = 0.5 would be nearest to theta = 0
+    got = f(np.array([[1.0], [2.0]]), np.array([[0.0, 1.0]]))
+    assert got.shape == (2, 2)
+    assert got[0, 0] == 1.0
+    assert got[1, 1] == 4.0  # theta = period + 1 is canonicalized to 1
+    assert f(np.array([1.0]), np.array([0.3]))[0] == 2.0
+
+
+def test_expand_samples_canonicalize_negative_zero_side(monkeypatch):
+    # np.mod(-1e-20, period) rounds to the period itself, outside the tree's box
+    f = _captured_sample_function(monkeypatch, [[1.0, -1e-20, 3.0, 0.0],
+                                                [1.0, 3.0, 5.0, 0.0]])
+    assert f(np.array([1.0]), np.array([0.0]))[0] == 3.0
+    assert f(np.array([1.0]), np.array([DEFAULT_PERIOD - 0.1]))[0] == 3.0
+
+
+def test_expand_rejects_non_finite_samples(tmp_path, capsys):
+    samples = tmp_path / "s.csv"
+    samples.write_text("r,theta,re,im\n1.0,0.5,1.0,0.0\nnan,0.1,1.0,0.0\n")
+    code = run_cli("--out", str(tmp_path / "o"), "spectrum", "expand", "--input", str(samples))
+    _assert_one_line_error(capsys, code)

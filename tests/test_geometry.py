@@ -113,3 +113,24 @@ def test_flux_distance_bound_random(rng):
         # oracle: dense lattice scan
         lattice = np.arange(-6, 7) / sigma
         assert kappa == pytest.approx(np.abs(alpha - lattice).min(), abs=1e-14)
+
+
+@pytest.mark.parametrize("r,theta", [(math.inf, 0.0), (math.nan, 0.0), (-0.5, 0.0),
+                                     (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)])
+def test_cone_point_rejects_non_finite_and_negative(r, theta):
+    with pytest.raises(DomainError):
+        ConePoint(r, theta)
+
+
+def test_make_point_rejects_non_finite():
+    cfg = ConeConfig(1.5, 1.0, 0.4)
+    with pytest.raises(DomainError):
+        make_point(cfg, math.inf, 0.0)  # what `kernel heat --p inf,0` builds
+    with pytest.raises(DomainError):
+        make_point(cfg, 1.0, math.nan)
+
+
+@pytest.mark.parametrize("sigma,b0", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)])
+def test_config_rejects_non_finite(sigma, b0):
+    with pytest.raises(DomainError):
+        ConeConfig(sigma=sigma, b0=b0, alpha=0.2)

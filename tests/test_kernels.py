@@ -448,3 +448,23 @@ def test_halfwave_window_too_small(cfg):
     p = make_point(cfg, 1.0, 0.4)
     with pytest.raises(WindowTooSmallError):
         halfwave_kernel_truncated(3, 0.1, p, p, cfg, ModeWindow(10, 5))
+
+
+def test_halfwave_shell_work_bound(cfg):
+    """Shells past the mode cap raise before any mode is listed; j <= 3 stays inside it."""
+    from magcone.kernels import _SHELL_MODE_CAP, _shell_mode_lists, halfwave_kernel_grid
+    from magcone.lpbesov import bernstein_ratio
+
+    huge = ModeWindow(k_max=10 ** 19, m_max=10 ** 19)
+    r = np.array([0.5, 1.0])
+    for j in (30, 600):  # without the bound these fail at once; a j near 12 would allocate for minutes
+        with pytest.raises(WindowTooSmallError, match="above the cap"):
+            halfwave_kernel_grid(j, 0.5, r, np.array([0.1]), cfg, huge)
+        with pytest.raises(WindowTooSmallError, match="above the cap"):
+            bernstein_ratio(j, math.inf, 2.0, cfg, huge)
+    for j in range(-2, 4):
+        lam_hi = 4.0 ** (j + 1)
+        window = ModeWindow(int(math.ceil(lam_hi / cfg.b0 * cfg.sigma / 2.0)) + 8,
+                            int(math.floor((lam_hi / cfg.b0 - 1.0) / 2.0)) + 1)
+        pos, neg_ms = _shell_mode_lists(j, cfg, window)
+        assert sum(ms.size for _, ms in pos) + neg_ms.size <= _SHELL_MODE_CAP
