@@ -11,15 +11,13 @@ import math
 import numpy as np
 
 from magcone import ConeConfig
-from magcone.spectrum import ModeWindow
+from magcone.kernels import shell_window
 from magcone.verify import _halfwave_sup_curve, halfwave_decay_fit
 
 cfg = ConeConfig(sigma=1.0, b0=1.0, alpha=0.25)
 j = 2
 
-lam_hi = 4.0 ** (j + 1)
-window = ModeWindow(int(lam_hi / cfg.b0 * cfg.sigma / 2) + 8,
-                    int((lam_hi / cfg.b0 - 1) / 2) + 1)
+window = shell_window(j, cfg)  # the smallest window covering shell j
 t_lo, t_hi = 2.0 ** -j, 2.0 ** j * math.pi / (2.0 * cfg.b0)
 ts = np.geomspace(t_lo, t_hi, 12)
 r_nodes = np.linspace(0.25, 9.0, 30)

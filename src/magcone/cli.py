@@ -160,25 +160,21 @@ def cmd_kernel(args) -> int:
             fn = {"series": _kernels.heat_kernel_series, "closed": _kernels.heat_kernel_closed}[repr_name]
             kv = fn(args.t, p, q, cfg, rc.trunc)
             return kv.value, kv.largest_term
-        if args.kind == "schrodinger":
-            fn = {"series": _kernels.schrodinger_kernel_series,
-                  "closed": _kernels.schrodinger_kernel_closed}[repr_name]
-            kv = fn(args.t, p, q, cfg, rc.trunc)
-            return kv.value, kv.largest_term
-        # halfwave is only available spectrally; grow the window to the shell
-        _kernels._require_shell_bounded(args.j, cfg)
-        lam_hi = 4.0 ** (args.j + 1)
-        window = ModeWindow(
-            max(rc.window.k_max, int(lam_hi / cfg.b0 * cfg.sigma / 2) + 8),
-            max(rc.window.m_max, int((lam_hi / cfg.b0 - 1) / 2) + 1),
-        )
-        val = _kernels.halfwave_kernel_truncated(args.j, args.t, p, q, cfg, window)
-        return val, abs(val)
+        fn = {"series": _kernels.schrodinger_kernel_series,
+              "closed": _kernels.schrodinger_kernel_closed}[repr_name]
+        kv = fn(args.t, p, q, cfg, rc.trunc)
+        return kv.value, kv.largest_term
 
     reprs = ["series", "closed"] if args.repr == "both" else [args.repr]
+    k_used = rc.trunc.k_max
     if args.kind == "halfwave":
-        reprs = ["spectral"]
-    if args.kind != "halfwave" and args.repr == "spectral":
+        # halfwave is only available spectrally; grow the window to the shell
+        shell = _kernels.shell_window(args.j, cfg)
+        window = ModeWindow(max(rc.window.k_max, shell.k_max), max(rc.window.m_max, shell.m_max))
+        val = _kernels.halfwave_kernel_truncated(args.j, args.t, p, q, cfg, window)
+        results = {"spectral": (val, abs(val))}
+        k_used = window.k_max
+    elif args.repr == "spectral":
         mult = heat_multiplier(args.t) if args.kind == "heat" else schrodinger_multiplier(args.t)
         val = _kernels.spectral_kernel(mult, p, q, cfg, rc.window)
         results = {"spectral": (val, abs(val))}
@@ -195,7 +191,7 @@ def cmd_kernel(args) -> int:
             fh.write(_KERNEL_CSV_HEADER + "\n")
         for name, val, largest in rows:
             fh.write(f"{args.t:.17g},{p.r:.17g},{p.theta:.17g},{q.r:.17g},{q.theta:.17g},"
-                     f"{val.real:.17g},{val.imag:.17g},{largest:.17g},{rc.trunc.k_max}\n")
+                     f"{val.real:.17g},{val.imag:.17g},{largest:.17g},{k_used}\n")
 
     payload = {
         "kind": args.kind,
@@ -274,9 +270,7 @@ def _named_multiplier(args):
         return schrodinger_multiplier(args.t)
     if name == "halfwave":
         cutoff = make_cutoff()
-        j = args.j
-        t = args.t
-        return lambda lam: cutoff(np.sqrt(lam) / 2.0 ** j) * np.exp(1j * t * np.sqrt(lam))
+        return lambda lam: cutoff.shell_weights(args.j, lam) * np.exp(1j * args.t * np.sqrt(lam))
     if name == "fractional":
         return fractional_flow_multiplier(args.nu, args.t)
     raise ConfigError(f"unknown multiplier {name!r}")

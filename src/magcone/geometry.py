@@ -83,6 +83,8 @@ class FluxDistance:
 
 def make_point(cfg: ConeConfig, r: float, theta: float) -> ConePoint:
     """Build a ConePoint with theta reduced to the canonical window [0, period)."""
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta}")
     period = cfg.period
     t = math.fmod(theta, period)
     if t < 0.0:

@@ -49,6 +49,8 @@ _SIN_GUARD = 1e-6
 _K_CAP = 8192
 _BOUNDARY_EPS = 1e-9
 _SHELL_MODE_CAP = 1 << 20  # half-wave shell work bound; j <= 3 holds <= 132k on the reference configs
+_HALFWAVE_T_CHUNK = 4  # times per accumulator in _halfwave_pair_chunks
+_HALFWAVE_K_CHUNK = 16  # angular blocks per phase contraction
 
 
 @dataclass(frozen=True)
@@ -202,8 +204,8 @@ def _heat_angular_series(cfg: ConeConfig, tb: float, x: float, theta: float, k0:
 def heat_kernel_series(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig,
                        trunc: TruncationSpec = TruncationSpec()) -> KernelValue:
     """Heat kernel by the angular Bessel series."""
-    if not (t > 0.0):
-        raise DomainError(f"heat kernel needs t > 0, got {t}")
+    if not (0.0 < t < math.inf):
+        raise DomainError(f"heat kernel needs a finite t > 0, got {t}")
     tb = t * cfg.b0
     x = cfg.b0 * p.r * q.r / (2.0 * math.sinh(tb))
     big_q = cfg.b0 * (p.r ** 2 + q.r ** 2) / (4.0 * math.tanh(tb))
@@ -217,8 +219,8 @@ def heat_kernel_series(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig,
 def heat_kernel_closed(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig,
                        trunc: TruncationSpec = TruncationSpec()) -> KernelValue:
     """Heat kernel by the image sum plus resummed-tail line integral."""
-    if not (t > 0.0):
-        raise DomainError(f"heat kernel needs t > 0, got {t}")
+    if not (0.0 < t < math.inf):
+        raise DomainError(f"heat kernel needs a finite t > 0, got {t}")
     tb = t * cfg.b0
     x = cfg.b0 * p.r * q.r / (2.0 * math.sinh(tb))
     big_q = cfg.b0 * (p.r ** 2 + q.r ** 2) / (4.0 * math.tanh(tb))
@@ -308,6 +310,8 @@ def heat_closed_bracket_grid(x_vec: np.ndarray, theta_vec: np.ndarray, t: float,
 # ---------------------------------------------------------------------------
 
 def _require_regular_time(t: float, cfg: ConeConfig) -> float:
+    if not math.isfinite(t):
+        raise DomainError(f"Schrodinger kernel needs a finite t, got {t}")
     sin_tb = math.sin(t * cfg.b0)
     if abs(sin_tb) < _SIN_GUARD:
         raise SingularTimeError(
@@ -493,62 +497,110 @@ def _shell_mode_lists(j: int, cfg: ConeConfig, window: ModeWindow):
     return pos, neg_ms
 
 
-def halfwave_kernel_grid(j: int, t: float, r_nodes: np.ndarray, dtheta_nodes: np.ndarray,
-                         cfg: ConeConfig, window: ModeWindow, cutoff=None) -> np.ndarray:
-    """Frequency-truncated half-wave kernel on a grid of radii and angle gaps.
+def shell_window(j: int, cfg: ConeConfig) -> ModeWindow:
+    """The smallest mode window covering dyadic shell j.
 
-    Returns K[i_dtheta, i_r1, i_r2].  The k <= -1 Landau branch is truncated
-    adaptively by the evaluated radial magnitude on the requested radii; a
-    tail that refuses to decay inside the window raises WindowTooSmallError.
+    Raises WindowTooSmallError first if the shell may hold more than
+    _SHELL_MODE_CAP modes.
     """
-    if cutoff is None:
-        from .lpbesov import make_cutoff
+    _require_shell_bounded(j, cfg)
+    lam_hi = 4.0 ** (j + 1)
+    return ModeWindow(k_max=int(math.ceil((lam_hi / cfg.b0) * cfg.sigma / 2.0)) + 8,
+                      m_max=int(math.floor((lam_hi / cfg.b0 - 1.0) / 2.0)) + 1)
 
-        cutoff = make_cutoff()
-    r_nodes = np.asarray(r_nodes, dtype=float)
-    dtheta_nodes = np.asarray(dtheta_nodes, dtype=float)
+
+def _shell_blocks(j: int, cfg: ConeConfig, window: ModeWindow, r_nodes: np.ndarray, cutoff):
+    """Time-independent blocks (k, sqrt(lam), phi(2^-j sqrt(lam)), V_{k,m}(r_nodes)) of shell j.
+
+    The k <= -1 Landau branch shares one m-range and one set of weights.  Its
+    row k is kept while (max_m phi |V|)^2 exceeds 1e-13 of the branch peak;
+    the branch stops after three rows in a row below that, or at k = -k_max.
+    Returns (blocks, tail), tail being the last row's magnitude over that peak
+    (1 if the window holds no k <= -1 row): far above 1e-13, the window cut the branch.
+    """
     pos, neg_ms = _shell_mode_lists(j, cfg, window)
-
-    def k_block(k: int, ms: np.ndarray) -> np.ndarray:
-        lam = np.asarray(eigenvalue(cfg, k, ms), dtype=float)
-        w = cutoff(np.sqrt(lam) / 2.0 ** j) * np.exp(1j * t * np.sqrt(lam))
-        rad_full = radial_profiles(cfg, k, int(ms.max()), r_nodes)[ms, :]
-        return np.einsum("m,mi,mj->ij", w, rad_full, rad_full)
-
-    out = np.zeros((dtheta_nodes.size, r_nodes.size, r_nodes.size), dtype=complex)
-
-    def accumulate(k: int, block: np.ndarray) -> None:
-        phases = np.exp(1j * (k / cfg.sigma) * dtheta_nodes)
-        out_view = out.reshape(dtheta_nodes.size, -1)
-        out_view += np.outer(phases, block.ravel())
-
-    scale = 0.0
+    blocks = []
     for k, ms in pos:
-        block = k_block(k, ms)
-        scale = max(scale, float(np.abs(block).max()))
-        accumulate(k, block)
-
+        lam = np.asarray(eigenvalue(cfg, k, ms), dtype=float)
+        rad = radial_profiles(cfg, k, int(ms.max()), r_nodes)[ms, :]
+        blocks.append((k, np.sqrt(lam), cutoff.shell_weights(j, lam), rad))
+    tail = 0.0
     if neg_ms.size:
+        lam_neg = np.asarray(eigenvalue(cfg, -1, neg_ms), dtype=float)
+        w_neg = cutoff.shell_weights(j, lam_neg)
+        scale, tail = 0.0, 1.0
         k = -1
         stall = 0
-        while True:
-            block = k_block(k, neg_ms)
-            mag = float(np.abs(block).max())
+        while -k <= window.k_max:
+            rad = radial_profiles(cfg, k, int(neg_ms.max()), r_nodes)[neg_ms, :]
+            mag = float((w_neg[:, None] * np.abs(rad)).max()) ** 2
             scale = max(scale, mag)
+            tail = mag / max(scale, 1e-300)
             if mag <= 1e-13 * max(scale, 1e-300):
                 stall += 1
                 if stall >= 3:
                     break
             else:
                 stall = 0
-                accumulate(k, block)
+                blocks.append((k, np.sqrt(lam_neg), w_neg, rad))
             k -= 1
-            if -k > window.k_max:
-                if mag > 1e-10 * max(scale, 1e-300):
-                    raise WindowTooSmallError(
-                        f"degenerate-branch tail still {mag:.2e} at k={k + 1}; enlarge k_max"
-                    )
-                break
+    return blocks, tail
+
+
+def _halfwave_pair_chunks(blocks: list, ts: np.ndarray, dth_nodes: np.ndarray, n_r: int, cfg: ConeConfig):
+    """Yield K[t, i_dtheta, pair] for successive chunks of _HALFWAVE_T_CHUNK times.
+
+    Each block is symmetric in (r_i, r_j), so only the pairs i <= j are
+    formed, in np.triu_indices(n_r) order.  Chunking the times keeps the
+    accumulator and the pair products near 2 MB.
+    """
+    iu, ju = np.triu_indices(n_r)
+    for t0 in range(0, ts.size, _HALFWAVE_T_CHUNK):
+        tc = ts[t0:t0 + _HALFWAVE_T_CHUNK]
+        acc = np.zeros((tc.size, dth_nodes.size, iu.size), dtype=complex)
+        for k0 in range(0, len(blocks), _HALFWAVE_K_CHUNK):
+            chunk = blocks[k0:k0 + _HALFWAVE_K_CHUNK]
+            mk = np.empty((tc.size, len(chunk), iu.size), dtype=complex)
+            for i, (k, sq, w, rad) in enumerate(chunk):
+                weights = w * np.exp(1j * tc[:, None] * sq)
+                pairs = rad[:, iu]
+                pairs *= rad[:, ju]
+                mk[:, i].real = weights.real @ pairs
+                mk[:, i].imag = weights.imag @ pairs
+            ks = np.array([k for k, *_ in chunk], dtype=float)
+            phase = np.exp(1j * np.multiply.outer(dth_nodes, ks / cfg.sigma))
+            for i_t in range(tc.size):
+                acc[i_t] += phase @ mk[i_t]
+        yield acc
+
+
+def halfwave_kernel_grid(j: int, t: float, r_nodes: np.ndarray, dtheta_nodes: np.ndarray,
+                         cfg: ConeConfig, window: ModeWindow, cutoff=None) -> np.ndarray:
+    """Frequency-truncated half-wave kernel on a grid of radii and angle gaps.
+
+    Returns K[i_dtheta, i_r1, i_r2], symmetric in (i_r1, i_r2).  The k <= -1
+    Landau branch is truncated by the evaluated radial magnitude on the
+    requested radii (see _shell_blocks); a tail still above 1e-10 of its
+    peak at the window edge raises WindowTooSmallError.
+    """
+    if not math.isfinite(t):
+        raise DomainError(f"half-wave kernel needs a finite t, got {t}")
+    if cutoff is None:
+        from .lpbesov import make_cutoff
+
+        cutoff = make_cutoff()
+    r_nodes = np.asarray(r_nodes, dtype=float)
+    dtheta_nodes = np.asarray(dtheta_nodes, dtype=float)
+    blocks, tail = _shell_blocks(j, cfg, window, r_nodes, cutoff)
+    if tail > 1e-10:
+        raise WindowTooSmallError(
+            f"degenerate-branch tail still {tail:.2e} of its peak at k=-{window.k_max}; enlarge k_max"
+        )
+    (pairs,) = _halfwave_pair_chunks(blocks, np.array([t]), dtheta_nodes, r_nodes.size, cfg)
+    iu, ju = np.triu_indices(r_nodes.size)
+    out = np.empty((dtheta_nodes.size, r_nodes.size, r_nodes.size), dtype=complex)
+    out[:, iu, ju] = pairs[0]
+    out[:, ju, iu] = pairs[0]
     return out
 
 

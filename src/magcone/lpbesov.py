@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DomainError, WindowTooSmallError
 from .geometry import ConeConfig, ConePoint
+from .kernels import _shell_mode_lists
 from .quadrature import EvaluationGrid, evaluation_grid
 from .spectrum import (
     ModeWindow,
@@ -58,10 +59,21 @@ class DyadicCutoff:
 
     def __call__(self, lam) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
-        pos = lam > 0.0
+        pos = (lam > 0.0) & (lam < math.inf)
         out = np.zeros_like(lam)
         out[pos] = _mother_bump(lam[pos]) / _dilate_sum(lam[pos])
         return out
+
+    def shell_weights(self, j: int, lam) -> np.ndarray:
+        """phi(2^-j sqrt(lam)), the weights of dyadic shell j at eigenvalues lam.
+
+        The power of two scales exactly, so a shell past the float range
+        gets phi(0) = 0 or phi(inf) = 0 with no overflow.  Scaling by
+        2^{+-2200} takes every finite sqrt(lam) > 0 out of that range, so
+        clamping j there changes no weight.
+        """
+        with np.errstate(over="ignore"):
+            return self(np.ldexp(np.sqrt(lam), -max(-2200, min(j, 2200))))
 
     def partition_residual(self, lam_grid: np.ndarray, j_range: int = 40) -> float:
         """max |sum_j phi(2^-j lam) - 1| over the grid."""
@@ -87,7 +99,7 @@ def shell_range(cfg: ConeConfig, window: ModeWindow) -> range:
 def shell_project(field: SpectralField, j: int, cfg: ConeConfig,
                   cutoff: DyadicCutoff) -> SpectralField:
     """phi(2^-j sqrt(H)) f on the coefficient table."""
-    return spectral_apply(lambda lam: cutoff(np.sqrt(lam) / 2.0 ** j), field, cfg)
+    return spectral_apply(lambda lam: cutoff.shell_weights(j, lam), field, cfg)
 
 
 def _lp_norm(field: SpectralField, p: float, cfg: ConeConfig, grid: EvaluationGrid) -> float:
@@ -160,12 +172,6 @@ def square_function_l2(field: SpectralField, cfg: ConeConfig,
     return sum(n ** 2 for _, n in _shell_norms(field, 2.0, cfg, None, cutoff))
 
 
-def _require_shell_covered(j: int, cfg: ConeConfig, window: ModeWindow) -> None:
-    from .kernels import _shell_mode_lists  # shared coverage rule
-
-    _shell_mode_lists(j, cfg, window)
-
-
 def bernstein_ratio(j: int, p: float, q_exp: float, cfg: ConeConfig, window: ModeWindow,
                     trials: int = 8, seed: int = 0,
                     grid: EvaluationGrid | None = None) -> float:
@@ -180,7 +186,7 @@ def bernstein_ratio(j: int, p: float, q_exp: float, cfg: ConeConfig, window: Mod
     """
     if not (1.0 <= q_exp <= p):
         raise DomainError("bernstein_ratio needs 1 <= q_exp <= p")
-    _require_shell_covered(j, cfg, window)
+    _shell_mode_lists(j, cfg, window)  # raises unless the window covers the shell
 
     if grid is None:
         grid = evaluation_grid(cfg)

@@ -25,17 +25,17 @@ import numpy as np
 
 from .errors import DomainError, GammaOutOfRangeError, QuadratureError
 from .geometry import ConeConfig, flux_distance
-from .kernels import TruncationSpec, _require_shell_bounded, reduced_kernel_matrix, schrodinger_angular_tail
+from .kernels import (
+    TruncationSpec,
+    _halfwave_pair_chunks,
+    _shell_blocks,
+    reduced_kernel_matrix,
+    schrodinger_angular_tail,
+    shell_window,
+)
 from .lpbesov import make_cutoff
 from .quadrature import adaptive_panel
-from .spectrum import (
-    ModeWindow,
-    eigenvalue,
-    eigenvalue_table,
-    radial_profiles,
-    random_field,
-    spectral_apply,
-)
+from .spectrum import ModeWindow, eigenvalue_table, random_field, spectral_apply
 
 REFERENCE_CONFIGS = (
     ConeConfig(sigma=1.0, b0=1.0, alpha=0.25),
@@ -415,72 +415,18 @@ def subordination_identity_check(z_grid=None, y_grid=None,
 # half-wave decay fit
 # ---------------------------------------------------------------------------
 
-_HALFWAVE_T_CHUNK = 4  # times per accumulator in _halfwave_sup_curve
-_HALFWAVE_K_CHUNK = 16  # angular blocks per phase contraction
-
-
 def _halfwave_sup_curve(cfg: ConeConfig, j: int, ts: np.ndarray, r_nodes: np.ndarray,
                         dth_nodes: np.ndarray, window: ModeWindow) -> np.ndarray:
     """sup_{p,q} |frequency-truncated half-wave kernel| at each time."""
-    from .kernels import _shell_mode_lists
-
-    cutoff = make_cutoff()
-    pos, neg_ms = _shell_mode_lists(j, cfg, window)
-
-    blocks = []  # (k, sqrt(lam), phi weights, radial matrix)
-    for k, ms in pos:
-        lam = np.asarray(eigenvalue(cfg, k, ms), dtype=float)
-        rad = radial_profiles(cfg, k, int(ms.max()), r_nodes)[ms, :]
-        blocks.append((k, np.sqrt(lam), cutoff(np.sqrt(lam) / 2.0 ** j), rad))
-    if neg_ms.size:
-        lam_neg = np.asarray(eigenvalue(cfg, -1, neg_ms), dtype=float)
-        w_neg = cutoff(np.sqrt(lam_neg) / 2.0 ** j)
-        scale = 0.0
-        k = -1
-        stall = 0
-        while -k <= window.k_max:
-            rad = radial_profiles(cfg, k, int(neg_ms.max()), r_nodes)[neg_ms, :]
-            mag = float((w_neg[:, None] * np.abs(rad)).max()) ** 2
-            scale = max(scale, mag)
-            if mag <= 1e-13 * max(scale, 1e-300):
-                stall += 1
-                if stall >= 3:
-                    break
-            else:
-                stall = 0
-                blocks.append((k, np.sqrt(lam_neg), w_neg, rad))
-            k -= 1
-
-    # each block is symmetric in (r_i, r_j): only the pairs i <= j are formed.
-    # Times go in chunks so the accumulator and the pair products stay ~2 MB.
-    iu, ju = np.triu_indices(r_nodes.size)
-    sups = np.empty(ts.size)
-    for t0 in range(0, ts.size, _HALFWAVE_T_CHUNK):
-        tc = ts[t0:t0 + _HALFWAVE_T_CHUNK]
-        acc = np.zeros((tc.size, dth_nodes.size, iu.size), dtype=complex)
-        for k0 in range(0, len(blocks), _HALFWAVE_K_CHUNK):
-            chunk = blocks[k0:k0 + _HALFWAVE_K_CHUNK]
-            mk = np.empty((tc.size, len(chunk), iu.size), dtype=complex)
-            for i, (k, sq, w, rad) in enumerate(chunk):
-                weights = w * np.exp(1j * tc[:, None] * sq)
-                pairs = rad[:, iu]
-                pairs *= rad[:, ju]
-                mk[:, i].real = weights.real @ pairs
-                mk[:, i].imag = weights.imag @ pairs
-            ks = np.array([k for k, *_ in chunk], dtype=float)
-            phase = np.exp(1j * np.multiply.outer(dth_nodes, ks / cfg.sigma))
-            for i_t in range(tc.size):
-                acc[i_t] += phase @ mk[i_t]
-        for i_t in range(tc.size):
-            sups[t0 + i_t] = float(np.abs(acc[i_t]).max())
-    return sups
+    blocks, _ = _shell_blocks(j, cfg, window, r_nodes, make_cutoff())
+    return np.concatenate([np.abs(acc).max(axis=(1, 2))
+                           for acc in _halfwave_pair_chunks(blocks, ts, dth_nodes, r_nodes.size, cfg)])
 
 
 _ONSET_TAU = 3.2  # upper edge (in 2^j t) of the decay-onset fit window
 
 
-def halfwave_decay_fit(cfg: ConeConfig, j: int, grids: SweepGrids = SweepGrids(),
-                       window: ModeWindow | None = None) -> list[SweepReport]:
+def halfwave_decay_fit(cfg: ConeConfig, j: int, grids: SweepGrids = SweepGrids()) -> list[SweepReport]:
     """Log-log decay slope of the frequency-truncated half-wave sup-kernel.
 
     The full admissible curve (up to 2^{-j} t = pi/(2 b0)) goes to the CSV;
@@ -492,12 +438,7 @@ def halfwave_decay_fit(cfg: ConeConfig, j: int, grids: SweepGrids = SweepGrids()
     Pass criterion is the band [-0.75, -0.35] around the proved -1/2 rate.
     """
     t0 = time.perf_counter()
-    _require_shell_bounded(j, cfg)
-    if window is None:
-        lam_hi = 4.0 ** (j + 1)
-        m_need = int(math.floor((lam_hi / cfg.b0 - 1.0) / 2.0)) + 1
-        k_need = int(math.ceil((lam_hi / cfg.b0) * cfg.sigma / 2.0)) + 8
-        window = ModeWindow(k_max=k_need, m_max=m_need)
+    window = shell_window(j, cfg)
     t_lo = 2.0 ** (-j)
     t_hi = 2.0 ** j * math.pi / (2.0 * cfg.b0)
     ts = np.unique(np.concatenate([

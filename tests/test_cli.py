@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -291,3 +292,28 @@ def test_expand_rejects_non_finite_samples(tmp_path, capsys):
     samples.write_text("r,theta,re,im\n1.0,0.5,1.0,0.0\nnan,0.1,1.0,0.0\n")
     code = run_cli("--out", str(tmp_path / "o"), "spectrum", "expand", "--input", str(samples))
     _assert_one_line_error(capsys, code)
+
+
+@pytest.mark.parametrize("cone,k_used", [("", 40), ("sigma = 1.5\nalpha = 0.4\n", 56),
+                                         ("sigma = 2.0\nb0 = 0.5\nalpha = 0.3\n", 136)])
+def test_halfwave_csv_records_the_shell_window(tmp_path, cone, k_used):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(cone)
+    out = tmp_path / "o"
+    assert run_cli("--config", str(cfgfile), "--out", str(out), "kernel", "halfwave", "--j", "2",
+                   "--t", "0.5", "--p", "1.0,0.3", "--q", "0.8,2.1") == EXIT_OK
+    header, row = (out / "kernel.csv").read_text().splitlines()
+    assert header.endswith(",k_max_used") and row.split(",")[-1] == str(k_used)
+
+
+@pytest.mark.parametrize("j", ["1100", "-1100"])
+def test_spectrum_evolve_halfwave_at_extreme_shell(tmp_path, j):
+    field_csv = tmp_path / "field.csv"
+    field_csv.write_text("k,m,re_c,im_c\n0,0,1.0,0.0\n1,2,0.5,-0.25\n-3,1,0.2,0.1\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("--out", str(out), "spectrum", "evolve", "--input", str(field_csv),
+                       "--mult", "halfwave", f"--j={j}", "--t", "0.7")
+    assert code == EXIT_OK
+    assert np.array_equal(load_field(out / "field_evolved.csv").coeffs, np.zeros((7, 3)))
