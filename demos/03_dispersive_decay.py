@@ -28,7 +28,7 @@ rep = dispersive_constant_schrodinger(cfg, grids)[0]
 print(f"  unweighted: constant={rep.empirical_constant:.4f} "
       f"refinement ratio={rep.refinement_ratio:.4f} pass={rep.passed}")
 
-kappa = flux_distance(cfg).kappa
+kappa = flux_distance(cfg)
 print(f"  flux distance kappa = {kappa:.4f}")
 for gamma in (kappa / 2.0, kappa):
     for r in weighted_dispersive_constant(cfg, gamma, grids):

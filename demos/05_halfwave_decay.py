@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from magcone import ConeConfig
-from magcone.kernels import shell_window
+from magcone.lpbesov import shell_window
 from magcone.verify import _halfwave_sup_curve, halfwave_decay_fit
 
 cfg = ConeConfig(sigma=1.0, b0=1.0, alpha=0.25)

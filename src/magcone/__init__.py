@@ -18,22 +18,12 @@ from .errors import (
 from .geometry import (
     ConeConfig,
     ConePoint,
-    FluxDistance,
     angular_difference,
     cone_distance,
     flux_distance,
     make_point,
 )
-from .specfun import (
-    SeriesResult,
-    bessel_i,
-    bessel_j,
-    kummer_m,
-    laguerre,
-    normalized_laguerre,
-    pochhammer,
-    tricomi_u,
-)
+from .specfun import SeriesResult, bessel_i, bessel_j
 from .spectrum import (
     ModeData,
     ModeIndex,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 from .errors import DomainError
 
@@ -47,13 +46,6 @@ class ConeConfig:
         """Angular period 2*pi*sigma of the cone."""
         return 2.0 * math.pi * self.sigma
 
-    @classmethod
-    def from_mapping(cls, data: Mapping[str, float]) -> "ConeConfig":
-        try:
-            return cls(float(data["sigma"]), float(data["b0"]), float(data["alpha"]))
-        except KeyError as exc:
-            raise DomainError(f"missing cone parameter: {exc.args[0]}") from exc
-
 
 @dataclass(frozen=True)
 class ConePoint:
@@ -72,13 +64,6 @@ class ConePoint:
             raise DomainError(f"r must be finite and >= 0, got {self.r}")
         if not math.isfinite(self.theta):
             raise DomainError(f"theta must be finite, got {self.theta}")
-
-
-@dataclass(frozen=True)
-class FluxDistance:
-    """Distance of the flux to the lattice of gauge-trivial values."""
-
-    kappa: float
 
 
 def make_point(cfg: ConeConfig, r: float, theta: float) -> ConePoint:
@@ -119,8 +104,7 @@ def cone_distance(p: ConePoint, q: ConePoint, cfg: ConeConfig) -> float:
     return math.sqrt(max(d2, 0.0))
 
 
-def flux_distance(cfg: ConeConfig) -> FluxDistance:
-    """Distance of alpha to the nearest gauge-trivial flux n/sigma, n integer."""
+def flux_distance(cfg: ConeConfig) -> float:
+    """kappa: distance of alpha to the nearest gauge-trivial flux n/sigma, n integer."""
     n_hi = math.ceil(cfg.sigma * cfg.alpha) + 1
-    kappa = min(abs(cfg.alpha - n / cfg.sigma) for n in range(-n_hi, n_hi + 1))
-    return FluxDistance(kappa)
+    return min(abs(cfg.alpha - n / cfg.sigma) for n in range(-n_hi, n_hi + 1))

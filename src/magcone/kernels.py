@@ -33,6 +33,7 @@ from scipy import special as _sp
 
 from .errors import DomainError, NonconvergenceError, QuadratureError, SingularTimeError, WindowTooSmallError
 from .geometry import ConeConfig, ConePoint, angular_difference
+from .lpbesov import _shell_mode_lists, make_cutoff
 from .quadrature import adaptive_line, oscillatory_bessel_tail
 from .spectrum import (
     ModeWindow,
@@ -40,15 +41,15 @@ from .spectrum import (
     eigenvalue,
     point_field,
     radial_profiles,
-    signed_order,
     spectral_apply,
     synthesize,
 )
 
 _SIN_GUARD = 1e-6
 _K_CAP = 8192
+_HEAT_TB_MAX = 700.0  # past it the heat kernel's factor e^{-t b0} leaves the normal float range
+_HEAT_SHIFT_TB = 50.0  # any value well below 350 works; 50 leaves the t b0 the sweeps use unshifted
 _BOUNDARY_EPS = 1e-9
-_SHELL_MODE_CAP = 1 << 20  # half-wave shell work bound; j <= 3 holds <= 132k on the reference configs
 _HALFWAVE_T_CHUNK = 4  # times per accumulator in _halfwave_pair_chunks
 _HALFWAVE_K_CHUNK = 16  # angular blocks per phase contraction
 
@@ -182,12 +183,34 @@ def _angular_series(terms_for, k0: int, what: str):
     return total, peak, (k_lo, k_hi)
 
 
-def _heat_angular_series(cfg: ConeConfig, tb: float, x: float, theta: float, k0: int):
-    """sum_k e^{i(k/sigma)(theta + i t b0)} I_{a_k}(x).
+def _log_bessel_i(a: np.ndarray, x: float) -> np.ndarray:
+    """log I_a(x), x > 0, from the ascending series summed in log space.
+
+    (x/2)^a / Gamma(a+1) * sum_n (x^2/4)^n / (n! (a+1)_n): neither the
+    leading power nor the sum leaves the float range, so this serves the
+    orders where scipy's ive has underflowed.
+    """
+    log_half_x = math.log(x) - math.log(2.0)  # x / 2 may underflow
+    log_q = 2.0 * log_half_x
+    log_term = a * log_half_x - _sp.gammaln(a + 1.0)
+    log_total = log_term
+    n = 0
+    while True:
+        step = log_q - np.log((n + 1.0) * (n + 1.0 + a))
+        log_term = log_term + step
+        log_total = np.logaddexp(log_total, log_term)
+        n += 1
+        if np.all((step < 0.0) & (log_term < log_total - 40.0)):
+            return log_total
+
+
+def _heat_angular_series(cfg: ConeConfig, tb: float, x: float, theta: float, k0: int, shift: float):
+    """e^{-shift} sum_k e^{i(k/sigma)(theta + i t b0)} I_{a_k}(x).
 
     Negative k carry the growing factor e^{|k| t b0 / sigma}; the Bessel
     order decay always wins eventually, but the crossover is found by
-    extension rather than assumed.
+    extension rather than assumed.  Orders where ive underflows are taken
+    in log space, since that factor can bring their terms back into range.
     """
     if x == 0.0:
         return 0.0 + 0.0j, 0.0, (0, 0)
@@ -195,23 +218,40 @@ def _heat_angular_series(cfg: ConeConfig, tb: float, x: float, theta: float, k0:
     def terms_for(ks: np.ndarray) -> np.ndarray:
         a = angular_order(cfg, ks)
         iv = _sp.ive(a, x)
-        log_mag = np.where(iv > 0.0, np.log(np.where(iv > 0.0, iv, 1.0)) + x - (ks / cfg.sigma) * tb, -np.inf)
+        under = iv == 0.0  # scipy returns 0 below about 4e-305
+        log_iv = np.log(np.where(under, 1.0, iv)) + x
+        if under.any():
+            log_iv[under] = _log_bessel_i(a[under], x)
+        log_mag = log_iv - (ks / cfg.sigma) * tb - shift
         return np.exp(log_mag + 1j * (ks / cfg.sigma) * theta)
 
     return _angular_series(terms_for, k0, "heat")
 
 
-def heat_kernel_series(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig,
-                       trunc: TruncationSpec = TruncationSpec()) -> KernelValue:
-    """Heat kernel by the angular Bessel series."""
+def _heat_time(t: float, cfg: ConeConfig) -> float:
+    """t b0, after the checks both heat representations share."""
     if not (0.0 < t < math.inf):
         raise DomainError(f"heat kernel needs a finite t > 0, got {t}")
     tb = t * cfg.b0
+    if tb > _HEAT_TB_MAX:
+        raise DomainError(f"heat kernel needs t b0 <= {_HEAT_TB_MAX:g}, got {tb:.6g}: "
+                          "its factor e^(-t b0) is below the normal float range there")
+    return tb
+
+
+def heat_kernel_series(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig,
+                       trunc: TruncationSpec = TruncationSpec()) -> KernelValue:
+    """Heat kernel by the angular Bessel series."""
+    tb = _heat_time(t, cfg)
     x = cfg.b0 * p.r * q.r / (2.0 * math.sinh(tb))
     big_q = cfg.b0 * (p.r ** 2 + q.r ** 2) / (4.0 * math.tanh(tb))
     theta = p.theta - q.theta
-    total, peak, _ = _heat_angular_series(cfg, tb, x, theta, trunc.k_max)
-    pref = cfg.b0 * math.exp(-tb * cfg.alpha) / (4.0 * math.pi * cfg.sigma * math.sinh(tb))
+    # the k <= -1 terms grow like e^{alpha t b0} while the prefactor falls like
+    # e^{-(1 + alpha) t b0}; past _HEAT_SHIFT_TB that factor moves into the terms,
+    # so neither leaves the float range up to _HEAT_TB_MAX
+    shift = tb * cfg.alpha if tb > _HEAT_SHIFT_TB else 0.0
+    total, peak, _ = _heat_angular_series(cfg, tb, x, theta, trunc.k_max, shift)
+    pref = cfg.b0 * math.exp(shift - tb * cfg.alpha) / (4.0 * math.pi * cfg.sigma * math.sinh(tb))
     scale = math.exp(-big_q) if big_q < 700 else 0.0
     return KernelValue(pref * scale * total, pref * scale * peak, trunc)
 
@@ -219,9 +259,7 @@ def heat_kernel_series(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig,
 def heat_kernel_closed(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig,
                        trunc: TruncationSpec = TruncationSpec()) -> KernelValue:
     """Heat kernel by the image sum plus resummed-tail line integral."""
-    if not (0.0 < t < math.inf):
-        raise DomainError(f"heat kernel needs a finite t > 0, got {t}")
-    tb = t * cfg.b0
+    tb = _heat_time(t, cfg)
     x = cfg.b0 * p.r * q.r / (2.0 * math.sinh(tb))
     big_q = cfg.b0 * (p.r ** 2 + q.r ** 2) / (4.0 * math.tanh(tb))
     if x == 0.0:  # a point at the tip: every mode vanishes there
@@ -237,7 +275,9 @@ def heat_kernel_closed(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig,
 
     def integrand(s):
         s = np.asarray(s, dtype=float)
-        return np.exp(-x * np.cosh(s) - big_q) * heat_angular_tail(s, theta, t, cfg)
+        with np.errstate(over="ignore"):  # cosh s past the float range: e^{-x cosh s} is 0 there
+            envelope = np.exp(-x * np.cosh(s) - big_q)
+        return envelope * heat_angular_tail(s, theta, t, cfg)
 
     # range: the e^{-x cosh s} factor always caps the reach even when the
     # tail rates alpha, 1/sigma - alpha degenerate
@@ -444,72 +484,7 @@ def spectral_kernel(multiplier, p: ConePoint, q: ConePoint, cfg: ConeConfig,
     return synthesize(spectral_apply(multiplier, point_field(q, cfg, window), cfg), p, cfg)
 
 
-def _require_shell_bounded(j: int, cfg: ConeConfig) -> None:
-    """Raise WindowTooSmallError if dyadic shell j may hold more than _SHELL_MODE_CAP modes.
-
-    A closed form, so callers check it before they iterate or allocate
-    anything: at most sigma * lam_hi / (2 b0) + 1 rows k >= 0 lie below
-    lam_hi = 4^{j+1}, plus the degenerate row, each with at most
-    lam_hi / (2 b0) + 1 levels m.  The exponent is capped only so that the
-    bound stays a finite float.
-    """
-    half_levels = 2.0 ** (2 * min(j, 500) + 1) / cfg.b0  # lam_hi / (2 b0)
-    modes = (cfg.sigma * half_levels + 2.0) * (half_levels + 1.0)
-    if modes > _SHELL_MODE_CAP:
-        raise WindowTooSmallError(f"shell j={j} may hold {modes:.3g} modes, above the cap of {_SHELL_MODE_CAP}")
-
-
-def _shell_mode_lists(j: int, cfg: ConeConfig, window: ModeWindow):
-    """Modes with sqrt(lambda) inside the dyadic shell (2^{j-1}, 2^{j+1}).
-
-    Returns [(k, m_array)] for k >= 0 (finite by growth in k) and the shell
-    m-range shared by every k <= -1.  Raises WindowTooSmallError if the
-    window cannot contain the shell, or if the shell holds more than
-    _SHELL_MODE_CAP modes.
-    """
-    _require_shell_bounded(j, cfg)
-    lam_lo, lam_hi = 4.0 ** (j - 1), 4.0 ** (j + 1)
-    pos = []
-    for k in range(0, window.k_max + 1):
-        lam0 = float(eigenvalue(cfg, k, 0))
-        if lam0 >= lam_hi:
-            break
-        m_lo = max(0, math.ceil((lam_lo / cfg.b0 - 1.0 - 2.0 * float(signed_order(cfg, k))) / 2.0))
-        m_hi = math.floor((lam_hi / cfg.b0 - 1.0 - 2.0 * float(signed_order(cfg, k))) / 2.0)
-        if m_hi > window.m_max:
-            raise WindowTooSmallError(
-                f"shell j={j} needs m up to {m_hi} at k={k}, window has m_max={window.m_max}"
-            )
-        if m_hi >= m_lo:
-            pos.append((k, np.arange(m_lo, m_hi + 1)))
-    else:
-        if float(eigenvalue(cfg, window.k_max + 1, 0)) < lam_hi:
-            raise WindowTooSmallError(
-                f"shell j={j} extends past k_max={window.k_max} on the k >= 0 side"
-            )
-    m_lo_neg = max(0, math.ceil((lam_lo / cfg.b0 - 1.0) / 2.0))
-    m_hi_neg = math.floor((lam_hi / cfg.b0 - 1.0) / 2.0)
-    if m_hi_neg > window.m_max:
-        raise WindowTooSmallError(
-            f"shell j={j} needs m up to {m_hi_neg} on the degenerate branch, window has m_max={window.m_max}"
-        )
-    neg_ms = np.arange(m_lo_neg, m_hi_neg + 1) if m_hi_neg >= m_lo_neg else np.arange(0)
-    return pos, neg_ms
-
-
-def shell_window(j: int, cfg: ConeConfig) -> ModeWindow:
-    """The smallest mode window covering dyadic shell j.
-
-    Raises WindowTooSmallError first if the shell may hold more than
-    _SHELL_MODE_CAP modes.
-    """
-    _require_shell_bounded(j, cfg)
-    lam_hi = 4.0 ** (j + 1)
-    return ModeWindow(k_max=int(math.ceil((lam_hi / cfg.b0) * cfg.sigma / 2.0)) + 8,
-                      m_max=int(math.floor((lam_hi / cfg.b0 - 1.0) / 2.0)) + 1)
-
-
-def _shell_blocks(j: int, cfg: ConeConfig, window: ModeWindow, r_nodes: np.ndarray, cutoff):
+def _shell_blocks(j: int, cfg: ConeConfig, window: ModeWindow, r_nodes: np.ndarray):
     """Time-independent blocks (k, sqrt(lam), phi(2^-j sqrt(lam)), V_{k,m}(r_nodes)) of shell j.
 
     The k <= -1 Landau branch shares one m-range and one set of weights.  Its
@@ -518,6 +493,7 @@ def _shell_blocks(j: int, cfg: ConeConfig, window: ModeWindow, r_nodes: np.ndarr
     Returns (blocks, tail), tail being the last row's magnitude over that peak
     (1 if the window holds no k <= -1 row): far above 1e-13, the window cut the branch.
     """
+    cutoff = make_cutoff()
     pos, neg_ms = _shell_mode_lists(j, cfg, window)
     blocks = []
     for k, ms in pos:
@@ -575,7 +551,7 @@ def _halfwave_pair_chunks(blocks: list, ts: np.ndarray, dth_nodes: np.ndarray, n
 
 
 def halfwave_kernel_grid(j: int, t: float, r_nodes: np.ndarray, dtheta_nodes: np.ndarray,
-                         cfg: ConeConfig, window: ModeWindow, cutoff=None) -> np.ndarray:
+                         cfg: ConeConfig, window: ModeWindow) -> np.ndarray:
     """Frequency-truncated half-wave kernel on a grid of radii and angle gaps.
 
     Returns K[i_dtheta, i_r1, i_r2], symmetric in (i_r1, i_r2).  The k <= -1
@@ -585,13 +561,9 @@ def halfwave_kernel_grid(j: int, t: float, r_nodes: np.ndarray, dtheta_nodes: np
     """
     if not math.isfinite(t):
         raise DomainError(f"half-wave kernel needs a finite t, got {t}")
-    if cutoff is None:
-        from .lpbesov import make_cutoff
-
-        cutoff = make_cutoff()
     r_nodes = np.asarray(r_nodes, dtype=float)
     dtheta_nodes = np.asarray(dtheta_nodes, dtype=float)
-    blocks, tail = _shell_blocks(j, cfg, window, r_nodes, cutoff)
+    blocks, tail = _shell_blocks(j, cfg, window, r_nodes)
     if tail > 1e-10:
         raise WindowTooSmallError(
             f"degenerate-branch tail still {tail:.2e} of its peak at k=-{window.k_max}; enlarge k_max"
@@ -605,11 +577,8 @@ def halfwave_kernel_grid(j: int, t: float, r_nodes: np.ndarray, dtheta_nodes: np
 
 
 def halfwave_kernel_truncated(j: int, t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig,
-                              window: ModeWindow, cutoff=None) -> complex:
+                              window: ModeWindow) -> complex:
     """Frequency-truncated half-wave kernel at a pair of points."""
-    dtheta = p.theta - q.theta
-    if abs(p.r - q.r) < 1e-15:
-        grid = halfwave_kernel_grid(j, t, np.array([p.r]), np.array([dtheta]), cfg, window, cutoff)
-        return complex(grid[0, 0, 0])
-    grid = halfwave_kernel_grid(j, t, np.array([p.r, q.r]), np.array([dtheta]), cfg, window, cutoff)
-    return complex(grid[0, 0, 1])
+    r_nodes = np.array([p.r]) if abs(p.r - q.r) < 1e-15 else np.array([p.r, q.r])
+    grid = halfwave_kernel_grid(j, t, r_nodes, np.array([p.theta - q.theta]), cfg, window)
+    return complex(grid[0, 0, -1])

@@ -1,9 +1,11 @@
-"""Dyadic frequency cutoffs, Besov/Sobolev norms, Bernstein ratios.
+"""Dyadic frequency shells, Besov/Sobolev norms, Bernstein ratios.
 
 The mother cutoff is a smooth bump supported on [1/2, 2] normalized by its
 own dyadic dilates, which makes the partition of unity exact by
 construction and guarantees at most two overlapping shells at any
-frequency.  Norms operate on SpectralField coefficient tables: L^2
+frequency.  The package pins one cutoff; this module also holds the shell
+bookkeeping every user of "dyadic shell j" shares: which modes the shell
+holds, the window covering it, and the bound on its size.  Norms operate on SpectralField coefficient tables: L^2
 quantities come straight from coefficients (Parseval), other L^p norms use
 the fixed evaluation grid.
 """
@@ -17,17 +19,20 @@ import numpy as np
 
 from .errors import DomainError, WindowTooSmallError
 from .geometry import ConeConfig, ConePoint
-from .kernels import _shell_mode_lists
 from .quadrature import EvaluationGrid, evaluation_grid
 from .spectrum import (
     ModeWindow,
     SpectralField,
+    eigenvalue,
     eigenvalue_table,
     field_on_grid,
     point_field,
     random_field,
+    signed_order,
     spectral_apply,
 )
+
+_SHELL_MODE_CAP = 1 << 20  # half-wave shell work bound; j <= 3 holds <= 132k on the reference configs
 
 
 def _mother_bump(lam: np.ndarray) -> np.ndarray:
@@ -54,8 +59,6 @@ def _dilate_sum(lam: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class DyadicCutoff:
     """Smooth dyadic profile phi with supp phi in [1/2, 2], sum_j phi(2^-j l) = 1."""
-
-    support: tuple[float, float] = (0.5, 2.0)
 
     def __call__(self, lam) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
@@ -84,9 +87,12 @@ class DyadicCutoff:
         return float(np.abs(total - 1.0).max())
 
 
+_CUTOFF = DyadicCutoff()
+
+
 def make_cutoff() -> DyadicCutoff:
     """The package's pinned dyadic cutoff (all constants reproducible from it)."""
-    return DyadicCutoff()
+    return _CUTOFF
 
 
 def shell_range(cfg: ConeConfig, window: ModeWindow) -> range:
@@ -96,10 +102,74 @@ def shell_range(cfg: ConeConfig, window: ModeWindow) -> range:
     return range(math.floor(math.log2(s_lo)), math.floor(math.log2(s_hi)) + 2)
 
 
-def shell_project(field: SpectralField, j: int, cfg: ConeConfig,
-                  cutoff: DyadicCutoff) -> SpectralField:
+def _require_shell_bounded(j: int, cfg: ConeConfig) -> None:
+    """Raise WindowTooSmallError if dyadic shell j may hold more than _SHELL_MODE_CAP modes.
+
+    A closed form, so callers check it before they iterate or allocate
+    anything: at most sigma * lam_hi / (2 b0) + 1 rows k >= 0 lie below
+    lam_hi = 4^{j+1}, plus the degenerate row, each with at most
+    lam_hi / (2 b0) + 1 levels m.  The exponent is capped only so that the
+    bound stays a finite float.
+    """
+    half_levels = 2.0 ** (2 * min(j, 500) + 1) / cfg.b0  # lam_hi / (2 b0)
+    modes = (cfg.sigma * half_levels + 2.0) * (half_levels + 1.0)
+    if modes > _SHELL_MODE_CAP:
+        raise WindowTooSmallError(f"shell j={j} may hold {modes:.3g} modes, above the cap of {_SHELL_MODE_CAP}")
+
+
+def _shell_mode_lists(j: int, cfg: ConeConfig, window: ModeWindow):
+    """Modes with sqrt(lambda) inside the dyadic shell (2^{j-1}, 2^{j+1}).
+
+    Returns [(k, m_array)] for k >= 0 (finite by growth in k) and the shell
+    m-range shared by every k <= -1.  Raises WindowTooSmallError if the
+    window cannot contain the shell, or if the shell holds more than
+    _SHELL_MODE_CAP modes.
+    """
+    _require_shell_bounded(j, cfg)
+    lam_lo, lam_hi = 4.0 ** (j - 1), 4.0 ** (j + 1)
+    pos = []
+    for k in range(0, window.k_max + 1):
+        lam0 = float(eigenvalue(cfg, k, 0))
+        if lam0 >= lam_hi:
+            break
+        m_lo = max(0, math.ceil((lam_lo / cfg.b0 - 1.0 - 2.0 * float(signed_order(cfg, k))) / 2.0))
+        m_hi = math.floor((lam_hi / cfg.b0 - 1.0 - 2.0 * float(signed_order(cfg, k))) / 2.0)
+        if m_hi > window.m_max:
+            raise WindowTooSmallError(
+                f"shell j={j} needs m up to {m_hi} at k={k}, window has m_max={window.m_max}"
+            )
+        if m_hi >= m_lo:
+            pos.append((k, np.arange(m_lo, m_hi + 1)))
+    else:
+        if float(eigenvalue(cfg, window.k_max + 1, 0)) < lam_hi:
+            raise WindowTooSmallError(
+                f"shell j={j} extends past k_max={window.k_max} on the k >= 0 side"
+            )
+    m_lo_neg = max(0, math.ceil((lam_lo / cfg.b0 - 1.0) / 2.0))
+    m_hi_neg = math.floor((lam_hi / cfg.b0 - 1.0) / 2.0)
+    if m_hi_neg > window.m_max:
+        raise WindowTooSmallError(
+            f"shell j={j} needs m up to {m_hi_neg} on the degenerate branch, window has m_max={window.m_max}"
+        )
+    neg_ms = np.arange(m_lo_neg, m_hi_neg + 1) if m_hi_neg >= m_lo_neg else np.arange(0)
+    return pos, neg_ms
+
+
+def shell_window(j: int, cfg: ConeConfig) -> ModeWindow:
+    """The smallest mode window covering dyadic shell j.
+
+    Raises WindowTooSmallError first if the shell may hold more than
+    _SHELL_MODE_CAP modes.
+    """
+    _require_shell_bounded(j, cfg)
+    lam_hi = 4.0 ** (j + 1)
+    return ModeWindow(k_max=int(math.ceil((lam_hi / cfg.b0) * cfg.sigma / 2.0)) + 8,
+                      m_max=int(math.floor((lam_hi / cfg.b0 - 1.0) / 2.0)) + 1)
+
+
+def shell_project(field: SpectralField, j: int, cfg: ConeConfig) -> SpectralField:
     """phi(2^-j sqrt(H)) f on the coefficient table."""
-    return spectral_apply(lambda lam: cutoff.shell_weights(j, lam), field, cfg)
+    return spectral_apply(lambda lam: _CUTOFF.shell_weights(j, lam), field, cfg)
 
 
 def _lp_norm(field: SpectralField, p: float, cfg: ConeConfig, grid: EvaluationGrid) -> float:
@@ -109,41 +179,40 @@ def _lp_norm(field: SpectralField, p: float, cfg: ConeConfig, grid: EvaluationGr
     return grid.lp_norm(values, p)
 
 
-def _shell_norms(field: SpectralField, p: float, cfg: ConeConfig, grid: EvaluationGrid | None,
-                 cutoff: DyadicCutoff) -> list[tuple[int, float]]:
+def _shell_norms(field: SpectralField, p: float, cfg: ConeConfig,
+                 grid: EvaluationGrid | None) -> list[tuple[int, float]]:
     """(j, ||shell_j f||_{L^p}) for every shell meeting the field's window."""
     if grid is None and p != 2.0:
         grid = evaluation_grid(cfg)
-    return [(j, _lp_norm(shell_project(field, j, cfg, cutoff), p, cfg, grid))
+    return [(j, _lp_norm(shell_project(field, j, cfg), p, cfg, grid))
             for j in shell_range(cfg, field.window)]
 
 
 def _besov(field: SpectralField, s: float, p: float, q: float, cfg: ConeConfig,
-           grid: EvaluationGrid | None, cutoff: DyadicCutoff) -> tuple[list[tuple[int, float]], float]:
+           grid: EvaluationGrid | None) -> tuple[list[tuple[int, float]], float]:
     """The shell norms and their ell^q sum of 2^{js} ||shell_j f||_{L^p}."""
     if q < 1.0 or p < 1.0:
         raise DomainError("besov_norm needs p, q >= 1")
-    pieces = _shell_norms(field, p, cfg, grid, cutoff)
+    pieces = _shell_norms(field, p, cfg, grid)
     if math.isinf(q):
         return pieces, max(2.0 ** (j * s) * n for j, n in pieces)
     return pieces, float(sum((2.0 ** (j * s) * n) ** q for j, n in pieces) ** (1.0 / q))
 
 
 def besov_norm(field: SpectralField, s: float, p: float, q: float, cfg: ConeConfig,
-               grid: EvaluationGrid | None = None,
-               cutoff: DyadicCutoff | None = None) -> float:
+               grid: EvaluationGrid | None = None) -> float:
     """Homogeneous Besov norm: ell^q over shells of 2^{js} ||shell_j f||_{L^p}.
 
     p = 2 is exact from coefficients; other p are quadrature norms on the
     fixed evaluation grid; p = inf means the grid maximum.
     """
-    return _besov(field, s, p, q, cfg, grid, cutoff if cutoff is not None else make_cutoff())[1]
+    return _besov(field, s, p, q, cfg, grid)[1]
 
 
 def besov_report(field: SpectralField, s: float, p: float, q: float, cfg: ConeConfig,
                  grid: EvaluationGrid | None = None) -> dict:
     """Norm plus per-shell breakdown, JSON-ready."""
-    pieces, value = _besov(field, s, p, q, cfg, grid, make_cutoff())
+    pieces, value = _besov(field, s, p, q, cfg, grid)
     return {
         "s": s,
         "p": p,
@@ -160,16 +229,13 @@ def sobolev_norm(field: SpectralField, s: float, cfg: ConeConfig) -> float:
     return float(np.linalg.norm(lam ** (s / 2.0) * field.coeffs))
 
 
-def square_function_l2(field: SpectralField, cfg: ConeConfig,
-                       cutoff: DyadicCutoff | None = None) -> float:
+def square_function_l2(field: SpectralField, cfg: ConeConfig) -> float:
     """L2 norm squared of the dyadic square function, from coefficients.
 
     Equals sum_j ||shell_j f||_2^2; lands in [1/2, 1] * ||f||_2^2 because at
     most two shells overlap at any eigenvalue.
     """
-    if cutoff is None:
-        cutoff = make_cutoff()
-    return sum(n ** 2 for _, n in _shell_norms(field, 2.0, cfg, None, cutoff))
+    return sum(n ** 2 for _, n in _shell_norms(field, 2.0, cfg, None))
 
 
 def bernstein_ratio(j: int, p: float, q_exp: float, cfg: ConeConfig, window: ModeWindow,
@@ -190,20 +256,19 @@ def bernstein_ratio(j: int, p: float, q_exp: float, cfg: ConeConfig, window: Mod
 
     if grid is None:
         grid = evaluation_grid(cfg)
-    cutoff = make_cutoff()
     rng = np.random.default_rng(seed)
     fields = [random_field(window, rng) for _ in range(trials)]
     for r0 in (0.35, 0.9, 1.7):
         point = point_field(ConePoint(r0, 0.0), cfg, window)
         fields.append(point)
         # shell-localized variant: the L1-side extremizer shape
-        fields.append(shell_project(point, j, cfg, cutoff))
+        fields.append(shell_project(point, j, cfg))
     inv_q = 0.0 if math.isinf(q_exp) else 1.0 / q_exp
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
     scale = 2.0 ** (2 * j * (inv_q - inv_p))
     best = 0.0
     for f in fields:
-        piece = shell_project(f, j, cfg, cutoff)
+        piece = shell_project(f, j, cfg)
         num = grid.lp_norm(field_on_grid(piece, grid.r, grid.theta, cfg), p)
         den = grid.lp_norm(field_on_grid(f, grid.r, grid.theta, cfg), q_exp)
         if den > 0.0:

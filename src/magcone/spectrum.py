@@ -23,7 +23,6 @@ from scipy import special as _sp
 from .errors import DomainError, QuadratureError
 from .geometry import ConeConfig, ConePoint
 from .quadrature import genlaguerre_rule
-from .specfun import normalized_laguerre_rows
 
 
 @dataclass(frozen=True)
@@ -144,6 +143,23 @@ def mode_data(idx: ModeIndex, cfg: ConeConfig) -> ModeData:
     lam = float(eigenvalue(cfg, idx.k, idx.m))
     nsq = float(np.exp(log_norm_sq(cfg, idx.k, idx.m)))
     return ModeData(alpha_k=a, beta_k=beta, lam=lam, norm_sq=nsq)
+
+
+def normalized_laguerre_rows(alpha: float, m_max: int, x) -> np.ndarray:
+    """Rows P[n] = L_n^alpha(x) / L_n^alpha(0) for n = 0..m_max; shape (m_max + 1,) + x.shape.
+
+    The one normalized-Laguerre recurrence: it builds the radial factors of
+    the eigenfunctions and the projections onto them.  Kept in the
+    normalized scale to avoid the large binomial factors.
+    """
+    x = np.asarray(x, dtype=float)
+    rows = np.empty((m_max + 1,) + x.shape)
+    rows[0] = 1.0
+    if m_max >= 1:
+        rows[1] = 1.0 - x / (1.0 + alpha)
+    for n in range(1, m_max):
+        rows[n + 1] = ((2 * n + 1 + alpha - x) * rows[n] - n * rows[n - 1]) / (n + 1 + alpha)
+    return rows
 
 
 def radial_profiles(cfg: ConeConfig, k: int, m_max: int, r) -> np.ndarray:
@@ -273,10 +289,6 @@ def heat_multiplier(t: float):
 
 def schrodinger_multiplier(t: float):
     return lambda lam: np.exp(1j * t * lam)
-
-
-def halfwave_multiplier(t: float):
-    return lambda lam: np.exp(1j * t * np.sqrt(lam))
 
 
 def fractional_flow_multiplier(nu: float, t: float):

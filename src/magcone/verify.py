@@ -29,11 +29,11 @@ from .kernels import (
     TruncationSpec,
     _halfwave_pair_chunks,
     _shell_blocks,
+    heat_closed_bracket_grid,
     reduced_kernel_matrix,
     schrodinger_angular_tail,
-    shell_window,
 )
-from .lpbesov import make_cutoff
+from .lpbesov import shell_window
 from .quadrature import adaptive_panel
 from .spectrum import ModeWindow, eigenvalue_table, random_field, spectral_apply
 
@@ -205,6 +205,13 @@ def _split_sups(rows: np.ndarray) -> tuple[float, float, float]:
                  for w in (weighted, weighted[rho >= 1.0], weighted[rho < 1.0]))
 
 
+def _require_gamma(cfg: ConeConfig, gamma: float) -> None:
+    """Raise GammaOutOfRangeError unless 0 <= gamma <= kappa, the flux distance."""
+    kappa = flux_distance(cfg)
+    if not (0.0 <= gamma <= kappa + 1e-12):
+        raise GammaOutOfRangeError(f"gamma={gamma} outside [0, kappa={kappa}]")
+
+
 def weighted_dispersive_constant(cfg: ConeConfig, gamma: float,
                                  grids: SweepGrids = SweepGrids(),
                                  trunc: TruncationSpec = TruncationSpec(),
@@ -216,9 +223,7 @@ def weighted_dispersive_constant(cfg: ConeConfig, gamma: float,
     without it the sweep builds its own.
     """
     t0 = time.perf_counter()
-    kappa = flux_distance(cfg).kappa
-    if not (0.0 <= gamma <= kappa + 1e-12):
-        raise GammaOutOfRangeError(f"gamma={gamma} outside [0, kappa={kappa}]")
+    _require_gamma(cfg, gamma)
     coarse, fine = (_grids or _dispersive_grid_pair(cfg, grids, trunc))()
     rows_fine = _dispersive_rows(fine, gamma)
     header = ("t", "rho", "delta", "abs_series", "weighted")
@@ -258,8 +263,6 @@ def gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrids(),
     raw variant is still recorded per sample in the CSV.
     """
     t0 = time.perf_counter()
-
-    from .kernels import heat_closed_bracket_grid
 
     def samples(g: SweepGrids):
         r = np.linspace(g.r_min, g.r_max, g.n_radius)
@@ -418,7 +421,7 @@ def subordination_identity_check(z_grid=None, y_grid=None,
 def _halfwave_sup_curve(cfg: ConeConfig, j: int, ts: np.ndarray, r_nodes: np.ndarray,
                         dth_nodes: np.ndarray, window: ModeWindow) -> np.ndarray:
     """sup_{p,q} |frequency-truncated half-wave kernel| at each time."""
-    blocks, _ = _shell_blocks(j, cfg, window, r_nodes, make_cutoff())
+    blocks, _ = _shell_blocks(j, cfg, window, r_nodes)
     return np.concatenate([np.abs(acc).max(axis=(1, 2))
                            for acc in _halfwave_pair_chunks(blocks, ts, dth_nodes, r_nodes.size, cfg)])
 
@@ -513,13 +516,16 @@ def run_suite(name: str, cfg: ConeConfig, grids: SweepGrids = SweepGrids(),
               halfwave_j: int = 2, gamma: float | None = None, *, _grids=None) -> list[SweepReport]:
     """Run one named sweep (or 'all') on a configuration.
 
-    The dispersive and weighted sweeps of one call share their grids.
+    The dispersive and weighted sweeps of one call share their grids.  A
+    gamma outside [0, kappa] raises before any sweep runs.
     """
+    if gamma is not None and name in ("weighted", "all"):
+        _require_gamma(cfg, gamma)
     shared = _grids or _dispersive_grid_pair(cfg, grids, trunc)
     if name == "dispersive":
         return dispersive_constant_schrodinger(cfg, grids, trunc, _grids=shared)
     if name == "weighted":
-        kappa = flux_distance(cfg).kappa
+        kappa = flux_distance(cfg)
         gammas = (gamma,) if gamma is not None else (0.0, kappa / 2.0, kappa)
         out = []
         for g in gammas:

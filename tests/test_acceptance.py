@@ -256,7 +256,7 @@ def test_criterion_5_estimate_certification():
     for cfg in REFERENCE_CONFIGS:
         reports = []
         reports += dispersive_constant_schrodinger(cfg, grids)
-        kappa = flux_distance(cfg).kappa
+        kappa = flux_distance(cfg)
         for gamma in (0.0, kappa / 2.0, kappa):
             reports += weighted_dispersive_constant(cfg, gamma, grids, name=f"w{gamma:.3g}")
         reports += gaussian_heat_constant(cfg, grids)

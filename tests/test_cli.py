@@ -153,6 +153,15 @@ def test_verify_gamma_precondition(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("gamma", ["-0.1", "0.9"])
+def test_verify_all_rejects_gamma_before_any_sweep(tmp_path, capsys, gamma):
+    out = tmp_path / "o"
+    code = run_cli("--out", str(out), "verify", "all", "--gamma", gamma)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: gamma={float(gamma)} outside [0, kappa=")
+    assert not out.exists()
+
+
 def test_bad_config_exit(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("sigma = 0.2\n")

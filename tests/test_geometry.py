@@ -97,10 +97,11 @@ def test_cone_distance_metric_properties(cfg, rng):
 
 
 def test_flux_distance_examples():
-    assert flux_distance(ConeConfig(1.0, 1.0, 0.25)).kappa == pytest.approx(0.25)
-    assert flux_distance(ConeConfig(2.0, 1.0, 0.3)).kappa == pytest.approx(0.2)
+    assert flux_distance(ConeConfig(1.0, 1.0, 0.25)) == pytest.approx(0.25)
+    assert flux_distance(ConeConfig(2.0, 1.0, 0.3)) == pytest.approx(0.2)
     # maximal possible value 1/(2 sigma) is attained at the midpoint
-    assert flux_distance(ConeConfig(1.0, 1.0, 0.5)).kappa == pytest.approx(0.5)
+    assert flux_distance(ConeConfig(1.0, 1.0, 0.5)) == pytest.approx(0.5)
+    assert type(flux_distance(ConeConfig(1.5, 1.0, 0.4))) is float
 
 
 def test_flux_distance_bound_random(rng):
@@ -108,7 +109,7 @@ def test_flux_distance_bound_random(rng):
         sigma = rng.uniform(1.0, 4.0)
         alpha = rng.uniform(1e-6, 1.0 / sigma - 1e-6)
         cfg = ConeConfig(sigma, 1.0, alpha)
-        kappa = flux_distance(cfg).kappa
+        kappa = flux_distance(cfg)
         assert 0.0 <= kappa <= 1.0 / (2.0 * sigma) + 1e-15
         # oracle: dense lattice scan
         lattice = np.arange(-6, 7) / sigma

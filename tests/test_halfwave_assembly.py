@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from magcone import kernels, verify
+from magcone import kernels, lpbesov, verify
 from magcone.errors import DomainError, WindowTooSmallError
 from magcone.geometry import make_point
 from magcone.lpbesov import make_cutoff
@@ -23,7 +23,7 @@ def oracle_halfwave_kernel_grid(j, t, r_nodes, dtheta_nodes, cfg, window):
     cutoff = make_cutoff()
     r_nodes = np.asarray(r_nodes, dtype=float)
     dtheta_nodes = np.asarray(dtheta_nodes, dtype=float)
-    pos, neg_ms = kernels._shell_mode_lists(j, cfg, window)
+    pos, neg_ms = lpbesov._shell_mode_lists(j, cfg, window)
 
     def k_block(k, ms):
         lam = np.asarray(eigenvalue(cfg, k, ms), dtype=float)
@@ -70,7 +70,7 @@ def oracle_halfwave_kernel_grid(j, t, r_nodes, dtheta_nodes, cfg, window):
 
 def _window(j, cfg):
     """The covering window of shell j with at least 40 angular indices a side."""
-    shell = kernels.shell_window(j, cfg)
+    shell = lpbesov.shell_window(j, cfg)
     return ModeWindow(max(shell.k_max, 40), shell.m_max)
 
 
@@ -101,18 +101,18 @@ def test_grid_raises_on_degenerate_tail(cfg):
     """On the sweep's window and its 41 radii, the k <= -1 branch is cut by the window edge."""
     j = 2
     r_max = min(2.5 + 2.0 ** j * math.pi / (2.0 * cfg.b0), 10.0)
-    window = kernels.shell_window(j, cfg)
+    window = lpbesov.shell_window(j, cfg)
     with pytest.raises(WindowTooSmallError, match="degenerate-branch tail"):
         kernels.halfwave_kernel_grid(j, 0.5, np.linspace(0.25, r_max, 41), np.array([0.1]), cfg, window)
 
 
 def test_shell_window_is_the_sweep_window(cfg):
     lam_hi = 4.0 ** 3
-    assert kernels.shell_window(2, cfg) == ModeWindow(
+    assert lpbesov.shell_window(2, cfg) == ModeWindow(
         k_max=int(math.ceil((lam_hi / cfg.b0) * cfg.sigma / 2.0)) + 8,
         m_max=int(math.floor((lam_hi / cfg.b0 - 1.0) / 2.0)) + 1)
     with pytest.raises(WindowTooSmallError, match="above the cap"):
-        kernels.shell_window(30, cfg)
+        lpbesov.shell_window(30, cfg)
 
 
 def test_shell_weights_scale_exactly(cfg):

@@ -1,0 +1,100 @@
+"""Heat kernels at large t b0, against the angular series summed in 60-digit arithmetic.
+
+At large t b0 the degenerate-branch terms (k <= -1) carry a factor
+e^{|k| t b0 / sigma} that brings orders with an underflowed ive back to a
+visible size, and the prefactor falls like e^{-(1 + alpha) t b0}.  Both
+representations must stay within the heat tolerance up to t b0 = 700 and
+raise DomainError past it, under the one rule they share.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from scipy import special as sp
+
+from magcone.cli import EXIT_CONFIG, main
+from magcone.errors import DomainError
+from magcone.geometry import make_point
+from magcone.kernels import _log_bessel_i, heat_kernel_closed, heat_kernel_series
+from magcone.verify import REFERENCE_CONFIGS
+
+HEAT_TOL = 1e-8
+
+
+def heat_kernel_mp(t, p, q, cfg, dps=60) -> complex:
+    """The heat angular series, both k-directions summed until 3 terms in a row are negligible."""
+    with mpmath.workdps(dps):
+        sg, al = mpmath.mpf(cfg.sigma), mpmath.mpf(cfg.alpha)
+        tb = mpmath.mpf(t) * cfg.b0
+        x = cfg.b0 * mpmath.mpf(p.r) * q.r / (2 * mpmath.sinh(tb))
+        big_q = cfg.b0 * (mpmath.mpf(p.r) ** 2 + mpmath.mpf(q.r) ** 2) / (4 * mpmath.tanh(tb))
+        theta = mpmath.mpf(p.theta) - mpmath.mpf(q.theta)
+
+        def term(k):
+            return mpmath.exp(1j * (k / sg) * (theta + 1j * tb)) * mpmath.besseli(abs(k / sg + al), x)
+
+        total = term(0)
+        peak = abs(total)
+        for step in (1, -1):
+            k, quiet = step, 0
+            while quiet < 3:
+                v = term(k)
+                total += v
+                peak = max(peak, abs(v))
+                quiet = quiet + 1 if abs(v) < mpmath.mpf(10) ** (-dps) * peak else 0
+                k += step
+        pref = cfg.b0 * mpmath.exp(-tb * al) / (4 * mpmath.pi * sg * mpmath.sinh(tb))
+        return complex(pref * mpmath.exp(-big_q) * total)
+
+
+def _points(cfg):
+    return make_point(cfg, 1.0, 0.3), make_point(cfg, 0.8, 2.1)
+
+
+@pytest.mark.parametrize("tb", [50.0, 100.0, 200.0, 400.0, 600.0, 700.0])
+def test_both_representations_match_mpmath(cfg, tb):
+    p, q = _points(cfg)
+    t = tb / cfg.b0
+    exact = heat_kernel_mp(t, p, q, cfg)
+    assert exact != 0.0
+    for kernel in (heat_kernel_series, heat_kernel_closed):
+        kv = kernel(t, p, q, cfg)
+        assert abs(kv.value - exact) <= HEAT_TOL * abs(exact), kernel.__name__
+        assert 0.0 < kv.largest_term < math.inf
+
+
+@pytest.mark.parametrize("tb", [700.5, 709.0, 712.0, 800.0, 1e4, 1e300])
+def test_both_representations_reject_past_the_float_range(cfg, tb):
+    p, q = _points(cfg)
+    for kernel in (heat_kernel_series, heat_kernel_closed):
+        with pytest.raises(DomainError, match="t b0 <= 700"):
+            kernel(tb / cfg.b0, p, q, cfg)
+
+
+def test_series_keeps_orders_whose_ive_underflows():
+    # at t b0 = 400 (sigma = 1) ive underflows from the k = -2 term on, one of the sum's largest;
+    # dropping those terms left the series 23% off
+    cfg = REFERENCE_CONFIGS[0]
+    p, q = _points(cfg)
+    x = cfg.b0 * p.r * q.r / (2.0 * math.sinh(400.0))
+    assert sp.ive(1.75, x) == 0.0
+    exact = heat_kernel_mp(400.0, p, q, cfg)
+    assert abs(heat_kernel_series(400.0, p, q, cfg).value - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize("a,x", [(7.75, 1e-170), (0.25, 1e-300), (40.3, 1e-9), (150.0, 0.01),
+                                 (800.0, 3.0), (2.5, 5e-324)])
+def test_log_bessel_i_matches_mpmath(a, x):
+    with mpmath.workdps(40):
+        exact = float(mpmath.log(mpmath.besseli(a, x)))
+    assert _log_bessel_i(np.array([a]), x)[0] == pytest.approx(exact, rel=1e-14)
+
+
+def test_cli_heat_at_large_time_exits_2(tmp_path, capsys):
+    code = main(["--out", str(tmp_path / "o"), "kernel", "heat", "--repr", "both",
+                 "--t", "800", "--p", "1.0,0.3", "--q", "0.8,2.1"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: heat kernel needs t b0 <= 700") and "Traceback" not in err

@@ -452,8 +452,8 @@ def test_halfwave_window_too_small(cfg):
 
 def test_halfwave_shell_work_bound(cfg):
     """Shells past the mode cap raise before any mode is listed; j <= 3 stays inside it."""
-    from magcone.kernels import _SHELL_MODE_CAP, _shell_mode_lists, halfwave_kernel_grid
-    from magcone.lpbesov import bernstein_ratio
+    from magcone.kernels import halfwave_kernel_grid
+    from magcone.lpbesov import _SHELL_MODE_CAP, _shell_mode_lists, bernstein_ratio
 
     huge = ModeWindow(k_max=10 ** 19, m_max=10 ** 19)
     r = np.array([0.5, 1.0])

@@ -36,7 +36,6 @@ from magcone.kernels import (
 )
 from magcone.lpbesov import besov_norm, besov_report, make_cutoff, shell_range, square_function_l2
 from magcone.quadrature import evaluation_grid
-from magcone.specfun import normalized_laguerre, normalized_laguerre_rows
 from magcone.spectrum import (
     ModeWindow,
     QuadratureSpec,
@@ -45,6 +44,7 @@ from magcone.spectrum import (
     expand,
     field_on_grid,
     heat_multiplier,
+    normalized_laguerre_rows,
     point_field,
     radial_profiles,
     random_field,
@@ -186,16 +186,14 @@ def oracle_point_kernel_field(cfg, window, r0: float, theta0: float):
     return spectrum.SpectralField(window, coeffs)
 
 
-def oracle_besov_norm(field, s, p, q, cfg, grid=None, cutoff=None) -> float:
+def oracle_besov_norm(field, s, p, q, cfg, grid=None) -> float:
     if q < 1.0 or p < 1.0:
         raise DomainError("besov_norm needs p, q >= 1")
-    if cutoff is None:
-        cutoff = make_cutoff()
     if grid is None and p != 2.0:
         grid = evaluation_grid(cfg)
     pieces = []
     for j in shell_range(cfg, field.window):
-        piece = lpbesov.shell_project(field, j, cfg, cutoff)
+        piece = lpbesov.shell_project(field, j, cfg)
         norm_p = lpbesov._lp_norm(piece, p, cfg, grid) if p != 2.0 else piece.coefficient_norm()
         pieces.append((j, norm_p))
     if math.isinf(q):
@@ -204,15 +202,14 @@ def oracle_besov_norm(field, s, p, q, cfg, grid=None, cutoff=None) -> float:
 
 
 def oracle_besov_report(field, s, p, q, cfg, grid=None) -> dict:
-    cutoff = make_cutoff()
     if grid is None and p != 2.0:
         grid = evaluation_grid(cfg)
     shells = []
     for j in shell_range(cfg, field.window):
-        piece = lpbesov.shell_project(field, j, cfg, cutoff)
+        piece = lpbesov.shell_project(field, j, cfg)
         norm_p = lpbesov._lp_norm(piece, p, cfg, grid) if p != 2.0 else piece.coefficient_norm()
         shells.append({"j": j, "lp_norm": norm_p})
-    value = oracle_besov_norm(field, s, p, q, cfg, grid=grid, cutoff=cutoff)
+    value = oracle_besov_norm(field, s, p, q, cfg, grid=grid)
     return {
         "s": s,
         "p": p,
@@ -223,12 +220,10 @@ def oracle_besov_report(field, s, p, q, cfg, grid=None) -> dict:
     }
 
 
-def oracle_square_function_l2(field, cfg, cutoff=None) -> float:
-    if cutoff is None:
-        cutoff = make_cutoff()
+def oracle_square_function_l2(field, cfg) -> float:
     total = 0.0
     for j in shell_range(cfg, field.window):
-        total += lpbesov.shell_project(field, j, cfg, cutoff).coefficient_norm() ** 2
+        total += lpbesov.shell_project(field, j, cfg).coefficient_norm() ** 2
     return total
 
 
@@ -264,7 +259,12 @@ def _bits(z) -> bytes:
 def test_heat_series_bitwise_equals_separate_loop(cfg, monkeypatch):
     points = admissible_points(cfg, "heat", 60, seed=11)
     new = [heat_kernel_series(t, p, q, cfg) for t, p, q in points]
-    monkeypatch.setattr(kernels, "_heat_angular_series", oracle_heat_angular_series)
+
+    def old_loop(cfg, tb, x, theta, k0, shift):
+        assert shift == 0.0  # admissible points have t b0 < pi, where the series takes no shift
+        return oracle_heat_angular_series(cfg, tb, x, theta, k0)
+
+    monkeypatch.setattr(kernels, "_heat_angular_series", old_loop)
     old = [heat_kernel_series(t, p, q, cfg) for t, p, q in points]
     for a, b in zip(new, old):
         assert _bits(a.value) == _bits(b.value)
@@ -365,8 +365,8 @@ def test_laguerre_rows_bitwise_equal_oracles():
             rows = normalized_laguerre_rows(a, m_max, u)
             assert _bits(rows) == _bits(oracle_unit_laguerre_rows(a, m_max, u))
             for m in (0, m_max // 2, m_max):
-                assert _bits(normalized_laguerre(a, m, u)) == _bits(oracle_normalized_laguerre(a, m, u))
-                scalar = normalized_laguerre(a, m, 3.7)
+                assert _bits(rows[m]) == _bits(oracle_normalized_laguerre(a, m, u))
+                scalar = normalized_laguerre_rows(a, m, 3.7)[m]
                 assert isinstance(scalar, float)
                 assert scalar == oracle_normalized_laguerre(a, m, 3.7)
 

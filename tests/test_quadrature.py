@@ -17,7 +17,7 @@ from magcone import quadrature, verify
 from magcone.errors import NonconvergenceError
 from magcone.geometry import make_point
 from magcone.kernels import heat_kernel_closed, schrodinger_angular_tail, schrodinger_kernel_closed
-from magcone.lpbesov import make_cutoff
+from magcone.lpbesov import _shell_mode_lists, make_cutoff
 from magcone.quadrature import _leggauss, adaptive_panel
 from magcone.spectrum import ModeWindow, eigenvalue, radial_profiles
 
@@ -63,8 +63,6 @@ def oracle_adaptive_panel(f, a: float, b: float, tol: float, order: int = 16, de
 
 def oracle_halfwave_sup_curve(cfg, j, ts, r_nodes, dth_nodes, window):
     """sup_{p,q} |frequency-truncated half-wave kernel| at each time."""
-    from magcone.kernels import _shell_mode_lists
-
     cutoff = make_cutoff()
     pos, neg_ms = _shell_mode_lists(j, cfg, window)
 

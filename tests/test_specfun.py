@@ -1,54 +1,56 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special as sp
 
-from magcone.errors import DomainError, NonconvergenceError
+from magcone.errors import DomainError
 from magcone.quadrature import genlaguerre_rule
-from magcone.specfun import (
-    bessel_i,
-    bessel_j,
-    kummer_m,
-    kummer_pair_tricomi,
-    laguerre,
-    normalized_laguerre,
-    pochhammer,
-    tricomi_u,
-)
+from magcone.specfun import bessel_i, bessel_j
+from magcone.spectrum import normalized_laguerre_rows
 
 
-def test_pochhammer():
-    assert pochhammer(3.7, 0) == 1.0
-    assert pochhammer(1.0, 4) == 24.0
-    assert pochhammer(0.5, 2) == pytest.approx(0.75)
-    with pytest.raises(DomainError):
-        pochhammer(1.0, -1)
+# -- normalized Laguerre rows ------------------------------------------------
+# spectrum.normalized_laguerre_rows is the package's one Laguerre recurrence:
+# row m is L_m^alpha(x) / L_m^alpha(0), with L_m^alpha(0) = binom(m + alpha, m).
+# The oracles are summed in 40-digit arithmetic.
+
+def _row(alpha, m, x):
+    return normalized_laguerre_rows(alpha, m, x)[m]
 
 
-# -- Laguerre ---------------------------------------------------------------
+def _at_zero(alpha, m):
+    return float(mpmath.binomial(m + alpha, m))
+
 
 def test_laguerre_basics():
-    assert laguerre(0.3, 0, 17.0) == 1.0
-    assert laguerre(0.0, 1, 1.0) == pytest.approx(0.0, abs=1e-15)
+    assert _row(0.3, 0, 17.0) == 1.0
+    assert _row(0.0, 1, 1.0) == pytest.approx(0.0, abs=1e-15)  # L_1^0(x) = 1 - x
+    assert normalized_laguerre_rows(0.4, 0, np.array([1.0, 2.0])).shape == (1, 2)
+    assert normalized_laguerre_rows(0.4, 5, np.zeros((2, 3))).shape == (6, 2, 3)
 
 
 def test_laguerre_orthogonality_quadrature_oracle():
-    # int_0^inf x^0.3 e^-x L_2^0.3(x)^2 dx = Gamma(3.3)/2, by generalized
-    # Gauss-Laguerre (exact for polynomial integrands of this degree)
-    u, w = genlaguerre_rule(30, 0.3)
-    val = float(np.sum(w * laguerre(0.3, 2, u) ** 2))
-    assert val == pytest.approx(sp.gamma(3.3) / 2.0, rel=1e-13)
+    # int_0^inf x^a e^-x L_m^a L_n^a dx = delta_mn Gamma(m + a + 1) / m!, by
+    # generalized Gauss-Laguerre (exact for polynomial integrands of this degree)
+    a, m_max = 0.3, 12
+    u, w = genlaguerre_rule(30, a)
+    rows = normalized_laguerre_rows(a, m_max, u)
+    gram = (rows * w) @ rows.T
+    with mpmath.workdps(40):
+        norms = [float(mpmath.gamma(m + a + 1) / mpmath.factorial(m) / mpmath.binomial(m + a, m) ** 2)
+                 for m in range(m_max + 1)]
+    np.testing.assert_allclose(gram, np.diag(norms), rtol=1e-12, atol=1e-13 * max(norms))
+    assert gram[2, 2] * _at_zero(a, 2) ** 2 == pytest.approx(sp.gamma(3.3) / 2.0, rel=1e-13)
 
 
 def _laguerre_direct_sum(alpha, m, x):
-    """Explicit alternating sum; returns (value, largest term magnitude)."""
-    total, peak = 0.0, 0.0
-    for n in range(m + 1):
-        term = (-1) ** n * sp.binom(m + alpha, m - n) * x ** n / math.factorial(n)
-        total += term
-        peak = max(peak, abs(term))
-    return total, peak
+    """Explicit alternating sum of L_m^alpha(x) in 40 digits; returns (value, largest term magnitude)."""
+    with mpmath.workdps(40):
+        terms = [(-1) ** n * mpmath.binomial(m + alpha, m - n) * mpmath.mpf(x) ** n / mpmath.factorial(n)
+                 for n in range(m + 1)]
+        return float(mpmath.fsum(terms)), float(max(abs(t) for t in terms))
 
 
 @pytest.mark.parametrize("alpha", [-0.9, -0.3, 0.25, 1.0, 3.0])
@@ -57,7 +59,7 @@ def test_laguerre_recurrence_vs_direct_sum(alpha, rng):
         x = rng.uniform(0.0, 8.0)
         direct, peak = _laguerre_direct_sum(alpha, m, x)
         # 1e-11 relative to the sum's own conditioning scale
-        assert abs(laguerre(alpha, m, x) - direct) <= 1e-11 * max(abs(direct), peak)
+        assert abs(_row(alpha, m, x) * _at_zero(alpha, m) - direct) <= 1e-11 * max(abs(direct), peak)
 
 
 def test_laguerre_vs_scipy(rng):
@@ -65,100 +67,31 @@ def test_laguerre_vs_scipy(rng):
         alpha = rng.uniform(-0.5, 3.0)
         m = int(rng.integers(0, 25))
         x = rng.uniform(0.0, 20.0)
-        assert laguerre(alpha, m, x) == pytest.approx(
+        assert _row(alpha, m, x) * _at_zero(alpha, m) == pytest.approx(
             float(sp.eval_genlaguerre(m, alpha, x)), rel=1e-10, abs=1e-10
         )
 
 
 def test_normalized_laguerre():
-    assert normalized_laguerre(0.7, 0, 5.0) == 1.0
-    assert normalized_laguerre(0.5, 1, 0.0) == 1.0
+    assert _row(0.7, 0, 5.0) == 1.0
+    assert np.all(normalized_laguerre_rows(0.5, 9, 0.0) == 1.0)
     # frozen oracle: sum_n (-2)_n / ((1.5)_n n!) at x = 1 is exactly -1/15
-    assert normalized_laguerre(0.5, 2, 1.0) == pytest.approx(-1.0 / 15.0, rel=1e-13)
-    # consistency with the plain Laguerre + binomial normalization
+    assert _row(0.5, 2, 1.0) == pytest.approx(-1.0 / 15.0, rel=1e-13)
+    # consistency with the plain Laguerre polynomial over its value at 0
     for m, alpha, x in [(3, 0.3, 2.0), (7, 1.2, 5.5), (12, 0.8, 0.4)]:
-        assert normalized_laguerre(alpha, m, x) == pytest.approx(
-            laguerre(alpha, m, x) / sp.binom(m + alpha, m), rel=1e-11
-        )
-
-
-# -- Kummer / Tricomi -------------------------------------------------------
-
-def test_kummer_basics():
-    assert kummer_m(2.3, 1.7, 0.0).value == 1.0
-    alpha = 0.6
-    x = 1.3
-    res = kummer_m(-1.0, 1.0 + alpha, x)
-    assert res.value == pytest.approx(1.0 - x / (1.0 + alpha), rel=1e-14)
-    assert res.terms_used == 2  # terminating series
-
-    # two independent code paths for the same polynomial
-    assert kummer_m(-2.0, 1.5, 0.8).value.real == pytest.approx(
-        normalized_laguerre(0.5, 2, 0.8), rel=1e-12
-    )
-    with pytest.raises(DomainError):
-        kummer_m(1.0, -2.0, 0.5)
+        with mpmath.workdps(40):
+            expected = float(mpmath.laguerre(m, alpha, x) / mpmath.binomial(m + alpha, m))
+        assert _row(alpha, m, x) == pytest.approx(expected, rel=1e-11)
 
 
 def test_kummer_terminating_matches_laguerre_family(rng):
+    # row m is the terminating Kummer series M(-m, 1 + alpha, x)
     for m in range(0, 11):
         alpha = rng.uniform(0.05, 2.0)
         x = rng.uniform(0.0, 6.0)
-        res = kummer_m(-float(m), 1.0 + alpha, x)
-        assert res.terms_used <= m + 1
-        assert res.value.real == pytest.approx(
-            normalized_laguerre(alpha, m, x), rel=1e-12, abs=1e-12
-        )
-
-
-def test_kummer_vs_scipy(rng):
-    for _ in range(30):
-        a = rng.uniform(-3.0, 3.0)
-        b = rng.uniform(0.2, 4.0)
-        z = rng.uniform(-8.0, 8.0)
-        assert kummer_m(a, b, z).value.real == pytest.approx(
-            float(sp.hyp1f1(a, b, z)), rel=1e-9, abs=1e-12
-        )
-
-
-def test_kummer_nonconvergence_cap():
-    with pytest.raises(NonconvergenceError):
-        kummer_m(2.0, 2.5, 30000.0)
-
-
-def test_tricomi_limits():
-    # z -> 0+ singular law: z^{b-1} U(a,b,z) -> Gamma(b-1)/Gamma(a)
-    a, b = 0.9, 1.6
-    z = 1e-6
-    assert z ** (b - 1.0) * tricomi_u(a, b, z) == pytest.approx(
-        sp.gamma(b - 1.0) / sp.gamma(a), rel=1e-3
-    )
-    # z -> inf: U ~ z^-a
-    a, b = 0.8, 1.4
-    assert tricomi_u(a, b, 1e3) * 1e3 ** a == pytest.approx(1.0, rel=1e-2)
-    with pytest.raises(DomainError):
-        tricomi_u(1.0, 2.0, 1.0)
-
-
-def test_tricomi_two_kummer_identity_moderate_z():
-    # the two-Kummer route cancels ~e^z digits, so tolerance tracks z
-    for a, b, z, rel in [(0.9, 1.6, 0.7, 1e-12), (1.4, 0.7, 2.5, 1e-10), (2.2, 1.3, 6.0, 5e-9)]:
-        assert kummer_pair_tricomi(a, b, z) == pytest.approx(tricomi_u(a, b, z), rel=rel)
-
-
-def _ode_residual(f, a, b, s, h=1e-4):
-    """Finite-difference residual of s f'' + (b - s) f' - a f at s."""
-    f0, fp, fm = f(s), f(s + h), f(s - h)
-    d1 = (fp - fm) / (2 * h)
-    d2 = (fp - 2 * f0 + fm) / (h * h)
-    return s * d2 + (b - s) * d1 - a * f0
-
-
-def test_confluent_ode_residuals():
-    a, b, s = 0.9, 1.6, 2.0
-    scale = abs(tricomi_u(a, b, s)) + abs(kummer_m(a, b, s).value)
-    assert abs(_ode_residual(lambda z: kummer_m(a, b, z).value.real, a, b, s)) < 1e-6 * scale
-    assert abs(_ode_residual(lambda z: tricomi_u(a, b, z), a, b, s)) < 1e-6 * scale
+        with mpmath.workdps(40):
+            expected = float(mpmath.hyp1f1(-m, 1 + alpha, x))
+        assert _row(alpha, m, x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 # -- Bessel -----------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from magcone import verify
 from magcone.errors import GammaOutOfRangeError
 from magcone.geometry import ConeConfig, flux_distance, make_point
 from magcone.kernels import schrodinger_kernel_series
@@ -39,7 +40,7 @@ def test_weighted_matches_dispersive_at_gamma_zero(cfg):
 
 
 def test_weighted_gamma_range(cfg):
-    kappa = flux_distance(cfg).kappa
+    kappa = flux_distance(cfg)
     reports = weighted_dispersive_constant(cfg, kappa, SMALL)
     assert all(r.passed for r in reports)
     names = [r.name for r in reports]
@@ -47,6 +48,18 @@ def test_weighted_gamma_range(cfg):
     assert any(n.endswith("/omega2") for n in names)
     with pytest.raises(GammaOutOfRangeError):
         weighted_dispersive_constant(cfg, kappa + 0.05, SMALL)
+
+
+@pytest.mark.parametrize("suite", ["weighted", "all"])
+@pytest.mark.parametrize("gamma", [-0.1, 0.9])
+def test_run_suite_checks_gamma_before_any_sweep(monkeypatch, suite, gamma):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran before the gamma check")
+
+    for name in ("reduced_kernel_matrix", "heat_closed_bracket_grid", "_shell_blocks", "adaptive_panel"):
+        monkeypatch.setattr(verify, name, no_sweep)
+    with pytest.raises(GammaOutOfRangeError, match="outside"):
+        run_suite(suite, REFERENCE_CONFIGS[0], SMALL, gamma=gamma)
 
 
 def test_dispersive_kernel_sanity_inversion(cfg):

@@ -90,7 +90,7 @@ def oracle_weighted_dispersive_constant(cfg: ConeConfig, gamma: float,
                                         trunc: TruncationSpec = TruncationSpec(),
                                         name: str = "weighted") -> list[SweepReport]:
     t0 = time.perf_counter()
-    kappa = flux_distance(cfg).kappa
+    kappa = flux_distance(cfg)
     if not (0.0 <= gamma <= kappa + 1e-12):
         raise GammaOutOfRangeError(f"gamma={gamma} outside [0, kappa={kappa}]")
     rows_coarse = _dispersive_samples(cfg, gamma, grids, trunc)
@@ -185,7 +185,7 @@ def oracle_reduced_kernel_bound_scan(cfg: ConeConfig, R: float = 2.0 * math.pi,
 
 def oracle_reports(cfg: ConeConfig, grids: SweepGrids) -> list[SweepReport]:
     """What `verify all` wrote for the dispersive family, gaussian-heat and reduced-kernel."""
-    kappa = flux_distance(cfg).kappa
+    kappa = flux_distance(cfg)
     reports = oracle_weighted_dispersive_constant(cfg, 0.0, grids, name="dispersive")[:1]
     for g in (0.0, kappa / 2.0, kappa):
         reports += oracle_weighted_dispersive_constant(cfg, g, grids, name=f"weighted-g{g:.4g}")
@@ -214,7 +214,7 @@ def test_verify_all_artifacts_match_oracle(tmp_path, i_cfg):
 
 def test_single_weighted_sweep_matches_oracle(tmp_path, cfg):
     """A sweep called on its own builds its own grids and writes the same bytes."""
-    gamma = flux_distance(cfg).kappa / 3.0
+    gamma = flux_distance(cfg) / 3.0
     old = oracle_weighted_dispersive_constant(cfg, gamma, SMALL)
     new = verify.weighted_dispersive_constant(cfg, gamma, SMALL)
     for old_rep, new_rep in zip(old, new, strict=True):
