@@ -42,7 +42,6 @@ from .spectrum import (
 )
 from .kernels import (
     KernelValue,
-    TruncationSpec,
     halfwave_kernel_truncated,
     heat_kernel_closed,
     heat_kernel_series,

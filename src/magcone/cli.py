@@ -27,7 +27,6 @@ from . import lpbesov as _lpbesov
 from . import verify as _verify
 from .errors import ConfigError, MagconeError, NonconvergenceError, SingularTimeError
 from .geometry import ConeConfig, make_point
-from .kernels import TruncationSpec
 from .spectrum import (
     ModeWindow,
     QuadratureSpec,
@@ -53,9 +52,6 @@ _DEFAULTS = {
     "sigma": 1.0,
     "b0": 1.0,
     "alpha": 0.25,
-    "k_max": 40,
-    "quad_nodes": 16,
-    "s_max": 30.0,
     "window_k": 24,
     "window_m": 24,
     "n_radial": 80,
@@ -72,7 +68,6 @@ class RunConfig:
     """Parsed run configuration shared by all subcommands."""
 
     cone: ConeConfig
-    trunc: TruncationSpec
     window: ModeWindow
     quad: QuadratureSpec
     grids: _verify.SweepGrids
@@ -116,7 +111,6 @@ def build_run_config(args) -> RunConfig:
     cone = ConeConfig(values["sigma"], values["b0"], values["alpha"])
     return RunConfig(
         cone=cone,
-        trunc=TruncationSpec(int(values["k_max"]), int(values["quad_nodes"]), values["s_max"]),
         window=ModeWindow(int(values["window_k"]), int(values["window_m"])),
         quad=QuadratureSpec(int(values["n_radial"]), int(values["n_theta"])),
         grids=_verify.SweepGrids(int(values["n_time"]), int(values["n_radius"]), int(values["n_angle"])),
@@ -156,17 +150,15 @@ def cmd_kernel(args) -> int:
     q = _parse_point(cfg, args.q)
 
     def one(repr_name: str):
-        if args.kind == "heat":
-            fn = {"series": _kernels.heat_kernel_series, "closed": _kernels.heat_kernel_closed}[repr_name]
-            kv = fn(args.t, p, q, cfg, rc.trunc)
-            return kv.value, kv.largest_term
-        fn = {"series": _kernels.schrodinger_kernel_series,
-              "closed": _kernels.schrodinger_kernel_closed}[repr_name]
-        kv = fn(args.t, p, q, cfg, rc.trunc)
+        fn = {("heat", "series"): _kernels.heat_kernel_series,
+              ("heat", "closed"): _kernels.heat_kernel_closed,
+              ("schrodinger", "series"): _kernels.schrodinger_kernel_series,
+              ("schrodinger", "closed"): _kernels.schrodinger_kernel_closed}[args.kind, repr_name]
+        kv = fn(args.t, p, q, cfg)
         return kv.value, kv.largest_term
 
     reprs = ["series", "closed"] if args.repr == "both" else [args.repr]
-    k_used = rc.trunc.k_max
+    k_used = _kernels._K_START
     if args.kind == "halfwave":
         # halfwave is only available spectrally; grow the window to the shell
         shell = _lpbesov.shell_window(args.j, cfg)
@@ -318,7 +310,7 @@ def _expand_samples(samples: np.ndarray, rc: RunConfig) -> SpectralField:
 
 def cmd_verify(args) -> int:
     rc = build_run_config(args)
-    reports = _verify.run_suite(args.suite, rc.cone, rc.grids, rc.trunc,
+    reports = _verify.run_suite(args.suite, rc.cone, rc.grids,
                                 seed=rc.seed, halfwave_j=args.j, gamma=args.gamma)
     out_dir = Path(args.out)
     summary = []

@@ -46,6 +46,7 @@ from .spectrum import (
 )
 
 _SIN_GUARD = 1e-6
+_K_START = 40  # first |k| range of the angular series and reduced_kernel_matrix; both extend from there
 _K_CAP = 8192
 _HEAT_TB_MAX = 700.0  # past it the heat kernel's factor e^{-t b0} leaves the normal float range
 _HEAT_SHIFT_TB = 50.0  # any value well below 350 works; 50 leaves the t b0 the sweeps use unshifted
@@ -55,25 +56,11 @@ _HALFWAVE_K_CHUNK = 16  # angular blocks per phase contraction
 
 
 @dataclass(frozen=True)
-class TruncationSpec:
-    """Truncation controls: angular cutoff, panel order, half-line floor."""
-
-    k_max: int = 40
-    quad_nodes: int = 16
-    s_max: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.k_max < 1 or self.quad_nodes < 4 or self.s_max < 10.0:
-            raise DomainError("need k_max >= 1, quad_nodes >= 4, s_max >= 10")
-
-
-@dataclass(frozen=True)
 class KernelValue:
-    """Kernel value with the peak summed-term magnitude as conditioning data."""
+    """Kernel value and the peak summed-term magnitude; largest_term / |value| is its cancellation ratio."""
 
     value: complex
     largest_term: float
-    truncation: TruncationSpec
 
 
 def image_angles(theta: float, cfg: ConeConfig) -> np.ndarray:
@@ -239,8 +226,7 @@ def _heat_time(t: float, cfg: ConeConfig) -> float:
     return tb
 
 
-def heat_kernel_series(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig,
-                       trunc: TruncationSpec = TruncationSpec()) -> KernelValue:
+def heat_kernel_series(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) -> KernelValue:
     """Heat kernel by the angular Bessel series."""
     tb = _heat_time(t, cfg)
     x = cfg.b0 * p.r * q.r / (2.0 * math.sinh(tb))
@@ -250,20 +236,35 @@ def heat_kernel_series(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig,
     # e^{-(1 + alpha) t b0}; past _HEAT_SHIFT_TB that factor moves into the terms,
     # so neither leaves the float range up to _HEAT_TB_MAX
     shift = tb * cfg.alpha if tb > _HEAT_SHIFT_TB else 0.0
-    total, peak, _ = _heat_angular_series(cfg, tb, x, theta, trunc.k_max, shift)
+    # past Q = 700 e^{-Q} underflows while the terms' e^{x} overflows; x <= Q,
+    # so e^{-Q} moves into the terms instead
+    q_shift = big_q if big_q >= 700 else 0.0
+    total, peak, _ = _heat_angular_series(cfg, tb, x, theta, _K_START, shift + q_shift)
     pref = cfg.b0 * math.exp(shift - tb * cfg.alpha) / (4.0 * math.pi * cfg.sigma * math.sinh(tb))
-    scale = math.exp(-big_q) if big_q < 700 else 0.0
-    return KernelValue(pref * scale * total, pref * scale * peak, trunc)
+    scale = math.exp(-big_q) if q_shift == 0.0 else 1.0
+    return KernelValue(pref * scale * total, pref * scale * peak)
 
 
-def heat_kernel_closed(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig,
-                       trunc: TruncationSpec = TruncationSpec()) -> KernelValue:
+def _heat_tail_range(x: float, tb: float, cfg: ConeConfig) -> tuple[float, float]:
+    """[s_lo, s_hi] of the heat line integral at x; a grid passes its smallest x, which reaches furthest.
+
+    The tail decays like e^{alpha w} to the left and e^{(alpha - 1/sigma) w}
+    to the right of w = s - t b0, and the e^{-x cosh s} factor caps the reach
+    even when those rates degenerate.
+    """
+    s_reach = math.acosh(1.0 + 50.0 / x) + 6.0 + abs(tb)
+    s_lo = tb - min(45.0 / cfg.alpha, s_reach)
+    s_hi = tb + min(45.0 / (1.0 / cfg.sigma - cfg.alpha), s_reach)
+    return s_lo, s_hi
+
+
+def heat_kernel_closed(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) -> KernelValue:
     """Heat kernel by the image sum plus resummed-tail line integral."""
     tb = _heat_time(t, cfg)
     x = cfg.b0 * p.r * q.r / (2.0 * math.sinh(tb))
     big_q = cfg.b0 * (p.r ** 2 + q.r ** 2) / (4.0 * math.tanh(tb))
     if x == 0.0:  # a point at the tip: every mode vanishes there
-        return KernelValue(0.0 + 0.0j, 0.0, trunc)
+        return KernelValue(0.0 + 0.0j, 0.0)
     theta = angular_difference(p.theta, q.theta, cfg)
     _check_off_boundary(theta, cfg)
 
@@ -279,13 +280,7 @@ def heat_kernel_closed(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig,
             envelope = np.exp(-x * np.cosh(s) - big_q)
         return envelope * heat_angular_tail(s, theta, t, cfg)
 
-    # range: the e^{-x cosh s} factor always caps the reach even when the
-    # tail rates alpha, 1/sigma - alpha degenerate
-    s_reach = math.acosh(1.0 + 50.0 / x) + 6.0
-    rate_left = cfg.alpha
-    rate_right = 1.0 / cfg.sigma - cfg.alpha
-    s_lo = tb - min(max(trunc.s_max, 45.0 / rate_left), s_reach + abs(tb))
-    s_hi = tb + min(max(trunc.s_max, 45.0 / rate_right), s_reach + abs(tb))
+    s_lo, s_hi = _heat_tail_range(x, tb, cfg)
     probes = np.linspace(s_lo, s_hi, 41)
     mass = float(np.abs(integrand(probes)).max()) * (s_hi - s_lo)
     # accuracy target is relative to the whole bracket, not the tail alone
@@ -294,15 +289,15 @@ def heat_kernel_closed(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig,
         np.array([s_lo, min(0.0, tb), 0.0, tb, s_hi]),
         np.linspace(s_lo, s_hi, 25),
     ]))
-    integral = adaptive_line(integrand, edges, tol, trunc.quad_nodes)
+    integral = adaptive_line(integrand, edges, tol)
     bracket = jsum + integral / (2j * math.pi * cfg.sigma)
     pref = cfg.b0 / (4.0 * math.pi * math.sinh(tb))
     peak = max(peak, abs(integral) / (2.0 * math.pi * cfg.sigma))
-    return KernelValue(pref * bracket, pref * peak, trunc)
+    return KernelValue(pref * bracket, pref * peak)
 
 
 def heat_closed_bracket_grid(x_vec: np.ndarray, theta_vec: np.ndarray, t: float,
-                             cfg: ConeConfig, order: int = 16) -> np.ndarray:
+                             cfg: ConeConfig) -> np.ndarray:
     """Closed-form heat bracket (without the e^{-Q} factor) on a product grid.
 
     Returns M[i_theta, i_x] with
@@ -319,16 +314,13 @@ def heat_closed_bracket_grid(x_vec: np.ndarray, theta_vec: np.ndarray, t: float,
     x_min = float(x_vec.min())
     if x_min <= 0.0:
         raise DomainError("heat_closed_bracket_grid needs strictly positive x")
-    s_reach = math.acosh(1.0 + 50.0 / x_min) + 6.0 + abs(tb)
-    rate_left, rate_right = cfg.alpha, 1.0 / cfg.sigma - cfg.alpha
-    s_lo = tb - min(45.0 / rate_left, s_reach)
-    s_hi = tb + min(45.0 / rate_right, s_reach)
+    s_lo, s_hi = _heat_tail_range(x_min, tb, cfg)
     edges = np.unique(np.concatenate([
         np.linspace(-1.5, 1.5, 61),
         np.linspace(tb - 0.8, tb + 0.8, 81),
         np.linspace(s_lo, s_hi, 97),
     ]))
-    gl_x, gl_w = np.polynomial.legendre.leggauss(order)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
     mids = 0.5 * (edges[:-1] + edges[1:])
     halfs = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mids[:, None] + halfs[:, None] * gl_x[None, :]).ravel()
@@ -384,25 +376,23 @@ def _schrodinger_prefactor(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig
     )
 
 
-def schrodinger_kernel_series(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig,
-                              trunc: TruncationSpec = TruncationSpec()) -> KernelValue:
+def schrodinger_kernel_series(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) -> KernelValue:
     """Schrodinger kernel by the angular Bessel series."""
     sin_tb = _require_regular_time(t, cfg)
     rho = cfg.b0 * p.r * q.r / (2.0 * sin_tb)
     theta = t * cfg.b0 - (p.theta - q.theta)
-    total, peak, _ = _schrodinger_angular_series(cfg, rho, theta, trunc.k_max)
+    total, peak, _ = _schrodinger_angular_series(cfg, rho, theta, _K_START)
     pref = _schrodinger_prefactor(t, p, q, cfg, sin_tb)
-    return KernelValue(pref * total, abs(pref) * peak, trunc)
+    return KernelValue(pref * total, abs(pref) * peak)
 
 
-def _closed_angular_bracket(cfg: ConeConfig, rho: float, theta: float,
-                            trunc: TruncationSpec) -> tuple[complex, float]:
+def _closed_angular_bracket(cfg: ConeConfig, rho: float, theta: float) -> tuple[complex, float]:
     """Image sum minus tail integral for sum_k e^{ik theta/sigma} I_{a_k}(i rho)/sigma.
 
     Returns (bracket, peak) with  sum_k ... = sigma * bracket.
     """
     if rho < 0.0:
-        bracket, peak = _closed_angular_bracket(cfg, -rho, -theta, trunc)
+        bracket, peak = _closed_angular_bracket(cfg, -rho, -theta)
         return bracket.conjugate(), peak
     _check_off_boundary(theta, cfg)
     images = image_angles(theta, cfg)
@@ -416,38 +406,35 @@ def _closed_angular_bracket(cfg: ConeConfig, rho: float, theta: float,
         )
 
     tol = 1e-11 * max(1.0, abs(jsum))
-    tail = oscillatory_bessel_tail(f, rho, rate, tol, trunc.quad_nodes)
+    tail = oscillatory_bessel_tail(f, rho, rate, tol)
     bracket = jsum - tail / (cfg.sigma * math.pi)
     peak = max(1.0 if images.size else 0.0, abs(tail) / (cfg.sigma * math.pi))
     return bracket, peak
 
 
-def schrodinger_kernel_closed(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig,
-                              trunc: TruncationSpec = TruncationSpec()) -> KernelValue:
+def schrodinger_kernel_closed(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) -> KernelValue:
     """Schrodinger kernel by the image sum plus deformed tail integral."""
     sin_tb = _require_regular_time(t, cfg)
     rho = cfg.b0 * p.r * q.r / (2.0 * sin_tb)
     theta = t * cfg.b0 - (p.theta - q.theta)
-    bracket, peak = _closed_angular_bracket(cfg, rho, theta, trunc)
+    bracket, peak = _closed_angular_bracket(cfg, rho, theta)
     pref = _schrodinger_prefactor(t, p, q, cfg, sin_tb)
-    return KernelValue(pref * cfg.sigma * bracket, abs(pref) * cfg.sigma * peak, trunc)
+    return KernelValue(pref * cfg.sigma * bracket, abs(pref) * cfg.sigma * peak)
 
 
 # ---------------------------------------------------------------------------
 # reduced angular kernel
 # ---------------------------------------------------------------------------
 
-def reduced_kernel(rho: float, delta: float, cfg: ConeConfig,
-                   trunc: TruncationSpec = TruncationSpec()) -> complex:
+def reduced_kernel(rho: float, delta: float, cfg: ConeConfig) -> complex:
     """The universal angular series sum_k e^{i k delta / sigma} I_{a_k}(i rho)."""
     if rho < 0.0:
         raise DomainError(f"reduced_kernel needs rho >= 0, got {rho}")
-    total, _, _ = _schrodinger_angular_series(cfg, rho, delta, trunc.k_max)
+    total, _, _ = _schrodinger_angular_series(cfg, rho, delta, _K_START)
     return complex(total)
 
 
-def reduced_kernel_matrix(rho: np.ndarray, delta: np.ndarray, cfg: ConeConfig,
-                          trunc: TruncationSpec = TruncationSpec()) -> np.ndarray:
+def reduced_kernel_matrix(rho: np.ndarray, delta: np.ndarray, cfg: ConeConfig) -> np.ndarray:
     """reduced_kernel on a product grid; shape (len(delta), len(rho)).
 
     One Bessel matrix serves every delta, so sweeps over large grids cost a
@@ -458,7 +445,7 @@ def reduced_kernel_matrix(rho: np.ndarray, delta: np.ndarray, cfg: ConeConfig,
     if np.any(rho < 0.0):
         raise DomainError("reduced_kernel_matrix needs rho >= 0")
     rho_max = float(rho.max(initial=0.0))
-    k_hi = trunc.k_max
+    k_hi = _K_START
     while True:
         a_edge = float(angular_order(cfg, np.array([k_hi])).max())
         env = math.exp(a_edge * math.log(max(math.e * rho_max / (2.0 * (1.0 + a_edge)), 1e-300)))

@@ -70,18 +70,17 @@ def adaptive_panel(f, a: float, b: float, tol: float, order: int = 16, depth: in
             + adaptive_panel(f, mid, b, 0.5 * tol, order, depth - 1, _coarse=(right, l1_r)))
 
 
-def adaptive_line(f, edges, tol: float, order: int = 16) -> complex:
+def adaptive_line(f, edges, tol: float) -> complex:
     """Adaptive integration over consecutive panels between the given edges."""
     edges = np.asarray(edges, dtype=float)
     total = 0.0 + 0.0j
     per_panel = tol / max(len(edges) - 1, 1)
     for a, b in zip(edges[:-1], edges[1:]):
-        total += adaptive_panel(f, a, b, per_panel, order)
+        total += adaptive_panel(f, a, b, per_panel)
     return total
 
 
-def oscillatory_bessel_tail(f_analytic, rho: float, decay_rate: float, tol: float,
-                            order: int = 16) -> complex:
+def oscillatory_bessel_tail(f_analytic, rho: float, decay_rate: float, tol: float) -> complex:
     """Integrate f(s) = e^{-i rho cosh s} g(s) over [0, inf) for decaying analytic g.
 
     g (hence f_analytic) must be analytic in Re s > 0 with |g| <= C e^{-decay_rate s}.
@@ -97,14 +96,14 @@ def oscillatory_bessel_tail(f_analytic, rho: float, decay_rate: float, tol: floa
 
     # real segment, apportioned so each panel spans O(2 pi) of phase
     n_a = max(4, int(math.ceil(rho * (math.cosh(s0) - 1.0) / (2.0 * math.pi))) + 4)
-    total = adaptive_line(f_analytic, np.linspace(0.0, s0, n_a + 1), tol, order)
+    total = adaptive_line(f_analytic, np.linspace(0.0, s0, n_a + 1), tol)
 
     # vertical drop s0 -> s0 - i pi/2
     def f_vert(v):
         return f_analytic(s0 - 1j * v) * (-1j)
 
     n_b = max(4, int(math.ceil(rho * math.cosh(s0) / (2.0 * math.pi))) + 4)
-    total += adaptive_line(f_vert, np.linspace(0.0, 0.5 * math.pi, n_b + 1), tol, order)
+    total += adaptive_line(f_vert, np.linspace(0.0, 0.5 * math.pi, n_b + 1), tol)
 
     # horizontal line at Im s = -pi/2: |e^{-i rho cosh s}| = e^{-rho sinh a}.
     # Panels grow geometrically: with tiny decay_rate (flux near an endpoint)
@@ -115,7 +114,7 @@ def oscillatory_bessel_tail(f_analytic, rho: float, decay_rate: float, tol: floa
     a = s0
     width = 2.0
     while True:
-        total += adaptive_panel(f_horiz, a, a + width, tol, order)
+        total += adaptive_panel(f_horiz, a, a + width, tol)
         a += width
         envelope = math.exp(-rho * math.sinh(min(a, 700.0))) * math.exp(-decay_rate * min(a, 1e120))
         if envelope < tol or a > 1e120:

@@ -182,11 +182,9 @@ def radial_profiles(cfg: ConeConfig, k: int, m_max: int, r) -> np.ndarray:
     return polys * scale
 
 
-def eigenfunction(idx: ModeIndex, p: ConePoint, cfg: ConeConfig, normalized: bool = True) -> complex:
-    """Eigenfunction value at a point (L2-normalized unless normalized=False)."""
+def eigenfunction(idx: ModeIndex, p: ConePoint, cfg: ConeConfig) -> complex:
+    """L2-normalized eigenfunction value at a point."""
     rad = radial_profiles(cfg, idx.k, idx.m, np.array([p.r]))[idx.m, 0]
-    if not normalized:
-        rad *= math.exp(0.5 * float(log_norm_sq(cfg, idx.k, idx.m)))
     return rad * np.exp(1j * (idx.k / cfg.sigma) * p.theta)
 
 
@@ -300,9 +298,8 @@ def fractional_flow_multiplier(nu: float, t: float):
 _CSV_HEADER = "k,m,re_c,im_c"
 
 
-def save_field(field: SpectralField, cfg: ConeConfig, quad: QuadratureSpec,
-               csv_path: str | Path, json_path: str | Path | None = None) -> None:
-    """Write the coefficient table as CSV plus a JSON header."""
+def save_field(field: SpectralField, cfg: ConeConfig, quad: QuadratureSpec, csv_path: str | Path) -> None:
+    """Write the coefficient table as CSV plus a JSON header beside it (same stem, .json)."""
     csv_path = Path(csv_path)
     lines = [_CSV_HEADER]
     for ik, k in enumerate(field.window.k_values):
@@ -315,9 +312,8 @@ def save_field(field: SpectralField, cfg: ConeConfig, quad: QuadratureSpec,
         "cone": {"sigma": cfg.sigma, "b0": cfg.b0, "alpha": cfg.alpha},
         "quadrature": {"n_radial": quad.n_radial, "n_theta": quad.n_theta},
     }
-    if json_path is None:
-        json_path = csv_path.with_suffix(".json")
-    Path(json_path).write_text(json.dumps(header, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    csv_path.with_suffix(".json").write_text(json.dumps(header, sort_keys=True, indent=2) + "\n",
+                                             encoding="utf-8")
 
 
 def load_field(csv_path: str | Path) -> SpectralField:
@@ -340,11 +336,9 @@ def load_field(csv_path: str | Path) -> SpectralField:
     return SpectralField(window=window, coeffs=coeffs)
 
 
-def random_field(window: ModeWindow, rng: np.random.Generator, normalize: bool = True) -> SpectralField:
+def random_field(window: ModeWindow, rng: np.random.Generator) -> SpectralField:
     """Random band-limited field: coefficients uniform on the unit disk, then normalized."""
     radii = np.sqrt(rng.uniform(size=window.shape))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=window.shape)
     coeffs = radii * np.exp(1j * phases)
-    if normalize:
-        coeffs = coeffs / np.linalg.norm(coeffs)
-    return SpectralField(window=window, coeffs=coeffs)
+    return SpectralField(window=window, coeffs=coeffs / np.linalg.norm(coeffs))

@@ -26,7 +26,6 @@ import numpy as np
 from .errors import DomainError, GammaOutOfRangeError, QuadratureError
 from .geometry import ConeConfig, flux_distance
 from .kernels import (
-    TruncationSpec,
     _halfwave_pair_chunks,
     _shell_blocks,
     heat_closed_bracket_grid,
@@ -163,7 +162,7 @@ def _time_grid(grids: SweepGrids, cfg: ConeConfig) -> np.ndarray:
     return tb / cfg.b0
 
 
-def _dispersive_grid(cfg: ConeConfig, grids: SweepGrids, trunc: TruncationSpec) -> list:
+def _dispersive_grid(cfg: ConeConfig, grids: SweepGrids) -> list:
     """Per time, (t, rho, delta, |K|) over the induced grid; |K| is (delta, rho)."""
     r = np.linspace(grids.r_min, grids.r_max, grids.n_radius)
     dth = np.linspace(-0.5 * cfg.period + 0.11, 0.5 * cfg.period - 0.07, grids.n_angle)
@@ -174,18 +173,18 @@ def _dispersive_grid(cfg: ConeConfig, grids: SweepGrids, trunc: TruncationSpec) 
             raise QuadratureError("dispersive time grid too close to a singular time")
         rho = (cfg.b0 * np.outer(r, r) / (2.0 * sin_tb)).ravel()
         delta = t * cfg.b0 - dth
-        grid.append((t, rho, delta, np.abs(reduced_kernel_matrix(rho, delta, cfg, trunc))))
+        grid.append((t, rho, delta, np.abs(reduced_kernel_matrix(rho, delta, cfg))))
     return grid
 
 
-def _dispersive_grid_pair(cfg: ConeConfig, grids: SweepGrids, trunc: TruncationSpec):
+def _dispersive_grid_pair(cfg: ConeConfig, grids: SweepGrids):
     """() -> (coarse, fine) dispersive grids, built on the first call only.
 
     The grids do not depend on gamma, so every sweep handed the same pair
     shares one evaluation of the reduced kernel.
     """
-    return functools.cache(lambda: (_dispersive_grid(cfg, grids, trunc),
-                                    _dispersive_grid(cfg, grids.refined(), trunc)))
+    return functools.cache(lambda: (_dispersive_grid(cfg, grids),
+                                    _dispersive_grid(cfg, grids.refined())))
 
 
 def _dispersive_rows(grid: list, gamma: float) -> np.ndarray:
@@ -214,17 +213,16 @@ def _require_gamma(cfg: ConeConfig, gamma: float) -> None:
 
 def weighted_dispersive_constant(cfg: ConeConfig, gamma: float,
                                  grids: SweepGrids = SweepGrids(),
-                                 trunc: TruncationSpec = TruncationSpec(),
                                  name: str = "weighted", *, _grids=None) -> list[SweepReport]:
     """Weighted dispersive sweep; constants for the full grid and the
     rho >= 1 / rho < 1 split are reported separately.
 
-    ``_grids`` is a shared ``_dispersive_grid_pair`` for (cfg, grids, trunc);
+    ``_grids`` is a shared ``_dispersive_grid_pair`` for (cfg, grids);
     without it the sweep builds its own.
     """
     t0 = time.perf_counter()
     _require_gamma(cfg, gamma)
-    coarse, fine = (_grids or _dispersive_grid_pair(cfg, grids, trunc))()
+    coarse, fine = (_grids or _dispersive_grid_pair(cfg, grids))()
     rows_fine = _dispersive_rows(fine, gamma)
     header = ("t", "rho", "delta", "abs_series", "weighted")
     spec = (f"t x r x dtheta = {grids.n_time} x {grids.n_radius}^2 x {grids.n_angle}, "
@@ -240,11 +238,10 @@ def weighted_dispersive_constant(cfg: ConeConfig, gamma: float,
             for report_name, cf, ratio, passed, rows in results]
 
 
-def dispersive_constant_schrodinger(cfg: ConeConfig, grids: SweepGrids = SweepGrids(),
-                                    trunc: TruncationSpec = TruncationSpec(), *,
+def dispersive_constant_schrodinger(cfg: ConeConfig, grids: SweepGrids = SweepGrids(), *,
                                     _grids=None) -> list[SweepReport]:
     """Unweighted dispersive sweep (the gamma = 0 specialization)."""
-    reports = weighted_dispersive_constant(cfg, 0.0, grids, trunc, name="dispersive", _grids=_grids)
+    reports = weighted_dispersive_constant(cfg, 0.0, grids, name="dispersive", _grids=_grids)
     return reports[:1]
 
 
@@ -252,8 +249,7 @@ def dispersive_constant_schrodinger(cfg: ConeConfig, grids: SweepGrids = SweepGr
 # Gaussian heat bound
 # ---------------------------------------------------------------------------
 
-def gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrids(),
-                           trunc: TruncationSpec = TruncationSpec()) -> list[SweepReport]:
+def gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) -> list[SweepReport]:
     """sup |K^H| sinh(t b0) e^{+b0 d_X(p,q)^2 / (4 tanh t b0)}.
 
     The distance-squared envelope is the one the Gaussian bound's proof (and
@@ -310,8 +306,7 @@ def gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrids(),
 # ---------------------------------------------------------------------------
 
 def reduced_kernel_bound_scan(cfg: ConeConfig, R: float = 2.0 * math.pi,
-                              grids: SweepGrids = SweepGrids(),
-                              trunc: TruncationSpec = TruncationSpec()) -> list[SweepReport]:
+                              grids: SweepGrids = SweepGrids()) -> list[SweepReport]:
     """sup over rho in [0, rho_max], |delta| <= R, with rho_max grown until
     the sup moves < 1% per doubling."""
     t0 = time.perf_counter()
@@ -319,7 +314,7 @@ def reduced_kernel_bound_scan(cfg: ConeConfig, R: float = 2.0 * math.pi,
     def abs_kernel(rho_max: float, n_rho: int, n_delta: int):
         rho = np.linspace(0.0, rho_max, n_rho)
         delta = np.linspace(-R, R, n_delta)
-        return rho, delta, np.abs(reduced_kernel_matrix(rho, delta, cfg, trunc))
+        return rho, delta, np.abs(reduced_kernel_matrix(rho, delta, cfg))
 
     def sup_for(rho_max: float, n_rho: int, n_delta: int) -> float:
         return float(abs_kernel(rho_max, n_rho, n_delta)[2].max())
@@ -511,8 +506,7 @@ def energy_conservation_check(cfg: ConeConfig, window: ModeWindow = ModeWindow(1
 # suite driver
 # ---------------------------------------------------------------------------
 
-def run_suite(name: str, cfg: ConeConfig, grids: SweepGrids = SweepGrids(),
-              trunc: TruncationSpec = TruncationSpec(), seed: int = 20240901,
+def run_suite(name: str, cfg: ConeConfig, grids: SweepGrids = SweepGrids(), seed: int = 20240901,
               halfwave_j: int = 2, gamma: float | None = None, *, _grids=None) -> list[SweepReport]:
     """Run one named sweep (or 'all') on a configuration.
 
@@ -521,21 +515,20 @@ def run_suite(name: str, cfg: ConeConfig, grids: SweepGrids = SweepGrids(),
     """
     if gamma is not None and name in ("weighted", "all"):
         _require_gamma(cfg, gamma)
-    shared = _grids or _dispersive_grid_pair(cfg, grids, trunc)
+    shared = _grids or _dispersive_grid_pair(cfg, grids)
     if name == "dispersive":
-        return dispersive_constant_schrodinger(cfg, grids, trunc, _grids=shared)
+        return dispersive_constant_schrodinger(cfg, grids, _grids=shared)
     if name == "weighted":
         kappa = flux_distance(cfg)
         gammas = (gamma,) if gamma is not None else (0.0, kappa / 2.0, kappa)
         out = []
         for g in gammas:
-            out.extend(weighted_dispersive_constant(cfg, g, grids, trunc,
-                                                    name=f"weighted-g{g:.4g}", _grids=shared))
+            out.extend(weighted_dispersive_constant(cfg, g, grids, name=f"weighted-g{g:.4g}", _grids=shared))
         return out
     if name == "gaussian-heat":
-        return gaussian_heat_constant(cfg, grids, trunc)
+        return gaussian_heat_constant(cfg, grids)
     if name == "reduced-kernel":
-        return reduced_kernel_bound_scan(cfg, grids=grids, trunc=trunc)
+        return reduced_kernel_bound_scan(cfg, grids=grids)
     if name == "tail-l1":
         return angular_tail_l1_scan(cfg, grids)
     if name == "subordination":
@@ -547,6 +540,6 @@ def run_suite(name: str, cfg: ConeConfig, grids: SweepGrids = SweepGrids(),
     if name == "all":
         out = []
         for suite in SUITE_NAMES:
-            out.extend(run_suite(suite, cfg, grids, trunc, seed, halfwave_j, gamma, _grids=shared))
+            out.extend(run_suite(suite, cfg, grids, seed, halfwave_j, gamma, _grids=shared))
         return out
     raise QuadratureError(f"unknown suite '{name}'; choose from {SUITE_NAMES + ('all',)}")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 import warnings
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magcone.cli import EXIT_CONFIG, EXIT_FAILED_SWEEP, EXIT_OK, EXIT_SINGULAR, main, parse_config_file
+from magcone.cli import (_DEFAULTS, EXIT_CONFIG, EXIT_FAILED_SWEEP, EXIT_OK, EXIT_SINGULAR, main,
+                         parse_config_file)
 from magcone.errors import ConfigError
 from magcone.spectrum import load_field
 
@@ -181,8 +183,8 @@ def test_verify_reproducible_outputs(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-@pytest.mark.parametrize("line", ["k_max = 40.7", "k_max = inf", "k_max = nan",
-                                  "s_max = inf", "sigma = nan"])
+@pytest.mark.parametrize("line", ["window_k = 40.7", "window_k = inf", "window_k = nan",
+                                  "b0 = inf", "sigma = nan"])
 def test_config_rejects_non_finite_and_fractional_values(tmp_path, capsys, line):
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text(line + "\n")
@@ -196,10 +198,35 @@ def test_config_rejects_non_finite_and_fractional_values(tmp_path, capsys, line)
 
 def test_config_accepts_integral_float_for_integer_key(tmp_path):
     cfgfile = tmp_path / "c.cfg"
-    cfgfile.write_text("k_max = 40.0\nn_time = 3e0\n")
+    cfgfile.write_text("window_k = 40.0\nn_time = 3e0\n")
     values = parse_config_file(str(cfgfile))
-    assert values["k_max"] == 40 and isinstance(values["k_max"], int)
+    assert values["window_k"] == 40 and isinstance(values["window_k"], int)
     assert values["n_time"] == 3 and isinstance(values["n_time"], int)
+
+
+@pytest.mark.parametrize("line", ["k_max = 40", "quad_nodes = 16", "s_max = 30.0"])
+def test_config_rejects_retired_kernel_truncation_keys(tmp_path, capsys, line):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(line + "\n")
+    code = run_cli("--config", str(cfgfile), "--out", str(tmp_path / "o"), "kernel", "heat",
+                   "--t", "1.0", "--p", "1.0,0.0", "--q", "1.0,0.5")
+    err = _assert_one_line_error(capsys, code)
+    assert f"unknown key {line.split()[0]!r}" in err
+    assert not (tmp_path / "o" / "kernel.csv").exists()
+
+
+def test_readme_config_block_matches_parser_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"Keys and\s+defaults:\s*```\n(.*?)```", readme, re.S).group(1)
+    documented = {}
+    for line in block.splitlines():
+        for key, text in re.findall(r"(\w+)\s*=\s*(\S+)", line.split("#", 1)[0]):
+            documented[key] = text
+    assert list(documented) == list(_DEFAULTS)
+    for key, text in documented.items():
+        default = _DEFAULTS[key]
+        assert float(text) == default, key
+        assert isinstance(default, int) == ("." not in text), key
 
 
 def test_verify_empty_sweep_grid_is_config_error(tmp_path, capsys):

@@ -4,9 +4,13 @@ At large t b0 the degenerate-branch terms (k <= -1) carry a factor
 e^{|k| t b0 / sigma} that brings orders with an underflowed ive back to a
 visible size, and the prefactor falls like e^{-(1 + alpha) t b0}.  Both
 representations must stay within the heat tolerance up to t b0 = 700 and
-raise DomainError past it, under the one rule they share.
+raise DomainError past it, under the one rule they share.  At small t or
+large radii the Gaussian factor e^{-Q} underflows while the series terms
+carry e^{x}, x <= Q; past Q = 700 the series must still return a finite
+value.
 """
 
+import json
 import math
 
 import mpmath
@@ -14,7 +18,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from magcone.cli import EXIT_CONFIG, main
+from magcone.cli import EXIT_CONFIG, EXIT_OK, main
 from magcone.errors import DomainError
 from magcone.geometry import make_point
 from magcone.kernels import _log_bessel_i, heat_kernel_closed, heat_kernel_series
@@ -82,6 +86,44 @@ def test_series_keeps_orders_whose_ive_underflows():
     assert sp.ive(1.75, x) == 0.0
     exact = heat_kernel_mp(400.0, p, q, cfg)
     assert abs(heat_kernel_series(400.0, p, q, cfg).value - exact) <= 1e-12 * abs(exact)
+
+
+# (t b0, r1 sqrt(b0), r2 sqrt(b0), theta gap): Q = b0 (r1^2 + r2^2) / (4 tanh t b0) > 700, so e^{-Q}
+# underflows on its own, while the kernel stays in the normal float range
+LARGE_Q = [(1.0, 46.8, 1.62, 0.0), (0.1, 16.7, 0.72, 0.2)]
+
+
+@pytest.mark.parametrize("tb,r1,r2,gap", LARGE_Q)
+def test_series_past_q_700_matches_mpmath(cfg, tb, r1, r2, gap):
+    t, scale = tb / cfg.b0, 1.0 / math.sqrt(cfg.b0)
+    p, q = make_point(cfg, r1 * scale, 0.3), make_point(cfg, r2 * scale, 0.3 + gap)
+    assert cfg.b0 * (p.r ** 2 + q.r ** 2) / (4.0 * math.tanh(tb)) > 700.0
+    exact = heat_kernel_mp(t, p, q, cfg)
+    assert exact != 0.0
+    kv = heat_kernel_series(t, p, q, cfg)
+    assert abs(kv.value - exact) <= 1e-12 * abs(exact)
+    assert 0.0 < kv.largest_term < math.inf
+
+
+# at b0 = 1: x = Q = 5000; x = 664, Q = 1024; e^{x - Q} = e^{-10^4}, so both forms give 0
+@pytest.mark.parametrize("t,p,q", [(1e-4, (1.0, 0.3), (1.0, 0.31)),
+                                   (1.0, (40.0, 0.3), (39.0, 0.3)),
+                                   (1e-6, (1.0, 0.3), (0.8, 2.1))])
+def test_series_past_q_700_is_finite_and_matches_closed_form(cfg, t, p, q):
+    p, q = make_point(cfg, *p), make_point(cfg, *q)
+    series, closed = heat_kernel_series(t, p, q, cfg).value, heat_kernel_closed(t, p, q, cfg).value
+    assert np.isfinite(series)
+    assert abs(series - closed) <= HEAT_TOL * abs(closed)
+
+
+def test_cli_heat_past_q_700_prints_finite_values(tmp_path, capsys):
+    code = main(["--json", "--out", str(tmp_path / "o"), "kernel", "heat", "--repr", "both",
+                 "--t", "1e-4", "--p", "1,0.3", "--q", "1,0.31"])
+    assert code == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    for v in payload["values"].values():
+        assert math.isfinite(v["re"]) and math.isfinite(v["im"]) and abs(complex(v["re"], v["im"])) > 600.0
+    assert payload["relative_difference"] <= HEAT_TOL
 
 
 @pytest.mark.parametrize("a,x", [(7.75, 1e-170), (0.25, 1e-300), (40.3, 1e-9), (150.0, 0.01),

@@ -8,7 +8,6 @@ from scipy import integrate, special as sp
 from magcone.errors import QuadratureError, SingularTimeError, WindowTooSmallError
 from magcone.geometry import ConeConfig, make_point
 from magcone.kernels import (
-    TruncationSpec,
     halfwave_kernel_truncated,
     heat_angular_tail,
     heat_closed_bracket_grid,

@@ -337,6 +337,32 @@ def test_heat_bracket_grid_bitwise_equals_tail_matrix_path(cfg, monkeypatch):
         assert _bits(a) == _bits(b)
 
 
+def oracle_closed_form_range(x, tb, cfg):
+    """heat_kernel_closed's range as it read with its default floor of 30 (verbatim otherwise)."""
+    s_reach = math.acosh(1.0 + 50.0 / x) + 6.0
+    rate_left = cfg.alpha
+    rate_right = 1.0 / cfg.sigma - cfg.alpha
+    s_lo = tb - min(max(30.0, 45.0 / rate_left), s_reach + abs(tb))
+    s_hi = tb + min(max(30.0, 45.0 / rate_right), s_reach + abs(tb))
+    return s_lo, s_hi
+
+
+def oracle_bracket_grid_range(x_min, tb, cfg):
+    """heat_closed_bracket_grid's range as it read before the helper (verbatim)."""
+    s_reach = math.acosh(1.0 + 50.0 / x_min) + 6.0 + abs(tb)
+    rate_left, rate_right = cfg.alpha, 1.0 / cfg.sigma - cfg.alpha
+    s_lo = tb - min(45.0 / rate_left, s_reach)
+    s_hi = tb + min(45.0 / rate_right, s_reach)
+    return s_lo, s_hi
+
+
+def test_heat_tail_range_bitwise_equals_both_old_ranges(cfg):
+    for tb in (1e-3, 0.2, 0.9, 2.5, 60.0, 700.0):
+        for x in np.geomspace(1e-300, 1e6, 61).tolist():
+            new = kernels._heat_tail_range(x, tb, cfg)
+            assert new == oracle_closed_form_range(x, tb, cfg) == oracle_bracket_grid_range(x, tb, cfg)
+
+
 def test_heat_tail_real_form_matches_complex_form(cfg):
     s = np.linspace(-30.0, 30.0, 401)
     for theta in (-2.0, 0.0, 0.4, 2.9):

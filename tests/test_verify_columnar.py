@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from magcone import verify
 from magcone.errors import DomainError, GammaOutOfRangeError, QuadratureError
 from magcone.geometry import ConeConfig, flux_distance
-from magcone.kernels import TruncationSpec, heat_closed_bracket_grid, reduced_kernel_matrix
+from magcone.kernels import heat_closed_bracket_grid, reduced_kernel_matrix
 from magcone.verify import SweepGrids, SweepReport, _time_grid
 
 SMALL = SweepGrids(n_time=3, n_radius=4, n_angle=6)
@@ -60,8 +60,7 @@ def _report(name, cfg, grid_spec, constant, ratio, passed, t0, header=(), rows=(
     )
 
 
-def _dispersive_samples(cfg: ConeConfig, gamma: float, grids: SweepGrids,
-                        trunc: TruncationSpec):
+def _dispersive_samples(cfg: ConeConfig, gamma: float, grids: SweepGrids):
     """Rows (t, rho, delta, |K|, rho^-gamma |K|) over the induced grid."""
     r = np.linspace(grids.r_min, grids.r_max, grids.n_radius)
     dth = np.linspace(-0.5 * cfg.period + 0.11, 0.5 * cfg.period - 0.07, grids.n_angle)
@@ -72,7 +71,7 @@ def _dispersive_samples(cfg: ConeConfig, gamma: float, grids: SweepGrids,
             raise QuadratureError("dispersive time grid too close to a singular time")
         rho = (cfg.b0 * np.outer(r, r) / (2.0 * sin_tb)).ravel()
         delta = t * cfg.b0 - dth
-        mat = np.abs(reduced_kernel_matrix(rho, delta, cfg, trunc))
+        mat = np.abs(reduced_kernel_matrix(rho, delta, cfg))
         weighted = mat * rho[None, :] ** (-gamma)
         for i_d, d in enumerate(delta):
             for i_r, rh in enumerate(rho):
@@ -87,14 +86,13 @@ def _dispersive_constant(rows, mask=None) -> float:
 
 def oracle_weighted_dispersive_constant(cfg: ConeConfig, gamma: float,
                                         grids: SweepGrids = SweepGrids(),
-                                        trunc: TruncationSpec = TruncationSpec(),
                                         name: str = "weighted") -> list[SweepReport]:
     t0 = time.perf_counter()
     kappa = flux_distance(cfg)
     if not (0.0 <= gamma <= kappa + 1e-12):
         raise GammaOutOfRangeError(f"gamma={gamma} outside [0, kappa={kappa}]")
-    rows_coarse = _dispersive_samples(cfg, gamma, grids, trunc)
-    rows_fine = _dispersive_samples(cfg, gamma, grids.refined(), trunc)
+    rows_coarse = _dispersive_samples(cfg, gamma, grids)
+    rows_fine = _dispersive_samples(cfg, gamma, grids.refined())
     header = ("t", "rho", "delta", "abs_series", "weighted")
     spec = (f"t x r x dtheta = {grids.n_time} x {grids.n_radius}^2 x {grids.n_angle}, "
             f"gamma={gamma:.6g}, reduced-kernel units (kernel constant = value / (8 pi sigma))")
@@ -109,8 +107,7 @@ def oracle_weighted_dispersive_constant(cfg: ConeConfig, gamma: float,
     return reports
 
 
-def oracle_gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrids(),
-                                  trunc: TruncationSpec = TruncationSpec()) -> list[SweepReport]:
+def oracle_gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) -> list[SweepReport]:
     t0 = time.perf_counter()
 
     def samples(g: SweepGrids):
@@ -151,14 +148,13 @@ def oracle_gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrid
 
 
 def oracle_reduced_kernel_bound_scan(cfg: ConeConfig, R: float = 2.0 * math.pi,
-                                     grids: SweepGrids = SweepGrids(),
-                                     trunc: TruncationSpec = TruncationSpec()) -> list[SweepReport]:
+                                     grids: SweepGrids = SweepGrids()) -> list[SweepReport]:
     t0 = time.perf_counter()
 
     def sup_for(rho_max: float, n_rho: int, n_delta: int):
         rho = np.linspace(0.0, rho_max, n_rho)
         delta = np.linspace(-R, R, n_delta)
-        return float(np.abs(reduced_kernel_matrix(rho, delta, cfg, trunc)).max())
+        return float(np.abs(reduced_kernel_matrix(rho, delta, cfg)).max())
 
     rho_max, n_rho = 12.5, 40 * grids.n_radius
     sup_prev = sup_for(rho_max, n_rho, 8 * grids.n_angle)
@@ -176,7 +172,7 @@ def oracle_reduced_kernel_bound_scan(cfg: ConeConfig, R: float = 2.0 * math.pi,
     passed = math.isfinite(fine) and ratio <= 1.05
     rho = np.linspace(0.0, rho_max, 2 * n_rho - 1)
     delta = np.linspace(-R, R, 16 * grids.n_angle - 1)
-    mat = np.abs(reduced_kernel_matrix(rho, delta, cfg, trunc))
+    mat = np.abs(reduced_kernel_matrix(rho, delta, cfg))
     rows = [(d, rho[int(np.argmax(mat[i_d]))], float(mat[i_d].max())) for i_d, d in enumerate(delta)]
     spec = f"rho in [0,{rho_max}] (saturated by doubling), |delta| <= {R:.6g}"
     return [_report("reduced-kernel", cfg, spec, fine, ratio, passed, t0,
@@ -263,9 +259,9 @@ def test_csv_rows_are_a_read_only_float_array(cfg):
 def _count_kernel_calls(monkeypatch) -> list:
     calls = []
 
-    def counted(rho, delta, cfg, trunc=TruncationSpec()):
+    def counted(rho, delta, cfg):
         calls.append((float(rho[0]), rho.size, delta.size))
-        return reduced_kernel_matrix(rho, delta, cfg, trunc)
+        return reduced_kernel_matrix(rho, delta, cfg)
 
     monkeypatch.setattr(verify, "reduced_kernel_matrix", counted)
     return calls
