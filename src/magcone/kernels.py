@@ -50,6 +50,7 @@ _K_START = 40  # first |k| range of the angular series and reduced_kernel_matrix
 _K_CAP = 8192
 _HEAT_TB_MAX = 700.0  # past it the heat kernel's factor e^{-t b0} leaves the normal float range
 _HEAT_SHIFT_TB = 50.0  # any value well below 350 works; 50 leaves the t b0 the sweeps use unshifted
+_HEAT_X_MAX = 2.0 ** 30 - 1.0  # scipy's ive(a, x) is NaN from x = 2^30 - 1/2 on
 _BOUNDARY_EPS = 1e-9
 _HALFWAVE_T_CHUNK = 4  # times per accumulator in _halfwave_pair_chunks
 _HALFWAVE_K_CHUNK = 16  # angular blocks per phase contraction
@@ -201,6 +202,9 @@ def _heat_angular_series(cfg: ConeConfig, tb: float, x: float, theta: float, k0:
     """
     if x == 0.0:
         return 0.0 + 0.0j, 0.0, (0, 0)
+    if not x <= _HEAT_X_MAX:
+        raise NonconvergenceError(f"heat angular series needs x = b0 r1 r2 / (2 sinh t b0) below 2^30, "
+                                  f"got {x:.6g}: its Bessel factors are not computed past it")
 
     def terms_for(ks: np.ndarray) -> np.ndarray:
         a = angular_order(cfg, ks)
@@ -220,6 +224,8 @@ def _heat_time(t: float, cfg: ConeConfig) -> float:
     if not (0.0 < t < math.inf):
         raise DomainError(f"heat kernel needs a finite t > 0, got {t}")
     tb = t * cfg.b0
+    if tb == 0.0:
+        raise DomainError(f"heat kernel needs t b0 > 0, got t = {t} and b0 = {cfg.b0}: their product underflows")
     if tb > _HEAT_TB_MAX:
         raise DomainError(f"heat kernel needs t b0 <= {_HEAT_TB_MAX:g}, got {tb:.6g}: "
                           "its factor e^(-t b0) is below the normal float range there")

@@ -26,57 +26,84 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _LEG_CACHE[n]
 
 
-def adaptive_panel(f, a: float, b: float, tol: float, order: int = 16, depth: int = 28,
-                   *, _coarse: tuple[complex, float] | None = None) -> complex:
-    """Adaptive bisection: accept a panel when halving changes it by < tol.
+def adaptive_panel(f, a, b, tol, order: int = 16, depth: int = 28) -> np.ndarray | complex:
+    """Adaptive bisection of the panels [a, b]: one value per panel (a scalar for scalar ends).
 
-    Also accepts once the change falls below the panel's own rounding floor
-    (a small multiple of its L1 mass), so integrands dominated by
-    cancellation noise cannot recurse forever.  A panel still above both
-    after ``depth`` bisections raises NonconvergenceError.
+    A panel is accepted when halving changes it by < tol (per panel,
+    halved with each bisection) or by less than its own rounding floor, a
+    small multiple of its L1 mass, so integrands dominated by cancellation
+    noise cannot recurse forever.  A panel still above both after
+    ``depth`` bisections raises NonconvergenceError naming the leftmost
+    such panel.
 
-    f must be elementwise: it is called once per panel, on the concatenated
-    Gauss-Legendre nodes of the panel and of its two halves (3 * order
-    nodes), and each bisected half receives its own (value, L1 mass) from
-    its parent through ``_coarse``, so below the top only the halves are
-    evaluated (2 * order nodes).
+    The tree is walked breadth first.  f must be elementwise: it is called
+    once per level on the Gauss-Legendre nodes of every live panel, the
+    first time on each panel and its two halves (3 * order nodes a panel),
+    then on the two halves of each split panel (2 * order nodes), whose
+    value and L1 mass each half inherits from its parent.  Values are
+    summed bottom-up in the order of a depth-first recursion.
     """
     x, w = _leggauss(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    mid_l, half_l = 0.5 * (a + mid), 0.5 * (mid - a)
-    mid_r, half_r = 0.5 * (mid + b), 0.5 * (b - mid)
-    halves = (mid_l + half_l * x, mid_r + half_r * x)
-    if _coarse is None:
-        vals = np.asarray(f(np.concatenate((mid + half * x, *halves))))
-        top, vals = vals[:order], vals[order:]
-        coarse = half * np.sum(w * top)
-        l1 = abs(half) * float(np.sum(w * np.abs(top)))
-    else:
-        coarse, l1 = _coarse
-        vals = np.asarray(f(np.concatenate(halves)))
-    vals_l, vals_r = vals[:order], vals[order:]
-    left = half_l * np.sum(w * vals_l)
-    right = half_r * np.sum(w * vals_r)
-    fine = left + right
-    if abs(fine - coarse) <= max(tol, 1e-15 * l1):
-        return fine
-    if depth <= 0:
-        raise NonconvergenceError(
-            f"adaptive_panel: [{a!r}, {b!r}] still changes by {abs(fine - coarse):.3g} "
-            f"> tol {max(tol, 1e-15 * l1):.3g} at the bisection depth limit")
-    l1_l = abs(half_l) * float(np.sum(w * np.abs(vals_l)))
-    l1_r = abs(half_r) * float(np.sum(w * np.abs(vals_r)))
-    return (adaptive_panel(f, a, mid, 0.5 * tol, order, depth - 1, _coarse=(left, l1_l))
-            + adaptive_panel(f, mid, b, 0.5 * tol, order, depth - 1, _coarse=(right, l1_r)))
+    a, b, tol = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
+                                    np.asarray(tol, dtype=float))
+    shape = a.shape
+    a, b, tol = a.ravel(), b.ravel(), tol.ravel()
+
+    def halves(a, b):
+        mid = 0.5 * (a + b)
+        h_l, h_r = 0.5 * (mid - a), 0.5 * (b - mid)
+        nodes = ((0.5 * (a + mid))[:, None] + h_l[:, None] * x, (0.5 * (mid + b))[:, None] + h_r[:, None] * x)
+        return mid, h_l, h_r, nodes
+
+    mid, h_l, h_r, nodes = halves(a, b)
+    half = 0.5 * (b - a)
+    vals = np.asarray(f(np.concatenate((mid[:, None] + half[:, None] * x, *nodes), axis=1).ravel()))
+    vals = vals.reshape(a.size, 3 * order)
+    top, vals = vals[:, :order], vals[:, order:]
+    coarse = half * np.sum(w * top, axis=1)
+    l1 = np.abs(half) * np.sum(w * np.abs(top), axis=1)
+    levels = []  # (fine, split) per level
+    while True:
+        vals_l, vals_r = vals[:, :order], vals[:, order:]
+        left = h_l * np.sum(w * vals_l, axis=1)
+        right = h_r * np.sum(w * vals_r, axis=1)
+        fine = left + right
+        change = fine - coarse
+        change = np.hypot(change.real, change.imag)  # scalar abs(); np.abs rounds complex differently
+        floor = np.maximum(tol, 1e-15 * l1)
+        split = ~(change <= floor)
+        levels.append((fine, split))
+        if not split.any():
+            break
+        if depth <= 0:
+            i = int(np.argmax(split))
+            raise NonconvergenceError(
+                f"adaptive_panel: [{float(a[i])!r}, {float(b[i])!r}] still changes by {change[i]:.3g} "
+                f"> tol {floor[i]:.3g} at the bisection depth limit")
+        l1_l = np.abs(h_l[split]) * np.sum(w * np.abs(vals_l[split]), axis=1)
+        l1_r = np.abs(h_r[split]) * np.sum(w * np.abs(vals_r[split]), axis=1)
+        # children in left-to-right order: [a, mid], [mid, b] of each split panel
+        a, b = np.column_stack((a[split], mid[split])).ravel(), np.column_stack((mid[split], b[split])).ravel()
+        coarse = np.column_stack((left[split], right[split])).ravel()
+        l1 = np.column_stack((l1_l, l1_r)).ravel()
+        tol = np.repeat(0.5 * tol[split], 2)
+        depth -= 1
+        mid, h_l, h_r, nodes = halves(a, b)
+        vals = np.asarray(f(np.concatenate(nodes, axis=1).ravel())).reshape(a.size, 2 * order)
+
+    value = levels[-1][0]
+    for fine, split in reversed(levels[:-1]):
+        children, value = value, fine.copy()
+        value[split] = children[0::2] + children[1::2]
+    return value.reshape(shape)[()]
 
 
 def adaptive_line(f, edges, tol: float) -> complex:
     """Adaptive integration over consecutive panels between the given edges."""
     edges = np.asarray(edges, dtype=float)
     total = 0.0 + 0.0j
-    per_panel = tol / max(len(edges) - 1, 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        total += adaptive_panel(f, a, b, per_panel)
+    for value in adaptive_panel(f, edges[:-1], edges[1:], tol / max(len(edges) - 1, 1)):
+        total += value
     return total
 
 
@@ -111,15 +138,17 @@ def oscillatory_bessel_tail(f_analytic, rho: float, decay_rate: float, tol: floa
     def f_horiz(a):
         return f_analytic(a - 0.5j * math.pi)
 
-    a = s0
+    ends = [s0]
     width = 2.0
     while True:
-        total += adaptive_panel(f_horiz, a, a + width, tol)
-        a += width
+        a = ends[-1] + width
+        ends.append(a)
         envelope = math.exp(-rho * math.sinh(min(a, 700.0))) * math.exp(-decay_rate * min(a, 1e120))
         if envelope < tol or a > 1e120:
             break
         width = min(1.5 * width, 0.5 * a + 2.0)
+    for value in adaptive_panel(f_horiz, ends[:-1], ends[1:], tol):
+        total += value
     return total
 
 

@@ -353,7 +353,7 @@ def angular_tail_l1_scan(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) -> l
     def l1(theta: float, tol: float) -> float:
         f = lambda s: np.abs(schrodinger_angular_tail(np.asarray(s, dtype=float), theta, cfg))
         edges = np.concatenate([np.linspace(0.0, 2.0, 9), np.geomspace(2.0, s_hi, 12)])
-        return float(np.real(sum(adaptive_panel(f, a, b, tol) for a, b in zip(edges[:-1], edges[1:]))))
+        return float(np.real(sum(adaptive_panel(f, edges[:-1], edges[1:], tol))))
 
     def sweep(n_theta: int, tol: float):
         thetas = np.linspace(-0.5 * cfg.period + 0.03, 0.5 * cfg.period, n_theta)
@@ -396,8 +396,7 @@ def subordination_identity_check(z_grid=None, y_grid=None,
             u_hi = math.asinh(45.0 / max(a, 1e-3)) + 45.0 / max(a, 0.5) + 4.0
             u_max = min(max(u_hi, 8.0), 120.0)
             edges = np.linspace(-u_max, u_max, 33)
-            integral = np.real(sum(adaptive_panel(f, lo, hi, 1e-14)
-                                   for lo, hi in zip(edges[:-1], edges[1:])))
+            integral = np.real(sum(adaptive_panel(f, edges[:-1], edges[1:], 1e-14)))
             scaled_rhs = math.sqrt(a / (2.0 * math.pi)) * integral
             rel = abs(scaled_rhs - 1.0)
             worst = max(worst, rel)

@@ -7,19 +7,21 @@ representations must stay within the heat tolerance up to t b0 = 700 and
 raise DomainError past it, under the one rule they share.  At small t or
 large radii the Gaussian factor e^{-Q} underflows while the series terms
 carry e^{x}, x <= Q; past Q = 700 the series must still return a finite
-value.
+value.  Past x = 2^30 scipy's Bessel factors are NaN, and the series must
+say so (NonconvergenceError, exit 4) without a warning.
 """
 
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import special as sp
 
-from magcone.cli import EXIT_CONFIG, EXIT_OK, main
-from magcone.errors import DomainError
+from magcone.cli import EXIT_CONFIG, EXIT_NONCONVERGENCE, EXIT_OK, main
+from magcone.errors import DomainError, NonconvergenceError
 from magcone.geometry import make_point
 from magcone.kernels import _log_bessel_i, heat_kernel_closed, heat_kernel_series
 from magcone.verify import REFERENCE_CONFIGS
@@ -124,6 +126,37 @@ def test_cli_heat_past_q_700_prints_finite_values(tmp_path, capsys):
     for v in payload["values"].values():
         assert math.isfinite(v["re"]) and math.isfinite(v["im"]) and abs(complex(v["re"], v["im"])) > 600.0
     assert payload["relative_difference"] <= HEAT_TOL
+
+
+@pytest.mark.parametrize("t", [1e-10, 1e-300])
+def test_series_rejects_x_past_2_to_the_30(cfg, t):
+    # x = b0 r1 r2 / (2 sinh t b0) = 0.4 / t at these points; scipy's ive(a, x) is NaN past 2^30
+    p, q = _points(cfg)
+    assert np.isnan(sp.ive(cfg.alpha, 0.4 / t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonconvergenceError, match=r"below 2\^30, got 4e\+"):
+            heat_kernel_series(t, p, q, cfg)
+
+
+@pytest.mark.parametrize("t", ["1e-10", "1e-300"])
+def test_cli_heat_series_past_2_to_the_30_exits_4(tmp_path, capsys, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["--out", str(tmp_path / "o"), "kernel", "heat",
+                     "--t", t, "--p", "1.0,0.3", "--q", "0.8,2.1"])
+    assert code == EXIT_NONCONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("nonconvergence: heat angular series needs x") and "2^30" in err
+    assert err.count("\n") == 1
+
+
+def test_both_representations_reject_an_underflowing_t_b0():
+    cfg = REFERENCE_CONFIGS[2]  # b0 = 0.5: t b0 rounds to 0 at the smallest t
+    p, q = _points(cfg)
+    for kernel in (heat_kernel_series, heat_kernel_closed):
+        with pytest.raises(DomainError, match="underflows"):
+            kernel(5e-324, p, q, cfg)
 
 
 @pytest.mark.parametrize("a,x", [(7.75, 1e-170), (0.25, 1e-300), (40.3, 1e-9), (150.0, 0.01),

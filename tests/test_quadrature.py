@@ -1,13 +1,15 @@
 """Adaptive panel quadrature and the half-wave sup sweep against verbatim oracles.
 
 The oracles below are the earlier implementations kept word for word: the
-three-call ``adaptive_panel`` (coarse panel plus two half panels, each a
-separate integrand call) and the per-time einsum of ``_halfwave_sup_curve``.
-The quadrature must agree with its oracle bitwise; the half-wave sweep only
+recursive three-call ``adaptive_panel`` (coarse panel plus two half panels,
+each a separate integrand call, one panel per call) and the per-time einsum
+of ``_halfwave_sup_curve``.  The breadth-first engine must agree with the
+recursion bitwise and visit exactly its panels; the half-wave sweep only
 reorders floating-point sums and must agree to 1e-13 relative.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,23 +102,60 @@ def oracle_halfwave_sup_curve(cfg, j, ts, r_nodes, dth_nodes, window):
     return sups
 
 
-def oracle_with_depth_limit(f, a, b, tol, order):
-    """The oracle's value, and whether it accepted an unconverged panel at the depth limit."""
-    unconverged = []
+def oracle_panels(f, a, b, tol, order=16, depth=28):
+    """The recursion in the engine's call shape: arrays of panel ends in, one value per panel out."""
+    a, b, tol = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
+                                    np.asarray(tol, dtype=float))
+    values = [oracle_adaptive_panel(f, lo, hi, t, order, depth)
+              for lo, hi, t in zip(a.ravel(), b.ravel(), tol.ravel())]
+    return np.array(values).reshape(a.shape)[()]
+
+
+def oracle_walk(f, edges, tol, order=16, depth=28):
+    """The recursion on each panel between the edges, watched.
+
+    Returns the values, every panel visited as (a, b, levels below the top)
+    and the panels accepted unconverged at the depth limit, where the engine
+    raises; panels in the order the recursion reaches them.
+    """
+    values, panels, exhausted = [], [], []
     verbatim = oracle_adaptive_panel
 
     def spy(f, a, b, tol, order=16, depth=28):
+        panels.append((a, b, top_depth - depth))
         if depth <= 0:
             coarse, l1 = _panel_with_l1(f, a, b, order)
             mid = 0.5 * (a + b)
             fine = gauss_panel(f, a, mid, order) + gauss_panel(f, mid, b, order)
-            unconverged.append(abs(fine - coarse) > max(tol, 1e-15 * l1))
+            if abs(fine - coarse) > max(tol, 1e-15 * l1):
+                exhausted.append((a, b))
         return verbatim(f, a, b, tol, order, depth)
 
+    top_depth = depth
     with pytest.MonkeyPatch.context() as m:
         m.setitem(globals(), "oracle_adaptive_panel", spy)  # the oracle recurses through this name
-        value = spy(f, a, b, tol, order)
-    return value, any(unconverged)
+        for a, b in zip(edges[:-1], edges[1:]):
+            values.append(spy(f, a, b, tol, order, depth))
+    return values, panels, exhausted
+
+
+def oracle_level_nodes(panels, order):
+    """The integrand arguments of a breadth-first walk of the oracle's panel tree, one array per level.
+
+    The top level evaluates each panel and its two halves, every later level
+    the two halves of each panel, panels left to right; node formulas are
+    those of ``gauss_panel``.
+    """
+    x, _ = _leggauss(order)
+    levels = []
+    for level in range(max(p[2] for p in panels) + 1):
+        rows = []
+        for a, b, _ in sorted(p for p in panels if p[2] == level):
+            mid = 0.5 * (a + b)
+            parts = ((a, b), (a, mid), (mid, b)) if level == 0 else ((a, mid), (mid, b))
+            rows += [0.5 * (lo + hi) + 0.5 * (hi - lo) * x for lo, hi in parts]
+        levels.append(np.concatenate(rows))
+    return levels
 
 
 def assert_bitwise(new, old):
@@ -126,12 +165,24 @@ def assert_bitwise(new, old):
 
 @pytest.fixture
 def use_oracle(monkeypatch):
-    """Run a callable with the oracle installed wherever the package looks adaptive_panel up."""
+    """Run a callable with the oracle installed wherever the package looks adaptive_panel up.
+
+    Fails unless the callable reached the oracle, so a bitwise comparison
+    can never compare the engine with itself.
+    """
     def run(fn, *args):
+        calls = []
+
+        def spy(*a, **k):
+            calls.append(a[1:3])
+            return oracle_panels(*a, **k)
+
         with monkeypatch.context() as m:
-            m.setattr(quadrature, "adaptive_panel", oracle_adaptive_panel)
-            m.setattr(verify, "adaptive_panel", oracle_adaptive_panel)
-            return fn(*args)
+            m.setattr(quadrature, "adaptive_panel", spy)
+            m.setattr(verify, "adaptive_panel", spy)
+            result = fn(*args)
+        assert calls, f"{fn.__name__} never called the oracle"
+        return result
     return run
 
 
@@ -162,12 +213,45 @@ INTEGRANDS = {
 def test_adaptive_panel_bitwise_matches_oracle(name, a, width, tol, order):
     """Bitwise equal, except where the oracle accepted an unconverged panel at the depth limit."""
     f = INTEGRANDS[name]
-    old, exhausted = oracle_with_depth_limit(f, a, a + width, tol, order)
+    (old,), _, exhausted = oracle_walk(f, (a, a + width), tol, order)
     if exhausted:
         with pytest.raises(NonconvergenceError):
             adaptive_panel(f, a, a + width, tol, order)
     else:
         assert_bitwise(adaptive_panel(f, a, a + width, tol, order), old)
+
+
+@ORACLE_SETTINGS
+@given(name=st.sampled_from(sorted(INTEGRANDS)),
+       a=st.floats(-10.0, 10.0),
+       widths=st.lists(st.floats(1e-3, 8.0), min_size=1, max_size=4),
+       tol=st.floats(-14.0, -3.0).map(lambda e: 10.0 ** e),
+       order=st.sampled_from([8, 16]))
+@example(name="peak", a=0.0, widths=[18.99520339236654], tol=1e-11, order=8)
+@example(name="oscillatory", a=-10.0, widths=[5.0, 5.0, 10.0], tol=0.0, order=16)
+def test_engine_visits_the_oracle_panels(name, a, widths, tol, order):
+    """One integrand call per level, on exactly the panels the recursion visits, left to right."""
+    f = INTEGRANDS[name]
+    edges = a + np.concatenate(([0.0], np.cumsum(widths)))
+    values, panels, exhausted = oracle_walk(f, edges, tol, order)
+    seen = []
+
+    def recorded(x):
+        seen.append(np.array(x))
+        return f(x)
+
+    if exhausted:
+        with pytest.raises(NonconvergenceError):
+            adaptive_panel(recorded, edges[:-1], edges[1:], tol, order)
+    else:
+        got = adaptive_panel(recorded, edges[:-1], edges[1:], tol, order)
+        assert got.shape == (len(widths),)
+        for new, old in zip(got, values):
+            assert_bitwise(new, old)
+    expected = oracle_level_nodes(panels, order)
+    assert len(seen) == len(expected)
+    for new, old in zip(seen, expected):
+        assert np.array_equal(new, old)
 
 
 def _off_boundary(theta, cfg, gap=0.05):
@@ -212,12 +296,14 @@ def test_schrodinger_closed_bitwise_matches_oracle(use_oracle, i_cfg, tb, r1, r2
 
 @pytest.mark.parametrize("theta", [-2.9, -1.0, 0.03, 1.7, 3.1])
 def test_tail_l1_integrand_bitwise_matches_oracle(cfg, theta):
-    """|S(s, theta)| on the edges and tolerance of angular_tail_l1_scan."""
+    """|S(s, theta)| on the edges and tolerance of angular_tail_l1_scan, all panels in one call."""
     rate = min(cfg.alpha, 1.0 / cfg.sigma - cfg.alpha)
     f = lambda s: np.abs(schrodinger_angular_tail(np.asarray(s, dtype=float), theta * cfg.sigma, cfg))
     edges = np.concatenate([np.linspace(0.0, 2.0, 9), np.geomspace(2.0, 45.0 / rate, 12)])
-    for a, b in zip(edges[:-1], edges[1:]):
-        assert_bitwise(adaptive_panel(f, a, b, 1e-10), oracle_adaptive_panel(f, a, b, 1e-10))
+    new = adaptive_panel(f, edges[:-1], edges[1:], 1e-10)
+    assert new.shape == (edges.size - 1,)
+    for value, a, b in zip(new, edges[:-1], edges[1:]):
+        assert_bitwise(value, oracle_adaptive_panel(f, a, b, 1e-10))
 
 
 def test_subordination_rows_bitwise_match_oracle(use_oracle):
@@ -232,31 +318,38 @@ def test_subordination_rows_bitwise_match_oracle(use_oracle):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("order", [8, 16])
-def test_one_integrand_call_per_panel(monkeypatch, order):
+def test_one_integrand_call_per_level(order):
     sizes = []
 
     def f(x):
         sizes.append(len(x))
         return np.exp(5j * x) / (0.1 + x * x)
 
-    panels = []
-    inner = quadrature.adaptive_panel
-
-    def counted(*args, **kwargs):
-        panels.append(args[1:3])
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(quadrature, "adaptive_panel", counted)
-    quadrature.adaptive_panel(f, -3.0, 4.0, 1e-12, order)
-    assert len(panels) > 10  # the integrand forces real bisection
-    assert len(sizes) == len(panels)
-    assert sizes == [3 * order] + [2 * order] * (len(panels) - 1)
+    edges = np.array([-3.0, 0.0, 4.0])
+    _, panels, _ = oracle_walk(lambda x: np.exp(5j * x) / (0.1 + x * x), edges, 1e-12, order)
+    quadrature.adaptive_panel(f, edges[:-1], edges[1:], 1e-12, order)
+    per_level = [sum(1 for p in panels if p[2] == level) for level in range(len(sizes))]
+    assert len(sizes) >= 4  # the integrand forces real bisection
+    assert sum(per_level) == len(panels)  # the oracle goes no deeper than the engine
+    # the top panels with their halves, then the halves of each panel a split made
+    assert sizes == [3 * order * 2] + [2 * order * n for n in per_level[1:]]
 
 
 def test_depth_exhaustion_raises():
     step = lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0)
     with pytest.raises(NonconvergenceError):
         adaptive_panel(step, 0.0, 1.0, 1e-12, depth=3)
+
+
+def test_depth_limit_names_the_panel_the_recursion_reaches_first():
+    # both top panels end unconverged at the limit; the right one changes more
+    steps = lambda x: np.where(x < 0.3, 0.0, 1.0) + np.where(x < 0.8, 0.0, 5.0)
+    edges = np.array([0.0, 0.5, 1.0])
+    _, _, exhausted = oracle_walk(steps, edges, 1e-12, depth=3)
+    assert len(exhausted) == 2
+    first = exhausted[0]
+    with pytest.raises(NonconvergenceError, match=re.escape(f"[{float(first[0])!r}, {float(first[1])!r}]")):
+        adaptive_panel(steps, edges[:-1], edges[1:], 1e-12, depth=3)
 
 
 def test_converged_panel_at_depth_zero_returns_fine():
