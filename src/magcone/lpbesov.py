@@ -22,10 +22,10 @@ from .geometry import ConeConfig, ConePoint
 from .quadrature import EvaluationGrid, evaluation_grid
 from .spectrum import (
     ModeWindow,
+    RadialBasis,
     SpectralField,
     eigenvalue,
     eigenvalue_table,
-    field_on_grid,
     point_field,
     random_field,
     signed_order,
@@ -172,20 +172,21 @@ def shell_project(field: SpectralField, j: int, cfg: ConeConfig) -> SpectralFiel
     return spectral_apply(lambda lam: _CUTOFF.shell_weights(j, lam), field, cfg)
 
 
-def _lp_norm(field: SpectralField, p: float, cfg: ConeConfig, grid: EvaluationGrid) -> float:
-    if p == 2.0:
-        return field.coefficient_norm()
-    values = field_on_grid(field, grid.r, grid.theta, cfg)
-    return grid.lp_norm(values, p)
-
-
 def _shell_norms(field: SpectralField, p: float, cfg: ConeConfig,
                  grid: EvaluationGrid | None) -> list[tuple[int, float]]:
-    """(j, ||shell_j f||_{L^p}) for every shell meeting the field's window."""
-    if grid is None and p != 2.0:
+    """(j, ||shell_j f||_{L^p}) for every shell meeting the field's window.
+
+    p = 2 comes from coefficients; other p synthesize every shell on the
+    grid from one radial basis.
+    """
+    shells = shell_range(cfg, field.window)
+    if p == 2.0:
+        return [(j, shell_project(field, j, cfg).coefficient_norm()) for j in shells]
+    if grid is None:
         grid = evaluation_grid(cfg)
-    return [(j, _lp_norm(shell_project(field, j, cfg), p, cfg, grid))
-            for j in shell_range(cfg, field.window)]
+    basis = RadialBasis(cfg, field.window, grid.r)
+    return [(j, grid.lp_norm(basis.field_on_grid(shell_project(field, j, cfg), grid.theta), p))
+            for j in shells]
 
 
 def _besov(field: SpectralField, s: float, p: float, q: float, cfg: ConeConfig,
@@ -266,11 +267,12 @@ def bernstein_ratio(j: int, p: float, q_exp: float, cfg: ConeConfig, window: Mod
     inv_q = 0.0 if math.isinf(q_exp) else 1.0 / q_exp
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
     scale = 2.0 ** (2 * j * (inv_q - inv_p))
+    basis = RadialBasis(cfg, window, grid.r)  # every trial field lives on the window
     best = 0.0
     for f in fields:
         piece = shell_project(f, j, cfg)
-        num = grid.lp_norm(field_on_grid(piece, grid.r, grid.theta, cfg), p)
-        den = grid.lp_norm(field_on_grid(f, grid.r, grid.theta, cfg), q_exp)
+        num = grid.lp_norm(basis.field_on_grid(piece, grid.theta), p)
+        den = grid.lp_norm(basis.field_on_grid(f, grid.theta), q_exp)
         if den > 0.0:
             best = max(best, num / (scale * den))
     if best == 0.0:

@@ -243,19 +243,58 @@ def expand(
     return SpectralField(window=window, coeffs=coeffs)
 
 
+_TILE_CELLS = 1 << 14  # complex cells per synthesis block: 256 KB, inside a core's L2 cache
+
+
+class RadialBasis:
+    """The radial_profiles rows of a window's modes at fixed radii, for repeated synthesis.
+
+    Each k's rows (m, r) are built on first use and kept, so every field
+    synthesized on the same radii shares them, and a k whose coefficients
+    are all zero never builds its rows.
+    """
+
+    def __init__(self, cfg: ConeConfig, window: ModeWindow, r) -> None:
+        self.cfg = cfg
+        self.window = window
+        self.r = np.atleast_1d(np.asarray(r, dtype=float))
+        self._rows: dict[int, np.ndarray] = {}
+
+    def _rows_of(self, k: int) -> np.ndarray:
+        """radial_profiles(cfg, k, window.m_max, r), shape (m_max + 1, len(r))."""
+        rows = self._rows.get(k)
+        if rows is None:
+            rows = self._rows[k] = radial_profiles(self.cfg, k, self.window.m_max, self.r)
+        return rows
+
+    def field_on_grid(self, field: SpectralField, theta) -> np.ndarray:
+        """Synthesize the field on the product grid r x theta; shape (len(r), len(theta)).
+
+        Every cell adds its terms v_k[r] e^{i k theta / sigma} to zero in
+        increasing k, as a one-k-at-a-time outer-product loop would; the
+        loop runs over blocks of _TILE_CELLS cells so that the block being
+        summed stays in cache on wide theta grids.
+        """
+        if field.window != self.window:
+            raise DomainError(f"field window {field.window} is not the basis window {self.window}")
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        terms = [(ck @ self._rows_of(int(k)), np.exp(1j * (k / self.cfg.sigma) * theta))
+                 for k, ck in zip(self.window.k_values, field.coeffs) if np.any(ck)]
+        out = np.zeros((self.r.size, theta.size), dtype=complex)
+        step = max(1, _TILE_CELLS // max(theta.size, 1))
+        scratch = np.empty((min(step, self.r.size), theta.size), dtype=complex)
+        for lo in range(0, self.r.size, step):
+            block = out[lo:lo + step]
+            product = scratch[:block.shape[0]]
+            for v, phase in terms:
+                np.multiply(v[lo:lo + step, None], phase, out=product)
+                block += product
+        return out
+
+
 def field_on_grid(field: SpectralField, r, theta, cfg: ConeConfig) -> np.ndarray:
     """Synthesize the field on the product grid r x theta; shape (len(r), len(theta))."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    out = np.zeros((r.size, theta.size), dtype=complex)
-    for ik, k in enumerate(field.window.k_values):
-        ck = field.coeffs[ik]
-        if not np.any(ck):
-            continue
-        rad = radial_profiles(cfg, int(k), field.window.m_max, r)  # (m, r)
-        v = ck @ rad  # (r,)
-        out += np.outer(v, np.exp(1j * (k / cfg.sigma) * theta))
-    return out
+    return RadialBasis(cfg, field.window, r).field_on_grid(field, theta)
 
 
 def synthesize(field: SpectralField, p: ConePoint, cfg: ConeConfig) -> complex:

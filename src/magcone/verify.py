@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, GammaOutOfRangeError, QuadratureError
+from .errors import DomainError, GammaOutOfRangeError, NonconvergenceError, QuadratureError
 from .geometry import ConeConfig, flux_distance
 from .kernels import (
     _halfwave_pair_chunks,
@@ -113,7 +113,27 @@ class SweepReport:
         }
 
 
+def _csv_body(rows: np.ndarray) -> tuple[str, np.ndarray]:
+    """The rows as %.17g CSV lines, and the distinct values they hold.
+
+    The sweeps repeat most values (grid coordinates, symmetric samples), so
+    each distinct float64 bit pattern is formatted once and the lines are
+    assembled from those strings.
+    """
+    bits, inverse = np.unique(rows.view(np.uint64).ravel(), return_inverse=True)
+    values = bits.view(float)
+    text = ["%.17g" % v for v in values.tolist()]
+    line = ",".join(["%s"] * rows.shape[1]) + "\n"
+    return (line * rows.shape[0]) % tuple([text[i] for i in inverse.tolist()]), values
+
+
 def write_report(report: SweepReport, out_dir: str | Path) -> tuple[Path, Path]:
+    """Write the report's JSON summary and CSV samples; a non-finite sample raises first."""
+    rows = np.asarray(report.csv_rows, dtype=float)
+    body, values = _csv_body(rows)
+    if not np.isfinite(values).all():
+        column = report.csv_header[int(np.argmin(np.isfinite(rows).all(axis=0)))]
+        raise NonconvergenceError(f"sweep {report.name!r}: non-finite value in CSV column {column!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = report.name.replace("/", "_")
@@ -121,9 +141,6 @@ def write_report(report: SweepReport, out_dir: str | Path) -> tuple[Path, Path]:
     json_path.write_text(json.dumps(report.json_dict(), sort_keys=True, indent=2) + "\n",
                          encoding="utf-8")
     csv_path = out_dir / f"{stem}.csv"
-    rows = report.csv_rows
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    body = (line * rows.shape[0]) % tuple(rows.ravel().tolist())
     csv_path.write_text(",".join(report.csv_header) + "\n" + body, encoding="utf-8")
     return json_path, csv_path
 

@@ -5,8 +5,9 @@ prefixes added where they call into the package): the separate heat and
 Schrodinger k-extension loops, the product-grid heat tail, the spectrum
 module's Laguerre rows and the old ``normalized_laguerre``, the per-mode
 ``spectral_kernel`` loop and ``lpbesov``'s point-kernel field, and the
-Besov/square-function shell loops.  Heat series, the heat bracket grid,
-radial profiles, expansions and the Besov quantities must agree bitwise.
+Besov/square-function shell loops with the ``_lp_norm`` they called.  Heat
+series, the heat bracket grid, radial profiles, expansions and the Besov
+quantities must agree bitwise.
 The Schrodinger series and the spectral kernel only regroup rounding, so
 they must agree to 1e-14 of the scale of the summed terms: the series' peak
 term, and the l1 sum of the spectral kernel's mode terms.  Relative to the
@@ -186,6 +187,13 @@ def oracle_point_kernel_field(cfg, window, r0: float, theta0: float):
     return spectrum.SpectralField(window, coeffs)
 
 
+def oracle_lp_norm(field, p, cfg, grid) -> float:
+    if p == 2.0:
+        return field.coefficient_norm()
+    values = field_on_grid(field, grid.r, grid.theta, cfg)
+    return grid.lp_norm(values, p)
+
+
 def oracle_besov_norm(field, s, p, q, cfg, grid=None) -> float:
     if q < 1.0 or p < 1.0:
         raise DomainError("besov_norm needs p, q >= 1")
@@ -194,7 +202,7 @@ def oracle_besov_norm(field, s, p, q, cfg, grid=None) -> float:
     pieces = []
     for j in shell_range(cfg, field.window):
         piece = lpbesov.shell_project(field, j, cfg)
-        norm_p = lpbesov._lp_norm(piece, p, cfg, grid) if p != 2.0 else piece.coefficient_norm()
+        norm_p = oracle_lp_norm(piece, p, cfg, grid) if p != 2.0 else piece.coefficient_norm()
         pieces.append((j, norm_p))
     if math.isinf(q):
         return max(2.0 ** (j * s) * n for j, n in pieces)
@@ -207,7 +215,7 @@ def oracle_besov_report(field, s, p, q, cfg, grid=None) -> dict:
     shells = []
     for j in shell_range(cfg, field.window):
         piece = lpbesov.shell_project(field, j, cfg)
-        norm_p = lpbesov._lp_norm(piece, p, cfg, grid) if p != 2.0 else piece.coefficient_norm()
+        norm_p = oracle_lp_norm(piece, p, cfg, grid) if p != 2.0 else piece.coefficient_norm()
         shells.append({"j": j, "lp_norm": norm_p})
     value = oracle_besov_norm(field, s, p, q, cfg, grid=grid)
     return {

@@ -1,0 +1,195 @@
+"""The radial basis shared by synthesis, Besov norms and Bernstein ratios, against verbatim oracles.
+
+The oracles below are the earlier implementations kept word for word (module
+prefixes added where they call into the package): ``field_on_grid``, which
+rebuilt the radial rows of every k on every call, ``lpbesov``'s
+``_lp_norm``/``_shell_norms`` pair and ``bernstein_ratio``, which
+synthesized each of its trial fields and their shell pieces through it.  A
+basis only keeps rows that synthesis used to rebuild, so every value must
+agree bitwise.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from magcone import lpbesov, spectrum
+from magcone.errors import DomainError, WindowTooSmallError
+from magcone.geometry import ConePoint
+from magcone.lpbesov import besov_report, bernstein_ratio, shell_project, shell_window
+from magcone.quadrature import evaluation_grid
+from magcone.spectrum import ModeWindow, RadialBasis, SpectralField, field_on_grid, radial_profiles, random_field
+from magcone.verify import REFERENCE_CONFIGS
+
+# the Bernstein levels the spectral-lp benchmark workload runs, per sigma
+BERNSTEIN_LEVELS = {1.0: (0, 1, 2), 1.5: (0, 1, 2), 2.0: (0, 1)}
+
+
+# ---------------------------------------------------------------------------
+# oracles: the earlier implementations, verbatim
+# ---------------------------------------------------------------------------
+
+def oracle_field_on_grid(field, r, theta, cfg) -> np.ndarray:
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    out = np.zeros((r.size, theta.size), dtype=complex)
+    for ik, k in enumerate(field.window.k_values):
+        ck = field.coeffs[ik]
+        if not np.any(ck):
+            continue
+        rad = spectrum.radial_profiles(cfg, int(k), field.window.m_max, r)  # (m, r)
+        v = ck @ rad  # (r,)
+        out += np.outer(v, np.exp(1j * (k / cfg.sigma) * theta))
+    return out
+
+
+def oracle_lp_norm(field, p, cfg, grid) -> float:
+    if p == 2.0:
+        return field.coefficient_norm()
+    values = oracle_field_on_grid(field, grid.r, grid.theta, cfg)
+    return grid.lp_norm(values, p)
+
+
+def oracle_shell_norms(field, p, cfg, grid):
+    if grid is None and p != 2.0:
+        grid = evaluation_grid(cfg)
+    return [(j, oracle_lp_norm(lpbesov.shell_project(field, j, cfg), p, cfg, grid))
+            for j in lpbesov.shell_range(cfg, field.window)]
+
+
+def oracle_bernstein_ratio(j, p, q_exp, cfg, window, trials=8, seed=0, grid=None) -> float:
+    if not (1.0 <= q_exp <= p):
+        raise DomainError("bernstein_ratio needs 1 <= q_exp <= p")
+    lpbesov._shell_mode_lists(j, cfg, window)  # raises unless the window covers the shell
+
+    if grid is None:
+        grid = evaluation_grid(cfg)
+    rng = np.random.default_rng(seed)
+    fields = [random_field(window, rng) for _ in range(trials)]
+    for r0 in (0.35, 0.9, 1.7):
+        point = spectrum.point_field(ConePoint(r0, 0.0), cfg, window)
+        fields.append(point)
+        # shell-localized variant: the L1-side extremizer shape
+        fields.append(shell_project(point, j, cfg))
+    inv_q = 0.0 if math.isinf(q_exp) else 1.0 / q_exp
+    inv_p = 0.0 if math.isinf(p) else 1.0 / p
+    scale = 2.0 ** (2 * j * (inv_q - inv_p))
+    best = 0.0
+    for f in fields:
+        piece = shell_project(f, j, cfg)
+        num = grid.lp_norm(oracle_field_on_grid(piece, grid.r, grid.theta, cfg), p)
+        den = grid.lp_norm(oracle_field_on_grid(f, grid.r, grid.theta, cfg), q_exp)
+        if den > 0.0:
+            best = max(best, num / (scale * den))
+    if best == 0.0:
+        raise WindowTooSmallError(f"no spectral mass in shell {j} for the given window")
+    return best
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _count_grid_calls(monkeypatch, n_r: int) -> list[int]:
+    """Record the k of every radial_profiles call on n_r radii (a grid, not a point)."""
+    calls = []
+
+    def spy(cfg, k, m_max, r):
+        if np.atleast_1d(r).size == n_r:
+            calls.append(k)
+        return radial_profiles(cfg, k, m_max, r)
+
+    monkeypatch.setattr(spectrum, "radial_profiles", spy)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# bitwise agreement with the oracles on the reference configs
+# ---------------------------------------------------------------------------
+
+_BERNSTEIN_CASES = [(i, j) for i, cfg in enumerate(REFERENCE_CONFIGS) for j in BERNSTEIN_LEVELS[cfg.sigma]]
+
+
+@pytest.mark.parametrize("i_cfg,j", _BERNSTEIN_CASES)
+def test_bernstein_ratio_matches_oracle_bitwise(i_cfg, j):
+    cfg = REFERENCE_CONFIGS[i_cfg]
+    window = shell_window(j, cfg)
+    for p, q_exp, seed in ((math.inf, 2.0, 5 + j), (4.0, 1.0, 17)):
+        new = bernstein_ratio(j, p, q_exp, cfg, window, trials=2, seed=seed)
+        old = oracle_bernstein_ratio(j, p, q_exp, cfg, window, trials=2, seed=seed)
+        assert _same_bits(new, old), (p, q_exp, new, old)
+
+
+@pytest.mark.parametrize("i_cfg", range(3))
+def test_besov_report_matches_oracle_bitwise(i_cfg):
+    cfg = REFERENCE_CONFIGS[i_cfg]
+    field = random_field(ModeWindow(8, 8), np.random.default_rng(40 + i_cfg))
+    report = besov_report(field, 0.5, 4.0, 2.0, cfg)
+    pieces = oracle_shell_norms(field, 4.0, cfg, None)
+    assert [sh["j"] for sh in report["shells"]] == [j for j, _ in pieces]
+    assert _same_bits([sh["lp_norm"] for sh in report["shells"]], [n for _, n in pieces])
+    value = float(sum((2.0 ** (j * 0.5) * n) ** 2.0 for j, n in pieces) ** 0.5)
+    assert _same_bits(report["value"], value)
+
+
+@pytest.mark.parametrize("i_cfg", range(3))
+def test_field_on_grid_of_a_sparse_shell_piece_matches_oracle_bitwise(i_cfg):
+    cfg = REFERENCE_CONFIGS[i_cfg]
+    rng = np.random.default_rng(70 + i_cfg)
+    field = shell_project(random_field(ModeWindow(12, 10), rng), 0, cfg)
+    assert 0 < np.count_nonzero(np.any(field.coeffs, axis=1)) < field.window.shape[0]
+    grid = evaluation_grid(cfg)
+    r = np.concatenate([[0.0], grid.r, rng.uniform(0.1, 4.0, 5)])
+    theta = np.concatenate([grid.theta[::7], rng.uniform(-cfg.period, cfg.period, 3)])
+    assert _same_bits(field_on_grid(field, r, theta, cfg), oracle_field_on_grid(field, r, theta, cfg))
+    basis = RadialBasis(cfg, field.window, r)
+    for f in (field, shell_project(field, 1, cfg), field):
+        assert _same_bits(basis.field_on_grid(f, theta), oracle_field_on_grid(f, r, theta, cfg))
+
+
+# ---------------------------------------------------------------------------
+# the basis builds each row once
+# ---------------------------------------------------------------------------
+
+def test_basis_builds_one_row_per_nonzero_k(monkeypatch):
+    cfg = REFERENCE_CONFIGS[0]
+    window = ModeWindow(6, 5)
+    coeffs = random_field(window, np.random.default_rng(3)).coeffs.copy()
+    coeffs[[0, 4, 5, 11]] = 0.0
+    field = SpectralField(window, coeffs)
+    r = np.linspace(0.1, 3.0, 9)
+    calls = _count_grid_calls(monkeypatch, r.size)
+    basis = RadialBasis(cfg, window, r)
+    for _ in range(3):
+        basis.field_on_grid(field, np.linspace(0.0, 6.0, 4))
+    nonzero = [int(k) for ik, k in enumerate(window.k_values) if np.any(coeffs[ik])]
+    assert calls == nonzero
+
+
+def test_bernstein_ratio_builds_each_grid_row_once(monkeypatch):
+    cfg = REFERENCE_CONFIGS[0]
+    window = shell_window(2, cfg)
+    grid = evaluation_grid(cfg)
+    calls = _count_grid_calls(monkeypatch, grid.r.size)
+    bernstein_ratio(2, math.inf, 2.0, cfg, window)
+    assert sorted(calls) == [int(k) for k in window.k_values]  # K calls, not up to 16 K
+
+
+def test_besov_norm_builds_each_grid_row_once(monkeypatch):
+    cfg = REFERENCE_CONFIGS[1]
+    field = random_field(ModeWindow(8, 8), np.random.default_rng(9))
+    grid = evaluation_grid(cfg)
+    calls = _count_grid_calls(monkeypatch, grid.r.size)
+    lpbesov.besov_norm(field, 0.0, 4.0, 2.0, cfg, grid=grid)
+    assert len(lpbesov.shell_range(cfg, field.window)) > 1
+    assert sorted(calls) == [int(k) for k in field.window.k_values]
+
+
+def test_basis_rejects_a_field_on_another_window():
+    cfg = REFERENCE_CONFIGS[0]
+    basis = RadialBasis(cfg, ModeWindow(4, 4), [0.5, 1.0])
+    field = random_field(ModeWindow(4, 5), np.random.default_rng(0))
+    with pytest.raises(DomainError):
+        basis.field_on_grid(field, [0.0, 1.0])

@@ -2,9 +2,10 @@
 
 The oracles below are the earlier implementations, statement for statement: the
 per-time ``_dispersive_samples`` with its tuple rows, the tuple ``_report``,
-the per-value ``write_report``, and the row loops of the gaussian-heat and
-reduced-kernel sweeps.  Every artifact the columnar sweeps write must agree
-with the oracle's byte for byte.
+the per-value ``write_report`` and the columnar formatting that followed it,
+and the row loops of the gaussian-heat and reduced-kernel sweeps.  Every
+artifact the columnar sweeps write must agree with the oracle's byte for
+byte; a non-finite sample is refused before any file is written.
 """
 
 import json
@@ -18,8 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magcone import verify
-from magcone.errors import DomainError, GammaOutOfRangeError, QuadratureError
+from magcone import cli, verify
+from magcone.errors import DomainError, GammaOutOfRangeError, NonconvergenceError, QuadratureError
 from magcone.geometry import ConeConfig, flux_distance
 from magcone.kernels import heat_closed_bracket_grid, reduced_kernel_matrix
 from magcone.verify import SweepGrids, SweepReport, _time_grid
@@ -235,9 +236,81 @@ def test_write_report_matches_per_value_format(tmp_path_factory, n_cols, data):
     old = _report("x/y", cfg, "spec", 1.0, 1.0, True, time.perf_counter(), header, values)
     new = verify._report("x/y", cfg, "spec", 1.0, 1.0, True, 0, header, values)
     out = tmp_path_factory.mktemp("w")
+    if not np.isfinite(new.csv_rows).all():  # a non-finite sample is refused before any file
+        with pytest.raises(NonconvergenceError):
+            verify.write_report(new, out / "new")
+        assert not (out / "new").exists()
+        return
     for old_path, new_path in zip(oracle_write_report(old, out / "old"),
                                   verify.write_report(new, out / "new")):
         assert new_path.read_bytes() == old_path.read_bytes()
+
+
+def oracle_csv_body(rows: np.ndarray) -> str:
+    """The columnar writer's formatting before it formatted each distinct value once, verbatim."""
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+
+
+def _float_bits(sign: int, exponent: int, mantissa: int) -> float:
+    return float(np.array([sign << 63 | exponent << 52 | mantissa], dtype=np.uint64).view(float)[0])
+
+
+_MANTISSA = st.integers(1, (1 << 52) - 1)
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.builds(_float_bits, st.integers(0, 1), st.just(0x7FF), _MANTISSA),  # NaN with payloads
+    st.builds(_float_bits, st.integers(0, 1), st.just(0), _MANTISSA),  # subnormals
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1.7976931348623157e308, 0.1]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_rows=st.integers(0, 14), n_cols=st.integers(0, 5), data=st.data())
+def test_csv_body_formats_like_the_per_cell_writer(n_rows, n_cols, data):
+    pool = data.draw(st.lists(_CELLS, min_size=1, max_size=6))  # heavily repeated values
+    cells = data.draw(st.lists(st.one_of(st.sampled_from(pool), _CELLS),
+                               min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    rows = np.array(cells, dtype=float).reshape(n_rows, n_cols)
+    body, values = verify._csv_body(rows)
+    assert body == oracle_csv_body(rows)
+    assert sorted(values.view(np.uint64).tolist()) == sorted(set(rows.view(np.uint64).ravel().tolist()))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (4, 0)])
+def test_csv_body_of_tables_without_cells(tmp_path, shape):
+    rows = np.empty(shape)
+    assert verify._csv_body(rows)[0] == oracle_csv_body(rows)
+    header = tuple(f"c{i}" for i in range(shape[1]))
+    cfg = verify.REFERENCE_CONFIGS[0]
+    old = _report("a/omega1", cfg, "spec", 1.0, 1.0, True, time.perf_counter(), header, rows.tolist())
+    new = verify._report("a/omega1", cfg, "spec", 1.0, 1.0, True, 0, header, rows.tolist())
+    for old_path, new_path in zip(oracle_write_report(old, tmp_path / "old"),
+                                  verify.write_report(new, tmp_path / "new")):
+        assert new_path.read_bytes() == old_path.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_report_refuses_a_non_finite_cell(tmp_path, bad):
+    header = ("t", "rho", "weighted")
+    rows = np.array([[0.5, 1.0, 2.0], [0.5, 1.5, bad], [0.7, 1.0, 3.0]])
+    report = SweepReport(name="weighted-g0/omega1", config=verify.REFERENCE_CONFIGS[0], grid_spec="spec",
+                         empirical_constant=3.0, refinement_ratio=1.0, passed=True, runtime_ms=0,
+                         csv_header=header, csv_rows=rows)
+    with pytest.raises(NonconvergenceError, match=r"weighted-g0/omega1.*'weighted'"):
+        verify.write_report(report, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_exits_4_on_a_non_finite_cell(tmp_path, monkeypatch, capsys):
+    rows = np.array([[1.0, math.nan]])
+    report = SweepReport(name="energy", config=verify.REFERENCE_CONFIGS[0], grid_spec="spec",
+                         empirical_constant=1.0, refinement_ratio=1.0, passed=True, runtime_ms=0,
+                         csv_header=("trial", "drift"), csv_rows=rows)
+    monkeypatch.setattr(verify, "run_suite", lambda *a, **k: [report])
+    assert cli.main(["--out", str(tmp_path / "out"), "verify", "energy"]) == cli.EXIT_NONCONVERGENCE
+    assert "'drift'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_csv_rows_are_a_read_only_float_array(cfg):
