@@ -34,7 +34,7 @@ from scipy import special as _sp
 from .errors import DomainError, NonconvergenceError, QuadratureError, SingularTimeError, WindowTooSmallError
 from .geometry import ConeConfig, ConePoint, angular_difference
 from .lpbesov import _shell_mode_lists, make_cutoff
-from .quadrature import adaptive_line, oscillatory_bessel_tail
+from .quadrature import adaptive_line, gauss_legendre_rule, oscillatory_bessel_tail
 from .spectrum import (
     ModeWindow,
     angular_order,
@@ -326,7 +326,7 @@ def heat_closed_bracket_grid(x_vec: np.ndarray, theta_vec: np.ndarray, t: float,
         np.linspace(tb - 0.8, tb + 0.8, 81),
         np.linspace(s_lo, s_hi, 97),
     ]))
-    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
+    gl_x, gl_w = gauss_legendre_rule(16)
     mids = 0.5 * (edges[:-1] + edges[1:])
     halfs = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mids[:, None] + halfs[:, None] * gl_x[None, :]).ravel()

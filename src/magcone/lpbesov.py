@@ -22,10 +22,10 @@ from .geometry import ConeConfig, ConePoint
 from .quadrature import EvaluationGrid, evaluation_grid
 from .spectrum import (
     ModeWindow,
-    RadialBasis,
     SpectralField,
     eigenvalue,
     eigenvalue_table,
+    fields_on_grid,
     point_field,
     random_field,
     signed_order,
@@ -177,16 +177,15 @@ def _shell_norms(field: SpectralField, p: float, cfg: ConeConfig,
     """(j, ||shell_j f||_{L^p}) for every shell meeting the field's window.
 
     p = 2 comes from coefficients; other p synthesize every shell on the
-    grid from one radial basis.
+    grid in one pass.
     """
     shells = shell_range(cfg, field.window)
     if p == 2.0:
         return [(j, shell_project(field, j, cfg).coefficient_norm()) for j in shells]
     if grid is None:
         grid = evaluation_grid(cfg)
-    basis = RadialBasis(cfg, field.window, grid.r)
-    return [(j, grid.lp_norm(basis.field_on_grid(shell_project(field, j, cfg), grid.theta), p))
-            for j in shells]
+    values = fields_on_grid([shell_project(field, j, cfg) for j in shells], grid.r, grid.theta, cfg)
+    return [(j, grid.lp_norm(v, p)) for j, v in zip(shells, values)]
 
 
 def _besov(field: SpectralField, s: float, p: float, q: float, cfg: ConeConfig,
@@ -267,12 +266,12 @@ def bernstein_ratio(j: int, p: float, q_exp: float, cfg: ConeConfig, window: Mod
     inv_q = 0.0 if math.isinf(q_exp) else 1.0 / q_exp
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
     scale = 2.0 ** (2 * j * (inv_q - inv_p))
-    basis = RadialBasis(cfg, window, grid.r)  # every trial field lives on the window
+    pairs = [g for f in fields for g in (shell_project(f, j, cfg), f)]
+    values = fields_on_grid(pairs, grid.r, grid.theta, cfg)  # every trial field lives on the window
     best = 0.0
-    for f in fields:
-        piece = shell_project(f, j, cfg)
-        num = grid.lp_norm(basis.field_on_grid(piece, grid.theta), p)
-        den = grid.lp_norm(basis.field_on_grid(f, grid.theta), q_exp)
+    for v_piece, v_f in zip(values, values):
+        num = grid.lp_norm(v_piece, p)
+        den = grid.lp_norm(v_f, q_exp)
         if den > 0.0:
             best = max(best, num / (scale * den))
     if best == 0.0:

@@ -17,13 +17,11 @@ from scipy import special as _sp
 from .errors import NonconvergenceError, QuadratureError
 from .geometry import ConeConfig
 
-_LEG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _LEG_CACHE:
-        _LEG_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _LEG_CACHE[n]
+@lru_cache(maxsize=64)
+def gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(n)
 
 
 def adaptive_panel(f, a, b, tol, order: int = 16, depth: int = 28) -> np.ndarray | complex:
@@ -43,7 +41,7 @@ def adaptive_panel(f, a, b, tol, order: int = 16, depth: int = 28) -> np.ndarray
     value and L1 mass each half inherits from its parent.  Values are
     summed bottom-up in the order of a depth-first recursion.
     """
-    x, w = _leggauss(order)
+    x, w = gauss_legendre_rule(order)
     a, b, tol = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
                                     np.asarray(tol, dtype=float))
     shape = a.shape

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy import special as _sp
@@ -246,55 +246,55 @@ def expand(
 _TILE_CELLS = 1 << 14  # complex cells per synthesis block: 256 KB, inside a core's L2 cache
 
 
-class RadialBasis:
-    """The radial_profiles rows of a window's modes at fixed radii, for repeated synthesis.
+def _sum_terms(terms, n_r: int, theta: np.ndarray) -> np.ndarray:
+    """Sum of the outer products v[r] phase[theta] of the terms; shape (n_r, len(theta)).
 
-    Each k's rows (m, r) are built on first use and kept, so every field
-    synthesized on the same radii shares them, and a k whose coefficients
-    are all zero never builds its rows.
+    Every cell adds its terms to zero in list order, as a one-term-at-a-time
+    outer-product loop would; the loop runs over blocks of _TILE_CELLS
+    cells so that the block being summed stays in cache on wide theta grids.
     """
+    out = np.zeros((n_r, theta.size), dtype=complex)
+    step = max(1, _TILE_CELLS // max(theta.size, 1))
+    scratch = np.empty((min(step, n_r), theta.size), dtype=complex)
+    for lo in range(0, n_r, step):
+        block = out[lo:lo + step]
+        product = scratch[:block.shape[0]]
+        for v, phase in terms:
+            np.multiply(v[lo:lo + step, None], phase, out=product)
+            block += product
+    return out
 
-    def __init__(self, cfg: ConeConfig, window: ModeWindow, r) -> None:
-        self.cfg = cfg
-        self.window = window
-        self.r = np.atleast_1d(np.asarray(r, dtype=float))
-        self._rows: dict[int, np.ndarray] = {}
 
-    def _rows_of(self, k: int) -> np.ndarray:
-        """radial_profiles(cfg, k, window.m_max, r), shape (m_max + 1, len(r))."""
-        rows = self._rows.get(k)
-        if rows is None:
-            rows = self._rows[k] = radial_profiles(self.cfg, k, self.window.m_max, self.r)
-        return rows
+def fields_on_grid(fields, r, theta, cfg: ConeConfig) -> Iterator[np.ndarray]:
+    """Synthesize fields sharing one window on the grid r x theta; yields one grid each, in order.
 
-    def field_on_grid(self, field: SpectralField, theta) -> np.ndarray:
-        """Synthesize the field on the product grid r x theta; shape (len(r), len(theta)).
-
-        Every cell adds its terms v_k[r] e^{i k theta / sigma} to zero in
-        increasing k, as a one-k-at-a-time outer-product loop would; the
-        loop runs over blocks of _TILE_CELLS cells so that the block being
-        summed stays in cache on wide theta grids.
-        """
-        if field.window != self.window:
-            raise DomainError(f"field window {field.window} is not the basis window {self.window}")
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        terms = [(ck @ self._rows_of(int(k)), np.exp(1j * (k / self.cfg.sigma) * theta))
-                 for k, ck in zip(self.window.k_values, field.coeffs) if np.any(ck)]
-        out = np.zeros((self.r.size, theta.size), dtype=complex)
-        step = max(1, _TILE_CELLS // max(theta.size, 1))
-        scratch = np.empty((min(step, self.r.size), theta.size), dtype=complex)
-        for lo in range(0, self.r.size, step):
-            block = out[lo:lo + step]
-            product = scratch[:block.shape[0]]
-            for v, phase in terms:
-                np.multiply(v[lo:lo + step, None], phase, out=product)
-                block += product
-        return out
+    Each k's radial_profiles rows are built once if some field is nonzero
+    there, reduced to each such field's c_k @ rows and dropped, so one k's
+    rows are held at a time.  Fields on two windows raise DomainError.
+    """
+    fields = list(fields)
+    if not fields:
+        return iter(())
+    window = fields[0].window
+    if any(f.window != window for f in fields):
+        raise DomainError(f"fields_on_grid needs one window, got {sorted({str(f.window) for f in fields})}")
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    live = np.array([np.any(f.coeffs, axis=1) for f in fields]).T.tolist()  # [k][field]
+    terms = [[] for _ in fields]
+    for ik, (k, live_k) in enumerate(zip(window.k_values, live)):
+        if any(live_k):
+            rows = radial_profiles(cfg, int(k), window.m_max, r)  # (m, r)
+            phase = np.exp(1j * (k / cfg.sigma) * theta)
+            for t, f, on in zip(terms, fields, live_k):
+                if on:
+                    t.append((f.coeffs[ik] @ rows, phase))
+    return (_sum_terms(t, r.size, theta) for t in terms)
 
 
 def field_on_grid(field: SpectralField, r, theta, cfg: ConeConfig) -> np.ndarray:
     """Synthesize the field on the product grid r x theta; shape (len(r), len(theta))."""
-    return RadialBasis(cfg, field.window, r).field_on_grid(field, theta)
+    return next(fields_on_grid([field], r, theta, cfg))
 
 
 def synthesize(field: SpectralField, p: ConePoint, cfg: ConeConfig) -> complex:
@@ -356,14 +356,28 @@ def save_field(field: SpectralField, cfg: ConeConfig, quad: QuadratureSpec, csv_
 
 
 def load_field(csv_path: str | Path) -> SpectralField:
-    """Read a coefficient table written by save_field."""
+    """Read a coefficient table written by save_field.
+
+    A row that is not four cells, a cell that does not parse, a negative m,
+    a non-finite coefficient or a repeated (k, m) raises DomainError naming
+    the file and line.
+    """
     lines = Path(csv_path).read_text(encoding="utf-8").strip().splitlines()
     if not lines or lines[0] != _CSV_HEADER:
         raise DomainError(f"{csv_path}: not a spectral-field CSV (bad header)")
-    rows = []
-    for line in lines[1:]:
-        k_s, m_s, re_s, im_s = line.split(",")
-        rows.append((int(k_s), int(m_s), float(re_s), float(im_s)))
+    rows, seen = [], set()
+    for n, line in enumerate(lines[1:], start=2):
+        try:
+            k_s, m_s, re_s, im_s = line.split(",")
+            k, m, re, im = int(k_s), int(m_s), float(re_s), float(im_s)
+        except ValueError:
+            raise DomainError(f"{csv_path}:{n}: expected integer k, m and real re_c, im_c, got {line!r}") from None
+        if m < 0 or not (math.isfinite(re) and math.isfinite(im)):
+            raise DomainError(f"{csv_path}:{n}: needs m >= 0 and a finite coefficient, got {line!r}")
+        if (k, m) in seen:
+            raise DomainError(f"{csv_path}:{n}: mode (k={k}, m={m}) appears twice")
+        seen.add((k, m))
+        rows.append((k, m, re, im))
     if not rows:
         raise DomainError(f"{csv_path}: empty coefficient table")
     k_max = max(abs(k) for k, _, _, _ in rows)

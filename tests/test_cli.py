@@ -274,6 +274,21 @@ def test_spectrum_evolve_rejects_non_finite_input(tmp_path, capsys, extra):
     assert not (tmp_path / "o" / "field_evolved.csv").exists()
 
 
+@pytest.mark.parametrize("row,why", [("0,1,abc,0", "expected integer"),
+                                     ("0,1,0.5", "expected integer"),
+                                     ("0,1,nan,0", "finite coefficient"),
+                                     ("0,-1,0.5,0", "m >= 0"),
+                                     ("0,0,0.5,0", "appears twice")])
+def test_spectrum_evolve_rejects_bad_coefficient_rows(tmp_path, capsys, row, why):
+    field_csv = tmp_path / "field.csv"
+    field_csv.write_text(f"k,m,re_c,im_c\n0,0,1.0,0.0\n{row}\n")
+    code = run_cli("--out", str(tmp_path / "o"), "spectrum", "evolve", "--input", str(field_csv),
+                   "--mult", "heat", "--t", "0.5")
+    err = _assert_one_line_error(capsys, code)
+    assert f"{field_csv}:3:" in err and why in err
+    assert not (tmp_path / "o" / "field_evolved.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["kernel", "halfwave", "--j", "30", "--t", "0.5", "--p", "1.0,0.3", "--q", "0.8,2.1"],
     ["kernel", "halfwave", "--j", "600", "--t", "0.5", "--p", "1.0,0.3", "--q", "0.8,2.1"],

@@ -20,7 +20,7 @@ from magcone.errors import NonconvergenceError
 from magcone.geometry import make_point
 from magcone.kernels import heat_kernel_closed, schrodinger_angular_tail, schrodinger_kernel_closed
 from magcone.lpbesov import _shell_mode_lists, make_cutoff
-from magcone.quadrature import _leggauss, adaptive_panel
+from magcone.quadrature import adaptive_panel, gauss_legendre_rule
 from magcone.spectrum import ModeWindow, eigenvalue, radial_profiles
 
 REFERENCE = verify.REFERENCE_CONFIGS
@@ -34,13 +34,13 @@ ORACLE_SETTINGS = settings(max_examples=40, deadline=None,
 
 def gauss_panel(f, a: float, b: float, order: int = 16) -> complex:
     """Gauss-Legendre quadrature of a vectorized integrand on one panel."""
-    x, w = _leggauss(order)
+    x, w = gauss_legendre_rule(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return half * np.sum(w * f(mid + half * x))
 
 
 def _panel_with_l1(f, a: float, b: float, order: int) -> tuple[complex, float]:
-    x, w = _leggauss(order)
+    x, w = gauss_legendre_rule(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     vals = np.asarray(f(mid + half * x))
     return half * np.sum(w * vals), abs(half) * float(np.sum(w * np.abs(vals)))
@@ -146,7 +146,7 @@ def oracle_level_nodes(panels, order):
     the two halves of each panel, panels left to right; node formulas are
     those of ``gauss_panel``.
     """
-    x, _ = _leggauss(order)
+    x, _ = gauss_legendre_rule(order)
     levels = []
     for level in range(max(p[2] for p in panels) + 1):
         rows = []

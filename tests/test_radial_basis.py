@@ -1,15 +1,16 @@
-"""The radial basis shared by synthesis, Besov norms and Bernstein ratios, against verbatim oracles.
+"""One-pass synthesis (``fields_on_grid``) behind Besov norms and Bernstein ratios, against verbatim oracles.
 
 The oracles below are the earlier implementations kept word for word (module
 prefixes added where they call into the package): ``field_on_grid``, which
 rebuilt the radial rows of every k on every call, ``lpbesov``'s
 ``_lp_norm``/``_shell_norms`` pair and ``bernstein_ratio``, which
-synthesized each of its trial fields and their shell pieces through it.  A
-basis only keeps rows that synthesis used to rebuild, so every value must
-agree bitwise.
+synthesized each of its trial fields and their shell pieces through it.
+``fields_on_grid`` builds each k's rows once for all its fields and sums the
+same terms in the same order, so every value must agree bitwise.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from magcone.errors import DomainError, WindowTooSmallError
 from magcone.geometry import ConePoint
 from magcone.lpbesov import besov_report, bernstein_ratio, shell_project, shell_window
 from magcone.quadrature import evaluation_grid
-from magcone.spectrum import ModeWindow, RadialBasis, SpectralField, field_on_grid, radial_profiles, random_field
+from magcone.spectrum import (ModeWindow, SpectralField, field_on_grid, fields_on_grid, radial_profiles,
+                              random_field)
 from magcone.verify import REFERENCE_CONFIGS
 
 # the Bernstein levels the spectral-lp benchmark workload runs, per sigma
@@ -144,28 +146,49 @@ def test_field_on_grid_of_a_sparse_shell_piece_matches_oracle_bitwise(i_cfg):
     r = np.concatenate([[0.0], grid.r, rng.uniform(0.1, 4.0, 5)])
     theta = np.concatenate([grid.theta[::7], rng.uniform(-cfg.period, cfg.period, 3)])
     assert _same_bits(field_on_grid(field, r, theta, cfg), oracle_field_on_grid(field, r, theta, cfg))
-    basis = RadialBasis(cfg, field.window, r)
-    for f in (field, shell_project(field, 1, cfg), field):
-        assert _same_bits(basis.field_on_grid(f, theta), oracle_field_on_grid(f, r, theta, cfg))
+    fields = (field, shell_project(field, 1, cfg), field)
+    for f, values in zip(fields, fields_on_grid(fields, r, theta, cfg), strict=True):
+        assert _same_bits(values, oracle_field_on_grid(f, r, theta, cfg))
+
+
+def _mixed_fields(window, rng):
+    """A sparse field, a dense one and an all-zero one on the window."""
+    sparse = random_field(window, rng).coeffs.copy()
+    sparse[::3] = 0.0
+    return [SpectralField(window, sparse), random_field(window, rng),
+            SpectralField(window, np.zeros(window.shape, dtype=complex))]
+
+
+@pytest.mark.parametrize("i_cfg", range(3))
+def test_fields_on_grid_of_mixed_fields_matches_oracle_bitwise(i_cfg):
+    cfg = REFERENCE_CONFIGS[i_cfg]
+    rng = np.random.default_rng(90 + i_cfg)
+    fields = _mixed_fields(ModeWindow(9, 7), rng)
+    grid = evaluation_grid(cfg)
+    r = np.concatenate([[0.0], grid.r[::3]])
+    theta = np.concatenate([grid.theta[::5], rng.uniform(-cfg.period, cfg.period, 3)])
+    values = list(fields_on_grid(fields, r, theta, cfg))
+    assert len(values) == len(fields)
+    for f, v in zip(fields, values):
+        assert _same_bits(v, oracle_field_on_grid(f, r, theta, cfg))
+    assert _same_bits(values[2], np.zeros((r.size, theta.size), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
-# the basis builds each row once
+# one pass builds each row once and keeps none
 # ---------------------------------------------------------------------------
 
-def test_basis_builds_one_row_per_nonzero_k(monkeypatch):
+def test_fields_on_grid_builds_one_row_per_nonzero_k(monkeypatch):
     cfg = REFERENCE_CONFIGS[0]
     window = ModeWindow(6, 5)
-    coeffs = random_field(window, np.random.default_rng(3)).coeffs.copy()
-    coeffs[[0, 4, 5, 11]] = 0.0
-    field = SpectralField(window, coeffs)
+    sparse, dense, zero = _mixed_fields(window, np.random.default_rng(3))
+    sparse.coeffs[[0, 4, 5, 11]] = 0.0
+    dense.coeffs[[0, 1, 5, 11]] = 0.0  # k = -2 (row 4) stays live through the dense field
     r = np.linspace(0.1, 3.0, 9)
     calls = _count_grid_calls(monkeypatch, r.size)
-    basis = RadialBasis(cfg, window, r)
-    for _ in range(3):
-        basis.field_on_grid(field, np.linspace(0.0, 6.0, 4))
-    nonzero = [int(k) for ik, k in enumerate(window.k_values) if np.any(coeffs[ik])]
-    assert calls == nonzero
+    for _ in fields_on_grid([sparse, dense, zero], r, np.linspace(0.0, 6.0, 4), cfg):
+        pass
+    assert calls == [int(k) for ik, k in enumerate(window.k_values) if ik not in (0, 5, 11)]
 
 
 def test_bernstein_ratio_builds_each_grid_row_once(monkeypatch):
@@ -187,9 +210,23 @@ def test_besov_norm_builds_each_grid_row_once(monkeypatch):
     assert sorted(calls) == [int(k) for k in field.window.k_values]
 
 
-def test_basis_rejects_a_field_on_another_window():
+def test_fields_on_grid_rejects_fields_on_two_windows():
     cfg = REFERENCE_CONFIGS[0]
-    basis = RadialBasis(cfg, ModeWindow(4, 4), [0.5, 1.0])
-    field = random_field(ModeWindow(4, 5), np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    fields = [random_field(ModeWindow(4, 4), rng), random_field(ModeWindow(4, 5), rng)]
     with pytest.raises(DomainError):
-        basis.field_on_grid(field, [0.0, 1.0])
+        fields_on_grid(fields, [0.5, 1.0], [0.0, 1.0], cfg)
+
+
+def test_field_on_grid_peak_memory_stays_below_one_window_of_rows():
+    # the window's rows on the 80 grid radii alone are 401 x 101 x 80 float64 = 26 MB
+    cfg = REFERENCE_CONFIGS[0]
+    field = random_field(ModeWindow(200, 100), np.random.default_rng(12))
+    grid = evaluation_grid(cfg)
+    tracemalloc.start()
+    try:
+        field_on_grid(field, grid.r, grid.theta, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
