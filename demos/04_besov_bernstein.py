@@ -32,7 +32,7 @@ print("  " + "  ".join(f"{r:.4f}" for r in ratios))
 print(f"  sharp band: [{1 / math.sqrt(2):.4f}, {math.sqrt(2):.4f}]")
 
 print("\nempirical Bernstein constants, p=inf, q=2 (uniform across shells):")
-grid = evaluation_grid(cfg, n_radial=80, n_theta=512)
+grid = evaluation_grid(cfg, n_theta=512)
 for j in (0, 1, 2):
     lam_hi = 4.0 ** (j + 1)
     win = ModeWindow(int(lam_hi / cfg.b0 * cfg.sigma / 2) + 8,

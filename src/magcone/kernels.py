@@ -136,39 +136,32 @@ def heat_angular_tail(s, theta, t: float, cfg: ConeConfig):
 # heat kernel
 # ---------------------------------------------------------------------------
 
-def _angular_series(terms_for, k0: int, what: str):
+def _angular_series(terms_for, what: str):
     """sum_k terms_for(k) over an adaptive, asymmetric k-range.
 
-    Starts from |k| <= k0 and extends each side by blocks of 16 until the
-    three terms at its edge fall below 1e-14 of the peak term; the edge
-    terms are those of the initial range or of the block just added.
-    Returns (total, peak, (k_lo, k_hi)).
+    Starts from |k| <= _K_START and extends each side, the low side first,
+    by blocks of 16 until the three terms at its edge fall below 1e-14 of
+    the peak term; the edge terms are those of the initial range or of the
+    block just added.  Returns (total, peak, (k_lo, k_hi)).
     """
-    k_lo, k_hi = -k0, k0
-    terms = terms_for(np.arange(k_lo, k_hi + 1))
+    terms = terms_for(np.arange(-_K_START, _K_START + 1))
     mags = np.abs(terms)
     peak = float(mags.max())
     total = terms.sum()
-    edge_lo, edge_hi = mags[:3].max(), mags[-3:].max()
-
-    block = 16
-    while not (edge_lo <= 1e-14 * max(peak, 1e-300) or k_lo <= -_K_CAP):
-        new = terms_for(np.arange(k_lo - block, k_lo))
-        mags = np.abs(new)
-        total += new.sum()
-        peak = max(peak, float(mags.max()))
-        edge_lo = mags[:3].max()
-        k_lo -= block
-    while not (edge_hi <= 1e-14 * max(peak, 1e-300) or k_hi >= _K_CAP):
-        new = terms_for(np.arange(k_hi + 1, k_hi + block + 1))
-        mags = np.abs(new)
-        total += new.sum()
-        peak = max(peak, float(mags.max()))
-        edge_hi = mags[-3:].max()
-        k_hi += block
-    if k_lo <= -_K_CAP or k_hi >= _K_CAP:
-        raise NonconvergenceError(f"{what} angular series failed to converge within the k cap")
-    return total, peak, (k_lo, k_hi)
+    ends = []
+    for sign, edge in ((-1, mags[:3].max()), (1, mags[-3:].max())):
+        k = sign * _K_START
+        while not (edge <= 1e-14 * max(peak, 1e-300) or sign * k >= _K_CAP):
+            new = terms_for(np.arange(k - 16, k) if sign < 0 else np.arange(k + 1, k + 17))
+            mags = np.abs(new)
+            total += new.sum()
+            peak = max(peak, float(mags.max()))
+            edge = (mags[:3] if sign < 0 else mags[-3:]).max()
+            k += 16 * sign
+        if sign * k >= _K_CAP:
+            raise NonconvergenceError(f"{what} angular series failed to converge within the k cap")
+        ends.append(k)
+    return total, peak, tuple(ends)
 
 
 def _log_bessel_i(a: np.ndarray, x: float) -> np.ndarray:
@@ -192,7 +185,7 @@ def _log_bessel_i(a: np.ndarray, x: float) -> np.ndarray:
             return log_total
 
 
-def _heat_angular_series(cfg: ConeConfig, tb: float, x: float, theta: float, k0: int, shift: float):
+def _heat_angular_series(cfg: ConeConfig, tb: float, x: float, theta: float, shift: float):
     """e^{-shift} sum_k e^{i(k/sigma)(theta + i t b0)} I_{a_k}(x).
 
     Negative k carry the growing factor e^{|k| t b0 / sigma}; the Bessel
@@ -216,7 +209,7 @@ def _heat_angular_series(cfg: ConeConfig, tb: float, x: float, theta: float, k0:
         log_mag = log_iv - (ks / cfg.sigma) * tb - shift
         return np.exp(log_mag + 1j * (ks / cfg.sigma) * theta)
 
-    return _angular_series(terms_for, k0, "heat")
+    return _angular_series(terms_for, "heat")
 
 
 def _heat_time(t: float, cfg: ConeConfig) -> float:
@@ -245,7 +238,7 @@ def heat_kernel_series(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) ->
     # past Q = 700 e^{-Q} underflows while the terms' e^{x} overflows; x <= Q,
     # so e^{-Q} moves into the terms instead
     q_shift = big_q if big_q >= 700 else 0.0
-    total, peak, _ = _heat_angular_series(cfg, tb, x, theta, _K_START, shift + q_shift)
+    total, peak, _ = _heat_angular_series(cfg, tb, x, theta, shift + q_shift)
     pref = cfg.b0 * math.exp(shift - tb * cfg.alpha) / (4.0 * math.pi * cfg.sigma * math.sinh(tb))
     scale = math.exp(-big_q) if q_shift == 0.0 else 1.0
     return KernelValue(pref * scale * total, pref * scale * peak)
@@ -364,13 +357,12 @@ def _rotated_bessel(cfg: ConeConfig, ks: np.ndarray, rho: float) -> np.ndarray:
     return np.exp(1j * math.copysign(1.0, rho) * a * math.pi / 2.0) * _sp.jv(a, abs(rho))
 
 
-def _schrodinger_angular_series(cfg: ConeConfig, rho: float, theta: float, k0: int):
+def _schrodinger_angular_series(cfg: ConeConfig, rho: float, theta: float):
     """sum_k e^{i(k/sigma) theta} I_{a_k}(i rho)."""
     if rho == 0.0:
         return 0.0 + 0.0j, 0.0, (0, 0)
-    return _angular_series(
-        lambda ks: np.exp(1j * (ks / cfg.sigma) * theta) * _rotated_bessel(cfg, ks, rho), k0, "Schrodinger"
-    )
+    return _angular_series(lambda ks: np.exp(1j * (ks / cfg.sigma) * theta) * _rotated_bessel(cfg, ks, rho),
+                           "Schrodinger")
 
 
 def _schrodinger_prefactor(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig,
@@ -387,7 +379,7 @@ def schrodinger_kernel_series(t: float, p: ConePoint, q: ConePoint, cfg: ConeCon
     sin_tb = _require_regular_time(t, cfg)
     rho = cfg.b0 * p.r * q.r / (2.0 * sin_tb)
     theta = t * cfg.b0 - (p.theta - q.theta)
-    total, peak, _ = _schrodinger_angular_series(cfg, rho, theta, _K_START)
+    total, peak, _ = _schrodinger_angular_series(cfg, rho, theta)
     pref = _schrodinger_prefactor(t, p, q, cfg, sin_tb)
     return KernelValue(pref * total, abs(pref) * peak)
 
@@ -436,7 +428,7 @@ def reduced_kernel(rho: float, delta: float, cfg: ConeConfig) -> complex:
     """The universal angular series sum_k e^{i k delta / sigma} I_{a_k}(i rho)."""
     if rho < 0.0:
         raise DomainError(f"reduced_kernel needs rho >= 0, got {rho}")
-    total, _, _ = _schrodinger_angular_series(cfg, rho, delta, _K_START)
+    total, _, _ = _schrodinger_angular_series(cfg, rho, delta)
     return complex(total)
 
 

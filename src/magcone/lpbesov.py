@@ -33,6 +33,7 @@ from .spectrum import (
 )
 
 _SHELL_MODE_CAP = 1 << 20  # half-wave shell work bound; j <= 3 holds <= 132k on the reference configs
+_RESIDUAL_J = 40  # partition_residual sums the shells |j| <= _RESIDUAL_J
 
 
 def _mother_bump(lam: np.ndarray) -> np.ndarray:
@@ -78,11 +79,11 @@ class DyadicCutoff:
         with np.errstate(over="ignore"):
             return self(np.ldexp(np.sqrt(lam), -max(-2200, min(j, 2200))))
 
-    def partition_residual(self, lam_grid: np.ndarray, j_range: int = 40) -> float:
+    def partition_residual(self, lam_grid: np.ndarray) -> float:
         """max |sum_j phi(2^-j lam) - 1| over the grid."""
         lam_grid = np.asarray(lam_grid, dtype=float)
         total = np.zeros_like(lam_grid)
-        for j in range(-j_range, j_range + 1):
+        for j in range(-_RESIDUAL_J, _RESIDUAL_J + 1):
             total += self(lam_grid / 2.0 ** j)
         return float(np.abs(total - 1.0).max())
 
@@ -172,47 +173,43 @@ def shell_project(field: SpectralField, j: int, cfg: ConeConfig) -> SpectralFiel
     return spectral_apply(lambda lam: _CUTOFF.shell_weights(j, lam), field, cfg)
 
 
-def _shell_norms(field: SpectralField, p: float, cfg: ConeConfig,
-                 grid: EvaluationGrid | None) -> list[tuple[int, float]]:
+def _shell_norms(field: SpectralField, p: float, cfg: ConeConfig) -> list[tuple[int, float]]:
     """(j, ||shell_j f||_{L^p}) for every shell meeting the field's window.
 
     p = 2 comes from coefficients; other p synthesize every shell on the
-    grid in one pass.
+    evaluation grid in one pass.
     """
     shells = shell_range(cfg, field.window)
     if p == 2.0:
         return [(j, shell_project(field, j, cfg).coefficient_norm()) for j in shells]
-    if grid is None:
-        grid = evaluation_grid(cfg)
+    grid = evaluation_grid(cfg)
     values = fields_on_grid([shell_project(field, j, cfg) for j in shells], grid.r, grid.theta, cfg)
     return [(j, grid.lp_norm(v, p)) for j, v in zip(shells, values)]
 
 
-def _besov(field: SpectralField, s: float, p: float, q: float, cfg: ConeConfig,
-           grid: EvaluationGrid | None) -> tuple[list[tuple[int, float]], float]:
+def _besov(field: SpectralField, s: float, p: float, q: float,
+           cfg: ConeConfig) -> tuple[list[tuple[int, float]], float]:
     """The shell norms and their ell^q sum of 2^{js} ||shell_j f||_{L^p}."""
     if q < 1.0 or p < 1.0:
         raise DomainError("besov_norm needs p, q >= 1")
-    pieces = _shell_norms(field, p, cfg, grid)
+    pieces = _shell_norms(field, p, cfg)
     if math.isinf(q):
         return pieces, max(2.0 ** (j * s) * n for j, n in pieces)
     return pieces, float(sum((2.0 ** (j * s) * n) ** q for j, n in pieces) ** (1.0 / q))
 
 
-def besov_norm(field: SpectralField, s: float, p: float, q: float, cfg: ConeConfig,
-               grid: EvaluationGrid | None = None) -> float:
+def besov_norm(field: SpectralField, s: float, p: float, q: float, cfg: ConeConfig) -> float:
     """Homogeneous Besov norm: ell^q over shells of 2^{js} ||shell_j f||_{L^p}.
 
     p = 2 is exact from coefficients; other p are quadrature norms on the
     fixed evaluation grid; p = inf means the grid maximum.
     """
-    return _besov(field, s, p, q, cfg, grid)[1]
+    return _besov(field, s, p, q, cfg)[1]
 
 
-def besov_report(field: SpectralField, s: float, p: float, q: float, cfg: ConeConfig,
-                 grid: EvaluationGrid | None = None) -> dict:
+def besov_report(field: SpectralField, s: float, p: float, q: float, cfg: ConeConfig) -> dict:
     """Norm plus per-shell breakdown, JSON-ready."""
-    pieces, value = _besov(field, s, p, q, cfg, grid)
+    pieces, value = _besov(field, s, p, q, cfg)
     return {
         "s": s,
         "p": p,
@@ -235,7 +232,7 @@ def square_function_l2(field: SpectralField, cfg: ConeConfig) -> float:
     Equals sum_j ||shell_j f||_2^2; lands in [1/2, 1] * ||f||_2^2 because at
     most two shells overlap at any eigenvalue.
     """
-    return sum(n ** 2 for _, n in _shell_norms(field, 2.0, cfg, None))
+    return sum(n ** 2 for _, n in _shell_norms(field, 2.0, cfg))
 
 
 def bernstein_ratio(j: int, p: float, q_exp: float, cfg: ConeConfig, window: ModeWindow,

@@ -17,6 +17,10 @@ from scipy import special as _sp
 from .errors import NonconvergenceError, QuadratureError
 from .geometry import ConeConfig
 
+_ORDER = 16  # Gauss-Legendre nodes per adaptive panel
+_DEPTH = 28  # bisections before adaptive_panel gives up on a panel
+_N_RADIAL = 80  # radial nodes of the evaluation grid
+
 
 @lru_cache(maxsize=64)
 def gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -24,24 +28,24 @@ def gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def adaptive_panel(f, a, b, tol, order: int = 16, depth: int = 28) -> np.ndarray | complex:
+def adaptive_panel(f, a, b, tol) -> np.ndarray | complex:
     """Adaptive bisection of the panels [a, b]: one value per panel (a scalar for scalar ends).
 
     A panel is accepted when halving changes it by < tol (per panel,
     halved with each bisection) or by less than its own rounding floor, a
     small multiple of its L1 mass, so integrands dominated by cancellation
     noise cannot recurse forever.  A panel still above both after
-    ``depth`` bisections raises NonconvergenceError naming the leftmost
+    _DEPTH bisections raises NonconvergenceError naming the leftmost
     such panel.
 
     The tree is walked breadth first.  f must be elementwise: it is called
     once per level on the Gauss-Legendre nodes of every live panel, the
-    first time on each panel and its two halves (3 * order nodes a panel),
-    then on the two halves of each split panel (2 * order nodes), whose
+    first time on each panel and its two halves (3 * _ORDER nodes a panel),
+    then on the two halves of each split panel (2 * _ORDER nodes), whose
     value and L1 mass each half inherits from its parent.  Values are
     summed bottom-up in the order of a depth-first recursion.
     """
-    x, w = gauss_legendre_rule(order)
+    x, w = gauss_legendre_rule(_ORDER)
     a, b, tol = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
                                     np.asarray(tol, dtype=float))
     shape = a.shape
@@ -56,13 +60,13 @@ def adaptive_panel(f, a, b, tol, order: int = 16, depth: int = 28) -> np.ndarray
     mid, h_l, h_r, nodes = halves(a, b)
     half = 0.5 * (b - a)
     vals = np.asarray(f(np.concatenate((mid[:, None] + half[:, None] * x, *nodes), axis=1).ravel()))
-    vals = vals.reshape(a.size, 3 * order)
-    top, vals = vals[:, :order], vals[:, order:]
+    vals = vals.reshape(a.size, 3 * _ORDER)
+    top, vals = vals[:, :_ORDER], vals[:, _ORDER:]
     coarse = half * np.sum(w * top, axis=1)
     l1 = np.abs(half) * np.sum(w * np.abs(top), axis=1)
     levels = []  # (fine, split) per level
     while True:
-        vals_l, vals_r = vals[:, :order], vals[:, order:]
+        vals_l, vals_r = vals[:, :_ORDER], vals[:, _ORDER:]
         left = h_l * np.sum(w * vals_l, axis=1)
         right = h_r * np.sum(w * vals_r, axis=1)
         fine = left + right
@@ -73,7 +77,7 @@ def adaptive_panel(f, a, b, tol, order: int = 16, depth: int = 28) -> np.ndarray
         levels.append((fine, split))
         if not split.any():
             break
-        if depth <= 0:
+        if len(levels) > _DEPTH:
             i = int(np.argmax(split))
             raise NonconvergenceError(
                 f"adaptive_panel: [{float(a[i])!r}, {float(b[i])!r}] still changes by {change[i]:.3g} "
@@ -85,9 +89,8 @@ def adaptive_panel(f, a, b, tol, order: int = 16, depth: int = 28) -> np.ndarray
         coarse = np.column_stack((left[split], right[split])).ravel()
         l1 = np.column_stack((l1_l, l1_r)).ravel()
         tol = np.repeat(0.5 * tol[split], 2)
-        depth -= 1
         mid, h_l, h_r, nodes = halves(a, b)
-        vals = np.asarray(f(np.concatenate(nodes, axis=1).ravel())).reshape(a.size, 2 * order)
+        vals = np.asarray(f(np.concatenate(nodes, axis=1).ravel())).reshape(a.size, 2 * _ORDER)
 
     value = levels[-1][0]
     for fine, split in reversed(levels[:-1]):
@@ -195,8 +198,8 @@ class EvaluationGrid:
         return float((wp.sum() * self.d_theta) ** (1.0 / p))
 
 
-def evaluation_grid(cfg: ConeConfig, n_radial: int = 80, n_theta: int = 128) -> EvaluationGrid:
-    u, omega = laguerre_flat_rule(n_radial)
+def evaluation_grid(cfg: ConeConfig, n_theta: int = 128) -> EvaluationGrid:
+    u, omega = laguerre_flat_rule(_N_RADIAL)
     r = np.sqrt(2.0 * u / cfg.b0)
     # measure r dr = du / b0
     r_weight = omega / cfg.b0

@@ -24,6 +24,8 @@ from .errors import DomainError, QuadratureError
 from .geometry import ConeConfig, ConePoint
 from .quadrature import genlaguerre_rule
 
+_CELL_CAP = 1 << 22  # most modes of a window and nodes of an expand grid; every shell_window lpbesov admits fits
+
 
 @dataclass(frozen=True)
 class ModeIndex:
@@ -49,7 +51,7 @@ class ModeData:
 
 @dataclass(frozen=True)
 class ModeWindow:
-    """Rectangular index window |k| <= k_max, 0 <= m <= m_max."""
+    """Rectangular index window |k| <= k_max, 0 <= m <= m_max, of at most _CELL_CAP modes."""
 
     k_max: int
     m_max: int
@@ -57,6 +59,9 @@ class ModeWindow:
     def __post_init__(self) -> None:
         if self.k_max < 0 or self.m_max < 0:
             raise DomainError("window bounds must be nonnegative")
+        if math.prod(self.shape) > _CELL_CAP:
+            raise DomainError(f"window k_max={self.k_max}, m_max={self.m_max} holds {math.prod(self.shape)} modes, "
+                              f"above the cap of {_CELL_CAP}")
 
     @property
     def k_values(self) -> np.ndarray:
@@ -73,10 +78,15 @@ class ModeWindow:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Resolution of the reference quadrature used by expand()."""
+    """Resolution of the reference quadrature used by expand(): n_radial, n_theta >= 1, at most _CELL_CAP nodes."""
 
     n_radial: int = 80
     n_theta: int = 256
+
+    def __post_init__(self) -> None:
+        if min(self.n_radial, self.n_theta) < 1 or self.n_radial * self.n_theta > _CELL_CAP:
+            raise DomainError(f"quadrature needs n_radial, n_theta >= 1 and n_radial * n_theta <= {_CELL_CAP}, "
+                              f"got n_radial={self.n_radial}, n_theta={self.n_theta}")
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,9 @@ import functools
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -53,32 +54,28 @@ SUITE_NAMES = (
     "energy",
 )
 
+_SCAN_DELTA = 2.0 * math.pi  # reduced_kernel_bound_scan covers |delta| <= _SCAN_DELTA
+_ENERGY_WINDOW = ModeWindow(12, 12)  # energy_conservation_check draws its random fields here
+_ENERGY_TRIALS = 50
+
 
 @dataclass(frozen=True)
 class SweepGrids:
-    """Grid sizes for the certification sweeps; refined() nests the grids."""
+    """Grid sizes for the certification sweeps over radii [r_min, r_max]; refined() nests the grids."""
 
     n_time: int = 5
     n_radius: int = 7
     n_angle: int = 12
-    r_min: float = 0.15
-    r_max: float = 3.0
+    r_min: ClassVar[float] = 0.15
+    r_max: ClassVar[float] = 3.0
 
     def __post_init__(self) -> None:
         if min(self.n_time, self.n_radius, self.n_angle) < 1:
             raise DomainError(f"sweep grid sizes must be >= 1, got n_time={self.n_time}, "
                               f"n_radius={self.n_radius}, n_angle={self.n_angle}")
-        if not (math.isfinite(self.r_max) and 0.0 < self.r_min < self.r_max):
-            raise DomainError(f"sweep radii need 0 < r_min < r_max < inf, "
-                              f"got r_min={self.r_min}, r_max={self.r_max}")
 
     def refined(self) -> "SweepGrids":
-        return replace(
-            self,
-            n_time=2 * self.n_time - 1,
-            n_radius=2 * self.n_radius - 1,
-            n_angle=2 * self.n_angle - 1,
-        )
+        return SweepGrids(2 * self.n_time - 1, 2 * self.n_radius - 1, 2 * self.n_angle - 1)
 
 
 @dataclass(frozen=True)
@@ -128,7 +125,10 @@ def _csv_body(rows: np.ndarray) -> tuple[str, np.ndarray]:
 
 
 def write_report(report: SweepReport, out_dir: str | Path) -> tuple[Path, Path]:
-    """Write the report's JSON summary and CSV samples; a non-finite sample raises first."""
+    """Write the report's JSON summary and CSV samples; a non-finite constant, ratio or sample raises first."""
+    for key in ("empirical_constant", "refinement_ratio"):
+        if not math.isfinite(getattr(report, key)):
+            raise NonconvergenceError(f"sweep {report.name!r}: non-finite {key} {getattr(report, key)!r}")
     rows = np.asarray(report.csv_rows, dtype=float)
     body, values = _csv_body(rows)
     if not np.isfinite(values).all():
@@ -258,8 +258,7 @@ def weighted_dispersive_constant(cfg: ConeConfig, gamma: float,
 def dispersive_constant_schrodinger(cfg: ConeConfig, grids: SweepGrids = SweepGrids(), *,
                                     _grids=None) -> list[SweepReport]:
     """Unweighted dispersive sweep (the gamma = 0 specialization)."""
-    reports = weighted_dispersive_constant(cfg, 0.0, grids, name="dispersive", _grids=_grids)
-    return reports[:1]
+    return weighted_dispersive_constant(cfg, 0.0, grids, name="dispersive", _grids=_grids)[:1]
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +321,14 @@ def gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) ->
 # reduced-kernel sup scan
 # ---------------------------------------------------------------------------
 
-def reduced_kernel_bound_scan(cfg: ConeConfig, R: float = 2.0 * math.pi,
-                              grids: SweepGrids = SweepGrids()) -> list[SweepReport]:
-    """sup over rho in [0, rho_max], |delta| <= R, with rho_max grown until
-    the sup moves < 1% per doubling."""
+def reduced_kernel_bound_scan(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) -> list[SweepReport]:
+    """sup over rho in [0, rho_max], |delta| <= _SCAN_DELTA, with rho_max grown
+    until the sup moves < 1% per doubling."""
     t0 = time.perf_counter()
 
     def abs_kernel(rho_max: float, n_rho: int, n_delta: int):
         rho = np.linspace(0.0, rho_max, n_rho)
-        delta = np.linspace(-R, R, n_delta)
+        delta = np.linspace(-_SCAN_DELTA, _SCAN_DELTA, n_delta)
         return rho, delta, np.abs(reduced_kernel_matrix(rho, delta, cfg))
 
     def sup_for(rho_max: float, n_rho: int, n_delta: int) -> float:
@@ -352,7 +350,7 @@ def reduced_kernel_bound_scan(cfg: ConeConfig, R: float = 2.0 * math.pi,
     ratio = fine / coarse if coarse > 0 else 1.0
     passed = math.isfinite(fine) and ratio <= 1.05
     rows = np.column_stack([delta, rho[mat.argmax(axis=1)], mat.max(axis=1)])
-    spec = f"rho in [0,{rho_max}] (saturated by doubling), |delta| <= {R:.6g}"
+    spec = f"rho in [0,{rho_max}] (saturated by doubling), |delta| <= {_SCAN_DELTA:.6g}"
     return [_report("reduced-kernel", cfg, spec, fine, ratio, passed, _ms_since(t0),
                     ("delta", "argmax_rho", "max_abs"), rows)]
 
@@ -450,9 +448,13 @@ def halfwave_decay_fit(cfg: ConeConfig, j: int, grids: SweepGrids = SweepGrids()
     with a smaller constant before the magnetic revival at the window edge;
     the onset window is the one regime present at every j.
     Pass criterion is the band [-0.75, -0.35] around the proved -1/2 rate.
+    A shell that holds no mode raises DomainError before any sweep.
     """
     t0 = time.perf_counter()
     window = shell_window(j, cfg)
+    if 4.0 ** (j + 1) <= cfg.b0:  # the levels from b0 up lie at most 2 b0 apart: only these shells miss them
+        raise DomainError(f"half-wave shell j={j} holds no mode: it ends at eigenvalue 4^(j+1) = "
+                          f"{4.0 ** (j + 1):.6g}, at or below the lowest one, b0 = {cfg.b0:g}")
     t_lo = 2.0 ** (-j)
     t_hi = 2.0 ** j * math.pi / (2.0 * cfg.b0)
     ts = np.unique(np.concatenate([
@@ -488,16 +490,15 @@ def halfwave_decay_fit(cfg: ConeConfig, j: int, grids: SweepGrids = SweepGrids()
 # energy conservation
 # ---------------------------------------------------------------------------
 
-def energy_conservation_check(cfg: ConeConfig, window: ModeWindow = ModeWindow(12, 12),
-                              trials: int = 50, seed: int = 20240901) -> list[SweepReport]:
+def energy_conservation_check(cfg: ConeConfig, seed: int = 20240901) -> list[SweepReport]:
     """Unitarity of the Schrodinger and half-wave flows on coefficients."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    lam = eigenvalue_table(cfg, window)
+    lam = eigenvalue_table(cfg, _ENERGY_WINDOW)
     worst = 0.0
     rows = []
-    for i in range(trials):
-        f = random_field(window, rng)
+    for i in range(_ENERGY_TRIALS):
+        f = random_field(_ENERGY_WINDOW, rng)
         t = float(rng.uniform(-6.0, 6.0))
         n0 = f.coefficient_norm()
         for mult_name, mult in (("schrodinger", np.exp(1j * t * lam)),
@@ -513,7 +514,8 @@ def energy_conservation_check(cfg: ConeConfig, window: ModeWindow = ModeWindow(1
         if g.coefficient_norm() > bound * (1.0 + 1e-12):
             worst = max(worst, g.coefficient_norm() - bound)
     passed = worst < 1e-12
-    spec = f"{trials} random fields on window {window.k_max} x {window.m_max}, t uniform [-6,6]"
+    spec = (f"{_ENERGY_TRIALS} random fields on window {_ENERGY_WINDOW.k_max} x {_ENERGY_WINDOW.m_max}, "
+            "t uniform [-6,6]")
     return [_report("energy", cfg, spec, worst, 1.0, passed, _ms_since(t0),
                     ("trial", "t", "deviation"), rows)]
 
@@ -523,39 +525,30 @@ def energy_conservation_check(cfg: ConeConfig, window: ModeWindow = ModeWindow(1
 # ---------------------------------------------------------------------------
 
 def run_suite(name: str, cfg: ConeConfig, grids: SweepGrids = SweepGrids(), seed: int = 20240901,
-              halfwave_j: int = 2, gamma: float | None = None, *, _grids=None) -> list[SweepReport]:
-    """Run one named sweep (or 'all') on a configuration.
+              halfwave_j: int = 2, gamma: float | None = None) -> list[SweepReport]:
+    """Run one named sweep (or 'all', every sweep in SUITE_NAMES order) on a configuration.
 
     The dispersive and weighted sweeps of one call share their grids.  A
-    gamma outside [0, kappa] raises before any sweep runs.
+    gamma outside [0, kappa] raises before any sweep runs.  Each sweep is
+    looked up by its module-level name when it runs, so a wrapper set on the
+    module sees the call.
     """
+    if name not in SUITE_NAMES + ("all",):
+        raise QuadratureError(f"unknown suite '{name}'; choose from {SUITE_NAMES + ('all',)}")
     if gamma is not None and name in ("weighted", "all"):
         _require_gamma(cfg, gamma)
-    shared = _grids or _dispersive_grid_pair(cfg, grids)
-    if name == "dispersive":
-        return dispersive_constant_schrodinger(cfg, grids, _grids=shared)
-    if name == "weighted":
-        kappa = flux_distance(cfg)
-        gammas = (gamma,) if gamma is not None else (0.0, kappa / 2.0, kappa)
-        out = []
-        for g in gammas:
-            out.extend(weighted_dispersive_constant(cfg, g, grids, name=f"weighted-g{g:.4g}", _grids=shared))
-        return out
-    if name == "gaussian-heat":
-        return gaussian_heat_constant(cfg, grids)
-    if name == "reduced-kernel":
-        return reduced_kernel_bound_scan(cfg, grids=grids)
-    if name == "tail-l1":
-        return angular_tail_l1_scan(cfg, grids)
-    if name == "subordination":
-        return subordination_identity_check(cfg=cfg)
-    if name == "halfwave":
-        return halfwave_decay_fit(cfg, halfwave_j, grids)
-    if name == "energy":
-        return energy_conservation_check(cfg, seed=seed)
-    if name == "all":
-        out = []
-        for suite in SUITE_NAMES:
-            out.extend(run_suite(suite, cfg, grids, seed, halfwave_j, gamma, _grids=shared))
-        return out
-    raise QuadratureError(f"unknown suite '{name}'; choose from {SUITE_NAMES + ('all',)}")
+    shared = _dispersive_grid_pair(cfg, grids)
+    kappa = flux_distance(cfg)
+    gammas = (gamma,) if gamma is not None else (0.0, kappa / 2.0, kappa)
+    sweeps = {
+        "dispersive": lambda: dispersive_constant_schrodinger(cfg, grids, _grids=shared),
+        "weighted": lambda: [rep for g in gammas for rep in weighted_dispersive_constant(
+            cfg, g, grids, name=f"weighted-g{g:.4g}", _grids=shared)],
+        "gaussian-heat": lambda: gaussian_heat_constant(cfg, grids),
+        "reduced-kernel": lambda: reduced_kernel_bound_scan(cfg, grids),
+        "tail-l1": lambda: angular_tail_l1_scan(cfg, grids),
+        "subordination": lambda: subordination_identity_check(cfg=cfg),
+        "halfwave": lambda: halfwave_decay_fit(cfg, halfwave_j, grids),
+        "energy": lambda: energy_conservation_check(cfg, seed),
+    }
+    return [rep for suite in (SUITE_NAMES if name == "all" else (name,)) for rep in sweeps[suite]()]

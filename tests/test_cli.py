@@ -368,3 +368,50 @@ def test_spectrum_evolve_halfwave_at_extreme_shell(tmp_path, j):
                        "--mult", "halfwave", f"--j={j}", "--t", "0.7")
     assert code == EXIT_OK
     assert np.array_equal(load_field(out / "field_evolved.csv").coeffs, np.zeros((7, 3)))
+
+
+@pytest.mark.parametrize("sizes,why", [("n_radial = 0", "n_radial=0"), ("n_radial = -3", "n_radial=-3"),
+                                       ("n_theta = 0", "n_theta=0"),
+                                       ("n_radial = 4096\nn_theta = 2048", "n_radial * n_theta <= 4194304")])
+def test_spectrum_expand_rejects_bad_quadrature_sizes(tmp_path, capsys, sizes, why):
+    samples = tmp_path / "s.csv"
+    samples.write_text("r,theta,re,im\n1.0,0.5,1.0,0.0\n")
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(sizes + "\n")
+    code = run_cli("--config", str(cfgfile), "--out", str(tmp_path / "o"), "spectrum", "expand",
+                   "--input", str(samples))
+    assert why in _assert_one_line_error(capsys, code)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("cone,j", [("", "-3"), ("", "-1"), ("b0 = 16.0", "0")])
+def test_verify_halfwave_rejects_a_shell_without_modes(tmp_path, capsys, cone, j):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(cone + "\n")
+    code = run_cli("--config", str(cfgfile), "--out", str(tmp_path / "o"), "verify", "halfwave", f"--j={j}")
+    assert "holds no mode" in _assert_one_line_error(capsys, code)
+    assert not (tmp_path / "o").exists()
+
+
+def test_verify_halfwave_runs_the_lowest_shell_with_modes(tmp_path):
+    # b0 = 1: shell j = 0 reaches eigenvalue 4 and holds the levels 1 and 3
+    code = run_cli("--out", str(tmp_path / "o"), "verify", "halfwave", "--j=0")
+    assert code in (EXIT_OK, EXIT_FAILED_SWEEP)
+    assert math.isfinite(json.loads((tmp_path / "o" / "halfwave.json").read_text())["empirical_constant"])
+
+
+def test_spectrum_evolve_rejects_a_field_file_past_the_window_cap(tmp_path, capsys):
+    field_csv = tmp_path / "field.csv"
+    field_csv.write_text("k,m,re_c,im_c\n0,0,1.0,0.0\n1500,1500,0.5,0.0\n")
+    code = run_cli("--out", str(tmp_path / "o"), "spectrum", "evolve", "--input", str(field_csv),
+                   "--mult", "heat", "--t", "0.5")
+    assert "4504501 modes, above the cap of 4194304" in _assert_one_line_error(capsys, code)
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_window_past_the_cap_is_config_error(tmp_path, capsys):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("window_k = 1500\nwindow_m = 1500\n")
+    code = run_cli("--config", str(cfgfile), "--out", str(tmp_path / "o"), "spectrum", "table")
+    assert "above the cap" in _assert_one_line_error(capsys, code)
+    assert not (tmp_path / "o").exists()

@@ -1,8 +1,9 @@
 """The half-wave shell assembly that halfwave_kernel_grid and the verify sup curve share.
 
 Holds a statement-for-statement oracle of the earlier per-k einsum grid
-assembly, the degenerate-branch tail check, the shell weights at extreme
-dyadic levels, and the rejection of non-finite times.
+assembly, the degenerate-branch tail check, the shell windows against the
+window cap, the shell weights at extreme dyadic levels, and the rejection of
+non-finite times.
 """
 
 import math
@@ -113,6 +114,21 @@ def test_shell_window_is_the_sweep_window(cfg):
         m_max=int(math.floor((lam_hi / cfg.b0 - 1.0) / 2.0)) + 1)
     with pytest.raises(WindowTooSmallError, match="above the cap"):
         lpbesov.shell_window(30, cfg)
+
+
+def test_every_bounded_shell_window_clears_the_window_cap():
+    """Each shell_window under the shell mode cap is a valid ModeWindow; the largest is sigma = 1.5, j = 4."""
+    largest = {}
+    for cfg in verify.REFERENCE_CONFIGS:
+        for j in range(-3, 10):
+            try:
+                window = lpbesov.shell_window(j, cfg)
+            except WindowTooSmallError:
+                break
+            largest[cfg.sigma] = (j, window.shape[0] * window.shape[1])
+    assert largest == {1.0: (4, 534033), 1.5: (4, 796689), 2.0: (3, 267537)}
+    with pytest.raises(DomainError, match="above the cap"):
+        ModeWindow(1500, 1500)
 
 
 def test_shell_weights_scale_exactly(cfg):

@@ -454,7 +454,7 @@ def test_halfwave_shell_work_bound(cfg):
     from magcone.kernels import halfwave_kernel_grid
     from magcone.lpbesov import _SHELL_MODE_CAP, _shell_mode_lists, bernstein_ratio
 
-    huge = ModeWindow(k_max=10 ** 19, m_max=10 ** 19)
+    huge = ModeWindow(k_max=1023, m_max=2047)  # 2047 x 2048 modes, just inside the window cap
     r = np.array([0.5, 1.0])
     for j in (30, 600):  # without the bound these fail at once; a j near 12 would allocate for minutes
         with pytest.raises(WindowTooSmallError, match="above the cap"):

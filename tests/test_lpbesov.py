@@ -166,7 +166,7 @@ def test_bernstein_scale_free_case(cfg):
 @pytest.mark.slow
 def test_bernstein_uniform_over_j():
     cfg = ConeConfig(1.0, 1.0, 0.25)
-    grid = evaluation_grid(cfg, n_radial=80, n_theta=512)
+    grid = evaluation_grid(cfg, n_theta=512)
     ratios = []
     for j in (0, 1, 2, 3):
         ratios.append(bernstein_ratio(j, math.inf, 2.0, cfg, _shell_window(cfg, j),
@@ -179,7 +179,7 @@ def test_bernstein_infty_one_uniformity():
     cfg = ConeConfig(2.0, 0.5, 0.3)  # b0 < 1 so the j = -1 shell has spectrum
     # resolve the top shell's angular bandwidth (~ lam_hi sigma / b0), else the
     # grid max misses the point-kernel peak and the ratio decays spuriously
-    grid = evaluation_grid(cfg, n_radial=80, n_theta=1024)
+    grid = evaluation_grid(cfg, n_theta=1024)
     ratios = []
     for j in (-1, 0, 1, 2):
         ratios.append(bernstein_ratio(j, math.inf, 1.0, cfg, _shell_window(cfg, j),

@@ -268,9 +268,9 @@ def test_heat_series_bitwise_equals_separate_loop(cfg, monkeypatch):
     points = admissible_points(cfg, "heat", 60, seed=11)
     new = [heat_kernel_series(t, p, q, cfg) for t, p, q in points]
 
-    def old_loop(cfg, tb, x, theta, k0, shift):
+    def old_loop(cfg, tb, x, theta, shift):
         assert shift == 0.0  # admissible points have t b0 < pi, where the series takes no shift
-        return oracle_heat_angular_series(cfg, tb, x, theta, k0)
+        return oracle_heat_angular_series(cfg, tb, x, theta, 40)
 
     monkeypatch.setattr(kernels, "_heat_angular_series", old_loop)
     old = [heat_kernel_series(t, p, q, cfg) for t, p, q in points]
@@ -282,7 +282,8 @@ def test_heat_series_bitwise_equals_separate_loop(cfg, monkeypatch):
 def test_schrodinger_series_matches_separate_loop(cfg, monkeypatch):
     points = admissible_points(cfg, "schrodinger", 60, seed=12)
     new = [schrodinger_kernel_series(t, p, q, cfg) for t, p, q in points]
-    monkeypatch.setattr(kernels, "_schrodinger_angular_series", oracle_schrodinger_angular_series)
+    monkeypatch.setattr(kernels, "_schrodinger_angular_series",
+                        lambda cfg, rho, theta: oracle_schrodinger_angular_series(cfg, rho, theta, 40))
     old = [schrodinger_kernel_series(t, p, q, cfg) for t, p, q in points]
     for a, b in zip(new, old):
         assert abs(a.value - b.value) <= 1e-14 * b.largest_term
@@ -297,26 +298,29 @@ def test_reduced_kernel_matches_separate_loop(cfg):
             assert abs(new - old) <= 1e-14 * max(abs(old), 1.0)
 
 
-def test_angular_series_reuses_edge_terms(cfg):
+def test_angular_series_reuses_edge_terms(cfg, monkeypatch):
     """Each block is evaluated once: the edge test reads terms already computed."""
+    monkeypatch.setattr(kernels, "_K_START", 4)
     calls = []
 
     def terms_for(ks):
         calls.append((int(ks[0]), int(ks[-1])))
         return _rotated_bessel(cfg, ks, 30.0).astype(complex)
 
-    _, _, (k_lo, k_hi) = kernels._angular_series(terms_for, 4, "test")
+    _, _, (k_lo, k_hi) = kernels._angular_series(terms_for, "test")
     assert calls[0] == (-4, 4)
     assert len(calls) == 1 + (-4 - k_lo) // 16 + (k_hi - 4) // 16
     assert len(set(calls)) == len(calls)
 
 
-def test_angular_series_stops_on_three_edge_terms():
+def test_angular_series_stops_on_three_edge_terms(monkeypatch):
     # every third term vanishes, so one edge term alone can look converged long before the series is
+    monkeypatch.setattr(kernels, "_K_START", 4)
+
     def terms_for(ks):
         return np.where(ks % 3 == 0, 0.0, np.exp(-0.05 * np.abs(ks))).astype(complex)
 
-    total, peak, (k_lo, k_hi) = kernels._angular_series(terms_for, 4, "test")
+    total, peak, (k_lo, k_hi) = kernels._angular_series(terms_for, "test")
     assert peak == math.exp(-0.05)
     for edge in (np.arange(k_lo, k_lo + 3), np.arange(k_hi - 2, k_hi + 1)):
         assert np.abs(terms_for(edge)).max() <= 1e-14 * peak
@@ -327,7 +331,7 @@ def test_angular_series_stops_on_three_edge_terms():
 
 def test_angular_series_cap_names_the_series():
     with pytest.raises(NonconvergenceError, match="heat angular series"):
-        kernels._angular_series(lambda ks: np.ones(ks.size, dtype=complex), 4, "heat")
+        kernels._angular_series(lambda ks: np.ones(ks.size, dtype=complex), "heat")
 
 
 # ---------------------------------------------------------------------------

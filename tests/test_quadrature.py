@@ -202,38 +202,35 @@ INTEGRANDS = {
 @given(name=st.sampled_from(sorted(INTEGRANDS)),
        a=st.floats(-10.0, 10.0),
        width=st.floats(1e-3, 20.0),
-       tol=st.floats(-14.0, -3.0).map(lambda e: 10.0 ** e),
-       order=st.sampled_from([8, 16]))
-# rounding noise of about 1.5e-15 of the panel's L1 mass outlasts the depth limit here
-@example(name="peak", a=0.0, width=18.99520339236654, tol=1e-11, order=8)
+       tol=st.floats(-14.0, -3.0).map(lambda e: 10.0 ** e))
+# rounding noise of about 1.7e-15 of the panel's L1 mass outlasts the depth limit here
+@example(name="peak", a=0.0, width=18.99520339236654, tol=1e-11)
 # tol = 0 leaves the L1 rounding floor as the only way to accept a panel
-@example(name="gaussian", a=-2.0, width=4.0, tol=0.0, order=8)
-@example(name="oscillatory", a=0.0, width=10.0, tol=0.0, order=8)
-@example(name="oscillatory", a=-10.0, width=20.0, tol=0.0, order=16)
-def test_adaptive_panel_bitwise_matches_oracle(name, a, width, tol, order):
+@example(name="gaussian", a=-2.0, width=4.0, tol=0.0)
+@example(name="oscillatory", a=-10.0, width=20.0, tol=0.0)
+def test_adaptive_panel_bitwise_matches_oracle(name, a, width, tol):
     """Bitwise equal, except where the oracle accepted an unconverged panel at the depth limit."""
     f = INTEGRANDS[name]
-    (old,), _, exhausted = oracle_walk(f, (a, a + width), tol, order)
+    (old,), _, exhausted = oracle_walk(f, (a, a + width), tol)
     if exhausted:
         with pytest.raises(NonconvergenceError):
-            adaptive_panel(f, a, a + width, tol, order)
+            adaptive_panel(f, a, a + width, tol)
     else:
-        assert_bitwise(adaptive_panel(f, a, a + width, tol, order), old)
+        assert_bitwise(adaptive_panel(f, a, a + width, tol), old)
 
 
 @ORACLE_SETTINGS
 @given(name=st.sampled_from(sorted(INTEGRANDS)),
        a=st.floats(-10.0, 10.0),
        widths=st.lists(st.floats(1e-3, 8.0), min_size=1, max_size=4),
-       tol=st.floats(-14.0, -3.0).map(lambda e: 10.0 ** e),
-       order=st.sampled_from([8, 16]))
-@example(name="peak", a=0.0, widths=[18.99520339236654], tol=1e-11, order=8)
-@example(name="oscillatory", a=-10.0, widths=[5.0, 5.0, 10.0], tol=0.0, order=16)
-def test_engine_visits_the_oracle_panels(name, a, widths, tol, order):
+       tol=st.floats(-14.0, -3.0).map(lambda e: 10.0 ** e))
+@example(name="peak", a=0.0, widths=[18.99520339236654], tol=1e-11)
+@example(name="oscillatory", a=-10.0, widths=[5.0, 5.0, 10.0], tol=0.0)
+def test_engine_visits_the_oracle_panels(name, a, widths, tol):
     """One integrand call per level, on exactly the panels the recursion visits, left to right."""
     f = INTEGRANDS[name]
     edges = a + np.concatenate(([0.0], np.cumsum(widths)))
-    values, panels, exhausted = oracle_walk(f, edges, tol, order)
+    values, panels, exhausted = oracle_walk(f, edges, tol)
     seen = []
 
     def recorded(x):
@@ -242,13 +239,13 @@ def test_engine_visits_the_oracle_panels(name, a, widths, tol, order):
 
     if exhausted:
         with pytest.raises(NonconvergenceError):
-            adaptive_panel(recorded, edges[:-1], edges[1:], tol, order)
+            adaptive_panel(recorded, edges[:-1], edges[1:], tol)
     else:
-        got = adaptive_panel(recorded, edges[:-1], edges[1:], tol, order)
+        got = adaptive_panel(recorded, edges[:-1], edges[1:], tol)
         assert got.shape == (len(widths),)
         for new, old in zip(got, values):
             assert_bitwise(new, old)
-    expected = oracle_level_nodes(panels, order)
+    expected = oracle_level_nodes(panels, quadrature._ORDER)
     assert len(seen) == len(expected)
     for new, old in zip(seen, expected):
         assert np.array_equal(new, old)
@@ -317,7 +314,7 @@ def test_subordination_rows_bitwise_match_oracle(use_oracle):
 # call-count contract and depth exhaustion
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("order", [8, 16])
+@pytest.mark.parametrize("order", [quadrature._ORDER])
 def test_one_integrand_call_per_level(order):
     sizes = []
 
@@ -327,7 +324,7 @@ def test_one_integrand_call_per_level(order):
 
     edges = np.array([-3.0, 0.0, 4.0])
     _, panels, _ = oracle_walk(lambda x: np.exp(5j * x) / (0.1 + x * x), edges, 1e-12, order)
-    quadrature.adaptive_panel(f, edges[:-1], edges[1:], 1e-12, order)
+    quadrature.adaptive_panel(f, edges[:-1], edges[1:], 1e-12)
     per_level = [sum(1 for p in panels if p[2] == level) for level in range(len(sizes))]
     assert len(sizes) >= 4  # the integrand forces real bisection
     assert sum(per_level) == len(panels)  # the oracle goes no deeper than the engine
@@ -336,25 +333,28 @@ def test_one_integrand_call_per_level(order):
 
 
 def test_depth_exhaustion_raises():
+    # a step never converges, so the walk reaches the depth limit of 28
     step = lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0)
     with pytest.raises(NonconvergenceError):
-        adaptive_panel(step, 0.0, 1.0, 1e-12, depth=3)
+        adaptive_panel(step, 0.0, 1.0, 1e-12)
 
 
-def test_depth_limit_names_the_panel_the_recursion_reaches_first():
+def test_depth_limit_names_the_panel_the_recursion_reaches_first(monkeypatch):
     # both top panels end unconverged at the limit; the right one changes more
+    monkeypatch.setattr(quadrature, "_DEPTH", 3)
     steps = lambda x: np.where(x < 0.3, 0.0, 1.0) + np.where(x < 0.8, 0.0, 5.0)
     edges = np.array([0.0, 0.5, 1.0])
     _, _, exhausted = oracle_walk(steps, edges, 1e-12, depth=3)
     assert len(exhausted) == 2
     first = exhausted[0]
     with pytest.raises(NonconvergenceError, match=re.escape(f"[{float(first[0])!r}, {float(first[1])!r}]")):
-        adaptive_panel(steps, edges[:-1], edges[1:], 1e-12, depth=3)
+        adaptive_panel(steps, edges[:-1], edges[1:], 1e-12)
 
 
-def test_converged_panel_at_depth_zero_returns_fine():
+def test_converged_panel_at_depth_zero_returns_fine(monkeypatch):
+    monkeypatch.setattr(quadrature, "_DEPTH", 0)
     poly = lambda x: x ** 3 - 2.0 * x
-    value = adaptive_panel(poly, 0.0, 2.0, 1e-12, depth=0)
+    value = adaptive_panel(poly, 0.0, 2.0, 1e-12)
     assert_bitwise(value, oracle_adaptive_panel(poly, 0.0, 2.0, 1e-12, depth=0))
     assert value == pytest.approx(0.0, abs=1e-13)
 

@@ -205,7 +205,7 @@ def test_besov_norm_builds_each_grid_row_once(monkeypatch):
     field = random_field(ModeWindow(8, 8), np.random.default_rng(9))
     grid = evaluation_grid(cfg)
     calls = _count_grid_calls(monkeypatch, grid.r.size)
-    lpbesov.besov_norm(field, 0.0, 4.0, 2.0, cfg, grid=grid)
+    lpbesov.besov_norm(field, 0.0, 4.0, 2.0, cfg)
     assert len(lpbesov.shell_range(cfg, field.window)) > 1
     assert sorted(calls) == [int(k) for k in field.window.k_values]
 

