@@ -37,9 +37,11 @@ from .spectrum import (
     heat_multiplier,
     load_field,
     log_norm_sq,
+    mode_rows,
     save_field,
     schrodinger_multiplier,
     spectral_apply,
+    write_csv,
 )
 
 EXIT_OK = 0
@@ -126,13 +128,7 @@ def _parse_point(cfg: ConeConfig, text: str):
         raise ConfigError(f"point must be 'r,theta', got {text!r}") from exc
 
 
-def _out_path(args, default_name: str) -> Path:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / default_name
-
-
-_KERNEL_CSV_HEADER = "t,r1,th1,r2,th2,re,im,largest_term,k_max_used"
+_KERNEL_CSV_HEADER = ("t", "r1", "th1", "r2", "th2", "re", "im", "largest_term", "k_max_used")
 
 
 def _require_finite(args, *names: str) -> None:
@@ -173,14 +169,9 @@ def cmd_kernel(args) -> int:
     else:
         results = {name: one(name) for name in reprs}
 
-    csv_path = _out_path(args, "kernel.csv")
-    new_file = not csv_path.exists()
-    with csv_path.open("a", encoding="utf-8") as fh:
-        if new_file:
-            fh.write(_KERNEL_CSV_HEADER + "\n")
-        for val, largest in results.values():
-            fh.write(f"{args.t:.17g},{p.r:.17g},{p.theta:.17g},{q.r:.17g},{q.theta:.17g},"
-                     f"{val.real:.17g},{val.imag:.17g},{largest:.17g},{k_used}\n")
+    rows = [(args.t, p.r, p.theta, q.r, q.theta, val.real, val.imag, largest, k_used)
+            for val, largest in results.values()]
+    write_csv(Path(args.out) / "kernel.csv", _KERNEL_CSV_HEADER, rows, f"{args.kind} kernel", append=True)
 
     payload = {
         "kind": args.kind,
@@ -209,18 +200,14 @@ def cmd_spectrum(args) -> int:
     rc = build_run_config(args)
     cfg = rc.cone
     if args.action == "table":
-        lam = eigenvalue_table(cfg, rc.window)
-        lines = ["k,m,lambda,norm_sq"]
-        for ik, k in enumerate(rc.window.k_values):
-            nsq = np.exp(log_norm_sq(cfg, int(k), rc.window.m_values))
-            for im, m in enumerate(rc.window.m_values):
-                lines.append(f"{int(k)},{int(m)},{lam[ik, im]:.17g},{nsq[im]:.17g}")
-        out = _out_path(args, "spectrum_table.csv")
-        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        nsq = np.exp(log_norm_sq(cfg, rc.window.k_values[:, None], rc.window.m_values))
+        rows = mode_rows(rc.window, eigenvalue_table(cfg, rc.window), nsq)
+        out = write_csv(Path(args.out) / "spectrum_table.csv", ("k", "m", "lambda", "norm_sq"), rows,
+                        "spectrum table")
         if args.json:
-            print(json.dumps({"written": str(out), "rows": len(lines) - 1}, sort_keys=True))
+            print(json.dumps({"written": str(out), "rows": len(rows)}, sort_keys=True))
         else:
-            print(f"wrote {out} ({len(lines) - 1} rows)")
+            print(f"wrote {out} ({len(rows)} rows)")
         return EXIT_OK
 
     if args.action == "expand":
@@ -228,7 +215,7 @@ def cmd_spectrum(args) -> int:
             raise ConfigError("spectrum expand needs --input CSV of samples r,theta,re,im")
         samples = _load_samples(args.input)
         field = _expand_samples(samples, rc)
-        out = _out_path(args, "field.csv")
+        out = Path(args.out) / "field.csv"
         save_field(field, cfg, rc.quad, out)
         if args.json:
             print(json.dumps({"written": str(out)}, sort_keys=True))
@@ -242,7 +229,7 @@ def cmd_spectrum(args) -> int:
     field = load_field(args.input)
     mult = _named_multiplier(args)
     evolved = spectral_apply(mult, field, cfg)
-    out = _out_path(args, "field_evolved.csv")
+    out = Path(args.out) / "field_evolved.csv"
     save_field(evolved, cfg, rc.quad, out)
     if args.json:
         print(json.dumps({"written": str(out)}, sort_keys=True))
@@ -312,10 +299,11 @@ def cmd_verify(args) -> int:
     rc = build_run_config(args)
     reports = _verify.run_suite(args.suite, rc.cone, rc.grids,
                                 seed=rc.seed, halfwave_j=args.j, gamma=args.gamma)
-    out_dir = Path(args.out)
+    for rep in reports:  # a run that would refuse one report writes none
+        _verify.require_finite_report(rep)
     summary = []
     for rep in reports:
-        _verify.write_report(rep, out_dir)
+        _verify.write_report(rep, args.out)
         summary.append(rep.json_dict())
         if not args.json:
             status = "pass" if rep.passed else "FAIL"

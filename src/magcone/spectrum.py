@@ -20,7 +20,7 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy import special as _sp
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, NonconvergenceError, QuadratureError
 from .geometry import ConeConfig, ConePoint
 from .quadrature import genlaguerre_rule
 
@@ -344,18 +344,63 @@ def fractional_flow_multiplier(nu: float, t: float):
 
 # -- serialization ----------------------------------------------------------
 
-_CSV_HEADER = "k,m,re_c,im_c"
+_CSV_BLOCK_CELLS = 1 << 16  # cells write_csv formats at a time, so its text does not grow with the table
+
+
+def _require_finite_cells(header, rows: np.ndarray, what: str) -> None:
+    """Raise NonconvergenceError naming `what` and the first column of rows that holds a non-finite cell."""
+    finite = np.isfinite(rows).all(axis=0)
+    if not finite.all():
+        raise NonconvergenceError(f"{what}: non-finite value in CSV column {header[int(np.argmin(finite))]!r}")
+
+
+def _csv_body(rows: np.ndarray) -> str:
+    """The rows as %.17g CSV lines.
+
+    Tables repeat most values (grid coordinates, symmetric samples, mode
+    indices), so each distinct float64 bit pattern is formatted once and the
+    lines are assembled from those strings.
+    """
+    bits, inverse = np.unique(rows.view(np.uint64).ravel(), return_inverse=True)
+    text = ["%.17g" % v for v in bits.view(float).tolist()]
+    line = ",".join(["%s"] * rows.shape[1]) + "\n"
+    return (line * rows.shape[0]) % tuple([text[i] for i in inverse.tolist()])
+
+
+def write_csv(path: str | Path, header, rows, what: str, *, append: bool = False) -> Path:
+    """Write (N, len(header)) float rows as %.17g CSV: the one writer of every table magcone writes.
+
+    A non-finite cell raises NonconvergenceError naming `what` and its column
+    before anything, path's directory included, is created.  append=True
+    writes the header only into a new file.
+    """
+    rows = np.asarray(rows, dtype=float)
+    _require_finite_cells(header, rows, what)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    new_file = not (append and path.exists())
+    step = max(1, _CSV_BLOCK_CELLS // max(rows.shape[1], 1))
+    with path.open("a" if append else "w", encoding="utf-8") as fh:
+        if new_file:
+            fh.write(",".join(header) + "\n")
+        for lo in range(0, rows.shape[0], step):
+            fh.write(_csv_body(rows[lo:lo + step]))
+    return path
+
+
+def mode_rows(window: ModeWindow, *tables) -> np.ndarray:
+    """Rows (k, m, *values) over the window, k-major; each table has window.shape.  The rows are the one copy."""
+    columns = np.broadcast_arrays(window.k_values[:, None], window.m_values, *tables)
+    return np.stack(columns, axis=-1, dtype=float).reshape(-1, len(columns))
+
+
+_CSV_HEADER = ("k", "m", "re_c", "im_c")
 
 
 def save_field(field: SpectralField, cfg: ConeConfig, quad: QuadratureSpec, csv_path: str | Path) -> None:
-    """Write the coefficient table as CSV plus a JSON header beside it (same stem, .json)."""
-    csv_path = Path(csv_path)
-    lines = [_CSV_HEADER]
-    for ik, k in enumerate(field.window.k_values):
-        for im, m in enumerate(field.window.m_values):
-            c = field.coeffs[ik, im]
-            lines.append(f"{int(k)},{int(m)},{c.real:.17g},{c.imag:.17g}")
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the coefficient table as CSV plus a JSON header beside it (same stem, .json); see write_csv."""
+    csv_path = write_csv(csv_path, _CSV_HEADER, mode_rows(field.window, field.coeffs.real, field.coeffs.imag),
+                         f"field {csv_path}")
     header = {
         "window": {"k_max": field.window.k_max, "m_max": field.window.m_max},
         "cone": {"sigma": cfg.sigma, "b0": cfg.b0, "alpha": cfg.alpha},
@@ -373,7 +418,7 @@ def load_field(csv_path: str | Path) -> SpectralField:
     the file and line.
     """
     lines = Path(csv_path).read_text(encoding="utf-8").strip().splitlines()
-    if not lines or lines[0] != _CSV_HEADER:
+    if not lines or lines[0] != ",".join(_CSV_HEADER):
         raise DomainError(f"{csv_path}: not a spectral-field CSV (bad header)")
     rows, seen = [], set()
     for n, line in enumerate(lines[1:], start=2):

@@ -35,7 +35,7 @@ from .kernels import (
 )
 from .lpbesov import shell_window
 from .quadrature import adaptive_panel
-from .spectrum import ModeWindow, eigenvalue_table, random_field, spectral_apply
+from .spectrum import ModeWindow, _require_finite_cells, eigenvalue_table, random_field, spectral_apply, write_csv
 
 REFERENCE_CONFIGS = (
     ConeConfig(sigma=1.0, b0=1.0, alpha=0.25),
@@ -110,38 +110,21 @@ class SweepReport:
         }
 
 
-def _csv_body(rows: np.ndarray) -> tuple[str, np.ndarray]:
-    """The rows as %.17g CSV lines, and the distinct values they hold.
-
-    The sweeps repeat most values (grid coordinates, symmetric samples), so
-    each distinct float64 bit pattern is formatted once and the lines are
-    assembled from those strings.
-    """
-    bits, inverse = np.unique(rows.view(np.uint64).ravel(), return_inverse=True)
-    values = bits.view(float)
-    text = ["%.17g" % v for v in values.tolist()]
-    line = ",".join(["%s"] * rows.shape[1]) + "\n"
-    return (line * rows.shape[0]) % tuple([text[i] for i in inverse.tolist()]), values
-
-
-def write_report(report: SweepReport, out_dir: str | Path) -> tuple[Path, Path]:
-    """Write the report's JSON summary and CSV samples; a non-finite constant, ratio or sample raises first."""
+def require_finite_report(report: SweepReport) -> None:
+    """Raise NonconvergenceError unless the report's constant, ratio and every CSV cell are finite."""
     for key in ("empirical_constant", "refinement_ratio"):
         if not math.isfinite(getattr(report, key)):
             raise NonconvergenceError(f"sweep {report.name!r}: non-finite {key} {getattr(report, key)!r}")
-    rows = np.asarray(report.csv_rows, dtype=float)
-    body, values = _csv_body(rows)
-    if not np.isfinite(values).all():
-        column = report.csv_header[int(np.argmin(np.isfinite(rows).all(axis=0)))]
-        raise NonconvergenceError(f"sweep {report.name!r}: non-finite value in CSV column {column!r}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = report.name.replace("/", "_")
+    _require_finite_cells(report.csv_header, report.csv_rows, f"sweep {report.name!r}")
+
+
+def write_report(report: SweepReport, out_dir: str | Path) -> tuple[Path, Path]:
+    """Write the report's CSV samples, then its JSON summary; a non-finite constant, ratio or sample raises first."""
+    require_finite_report(report)
+    out_dir, stem = Path(out_dir), report.name.replace("/", "_")
+    csv_path = write_csv(out_dir / f"{stem}.csv", report.csv_header, report.csv_rows, f"sweep {report.name!r}")
     json_path = out_dir / f"{stem}.json"
-    json_path.write_text(json.dumps(report.json_dict(), sort_keys=True, indent=2) + "\n",
-                         encoding="utf-8")
-    csv_path = out_dir / f"{stem}.csv"
-    csv_path.write_text(",".join(report.csv_header) + "\n" + body, encoding="utf-8")
+    json_path.write_text(json.dumps(report.json_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return json_path, csv_path
 
 
@@ -150,6 +133,12 @@ def _as_rows(rows, n_cols: int) -> np.ndarray:
     arr = np.array(rows, dtype=float).reshape(len(rows), n_cols)
     arr.setflags(write=False)
     return arr
+
+
+def _refinement(coarse: float, fine: float) -> tuple[float, bool]:
+    """Refinement ratio fine / coarse (1 on a zero coarse sup), and whether the sup saturated: finite, ratio <= 1.05."""
+    ratio = fine / coarse if coarse > 0 else 1.0
+    return ratio, math.isfinite(fine) and ratio <= 1.05
 
 
 def _ms_since(t0: float) -> int:
@@ -247,8 +236,7 @@ def weighted_dispersive_constant(cfg: ConeConfig, gamma: float,
     results = []
     for suffix, c, cf in zip(("", "/omega1", "/omega2"),
                              _split_sups(_dispersive_rows(coarse, gamma)), _split_sups(rows_fine)):
-        ratio = cf / c if c > 0.0 else 1.0
-        passed = math.isfinite(cf) and ratio <= 1.05
+        ratio, passed = _refinement(c, cf)
         results.append((f"{name}{suffix}", cf, ratio, passed, rows_fine if suffix == "" else ()))
     runtime_ms = _ms_since(t0)
     return [_report(report_name, cfg, spec, cf, ratio, passed, runtime_ms, header, rows)
@@ -309,8 +297,7 @@ def gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) ->
     rows_f = samples(grids.refined())
     c = rows_c[:, 4].max()
     cf = rows_f[:, 4].max()
-    ratio = cf / c if c > 0 else 1.0
-    passed = math.isfinite(cf) and ratio <= 1.05
+    ratio, passed = _refinement(c, cf)
     spec = (f"t geomspace(0.1,5)/b0 x {grids.n_time}, r x {grids.n_radius}^2, "
             f"dtheta x {grids.n_angle}; distance-squared envelope, raw (r1^2+r2^2) variant in CSV")
     header = ("t", "r1r2", "dtheta", "raw_const", "distance_const")
@@ -347,8 +334,7 @@ def reduced_kernel_bound_scan(cfg: ConeConfig, grids: SweepGrids = SweepGrids())
     coarse = sup_prev
     rho, delta, mat = abs_kernel(rho_max, 2 * n_rho - 1, 16 * grids.n_angle - 1)
     fine = float(mat.max())
-    ratio = fine / coarse if coarse > 0 else 1.0
-    passed = math.isfinite(fine) and ratio <= 1.05
+    ratio, passed = _refinement(coarse, fine)
     rows = np.column_stack([delta, rho[mat.argmax(axis=1)], mat.max(axis=1)])
     spec = f"rho in [0,{rho_max}] (saturated by doubling), |delta| <= {_SCAN_DELTA:.6g}"
     return [_report("reduced-kernel", cfg, spec, fine, ratio, passed, _ms_since(t0),
@@ -378,8 +364,7 @@ def angular_tail_l1_scan(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) -> l
     rows_f = sweep(16 * grids.n_angle - 1, 1e-10)
     c = max(v for _, v in rows_c)
     cf = max(v for _, v in rows_f)
-    ratio = cf / c if c > 0 else 1.0
-    passed = math.isfinite(cf) and ratio <= 1.05
+    ratio, passed = _refinement(c, cf)
     spec = f"theta x {16 * grids.n_angle - 1} over one period, adaptive quadrature to 1e-10"
     return [_report("tail-l1", cfg, spec, cf, ratio, passed, _ms_since(t0), ("theta", "l1_norm"), rows_f)]
 
@@ -427,6 +412,16 @@ def subordination_identity_check(z_grid=None, y_grid=None,
 # half-wave decay fit
 # ---------------------------------------------------------------------------
 
+def _require_shell_holds_modes(j: int, cfg: ConeConfig) -> None:
+    """Raise DomainError if shell j ends at or below the lowest level b0, the one way it can miss every level.
+
+    The levels lie at most 2 b0 apart; the integer power 4 ** (j + 1) is exact at any j.
+    """
+    if 4 ** (j + 1) <= cfg.b0:
+        raise DomainError(f"half-wave shell j={j} holds no mode: it ends at eigenvalue 4^(j+1) = "
+                          f"{4 ** (j + 1):.6g}, at or below the lowest one, b0 = {cfg.b0:g}")
+
+
 def _halfwave_sup_curve(cfg: ConeConfig, j: int, ts: np.ndarray, r_nodes: np.ndarray,
                         dth_nodes: np.ndarray, window: ModeWindow) -> np.ndarray:
     """sup_{p,q} |frequency-truncated half-wave kernel| at each time."""
@@ -452,9 +447,7 @@ def halfwave_decay_fit(cfg: ConeConfig, j: int, grids: SweepGrids = SweepGrids()
     """
     t0 = time.perf_counter()
     window = shell_window(j, cfg)
-    if 4.0 ** (j + 1) <= cfg.b0:  # the levels from b0 up lie at most 2 b0 apart: only these shells miss them
-        raise DomainError(f"half-wave shell j={j} holds no mode: it ends at eigenvalue 4^(j+1) = "
-                          f"{4.0 ** (j + 1):.6g}, at or below the lowest one, b0 = {cfg.b0:g}")
+    _require_shell_holds_modes(j, cfg)
     t_lo = 2.0 ** (-j)
     t_hi = 2.0 ** j * math.pi / (2.0 * cfg.b0)
     ts = np.unique(np.concatenate([
@@ -529,7 +522,8 @@ def run_suite(name: str, cfg: ConeConfig, grids: SweepGrids = SweepGrids(), seed
     """Run one named sweep (or 'all', every sweep in SUITE_NAMES order) on a configuration.
 
     The dispersive and weighted sweeps of one call share their grids.  A
-    gamma outside [0, kappa] raises before any sweep runs.  Each sweep is
+    gamma outside [0, kappa], or a half-wave shell past the work cap or
+    without a mode, raises before any sweep runs.  Each sweep is
     looked up by its module-level name when it runs, so a wrapper set on the
     module sees the call.
     """
@@ -537,6 +531,9 @@ def run_suite(name: str, cfg: ConeConfig, grids: SweepGrids = SweepGrids(), seed
         raise QuadratureError(f"unknown suite '{name}'; choose from {SUITE_NAMES + ('all',)}")
     if gamma is not None and name in ("weighted", "all"):
         _require_gamma(cfg, gamma)
+    if name in ("halfwave", "all"):
+        shell_window(halfwave_j, cfg)  # raises on a shell past the work cap
+        _require_shell_holds_modes(halfwave_j, cfg)
     shared = _dispersive_grid_pair(cfg, grids)
     kappa = flux_distance(cfg)
     gammas = (gamma,) if gamma is not None else (0.0, kappa / 2.0, kappa)

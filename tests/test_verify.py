@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from magcone import verify
-from magcone.errors import GammaOutOfRangeError
+from magcone.errors import DomainError, GammaOutOfRangeError, WindowTooSmallError
 from magcone.geometry import ConeConfig, flux_distance, make_point
 from magcone.kernels import schrodinger_kernel_series
 from magcone.verify import (
@@ -50,16 +50,31 @@ def test_weighted_gamma_range(cfg):
         weighted_dispersive_constant(cfg, kappa + 0.05, SMALL)
 
 
+def _patch_out_sweeps(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran before the argument checks")
+
+    for name in ("reduced_kernel_matrix", "heat_closed_bracket_grid", "_shell_blocks", "adaptive_panel",
+                 "spectral_apply"):
+        monkeypatch.setattr(verify, name, no_sweep)
+
+
 @pytest.mark.parametrize("suite", ["weighted", "all"])
 @pytest.mark.parametrize("gamma", [-0.1, 0.9])
 def test_run_suite_checks_gamma_before_any_sweep(monkeypatch, suite, gamma):
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("a sweep ran before the gamma check")
-
-    for name in ("reduced_kernel_matrix", "heat_closed_bracket_grid", "_shell_blocks", "adaptive_panel"):
-        monkeypatch.setattr(verify, name, no_sweep)
+    _patch_out_sweeps(monkeypatch)
     with pytest.raises(GammaOutOfRangeError, match="outside"):
         run_suite(suite, REFERENCE_CONFIGS[0], SMALL, gamma=gamma)
+
+
+@pytest.mark.parametrize("suite", ["halfwave", "all"])
+@pytest.mark.parametrize("j,error,match", [(-3, DomainError, "holds no mode"),
+                                           (30, WindowTooSmallError, "above the cap"),
+                                           (600, WindowTooSmallError, "above the cap")])
+def test_run_suite_checks_the_halfwave_shell_before_any_sweep(monkeypatch, suite, j, error, match):
+    _patch_out_sweeps(monkeypatch)
+    with pytest.raises(error, match=match):
+        run_suite(suite, REFERENCE_CONFIGS[0], SMALL, halfwave_j=j)
 
 
 def test_dispersive_kernel_sanity_inversion(cfg):

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magcone import cli, verify
+from magcone import cli, spectrum, verify
 from magcone.errors import DomainError, GammaOutOfRangeError, NonconvergenceError, QuadratureError
 from magcone.geometry import ConeConfig, flux_distance
 from magcone.kernels import heat_closed_bracket_grid, reduced_kernel_matrix
@@ -273,15 +273,13 @@ def test_csv_body_formats_like_the_per_cell_writer(n_rows, n_cols, data):
     cells = data.draw(st.lists(st.one_of(st.sampled_from(pool), _CELLS),
                                min_size=n_rows * n_cols, max_size=n_rows * n_cols))
     rows = np.array(cells, dtype=float).reshape(n_rows, n_cols)
-    body, values = verify._csv_body(rows)
-    assert body == oracle_csv_body(rows)
-    assert sorted(values.view(np.uint64).tolist()) == sorted(set(rows.view(np.uint64).ravel().tolist()))
+    assert spectrum._csv_body(rows) == oracle_csv_body(rows)
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (4, 0)])
 def test_csv_body_of_tables_without_cells(tmp_path, shape):
     rows = np.empty(shape)
-    assert verify._csv_body(rows)[0] == oracle_csv_body(rows)
+    assert spectrum._csv_body(rows) == oracle_csv_body(rows)
     header = tuple(f"c{i}" for i in range(shape[1]))
     cfg = verify.REFERENCE_CONFIGS[0]
     old = _report("a/omega1", cfg, "spec", 1.0, 1.0, True, time.perf_counter(), header, rows.tolist())
@@ -311,6 +309,18 @@ def test_verify_exits_4_on_a_non_finite_cell(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(verify, "run_suite", lambda *a, **k: [report])
     assert cli.main(["--out", str(tmp_path / "out"), "verify", "energy"]) == cli.EXIT_NONCONVERGENCE
     assert "'drift'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_refusing_one_report_writes_none(tmp_path, monkeypatch, capsys):
+    cfg = verify.REFERENCE_CONFIGS[0]
+    good = SweepReport(name="dispersive", config=cfg, grid_spec="spec", empirical_constant=1.0,
+                       refinement_ratio=1.0, passed=True, runtime_ms=0, csv_header=("t", "abs_series"),
+                       csv_rows=np.array([[0.5, 1.0]]))
+    bad = replace(good, name="energy", empirical_constant=math.nan)
+    monkeypatch.setattr(verify, "run_suite", lambda *a, **k: [good, bad])
+    assert cli.main(["--out", str(tmp_path / "out"), "verify", "all"]) == cli.EXIT_NONCONVERGENCE
+    assert "'energy'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
