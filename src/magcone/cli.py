@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,12 +56,9 @@ _DEFAULTS = {
     "alpha": 0.25,
     "window_k": 24,
     "window_m": 24,
-    "n_radial": 80,
-    "n_theta": 256,
-    "n_time": 5,
-    "n_radius": 7,
-    "n_angle": 12,
-    "seed": 20240901,
+    **asdict(QuadratureSpec()),  # n_radial, n_theta
+    **asdict(_verify.SweepGrids()),  # n_time, n_radius, n_angle
+    "seed": _verify._SEED,
 }
 
 
@@ -329,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--t", type=float, required=True)
     k.add_argument("--p", required=True, help="point as r,theta")
     k.add_argument("--q", required=True, help="point as r,theta")
-    k.add_argument("--j", type=int, default=2, help="dyadic level for halfwave")
+    k.add_argument("--j", type=int, default=_verify._HALFWAVE_J, help="dyadic level for halfwave")
     k.set_defaults(func=cmd_kernel)
 
     s = sub.add_parser("spectrum", help="eigenvalue table / expand / evolve")
@@ -337,14 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--input", default=None, help="input CSV")
     s.add_argument("--mult", default="heat", choices=["heat", "schrodinger", "halfwave", "fractional"])
     s.add_argument("--t", type=float, default=1.0)
-    s.add_argument("--j", type=int, default=2)
+    s.add_argument("--j", type=int, default=_verify._HALFWAVE_J)
     s.add_argument("--nu", type=float, default=0.5)
     s.set_defaults(func=cmd_spectrum)
 
     v = sub.add_parser("verify", help="run certification sweeps")
     v.add_argument("suite", help=f"one of {', '.join(_verify.SUITE_NAMES)} or 'all'")
     v.add_argument("--gamma", type=float, default=None, help="weight exponent for 'weighted'")
-    v.add_argument("--j", type=int, default=2, help="dyadic level for 'halfwave'")
+    v.add_argument("--j", type=int, default=_verify._HALFWAVE_J, help="dyadic level for 'halfwave'")
     v.set_defaults(func=cmd_verify)
     return parser
 

@@ -37,10 +37,10 @@ from .lpbesov import _shell_mode_lists, make_cutoff
 from .quadrature import adaptive_line, gauss_legendre_rule, oscillatory_bessel_tail
 from .spectrum import (
     ModeWindow,
+    _radial_rows,
     angular_order,
     eigenvalue,
     point_field,
-    radial_profiles,
     spectral_apply,
     synthesize,
 )
@@ -481,19 +481,18 @@ def _shell_blocks(j: int, cfg: ConeConfig, window: ModeWindow, r_nodes: np.ndarr
     cutoff = make_cutoff()
     pos, neg_ms = _shell_mode_lists(j, cfg, window)
     blocks = []
-    for k, ms in pos:
+    rows = _radial_rows(cfg, [k for k, _ in pos], max((int(ms.max()) for _, ms in pos), default=0), r_nodes)
+    for (k, ms), (_, rad) in zip(pos, rows):
         lam = np.asarray(eigenvalue(cfg, k, ms), dtype=float)
-        rad = radial_profiles(cfg, k, int(ms.max()), r_nodes)[ms, :]
-        blocks.append((k, np.sqrt(lam), cutoff.shell_weights(j, lam), rad))
+        blocks.append((k, np.sqrt(lam), cutoff.shell_weights(j, lam), rad[ms, :]))
     tail = 0.0
     if neg_ms.size:
         lam_neg = np.asarray(eigenvalue(cfg, -1, neg_ms), dtype=float)
         w_neg = cutoff.shell_weights(j, lam_neg)
         scale, tail = 0.0, 1.0
-        k = -1
         stall = 0
-        while -k <= window.k_max:
-            rad = radial_profiles(cfg, k, int(neg_ms.max()), r_nodes)[neg_ms, :]
+        for k, rad in _radial_rows(cfg, range(-1, -window.k_max - 1, -1), int(neg_ms.max()), r_nodes):
+            rad = rad[neg_ms, :]
             mag = float((w_neg[:, None] * np.abs(rad)).max()) ** 2
             scale = max(scale, mag)
             tail = mag / max(scale, 1e-300)
@@ -504,7 +503,6 @@ def _shell_blocks(j: int, cfg: ConeConfig, window: ModeWindow, r_nodes: np.ndarr
             else:
                 stall = 0
                 blocks.append((k, np.sqrt(lam_neg), w_neg, rad))
-            k -= 1
     return blocks, tail
 
 

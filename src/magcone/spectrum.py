@@ -155,15 +155,15 @@ def mode_data(idx: ModeIndex, cfg: ConeConfig) -> ModeData:
     return ModeData(alpha_k=a, beta_k=beta, lam=lam, norm_sq=nsq)
 
 
-def normalized_laguerre_rows(alpha: float, m_max: int, x) -> np.ndarray:
-    """Rows P[n] = L_n^alpha(x) / L_n^alpha(0) for n = 0..m_max; shape (m_max + 1,) + x.shape.
+def normalized_laguerre_rows(alpha, m_max: int, x) -> np.ndarray:
+    """Rows P[n] = L_n^alpha(x) / L_n^alpha(0) for n = 0..m_max; shape (m_max + 1,) + the alpha, x broadcast shape.
 
     The one normalized-Laguerre recurrence: it builds the radial factors of
     the eigenfunctions and the projections onto them.  Kept in the
     normalized scale to avoid the large binomial factors.
     """
     x = np.asarray(x, dtype=float)
-    rows = np.empty((m_max + 1,) + x.shape)
+    rows = np.empty((m_max + 1,) + np.broadcast_shapes(np.shape(alpha), x.shape))
     rows[0] = 1.0
     if m_max >= 1:
         rows[1] = 1.0 - x / (1.0 + alpha)
@@ -172,24 +172,37 @@ def normalized_laguerre_rows(alpha: float, m_max: int, x) -> np.ndarray:
     return rows
 
 
-def radial_profiles(cfg: ConeConfig, k: int, m_max: int, r) -> np.ndarray:
-    """Normalized radial factors R[m, i] of modes (k, 0..m_max) at radii r[i].
+def radial_profiles(cfg: ConeConfig, k, m_max: int, r) -> np.ndarray:
+    """Normalized radial factors R[..., m, i] of modes (k, 0..m_max) at radii r[i]; shape k.shape + (m_max + 1, len(r)).
 
-    The full normalized eigenfunction is R[m, i] * exp(i k theta / sigma);
+    k is an int or an int array.  The full normalized eigenfunction is R[m, i] * exp(i k theta / sigma);
     the angular normalization 1/sqrt(2 pi sigma) is folded into R.
     The Laguerre recurrence runs in the at-zero-normalized scale.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    a = float(angular_order(cfg, k))
+    a = angular_order(cfg, k)[..., None]
     u = cfg.b0 * r * r / 2.0
-    polys = normalized_laguerre_rows(a, m_max, u)
+    polys = np.moveaxis(normalized_laguerre_rows(a, m_max, u), 0, -2)
 
     with np.errstate(divide="ignore"):
-        log_radial = np.where(r > 0.0, a * np.log(np.where(r > 0.0, r, 1.0)), -np.inf if a > 0 else 0.0)
+        log_radial = np.where(r > 0.0, a * np.log(np.where(r > 0.0, r, 1.0)), np.where(a > 0, -np.inf, 0.0))
     log_radial = log_radial - u / 2.0 - 0.5 * math.log(cfg.period)
-    log_norm = log_norm_sq(cfg, k, np.arange(m_max + 1))
-    scale = np.exp(log_radial[None, :] - 0.5 * log_norm[:, None])
-    return polys * scale
+    log_norm = log_norm_sq(cfg, np.asarray(k)[..., None], np.arange(m_max + 1))
+    scale = np.exp(log_radial[..., None, :] - 0.5 * log_norm[..., :, None])
+    return np.multiply(polys, scale, out=scale)
+
+
+_ROW_BLOCK = 1 << 15  # most radial values one _radial_rows block builds: 256 KB of float64
+
+
+def _radial_rows(cfg: ConeConfig, ks, m_max: int, r) -> Iterator[tuple[int, np.ndarray]]:
+    """(k, radial_profiles(cfg, k, m_max, r)) for each k of the sequence ks, in order, one call per block of ks.
+
+    Each rows is a view into its block: a caller that keeps rows keeps a copy, or it holds the whole block.
+    """
+    step = max(1, _ROW_BLOCK // ((m_max + 1) * max(1, np.size(r))))
+    for lo in range(0, len(ks), step):
+        yield from zip(ks[lo:lo + step], radial_profiles(cfg, np.asarray(ks[lo:lo + step]), m_max, r))
 
 
 def eigenfunction(idx: ModeIndex, p: ConePoint, cfg: ConeConfig) -> complex:
@@ -204,11 +217,8 @@ def point_field(q: ConePoint, cfg: ConeConfig, window: ModeWindow) -> SpectralFi
     Synthesizing F(H) applied to it at p gives the truncated kernel of F(H)
     at (p, q).
     """
-    coeffs = np.empty(window.shape, dtype=complex)
-    for ik, k in enumerate(window.k_values):
-        rad = radial_profiles(cfg, int(k), window.m_max, np.array([q.r]))[:, 0]
-        coeffs[ik] = rad * np.exp(-1j * (k / cfg.sigma) * q.theta)
-    return SpectralField(window, coeffs)
+    rad = radial_profiles(cfg, window.k_values, window.m_max, [q.r])[:, :, 0]
+    return SpectralField(window, rad * np.exp(-1j * (window.k_values / cfg.sigma) * q.theta)[:, None])
 
 
 def _angular_nodes(cfg: ConeConfig, n_theta: int) -> np.ndarray:
@@ -279,8 +289,8 @@ def fields_on_grid(fields, r, theta, cfg: ConeConfig) -> Iterator[np.ndarray]:
     """Synthesize fields sharing one window on the grid r x theta; yields one grid each, in order.
 
     Each k's radial_profiles rows are built once if some field is nonzero
-    there, reduced to each such field's c_k @ rows and dropped, so one k's
-    rows are held at a time.  Fields on two windows raise DomainError.
+    there, reduced to each such field's c_k @ rows and dropped, so one
+    _radial_rows block is held at a time.  Fields on two windows raise DomainError.
     """
     fields = list(fields)
     if not fields:
@@ -290,15 +300,14 @@ def fields_on_grid(fields, r, theta, cfg: ConeConfig) -> Iterator[np.ndarray]:
         raise DomainError(f"fields_on_grid needs one window, got {sorted({str(f.window) for f in fields})}")
     r = np.atleast_1d(np.asarray(r, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    live = np.array([np.any(f.coeffs, axis=1) for f in fields]).T.tolist()  # [k][field]
+    live = np.array([np.any(f.coeffs, axis=1) for f in fields]).T  # [k][field]
+    iks = np.flatnonzero(live.any(axis=1))
     terms = [[] for _ in fields]
-    for ik, (k, live_k) in enumerate(zip(window.k_values, live)):
-        if any(live_k):
-            rows = radial_profiles(cfg, int(k), window.m_max, r)  # (m, r)
-            phase = np.exp(1j * (k / cfg.sigma) * theta)
-            for t, f, on in zip(terms, fields, live_k):
-                if on:
-                    t.append((f.coeffs[ik] @ rows, phase))
+    for ik, (k, rows) in zip(iks, _radial_rows(cfg, window.k_values[iks], window.m_max, r)):  # rows (m, r)
+        phase = np.exp(1j * (k / cfg.sigma) * theta)
+        for t, f, on in zip(terms, fields, live[ik].tolist()):
+            if on:
+                t.append((f.coeffs[ik] @ rows, phase))
     return (_sum_terms(t, r.size, theta) for t in terms)
 
 
@@ -331,6 +340,9 @@ def spectral_apply(
 # -- standard multipliers ---------------------------------------------------
 
 def heat_multiplier(t: float):
+    """e^{-t lam} for t >= 0 (t = 0 is the identity); a negative t, which overflows it, raises DomainError."""
+    if t < 0:
+        raise DomainError(f"heat multiplier needs t >= 0, got {t}")
     return lambda lam: np.exp(-t * lam)
 
 

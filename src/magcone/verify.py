@@ -57,6 +57,8 @@ SUITE_NAMES = (
 _SCAN_DELTA = 2.0 * math.pi  # reduced_kernel_bound_scan covers |delta| <= _SCAN_DELTA
 _ENERGY_WINDOW = ModeWindow(12, 12)  # energy_conservation_check draws its random fields here
 _ENERGY_TRIALS = 50
+_SEED = 20240901  # default seed of the random-field sweeps, and of the CLI's config
+_HALFWAVE_J = 2  # default dyadic level of the half-wave sweep, and of every CLI --j
 
 
 @dataclass(frozen=True)
@@ -483,7 +485,7 @@ def halfwave_decay_fit(cfg: ConeConfig, j: int, grids: SweepGrids = SweepGrids()
 # energy conservation
 # ---------------------------------------------------------------------------
 
-def energy_conservation_check(cfg: ConeConfig, seed: int = 20240901) -> list[SweepReport]:
+def energy_conservation_check(cfg: ConeConfig, seed: int = _SEED) -> list[SweepReport]:
     """Unitarity of the Schrodinger and half-wave flows on coefficients."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -517,8 +519,8 @@ def energy_conservation_check(cfg: ConeConfig, seed: int = 20240901) -> list[Swe
 # suite driver
 # ---------------------------------------------------------------------------
 
-def run_suite(name: str, cfg: ConeConfig, grids: SweepGrids = SweepGrids(), seed: int = 20240901,
-              halfwave_j: int = 2, gamma: float | None = None) -> list[SweepReport]:
+def run_suite(name: str, cfg: ConeConfig, grids: SweepGrids = SweepGrids(), seed: int = _SEED,
+              halfwave_j: int = _HALFWAVE_J, gamma: float | None = None) -> list[SweepReport]:
     """Run one named sweep (or 'all', every sweep in SUITE_NAMES order) on a configuration.
 
     The dispersive and weighted sweeps of one call share their grids.  A

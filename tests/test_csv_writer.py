@@ -22,13 +22,14 @@ from hypothesis import given, settings, strategies as st
 
 import magcone
 from magcone import cli, spectrum
-from magcone.errors import NonconvergenceError
+from magcone.errors import DomainError, NonconvergenceError
 from magcone.geometry import ConeConfig
 from magcone.spectrum import (
     ModeWindow,
     QuadratureSpec,
     SpectralField,
     eigenvalue_table,
+    heat_multiplier,
     log_norm_sq,
     mode_rows,
     random_field,
@@ -218,14 +219,37 @@ def _exit_4_naming(capsys, code, column):
     assert err.count("\n") == 1 and f"non-finite value in CSV column {column!r}" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow on the way to the refusal
-def test_evolve_to_nan_coefficients_exits_4(tmp_path, capsys):
+def _two_mode_field(tmp_path):
     field_csv = tmp_path / "f.csv"
     field_csv.write_text("k,m,re_c,im_c\n0,0,1.0,0.0\n2,3,0.5,-0.25\n")
-    code = cli.main(["--out", str(tmp_path / "o"), "spectrum", "evolve", "--input", str(field_csv),
-                     "--mult", "heat", "--t", "-800"])
+    return field_csv
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow on the way to the refusal
+def test_evolve_to_nan_coefficients_exits_4(tmp_path, capsys):
+    code = cli.main(["--out", str(tmp_path / "o"), "spectrum", "evolve", "--input", str(_two_mode_field(tmp_path)),
+                     "--mult", "schrodinger", "--t", "1e308"])
     _exit_4_naming(capsys, code, "re_c")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "evolve", "--mult", "heat", "--t", "-800"],
+                                  ["kernel", "heat", "--repr", "spectral", "--p", "1,0.3", "--q", "0.8,2.1",
+                                   "--t", "-200"]])
+def test_negative_heat_time_exits_2_with_one_line_and_writes_nothing(tmp_path, capsys, argv):
+    if argv[0] == "spectrum":
+        argv = argv + ["--input", str(_two_mode_field(tmp_path))]
+    assert cli.main(["--out", str(tmp_path / "o"), *argv]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "heat multiplier needs t >= 0" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_heat_multiplier_at_t_zero_is_the_identity():
+    lam = np.array([1.5, 700.0, 1e300])
+    assert np.array_equal(heat_multiplier(0.0)(lam), np.ones(3))
+    with pytest.raises(DomainError, match="t >= 0"):
+        heat_multiplier(-1e-300)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -242,13 +266,13 @@ def test_spectrum_table_with_overflowing_norms_exits_4(tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_kernel_row_exits_4_and_appends_nothing(tmp_path, capsys):
     out = tmp_path / "o"
-    argv = ["kernel", "heat", "--repr", "spectral", "--p", "1,0.3", "--q", "0.8,2.1"]
-    _exit_4_naming(capsys, cli.main(["--out", str(out), *argv, "--t", "-200"]), "re")
+    argv = ["kernel", "schrodinger", "--repr", "spectral", "--p", "1,0.3", "--q", "0.8,2.1"]
+    _exit_4_naming(capsys, cli.main(["--out", str(out), *argv, "--t", "1e308"]), "re")
     assert not out.exists()
     assert cli.main(["--out", str(out), *argv, "--t", "0.5"]) == cli.EXIT_OK
     before = (out / "kernel.csv").read_bytes()
     capsys.readouterr()
-    _exit_4_naming(capsys, cli.main(["--out", str(out), *argv, "--t", "-200"]), "re")
+    _exit_4_naming(capsys, cli.main(["--out", str(out), *argv, "--t", "1e308"]), "re")
     assert (out / "kernel.csv").read_bytes() == before
 
 

@@ -144,8 +144,8 @@ def oracle_heat_angular_tail(s, theta, t, cfg):
     )
 
 
-def oracle_unit_laguerre_rows(a: float, m_max: int, u: np.ndarray) -> np.ndarray:
-    polys = np.empty((m_max + 1, u.size))
+def oracle_unit_laguerre_rows(a, m_max: int, u: np.ndarray) -> np.ndarray:
+    polys = np.empty((m_max + 1,) + np.broadcast_shapes(np.shape(a), u.shape))  # a broadcasts against u
     polys[0] = 1.0
     if m_max >= 1:
         polys[1] = 1.0 - u / (1.0 + a)

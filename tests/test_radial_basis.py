@@ -6,15 +6,22 @@ rebuilt the radial rows of every k on every call, ``lpbesov``'s
 ``_lp_norm``/``_shell_norms`` pair and ``bernstein_ratio``, which
 synthesized each of its trial fields and their shell pieces through it.
 ``fields_on_grid`` builds each k's rows once for all its fields and sums the
-same terms in the same order, so every value must agree bitwise.
+same terms in the same order, so every value must agree bitwise.  The scalar
+``radial_profiles`` is kept the same way: the broadcast over an array of k
+must reproduce it row for row, bit for bit.
 """
 
+import ast
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import magcone
 from magcone import lpbesov, spectrum
 from magcone.errors import DomainError, WindowTooSmallError
 from magcone.geometry import ConePoint
@@ -23,6 +30,8 @@ from magcone.quadrature import evaluation_grid
 from magcone.spectrum import (ModeWindow, SpectralField, field_on_grid, fields_on_grid, radial_profiles,
                               random_field)
 from magcone.verify import REFERENCE_CONFIGS
+
+PACKAGE = Path(magcone.__file__).resolve().parent
 
 # the Bernstein levels the spectral-lp benchmark workload runs, per sigma
 BERNSTEIN_LEVELS = {1.0: (0, 1, 2), 1.5: (0, 1, 2), 2.0: (0, 1)}
@@ -44,6 +53,20 @@ def oracle_field_on_grid(field, r, theta, cfg) -> np.ndarray:
         v = ck @ rad  # (r,)
         out += np.outer(v, np.exp(1j * (k / cfg.sigma) * theta))
     return out
+
+
+def oracle_radial_profiles(cfg, k: int, m_max: int, r) -> np.ndarray:
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    a = float(spectrum.angular_order(cfg, k))
+    u = cfg.b0 * r * r / 2.0
+    polys = spectrum.normalized_laguerre_rows(a, m_max, u)
+
+    with np.errstate(divide="ignore"):
+        log_radial = np.where(r > 0.0, a * np.log(np.where(r > 0.0, r, 1.0)), -np.inf if a > 0 else 0.0)
+    log_radial = log_radial - u / 2.0 - 0.5 * math.log(cfg.period)
+    log_norm = spectrum.log_norm_sq(cfg, k, np.arange(m_max + 1))
+    scale = np.exp(log_radial[None, :] - 0.5 * log_norm[:, None])
+    return polys * scale
 
 
 def oracle_lp_norm(field, p, cfg, grid) -> float:
@@ -95,12 +118,12 @@ def _same_bits(a, b) -> bool:
 
 
 def _count_grid_calls(monkeypatch, n_r: int) -> list[int]:
-    """Record the k of every radial_profiles call on n_r radii (a grid, not a point)."""
+    """Record the k of every radial_profiles call on n_r radii (a grid, not a point); an array k adds each of its ks."""
     calls = []
 
     def spy(cfg, k, m_max, r):
         if np.atleast_1d(r).size == n_r:
-            calls.append(k)
+            calls.extend(np.ravel(k).tolist())
         return radial_profiles(cfg, k, m_max, r)
 
     monkeypatch.setattr(spectrum, "radial_profiles", spy)
@@ -230,3 +253,120 @@ def test_field_on_grid_peak_memory_stays_below_one_window_of_rows():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20, peak
+
+
+def test_field_on_grid_of_an_empty_grid_keeps_its_shape():
+    cfg = REFERENCE_CONFIGS[2]
+    field = random_field(ModeWindow(5, 4), np.random.default_rng(4))
+    r, theta = np.linspace(0.2, 2.0, 3), np.linspace(0.0, 4.0, 5)
+    assert field_on_grid(field, [], theta, cfg).shape == (0, 5)
+    assert field_on_grid(field, r, [], cfg).shape == (3, 0)
+    assert field_on_grid(field, [], [], cfg).shape == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# one radial evaluation for a block of k
+# ---------------------------------------------------------------------------
+
+_RADII = np.array([0.0, 0.05, 0.7, 1.3, 2.9, 6.0])
+
+
+@pytest.mark.parametrize("m_max", (0, 1, 40))
+@pytest.mark.parametrize("i_cfg", range(3))
+def test_radial_profiles_over_an_array_of_k_matches_the_scalar_oracle_bitwise(i_cfg, m_max):
+    cfg = REFERENCE_CONFIGS[i_cfg]
+    for ks in (np.arange(-9, 10), np.array([3, -3, 0, 40, -41]), np.arange(0), np.arange(-6, 6).reshape(3, 4)):
+        rows = radial_profiles(cfg, ks, m_max, _RADII)
+        assert rows.shape == ks.shape + (m_max + 1, _RADII.size) and rows.flags.c_contiguous
+        for index, k in np.ndenumerate(ks):
+            assert _same_bits(rows[index], oracle_radial_profiles(cfg, int(k), m_max, _RADII)), (k, m_max)
+    for k in (-2, 0, 5):
+        assert _same_bits(radial_profiles(cfg, k, m_max, _RADII), oracle_radial_profiles(cfg, k, m_max, _RADII))
+
+
+def _spy_calls(monkeypatch) -> list[tuple]:
+    """Record (k, m_max, len(r)) of every radial_profiles call."""
+    calls = []
+
+    def spy(cfg, k, m_max, r):
+        calls.append((k, m_max, np.atleast_1d(r).size))
+        return radial_profiles(cfg, k, m_max, r)
+
+    monkeypatch.setattr(spectrum, "radial_profiles", spy)
+    return calls
+
+
+def test_radial_rows_yields_every_k_in_order_a_block_at_a_time(monkeypatch):
+    cfg = REFERENCE_CONFIGS[1]
+    calls = _spy_calls(monkeypatch)
+    r = np.linspace(0.0, 3.0, 7)
+    ks = range(5, -300, -1)
+    got = list(spectrum._radial_rows(cfg, ks, 11, r))
+    assert [k for k, _ in got] == list(ks)
+    for k, rows in got[::37]:
+        assert _same_bits(rows, oracle_radial_profiles(cfg, k, 11, r))
+    per_k = 12 * r.size
+    assert len(calls) == math.ceil(len(ks) / (spectrum._ROW_BLOCK // per_k))
+    assert all(np.size(k) * per_k <= spectrum._ROW_BLOCK for k, _, _ in calls)
+    calls.clear()
+    wide = np.linspace(0.0, 1.0, spectrum._ROW_BLOCK + 1)  # one k alone is more than a block
+    assert [k for k, _ in spectrum._radial_rows(cfg, [1, 2], 0, wide)] == [1, 2]
+    assert [np.size(k) for k, _, _ in calls] == [1, 1]
+
+
+def test_point_field_makes_one_radial_call(monkeypatch):
+    calls = _spy_calls(monkeypatch)
+    spectrum.point_field(ConePoint(0.8, 1.1), REFERENCE_CONFIGS[0], ModeWindow(30, 12))
+    assert [(np.shape(k), m, n) for k, m, n in calls] == [((61,), 12, 1)]
+
+
+@pytest.mark.parametrize("window,n_r", [(ModeWindow(300, 7), 16), (ModeWindow(40, 30), 23)])
+def test_fields_on_grid_calls_are_bounded_by_the_block(monkeypatch, window, n_r):
+    cfg = REFERENCE_CONFIGS[2]
+    field = random_field(window, np.random.default_rng(8))
+    calls = _spy_calls(monkeypatch)
+    field_on_grid(field, np.linspace(0.1, 5.0, n_r), np.linspace(0.0, 1.0, 3), cfg)
+    n_k, per_k = window.shape[0], window.shape[1] * n_r
+    assert sorted(np.concatenate([np.ravel(k) for k, _, _ in calls]).tolist()) == window.k_values.tolist()
+    assert len(calls) == math.ceil(n_k / (spectrum._ROW_BLOCK // per_k))
+    if spectrum._ROW_BLOCK % per_k == 0:
+        assert len(calls) <= math.ceil(n_k * per_k / spectrum._ROW_BLOCK)
+
+
+def test_shell_blocks_peak_memory_stays_near_the_blocks_it_returns():
+    # sigma = 2, j = 3 on the sweep's 41 radii: the blocks returned hold 51.5 MB, and the peak
+    # RSS rises 3 MB above them; building each branch's k range in one call made that 45 MB
+    probe = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from magcone import kernels, lpbesov, verify\n"
+        "cfg = verify.REFERENCE_CONFIGS[2]\n"
+        "window = lpbesov.shell_window(3, cfg)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "blocks, _ = kernels._shell_blocks(3, cfg, window, np.linspace(0.25, 10.0, 41))\n"
+        "peak = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024\n"
+        "print(peak, sum(b[3].nbytes for b in blocks))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         cwd=PACKAGE.parent, timeout=300)
+    assert res.returncode == 0, res.stderr
+    peak, held = map(int, res.stdout.split())
+    assert held > 40 * 2 ** 20  # the probe built the sweep's whole shell
+    assert peak - held < 16 * 2 ** 20, (peak, held)
+
+
+# ---------------------------------------------------------------------------
+# structure: the radial formula has one caller module
+# ---------------------------------------------------------------------------
+
+def _radial_calls(path: Path) -> list[int]:
+    """Line numbers of the radial_profiles( calls in a file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "radial_profiles"]
+
+
+def test_radial_profiles_is_called_only_inside_spectrum():
+    callers = {path.stem: _radial_calls(path) for path in PACKAGE.glob("*.py")}
+    assert callers.pop("spectrum")
+    assert {stem: lines for stem, lines in callers.items() if lines} == {}
