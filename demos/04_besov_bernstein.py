@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from magcone import ConeConfig, besov_norm, bernstein_ratio, make_cutoff, sobolev_norm
+from magcone.lpbesov import shell_window
 from magcone.quadrature import evaluation_grid
 from magcone.spectrum import ModeWindow, random_field
 
@@ -34,8 +35,5 @@ print(f"  sharp band: [{1 / math.sqrt(2):.4f}, {math.sqrt(2):.4f}]")
 print("\nempirical Bernstein constants, p=inf, q=2 (uniform across shells):")
 grid = evaluation_grid(cfg, n_theta=512)
 for j in (0, 1, 2):
-    lam_hi = 4.0 ** (j + 1)
-    win = ModeWindow(int(lam_hi / cfg.b0 * cfg.sigma / 2) + 8,
-                     int((lam_hi / cfg.b0 - 1) / 2) + 1)
-    r = bernstein_ratio(j, math.inf, 2.0, cfg, win, trials=4, seed=7, grid=grid)
+    r = bernstein_ratio(j, math.inf, 2.0, cfg, shell_window(j, cfg), trials=4, seed=7, grid=grid)
     print(f"  shell j={j}: ratio = {r:.4f}")

@@ -23,7 +23,6 @@ from .geometry import (
     flux_distance,
     make_point,
 )
-from .specfun import SeriesResult, bessel_i, bessel_j
 from .spectrum import (
     ModeData,
     ModeIndex,

@@ -235,6 +235,12 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _halfwave_multiplier(j: int, t: float):
+    """phi(2^-j sqrt(H)) e^{it sqrt(H)}, from a named factory so that spectral_apply's refusal can name it."""
+    cutoff = _lpbesov.make_cutoff()
+    return lambda lam: cutoff.shell_weights(j, lam) * np.exp(1j * t * np.sqrt(lam))
+
+
 def _named_multiplier(args):
     name = args.mult
     if name == "heat":
@@ -242,8 +248,7 @@ def _named_multiplier(args):
     if name == "schrodinger":
         return schrodinger_multiplier(args.t)
     if name == "halfwave":
-        cutoff = _lpbesov.make_cutoff()
-        return lambda lam: cutoff.shell_weights(args.j, lam) * np.exp(1j * args.t * np.sqrt(lam))
+        return _halfwave_multiplier(args.j, args.t)
     if name == "fractional":
         return fractional_flow_multiplier(args.nu, args.t)
     raise ConfigError(f"unknown multiplier {name!r}")

@@ -540,7 +540,8 @@ def halfwave_kernel_grid(j: int, t: float, r_nodes: np.ndarray, dtheta_nodes: np
     Returns K[i_dtheta, i_r1, i_r2], symmetric in (i_r1, i_r2).  The k <= -1
     Landau branch is truncated by the evaluated radial magnitude on the
     requested radii (see _shell_blocks); a tail still above 1e-10 of its
-    peak at the window edge raises WindowTooSmallError.
+    peak at the window edge raises WindowTooSmallError, and a phase
+    t sqrt(lam) past the float range on the shell raises DomainError.
     """
     if not math.isfinite(t):
         raise DomainError(f"half-wave kernel needs a finite t, got {t}")
@@ -551,6 +552,10 @@ def halfwave_kernel_grid(j: int, t: float, r_nodes: np.ndarray, dtheta_nodes: np
         raise WindowTooSmallError(
             f"degenerate-branch tail still {tail:.2e} of its peak at k=-{window.k_max}; enlarge k_max"
         )
+    sq_max = max((float(sq.max(initial=0.0)) for _, sq, _, _ in blocks), default=0.0)
+    if math.isinf(t * sq_max):
+        raise DomainError(f"half-wave phase t sqrt(lam) overflows on shell j={j}: t={t:g}, "
+                          f"sqrt(lam) up to {sq_max:.6g}")
     (pairs,) = _halfwave_pair_chunks(blocks, np.array([t]), dtheta_nodes, r_nodes.size, cfg)
     iu, ju = np.triu_indices(r_nodes.size)
     out = np.empty((dtheta_nodes.size, r_nodes.size, r_nodes.size), dtype=complex)

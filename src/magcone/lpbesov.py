@@ -160,9 +160,15 @@ def shell_window(j: int, cfg: ConeConfig) -> ModeWindow:
     """The smallest mode window covering dyadic shell j.
 
     Raises WindowTooSmallError first if the shell may hold more than
-    _SHELL_MODE_CAP modes.
+    _SHELL_MODE_CAP modes, then DomainError if it holds no mode.  The lowest
+    eigenvalue is b0 and the levels lie at most 2 b0 apart, so a shell
+    ending at or below b0 is the one way to miss every level; the integer
+    power 4 ** (j + 1) is exact at any j.
     """
     _require_shell_bounded(j, cfg)
+    if 4 ** (j + 1) <= cfg.b0:
+        raise DomainError(f"half-wave shell j={j} holds no mode: it ends at eigenvalue 4^(j+1) = "
+                          f"{4 ** (j + 1):.6g}, at or below the lowest one, b0 = {cfg.b0:g}")
     lam_hi = 4.0 ** (j + 1)
     return ModeWindow(k_max=int(math.ceil((lam_hi / cfg.b0) * cfg.sigma / 2.0)) + 8,
                       m_max=int(math.floor((lam_hi / cfg.b0 - 1.0) / 2.0)) + 1)

@@ -331,9 +331,21 @@ def spectral_apply(
     field: SpectralField,
     cfg: ConeConfig,
 ) -> SpectralField:
-    """Apply a spectral multiplier F(H): coefficients scale by F(lambda_mode)."""
+    """Apply a spectral multiplier F(H): coefficients scale by F(lambda_mode).
+
+    F is evaluated with numpy's overflow and invalid-value warnings off; a
+    non-finite F(lambda) on the window (say a phase t lambda past the float
+    range) raises DomainError naming the multiplier and the first such mode.
+    """
     lam = eigenvalue_table(cfg, field.window)
-    factors = np.asarray(multiplier(lam))
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = np.asarray(multiplier(lam))
+    finite = np.isfinite(factors)
+    if not finite.all():
+        ik, m = np.argwhere(~np.broadcast_to(finite, lam.shape))[0]
+        name = getattr(multiplier, "__qualname__", repr(multiplier)).split(".<locals>")[0]
+        raise DomainError(f"spectral multiplier {name} is not finite at mode (k={field.window.k_values[ik]}, "
+                          f"m={m}), eigenvalue {lam[ik, m]:.6g}")
     return SpectralField(window=field.window, coeffs=field.coeffs * factors)
 
 

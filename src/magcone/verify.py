@@ -375,8 +375,10 @@ def angular_tail_l1_scan(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) -> l
 # subordination identity
 # ---------------------------------------------------------------------------
 
-def subordination_identity_check(z_grid=None, y_grid=None,
-                                 cfg: ConeConfig = REFERENCE_CONFIGS[0]) -> list[SweepReport]:
+_SUBORDINATION_GRID = np.geomspace(0.1, 10.0, 10)  # the z and the y grid of subordination_identity_check
+
+
+def subordination_identity_check(cfg: ConeConfig = REFERENCE_CONFIGS[0]) -> list[SweepReport]:
     """max relative error of e^{-z sqrt(y)} = z/(2 sqrt(pi)) int_0^inf e^{-s y - z^2/(4 s)} s^{-3/2} ds.
 
     The substitution s = (z / 2 sqrt(y)) e^u centers the saddle and factors
@@ -384,14 +386,10 @@ def subordination_identity_check(z_grid=None, y_grid=None,
     in the exponential tail.
     """
     t0 = time.perf_counter()
-    if z_grid is None:
-        z_grid = np.geomspace(0.1, 10.0, 10)
-    if y_grid is None:
-        y_grid = np.geomspace(0.1, 10.0, 10)
     rows = []
     worst = 0.0
-    for z in z_grid:
-        for y in y_grid:
+    for z in _SUBORDINATION_GRID:
+        for y in _SUBORDINATION_GRID:
             a = z * math.sqrt(y)
             # rhs * e^{+a} = sqrt(a / (2 pi)) * int_R e^{-a (cosh u - 1) - u/2} du
             f = lambda u: np.exp(-a * (np.cosh(u) - 1.0) - 0.5 * u)
@@ -404,8 +402,8 @@ def subordination_identity_check(z_grid=None, y_grid=None,
             worst = max(worst, rel)
             rows.append((z, y, 1.0, scaled_rhs, rel))
     passed = math.isfinite(worst) and worst < 1e-10
-    spec = (f"(z, y) geomspace grid {len(z_grid)} x {len(y_grid)}; saddle-scaled identity check, "
-            "ratio not applicable")
+    spec = (f"(z, y) geomspace grid {_SUBORDINATION_GRID.size} x {_SUBORDINATION_GRID.size}; "
+            "saddle-scaled identity check, ratio not applicable")
     return [_report("subordination", cfg, spec, worst, 1.0, passed, _ms_since(t0),
                     ("z", "y", "scaled_lhs", "scaled_rhs", "rel_err"), rows)]
 
@@ -413,16 +411,6 @@ def subordination_identity_check(z_grid=None, y_grid=None,
 # ---------------------------------------------------------------------------
 # half-wave decay fit
 # ---------------------------------------------------------------------------
-
-def _require_shell_holds_modes(j: int, cfg: ConeConfig) -> None:
-    """Raise DomainError if shell j ends at or below the lowest level b0, the one way it can miss every level.
-
-    The levels lie at most 2 b0 apart; the integer power 4 ** (j + 1) is exact at any j.
-    """
-    if 4 ** (j + 1) <= cfg.b0:
-        raise DomainError(f"half-wave shell j={j} holds no mode: it ends at eigenvalue 4^(j+1) = "
-                          f"{4 ** (j + 1):.6g}, at or below the lowest one, b0 = {cfg.b0:g}")
-
 
 def _halfwave_sup_curve(cfg: ConeConfig, j: int, ts: np.ndarray, r_nodes: np.ndarray,
                         dth_nodes: np.ndarray, window: ModeWindow) -> np.ndarray:
@@ -449,7 +437,6 @@ def halfwave_decay_fit(cfg: ConeConfig, j: int, grids: SweepGrids = SweepGrids()
     """
     t0 = time.perf_counter()
     window = shell_window(j, cfg)
-    _require_shell_holds_modes(j, cfg)
     t_lo = 2.0 ** (-j)
     t_hi = 2.0 ** j * math.pi / (2.0 * cfg.b0)
     ts = np.unique(np.concatenate([
@@ -534,8 +521,7 @@ def run_suite(name: str, cfg: ConeConfig, grids: SweepGrids = SweepGrids(), seed
     if gamma is not None and name in ("weighted", "all"):
         _require_gamma(cfg, gamma)
     if name in ("halfwave", "all"):
-        shell_window(halfwave_j, cfg)  # raises on a shell past the work cap
-        _require_shell_holds_modes(halfwave_j, cfg)
+        shell_window(halfwave_j, cfg)  # raises on a shell past the work cap or without a mode
     shared = _dispersive_grid_pair(cfg, grids)
     kappa = flux_distance(cfg)
     gammas = (gamma,) if gamma is not None else (0.0, kappa / 2.0, kappa)

@@ -393,6 +393,16 @@ def test_verify_halfwave_rejects_a_shell_without_modes(tmp_path, capsys, cone, j
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("cone,j", [("", "-3"), ("b0 = 16.0", "0")])
+def test_kernel_halfwave_rejects_a_shell_without_modes(tmp_path, capsys, cone, j):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(cone + "\n")
+    code = run_cli("--config", str(cfgfile), "--out", str(tmp_path / "o"), "kernel", "halfwave", f"--j={j}",
+                   "--t", "0.5", "--p", "1.0,0.3", "--q", "0.8,2.1")
+    assert "holds no mode" in _assert_one_line_error(capsys, code)
+    assert not (tmp_path / "o").exists()
+
+
 def test_verify_halfwave_runs_the_lowest_shell_with_modes(tmp_path):
     # b0 = 1: shell j = 0 reaches eigenvalue 4 and holds the levels 1 and 3
     code = run_cli("--out", str(tmp_path / "o"), "verify", "halfwave", "--j=0")

@@ -225,11 +225,18 @@ def _two_mode_field(tmp_path):
     return field_csv
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow on the way to the refusal
+def _exit_2_naming(capsys, code, what):
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and what in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_evolve_to_nan_coefficients_exits_4(tmp_path, capsys):
+    # the Schrodinger phase t lam overflows, so spectral_apply refuses the multiplier before the writer sees a NaN
     code = cli.main(["--out", str(tmp_path / "o"), "spectrum", "evolve", "--input", str(_two_mode_field(tmp_path)),
                      "--mult", "schrodinger", "--t", "1e308"])
-    _exit_4_naming(capsys, code, "re_c")
+    _exit_2_naming(capsys, code, "spectral multiplier schrodinger_multiplier is not finite")
     assert not (tmp_path / "o").exists()
 
 
@@ -263,17 +270,56 @@ def test_spectrum_table_with_overflowing_norms_exits_4(tmp_path, capsys):
     assert np.isinf(np.exp(log_norm_sq(CFG, window.k_values[:, None], window.m_values))).sum() == 897
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nan_kernel_row_exits_4_and_appends_nothing(tmp_path, capsys):
+    # the overflowing Schrodinger phase is refused (exit 2) before a NaN row reaches the writer
     out = tmp_path / "o"
     argv = ["kernel", "schrodinger", "--repr", "spectral", "--p", "1,0.3", "--q", "0.8,2.1"]
-    _exit_4_naming(capsys, cli.main(["--out", str(out), *argv, "--t", "1e308"]), "re")
+    _exit_2_naming(capsys, cli.main(["--out", str(out), *argv, "--t", "1e308"]), "not finite")
     assert not out.exists()
     assert cli.main(["--out", str(out), *argv, "--t", "0.5"]) == cli.EXIT_OK
     before = (out / "kernel.csv").read_bytes()
     capsys.readouterr()
-    _exit_4_naming(capsys, cli.main(["--out", str(out), *argv, "--t", "1e308"]), "re")
+    _exit_2_naming(capsys, cli.main(["--out", str(out), *argv, "--t", "1e308"]), "not finite")
     assert (out / "kernel.csv").read_bytes() == before
+
+
+_POINTS = ["--p", "1,0.3", "--q", "0.8,2.1"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv,what", [
+    (["spectrum", "evolve", "--mult", "fractional", "--nu", "1000", "--t", "1"],
+     "fractional_flow_multiplier is not finite"),
+    (["spectrum", "evolve", "--mult", "halfwave", "--j", "5", "--t", "1e308"], "_halfwave_multiplier is not finite"),
+    (["kernel", "halfwave", "--j", "1", *_POINTS, "--t", "1e308"], "half-wave phase t sqrt(lam) overflows"),
+], ids=["evolve-fractional", "evolve-halfwave", "kernel-halfwave"])
+def test_overflowing_phase_exits_2_with_one_line_and_writes_nothing(tmp_path, capsys, argv, what):
+    """Each phase overflows the float range, and numpy's warning is an error here, so none may be raised.
+
+    The Schrodinger phase is the case of test_evolve_to_nan_coefficients_exits_4
+    and test_nan_kernel_row_exits_4_and_appends_nothing.
+    """
+    out = tmp_path / "o"
+    if argv[0] == "spectrum":
+        argv = argv + ["--input", str(_two_mode_field(tmp_path))]
+    _exit_2_naming(capsys, cli.main(["--out", str(out), *argv]), what)
+    assert not out.exists()
+    if argv[0] == "kernel":  # an existing kernel.csv is left as it was
+        assert cli.main(["--out", str(out), *argv[:-1], "0.5"]) == cli.EXIT_OK
+        before = (out / "kernel.csv").read_bytes()
+        capsys.readouterr()
+        _exit_2_naming(capsys, cli.main(["--out", str(out), *argv]), what)
+        assert (out / "kernel.csv").read_bytes() == before
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_heat_kernel_past_the_float_range_is_zero_without_a_warning(tmp_path, capsys):
+    code = cli.main(["--json", "--out", str(tmp_path / "o"), "kernel", "heat", "--repr", "spectral", *_POINTS,
+                     "--t", "1e308"])
+    assert code == cli.EXIT_OK
+    value = json.loads(capsys.readouterr().out)["values"]["spectral"]
+    assert (value["re"], value["im"]) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from magcone import kernels, lpbesov, verify
 from magcone.errors import DomainError, WindowTooSmallError
-from magcone.geometry import make_point
+from magcone.geometry import ConeConfig, make_point
 from magcone.lpbesov import make_cutoff
 from magcone.spectrum import ModeWindow, eigenvalue, eigenvalue_table, radial_profiles
 
@@ -116,6 +116,17 @@ def test_shell_window_is_the_sweep_window(cfg):
         lpbesov.shell_window(30, cfg)
 
 
+@pytest.mark.parametrize("b0,j_lowest", [(1.0, 0), (0.5, -1), (16.0, 2)])
+def test_shell_window_refuses_a_shell_without_modes(b0, j_lowest):
+    """The lowest eigenvalue is b0: a shell j with 4^(j+1) <= b0 holds no mode, and the next one does."""
+    cfg = ConeConfig(sigma=1.0, b0=b0, alpha=0.25)
+    with pytest.raises(DomainError, match="holds no mode"):
+        lpbesov.shell_window(j_lowest - 1, cfg)
+    window = lpbesov.shell_window(j_lowest, cfg)
+    pos, neg_ms = lpbesov._shell_mode_lists(j_lowest, cfg, window)
+    assert sum(ms.size for _, ms in pos) + neg_ms.size > 0
+
+
 def test_every_bounded_shell_window_clears_the_window_cap():
     """Each shell_window under the shell mode cap is a valid ModeWindow; the largest is sigma = 1.5, j = 4."""
     largest = {}
@@ -125,6 +136,8 @@ def test_every_bounded_shell_window_clears_the_window_cap():
                 window = lpbesov.shell_window(j, cfg)
             except WindowTooSmallError:
                 break
+            except DomainError:  # a shell ending at or below b0 holds no mode
+                continue
             largest[cfg.sigma] = (j, window.shape[0] * window.shape[1])
     assert largest == {1.0: (4, 534033), 1.5: (4, 796689), 2.0: (3, 267537)}
     with pytest.raises(DomainError, match="above the cap"):

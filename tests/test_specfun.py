@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy import integrate, special as sp
 
-from magcone.errors import DomainError
+from magcone.geometry import ConeConfig
+from magcone.kernels import _rotated_bessel
 from magcone.quadrature import genlaguerre_rule
-from magcone.specfun import bessel_i, bessel_j
 from magcone.spectrum import normalized_laguerre_rows
 
 
@@ -95,46 +95,20 @@ def test_kummer_terminating_matches_laguerre_family(rng):
 
 
 # -- Bessel -----------------------------------------------------------------
-
-def test_bessel_j_basics():
-    assert bessel_j(0.0, 0.0) == 1.0
-    # half-integer closed form as oracle
-    assert bessel_j(0.5, 2.0) == pytest.approx(math.sqrt(2.0 / (math.pi * 2.0)) * math.sin(2.0),
-                                               rel=1e-12)
-    with pytest.raises(DomainError):
-        bessel_j(-0.5, 1.0)
-
+# magcone's Bessel values come from scipy.special, called by kernels.  These
+# check the identity and the rotation the kernels rest on.
 
 def test_bessel_product_identity_paper_case():
     # int_0^inf e^{-t^2} J_nu(a t) J_nu(b t) t dt = (1/2) e^{-(a^2+b^2)/4} I_nu(a b / 2)
     nu, a, b = 0.3, 1.0, 2.0
-    lhs, _ = integrate.quad(lambda t: math.exp(-t * t) * bessel_j(nu, a * t) * bessel_j(nu, b * t) * t,
+    lhs, _ = integrate.quad(lambda t: math.exp(-t * t) * sp.jv(nu, a * t) * sp.jv(nu, b * t) * t,
                             0.0, 30.0, limit=300)
-    rhs = 0.5 * math.exp(-(a * a + b * b) / 4.0) * bessel_i(nu, a * b / 2.0).value.real
+    rhs = 0.5 * math.exp(-(a * a + b * b) / 4.0) * sp.iv(nu, a * b / 2.0)
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
-def test_bessel_product_identity_random(rng):
-    for _ in range(20):
-        nu = rng.uniform(0.0, 2.0)
-        a, b = rng.uniform(0.05, 3.0, size=2)
-        lhs, _ = integrate.quad(
-            lambda t: math.exp(-t * t) * bessel_j(nu, a * t) * bessel_j(nu, b * t) * t,
-            0.0, 30.0, limit=300)
-        rhs = 0.5 * math.exp(-(a * a + b * b) / 4.0) * bessel_i(nu, a * b / 2.0).value.real
-        assert abs(lhs - rhs) < 1e-8
-
-
-def test_bessel_i_basics():
-    assert bessel_i(0.7, 0.0).value == 0.0
-    assert bessel_i(0.0, 0.0).value == 1.0
-    # real argument vs scipy
-    assert bessel_i(1.3, 2.7).value.real == pytest.approx(float(sp.iv(1.3, 2.7)), rel=1e-12)
-
-
-def test_bessel_i_imaginary_axis_vs_integral_representation():
-    # I_nu(z) = (z/2)^nu / (sqrt(pi) Gamma(nu + 1/2)) * int_0^pi e^{z cos u} sin^{2 nu} u du
-    nu, rho = 0.3, 2.0
+def _imaginary_axis_oracle(nu, rho):
+    """I_nu(i rho) = (z/2)^nu / (sqrt(pi) Gamma(nu + 1/2)) * int_0^pi e^{z cos u} sin^{2 nu} u du, z = i rho."""
     z = 1j * rho
 
     def integrand(u):
@@ -142,50 +116,20 @@ def test_bessel_i_imaginary_axis_vs_integral_representation():
 
     re, _ = integrate.quad(lambda u: integrand(u).real, 0.0, math.pi, limit=200)
     im, _ = integrate.quad(lambda u: integrand(u).imag, 0.0, math.pi, limit=200)
-    pref = (z / 2.0) ** nu / (math.sqrt(math.pi) * sp.gamma(nu + 0.5))
-    oracle = pref * (re + 1j * im)
-    got = bessel_i(nu, z)
-    assert got.value == pytest.approx(oracle, rel=1e-10)
-    # rotation cross-check
-    assert got.value == pytest.approx(np.exp(1j * nu * math.pi / 2.0) * sp.jv(nu, rho), rel=1e-12)
+    return (z / 2.0) ** nu / (math.sqrt(math.pi) * sp.gamma(nu + 0.5)) * (re + 1j * im)
+
+
+def test_bessel_i_imaginary_axis_vs_integral_representation():
+    # kernels' I_{a_k}(i rho) = e^{i sgn(rho) a_k pi/2} J_{a_k}(|rho|), at a_0 = |0/1 + 0.3|
+    cfg = ConeConfig(sigma=1.0, b0=1.0, alpha=0.3)
+    nu, rho = 0.3, 2.0
+    (got,) = _rotated_bessel(cfg, np.array([0]), rho)
+    (mirror,) = _rotated_bessel(cfg, np.array([0]), -rho)
+    assert got == pytest.approx(_imaginary_axis_oracle(nu, rho), rel=1e-10)
+    # rho < 0 takes the conjugate rotation
+    assert mirror == pytest.approx(_imaginary_axis_oracle(nu, -rho), rel=1e-10)
+    assert mirror == pytest.approx(got.conjugate(), rel=1e-15)
     # envelope bound from the integral representation
     env = (rho / 2.0) ** nu / (math.sqrt(math.pi) * sp.gamma(0.5 + nu)) * integrate.quad(
         lambda s: (1 - s * s) ** (nu - 0.5), -1, 1)[0]
-    assert abs(got.value) <= env + 1e-12
-    assert got.largest_term >= abs(got.value)
-
-
-def test_bessel_i_general_complex_series():
-    z = 1.5 + 0.8j
-    nu = 0.6
-    got = bessel_i(nu, z).value
-    # independent oracle: the defining series summed term by explicit term
-    total = 0.0 + 0.0j
-    for m in range(80):
-        total += (z / 2.0) ** (2 * m + nu) / (math.gamma(m + 1) * sp.gamma(m + 1 + nu))
-    assert got == pytest.approx(total, rel=1e-12)
-
-
-def _bessel_ode_residual(f, nu, x, h=1e-3, modified=False):
-    """Residual of y'' + y'/x +- (1 -+ nu^2/x^2) y, normalized by solution scale.
-
-    h balances the h^2 truncation against the ~1e-14 evaluation noise that
-    the second difference amplifies by 1/h^2.
-    """
-    f0, fp, fm = f(x), f(x + h), f(x - h)
-    d1 = (fp - fm) / (2 * h)
-    d2 = (fp - 2 * f0 + fm) / (h * h)
-    if modified:
-        res = d2 + d1 / x - (1.0 + nu * nu / (x * x)) * f0
-    else:
-        res = d2 + d1 / x + (1.0 - nu * nu / (x * x)) * f0
-    return res / max(1.0, abs(f0) * (1.0 + nu * nu / (x * x)))
-
-
-def test_bessel_ode_residuals(rng):
-    for _ in range(100):
-        nu = rng.uniform(0.0, 3.0)
-        x = rng.uniform(0.5, 6.0)
-        assert abs(_bessel_ode_residual(lambda s: bessel_j(nu, s), nu, x)) < 1e-6
-        assert abs(_bessel_ode_residual(lambda s: bessel_i(nu, s).value.real, nu, x,
-                                        modified=True)) < 1e-6
+    assert abs(got) <= env + 1e-12
