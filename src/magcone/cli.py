@@ -197,7 +197,8 @@ def cmd_spectrum(args) -> int:
     rc = build_run_config(args)
     cfg = rc.cone
     if args.action == "table":
-        nsq = np.exp(log_norm_sq(cfg, rc.window.k_values[:, None], rc.window.m_values))
+        with np.errstate(over="ignore"):  # an overflowing norm is refused by write_csv (exit 4)
+            nsq = np.exp(log_norm_sq(cfg, rc.window.k_values[:, None], rc.window.m_values))
         rows = mode_rows(rc.window, eigenvalue_table(cfg, rc.window), nsq)
         out = write_csv(Path(args.out) / "spectrum_table.csv", ("k", "m", "lambda", "norm_sq"), rows,
                         "spectrum table")

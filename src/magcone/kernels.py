@@ -52,7 +52,9 @@ _HEAT_TB_MAX = 700.0  # past it the heat kernel's factor e^{-t b0} leaves the no
 _HEAT_SHIFT_TB = 50.0  # any value well below 350 works; 50 leaves the t b0 the sweeps use unshifted
 _HEAT_X_MAX = 2.0 ** 30 - 1.0  # scipy's ive(a, x) is NaN from x = 2^30 - 1/2 on
 _BOUNDARY_EPS = 1e-9
-_HALFWAVE_T_CHUNK = 4  # times per accumulator in _halfwave_pair_chunks
+_LADDER_SEED = 1e-300  # start value of each backward Bessel recurrence, near the bottom of the normal range
+_LADDER_GROWTH = 1300.0  # log of the growth allowed from there: values stay below e^(1300 - 690) ~ 1e264
+_HALFWAVE_T_CHUNK = 32  # times per accumulator in _halfwave_pair_chunks
 _HALFWAVE_K_CHUNK = 16  # angular blocks per phase contraction
 
 
@@ -325,9 +327,20 @@ def heat_closed_bracket_grid(x_vec: np.ndarray, theta_vec: np.ndarray, t: float,
     nodes = (mids[:, None] + halfs[:, None] * gl_x[None, :]).ravel()
     weights = (halfs[:, None] * gl_w[None, :]).ravel()
 
-    tail = heat_angular_tail(nodes[None, :], theta_vec[:, None], t, cfg) * weights[None, :]
+    # heat_angular_tail on the product grid, with e^{(w + i phi)/sigma} split into
+    # e^{w/sigma} per node and e^{i phi/sigma} per angle:
+    # c / (e^{w/sigma} u - 1) = c conj(u) / (e^{w/sigma} - conj(u)) for |u| = 1
+    w = nodes - tb
+    sg, al = cfg.sigma, cfg.alpha
+    grow = np.exp(w / sg)
+    back_plus = np.exp(-1j * (theta_vec + math.pi) / sg)[:, None]
+    back_minus = np.exp(-1j * (theta_vec - math.pi) / sg)[:, None]
+    tail = (np.exp(al * w) * weights) * (cmath.exp(1j * al * math.pi) * back_plus / (grow - back_plus)
+                                         - cmath.exp(-1j * al * math.pi) * back_minus / (grow - back_minus))
     envelope = np.exp(-np.outer(np.cosh(nodes), x_vec))
-    integral = tail @ envelope  # (n_theta, n_x)
+    integral = np.empty((theta_vec.size, x_vec.size), dtype=complex)  # the envelope is real: two real gemms
+    integral.real = tail.real @ envelope
+    integral.imag = tail.imag @ envelope
 
     out = integral / (2j * math.pi * cfg.sigma)
     for i_th, th in enumerate(theta_vec):
@@ -432,11 +445,81 @@ def reduced_kernel(rho: float, delta: float, cfg: ConeConfig) -> complex:
     return complex(total)
 
 
+def _bessel_j_ladder(nu0: float, n: int, rho: np.ndarray) -> np.ndarray:
+    """J_{nu0 + i}(rho) for i < n and rho > 0, shape (n, len(rho)), by Miller's backward recurrence.
+
+    J_{nu-1} = (2 nu / rho) J_nu - J_{nu+1} runs down from J = 0 above each
+    column's start.  A column starts at the top order, or lower where the
+    growth bound prod 2 nu / rho over the orders nu >= rho it passes would
+    take _LADDER_SEED past e^{_LADDER_GROWTH}, so nothing overflows.  J must
+    have decayed at the top order for every rho.  Each column is then scaled
+    to scipy's jv at the order nearest rho, within 1/2 of rho and so below
+    the first zero of J.
+    """
+    log_half_rho = np.log(rho) - math.log(2.0)  # 2 / rho may overflow
+    log_nu = np.concatenate(([0.0], np.cumsum(np.log(nu0 + np.arange(1, n)))))  # sum of log(nu0 + m), m = 1..i
+    first = np.clip(np.ceil(rho - nu0), 1, n).astype(int)  # first step whose order reaches rho
+
+    def growth(i):  # log of prod 2 nu / rho over the steps first..i
+        span = i - first + 1
+        return np.where(span > 0, log_nu[i] - log_nu[first - 1] - span * log_half_rho, 0.0)
+
+    lo, hi = np.zeros(rho.size, dtype=int), np.full(rho.size, n - 1)
+    fits = growth(hi) <= _LADDER_GROWTH
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        ok = growth(mid) <= _LADDER_GROWTH
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    start = np.where(fits, n - 1, lo)
+    seeds = {int(i): np.flatnonzero(start == i) for i in np.unique(start)}
+
+    out = np.zeros((n + 1, rho.size))  # row n stays 0: J above the top order
+    for i in range(n - 1, -1, -1):
+        if i in seeds:
+            out[i, seeds[i]] = _LADDER_SEED
+        if i > 0:
+            row = out[i - 1]
+            np.multiply(out[i], 2.0 * (nu0 + i), out=row)
+            np.divide(row, rho, out=row)
+            np.subtract(row, out[i + 1], out=row)
+    ref = np.clip(np.rint(rho - nu0), 0, n - 1).astype(int)
+    out = out[:n]
+    out *= _sp.jv(nu0 + ref, rho) / out[ref, np.arange(rho.size)]
+    return out
+
+
+def _bessel_j_rows(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """J_{a_i}(rho_j), shape (len(a), len(rho)), for orders a >= 0 and rho >= 0.
+
+    J must have decayed at the largest order for every rho.  Orders that
+    share a fractional part (to 4 ulp) form a unit-step ladder from their
+    lowest up to the largest order of all.  A ladder holding at most four
+    orders per order it serves goes to _bessel_j_ladder, far cheaper per
+    value than jv; every other order goes to scipy's jv.  J_a(0) is exact.
+    """
+    out = np.empty((a.size, rho.size))
+    zero = rho == 0.0
+    rho_pos = np.where(zero, 1.0, rho)  # any positive value; those columns are set below
+    key = np.rint(np.mod(a, 1.0) * 2.0 ** 20) % 2.0 ** 20
+    by_key = np.argsort(key, kind="stable")
+    for idx in np.split(by_key, np.flatnonzero(np.diff(key[by_key])) + 1):
+        nu0 = float(a[idx].min())
+        steps = np.rint(a[idx] - nu0).astype(int)
+        n = int(np.rint(a.max() - nu0)) + 1
+        if n <= 4 * idx.size and np.all(np.abs(a[idx] - (nu0 + steps)) <= 4.0 * np.spacing(a[idx])):
+            out[idx] = _bessel_j_ladder(nu0, n, rho_pos)[steps]
+        else:
+            out[idx] = _sp.jv(a[idx, None], rho_pos[None, :])
+    out[:, zero] = (a == 0.0)[:, None]
+    return out
+
+
 def reduced_kernel_matrix(rho: np.ndarray, delta: np.ndarray, cfg: ConeConfig) -> np.ndarray:
     """reduced_kernel on a product grid; shape (len(delta), len(rho)).
 
     One Bessel matrix serves every delta, so sweeps over large grids cost a
-    single matrix product.
+    single matrix product.  Its columns come from order recurrences scaled
+    to scipy's jv (_bessel_j_rows), within 1e-13 of jv itself.
     """
     rho = np.asarray(rho, dtype=float)
     delta = np.asarray(delta, dtype=float)
@@ -454,7 +537,7 @@ def reduced_kernel_matrix(rho: np.ndarray, delta: np.ndarray, cfg: ConeConfig) -
         raise NonconvergenceError("reduced kernel k range exceeded the cap")
     ks = np.arange(-k_hi, k_hi + 1)
     a = angular_order(cfg, ks)
-    bessel = np.exp(1j * a * math.pi / 2.0)[:, None] * _sp.jv(a[:, None], rho[None, :])
+    bessel = np.exp(1j * a * math.pi / 2.0)[:, None] * _bessel_j_rows(a, rho)
     phases = np.exp(1j * np.outer(delta, ks / cfg.sigma))
     return phases @ bessel
 
@@ -510,8 +593,11 @@ def _halfwave_pair_chunks(blocks: list, ts: np.ndarray, dth_nodes: np.ndarray, n
     """Yield K[t, i_dtheta, pair] for successive chunks of _HALFWAVE_T_CHUNK times.
 
     Each block is symmetric in (r_i, r_j), so only the pairs i <= j are
-    formed, in np.triu_indices(n_r) order.  Chunking the times keeps the
-    accumulator and the pair products near 2 MB.
+    formed, in np.triu_indices(n_r) order.  Chunking the times bounds the
+    accumulator and the pair products for any number of times: at the
+    half-wave sweep's 41 radii (861 pairs) and 32 angles, a chunk of 32
+    times holds 14 MB and 7 MB.  The sweep's 19 times fit in one chunk, so
+    each block's pair products are formed once (8.4 MB and 4.2 MB).
     """
     iu, ju = np.triu_indices(n_r)
     for t0 in range(0, ts.size, _HALFWAVE_T_CHUNK):

@@ -259,7 +259,7 @@ def test_heat_multiplier_at_t_zero_is_the_identity():
         heat_multiplier(-1e-300)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_spectrum_table_with_overflowing_norms_exits_4(tmp_path, capsys):
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text("window_k = 300\nwindow_m = 2\n")
@@ -267,7 +267,8 @@ def test_spectrum_table_with_overflowing_norms_exits_4(tmp_path, capsys):
     _exit_4_naming(capsys, code, "norm_sq")
     assert not (tmp_path / "o").exists()
     window = ModeWindow(300, 2)
-    assert np.isinf(np.exp(log_norm_sq(CFG, window.k_values[:, None], window.m_values))).sum() == 897
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.exp(log_norm_sq(CFG, window.k_values[:, None], window.m_values))).sum() == 897
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -3,10 +3,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special as sp
 
 from magcone.geometry import ConeConfig
-from magcone.kernels import _rotated_bessel
+from magcone.kernels import _bessel_j_rows, _rotated_bessel
 from magcone.quadrature import genlaguerre_rule
 from magcone.spectrum import normalized_laguerre_rows
 
@@ -95,8 +96,10 @@ def test_kummer_terminating_matches_laguerre_family(rng):
 
 
 # -- Bessel -----------------------------------------------------------------
-# magcone's Bessel values come from scipy.special, called by kernels.  These
-# check the identity and the rotation the kernels rest on.
+# magcone's Bessel values come from scipy.special, called by kernels, except
+# for reduced_kernel_matrix's Bessel matrix, which kernels._bessel_j_rows
+# builds by order recurrence and scales to scipy's jv.  These check the
+# identity and the rotation the kernels rest on, and that matrix.
 
 def test_bessel_product_identity_paper_case():
     # int_0^inf e^{-t^2} J_nu(a t) J_nu(b t) t dt = (1/2) e^{-(a^2+b^2)/4} I_nu(a b / 2)
@@ -133,3 +136,58 @@ def test_bessel_i_imaginary_axis_vs_integral_representation():
     env = (rho / 2.0) ** nu / (math.sqrt(math.pi) * sp.gamma(0.5 + nu)) * integrate.quad(
         lambda s: (1 - s * s) ** (nu - 0.5), -1, 1)[0]
     assert abs(got) <= env + 1e-12
+
+
+# The orders |k/sigma + alpha| for |k| <= 640 sigma reach 640, past e rho / 2
+# for every rho <= 400, so J has decayed at the largest of them (the condition
+# _bessel_j_rows states; reduced_kernel_matrix's k range meets it the same way).
+# sigma = 1, 1.5, 2 are the reference configurations (2, 6 and 4 ladders);
+# 2.5 and 3 also form ladders, 1.3 and pi/2 do not and take jv.
+LADDER_SIGMAS = [1.0, 1.5, 2.0, 2.5, 3.0, 1.3, math.pi / 2.0]
+LADDER_ABS = 1e-13  # |recurrence - jv|, every order; 2.6e-14 is the largest seen
+TINY = 5e-324  # smallest positive float
+
+
+def _ladder_orders(sigma, alpha):
+    k = round(640 * sigma)
+    return np.abs(np.arange(-k, k + 1) / sigma + alpha)
+
+
+@st.composite
+def _ladder_case(draw):
+    sigma = draw(st.sampled_from(LADDER_SIGMAS))
+    alpha = draw(st.floats(0.0, 1.0 / sigma, exclude_min=True, exclude_max=True))
+    rho = draw(st.lists(st.floats(0.0, 400.0), min_size=1, max_size=6))
+    return sigma, alpha, rho
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_ladder_case())
+@example(case=(1.0, 0.25, [0.0, TINY, 1e-300, 1e-20, 0.5, 400.0]))
+@example(case=(1.5, 0.4, [0.0, TINY, 2.2e-308, 18.2, 399.9]))
+@example(case=(2.0, 0.3, [TINY, 1e-150, 3.0, 250.0]))
+@example(case=(1.0, 0.5, [7.0, 333.0]))  # both signs of k share one ladder
+def test_bessel_ladder_matches_jv(case):
+    sigma, alpha, rho = case
+    a, rho = _ladder_orders(sigma, alpha), np.array(rho)
+    got = _bessel_j_rows(a, rho)
+    want = sp.jv(a[:, None], rho[None, :])
+    assert np.all(np.abs(got - want) <= LADDER_ABS)
+    assert not got[:, rho == 0.0].any()  # J_a(0) = 0 exactly, every order a > 0
+
+
+@pytest.mark.parametrize("sigma, alpha", [(1.0, 0.25), (1.5, 0.4), (2.0, 0.3)])
+def test_bessel_ladder_vs_mpmath_at_large_rho_and_order(sigma, alpha):
+    a = _ladder_orders(sigma, alpha)
+    rho = np.array([200.0, 287.3, 399.5])
+    got = _bessel_j_rows(a, rho)
+    picks = np.flatnonzero((a >= 300.0) & (a <= 420.0))[::7]
+    assert picks.size >= 20
+    with mpmath.workdps(40):
+        for i in picks:
+            for j, r in enumerate(rho):
+                exact = float(mpmath.besselj(mpmath.mpf(a[i]), mpmath.mpf(r)))
+                # scipy's jv itself is off by up to 2.9e-15 here; the ladder by 2.1e-15
+                assert abs(got[i, j] - exact) <= 5e-15
+                if a[i] > r:  # J decays monotonically there; 9.3e-14 seen, an ulp of the order at sigma = 1.5
+                    assert got[i, j] == pytest.approx(exact, rel=5e-13)
