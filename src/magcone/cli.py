@@ -31,6 +31,7 @@ from .spectrum import (
     ModeWindow,
     QuadratureSpec,
     SpectralField,
+    _require_phase_digits,
     eigenvalue_table,
     expand,
     fractional_flow_multiplier,
@@ -237,9 +238,17 @@ def cmd_spectrum(args) -> int:
 
 
 def _halfwave_multiplier(j: int, t: float):
-    """phi(2^-j sqrt(H)) e^{it sqrt(H)}, from a named factory so that spectral_apply's refusal can name it."""
+    """phi(2^-j sqrt(H)) e^{it sqrt(H)}, from a named factory so that spectral_apply's refusal can name it.
+
+    A finite phase t sqrt(lam) of 2^52 or more on a mode of the shell raises DomainError.
+    """
     cutoff = _lpbesov.make_cutoff()
-    return lambda lam: cutoff.shell_weights(j, lam) * np.exp(1j * t * np.sqrt(lam))
+
+    def multiplier(lam):
+        weights = cutoff.shell_weights(j, lam)
+        _require_phase_digits("_halfwave_multiplier", t * np.sqrt(lam[weights != 0.0]))
+        return weights * np.exp(1j * t * np.sqrt(lam))
+    return multiplier
 
 
 def _named_multiplier(args):

@@ -34,7 +34,7 @@ from scipy import special as _sp
 from .errors import DomainError, NonconvergenceError, QuadratureError, SingularTimeError, WindowTooSmallError
 from .geometry import ConeConfig, ConePoint, angular_difference
 from .lpbesov import _shell_mode_lists, make_cutoff
-from .quadrature import adaptive_line, gauss_legendre_rule, oscillatory_bessel_tail
+from .quadrature import adaptive_panel, gauss_legendre_rule, oscillatory_bessel_tail
 from .spectrum import (
     ModeWindow,
     _radial_rows,
@@ -89,30 +89,53 @@ def _check_off_boundary(theta: float, cfg: ConeConfig) -> None:
 # angular tail sums
 # ---------------------------------------------------------------------------
 
-def schrodinger_angular_tail(s, theta: float, cfg: ConeConfig):
+def schrodinger_angular_tail(s, theta, cfg: ConeConfig):
     """Closed form of sum_k e^{i k theta / sigma} sin(pi a_k) e^{-s a_k}.
 
     Analytic in Re s > 0 (poles only on the imaginary axis), so it accepts
     complex s; this is what the deformed tail contour integrates.  The two
     winding directions are combined into numerator/denominator pairs that
     stay stable at the removable s -> 0, phi -> 0 (mod 2 pi) corner.
+    theta is one angle or an array of angles shaped like s, one per node;
+    the cosines and sines of the angles come from math either way, so a
+    node's value does not depend on which other nodes share the call.
     """
     s = np.asarray(s, dtype=complex)
     sg, al = cfg.sigma, cfg.alpha
     decay = np.exp(-s / sg)
     cosh_scaled = np.cosh(s / sg)
+    cosh_al, sinh_al = np.cosh(s * al), np.sinh(s * al)
 
-    def half(phi: float, phase_sign: float):
-        den = cosh_scaled - math.cos(phi)
-        num = np.cosh(s * al) * math.sin(phi) + 1j * phase_sign * np.sinh(s * al) * (
-            math.cos(phi) - decay
-        )
-        return cmath.exp(1j * phase_sign * al * math.pi) / 2.0 * num / den
+    def half(cos_phi, sin_phi, phase_sign: float):
+        # e^{i sign alpha pi}/2 (cosh_al sin phi + i sign sinh_al (cos phi - decay)) / (cosh_scaled - cos phi),
+        # partly in place to bound the temporaries; each product keeps its operand order, since numpy
+        # may round a complex a*b and b*a differently
+        num = 1j * phase_sign * sinh_al
+        num *= cos_phi - decay
+        num += cosh_al * sin_phi
+        num = cmath.exp(1j * phase_sign * al * math.pi) / 2.0 * num
+        num /= cosh_scaled - cos_phi
+        return num
 
-    phi_plus = (theta + math.pi) / sg
-    phi_minus = (theta - math.pi) / sg
-    out = np.exp(-s * al) * math.sin(al * math.pi) + half(phi_plus, +1.0) + half(-phi_minus, -1.0)
+    cos_plus, sin_plus, cos_minus, sin_minus = _tail_trig(theta, sg)
+    out = (np.exp(-s * al) * math.sin(al * math.pi) + half(cos_plus, sin_plus, +1.0)
+           + half(cos_minus, sin_minus, -1.0))
     return out
+
+
+def _tail_trig(theta, sg: float):
+    """math.cos and math.sin of phi = (theta + pi)/sigma and of -(theta - pi)/sigma, once per distinct theta.
+
+    numpy's cos and sin may differ from math's in the last bit, so an array
+    of angles is mapped through math one distinct angle (bit pattern) at a time.
+    """
+    if np.ndim(theta) == 0:
+        phi_plus, phi_minus = (theta + math.pi) / sg, -((theta - math.pi) / sg)
+        return math.cos(phi_plus), math.sin(phi_plus), math.cos(phi_minus), math.sin(phi_minus)
+    theta = np.asarray(theta, dtype=float)
+    bits, at = np.unique(theta.view(np.uint64), return_inverse=True)
+    table = np.array([_tail_trig(angle, sg) for angle in bits.view(float).tolist()])
+    return tuple(np.take(table.T, at.ravel(), axis=1).reshape((4, *theta.shape)))
 
 
 def heat_angular_tail(s, theta, t: float, cfg: ConeConfig):
@@ -275,7 +298,7 @@ def heat_kernel_closed(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) ->
     )
     peak = max((abs(cmath.exp(x * cmath.cosh(complex(tb, -tj)) - big_q)) for tj in images), default=0.0)
 
-    def integrand(s):
+    def integrand(s, _panel=None):
         s = np.asarray(s, dtype=float)
         with np.errstate(over="ignore"):  # cosh s past the float range: e^{-x cosh s} is 0 there
             envelope = np.exp(-x * np.cosh(s) - big_q)
@@ -290,7 +313,9 @@ def heat_kernel_closed(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) ->
         np.array([s_lo, min(0.0, tb), 0.0, tb, s_hi]),
         np.linspace(s_lo, s_hi, 25),
     ]))
-    integral = adaptive_line(integrand, edges, tol)
+    integral = 0.0 + 0.0j
+    for value in adaptive_panel(integrand, edges[:-1], edges[1:], tol / (edges.size - 1)):
+        integral += value
     bracket = jsum + integral / (2j * math.pi * cfg.sigma)
     pref = cfg.b0 / (4.0 * math.pi * math.sinh(tb))
     peak = max(peak, abs(integral) / (2.0 * math.pi * cfg.sigma))

@@ -19,6 +19,7 @@ from .geometry import ConeConfig
 
 _ORDER = 16  # Gauss-Legendre nodes per adaptive panel
 _DEPTH = 28  # bisections before adaptive_panel gives up on a panel
+_WALK_PANELS = 320  # top-level panels adaptive_panel bisects together, which bounds the nodes alive at once
 _N_RADIAL = 80  # radial nodes of the evaluation grid
 
 
@@ -38,18 +39,32 @@ def adaptive_panel(f, a, b, tol) -> np.ndarray | complex:
     _DEPTH bisections raises NonconvergenceError naming the leftmost
     such panel.
 
-    The tree is walked breadth first.  f must be elementwise: it is called
-    once per level on the Gauss-Legendre nodes of every live panel, the
-    first time on each panel and its two halves (3 * _ORDER nodes a panel),
-    then on the two halves of each split panel (2 * _ORDER nodes), whose
-    value and L1 mass each half inherits from its parent.  Values are
-    summed bottom-up in the order of a depth-first recursion.
+    f is called as f(s, panel): s holds Gauss-Legendre nodes and panel, an
+    int array shaped like s, the index in the flattened a and b of the
+    top-level panel each node comes from, so one call can serve integrands
+    that differ from panel to panel.  f must be elementwise in s (an
+    integrand that is the same on every panel ignores panel).  The top-level
+    panels are walked in groups of at most _WALK_PANELS, each group's tree
+    breadth first: f is called once per level on the nodes of every live
+    panel of the group, the first time on each panel and its two halves
+    (3 * _ORDER nodes a panel), then on the two halves of each split panel
+    (2 * _ORDER nodes), whose value and L1 mass each half inherits from its
+    parent.  A panel's value depends on its own nodes only, so neither the
+    grouping nor the other panels change it; values are summed bottom-up in
+    the order of a depth-first recursion.
     """
-    x, w = gauss_legendre_rule(_ORDER)
     a, b, tol = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
                                     np.asarray(tol, dtype=float))
     shape = a.shape
     a, b, tol = a.ravel(), b.ravel(), tol.ravel()
+    groups = [_walk(f, a[lo:lo + _WALK_PANELS], b[lo:lo + _WALK_PANELS], tol[lo:lo + _WALK_PANELS], lo)
+              for lo in range(0, a.size, _WALK_PANELS)]
+    return np.concatenate(groups).reshape(shape)[()]
+
+
+def _walk(f, a, b, tol, first: int) -> np.ndarray:
+    """adaptive_panel on one group of top-level panels, the first of which has index `first`."""
+    x, w = gauss_legendre_rule(_ORDER)
 
     def halves(a, b):
         mid = 0.5 * (a + b)
@@ -57,9 +72,11 @@ def adaptive_panel(f, a, b, tol) -> np.ndarray | complex:
         nodes = ((0.5 * (a + mid))[:, None] + h_l[:, None] * x, (0.5 * (mid + b))[:, None] + h_r[:, None] * x)
         return mid, h_l, h_r, nodes
 
+    owner = np.arange(first, first + a.size)  # top-level panel of each live panel
     mid, h_l, h_r, nodes = halves(a, b)
     half = 0.5 * (b - a)
-    vals = np.asarray(f(np.concatenate((mid[:, None] + half[:, None] * x, *nodes), axis=1).ravel()))
+    vals = np.asarray(f(np.concatenate((mid[:, None] + half[:, None] * x, *nodes), axis=1).ravel(),
+                        np.repeat(owner, 3 * _ORDER)))
     vals = vals.reshape(a.size, 3 * _ORDER)
     top, vals = vals[:, :_ORDER], vals[:, _ORDER:]
     coarse = half * np.sum(w * top, axis=1)
@@ -89,23 +106,16 @@ def adaptive_panel(f, a, b, tol) -> np.ndarray | complex:
         coarse = np.column_stack((left[split], right[split])).ravel()
         l1 = np.column_stack((l1_l, l1_r)).ravel()
         tol = np.repeat(0.5 * tol[split], 2)
+        owner = np.repeat(owner[split], 2)
         mid, h_l, h_r, nodes = halves(a, b)
-        vals = np.asarray(f(np.concatenate(nodes, axis=1).ravel())).reshape(a.size, 2 * _ORDER)
+        vals = np.asarray(f(np.concatenate(nodes, axis=1).ravel(), np.repeat(owner, 2 * _ORDER)))
+        vals = vals.reshape(a.size, 2 * _ORDER)
 
     value = levels[-1][0]
     for fine, split in reversed(levels[:-1]):
         children, value = value, fine.copy()
         value[split] = children[0::2] + children[1::2]
-    return value.reshape(shape)[()]
-
-
-def adaptive_line(f, edges, tol: float) -> complex:
-    """Adaptive integration over consecutive panels between the given edges."""
-    edges = np.asarray(edges, dtype=float)
-    total = 0.0 + 0.0j
-    for value in adaptive_panel(f, edges[:-1], edges[1:], tol / max(len(edges) - 1, 1)):
-        total += value
-    return total
+    return value
 
 
 def oscillatory_bessel_tail(f_analytic, rho: float, decay_rate: float, tol: float) -> complex:
@@ -114,7 +124,9 @@ def oscillatory_bessel_tail(f_analytic, rho: float, decay_rate: float, tol: floa
     g (hence f_analytic) must be analytic in Re s > 0 with |g| <= C e^{-decay_rate s}.
     The path is deformed: a short real segment [0, s0] (bounded oscillation),
     a vertical drop to Im s = -pi/2, then the horizontal line where
-    -i rho cosh s is pure decay.  f_analytic(s) takes complex s.
+    -i rho cosh s is pure decay.  f_analytic(s) takes complex s.  The three
+    legs are one adaptive_panel call, each leg's panels mapping their real
+    parameter onto the path.
     """
     rho = float(rho)
     if rho < 0.0:
@@ -122,23 +134,13 @@ def oscillatory_bessel_tail(f_analytic, rho: float, decay_rate: float, tol: floa
         raise QuadratureError("oscillatory_bessel_tail expects rho >= 0")
     s0 = min(max(0.5, math.acosh(1.0 + 20.0 * math.pi / max(rho, 1e-12))), 6.0)
 
-    # real segment, apportioned so each panel spans O(2 pi) of phase
+    # real segment s = u, apportioned so each panel spans O(2 pi) of phase
     n_a = max(4, int(math.ceil(rho * (math.cosh(s0) - 1.0) / (2.0 * math.pi))) + 4)
-    total = adaptive_line(f_analytic, np.linspace(0.0, s0, n_a + 1), tol)
-
-    # vertical drop s0 -> s0 - i pi/2
-    def f_vert(v):
-        return f_analytic(s0 - 1j * v) * (-1j)
-
+    # vertical drop s = s0 - i v, v in [0, pi/2]
     n_b = max(4, int(math.ceil(rho * math.cosh(s0) / (2.0 * math.pi))) + 4)
-    total += adaptive_line(f_vert, np.linspace(0.0, 0.5 * math.pi, n_b + 1), tol)
-
-    # horizontal line at Im s = -pi/2: |e^{-i rho cosh s}| = e^{-rho sinh a}.
+    # horizontal line s = a - i pi/2: |e^{-i rho cosh s}| = e^{-rho sinh a}.
     # Panels grow geometrically: with tiny decay_rate (flux near an endpoint)
     # and tiny rho the tail is long but log-scale smooth.
-    def f_horiz(a):
-        return f_analytic(a - 0.5j * math.pi)
-
     ends = [s0]
     width = 2.0
     while True:
@@ -148,7 +150,30 @@ def oscillatory_bessel_tail(f_analytic, rho: float, decay_rate: float, tol: floa
         if envelope < tol or a > 1e120:
             break
         width = min(1.5 * width, 0.5 * a + 2.0)
-    for value in adaptive_panel(f_horiz, ends[:-1], ends[1:], tol):
+
+    seg, drop = np.linspace(0.0, s0, n_a + 1), np.linspace(0.0, 0.5 * math.pi, n_b + 1)
+    lo = np.concatenate((seg[:-1], drop[:-1], ends[:-1]))
+    hi = np.concatenate((seg[1:], drop[1:], ends[1:]))
+    tols = np.concatenate((np.full(n_a, tol / n_a), np.full(n_b, tol / n_b), np.full(len(ends) - 1, tol)))
+
+    def f_path(x, panel):
+        on_drop = (panel >= n_a) & (panel < n_a + n_b)
+        on_line = panel >= n_a + n_b
+        s = x.astype(complex)
+        s[on_drop] = s0 - 1j * x[on_drop]
+        s[on_line] = x[on_line] - 0.5j * math.pi
+        out = np.asarray(f_analytic(s))
+        out[on_drop] = out[on_drop] * (-1j)
+        return out
+
+    values = adaptive_panel(f_path, lo, hi, tols)
+    seg_total = drop_total = 0.0 + 0.0j  # each leg summed from zero, then the line panel by panel
+    for value in values[:n_a]:
+        seg_total += value
+    for value in values[n_a:n_a + n_b]:
+        drop_total += value
+    total = seg_total + drop_total
+    for value in values[n_a + n_b:]:
         total += value
     return total
 

@@ -358,12 +358,36 @@ def heat_multiplier(t: float):
     return lambda lam: np.exp(-t * lam)
 
 
+_PHASE_DIGITS = 2.0 ** 52  # from here on a float's spacing is >= 1, so phase mod 2 pi has no significant digit
+
+
+def _require_phase_digits(name: str, phase) -> None:
+    """Refuse a finite phase with |phase| >= 2^52 with DomainError naming the multiplier.
+
+    e^{i phase} of such a phase has no significant digit.  A phase that
+    overflows is left to spectral_apply, which refuses the multiplier as
+    not finite.
+    """
+    mag = np.abs(phase)
+    if np.isfinite(mag).all() and (mag >= _PHASE_DIGITS).any():
+        raise DomainError(f"spectral multiplier {name}: phase up to {float(mag.max()):.6g} "
+                          f"has no significant digit (|phase| >= 2^52)")
+
+
 def schrodinger_multiplier(t: float):
-    return lambda lam: np.exp(1j * t * lam)
+    """e^{i t lam}; a finite phase t lam of 2^52 or more raises DomainError."""
+    def multiplier(lam):
+        _require_phase_digits("schrodinger_multiplier", t * lam)
+        return np.exp(1j * t * lam)
+    return multiplier
 
 
 def fractional_flow_multiplier(nu: float, t: float):
-    return lambda lam: np.exp(1j * t * lam ** nu)
+    """e^{i t lam^nu}; a finite phase t lam^nu of 2^52 or more raises DomainError."""
+    def multiplier(lam):
+        _require_phase_digits("fractional_flow_multiplier", t * lam ** nu)
+        return np.exp(1j * t * lam ** nu)
+    return multiplier
 
 
 # -- serialization ----------------------------------------------------------

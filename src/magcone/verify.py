@@ -353,14 +353,16 @@ def angular_tail_l1_scan(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) -> l
     rate = min(cfg.alpha, 1.0 / cfg.sigma - cfg.alpha)
     s_hi = 45.0 / rate
 
-    def l1(theta: float, tol: float) -> float:
-        f = lambda s: np.abs(schrodinger_angular_tail(np.asarray(s, dtype=float), theta, cfg))
-        edges = np.concatenate([np.linspace(0.0, 2.0, 9), np.geomspace(2.0, s_hi, 12)])
-        return float(np.real(sum(adaptive_panel(f, edges[:-1], edges[1:], tol))))
+    edges = np.concatenate([np.linspace(0.0, 2.0, 9), np.geomspace(2.0, s_hi, 12)])
+    n_panels = edges.size - 1
 
     def sweep(n_theta: int, tol: float):
+        """int_0^inf |S(s, theta)| ds at each angle: one adaptive_panel call, a row of panels per angle."""
         thetas = np.linspace(-0.5 * cfg.period + 0.03, 0.5 * cfg.period, n_theta)
-        return [(th, l1(th, tol)) for th in thetas]
+        f = lambda s, panel: np.abs(schrodinger_angular_tail(s, thetas[panel // n_panels], cfg))
+        rows = np.broadcast_to(edges, (n_theta, edges.size))
+        values = adaptive_panel(f, rows[:, :-1], rows[:, 1:], tol)
+        return [(th, float(np.real(sum(row)))) for th, row in zip(thetas, values)]
 
     rows_c = sweep(8 * grids.n_angle, 1e-9)
     rows_f = sweep(16 * grids.n_angle - 1, 1e-10)
@@ -386,21 +388,26 @@ def subordination_identity_check(cfg: ConeConfig = REFERENCE_CONFIGS[0]) -> list
     in the exponential tail.
     """
     t0 = time.perf_counter()
+    pairs = [(z, y) for z in _SUBORDINATION_GRID for y in _SUBORDINATION_GRID]
+    scales = np.array([z * math.sqrt(y) for z, y in pairs])
+    edges = []  # a row of panels per pair
+    for a in scales.tolist():
+        u_hi = math.asinh(45.0 / max(a, 1e-3)) + 45.0 / max(a, 0.5) + 4.0
+        u_max = min(max(u_hi, 8.0), 120.0)
+        edges.append(np.linspace(-u_max, u_max, 33))
+    edges = np.array(edges)
+    n_panels = edges.shape[1] - 1
+    # rhs * e^{+a} = sqrt(a / (2 pi)) * int_R e^{-a (cosh u - 1) - u/2} du
+    f = lambda u, panel: np.exp(-scales[panel // n_panels] * (np.cosh(u) - 1.0) - 0.5 * u)
+    values = adaptive_panel(f, edges[:, :-1], edges[:, 1:], 1e-14)
     rows = []
     worst = 0.0
-    for z in _SUBORDINATION_GRID:
-        for y in _SUBORDINATION_GRID:
-            a = z * math.sqrt(y)
-            # rhs * e^{+a} = sqrt(a / (2 pi)) * int_R e^{-a (cosh u - 1) - u/2} du
-            f = lambda u: np.exp(-a * (np.cosh(u) - 1.0) - 0.5 * u)
-            u_hi = math.asinh(45.0 / max(a, 1e-3)) + 45.0 / max(a, 0.5) + 4.0
-            u_max = min(max(u_hi, 8.0), 120.0)
-            edges = np.linspace(-u_max, u_max, 33)
-            integral = np.real(sum(adaptive_panel(f, edges[:-1], edges[1:], 1e-14)))
-            scaled_rhs = math.sqrt(a / (2.0 * math.pi)) * integral
-            rel = abs(scaled_rhs - 1.0)
-            worst = max(worst, rel)
-            rows.append((z, y, 1.0, scaled_rhs, rel))
+    for (z, y), a, row in zip(pairs, scales.tolist(), values):
+        integral = np.real(sum(row))
+        scaled_rhs = math.sqrt(a / (2.0 * math.pi)) * integral
+        rel = abs(scaled_rhs - 1.0)
+        worst = max(worst, rel)
+        rows.append((z, y, 1.0, scaled_rhs, rel))
     passed = math.isfinite(worst) and worst < 1e-10
     spec = (f"(z, y) geomspace grid {_SUBORDINATION_GRID.size} x {_SUBORDINATION_GRID.size}; "
             "saddle-scaled identity check, ratio not applicable")

@@ -314,6 +314,73 @@ def test_overflowing_phase_exits_2_with_one_line_and_writes_nothing(tmp_path, ca
         assert (out / "kernel.csv").read_bytes() == before
 
 
+_NO_DIGIT = "has no significant digit"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv,what", [
+    (["kernel", "schrodinger", "--repr", "spectral", *_POINTS, "--t", "1e300"], "schrodinger_multiplier"),
+    (["spectrum", "evolve", "--mult", "schrodinger", "--t", "1e300"], "schrodinger_multiplier"),
+    (["spectrum", "evolve", "--mult", "fractional", "--nu", "2", "--t", "1e300"], "fractional_flow_multiplier"),
+    (["spectrum", "evolve", "--mult", "halfwave", "--j", "2", "--t", "1e300"], "_halfwave_multiplier"),
+], ids=["kernel-schrodinger", "evolve-schrodinger", "evolve-fractional", "evolve-halfwave"])
+def test_phase_without_a_significant_digit_exits_2_and_writes_nothing(tmp_path, capsys, argv, what):
+    """Every phase is finite at t = 1e300, and each holds no digit: exit 2, one line, nothing written."""
+    out = tmp_path / "o"
+    if argv[0] == "spectrum":
+        argv = argv + ["--input", str(_two_mode_field(tmp_path))]
+    _exit_2_naming(capsys, cli.main(["--out", str(out), *argv]), f"{what}: phase up to")
+    assert not out.exists()
+
+
+def _times_around_the_phase_limit(lam_max):
+    """The largest t with t lam_max below 2^52 and the next float up, which reaches it."""
+    below = 2.0 ** 52 / lam_max
+    while below * lam_max >= 2.0 ** 52:
+        below = math.nextafter(below, 0.0)
+    while math.nextafter(below, math.inf) * lam_max < 2.0 ** 52:
+        below = math.nextafter(below, math.inf)
+    return below, math.nextafter(below, math.inf)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_schrodinger_kernel_just_below_the_phase_limit_runs(tmp_path, capsys):
+    """kernel schrodinger --repr spectral at the default window: exit 0 below 2^52, exit 2 at the next float."""
+    lam_max = float(eigenvalue_table(CFG, ModeWindow(24, 24)).max())
+    below, above = _times_around_the_phase_limit(lam_max)
+    out = tmp_path / "o"
+    argv = ["--json", "--out", str(out), "kernel", "schrodinger", "--repr", "spectral", *_POINTS]
+    assert cli.main([*argv, "--t", repr(below)]) == cli.EXIT_OK
+    value = json.loads(capsys.readouterr().out)["values"]["spectral"]
+    assert math.isfinite(value["re"]) and math.isfinite(value["im"])
+    before = (out / "kernel.csv").read_bytes()
+    _exit_2_naming(capsys, cli.main([*argv, "--t", repr(above)]), _NO_DIGIT)
+    assert (out / "kernel.csv").read_bytes() == before
+
+
+@pytest.mark.parametrize("kind", ["schrodinger", "fractional", "halfwave"])
+def test_each_multiplier_refuses_from_the_phase_limit_on(kind):
+    """On one eigenvalue: the unchanged factor below 2^52, DomainError from the next float up."""
+    lam = np.array([[16.0]])  # sqrt(lam) = 4 is the middle of shell j = 2
+    power, make, factor = {
+        "schrodinger": (1.0, spectrum.schrodinger_multiplier, lambda t: np.exp(1j * t * lam)),
+        "fractional": (1.5, lambda t: spectrum.fractional_flow_multiplier(1.5, t),
+                       lambda t: np.exp(1j * t * lam ** 1.5)),
+        "halfwave": (0.5, lambda t: cli._halfwave_multiplier(2, t), lambda t: np.exp(1j * t * np.sqrt(lam))),
+    }[kind]
+    below, above = _times_around_the_phase_limit(float(lam[0, 0] ** power))
+    assert make(below)(lam).tobytes() == factor(below).tobytes()
+    with pytest.raises(DomainError, match=_NO_DIGIT):
+        make(above)(lam)
+
+
+def test_halfwave_phase_limit_counts_only_the_shell():
+    """A mode outside the shell gets weight 0 whatever its phase, so its phase is not refused."""
+    lam = np.array([[16.0, 2.0 ** 100]])  # sqrt(lam) = 4 lies in shell j = 2, 2^50 far above it
+    factors = cli._halfwave_multiplier(2, 1e6)(lam)  # phases 4e6 and 1.1e21
+    assert factors[0, 1] == 0.0 and abs(factors[0, 0]) == pytest.approx(1.0)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_heat_kernel_past_the_float_range_is_zero_without_a_warning(tmp_path, capsys):
     code = cli.main(["--json", "--out", str(tmp_path / "o"), "kernel", "heat", "--repr", "spectral", *_POINTS,
