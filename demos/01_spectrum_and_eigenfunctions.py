@@ -9,8 +9,8 @@ of the spectrum and samples a few normalized radial profiles.
 
 import numpy as np
 
-from magcone import ConeConfig, ModeIndex, eigenvalue, mode_data
-from magcone.spectrum import radial_profiles
+from magcone import ConeConfig, eigenvalue
+from magcone.spectrum import log_norm_sq, radial_profiles
 
 cfg = ConeConfig(sigma=1.5, b0=1.0, alpha=0.4)
 print(f"cone: sigma={cfg.sigma}, b0={cfg.b0}, alpha={cfg.alpha}")
@@ -20,8 +20,7 @@ print("lowest eigenvalues (k, m, lambda, ||V||^2):")
 table = []
 for k in range(-3, 4):
     for m in range(3):
-        md = mode_data(ModeIndex(k, m), cfg)
-        table.append((md.lam, k, m, md.norm_sq))
+        table.append((float(eigenvalue(cfg, k, m)), k, m, float(np.exp(log_norm_sq(cfg, k, m)))))
 for lam, k, m, nsq in sorted(table)[:12]:
     print(f"  k={k:+d} m={m}  lambda={lam:8.4f}   norm_sq={nsq:.6f}")
 

@@ -5,6 +5,8 @@ independent representations, Littlewood-Paley norms, and a certification
 harness for the decay estimates they satisfy.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConfigError,
     DomainError,
@@ -24,20 +26,15 @@ from .geometry import (
     make_point,
 )
 from .spectrum import (
-    ModeData,
-    ModeIndex,
     ModeWindow,
     QuadratureSpec,
     SpectralField,
-    eigenfunction,
     eigenvalue,
     eigenvalue_table,
     expand,
     field_on_grid,
-    mode_data,
     random_field,
     spectral_apply,
-    synthesize,
 )
 from .kernels import (
     KernelValue,
@@ -54,4 +51,5 @@ from .verify import REFERENCE_CONFIGS, SweepGrids, SweepReport, run_suite
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names above; the submodules that importing them binds here are not exports
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -38,11 +38,12 @@ from .quadrature import adaptive_panel, gauss_legendre_rule, oscillatory_bessel_
 from .spectrum import (
     ModeWindow,
     _radial_rows,
+    _require_phase_digits,
     angular_order,
     eigenvalue,
+    field_on_grid,
     point_field,
     spectral_apply,
-    synthesize,
 )
 
 _SIN_GUARD = 1e-6
@@ -574,7 +575,8 @@ def reduced_kernel_matrix(rho: np.ndarray, delta: np.ndarray, cfg: ConeConfig) -
 def spectral_kernel(multiplier, p: ConePoint, q: ConePoint, cfg: ConeConfig,
                     window: ModeWindow) -> complex:
     """Kernel of F(H) truncated to the window: sum F(lam) V(p) conj(V(q))."""
-    return synthesize(spectral_apply(multiplier, point_field(q, cfg, window), cfg), p, cfg)
+    field = spectral_apply(multiplier, point_field(q, cfg, window), cfg)
+    return complex(field_on_grid(field, [p.r], [p.theta], cfg)[0, 0])
 
 
 def _shell_blocks(j: int, cfg: ConeConfig, window: ModeWindow, r_nodes: np.ndarray):
@@ -652,7 +654,8 @@ def halfwave_kernel_grid(j: int, t: float, r_nodes: np.ndarray, dtheta_nodes: np
     Landau branch is truncated by the evaluated radial magnitude on the
     requested radii (see _shell_blocks); a tail still above 1e-10 of its
     peak at the window edge raises WindowTooSmallError, and a phase
-    t sqrt(lam) past the float range on the shell raises DomainError.
+    t sqrt(lam) past the float range on the shell, or of 2^52 or more on a
+    mode of nonzero weight, raises DomainError.
     """
     if not math.isfinite(t):
         raise DomainError(f"half-wave kernel needs a finite t, got {t}")
@@ -667,6 +670,8 @@ def halfwave_kernel_grid(j: int, t: float, r_nodes: np.ndarray, dtheta_nodes: np
     if math.isinf(t * sq_max):
         raise DomainError(f"half-wave phase t sqrt(lam) overflows on shell j={j}: t={t:g}, "
                           f"sqrt(lam) up to {sq_max:.6g}")
+    _require_phase_digits("halfwave_kernel_grid",
+                          t * max((float(sq[w != 0.0].max(initial=0.0)) for _, sq, w, _ in blocks), default=0.0))
     (pairs,) = _halfwave_pair_chunks(blocks, np.array([t]), dtheta_nodes, r_nodes.size, cfg)
     iu, ju = np.triu_indices(r_nodes.size)
     out = np.empty((dtheta_nodes.size, r_nodes.size, r_nodes.size), dtype=complex)

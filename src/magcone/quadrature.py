@@ -20,6 +20,7 @@ from .geometry import ConeConfig
 _ORDER = 16  # Gauss-Legendre nodes per adaptive panel
 _DEPTH = 28  # bisections before adaptive_panel gives up on a panel
 _WALK_PANELS = 320  # top-level panels adaptive_panel bisects together, which bounds the nodes alive at once
+_WALK_NODES = 1 << 20  # most nodes of one integrand call; a converging sweep walk needs at most 15,360
 _N_RADIAL = 80  # radial nodes of the evaluation grid
 
 
@@ -37,7 +38,8 @@ def adaptive_panel(f, a, b, tol) -> np.ndarray | complex:
     small multiple of its L1 mass, so integrands dominated by cancellation
     noise cannot recurse forever.  A panel still above both after
     _DEPTH bisections raises NonconvergenceError naming the leftmost
-    such panel.
+    such panel, and so does a level whose split panels would need more than
+    _WALK_NODES nodes in one integrand call, naming the leftmost of them.
 
     f is called as f(s, panel): s holds Gauss-Legendre nodes and panel, an
     int array shaped like s, the index in the flattened a and b of the
@@ -99,6 +101,12 @@ def _walk(f, a, b, tol, first: int) -> np.ndarray:
             raise NonconvergenceError(
                 f"adaptive_panel: [{float(a[i])!r}, {float(b[i])!r}] still changes by {change[i]:.3g} "
                 f"> tol {floor[i]:.3g} at the bisection depth limit")
+        n_split = int(split.sum())
+        if 4 * _ORDER * n_split > _WALK_NODES:
+            i = int(np.argmax(split))
+            raise NonconvergenceError(
+                f"adaptive_panel: {n_split} panels, the leftmost [{float(a[i])!r}, {float(b[i])!r}], still change "
+                f"by more than tol at level {len(levels)}; halving them needs more than {_WALK_NODES} nodes")
         l1_l = np.abs(h_l[split]) * np.sum(w * np.abs(vals_l[split]), axis=1)
         l1_r = np.abs(h_r[split]) * np.sum(w * np.abs(vals_r[split]), axis=1)
         # children in left-to-right order: [a, mid], [mid, b] of each split panel

@@ -28,28 +28,6 @@ _CELL_CAP = 1 << 22  # most modes of a window and nodes of an expand grid; every
 
 
 @dataclass(frozen=True)
-class ModeIndex:
-    """Angular mode k and radial level m."""
-
-    k: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 0:
-            raise DomainError(f"radial level m must be >= 0, got {self.m}")
-
-
-@dataclass(frozen=True)
-class ModeData:
-    """Derived quantities of one mode: order, ladder offset, eigenvalue, norm."""
-
-    alpha_k: float
-    beta_k: float
-    lam: float
-    norm_sq: float
-
-
-@dataclass(frozen=True)
 class ModeWindow:
     """Rectangular index window |k| <= k_max, 0 <= m <= m_max, of at most _CELL_CAP modes."""
 
@@ -145,16 +123,6 @@ def log_norm_sq(cfg: ConeConfig, k, m) -> np.ndarray:
     )
 
 
-def mode_data(idx: ModeIndex, cfg: ConeConfig) -> ModeData:
-    """All derived quantities of a single mode."""
-    s = float(signed_order(cfg, idx.k))
-    a = abs(s)
-    beta = (1.0 + a + s) * cfg.b0
-    lam = float(eigenvalue(cfg, idx.k, idx.m))
-    nsq = float(np.exp(log_norm_sq(cfg, idx.k, idx.m)))
-    return ModeData(alpha_k=a, beta_k=beta, lam=lam, norm_sq=nsq)
-
-
 def normalized_laguerre_rows(alpha, m_max: int, x) -> np.ndarray:
     """Rows P[n] = L_n^alpha(x) / L_n^alpha(0) for n = 0..m_max; shape (m_max + 1,) + the alpha, x broadcast shape.
 
@@ -203,12 +171,6 @@ def _radial_rows(cfg: ConeConfig, ks, m_max: int, r) -> Iterator[tuple[int, np.n
     step = max(1, _ROW_BLOCK // ((m_max + 1) * max(1, np.size(r))))
     for lo in range(0, len(ks), step):
         yield from zip(ks[lo:lo + step], radial_profiles(cfg, np.asarray(ks[lo:lo + step]), m_max, r))
-
-
-def eigenfunction(idx: ModeIndex, p: ConePoint, cfg: ConeConfig) -> complex:
-    """L2-normalized eigenfunction value at a point."""
-    rad = radial_profiles(cfg, idx.k, idx.m, np.array([p.r]))[idx.m, 0]
-    return rad * np.exp(1j * (idx.k / cfg.sigma) * p.theta)
 
 
 def point_field(q: ConePoint, cfg: ConeConfig, window: ModeWindow) -> SpectralField:
@@ -314,11 +276,6 @@ def fields_on_grid(fields, r, theta, cfg: ConeConfig) -> Iterator[np.ndarray]:
 def field_on_grid(field: SpectralField, r, theta, cfg: ConeConfig) -> np.ndarray:
     """Synthesize the field on the product grid r x theta; shape (len(r), len(theta))."""
     return next(fields_on_grid([field], r, theta, cfg))
-
-
-def synthesize(field: SpectralField, p: ConePoint, cfg: ConeConfig) -> complex:
-    """Pointwise synthesis of the field at p."""
-    return complex(field_on_grid(field, [p.r], [p.theta], cfg)[0, 0])
 
 
 def eigenvalue_table(cfg: ConeConfig, window: ModeWindow) -> np.ndarray:

@@ -1,6 +1,9 @@
 import json
 import math
 import re
+import resource
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -425,3 +428,26 @@ def test_config_window_past_the_cap_is_config_error(tmp_path, capsys):
     code = run_cli("--config", str(cfgfile), "--out", str(tmp_path / "o"), "spectrum", "table")
     assert "above the cap" in _assert_one_line_error(capsys, code)
     assert not (tmp_path / "o").exists()
+
+
+def _two_gb_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9))
+
+
+def test_closed_form_near_an_image_boundary_exits_4_within_2_gb(tmp_path):
+    """The angle sits 0.0053 from an image boundary, so the contour walk keeps splitting; the node cap ends it.
+
+    It runs in a child under a 2 GB address-space limit, which a walk without
+    a bound on its integrand calls would exhaust.
+    """
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sigma = 2.0\nb0 = 0.5\nalpha = 0.3\n")
+    out = tmp_path / "out"
+    res = subprocess.run(
+        [sys.executable, "-m", "magcone.cli", "--config", str(cfg), "--out", str(out), "kernel", "schrodinger",
+         "--repr", "closed", "--t", "1.0312671706753567", "--p", "1.4461387716534395,8.651054454871568",
+         "--q", "0.981527638804235,11.271676479409948"],
+        capture_output=True, text=True, timeout=300, preexec_fn=_two_gb_address_space)
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.count("\n") == 1 and "nodes" in res.stderr
+    assert not out.exists()

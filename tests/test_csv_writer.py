@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import magcone
-from magcone import cli, spectrum
+from magcone import cli, lpbesov, spectrum
 from magcone.errors import DomainError, NonconvergenceError
 from magcone.geometry import ConeConfig
 from magcone.spectrum import (
@@ -323,7 +323,8 @@ _NO_DIGIT = "has no significant digit"
     (["spectrum", "evolve", "--mult", "schrodinger", "--t", "1e300"], "schrodinger_multiplier"),
     (["spectrum", "evolve", "--mult", "fractional", "--nu", "2", "--t", "1e300"], "fractional_flow_multiplier"),
     (["spectrum", "evolve", "--mult", "halfwave", "--j", "2", "--t", "1e300"], "_halfwave_multiplier"),
-], ids=["kernel-schrodinger", "evolve-schrodinger", "evolve-fractional", "evolve-halfwave"])
+    (["kernel", "halfwave", "--j", "1", *_POINTS, "--t", "1e300"], "halfwave_kernel_grid"),
+], ids=["kernel-schrodinger", "evolve-schrodinger", "evolve-fractional", "evolve-halfwave", "kernel-halfwave"])
 def test_phase_without_a_significant_digit_exits_2_and_writes_nothing(tmp_path, capsys, argv, what):
     """Every phase is finite at t = 1e300, and each holds no digit: exit 2, one line, nothing written."""
     out = tmp_path / "o"
@@ -355,6 +356,23 @@ def test_schrodinger_kernel_just_below_the_phase_limit_runs(tmp_path, capsys):
     assert math.isfinite(value["re"]) and math.isfinite(value["im"])
     before = (out / "kernel.csv").read_bytes()
     _exit_2_naming(capsys, cli.main([*argv, "--t", repr(above)]), _NO_DIGIT)
+    assert (out / "kernel.csv").read_bytes() == before
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_halfwave_kernel_just_below_the_phase_limit_runs(tmp_path, capsys):
+    """kernel halfwave --j 1: exit 0 below 2^52 on the modes of nonzero shell weight, exit 2 at the next float."""
+    shell = lpbesov.shell_window(1, CFG)
+    lam = eigenvalue_table(CFG, ModeWindow(max(24, shell.k_max), max(24, shell.m_max)))  # the window the CLI uses
+    sq_max = float(np.sqrt(lam[lpbesov.make_cutoff().shell_weights(1, lam) != 0.0]).max())
+    below, above = _times_around_the_phase_limit(sq_max)
+    out = tmp_path / "o"
+    argv = ["--json", "--out", str(out), "kernel", "halfwave", "--j", "1", *_POINTS]
+    assert cli.main([*argv, "--t", repr(below)]) == cli.EXIT_OK
+    value = json.loads(capsys.readouterr().out)["values"]["spectral"]
+    assert math.isfinite(value["re"]) and math.isfinite(value["im"])
+    before = (out / "kernel.csv").read_bytes()
+    _exit_2_naming(capsys, cli.main([*argv, "--t", repr(above)]), "halfwave_kernel_grid: phase up to")
     assert (out / "kernel.csv").read_bytes() == before
 
 

@@ -1,4 +1,4 @@
-"""The package's import graph: no cycles, and every import of a package module at module top.
+"""The package's import graph: no cycles, every import of a package module at module top, no submodule exported.
 
 lpbesov is the one home of the dyadic shells and imports nothing from
 kernels; kernels builds on it.  A function-level ``from .`` import hides a
@@ -8,6 +8,7 @@ cycle or defers a cost, so src/magcone holds none.
 import ast
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,12 @@ def _package_imports(path: Path, inside_functions: bool) -> list[str]:
         elif isinstance(node, ast.Import):
             found.extend(alias.name for alias in node.names if alias.name.startswith("magcone"))
     return found
+
+
+def test_star_import_binds_no_submodule():
+    exported = {name: getattr(magcone, name) for name in magcone.__all__}
+    assert "ConeConfig" in exported and "run_suite" in exported
+    assert sorted(name for name, value in exported.items() if isinstance(value, types.ModuleType)) == []
 
 
 def test_modules_are_found():

@@ -30,7 +30,6 @@ from magcone.spectrum import (
     heat_multiplier,
     random_field,
     spectral_apply,
-    synthesize,
 )
 
 # grids for cross-representation checks: radii and angle gaps chosen away
@@ -250,7 +249,7 @@ def test_heat_spectral_consistency(cfg, rng):
     p = make_point(cfg, 1.1, 0.9)
     k_p = _heat_kernel_row(cfg, t, p.r, p.theta, r, theta)
     integral = complex(np.sum(k_p.T * f_vals * w_r[:, None]) * d_theta)
-    direct = synthesize(spectral_apply(heat_multiplier(t), field, cfg), p, cfg)
+    direct = field_on_grid(spectral_apply(heat_multiplier(t), field, cfg), [p.r], [p.theta], cfg)[0, 0]
     assert integral == pytest.approx(direct, rel=1e-6)
 
 

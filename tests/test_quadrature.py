@@ -540,6 +540,20 @@ def test_depth_exhaustion_raises():
         adaptive_panel(step, 0.0, 1.0, 1e-12)
 
 
+def test_a_level_past_the_node_cap_raises_before_calling_the_integrand():
+    """A square wave of period 1e-6 splits every panel at every level: the walk stops at the node cap, not in memory."""
+    sizes = []
+
+    def square_wave(x, panel):
+        sizes.append(x.size)
+        return np.where(np.modf(x * 1e6)[0] < 0.3, 0.0, 1.0)
+
+    with pytest.raises(NonconvergenceError,
+                       match=rf"adaptive_panel: \d+ panels, the leftmost \[0\.0, .*{quadrature._WALK_NODES} nodes"):
+        adaptive_panel(square_wave, 0.0, 1.0, 1e-12)
+    assert max(sizes) <= quadrature._WALK_NODES < 2 * max(sizes)
+
+
 def test_depth_limit_names_the_panel_the_recursion_reaches_first(monkeypatch):
     # both top panels end unconverged at the limit; the right one changes more
     monkeypatch.setattr(quadrature, "_DEPTH", 3)

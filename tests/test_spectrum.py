@@ -8,24 +8,22 @@ from magcone.errors import QuadratureError
 from magcone.geometry import ConeConfig, make_point
 from magcone.quadrature import genlaguerre_rule
 from magcone.spectrum import (
-    ModeIndex,
     ModeWindow,
     QuadratureSpec,
     SpectralField,
-    eigenfunction,
+    angular_order,
     eigenvalue,
     eigenvalue_table,
     expand,
     field_on_grid,
     heat_multiplier,
     load_field,
-    mode_data,
+    log_norm_sq,
     radial_profiles,
     random_field,
     save_field,
     schrodinger_multiplier,
     spectral_apply,
-    synthesize,
 )
 
 
@@ -40,12 +38,17 @@ def vectorized_eigenfunction(cfg, k, m):
     return f
 
 
+def eigenfunction_at(cfg, k, m, p):
+    """V_{k,m}(p), the L2-normalized eigenfunction at one point."""
+    return complex(vectorized_eigenfunction(cfg, k, m)(np.array([p.r]), np.array([p.theta]))[0])
+
+
 def test_mode_data_examples():
     cfg = ConeConfig(1.0, 1.0, 0.25)
-    assert mode_data(ModeIndex(0, 0), cfg).lam == pytest.approx(1.5)
-    assert mode_data(ModeIndex(-1, 0), cfg).lam == pytest.approx(1.0)
+    assert float(eigenvalue(cfg, 0, 0)) == pytest.approx(1.5)
+    assert float(eigenvalue(cfg, -1, 0)) == pytest.approx(1.0)
     cfg2 = ConeConfig(2.0, 2.0, 0.3)
-    assert mode_data(ModeIndex(2, 1), cfg2).lam == pytest.approx(11.2)
+    assert float(eigenvalue(cfg2, 2, 1)) == pytest.approx(11.2)
 
 
 def test_degenerate_levels_exact(cfg):
@@ -58,26 +61,24 @@ def test_degenerate_levels_exact(cfg):
 def test_norm_sq_against_quadrature(cfg):
     # direct radial quadrature of the unnormalized eigenfunction
     for k, m in [(0, 0), (2, 1), (-2, 3)]:
-        md = mode_data(ModeIndex(k, m), cfg)
-        a = md.alpha_k
+        a = float(angular_order(cfg, k))
         u, w = genlaguerre_rule(60, a)
         poly = np.array([float(sp.eval_genlaguerre(m, a, ui)) / sp.binom(m + a, m) for ui in u])
         # ||V||^2 = (1/2)(2/b0)^{a+1} int u^a e^-u P^2 du
         val = 0.5 * (2.0 / cfg.b0) ** (a + 1.0) * float(np.sum(w * poly ** 2))
-        assert md.norm_sq == pytest.approx(val, rel=1e-11)
+        assert float(np.exp(log_norm_sq(cfg, k, m))) == pytest.approx(val, rel=1e-11)
 
 
 def test_eigenfunction_vanishes_at_tip(cfg):
     p = make_point(cfg, 0.0, 1.0)
-    assert eigenfunction(ModeIndex(0, 0), p, cfg) == 0.0
+    assert eigenfunction_at(cfg, 0, 0, p) == 0.0
 
 
 def test_eigenfunction_periodicity_exact():
     cfg = ConeConfig(1.5, 1.0, 0.4)
-    idx = ModeIndex(2, 1)
     r = 1.3
-    v1 = eigenfunction(idx, make_point(cfg, r, 0.7), cfg)
-    v2 = eigenfunction(idx, make_point(cfg, r, 0.7 + cfg.period), cfg)
+    v1 = eigenfunction_at(cfg, 2, 1, make_point(cfg, r, 0.7))
+    v2 = eigenfunction_at(cfg, 2, 1, make_point(cfg, r, 0.7 + cfg.period))
     assert v1 == pytest.approx(v2, rel=1e-12)
 
 
@@ -178,20 +179,20 @@ def test_expand_synthesize_roundtrip(cfg, rng):
     for _ in range(50):
         p = make_point(cfg, rng.uniform(0.05, 3.0), rng.uniform(0.0, cfg.period))
         direct = complex(f(np.array([p.r]), np.array([p.theta]))[0])
-        assert synthesize(recovered, p, cfg) == pytest.approx(direct, abs=1e-8)
+        assert field_on_grid(recovered, [p.r], [p.theta], cfg)[0, 0] == pytest.approx(direct, abs=1e-8)
 
 
 def test_synthesize_empty_and_linear(cfg):
     window = ModeWindow(2, 2)
     empty = SpectralField(window, np.zeros(window.shape, dtype=complex))
     p = make_point(cfg, 1.2, 0.8)
-    assert synthesize(empty, p, cfg) == 0.0
+    assert field_on_grid(empty, [p.r], [p.theta], cfg)[0, 0] == 0.0
 
     coeffs = np.zeros(window.shape, dtype=complex)
     coeffs[window.k_max + 1, 0] = 2.0 + 1.0j
     single = SpectralField(window, coeffs)
-    direct = (2.0 + 1.0j) * eigenfunction(ModeIndex(1, 0), p, cfg)
-    assert synthesize(single, p, cfg) == pytest.approx(direct, rel=1e-12)
+    direct = (2.0 + 1.0j) * eigenfunction_at(cfg, 1, 0, p)
+    assert field_on_grid(single, [p.r], [p.theta], cfg)[0, 0] == pytest.approx(direct, rel=1e-12)
 
 
 def test_spectral_apply_identity_unitarity_semigroup(cfg, rng):
@@ -229,9 +230,8 @@ def test_field_on_grid_matches_synthesize(cfg, rng):
     grid = field_on_grid(field, r, th, cfg)
     for i, rv in enumerate(r):
         for j, tv in enumerate(th):
-            assert grid[i, j] == pytest.approx(
-                synthesize(field, make_point(cfg, rv, tv), cfg), rel=1e-12
-            )
+            p = make_point(cfg, rv, tv)
+            assert grid[i, j] == pytest.approx(field_on_grid(field, [p.r], [p.theta], cfg)[0, 0], rel=1e-12)
 
 
 def test_eigenvalue_table_shape(cfg):
