@@ -18,7 +18,7 @@ import functools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import ClassVar
 
@@ -86,7 +86,9 @@ class SweepReport:
 
     csv_header/csv_rows hold the grid samples, csv_rows as a read-only
     (N, len(csv_header)) float64 array that takes no part in ``==`` (compare
-    it with np.array_equal); runtime_ms is the wall time of the sweep call
+    it with np.array_equal).  An empty csv_header means the report has no
+    CSV of its own: run_suite gives the dispersive family one table, carried
+    by its first report.  runtime_ms is the wall time of the sweep call
     that made the report, console-only diagnostics and never serialized
     (outputs must be bitwise reproducible).
     """
@@ -120,11 +122,19 @@ def require_finite_report(report: SweepReport) -> None:
     _require_finite_cells(report.csv_header, report.csv_rows, f"sweep {report.name!r}")
 
 
-def write_report(report: SweepReport, out_dir: str | Path) -> tuple[Path, Path]:
-    """Write the report's CSV samples, then its JSON summary; a non-finite constant, ratio or sample raises first."""
+def write_report(report: SweepReport, out_dir: str | Path) -> tuple[Path, Path | None]:
+    """Write <name>.csv (the samples), then <name>.json (the summary); return (json path, csv path).
+
+    A report with an empty csv_header writes the JSON only, and its csv path
+    is None.  A report with a header and no rows writes a header-only CSV.
+    '/' in the name becomes '_' in the file names.  A non-finite constant,
+    ratio or sample raises NonconvergenceError before any file is opened.
+    """
     require_finite_report(report)
     out_dir, stem = Path(out_dir), report.name.replace("/", "_")
-    csv_path = write_csv(out_dir / f"{stem}.csv", report.csv_header, report.csv_rows, f"sweep {report.name!r}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = (write_csv(out_dir / f"{stem}.csv", report.csv_header, report.csv_rows, f"sweep {report.name!r}")
+                if report.csv_header else None)
     json_path = out_dir / f"{stem}.json"
     json_path.write_text(json.dumps(report.json_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return json_path, csv_path
@@ -195,19 +205,27 @@ def _dispersive_grid_pair(cfg: ConeConfig, grids: SweepGrids):
                                     _dispersive_grid(cfg, grids.refined())))
 
 
-def _dispersive_rows(grid: list, gamma: float) -> np.ndarray:
-    """Rows (t, rho, delta, |K|, rho^-gamma |K|), ordered by t, then delta, then rho."""
-    blocks = []
+def _dispersive_table(grid: list, gammas) -> np.ndarray:
+    """Read-only rows (t, rho, delta, |K|, then rho^-gamma |K| per gamma), ordered by t, then delta, then rho."""
+    rows = np.empty((sum(mat.size for *_, mat in grid), 4 + len(gammas)))
+    lo = 0
     for t, rho, delta, mat in grid:
-        weighted = mat * rho[None, :] ** (-gamma)
-        blocks.append(np.column_stack([np.full(mat.size, t), np.tile(rho, delta.size),
-                                       np.repeat(delta, rho.size), mat.ravel(), weighted.ravel()]))
-    return np.concatenate(blocks)
+        block = rows[lo:lo + mat.size]
+        block[:, 0] = t
+        block[:, 1] = np.tile(rho, delta.size)
+        block[:, 2] = np.repeat(delta, rho.size)
+        block[:, 3] = mat.ravel()
+        for i, gamma in enumerate(gammas):
+            block[:, 4 + i] = (mat * rho[None, :] ** (-gamma)).ravel()
+        lo += mat.size
+    rows.setflags(write=False)
+    return rows
 
 
-def _split_sups(rows: np.ndarray) -> tuple[float, float, float]:
-    """sup of the weighted column over all rows, over rho >= 1 and over rho < 1."""
-    rho, weighted = rows[:, 1], rows[:, 4]
+def _split_sups(grid: list, gamma: float) -> tuple[float, float, float]:
+    """sup of rho^-gamma |K| over the grid, over rho >= 1 and over rho < 1 (0 on an empty part)."""
+    rho = np.concatenate([r for _, r, _, _ in grid])
+    weighted = np.concatenate([(mat * r[None, :] ** (-gamma)).max(axis=0) for _, r, _, mat in grid])
     return tuple(float(w.max()) if w.size else 0.0
                  for w in (weighted, weighted[rho >= 1.0], weighted[rho < 1.0]))
 
@@ -225,24 +243,27 @@ def weighted_dispersive_constant(cfg: ConeConfig, gamma: float,
     """Weighted dispersive sweep; constants for the full grid and the
     rho >= 1 / rho < 1 split are reported separately.
 
-    ``_grids`` is a shared ``_dispersive_grid_pair`` for (cfg, grids);
-    without it the sweep builds its own.
+    The full-grid report carries the fine grid's samples under the header
+    (t, rho, delta, abs_series, weighted); the split reports carry that
+    header and no rows.  ``_grids`` is a shared ``_dispersive_grid_pair``
+    for (cfg, grids): a sweep handed one leaves the samples to its caller
+    (run_suite writes one table for the whole dispersive family), and
+    without it the sweep builds its own grids.
     """
     t0 = time.perf_counter()
     _require_gamma(cfg, gamma)
     coarse, fine = (_grids or _dispersive_grid_pair(cfg, grids))()
-    rows_fine = _dispersive_rows(fine, gamma)
     header = ("t", "rho", "delta", "abs_series", "weighted")
+    samples = ((), ()) if _grids else (header, _dispersive_table(fine, (gamma,)))
     spec = (f"t x r x dtheta = {grids.n_time} x {grids.n_radius}^2 x {grids.n_angle}, "
             f"gamma={gamma:.6g}, reduced-kernel units (kernel constant = value / (8 pi sigma))")
     results = []
-    for suffix, c, cf in zip(("", "/omega1", "/omega2"),
-                             _split_sups(_dispersive_rows(coarse, gamma)), _split_sups(rows_fine)):
+    for suffix, c, cf in zip(("", "/omega1", "/omega2"), _split_sups(coarse, gamma), _split_sups(fine, gamma)):
         ratio, passed = _refinement(c, cf)
-        results.append((f"{name}{suffix}", cf, ratio, passed, rows_fine if suffix == "" else ()))
+        results.append((f"{name}{suffix}", cf, ratio, passed, (header, ()) if suffix else samples))
     runtime_ms = _ms_since(t0)
-    return [_report(report_name, cfg, spec, cf, ratio, passed, runtime_ms, header, rows)
-            for report_name, cf, ratio, passed, rows in results]
+    return [_report(report_name, cfg, spec, cf, ratio, passed, runtime_ms, *table)
+            for report_name, cf, ratio, passed, table in results]
 
 
 def dispersive_constant_schrodinger(cfg: ConeConfig, grids: SweepGrids = SweepGrids(), *,
@@ -517,11 +538,16 @@ def run_suite(name: str, cfg: ConeConfig, grids: SweepGrids = SweepGrids(), seed
               halfwave_j: int = _HALFWAVE_J, gamma: float | None = None) -> list[SweepReport]:
     """Run one named sweep (or 'all', every sweep in SUITE_NAMES order) on a configuration.
 
-    The dispersive and weighted sweeps of one call share their grids.  A
-    gamma outside [0, kappa], or a half-wave shell past the work cap or
-    without a mode, raises before any sweep runs.  Each sweep is
-    looked up by its module-level name when it runs, so a wrapper set on the
-    module sees the call.
+    The dispersive and weighted sweeps of one call share their grids, and
+    their samples make one table: the columns t, rho, delta, abs_series and
+    one column per weighted report, named after it, in report order.  The
+    family's first report (dispersive, or the first weighted one under
+    'weighted') carries that table; its other full-grid reports carry no
+    CSV header, and its /omega1 and /omega2 reports a header and no rows,
+    as a sweep called on its own gives them.  A gamma outside [0, kappa], or
+    a half-wave shell past the work cap or without a mode, raises before any
+    sweep runs.  Each sweep is looked up by its module-level name when it
+    runs, so a wrapper set on the module sees the call.
     """
     if name not in SUITE_NAMES + ("all",):
         raise QuadratureError(f"unknown suite '{name}'; choose from {SUITE_NAMES + ('all',)}")
@@ -532,10 +558,11 @@ def run_suite(name: str, cfg: ConeConfig, grids: SweepGrids = SweepGrids(), seed
     shared = _dispersive_grid_pair(cfg, grids)
     kappa = flux_distance(cfg)
     gammas = (gamma,) if gamma is not None else (0.0, kappa / 2.0, kappa)
+    weighted_names = [f"weighted-g{g:.4g}" for g in gammas]
     sweeps = {
         "dispersive": lambda: dispersive_constant_schrodinger(cfg, grids, _grids=shared),
-        "weighted": lambda: [rep for g in gammas for rep in weighted_dispersive_constant(
-            cfg, g, grids, name=f"weighted-g{g:.4g}", _grids=shared)],
+        "weighted": lambda: [rep for g, g_name in zip(gammas, weighted_names)
+                             for rep in weighted_dispersive_constant(cfg, g, grids, name=g_name, _grids=shared)],
         "gaussian-heat": lambda: gaussian_heat_constant(cfg, grids),
         "reduced-kernel": lambda: reduced_kernel_bound_scan(cfg, grids),
         "tail-l1": lambda: angular_tail_l1_scan(cfg, grids),
@@ -543,4 +570,10 @@ def run_suite(name: str, cfg: ConeConfig, grids: SweepGrids = SweepGrids(), seed
         "halfwave": lambda: halfwave_decay_fit(cfg, halfwave_j, grids),
         "energy": lambda: energy_conservation_check(cfg, seed),
     }
-    return [rep for suite in (SUITE_NAMES if name == "all" else (name,)) for rep in sweeps[suite]()]
+    reports = [rep for suite in (SUITE_NAMES if name == "all" else (name,)) for rep in sweeps[suite]()]
+    if name in ("dispersive", "weighted", "all"):
+        # the family runs first, so reports[0] is the report that carries its table
+        table_gammas, columns = ((), ()) if name == "dispersive" else (gammas, weighted_names)
+        reports[0] = replace(reports[0], csv_header=("t", "rho", "delta", "abs_series", *columns),
+                             csv_rows=_dispersive_table(shared()[1], table_gammas))
+    return reports

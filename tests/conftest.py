@@ -1,6 +1,11 @@
+import contextlib
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from magcone import cli
 from magcone.geometry import ConeConfig
 
 REFERENCE = (
@@ -18,3 +23,27 @@ def cfg(request) -> ConeConfig:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240901)
+
+
+@pytest.fixture(scope="session")
+def verify_all_output(tmp_path_factory):
+    """cfg -> the directory `magcone verify all` wrote for cfg at the default grids and seed.
+
+    Each configuration runs once per session and its files are shared by
+    every test that asks for it, so tests only read them.
+    """
+    outputs = {}
+
+    def output(cone: ConeConfig) -> Path:
+        if cone not in outputs:
+            root = tmp_path_factory.mktemp(f"verify-all-sigma{cone.sigma:g}")
+            config = root / "cone.cfg"
+            config.write_text(f"sigma = {cone.sigma!r}\nalpha = {cone.alpha!r}\nb0 = {cone.b0!r}\n",
+                              encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["--config", str(config), "--out", str(root / "out"), "verify", "all"])
+            assert code == cli.EXIT_OK
+            outputs[cone] = root / "out"
+        return outputs[cone]
+
+    return output

@@ -153,6 +153,39 @@ def test_verify_subordination_cli(tmp_path, capsys):
     assert (out / "subordination.csv").exists()
 
 
+_SMALL_GRIDS = "n_time = 3\nn_radius = 4\nn_angle = 6\n"
+
+
+def _header(path: Path) -> list:
+    return path.read_text(encoding="utf-8").split("\n", 1)[0].split(",")
+
+
+def test_verify_dispersive_alone_writes_its_table(tmp_path, capsys):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(_SMALL_GRIDS)
+    out = tmp_path / "o"
+    assert run_cli("--config", str(cfgfile), "--out", str(out), "verify", "dispersive") == EXIT_OK
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == ["dispersive.csv", "dispersive.json"]
+    assert _header(out / "dispersive.csv") == ["t", "rho", "delta", "abs_series"]
+    assert len((out / "dispersive.csv").read_text(encoding="utf-8").splitlines()) == 1 + 5 * 7 ** 2 * 11
+
+
+def test_verify_weighted_alone_writes_one_table_with_its_gamma_column(tmp_path, capsys):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(_SMALL_GRIDS)
+    out = tmp_path / "o"
+    assert run_cli("--config", str(cfgfile), "--out", str(out), "verify", "weighted", "--gamma", "0.1") == EXIT_OK
+    capsys.readouterr()
+    reports = ("weighted-g0.1", "weighted-g0.1_omega1", "weighted-g0.1_omega2")
+    assert sorted(p.name for p in out.glob("*.json")) == [f"{name}.json" for name in reports]
+    with_rows = [p.name for p in out.glob("*.csv") if len(p.read_text(encoding="utf-8").splitlines()) > 1]
+    assert with_rows == ["weighted-g0.1.csv"]
+    assert _header(out / "weighted-g0.1.csv") == ["t", "rho", "delta", "abs_series", "weighted-g0.1"]
+    for omega in reports[1:]:  # the split reports keep their header-only CSV
+        assert (out / f"{omega}.csv").read_text(encoding="utf-8") == "t,rho,delta,abs_series,weighted\n"
+
+
 def test_verify_gamma_precondition(tmp_path):
     code = run_cli("--out", str(tmp_path / "o"), "verify", "weighted", "--gamma", "0.9")
     assert code == EXIT_CONFIG

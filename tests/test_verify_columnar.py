@@ -195,19 +195,69 @@ def oracle_reports(cfg: ConeConfig, grids: SweepGrids) -> list[SweepReport]:
 # artifacts: byte for byte against the oracles
 # ---------------------------------------------------------------------------
 
+def _csv_columns(path: Path) -> dict:
+    """The CSV's cells as text, column by column, keyed by the header."""
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    return dict(zip(header.split(","), zip(*(line.split(",") for line in lines))))
+
+
 @pytest.mark.parametrize("i_cfg", range(3))
 def test_verify_all_artifacts_match_oracle(tmp_path, i_cfg):
+    """Every JSON and every other CSV byte for byte; the family's one table cell for cell.
+
+    The oracle wrote a (t, rho, delta, abs_series, weighted) CSV per
+    dispersive-family report; `verify all` writes one dispersive.csv whose
+    columns project onto each of them.
+    """
     cfg = verify.REFERENCE_CONFIGS[i_cfg]
     expected = oracle_reports(cfg, SMALL)
     names = {rep.name for rep in expected}
     new = [rep for rep in verify.run_suite("all", cfg, SMALL) if rep.name in names]
     assert [rep.name for rep in new] == [rep.name for rep in expected]
+    weighted = [rep.name for rep in new if rep.name.startswith("weighted") and "/" not in rep.name]
     for old_rep, new_rep in zip(expected, new):
-        old_paths = oracle_write_report(old_rep, tmp_path / "old")
-        new_paths = verify.write_report(new_rep, tmp_path / "new")
-        for old_path, new_path in zip(old_paths, new_paths):
-            assert old_path.name == new_path.name
-            assert new_path.read_bytes() == old_path.read_bytes(), new_path.name
+        old_json, old_csv = oracle_write_report(old_rep, tmp_path / "old")
+        new_json, new_csv = verify.write_report(new_rep, tmp_path / "new")
+        assert new_json.name == old_json.name
+        assert new_json.read_bytes() == old_json.read_bytes(), new_json.name
+        assert (new_csv is None) == (new_rep.name in weighted), new_rep.name
+        if new_csv is not None and new_rep.name != "dispersive":
+            assert new_csv.name == old_csv.name
+            assert new_csv.read_bytes() == old_csv.read_bytes(), new_csv.name
+    table = _csv_columns(tmp_path / "new" / "dispersive.csv")
+    assert list(table) == ["t", "rho", "delta", "abs_series", *weighted]
+    fine = SMALL.refined()
+    assert len(table["t"]) == fine.n_time * fine.n_radius ** 2 * fine.n_angle
+    for name in ["dispersive", *weighted]:
+        old = _csv_columns(tmp_path / "old" / f"{name}.csv")
+        for column in ("t", "rho", "delta", "abs_series"):
+            assert table[column] == old[column], (name, column)
+        assert table["abs_series" if name == "dispersive" else name] == old["weighted"], name
+
+
+@pytest.mark.parametrize("suite", ["dispersive", "weighted"])
+def test_run_suite_gives_the_dispersive_family_one_table(suite):
+    """The family's first report carries its one table; each column is the one its own sweep gives.
+
+    test_verify_all_artifacts_match_oracle covers the 'all' suite.
+    """
+    cfg = verify.REFERENCE_CONFIGS[0]
+    kappa = flux_distance(cfg)
+    gammas = () if suite == "dispersive" else (0.0, kappa / 2.0, kappa)
+    table, *rest = [rep for rep in verify.run_suite(suite, cfg, SMALL)
+                    if rep.name.startswith(("dispersive", "weighted"))]
+    assert table.name == ("weighted-g0" if suite == "weighted" else "dispersive")
+    assert table.csv_header == ("t", "rho", "delta", "abs_series", *(f"weighted-g{g:.4g}" for g in gammas))
+    assert len(rest) == 3 * len(gammas) - (suite == "weighted")
+    for rep in rest:
+        assert rep.csv_rows.size == 0
+        assert rep.csv_header == (("t", "rho", "delta", "abs_series", "weighted") if "/" in rep.name else ())
+    alone = verify.dispersive_constant_schrodinger(cfg, SMALL)[0].csv_rows
+    assert not table.csv_rows.flags.writeable
+    assert np.array_equal(table.csv_rows[:, :4], alone[:, :4])
+    for i, g in enumerate(gammas):
+        weighted = verify.weighted_dispersive_constant(cfg, g, SMALL)[0].csv_rows[:, 4]
+        assert np.array_equal(table.csv_rows[:, 4 + i], weighted)
 
 
 def test_single_weighted_sweep_matches_oracle(tmp_path, cfg):
@@ -284,9 +334,13 @@ def test_csv_body_of_tables_without_cells(tmp_path, shape):
     cfg = verify.REFERENCE_CONFIGS[0]
     old = _report("a/omega1", cfg, "spec", 1.0, 1.0, True, time.perf_counter(), header, rows.tolist())
     new = verify._report("a/omega1", cfg, "spec", 1.0, 1.0, True, 0, header, rows.tolist())
-    for old_path, new_path in zip(oracle_write_report(old, tmp_path / "old"),
-                                  verify.write_report(new, tmp_path / "new")):
-        assert new_path.read_bytes() == old_path.read_bytes()
+    (old_json, old_csv), (new_json, new_csv) = (oracle_write_report(old, tmp_path / "old"),
+                                                verify.write_report(new, tmp_path / "new"))
+    assert new_json.read_bytes() == old_json.read_bytes()
+    if header:  # a header with no rows: a header-only CSV, as the /omega reports write
+        assert new_csv.read_bytes() == old_csv.read_bytes()
+    else:  # no header: the report has no CSV of its own
+        assert new_csv is None and sorted(p.name for p in (tmp_path / "new").iterdir()) == ["a_omega1.json"]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
