@@ -680,6 +680,18 @@ def halfwave_kernel_grid(j: int, t: float, r_nodes: np.ndarray, dtheta_nodes: np
     return out
 
 
+def halfwave_sup_curve(j: int, ts: np.ndarray, r_nodes: np.ndarray, dtheta_nodes: np.ndarray,
+                       cfg: ConeConfig, window: ModeWindow) -> np.ndarray:
+    """sup over the grid of |frequency-truncated half-wave kernel| at each time, shape (len(ts),).
+
+    The shell is assembled once for every time.  Unlike halfwave_kernel_grid,
+    the k <= -1 branch's tail at the window edge is not checked.
+    """
+    blocks, _ = _shell_blocks(j, cfg, window, r_nodes)
+    return np.concatenate([np.abs(acc).max(axis=(1, 2))
+                           for acc in _halfwave_pair_chunks(blocks, ts, dtheta_nodes, r_nodes.size, cfg)])
+
+
 def halfwave_kernel_truncated(j: int, t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig,
                               window: ModeWindow) -> complex:
     """Frequency-truncated half-wave kernel at a pair of points."""

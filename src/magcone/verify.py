@@ -14,11 +14,10 @@ value divided by 8 pi sigma.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar
 
@@ -26,16 +25,18 @@ import numpy as np
 
 from .errors import DomainError, GammaOutOfRangeError, NonconvergenceError, QuadratureError
 from .geometry import ConeConfig, flux_distance
-from .kernels import (
-    _halfwave_pair_chunks,
-    _shell_blocks,
-    heat_closed_bracket_grid,
-    reduced_kernel_matrix,
-    schrodinger_angular_tail,
-)
+from .kernels import heat_closed_bracket_grid, halfwave_sup_curve, reduced_kernel_matrix, schrodinger_angular_tail
 from .lpbesov import shell_window
 from .quadrature import adaptive_panel
-from .spectrum import ModeWindow, _require_finite_cells, eigenvalue_table, random_field, spectral_apply, write_csv
+from .spectrum import (
+    _CELL_CAP,
+    ModeWindow,
+    _require_finite_cells,
+    eigenvalue_table,
+    random_field,
+    spectral_apply,
+    write_csv,
+)
 
 REFERENCE_CONFIGS = (
     ConeConfig(sigma=1.0, b0=1.0, alpha=0.25),
@@ -55,6 +56,7 @@ SUITE_NAMES = (
 )
 
 _SCAN_DELTA = 2.0 * math.pi  # reduced_kernel_bound_scan covers |delta| <= _SCAN_DELTA
+_SCAN_DOUBLINGS = 4  # reduced_kernel_bound_scan doubles rho_max from 12.5 at most this often, to 200
 _ENERGY_WINDOW = ModeWindow(12, 12)  # energy_conservation_check draws its random fields here
 _ENERGY_TRIALS = 50
 _SEED = 20240901  # default seed of the random-field sweeps, and of the CLI's config
@@ -63,7 +65,15 @@ _HALFWAVE_J = 2  # default dyadic level of the half-wave sweep, and of every CLI
 
 @dataclass(frozen=True)
 class SweepGrids:
-    """Grid sizes for the certification sweeps over radii [r_min, r_max]; refined() nests the grids."""
+    """Grid sizes for the certification sweeps over radii [r_min, r_max]; refined() nests the grids.
+
+    Sizes below 1, or past _CELL_CAP cells in a sweep's largest array,
+    raise DomainError.  Those arrays are the reduced-kernel scan's fine
+    matrix at rho_max = 200 (16 n_angle - 1 by 1280 n_radius - 1) and the
+    half-wave accumulator (2 n_time + 10 times by max(2 n_angle, 32) angles
+    by the pairs of 6 n_radius - 1 radii); the refined grids' tables and
+    Bessel rows (per order) are smaller.
+    """
 
     n_time: int = 5
     n_radius: int = 7
@@ -72,12 +82,21 @@ class SweepGrids:
     r_max: ClassVar[float] = 3.0
 
     def __post_init__(self) -> None:
+        sizes = f"n_time={self.n_time}, n_radius={self.n_radius}, n_angle={self.n_angle}"
         if min(self.n_time, self.n_radius, self.n_angle) < 1:
-            raise DomainError(f"sweep grid sizes must be >= 1, got n_time={self.n_time}, "
-                              f"n_radius={self.n_radius}, n_angle={self.n_angle}")
+            raise DomainError(f"sweep grid sizes must be >= 1, got {sizes}")
+        n_r = 6 * self.n_radius - 1
+        cells = max((16 * self.n_angle - 1) * (2 * 40 * 2 ** _SCAN_DOUBLINGS * self.n_radius - 1),
+                    (2 * self.n_time + 10) * max(2 * self.n_angle, 32) * n_r * (n_r + 1) // 2)
+        if cells > _CELL_CAP:
+            raise DomainError(f"sweep grids {sizes} need an array of {cells} cells, above the cap of {_CELL_CAP}")
 
     def refined(self) -> "SweepGrids":
-        return SweepGrids(2 * self.n_time - 1, 2 * self.n_radius - 1, 2 * self.n_angle - 1)
+        """The nested grid of the sweeps' fine pass, built unchecked: the bound on self counts its arrays."""
+        fine = object.__new__(SweepGrids)
+        fine.__dict__.update(n_time=2 * self.n_time - 1, n_radius=2 * self.n_radius - 1,
+                             n_angle=2 * self.n_angle - 1)
+        return fine
 
 
 @dataclass(frozen=True)
@@ -87,10 +106,11 @@ class SweepReport:
     csv_header/csv_rows hold the grid samples, csv_rows as a read-only
     (N, len(csv_header)) float64 array that takes no part in ``==`` (compare
     it with np.array_equal).  An empty csv_header means the report has no
-    CSV of its own: run_suite gives the dispersive family one table, carried
-    by its first report.  runtime_ms is the wall time of the sweep call
-    that made the report, console-only diagnostics and never serialized
-    (outputs must be bitwise reproducible).
+    CSV of its own: the dispersive family's one table rides on its first
+    report, and its other reports carry none.  runtime_ms is the wall time
+    of the sweep call that made the report (one call makes every report of
+    the family), console-only diagnostics and never serialized (outputs
+    must be bitwise reproducible).
     """
 
     name: str
@@ -126,8 +146,8 @@ def write_report(report: SweepReport, out_dir: str | Path) -> tuple[Path, Path |
     """Write <name>.csv (the samples), then <name>.json (the summary); return (json path, csv path).
 
     A report with an empty csv_header writes the JSON only, and its csv path
-    is None.  A report with a header and no rows writes a header-only CSV.
-    '/' in the name becomes '_' in the file names.  A non-finite constant,
+    is None; no sweep makes a report with a header and no rows.  '/' in the
+    name becomes '_' in the file names.  A non-finite constant,
     ratio or sample raises NonconvergenceError before any file is opened.
     """
     require_finite_report(report)
@@ -141,8 +161,8 @@ def write_report(report: SweepReport, out_dir: str | Path) -> tuple[Path, Path |
 
 
 def _as_rows(rows, n_cols: int) -> np.ndarray:
-    """Samples as a read-only (N, n_cols) float64 array."""
-    arr = np.array(rows, dtype=float).reshape(len(rows), n_cols)
+    """Samples as a read-only (N, n_cols) float64 array; a float64 array is not copied."""
+    arr = np.asarray(rows, dtype=float).reshape(len(rows), n_cols)
     arr.setflags(write=False)
     return arr
 
@@ -195,30 +215,22 @@ def _dispersive_grid(cfg: ConeConfig, grids: SweepGrids) -> list:
     return grid
 
 
-def _dispersive_grid_pair(cfg: ConeConfig, grids: SweepGrids):
-    """() -> (coarse, fine) dispersive grids, built on the first call only.
+def _grid_table(blocks, n_rows: int, n_cols: int) -> np.ndarray:
+    """Rows (t, x, angle, then one column per value matrix), ordered by t, then angle, then x.
 
-    The grids do not depend on gamma, so every sweep handed the same pair
-    shares one evaluation of the reduced kernel.
+    blocks yields (t, x, angle, mats) per time, each mat of shape
+    (len(angle), len(x)); each block is written as it comes.
     """
-    return functools.cache(lambda: (_dispersive_grid(cfg, grids),
-                                    _dispersive_grid(cfg, grids.refined())))
-
-
-def _dispersive_table(grid: list, gammas) -> np.ndarray:
-    """Read-only rows (t, rho, delta, |K|, then rho^-gamma |K| per gamma), ordered by t, then delta, then rho."""
-    rows = np.empty((sum(mat.size for *_, mat in grid), 4 + len(gammas)))
+    rows = np.empty((n_rows, n_cols))
     lo = 0
-    for t, rho, delta, mat in grid:
-        block = rows[lo:lo + mat.size]
+    for t, x, angle, mats in blocks:
+        block = rows[lo:lo + angle.size * x.size]
         block[:, 0] = t
-        block[:, 1] = np.tile(rho, delta.size)
-        block[:, 2] = np.repeat(delta, rho.size)
-        block[:, 3] = mat.ravel()
-        for i, gamma in enumerate(gammas):
-            block[:, 4 + i] = (mat * rho[None, :] ** (-gamma)).ravel()
-        lo += mat.size
-    rows.setflags(write=False)
+        block[:, 1] = np.tile(x, angle.size)
+        block[:, 2] = np.repeat(angle, x.size)
+        for i, mat in enumerate(mats, 3):
+            block[:, i] = mat.ravel()
+        lo += len(block)
     return rows
 
 
@@ -237,39 +249,42 @@ def _require_gamma(cfg: ConeConfig, gamma: float) -> None:
         raise GammaOutOfRangeError(f"gamma={gamma} outside [0, kappa={kappa}]")
 
 
-def weighted_dispersive_constant(cfg: ConeConfig, gamma: float,
-                                 grids: SweepGrids = SweepGrids(),
-                                 name: str = "weighted", *, _grids=None) -> list[SweepReport]:
-    """Weighted dispersive sweep; constants for the full grid and the
-    rho >= 1 / rho < 1 split are reported separately.
+def weighted_dispersive_constant(cfg: ConeConfig, gammas: tuple[float, ...], grids: SweepGrids = SweepGrids(), *,
+                                 dispersive: bool = False) -> list[SweepReport]:
+    """The dispersive family on one coarse and one fine grid, each built once.
 
-    The full-grid report carries the fine grid's samples under the header
-    (t, rho, delta, abs_series, weighted); the split reports carry that
-    header and no rows.  ``_grids`` is a shared ``_dispersive_grid_pair``
-    for (cfg, grids): a sweep handed one leaves the samples to its caller
-    (run_suite writes one table for the whole dispersive family), and
-    without it the sweep builds its own grids.
+    Reports, in order: 'dispersive' (the unweighted sweep) if asked, then per
+    gamma 'weighted-g<gamma>' over the full grid and its rho >= 1 and rho < 1
+    splits '/omega1' and '/omega2'.  The first report carries the family's
+    one table, the fine grid's samples: t, rho, delta, abs_series, then
+    rho^-gamma abs_series per gamma, named after its report.  The other
+    reports carry no CSV, and every report the call's wall time.  A gamma
+    outside [0, kappa] raises before any kernel call.
     """
     t0 = time.perf_counter()
-    _require_gamma(cfg, gamma)
-    coarse, fine = (_grids or _dispersive_grid_pair(cfg, grids))()
-    header = ("t", "rho", "delta", "abs_series", "weighted")
-    samples = ((), ()) if _grids else (header, _dispersive_table(fine, (gamma,)))
-    spec = (f"t x r x dtheta = {grids.n_time} x {grids.n_radius}^2 x {grids.n_angle}, "
-            f"gamma={gamma:.6g}, reduced-kernel units (kernel constant = value / (8 pi sigma))")
+    for gamma in gammas:
+        _require_gamma(cfg, gamma)
+    names = [f"weighted-g{g:.4g}" for g in gammas]
+    sweeps = ([("dispersive", 0.0, ("",))] if dispersive else []) + [
+        (name, g, ("", "/omega1", "/omega2")) for name, g in zip(names, gammas)]
+    coarse, fine = _dispersive_grid(cfg, grids), _dispersive_grid(cfg, grids.refined())
     results = []
-    for suffix, c, cf in zip(("", "/omega1", "/omega2"), _split_sups(coarse, gamma), _split_sups(fine, gamma)):
-        ratio, passed = _refinement(c, cf)
-        results.append((f"{name}{suffix}", cf, ratio, passed, (header, ()) if suffix else samples))
+    for name, gamma, suffixes in sweeps:
+        spec = (f"t x r x dtheta = {grids.n_time} x {grids.n_radius}^2 x {grids.n_angle}, "
+                f"gamma={gamma:.6g}, reduced-kernel units (kernel constant = value / (8 pi sigma))")
+        for suffix, c, cf in zip(suffixes, _split_sups(coarse, gamma), _split_sups(fine, gamma)):
+            results.append((name + suffix, spec, cf, *_refinement(c, cf)))
+    header = ("t", "rho", "delta", "abs_series", *names)
+    blocks = ((t, rho, delta, (mat, *(mat * rho[None, :] ** (-g) for g in gammas))) for t, rho, delta, mat in fine)
+    table = _grid_table(blocks, sum(mat.size for *_, mat in fine), len(header))
     runtime_ms = _ms_since(t0)
-    return [_report(report_name, cfg, spec, cf, ratio, passed, runtime_ms, *table)
-            for report_name, cf, ratio, passed, table in results]
+    return [_report(name, cfg, spec, cf, ratio, passed, runtime_ms, *((header, table) if i == 0 else ()))
+            for i, (name, spec, cf, ratio, passed) in enumerate(results)]
 
 
-def dispersive_constant_schrodinger(cfg: ConeConfig, grids: SweepGrids = SweepGrids(), *,
-                                    _grids=None) -> list[SweepReport]:
-    """Unweighted dispersive sweep (the gamma = 0 specialization)."""
-    return weighted_dispersive_constant(cfg, 0.0, grids, name="dispersive", _grids=_grids)[:1]
+def dispersive_constant_schrodinger(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) -> list[SweepReport]:
+    """Unweighted dispersive sweep (the gamma = 0 specialization), with its table t, rho, delta, abs_series."""
+    return weighted_dispersive_constant(cfg, (), grids, dispersive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -298,27 +313,25 @@ def gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) ->
         near_pi = near_pi[np.abs(near_pi) < 0.5 * cfg.period - 0.02]
         dth = np.unique(np.concatenate([base, near_pi]))
         ts = np.geomspace(0.1, 5.0, g.n_time) / cfg.b0
-        blocks = []
         r1g, r2g = np.meshgrid(r, r, indexing="ij")
         rr = (r1g * r2g).ravel()
         # best-image angle per dtheta: the geodesic uses cos(theta_red), or -1 past pi
         red = np.abs(np.remainder(dth + cfg.period / 2.0, cfg.period) - cfg.period / 2.0)
         cosfac = np.where(red < math.pi, np.cos(red), -1.0)
-        for t in ts:
-            tb = t * cfg.b0
-            x = cfg.b0 * rr / (2.0 * math.sinh(tb))
-            bracket = np.abs(heat_closed_bracket_grid(x, dth, t, cfg))
-            raw = cfg.b0 / (4.0 * math.pi) * bracket  # |K| sinh e^{+Q}
-            # distance envelope: e^{-Q + b0 d^2/(4 tanh)} = e^{-x cosh(tb) cosfac}
-            dist_const = raw * np.exp(-x[None, :] * math.cosh(tb) * cosfac[:, None])
-            # rows ordered by t, then dtheta, then r1 r2
-            blocks.append(np.column_stack([np.full(raw.size, t), np.tile(rr, dth.size),
-                                           np.repeat(dth, rr.size), raw.ravel(), dist_const.ravel()]))
-        return np.concatenate(blocks)
 
-    rows_c = samples(grids)
+        def blocks():
+            for t in ts:
+                tb = t * cfg.b0
+                x = cfg.b0 * rr / (2.0 * math.sinh(tb))
+                bracket = np.abs(heat_closed_bracket_grid(x, dth, t, cfg))
+                raw = cfg.b0 / (4.0 * math.pi) * bracket  # |K| sinh e^{+Q}
+                # distance envelope: e^{-Q + b0 d^2/(4 tanh)} = e^{-x cosh(tb) cosfac}
+                yield t, rr, dth, (raw, raw * np.exp(-x[None, :] * math.cosh(tb) * cosfac[:, None]))
+
+        return _grid_table(blocks(), ts.size * dth.size * rr.size, 5)
+
+    c = samples(grids)[:, 4].max()
     rows_f = samples(grids.refined())
-    c = rows_c[:, 4].max()
     cf = rows_f[:, 4].max()
     ratio, passed = _refinement(c, cf)
     spec = (f"t geomspace(0.1,5)/b0 x {grids.n_time}, r x {grids.n_radius}^2, "
@@ -341,20 +354,13 @@ def reduced_kernel_bound_scan(cfg: ConeConfig, grids: SweepGrids = SweepGrids())
         delta = np.linspace(-_SCAN_DELTA, _SCAN_DELTA, n_delta)
         return rho, delta, np.abs(reduced_kernel_matrix(rho, delta, cfg))
 
-    def sup_for(rho_max: float, n_rho: int, n_delta: int) -> float:
-        return float(abs_kernel(rho_max, n_rho, n_delta)[2].max())
-
     rho_max, n_rho = 12.5, 40 * grids.n_radius
-    sup_prev = sup_for(rho_max, n_rho, 8 * grids.n_angle)
-    while rho_max < 200.0:
-        rho_max *= 2.0
-        n_rho *= 2
-        sup_new = sup_for(rho_max, n_rho, 8 * grids.n_angle)
-        if abs(sup_new - sup_prev) < 0.01 * sup_new:
-            sup_prev = sup_new
+    coarse = float(abs_kernel(rho_max, n_rho, 8 * grids.n_angle)[2].max())
+    for _ in range(_SCAN_DOUBLINGS):
+        rho_max, n_rho, last = 2.0 * rho_max, 2 * n_rho, coarse
+        coarse = float(abs_kernel(rho_max, n_rho, 8 * grids.n_angle)[2].max())
+        if abs(coarse - last) < 0.01 * coarse:
             break
-        sup_prev = sup_new
-    coarse = sup_prev
     rho, delta, mat = abs_kernel(rho_max, 2 * n_rho - 1, 16 * grids.n_angle - 1)
     fine = float(mat.max())
     ratio, passed = _refinement(coarse, fine)
@@ -440,14 +446,6 @@ def subordination_identity_check(cfg: ConeConfig = REFERENCE_CONFIGS[0]) -> list
 # half-wave decay fit
 # ---------------------------------------------------------------------------
 
-def _halfwave_sup_curve(cfg: ConeConfig, j: int, ts: np.ndarray, r_nodes: np.ndarray,
-                        dth_nodes: np.ndarray, window: ModeWindow) -> np.ndarray:
-    """sup_{p,q} |frequency-truncated half-wave kernel| at each time."""
-    blocks, _ = _shell_blocks(j, cfg, window, r_nodes)
-    return np.concatenate([np.abs(acc).max(axis=(1, 2))
-                           for acc in _halfwave_pair_chunks(blocks, ts, dth_nodes, r_nodes.size, cfg)])
-
-
 _ONSET_TAU = 3.2  # upper edge (in 2^j t) of the decay-onset fit window
 
 
@@ -479,7 +477,7 @@ def halfwave_decay_fit(cfg: ConeConfig, j: int, grids: SweepGrids = SweepGrids()
 
     def slope_for(n_r: int):
         r_nodes = np.linspace(0.25, r_max, n_r)
-        sups = _halfwave_sup_curve(cfg, j, ts, r_nodes, dth, window)
+        sups = halfwave_sup_curve(j, ts, r_nodes, dth, cfg, window)
         xdata = np.log(1.0 + 2.0 ** j * ts)
         coeffs = np.polyfit(xdata[onset], np.log(sups[onset]), 1)
         return float(coeffs[0]), sups
@@ -536,18 +534,15 @@ def energy_conservation_check(cfg: ConeConfig, seed: int = _SEED) -> list[SweepR
 
 def run_suite(name: str, cfg: ConeConfig, grids: SweepGrids = SweepGrids(), seed: int = _SEED,
               halfwave_j: int = _HALFWAVE_J, gamma: float | None = None) -> list[SweepReport]:
-    """Run one named sweep (or 'all', every sweep in SUITE_NAMES order) on a configuration.
+    """Run one named sweep (or 'all', every sweep) on a configuration; reports come in SUITE_NAMES order.
 
-    The dispersive and weighted sweeps of one call share their grids, and
-    their samples make one table: the columns t, rho, delta, abs_series and
-    one column per weighted report, named after it, in report order.  The
-    family's first report (dispersive, or the first weighted one under
-    'weighted') carries that table; its other full-grid reports carry no
-    CSV header, and its /omega1 and /omega2 reports a header and no rows,
-    as a sweep called on its own gives them.  A gamma outside [0, kappa], or
-    a half-wave shell past the work cap or without a mode, raises before any
-    sweep runs.  Each sweep is looked up by its module-level name when it
-    runs, so a wrapper set on the module sees the call.
+    One weighted_dispersive_constant call makes the dispersive family's
+    reports (weighted at gamma, or at 0, kappa/2 and kappa without it),
+    after every other sweep, so its table is not held while they run.  A
+    gamma outside [0, kappa], or a half-wave shell past the work cap or
+    without a mode, raises before any sweep runs.  Each sweep is looked up
+    by its module-level name when it runs, so a wrapper set on the module
+    sees the call.
     """
     if name not in SUITE_NAMES + ("all",):
         raise QuadratureError(f"unknown suite '{name}'; choose from {SUITE_NAMES + ('all',)}")
@@ -555,14 +550,7 @@ def run_suite(name: str, cfg: ConeConfig, grids: SweepGrids = SweepGrids(), seed
         _require_gamma(cfg, gamma)
     if name in ("halfwave", "all"):
         shell_window(halfwave_j, cfg)  # raises on a shell past the work cap or without a mode
-    shared = _dispersive_grid_pair(cfg, grids)
-    kappa = flux_distance(cfg)
-    gammas = (gamma,) if gamma is not None else (0.0, kappa / 2.0, kappa)
-    weighted_names = [f"weighted-g{g:.4g}" for g in gammas]
     sweeps = {
-        "dispersive": lambda: dispersive_constant_schrodinger(cfg, grids, _grids=shared),
-        "weighted": lambda: [rep for g, g_name in zip(gammas, weighted_names)
-                             for rep in weighted_dispersive_constant(cfg, g, grids, name=g_name, _grids=shared)],
         "gaussian-heat": lambda: gaussian_heat_constant(cfg, grids),
         "reduced-kernel": lambda: reduced_kernel_bound_scan(cfg, grids),
         "tail-l1": lambda: angular_tail_l1_scan(cfg, grids),
@@ -570,10 +558,11 @@ def run_suite(name: str, cfg: ConeConfig, grids: SweepGrids = SweepGrids(), seed
         "halfwave": lambda: halfwave_decay_fit(cfg, halfwave_j, grids),
         "energy": lambda: energy_conservation_check(cfg, seed),
     }
-    reports = [rep for suite in (SUITE_NAMES if name == "all" else (name,)) for rep in sweeps[suite]()]
-    if name in ("dispersive", "weighted", "all"):
-        # the family runs first, so reports[0] is the report that carries its table
-        table_gammas, columns = ((), ()) if name == "dispersive" else (gammas, weighted_names)
-        reports[0] = replace(reports[0], csv_header=("t", "rho", "delta", "abs_series", *columns),
-                             csv_rows=_dispersive_table(shared()[1], table_gammas))
-    return reports
+    suites = SUITE_NAMES if name == "all" else (name,)
+    reports = [rep for suite in suites if suite in sweeps for rep in sweeps[suite]()]
+    if name not in ("dispersive", "weighted", "all"):
+        return reports
+    kappa = flux_distance(cfg)
+    gammas = () if name == "dispersive" else (gamma,) if gamma is not None else (0.0, kappa / 2.0, kappa)
+    # the family's two suites lead SUITE_NAMES, so its reports lead too
+    return weighted_dispersive_constant(cfg, gammas, grids, dispersive=name != "weighted") + reports

@@ -36,7 +36,6 @@ from magcone.verify import (
     REFERENCE_CONFIGS,
     SweepGrids,
     angular_tail_l1_scan,
-    dispersive_constant_schrodinger,
     gaussian_heat_constant,
     halfwave_decay_fit,
     reduced_kernel_bound_scan,
@@ -252,11 +251,8 @@ def test_criterion_5_estimate_certification():
     grids = SweepGrids(n_time=5, n_radius=7, n_angle=14)
     lines = []
     for cfg in REFERENCE_CONFIGS:
-        reports = []
-        reports += dispersive_constant_schrodinger(cfg, grids)
         kappa = flux_distance(cfg)
-        for gamma in (0.0, kappa / 2.0, kappa):
-            reports += weighted_dispersive_constant(cfg, gamma, grids, name=f"w{gamma:.3g}")
+        reports = weighted_dispersive_constant(cfg, (0.0, kappa / 2.0, kappa), grids, dispersive=True)
         reports += gaussian_heat_constant(cfg, grids)
         reports += reduced_kernel_bound_scan(cfg, grids=grids)
         reports += angular_tail_l1_scan(cfg, grids)

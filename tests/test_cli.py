@@ -179,11 +179,10 @@ def test_verify_weighted_alone_writes_one_table_with_its_gamma_column(tmp_path, 
     capsys.readouterr()
     reports = ("weighted-g0.1", "weighted-g0.1_omega1", "weighted-g0.1_omega2")
     assert sorted(p.name for p in out.glob("*.json")) == [f"{name}.json" for name in reports]
-    with_rows = [p.name for p in out.glob("*.csv") if len(p.read_text(encoding="utf-8").splitlines()) > 1]
-    assert with_rows == ["weighted-g0.1.csv"]
+    assert [p.name for p in out.glob("*.csv")] == ["weighted-g0.1.csv"]
     assert _header(out / "weighted-g0.1.csv") == ["t", "rho", "delta", "abs_series", "weighted-g0.1"]
-    for omega in reports[1:]:  # the split reports keep their header-only CSV
-        assert (out / f"{omega}.csv").read_text(encoding="utf-8") == "t,rho,delta,abs_series,weighted\n"
+    for omega in reports[1:]:  # the split reports write no CSV
+        assert not (out / f"{omega}.csv").exists()
 
 
 def test_verify_gamma_precondition(tmp_path):
@@ -284,6 +283,17 @@ def _assert_one_line_error(capsys, code, elapsed=None):
     if elapsed is not None:
         assert elapsed < 5.0
     return err
+
+
+@pytest.mark.parametrize("grid", ["n_radius = 3000", "n_radius = 18", "n_angle = 200000"])
+def test_verify_refuses_sweep_grids_past_the_cell_cap(tmp_path, capsys, grid):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(grid + "\n")
+    start = time.perf_counter()
+    code = run_cli("--config", str(cfgfile), "--out", str(tmp_path / "o"), "verify", "all")
+    err = _assert_one_line_error(capsys, code, time.perf_counter() - start)
+    assert "above the cap" in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("kind,extra", [

@@ -94,7 +94,7 @@ def test_grid_and_sup_curve_share_one_assembly(cfg):
     dth = np.linspace(-0.5 * cfg.period, 0.5 * cfg.period, 7, endpoint=False) + 0.013
     window = _window(j, cfg)
     grid = kernels.halfwave_kernel_grid(j, t, R_NODES, dth, cfg, window)
-    sup = verify._halfwave_sup_curve(cfg, j, np.array([t]), R_NODES, dth, window)
+    sup = kernels.halfwave_sup_curve(j, np.array([t]), R_NODES, dth, cfg, window)
     assert sup[0] == np.abs(grid).max()
 
 

@@ -66,6 +66,15 @@ def test_lpbesov_does_not_import_kernels():
     assert "lpbesov" in _package_imports(PACKAGE / "kernels.py", inside_functions=False)
 
 
+def test_verify_imports_no_private_kernels_name():
+    """The half-wave shell assembly and its tail policy stay behind kernels' public functions."""
+    tree = ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "kernels"
+                for alias in node.names]
+    assert "halfwave_sup_curve" in imported
+    assert [name for name in imported if name.startswith("_")] == []
+
+
 def test_no_module_imports_specfun():
     """The kernels call scipy.special for Bessel values; there is no second copy to import."""
     for module in MODULES:

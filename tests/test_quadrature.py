@@ -4,7 +4,7 @@ The oracles below are the earlier implementations kept word for word: the
 recursive three-call ``adaptive_panel`` (coarse panel plus two half panels,
 each a separate integrand call, one panel per call), the three-walk
 ``oscillatory_bessel_tail`` with its ``adaptive_line`` (on the recursion)
-and the per-time einsum of ``_halfwave_sup_curve``.  The engine calls its
+and the per-time einsum of ``kernels.halfwave_sup_curve``.  The engine calls its
 integrand as ``f(s, panel)``, panel naming the top-level panel of each
 node, while the recursion calls ``f(s)`` on one panel; the glue below
 (``oracle_panels``, ``oracle_walk``) hands the recursion each top-level
@@ -586,6 +586,6 @@ def test_halfwave_sup_curve_matches_einsum_oracle(cfg, j):
     ts = np.geomspace(2.0 ** -j, 2.0 ** j * math.pi / (2.0 * cfg.b0), 7)
     r_nodes = np.linspace(0.25, 4.0, 6)
     dth = np.linspace(-0.5 * cfg.period, 0.5 * cfg.period, 10, endpoint=False) + 0.013
-    new = verify._halfwave_sup_curve(cfg, j, ts, r_nodes, dth, window)
+    new = kernels.halfwave_sup_curve(j, ts, r_nodes, dth, cfg, window)
     old = oracle_halfwave_sup_curve(cfg, j, ts, r_nodes, dth, window)
     np.testing.assert_allclose(new, old, rtol=1e-13, atol=0.0)

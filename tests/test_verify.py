@@ -35,26 +35,26 @@ def test_dispersive_sweep_passes(cfg):
 
 def test_weighted_matches_dispersive_at_gamma_zero(cfg):
     a = dispersive_constant_schrodinger(cfg, SMALL)[0].empirical_constant
-    b = weighted_dispersive_constant(cfg, 0.0, SMALL)[0].empirical_constant
+    b = weighted_dispersive_constant(cfg, (0.0,), SMALL)[0].empirical_constant
     assert abs(a - b) <= 1e-12 * abs(a)
 
 
 def test_weighted_gamma_range(cfg):
     kappa = flux_distance(cfg)
-    reports = weighted_dispersive_constant(cfg, kappa, SMALL)
+    reports = weighted_dispersive_constant(cfg, (kappa,), SMALL)
     assert all(r.passed for r in reports)
     names = [r.name for r in reports]
     assert any(n.endswith("/omega1") for n in names)
     assert any(n.endswith("/omega2") for n in names)
     with pytest.raises(GammaOutOfRangeError):
-        weighted_dispersive_constant(cfg, kappa + 0.05, SMALL)
+        weighted_dispersive_constant(cfg, (0.0, kappa + 0.05), SMALL)
 
 
 def _patch_out_sweeps(monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep ran before the argument checks")
 
-    for name in ("reduced_kernel_matrix", "heat_closed_bracket_grid", "_shell_blocks", "adaptive_panel",
+    for name in ("reduced_kernel_matrix", "heat_closed_bracket_grid", "halfwave_sup_curve", "adaptive_panel",
                  "spectral_apply"):
         monkeypatch.setattr(verify, name, no_sweep)
 
@@ -123,6 +123,36 @@ def test_halfwave_fit_small():
     rep = halfwave_decay_fit(cfg, 1, SMALL)[0]
     assert rep.passed
     assert -0.75 <= rep.empirical_constant <= -0.35
+
+
+def test_run_suite_returns_suite_names_order_though_the_family_runs_last(monkeypatch):
+    """The dispersive family's reports lead, in SUITE_NAMES order, while its call is the last sweep."""
+    order = []
+
+    def logged(name, sweep):
+        def call(*args, **kwargs):
+            order.append(name)
+            return sweep(*args, **kwargs)
+        return call
+
+    for name in ("weighted_dispersive_constant", "gaussian_heat_constant", "reduced_kernel_bound_scan",
+                 "angular_tail_l1_scan", "subordination_identity_check", "halfwave_decay_fit",
+                 "energy_conservation_check"):
+        monkeypatch.setattr(verify, name, logged(name, getattr(verify, name)))
+    reports = run_suite("all", REFERENCE_CONFIGS[0], SweepGrids(n_time=2, n_radius=2, n_angle=2), halfwave_j=1)
+    assert order[-1] == "weighted_dispersive_constant" and order.count("weighted_dispersive_constant") == 1
+    suites = ["weighted" if rep.name.startswith("weighted-g") else rep.name for rep in reports]
+    assert list(dict.fromkeys(suites)) == list(verify.SUITE_NAMES)
+
+
+def test_no_report_writes_a_csv_without_rows(tmp_path):
+    """Every report of a `run_suite('all')` either has no CSV or writes rows under its header."""
+    for rep in run_suite("all", REFERENCE_CONFIGS[1], SweepGrids(n_time=2, n_radius=2, n_angle=2), halfwave_j=1):
+        _, csv_path = write_report(rep, tmp_path)
+        assert (csv_path is None) == (rep.csv_header == ()), rep.name
+        if csv_path is not None:
+            assert len(csv_path.read_text(encoding="utf-8").splitlines()) > 1, rep.name
+    assert not list(tmp_path.glob("*_omega*.csv"))
 
 
 def test_run_suite_unknown_name(cfg):

@@ -3,8 +3,8 @@
 The dispersive sweep and the weighted sweep at each gamma share their grid,
 so their samples make one table, dispersive.csv: the columns t, rho, delta
 and abs_series, then one weighted-g<gamma> column per weighted report.
-Every report keeps its JSON, and the /omega1 and /omega2 reports keep their
-header-only CSVs.  The tests read the session's `verify all` output.
+Every report keeps its JSON; no other report of the family writes a CSV.
+The tests read the session's `verify all` output.
 """
 
 import json
@@ -29,8 +29,8 @@ def test_verify_all_writes_one_dispersive_table(cfg, verify_all_output):
     reports = [json.loads(p.read_text(encoding="utf-8"))["name"] for p in out.glob("*.json")]
     weighted = _weighted_names(cfg)
     assert set(weighted) <= set(reports)
-    stems = {name.replace("/", "_") for name in reports}
-    assert {p.name for p in out.glob("*.csv")} == {f"{stem}.csv" for stem in stems - set(weighted)}
+    family = {name for name in reports if name.startswith("weighted")}
+    assert {p.name for p in out.glob("*.csv")} == {f"{name}.csv" for name in set(reports) - family}
     lines = (out / "dispersive.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0].split(",") == ["t", "rho", "delta", "abs_series", *weighted]
     assert len(lines) == 1 + FINE.n_time * FINE.n_radius ** 2 * FINE.n_angle
@@ -38,13 +38,9 @@ def test_verify_all_writes_one_dispersive_table(cfg, verify_all_output):
 
 @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS, ids=lambda c: f"sigma{c.sigma}")
 def test_verify_all_writes_no_csv_twice(cfg, verify_all_output):
-    """No two CSVs that hold rows are byte copies, and one of them holds abs_series.
-
-    The header-only /omega CSVs name abs_series in their header but hold no
-    sample, so they are left out.
-    """
+    """No two CSVs are byte copies, each holds rows, and one of them holds abs_series."""
     tables = {p.name: p.read_bytes() for p in verify_all_output(cfg).glob("*.csv")}
-    with_rows = {name: data for name, data in tables.items() if data.count(b"\n") > 1}
-    assert len(set(with_rows.values())) == len(with_rows)
-    holding = [name for name, data in with_rows.items() if b"abs_series" in data.split(b"\n", 1)[0].split(b",")]
+    assert all(data.count(b"\n") > 1 for data in tables.values())
+    assert len(set(tables.values())) == len(tables)
+    holding = [name for name, data in tables.items() if b"abs_series" in data.split(b"\n", 1)[0].split(b",")]
     assert holding == ["dispersive.csv"]

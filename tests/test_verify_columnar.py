@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magcone import cli, spectrum, verify
+from magcone import cli, kernels, spectrum, verify
 from magcone.errors import DomainError, GammaOutOfRangeError, NonconvergenceError, QuadratureError
 from magcone.geometry import ConeConfig, flux_distance
 from magcone.kernels import heat_closed_bracket_grid, reduced_kernel_matrix
@@ -206,8 +206,9 @@ def test_verify_all_artifacts_match_oracle(tmp_path, i_cfg):
     """Every JSON and every other CSV byte for byte; the family's one table cell for cell.
 
     The oracle wrote a (t, rho, delta, abs_series, weighted) CSV per
-    dispersive-family report; `verify all` writes one dispersive.csv whose
-    columns project onto each of them.
+    dispersive-family report, header-only for the /omega reports; `verify
+    all` writes one dispersive.csv whose columns project onto each full-grid
+    one, and no CSV for any other report of the family.
     """
     cfg = verify.REFERENCE_CONFIGS[i_cfg]
     expected = oracle_reports(cfg, SMALL)
@@ -220,10 +221,11 @@ def test_verify_all_artifacts_match_oracle(tmp_path, i_cfg):
         new_json, new_csv = verify.write_report(new_rep, tmp_path / "new")
         assert new_json.name == old_json.name
         assert new_json.read_bytes() == old_json.read_bytes(), new_json.name
-        assert (new_csv is None) == (new_rep.name in weighted), new_rep.name
+        assert (new_csv is None) == new_rep.name.startswith("weighted"), new_rep.name
         if new_csv is not None and new_rep.name != "dispersive":
             assert new_csv.name == old_csv.name
             assert new_csv.read_bytes() == old_csv.read_bytes(), new_csv.name
+    assert not list((tmp_path / "new").glob("*_omega*.csv"))
     table = _csv_columns(tmp_path / "new" / "dispersive.csv")
     assert list(table) == ["t", "rho", "delta", "abs_series", *weighted]
     fine = SMALL.refined()
@@ -250,25 +252,36 @@ def test_run_suite_gives_the_dispersive_family_one_table(suite):
     assert table.csv_header == ("t", "rho", "delta", "abs_series", *(f"weighted-g{g:.4g}" for g in gammas))
     assert len(rest) == 3 * len(gammas) - (suite == "weighted")
     for rep in rest:
-        assert rep.csv_rows.size == 0
-        assert rep.csv_header == (("t", "rho", "delta", "abs_series", "weighted") if "/" in rep.name else ())
+        assert rep.csv_rows.shape == (0, 0) and rep.csv_header == ()
     alone = verify.dispersive_constant_schrodinger(cfg, SMALL)[0].csv_rows
     assert not table.csv_rows.flags.writeable
-    assert np.array_equal(table.csv_rows[:, :4], alone[:, :4])
+    assert np.array_equal(table.csv_rows[:, :4], alone)
     for i, g in enumerate(gammas):
-        weighted = verify.weighted_dispersive_constant(cfg, g, SMALL)[0].csv_rows[:, 4]
+        weighted = verify.weighted_dispersive_constant(cfg, (g,), SMALL)[0].csv_rows[:, 4]
         assert np.array_equal(table.csv_rows[:, 4 + i], weighted)
 
 
 def test_single_weighted_sweep_matches_oracle(tmp_path, cfg):
-    """A sweep called on its own builds its own grids and writes the same bytes."""
+    """A family call at one gamma writes the oracle's bytes: every JSON, and the full-grid CSV.
+
+    The table names its weighted column after its report; the split reports
+    write no CSV.
+    """
     gamma = flux_distance(cfg) / 3.0
-    old = oracle_weighted_dispersive_constant(cfg, gamma, SMALL)
-    new = verify.weighted_dispersive_constant(cfg, gamma, SMALL)
-    for old_rep, new_rep in zip(old, new, strict=True):
-        for old_path, new_path in zip(oracle_write_report(old_rep, tmp_path / "old"),
-                                      verify.write_report(new_rep, tmp_path / "new")):
-            assert new_path.read_bytes() == old_path.read_bytes()
+    name = f"weighted-g{gamma:.4g}"
+    old = oracle_weighted_dispersive_constant(cfg, gamma, SMALL, name=name)
+    new = verify.weighted_dispersive_constant(cfg, (gamma,), SMALL)
+    for i, (old_rep, new_rep) in enumerate(zip(old, new, strict=True)):
+        (old_json, old_csv), (new_json, new_csv) = (oracle_write_report(old_rep, tmp_path / "old"),
+                                                    verify.write_report(new_rep, tmp_path / "new"))
+        assert new_json.read_bytes() == old_json.read_bytes()
+        if i == 0:
+            old_header, old_body = old_csv.read_bytes().split(b"\n", 1)
+            new_header, new_body = new_csv.read_bytes().split(b"\n", 1)
+            assert new_header.split(b",") == [*old_header.split(b",")[:-1], name.encode()]
+            assert new_body == old_body
+        else:
+            assert new_csv is None
 
 
 _FLOATS = st.one_of(
@@ -337,7 +350,7 @@ def test_csv_body_of_tables_without_cells(tmp_path, shape):
     (old_json, old_csv), (new_json, new_csv) = (oracle_write_report(old, tmp_path / "old"),
                                                 verify.write_report(new, tmp_path / "new"))
     assert new_json.read_bytes() == old_json.read_bytes()
-    if header:  # a header with no rows: a header-only CSV, as the /omega reports write
+    if header:  # a header with no rows: a header-only CSV (no sweep makes such a report)
         assert new_csv.read_bytes() == old_csv.read_bytes()
     else:  # no header: the report has no CSV of its own
         assert new_csv is None and sorted(p.name for p in (tmp_path / "new").iterdir()) == ["a_omega1.json"]
@@ -399,11 +412,11 @@ def test_verify_exits_4_on_a_non_finite_constant(tmp_path, monkeypatch, capsys):
 
 
 def test_csv_rows_are_a_read_only_float_array(cfg):
-    rep, omega1, _ = verify.weighted_dispersive_constant(cfg, 0.0, SMALL)
+    rep, omega1, _ = verify.weighted_dispersive_constant(cfg, (0.0,), SMALL)
     fine = SMALL.refined()
     assert rep.csv_rows.dtype == np.float64
     assert rep.csv_rows.shape == (fine.n_time * fine.n_radius ** 2 * fine.n_angle, 5)
-    assert omega1.csv_rows.shape == (0, 5)
+    assert omega1.csv_rows.shape == (0, 0)
     with pytest.raises(ValueError):
         rep.csv_rows[0, 0] = 1.0
     assert SweepReport("x", cfg, "", 0.0, 1.0, True, 0).csv_rows.shape == (0, 0)
@@ -440,9 +453,19 @@ def test_verify_all_builds_each_kernel_grid_once(monkeypatch):
 def test_standalone_weighted_sweep_builds_its_own_grids(monkeypatch):
     cfg = verify.REFERENCE_CONFIGS[0]
     calls = _count_kernel_calls(monkeypatch)
-    verify.weighted_dispersive_constant(cfg, 0.1, SMALL)
+    verify.weighted_dispersive_constant(cfg, (0.1,), SMALL)
     verify.dispersive_constant_schrodinger(cfg, SMALL)
     assert len(calls) == 2 * (SMALL.n_time + (2 * SMALL.n_time - 1))
+
+
+def test_multi_gamma_family_call_builds_each_grid_once(monkeypatch):
+    """The dispersive report and three weighted ones come from one kernel matrix per time of each grid."""
+    cfg = verify.REFERENCE_CONFIGS[2]
+    kappa = flux_distance(cfg)
+    calls = _count_kernel_calls(monkeypatch)
+    reports = verify.weighted_dispersive_constant(cfg, (0.0, kappa / 2.0, kappa), SMALL, dispersive=True)
+    assert len(reports) == 1 + 3 * 3
+    assert len(calls) == SMALL.n_time + SMALL.refined().n_time
 
 
 def test_gamma_is_checked_before_any_kernel_call(monkeypatch):
@@ -456,8 +479,8 @@ def test_gamma_is_checked_before_any_kernel_call(monkeypatch):
 def test_reports_of_one_sweep_call_share_its_runtime(monkeypatch):
     ticks = iter(np.arange(0.0, 1000.0, 0.25))
     monkeypatch.setattr(verify, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
-    reports = verify.weighted_dispersive_constant(verify.REFERENCE_CONFIGS[0], 0.0, SMALL)
-    assert len(reports) == 3
+    reports = verify.weighted_dispersive_constant(verify.REFERENCE_CONFIGS[0], (0.0, 0.1), SMALL, dispersive=True)
+    assert len(reports) == 7
     assert len({rep.runtime_ms for rep in reports}) == 1
     assert reports[0].runtime_ms > 0
 
@@ -475,3 +498,37 @@ def test_sweep_grids_reject_empty_or_bad_ranges(bad):
 def test_single_point_sweep_grids_are_valid():
     grids = SweepGrids(n_time=1, n_radius=1, n_angle=1)
     assert grids.refined() == grids
+
+
+def test_sweep_grids_refuse_sizes_past_the_cell_cap():
+    """The bound admits the default and every test grid, and refuses one radius past it; nothing is allocated."""
+    for sizes in [(5, 7, 12), (5, 7, 14), (4, 6, 10), (3, 3, 4), (5, 17, 12)]:
+        SweepGrids(*sizes)
+    for sizes in [(5, 18, 12), (5, 3000, 12), (5, 7, 200_000), (10 ** 9, 1, 1)]:
+        with pytest.raises(DomainError, match="above the cap"):
+            SweepGrids(*sizes)
+    fine = SweepGrids().refined()  # the defaults' fine pass is counted by their bound, not checked again
+    assert (fine.n_time, fine.n_radius, fine.n_angle) == (9, 13, 23)
+    with pytest.raises(DomainError, match="above the cap"):
+        SweepGrids(9, 13, 23)
+
+
+def test_sweep_grid_bound_counts_the_arrays_the_sweeps_allocate(monkeypatch):
+    """The scan's kernel matrices and the half-wave accumulators stay within the factors the bound counts."""
+    grids = SweepGrids(n_time=3, n_radius=3, n_angle=5)
+    cfg = verify.REFERENCE_CONFIGS[0]
+    calls = _count_kernel_calls(monkeypatch)
+    verify.reduced_kernel_bound_scan(cfg, grids)
+    assert max(n_rho * n_delta for _, n_rho, n_delta in calls) <= (16 * 5 - 1) * (1280 * 3 - 1)
+    chunks = []
+    pair_chunks = kernels._halfwave_pair_chunks
+
+    def spy(*args):
+        for acc in pair_chunks(*args):
+            chunks.append(acc.shape)
+            yield acc
+
+    monkeypatch.setattr(kernels, "_halfwave_pair_chunks", spy)
+    verify.halfwave_decay_fit(cfg, 1, grids)
+    n_t, n_angle, n_pairs = max(chunks)
+    assert n_t <= 2 * 3 + 10 and n_angle == max(2 * 5, 32) and n_pairs == 17 * 18 // 2
