@@ -9,7 +9,7 @@ the reduced angular series and checks it saturates under grid refinement.
 import math
 
 from magcone import ConeConfig, flux_distance, make_point, schrodinger_kernel_series
-from magcone.verify import SweepGrids, dispersive_constant_schrodinger, weighted_dispersive_constant
+from magcone.verify import SweepGrids, weighted_dispersive_constant
 
 cfg = ConeConfig(sigma=1.5, b0=1.0, alpha=0.4)
 p = make_point(cfg, 1.0, 0.3)
@@ -24,7 +24,7 @@ for sin_target in (0.5, 0.1, 0.02):
 
 print("\ncertification sweeps (constants in reduced-kernel units):")
 grids = SweepGrids(n_time=4, n_radius=6, n_angle=10)
-rep = dispersive_constant_schrodinger(cfg, grids)[0]
+rep = weighted_dispersive_constant(cfg, (), grids, dispersive=True)[0]
 print(f"  unweighted: constant={rep.empirical_constant:.4f} "
       f"refinement ratio={rep.refinement_ratio:.4f} pass={rep.passed}")
 

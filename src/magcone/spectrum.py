@@ -362,9 +362,9 @@ def _require_finite_cells(header, rows: np.ndarray, what: str) -> None:
 def _csv_body(rows: np.ndarray) -> str:
     """The rows as %.17g CSV lines.
 
-    Tables repeat most values (grid coordinates, symmetric samples, mode
-    indices), so each distinct float64 bit pattern is formatted once and the
-    lines are assembled from those strings.
+    Tables repeat most values (grid coordinates, mode indices), so each
+    distinct float64 bit pattern is formatted once and the lines are
+    assembled from those strings.
     """
     bits, inverse = np.unique(rows.view(np.uint64).ravel(), return_inverse=True)
     text = ["%.17g" % v for v in bits.view(float).tolist()]

@@ -201,15 +201,19 @@ def _time_grid(grids: SweepGrids, cfg: ConeConfig) -> np.ndarray:
 
 
 def _dispersive_grid(cfg: ConeConfig, grids: SweepGrids) -> list:
-    """Per time, (t, rho, delta, |K|) over the induced grid; |K| is (delta, rho)."""
+    """Per time, (t, rho, delta, |K|) over the induced grid; |K| is (delta, rho).
+
+    rho ~ r1 r2 runs over the unordered pairs r1 <= r2 (np.triu_indices order).
+    """
     r = np.linspace(grids.r_min, grids.r_max, grids.n_radius)
+    iu, ju = np.triu_indices(grids.n_radius)
     dth = np.linspace(-0.5 * cfg.period + 0.11, 0.5 * cfg.period - 0.07, grids.n_angle)
     grid = []
     for t in _time_grid(grids, cfg):
         sin_tb = math.sin(t * cfg.b0)
         if abs(sin_tb) < 0.05:
             raise QuadratureError("dispersive time grid too close to a singular time")
-        rho = (cfg.b0 * np.outer(r, r) / (2.0 * sin_tb)).ravel()
+        rho = cfg.b0 * (r[iu] * r[ju]) / (2.0 * sin_tb)
         delta = t * cfg.b0 - dth
         grid.append((t, rho, delta, np.abs(reduced_kernel_matrix(rho, delta, cfg))))
     return grid
@@ -256,10 +260,11 @@ def weighted_dispersive_constant(cfg: ConeConfig, gammas: tuple[float, ...], gri
     Reports, in order: 'dispersive' (the unweighted sweep) if asked, then per
     gamma 'weighted-g<gamma>' over the full grid and its rho >= 1 and rho < 1
     splits '/omega1' and '/omega2'.  The first report carries the family's
-    one table, the fine grid's samples: t, rho, delta, abs_series, then
-    rho^-gamma abs_series per gamma, named after its report.  The other
-    reports carry no CSV, and every report the call's wall time.  A gamma
-    outside [0, kappa] raises before any kernel call.
+    one table, the fine grid's samples (one row per unordered radius pair):
+    t, rho, delta, abs_series, then rho^-gamma abs_series per gamma, named
+    after its report.  The other reports carry no CSV, and every report the
+    call's wall time.  A gamma outside [0, kappa] raises before any kernel
+    call.
     """
     t0 = time.perf_counter()
     for gamma in gammas:
@@ -280,11 +285,6 @@ def weighted_dispersive_constant(cfg: ConeConfig, gammas: tuple[float, ...], gri
     runtime_ms = _ms_since(t0)
     return [_report(name, cfg, spec, cf, ratio, passed, runtime_ms, *((header, table) if i == 0 else ()))
             for i, (name, spec, cf, ratio, passed) in enumerate(results)]
-
-
-def dispersive_constant_schrodinger(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) -> list[SweepReport]:
-    """Unweighted dispersive sweep (the gamma = 0 specialization), with its table t, rho, delta, abs_series."""
-    return weighted_dispersive_constant(cfg, (), grids, dispersive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +313,8 @@ def gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) ->
         near_pi = near_pi[np.abs(near_pi) < 0.5 * cfg.period - 0.02]
         dth = np.unique(np.concatenate([base, near_pi]))
         ts = np.geomspace(0.1, 5.0, g.n_time) / cfg.b0
-        r1g, r2g = np.meshgrid(r, r, indexing="ij")
-        rr = (r1g * r2g).ravel()
+        iu, ju = np.triu_indices(g.n_radius)
+        rr = r[iu] * r[ju]  # the kernel is symmetric in (r1, r2): one row per pair r1 <= r2
         # best-image angle per dtheta: the geodesic uses cos(theta_red), or -1 past pi
         red = np.abs(np.remainder(dth + cfg.period / 2.0, cfg.period) - cfg.period / 2.0)
         cosfac = np.where(red < math.pi, np.cos(red), -1.0)

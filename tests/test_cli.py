@@ -168,7 +168,7 @@ def test_verify_dispersive_alone_writes_its_table(tmp_path, capsys):
     capsys.readouterr()
     assert sorted(p.name for p in out.iterdir()) == ["dispersive.csv", "dispersive.json"]
     assert _header(out / "dispersive.csv") == ["t", "rho", "delta", "abs_series"]
-    assert len((out / "dispersive.csv").read_text(encoding="utf-8").splitlines()) == 1 + 5 * 7 ** 2 * 11
+    assert len((out / "dispersive.csv").read_text(encoding="utf-8").splitlines()) == 1 + 5 * (7 * 8 // 2) * 11
 
 
 def test_verify_weighted_alone_writes_one_table_with_its_gamma_column(tmp_path, capsys):

@@ -141,6 +141,7 @@ def test_heat_tail_alpha_limit():
 # the two identities behind the closed forms
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_winding_summation_identity():
     # sum_j e^{2 i j a sigma pi} / (gamma - 2 j sigma pi)
     #   = i e^{i a gamma} / (sigma (e^{i gamma / sigma} - 1)),  symmetric sums

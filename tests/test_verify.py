@@ -12,7 +12,6 @@ from magcone.verify import (
     REFERENCE_CONFIGS,
     SweepGrids,
     angular_tail_l1_scan,
-    dispersive_constant_schrodinger,
     energy_conservation_check,
     gaussian_heat_constant,
     halfwave_decay_fit,
@@ -27,14 +26,14 @@ SMALL = SweepGrids(n_time=3, n_radius=4, n_angle=6)
 
 
 def test_dispersive_sweep_passes(cfg):
-    rep = dispersive_constant_schrodinger(cfg, SMALL)[0]
+    rep = weighted_dispersive_constant(cfg, (), SMALL, dispersive=True)[0]
     assert rep.passed
     assert math.isfinite(rep.empirical_constant)
     assert rep.refinement_ratio <= 1.05
 
 
 def test_weighted_matches_dispersive_at_gamma_zero(cfg):
-    a = dispersive_constant_schrodinger(cfg, SMALL)[0].empirical_constant
+    a = weighted_dispersive_constant(cfg, (), SMALL, dispersive=True)[0].empirical_constant
     b = weighted_dispersive_constant(cfg, (0.0,), SMALL)[0].empirical_constant
     assert abs(a - b) <= 1e-12 * abs(a)
 
@@ -161,8 +160,8 @@ def test_run_suite_unknown_name(cfg):
 
 
 def test_reports_deterministic_and_serializable(tmp_path, cfg):
-    rep1 = dispersive_constant_schrodinger(cfg, SMALL)[0]
-    rep2 = dispersive_constant_schrodinger(cfg, SMALL)[0]
+    rep1 = weighted_dispersive_constant(cfg, (), SMALL, dispersive=True)[0]
+    rep2 = weighted_dispersive_constant(cfg, (), SMALL, dispersive=True)[0]
     d1 = tmp_path / "a"
     d2 = tmp_path / "b"
     j1, c1 = write_report(rep1, d1)

@@ -3,7 +3,9 @@
 The oracles below are the earlier implementations, statement for statement: the
 per-time ``_dispersive_samples`` with its tuple rows, the tuple ``_report``,
 the per-value ``write_report`` and the columnar formatting that followed it,
-and the row loops of the gaussian-heat and reduced-kernel sweeps.  Every
+and the row loops of the gaussian-heat and reduced-kernel sweeps.  The
+dispersive and gaussian-heat oracles form their radius products over the
+unordered pairs r1 <= r2 (np.triu_indices order), as the sweeps do.  Every
 artifact the columnar sweeps write must agree with the oracle's byte for
 byte; a non-finite sample, constant or ratio is refused before any file is
 written.
@@ -65,13 +67,14 @@ def _report(name, cfg, grid_spec, constant, ratio, passed, t0, header=(), rows=(
 def _dispersive_samples(cfg: ConeConfig, gamma: float, grids: SweepGrids):
     """Rows (t, rho, delta, |K|, rho^-gamma |K|) over the induced grid."""
     r = np.linspace(grids.r_min, grids.r_max, grids.n_radius)
+    iu, ju = np.triu_indices(grids.n_radius)
     dth = np.linspace(-0.5 * cfg.period + 0.11, 0.5 * cfg.period - 0.07, grids.n_angle)
     rows = []
     for t in _time_grid(grids, cfg):
         sin_tb = math.sin(t * cfg.b0)
         if abs(sin_tb) < 0.05:
             raise QuadratureError("dispersive time grid too close to a singular time")
-        rho = (cfg.b0 * np.outer(r, r) / (2.0 * sin_tb)).ravel()
+        rho = cfg.b0 * (r[iu] * r[ju]) / (2.0 * sin_tb)
         delta = t * cfg.b0 - dth
         mat = np.abs(reduced_kernel_matrix(rho, delta, cfg))
         weighted = mat * rho[None, :] ** (-gamma)
@@ -122,8 +125,8 @@ def oracle_gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrid
         dth = np.unique(np.concatenate([base, near_pi]))
         ts = np.geomspace(0.1, 5.0, g.n_time) / cfg.b0
         rows = []
-        r1g, r2g = np.meshgrid(r, r, indexing="ij")
-        rr = (r1g * r2g).ravel()
+        iu, ju = np.triu_indices(g.n_radius)
+        rr = r[iu] * r[ju]
         red = np.abs(np.remainder(dth + cfg.period / 2.0, cfg.period) - cfg.period / 2.0)
         cosfac = np.where(red < math.pi, np.cos(red), -1.0)
         for t in ts:
@@ -229,7 +232,7 @@ def test_verify_all_artifacts_match_oracle(tmp_path, i_cfg):
     table = _csv_columns(tmp_path / "new" / "dispersive.csv")
     assert list(table) == ["t", "rho", "delta", "abs_series", *weighted]
     fine = SMALL.refined()
-    assert len(table["t"]) == fine.n_time * fine.n_radius ** 2 * fine.n_angle
+    assert len(table["t"]) == fine.n_time * fine.n_radius * (fine.n_radius + 1) // 2 * fine.n_angle
     for name in ["dispersive", *weighted]:
         old = _csv_columns(tmp_path / "old" / f"{name}.csv")
         for column in ("t", "rho", "delta", "abs_series"):
@@ -253,7 +256,7 @@ def test_run_suite_gives_the_dispersive_family_one_table(suite):
     assert len(rest) == 3 * len(gammas) - (suite == "weighted")
     for rep in rest:
         assert rep.csv_rows.shape == (0, 0) and rep.csv_header == ()
-    alone = verify.dispersive_constant_schrodinger(cfg, SMALL)[0].csv_rows
+    alone = verify.weighted_dispersive_constant(cfg, (), SMALL, dispersive=True)[0].csv_rows
     assert not table.csv_rows.flags.writeable
     assert np.array_equal(table.csv_rows[:, :4], alone)
     for i, g in enumerate(gammas):
@@ -415,7 +418,7 @@ def test_csv_rows_are_a_read_only_float_array(cfg):
     rep, omega1, _ = verify.weighted_dispersive_constant(cfg, (0.0,), SMALL)
     fine = SMALL.refined()
     assert rep.csv_rows.dtype == np.float64
-    assert rep.csv_rows.shape == (fine.n_time * fine.n_radius ** 2 * fine.n_angle, 5)
+    assert rep.csv_rows.shape == (fine.n_time * fine.n_radius * (fine.n_radius + 1) // 2 * fine.n_angle, 5)
     assert omega1.csv_rows.shape == (0, 0)
     with pytest.raises(ValueError):
         rep.csv_rows[0, 0] = 1.0
@@ -454,7 +457,7 @@ def test_standalone_weighted_sweep_builds_its_own_grids(monkeypatch):
     cfg = verify.REFERENCE_CONFIGS[0]
     calls = _count_kernel_calls(monkeypatch)
     verify.weighted_dispersive_constant(cfg, (0.1,), SMALL)
-    verify.dispersive_constant_schrodinger(cfg, SMALL)
+    verify.weighted_dispersive_constant(cfg, (), SMALL, dispersive=True)
     assert len(calls) == 2 * (SMALL.n_time + (2 * SMALL.n_time - 1))
 
 
