@@ -164,6 +164,7 @@ def cmd_kernel(args) -> int:
         mult = heat_multiplier(args.t) if args.kind == "heat" else schrodinger_multiplier(args.t)
         val = _kernels.spectral_kernel(mult, p, q, cfg, rc.window)
         results = {"spectral": (val, abs(val))}
+        k_used = rc.window.k_max
     else:
         results = {name: one(name) for name in reprs}
 

@@ -225,34 +225,14 @@ def expand(
     return SpectralField(window=window, coeffs=coeffs)
 
 
-_TILE_CELLS = 1 << 14  # complex cells per synthesis block: 256 KB, inside a core's L2 cache
-
-
-def _sum_terms(terms, n_r: int, theta: np.ndarray) -> np.ndarray:
-    """Sum of the outer products v[r] phase[theta] of the terms; shape (n_r, len(theta)).
-
-    Every cell adds its terms to zero in list order, as a one-term-at-a-time
-    outer-product loop would; the loop runs over blocks of _TILE_CELLS
-    cells so that the block being summed stays in cache on wide theta grids.
-    """
-    out = np.zeros((n_r, theta.size), dtype=complex)
-    step = max(1, _TILE_CELLS // max(theta.size, 1))
-    scratch = np.empty((min(step, n_r), theta.size), dtype=complex)
-    for lo in range(0, n_r, step):
-        block = out[lo:lo + step]
-        product = scratch[:block.shape[0]]
-        for v, phase in terms:
-            np.multiply(v[lo:lo + step, None], phase, out=product)
-            block += product
-    return out
-
-
 def fields_on_grid(fields, r, theta, cfg: ConeConfig) -> Iterator[np.ndarray]:
     """Synthesize fields sharing one window on the grid r x theta; yields one grid each, in order.
 
     Each k's radial_profiles rows are built once if some field is nonzero
-    there, reduced to each such field's c_k @ rows and dropped, so one
-    _radial_rows block is held at a time.  Fields on two windows raise DomainError.
+    there and reduced to each such field's radial part V[f, k] = c_k @ rows,
+    so one _radial_rows block is held at a time.  Each grid is then one
+    product V[f].T @ E with the phases E[k, theta] = e^{i k theta / sigma}.
+    Fields on two windows raise DomainError.
     """
     fields = list(fields)
     if not fields:
@@ -264,13 +244,12 @@ def fields_on_grid(fields, r, theta, cfg: ConeConfig) -> Iterator[np.ndarray]:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     live = np.array([np.any(f.coeffs, axis=1) for f in fields]).T  # [k][field]
     iks = np.flatnonzero(live.any(axis=1))
-    terms = [[] for _ in fields]
-    for ik, (k, rows) in zip(iks, _radial_rows(cfg, window.k_values[iks], window.m_max, r)):  # rows (m, r)
-        phase = np.exp(1j * (k / cfg.sigma) * theta)
-        for t, f, on in zip(terms, fields, live[ik].tolist()):
-            if on:
-                t.append((f.coeffs[ik] @ rows, phase))
-    return (_sum_terms(t, r.size, theta) for t in terms)
+    radial = np.zeros((len(fields), iks.size, r.size), dtype=complex)  # V[f, k, r]
+    for i, (ik, (_, rows)) in enumerate(zip(iks, _radial_rows(cfg, window.k_values[iks], window.m_max, r))):
+        on = np.flatnonzero(live[ik])
+        radial[on, i] = np.array([fields[f].coeffs[ik] for f in on]) @ rows
+    phase = np.exp(1j * (window.k_values[iks] / cfg.sigma)[:, None] * theta)
+    return (v.T @ phase for v in radial)
 
 
 def field_on_grid(field: SpectralField, r, theta, cfg: ConeConfig) -> np.ndarray:

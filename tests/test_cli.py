@@ -403,6 +403,19 @@ def test_halfwave_csv_records_the_shell_window(tmp_path, cone, k_used):
     assert header.endswith(",k_max_used") and row.split(",")[-1] == str(k_used)
 
 
+@pytest.mark.parametrize("kind", ["heat", "schrodinger"])
+@pytest.mark.parametrize("rep,window_k,k_used", [("spectral", None, 24), ("spectral", 7, 7), ("series", 7, 40)])
+def test_kernel_csv_records_the_k_range_it_summed(tmp_path, kind, rep, window_k, k_used):
+    # the spectral kernel sums the config window; the series starts from |k| <= 40 and extends from there
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("" if window_k is None else f"window_k = {window_k}\nwindow_m = 5\n")
+    out = tmp_path / "o"
+    assert run_cli("--config", str(cfgfile), "--out", str(out), "kernel", kind, "--repr", rep,
+                   "--t", "0.5", "--p", "1.0,0.3", "--q", "0.8,2.1") == EXIT_OK
+    header, row = (out / "kernel.csv").read_text().splitlines()
+    assert header.endswith(",k_max_used") and row.split(",")[-1] == str(k_used)
+
+
 @pytest.mark.parametrize("j", ["1100", "-1100"])
 def test_spectrum_evolve_halfwave_at_extreme_shell(tmp_path, j):
     field_csv = tmp_path / "field.csv"

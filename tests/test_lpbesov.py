@@ -163,7 +163,6 @@ def test_bernstein_scale_free_case(cfg):
     assert 0.0 < r <= 1.0 + 1e-12  # projector contracts L2
 
 
-@pytest.mark.slow
 def test_bernstein_uniform_over_j():
     cfg = ConeConfig(1.0, 1.0, 0.25)
     grid = evaluation_grid(cfg, n_theta=512)
@@ -175,7 +174,6 @@ def test_bernstein_uniform_over_j():
     assert ratios.max() / ratios.min() < 3.0
 
 
-@pytest.mark.slow
 def test_bernstein_infty_one_uniformity():
     cfg = ConeConfig(2.0, 0.5, 0.3)  # b0 < 1 so the j = -1 shell has spectrum
     # resolve the top shell's angular bandwidth (~ lam_hi sigma / b0), else the

@@ -7,8 +7,13 @@ bracket grid that contracted it with one complex gemm, the spectrum
 module's Laguerre rows and the old ``normalized_laguerre``, the per-mode
 ``spectral_kernel`` loop and ``lpbesov``'s point-kernel field, and the
 Besov/square-function shell loops with the ``_lp_norm`` they called.  Heat
-series, radial profiles, expansions and the Besov quantities must agree
-bitwise.
+series, radial profiles, expansions, the square function and the Besov
+quantities at p = 2 must agree bitwise.  At other p the Besov shells are
+synthesized together in one ``fields_on_grid`` pass, a matrix product per
+shell that regroups the rounding of the oracle's per-shell
+``field_on_grid``: each shell norm must lie within the L^p norm of the
+synthesis bound ``4 (K + M + 1) 2^-52 sum_{k,m} |c_{k,m}| |R_{k,m}(r)|``
+(the ``norm_bound`` fixture), and the value within the l^q sum of those.
 The Schrodinger series and the spectral kernel only regroup rounding, so
 they must agree to 1e-14 of the scale of the summed terms: the series' peak
 term, and the l1 sum of the spectral kernel's mode terms.  Relative to the
@@ -526,17 +531,29 @@ def _count_shell_projects(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("s,p,q", [(0.5, 4.0, 2.0), (0.0, 2.0, 2.0), (-0.3, 2.0, math.inf), (1.0, math.inf, 1.0)])
-def test_besov_bitwise_equal_oracle_with_half_the_shells(cfg, monkeypatch, s, p, q):
+def test_besov_matches_oracle_with_half_the_shells(cfg, monkeypatch, norm_bound, s, p, q):
     field = random_field(ModeWindow(8, 8), np.random.default_rng(4))
     calls = _count_shell_projects(monkeypatch)
     report = besov_report(field, s, p, q, cfg)
     n_shells = len(shell_range(cfg, field.window))
     assert len(calls) == n_shells
     del calls[:]
-    assert report == oracle_besov_report(field, s, p, q, cfg)
+    old = oracle_besov_report(field, s, p, q, cfg)
     assert len(calls) == 2 * n_shells
+    # p = 2 comes from coefficients, bitwise; other p synthesize every shell in one fields_on_grid
+    # pass against the oracle's field_on_grid per shell, so each norm moves within its bound
+    grid = evaluation_grid(cfg)
+    slack = [0.0 if p == 2.0 else norm_bound(lpbesov.shell_project(field, sh["j"], cfg), p, cfg, grid)
+             for sh in old["shells"]]
+    assert {**report, "value": None, "shells": None} == {**old, "value": None, "shells": None}
+    assert [sh["j"] for sh in report["shells"]] == [sh["j"] for sh in old["shells"]]
+    for new_sh, old_sh, d in zip(report["shells"], old["shells"], slack):
+        assert abs(new_sh["lp_norm"] - old_sh["lp_norm"]) <= d, (new_sh, old_sh, d)
+    weighted = [2.0 ** (sh["j"] * s) * d for sh, d in zip(old["shells"], slack)]
+    value_slack = max(weighted) if math.isinf(q) else float(sum(w ** q for w in weighted) ** (1.0 / q))
+    assert abs(report["value"] - old["value"]) <= value_slack
     assert report["value"] == besov_norm(field, s, p, q, cfg)
-    assert besov_norm(field, s, p, q, cfg) == oracle_besov_norm(field, s, p, q, cfg)
+    assert abs(besov_norm(field, s, p, q, cfg) - oracle_besov_norm(field, s, p, q, cfg)) <= value_slack
 
 
 def test_besov_rejects_exponents_below_one(cfg):

@@ -2,13 +2,18 @@
 
 The oracles below are the earlier implementations kept word for word (module
 prefixes added where they call into the package): ``field_on_grid``, which
-rebuilt the radial rows of every k on every call, ``lpbesov``'s
+rebuilt the radial rows of every k on every call and added the terms
+``v_k[r] e^{i k theta / sigma}`` one outer product at a time, ``lpbesov``'s
 ``_lp_norm``/``_shell_norms`` pair and ``bernstein_ratio``, which
 synthesized each of its trial fields and their shell pieces through it.
-``fields_on_grid`` builds each k's rows once for all its fields and sums the
-same terms in the same order, so every value must agree bitwise.  The scalar
-``radial_profiles`` is kept the same way: the broadcast over an array of k
-must reproduce it row for row, bit for bit.
+``fields_on_grid`` builds each k's rows once for all its fields and sums
+the same terms as one matrix product per field, so it regroups their
+rounding: every grid cell must lie within ``4 (K + M + 1) 2^-52 sum_{k,m}
+|c_{k,m}| |R_{k,m}(r)|`` of the oracle (the ``synthesis_bound`` fixture,
+from the oracle's own terms), every L^p norm within that bound's L^p norm,
+and Besov values and Bernstein ratios within what those norm bounds allow.
+The scalar ``radial_profiles`` is kept bitwise: the broadcast over an array
+of k must reproduce it row for row, bit for bit.
 """
 
 import ast
@@ -18,6 +23,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -131,36 +137,74 @@ def _count_grid_calls(monkeypatch, n_r: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# bitwise agreement with the oracles on the reference configs
+# agreement with the oracles on the reference configs, within the rounding bound
 # ---------------------------------------------------------------------------
 
 _BERNSTEIN_CASES = [(i, j) for i, cfg in enumerate(REFERENCE_CONFIGS) for j in BERNSTEIN_LEVELS[cfg.sigma]]
 
 
+def _bernstein_interval(j, p, q_exp, cfg, window, trials, seed, norm_bound) -> tuple[float, float]:
+    """[lo, hi] holding the Bernstein ratio of every synthesis within the rounding bound of the oracle's terms.
+
+    Builds the oracle's trial fields in its order; each trial's ratio moves
+    with its numerator and denominator by at most their norm bounds.
+    """
+    grid = evaluation_grid(cfg)
+    rng = np.random.default_rng(seed)
+    fields = [random_field(window, rng) for _ in range(trials)]
+    for r0 in (0.35, 0.9, 1.7):
+        point = spectrum.point_field(ConePoint(r0, 0.0), cfg, window)
+        fields += [point, shell_project(point, j, cfg)]
+    inv_q = 0.0 if math.isinf(q_exp) else 1.0 / q_exp
+    inv_p = 0.0 if math.isinf(p) else 1.0 / p
+    scale = 2.0 ** (2 * j * (inv_q - inv_p))
+    lo = hi = 0.0
+    for f in fields:
+        piece = shell_project(f, j, cfg)
+        num = grid.lp_norm(oracle_field_on_grid(piece, grid.r, grid.theta, cfg), p)
+        den = grid.lp_norm(oracle_field_on_grid(f, grid.r, grid.theta, cfg), q_exp)
+        d_num, d_den = norm_bound(piece, p, cfg, grid), norm_bound(f, q_exp, cfg, grid)
+        assert den > d_den
+        lo = max(lo, (num - d_num) / (scale * (den + d_den)))
+        hi = max(hi, (num + d_num) / (scale * (den - d_den)))
+    return lo, hi
+
+
 @pytest.mark.parametrize("i_cfg,j", _BERNSTEIN_CASES)
-def test_bernstein_ratio_matches_oracle_bitwise(i_cfg, j):
+def test_bernstein_ratio_matches_oracle_within_rounding(i_cfg, j, norm_bound):
     cfg = REFERENCE_CONFIGS[i_cfg]
     window = shell_window(j, cfg)
     for p, q_exp, seed in ((math.inf, 2.0, 5 + j), (4.0, 1.0, 17)):
         new = bernstein_ratio(j, p, q_exp, cfg, window, trials=2, seed=seed)
         old = oracle_bernstein_ratio(j, p, q_exp, cfg, window, trials=2, seed=seed)
-        assert _same_bits(new, old), (p, q_exp, new, old)
+        lo, hi = _bernstein_interval(j, p, q_exp, cfg, window, 2, seed, norm_bound)
+        assert lo <= old <= hi and lo <= new <= hi, (p, q_exp, new, old, lo, hi)
 
 
 @pytest.mark.parametrize("i_cfg", range(3))
-def test_besov_report_matches_oracle_bitwise(i_cfg):
+def test_besov_report_matches_oracle_within_rounding(i_cfg, norm_bound):
     cfg = REFERENCE_CONFIGS[i_cfg]
     field = random_field(ModeWindow(8, 8), np.random.default_rng(40 + i_cfg))
     report = besov_report(field, 0.5, 4.0, 2.0, cfg)
     pieces = oracle_shell_norms(field, 4.0, cfg, None)
     assert [sh["j"] for sh in report["shells"]] == [j for j, _ in pieces]
-    assert _same_bits([sh["lp_norm"] for sh in report["shells"]], [n for _, n in pieces])
+    grid = evaluation_grid(cfg)
+    slack = [norm_bound(shell_project(field, j, cfg), 4.0, cfg, grid) for j, _ in pieces]
+    for sh, (_, n), d in zip(report["shells"], pieces, slack):
+        assert abs(sh["lp_norm"] - n) <= d, (sh, n, d)
     value = float(sum((2.0 ** (j * 0.5) * n) ** 2.0 for j, n in pieces) ** 0.5)
-    assert _same_bits(report["value"], value)
+    value_slack = float(sum((2.0 ** (j * 0.5) * d) ** 2.0 for (j, _), d in zip(pieces, slack)) ** 0.5)
+    assert abs(report["value"] - value) <= value_slack
+
+
+def _assert_within_bound(values, field, r, theta, cfg, synthesis_bound):
+    old = oracle_field_on_grid(field, r, theta, cfg)
+    assert values.shape == old.shape and values.dtype == old.dtype
+    assert (np.abs(values - old) <= synthesis_bound(field, r, cfg)[:, None]).all()
 
 
 @pytest.mark.parametrize("i_cfg", range(3))
-def test_field_on_grid_of_a_sparse_shell_piece_matches_oracle_bitwise(i_cfg):
+def test_field_on_grid_of_a_sparse_shell_piece_matches_oracle_within_rounding(i_cfg, synthesis_bound):
     cfg = REFERENCE_CONFIGS[i_cfg]
     rng = np.random.default_rng(70 + i_cfg)
     field = shell_project(random_field(ModeWindow(12, 10), rng), 0, cfg)
@@ -168,10 +212,10 @@ def test_field_on_grid_of_a_sparse_shell_piece_matches_oracle_bitwise(i_cfg):
     grid = evaluation_grid(cfg)
     r = np.concatenate([[0.0], grid.r, rng.uniform(0.1, 4.0, 5)])
     theta = np.concatenate([grid.theta[::7], rng.uniform(-cfg.period, cfg.period, 3)])
-    assert _same_bits(field_on_grid(field, r, theta, cfg), oracle_field_on_grid(field, r, theta, cfg))
+    _assert_within_bound(field_on_grid(field, r, theta, cfg), field, r, theta, cfg, synthesis_bound)
     fields = (field, shell_project(field, 1, cfg), field)
     for f, values in zip(fields, fields_on_grid(fields, r, theta, cfg), strict=True):
-        assert _same_bits(values, oracle_field_on_grid(f, r, theta, cfg))
+        _assert_within_bound(values, f, r, theta, cfg, synthesis_bound)
 
 
 def _mixed_fields(window, rng):
@@ -183,7 +227,7 @@ def _mixed_fields(window, rng):
 
 
 @pytest.mark.parametrize("i_cfg", range(3))
-def test_fields_on_grid_of_mixed_fields_matches_oracle_bitwise(i_cfg):
+def test_fields_on_grid_of_mixed_fields_matches_oracle_within_rounding(i_cfg, synthesis_bound):
     cfg = REFERENCE_CONFIGS[i_cfg]
     rng = np.random.default_rng(90 + i_cfg)
     fields = _mixed_fields(ModeWindow(9, 7), rng)
@@ -193,8 +237,38 @@ def test_fields_on_grid_of_mixed_fields_matches_oracle_bitwise(i_cfg):
     values = list(fields_on_grid(fields, r, theta, cfg))
     assert len(values) == len(fields)
     for f, v in zip(fields, values):
-        assert _same_bits(v, oracle_field_on_grid(f, r, theta, cfg))
-    assert _same_bits(values[2], np.zeros((r.size, theta.size), dtype=complex))
+        _assert_within_bound(v, f, r, theta, cfg, synthesis_bound)
+    assert not np.any(values[2])  # the all-zero field's grid is zero (a cell may carry the sign -0.0)
+
+
+@st.composite
+def _synthesis_case(draw):
+    """(cfg, window, seed, n_fields, r, theta): random radii and non-uniform angles, negative or past the period."""
+    cfg = REFERENCE_CONFIGS[draw(st.integers(0, 2))]
+    window = ModeWindow(draw(st.integers(0, 6)), draw(st.integers(0, 5)))
+    r = draw(st.lists(st.floats(0.0, 6.0), max_size=5))
+    theta = draw(st.lists(st.floats(-3.0 * cfg.period, 3.0 * cfg.period), max_size=6))
+    return cfg, window, draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(1, 3)), r, theta
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_synthesis_case())
+@example(case=(REFERENCE_CONFIGS[0], ModeWindow(5, 4), 1, 2, [0.8], [-1.3]))  # one point: spectral_kernel
+@example(case=(REFERENCE_CONFIGS[1], ModeWindow(4, 3), 2, 3, [], [0.1, 7.0, -2.0]))
+@example(case=(REFERENCE_CONFIGS[2], ModeWindow(4, 3), 3, 3, [0.0, 1.2], []))
+def test_fields_on_grid_of_any_grid_matches_oracle_within_rounding(case, synthesis_bound):
+    cfg, window, seed, n_fields, r, theta = case
+    r, theta = np.array(r, dtype=float), np.array(theta, dtype=float)
+    rng = np.random.default_rng(seed)
+    fields = []
+    for _ in range(n_fields):
+        coeffs = random_field(window, rng).coeffs.copy()
+        coeffs[rng.uniform(size=window.shape[0]) < 0.4] = 0.0  # some all-zero k rows, at times all of them
+        fields.append(SpectralField(window, coeffs))
+    values = list(fields_on_grid(fields, r, theta, cfg))
+    assert [v.shape for v in values] == [(r.size, theta.size)] * n_fields
+    for f, v in zip(fields, values):
+        _assert_within_bound(v, f, r, theta, cfg, synthesis_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +327,26 @@ def test_field_on_grid_peak_memory_stays_below_one_window_of_rows():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20, peak
+
+
+def test_fields_on_grid_peak_memory_is_the_radial_parts_one_block_the_phases_and_two_grids():
+    # 16 fields on the evaluation grid at sigma = 1.5 and j = 2, the shape of a Bernstein op
+    cfg = REFERENCE_CONFIGS[1]
+    window = shell_window(2, cfg)
+    grid = evaluation_grid(cfg)
+    rng = np.random.default_rng(6)
+    fields = [random_field(window, rng) for _ in range(16)]
+    (n_k, n_levels), n_r, n_theta = window.shape, grid.r.size, grid.theta.size
+    block = min(n_k, max(1, spectrum._ROW_BLOCK // (n_levels * n_r))) * n_levels * n_r * 8
+    budget = 16 * (len(fields) * n_k * n_r + n_k * n_theta + 2 * n_r * n_theta) + block
+    tracemalloc.start()
+    try:
+        for values in fields_on_grid(fields, grid.r, grid.theta, cfg):  # the last grid and the next one
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * budget, (peak, budget)
 
 
 def test_field_on_grid_of_an_empty_grid_keeps_its_shape():
