@@ -136,6 +136,15 @@ def _require_finite(args, *names: str) -> None:
             raise ConfigError(f"--{name} must be finite, got {value}")
 
 
+def _emit(args, payload, lines) -> None:
+    """Print the payload as one JSON document under --json, the text lines otherwise."""
+    if args.json:
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+
+
 def cmd_kernel(args) -> int:
     _require_finite(args, "t")
     rc = build_run_config(args)
@@ -180,17 +189,13 @@ def cmd_kernel(args) -> int:
         "values": {name: {"re": val.real, "im": val.imag, "largest_term": largest}
                    for name, (val, largest) in results.items()},
     }
+    lines = [f"{args.kind} {name}: {val.real:+.12e} {val.imag:+.12e}i   largest_term {largest:.3e}"
+             for name, (val, largest) in results.items()]
     if len(results) == 2:
         (v1, _), (v2, _) = results["series"], results["closed"]
         payload["relative_difference"] = abs(v1 - v2) / max(abs(v1), 1e-300)
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for name, (val, largest) in results.items():
-            print(f"{args.kind} {name}: {val.real:+.12e} {val.imag:+.12e}i   "
-                  f"largest_term {largest:.3e}")
-        if "relative_difference" in payload:
-            print(f"series/closed relative difference: {payload['relative_difference']:.3e}")
+        lines.append(f"series/closed relative difference: {payload['relative_difference']:.3e}")
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -204,37 +209,22 @@ def cmd_spectrum(args) -> int:
         rows = mode_rows(rc.window, eigenvalue_table(cfg, rc.window), nsq)
         out = write_csv(Path(args.out) / "spectrum_table.csv", ("k", "m", "lambda", "norm_sq"), rows,
                         "spectrum table")
-        if args.json:
-            print(json.dumps({"written": str(out), "rows": len(rows)}, sort_keys=True))
-        else:
-            print(f"wrote {out} ({len(rows)} rows)")
+        _emit(args, {"written": str(out), "rows": len(rows)}, [f"wrote {out} ({len(rows)} rows)"])
         return EXIT_OK
 
     if args.action == "expand":
         if args.input is None:
             raise ConfigError("spectrum expand needs --input CSV of samples r,theta,re,im")
-        samples = _load_samples(args.input)
-        field = _expand_samples(samples, rc)
+        field = _expand_samples(_load_samples(args.input), rc)
         out = Path(args.out) / "field.csv"
-        save_field(field, cfg, rc.quad, out)
-        if args.json:
-            print(json.dumps({"written": str(out)}, sort_keys=True))
-        else:
-            print(f"wrote {out}")
-        return EXIT_OK
-
-    # evolve
-    if args.input is None:
-        raise ConfigError("spectrum evolve needs --input field CSV")
-    field = load_field(args.input)
-    mult = _named_multiplier(args)
-    evolved = spectral_apply(mult, field, cfg)
-    out = Path(args.out) / "field_evolved.csv"
-    save_field(evolved, cfg, rc.quad, out)
-    if args.json:
-        print(json.dumps({"written": str(out)}, sort_keys=True))
-    else:
-        print(f"wrote {out}")
+    else:  # evolve
+        if args.input is None:
+            raise ConfigError("spectrum evolve needs --input field CSV")
+        field = load_field(args.input)
+        field = spectral_apply(_named_multiplier(args), field, cfg)
+        out = Path(args.out) / "field_evolved.csv"
+    save_field(field, cfg, rc.quad, out)
+    _emit(args, {"written": str(out)}, [f"wrote {out}"])
     return EXIT_OK
 
 
@@ -314,16 +304,11 @@ def cmd_verify(args) -> int:
                                 seed=rc.seed, halfwave_j=args.j, gamma=args.gamma)
     for rep in reports:  # a run that would refuse one report writes none
         _verify.require_finite_report(rep)
-    summary = []
     for rep in reports:
         _verify.write_report(rep, args.out)
-        summary.append(rep.json_dict())
-        if not args.json:
-            status = "pass" if rep.passed else "FAIL"
-            print(f"[{status}] {rep.name}: constant={rep.empirical_constant:.6g} "
-                  f"ratio={rep.refinement_ratio:.4f} ({rep.runtime_ms} ms)")
-    if args.json:
-        print(json.dumps(summary, sort_keys=True))
+    _emit(args, [rep.json_dict() for rep in reports],
+          [f"[{'pass' if rep.passed else 'FAIL'}] {rep.name}: constant={rep.empirical_constant:.6g} "
+           f"ratio={rep.refinement_ratio:.4f} ({rep.runtime_ms} ms)" for rep in reports])
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAILED_SWEEP
 
 

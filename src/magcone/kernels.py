@@ -32,7 +32,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import DomainError, NonconvergenceError, QuadratureError, SingularTimeError, WindowTooSmallError
-from .geometry import ConeConfig, ConePoint, angular_difference
+from .geometry import ConeConfig, ConePoint, angular_difference, flux_distance
 from .lpbesov import _shell_mode_lists, make_cutoff
 from .quadrature import adaptive_panel, gauss_legendre_rule, oscillatory_bessel_tail
 from .spectrum import (
@@ -238,8 +238,8 @@ def _heat_angular_series(cfg: ConeConfig, tb: float, x: float, theta: float, shi
     return _angular_series(terms_for, "heat")
 
 
-def _heat_time(t: float, cfg: ConeConfig) -> float:
-    """t b0, after the checks both heat representations share."""
+def _heat_time(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) -> tuple[float, float, float]:
+    """(t b0, x, Q) of the pair, after the checks both heat representations share."""
     if not (0.0 < t < math.inf):
         raise DomainError(f"heat kernel needs a finite t > 0, got {t}")
     tb = t * cfg.b0
@@ -248,14 +248,14 @@ def _heat_time(t: float, cfg: ConeConfig) -> float:
     if tb > _HEAT_TB_MAX:
         raise DomainError(f"heat kernel needs t b0 <= {_HEAT_TB_MAX:g}, got {tb:.6g}: "
                           "its factor e^(-t b0) is below the normal float range there")
-    return tb
+    x = cfg.b0 * p.r * q.r / (2.0 * math.sinh(tb))
+    big_q = cfg.b0 * (p.r ** 2 + q.r ** 2) / (4.0 * math.tanh(tb))
+    return tb, x, big_q
 
 
 def heat_kernel_series(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) -> KernelValue:
     """Heat kernel by the angular Bessel series."""
-    tb = _heat_time(t, cfg)
-    x = cfg.b0 * p.r * q.r / (2.0 * math.sinh(tb))
-    big_q = cfg.b0 * (p.r ** 2 + q.r ** 2) / (4.0 * math.tanh(tb))
+    tb, x, big_q = _heat_time(t, p, q, cfg)
     theta = p.theta - q.theta
     # the k <= -1 terms grow like e^{alpha t b0} while the prefactor falls like
     # e^{-(1 + alpha) t b0}; past _HEAT_SHIFT_TB that factor moves into the terms,
@@ -285,9 +285,7 @@ def _heat_tail_range(x: float, tb: float, cfg: ConeConfig) -> tuple[float, float
 
 def heat_kernel_closed(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) -> KernelValue:
     """Heat kernel by the image sum plus resummed-tail line integral."""
-    tb = _heat_time(t, cfg)
-    x = cfg.b0 * p.r * q.r / (2.0 * math.sinh(tb))
-    big_q = cfg.b0 * (p.r ** 2 + q.r ** 2) / (4.0 * math.tanh(tb))
+    tb, x, big_q = _heat_time(t, p, q, cfg)
     if x == 0.0:  # a point at the tip: every mode vanishes there
         return KernelValue(0.0 + 0.0j, 0.0)
     theta = angular_difference(p.theta, q.theta, cfg)
@@ -379,15 +377,25 @@ def heat_closed_bracket_grid(x_vec: np.ndarray, theta_vec: np.ndarray, t: float,
 # Schrodinger kernel
 # ---------------------------------------------------------------------------
 
-def _require_regular_time(t: float, cfg: ConeConfig) -> float:
+def _schrodinger_time(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) -> tuple[float, float, complex]:
+    """(rho, theta, prefactor) of the pair, after the check both Schrodinger representations share.
+
+    A non-finite t raises DomainError, and |sin(t b0)| < _SIN_GUARD raises
+    SingularTimeError.
+    """
     if not math.isfinite(t):
         raise DomainError(f"Schrodinger kernel needs a finite t, got {t}")
-    sin_tb = math.sin(t * cfg.b0)
+    tb = t * cfg.b0
+    sin_tb = math.sin(tb)
     if abs(sin_tb) < _SIN_GUARD:
         raise SingularTimeError(
             f"|sin(t b0)| = {abs(sin_tb):.2e} < {_SIN_GUARD}; kernel is singular near t b0 in pi Z"
         )
-    return sin_tb
+    rho = cfg.b0 * p.r * q.r / (2.0 * sin_tb)
+    theta = tb - (p.theta - q.theta)
+    pref = (1j * cfg.b0 * cmath.exp(1j * tb * cfg.alpha) / (8.0 * math.pi * cfg.sigma * sin_tb)
+            * cmath.exp(cfg.b0 * (p.r ** 2 + q.r ** 2) / (4j * math.tan(tb))))
+    return rho, theta, pref
 
 
 def _rotated_bessel(cfg: ConeConfig, ks: np.ndarray, rho: float) -> np.ndarray:
@@ -404,22 +412,10 @@ def _schrodinger_angular_series(cfg: ConeConfig, rho: float, theta: float):
                            "Schrodinger")
 
 
-def _schrodinger_prefactor(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig,
-                           sin_tb: float) -> complex:
-    tb = t * cfg.b0
-    return (
-        1j * cfg.b0 * cmath.exp(1j * tb * cfg.alpha) / (8.0 * math.pi * cfg.sigma * sin_tb)
-        * cmath.exp(cfg.b0 * (p.r ** 2 + q.r ** 2) / (4j * math.tan(tb)))
-    )
-
-
 def schrodinger_kernel_series(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) -> KernelValue:
     """Schrodinger kernel by the angular Bessel series."""
-    sin_tb = _require_regular_time(t, cfg)
-    rho = cfg.b0 * p.r * q.r / (2.0 * sin_tb)
-    theta = t * cfg.b0 - (p.theta - q.theta)
+    rho, theta, pref = _schrodinger_time(t, p, q, cfg)
     total, peak, _ = _schrodinger_angular_series(cfg, rho, theta)
-    pref = _schrodinger_prefactor(t, p, q, cfg, sin_tb)
     return KernelValue(pref * total, abs(pref) * peak)
 
 
@@ -435,15 +431,13 @@ def _closed_angular_bracket(cfg: ConeConfig, rho: float, theta: float) -> tuple[
     images = image_angles(theta, cfg)
     jsum = sum(cmath.exp(1j * rho * math.cos(tj) - 1j * cfg.alpha * tj) for tj in images)
 
-    rate = min(cfg.alpha, 1.0 / cfg.sigma - cfg.alpha)
-
     def f(s):
         return np.exp(-1j * rho * np.cosh(np.asarray(s, dtype=complex))) * schrodinger_angular_tail(
             s, theta, cfg
         )
 
     tol = 1e-11 * max(1.0, abs(jsum))
-    tail = oscillatory_bessel_tail(f, rho, rate, tol)
+    tail = oscillatory_bessel_tail(f, rho, flux_distance(cfg), tol)
     bracket = jsum - tail / (cfg.sigma * math.pi)
     peak = max(1.0 if images.size else 0.0, abs(tail) / (cfg.sigma * math.pi))
     return bracket, peak
@@ -451,11 +445,8 @@ def _closed_angular_bracket(cfg: ConeConfig, rho: float, theta: float) -> tuple[
 
 def schrodinger_kernel_closed(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) -> KernelValue:
     """Schrodinger kernel by the image sum plus deformed tail integral."""
-    sin_tb = _require_regular_time(t, cfg)
-    rho = cfg.b0 * p.r * q.r / (2.0 * sin_tb)
-    theta = t * cfg.b0 - (p.theta - q.theta)
+    rho, theta, pref = _schrodinger_time(t, p, q, cfg)
     bracket, peak = _closed_angular_bracket(cfg, rho, theta)
-    pref = _schrodinger_prefactor(t, p, q, cfg, sin_tb)
     return KernelValue(pref * cfg.sigma * bracket, abs(pref) * cfg.sigma * peak)
 
 

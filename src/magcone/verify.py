@@ -200,20 +200,26 @@ def _time_grid(grids: SweepGrids, cfg: ConeConfig) -> np.ndarray:
     return tb / cfg.b0
 
 
-def _dispersive_grid(cfg: ConeConfig, grids: SweepGrids) -> list:
-    """Per time, (t, rho, delta, |K|) over the induced grid; |K| is (delta, rho).
+def _pair_grid(cfg: ConeConfig, grids: SweepGrids) -> tuple[np.ndarray, np.ndarray]:
+    """(r1 r2, dtheta) of the pair sweeps: radius products and base angles.
 
-    rho ~ r1 r2 runs over the unordered pairs r1 <= r2 (np.triu_indices order).
+    The dispersive and Gaussian-heat kernels are symmetric in (r1, r2), so
+    the products run over the unordered pairs r1 <= r2 (np.triu_indices order).
     """
     r = np.linspace(grids.r_min, grids.r_max, grids.n_radius)
     iu, ju = np.triu_indices(grids.n_radius)
-    dth = np.linspace(-0.5 * cfg.period + 0.11, 0.5 * cfg.period - 0.07, grids.n_angle)
+    return r[iu] * r[ju], np.linspace(-0.5 * cfg.period + 0.11, 0.5 * cfg.period - 0.07, grids.n_angle)
+
+
+def _dispersive_grid(cfg: ConeConfig, grids: SweepGrids) -> list:
+    """Per time, (t, rho, delta, |K|) over the induced grid; |K| is (delta, rho), rho ~ r1 r2 (_pair_grid)."""
+    rr, dth = _pair_grid(cfg, grids)
     grid = []
     for t in _time_grid(grids, cfg):
         sin_tb = math.sin(t * cfg.b0)
         if abs(sin_tb) < 0.05:
             raise QuadratureError("dispersive time grid too close to a singular time")
-        rho = cfg.b0 * (r[iu] * r[ju]) / (2.0 * sin_tb)
+        rho = cfg.b0 * rr / (2.0 * sin_tb)
         delta = t * cfg.b0 - dth
         grid.append((t, rho, delta, np.abs(reduced_kernel_matrix(rho, delta, cfg))))
     return grid
@@ -253,25 +259,24 @@ def _require_gamma(cfg: ConeConfig, gamma: float) -> None:
         raise GammaOutOfRangeError(f"gamma={gamma} outside [0, kappa={kappa}]")
 
 
-def weighted_dispersive_constant(cfg: ConeConfig, gammas: tuple[float, ...], grids: SweepGrids = SweepGrids(), *,
-                                 dispersive: bool = False) -> list[SweepReport]:
+def weighted_dispersive_constant(cfg: ConeConfig, gammas: tuple[float, ...],
+                                 grids: SweepGrids = SweepGrids()) -> list[SweepReport]:
     """The dispersive family on one coarse and one fine grid, each built once.
 
-    Reports, in order: 'dispersive' (the unweighted sweep) if asked, then per
-    gamma 'weighted-g<gamma>' over the full grid and its rho >= 1 and rho < 1
-    splits '/omega1' and '/omega2'.  The first report carries the family's
-    one table, the fine grid's samples (one row per unordered radius pair):
-    t, rho, delta, abs_series, then rho^-gamma abs_series per gamma, named
-    after its report.  The other reports carry no CSV, and every report the
-    call's wall time.  A gamma outside [0, kappa] raises before any kernel
-    call.
+    Reports, in order: 'dispersive' (the unweighted sweep), then per gamma
+    'weighted-g<gamma>' over the full grid and its rho >= 1 and rho < 1
+    splits '/omega1' and '/omega2'.  The dispersive report carries the
+    family's one table, the fine grid's samples (one row per unordered
+    radius pair): t, rho, delta, abs_series, then rho^-gamma abs_series per
+    gamma, named after its report.  The other reports carry no CSV, and
+    every report the call's wall time.  A gamma outside [0, kappa] raises
+    before any kernel call.
     """
     t0 = time.perf_counter()
     for gamma in gammas:
         _require_gamma(cfg, gamma)
     names = [f"weighted-g{g:.4g}" for g in gammas]
-    sweeps = ([("dispersive", 0.0, ("",))] if dispersive else []) + [
-        (name, g, ("", "/omega1", "/omega2")) for name, g in zip(names, gammas)]
+    sweeps = [("dispersive", 0.0, ("",))] + [(name, g, ("", "/omega1", "/omega2")) for name, g in zip(names, gammas)]
     coarse, fine = _dispersive_grid(cfg, grids), _dispersive_grid(cfg, grids.refined())
     results = []
     for name, gamma, suffixes in sweeps:
@@ -303,8 +308,7 @@ def gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) ->
     t0 = time.perf_counter()
 
     def samples(g: SweepGrids):
-        r = np.linspace(g.r_min, g.r_max, g.n_radius)
-        base = np.linspace(-0.5 * cfg.period + 0.11, 0.5 * cfg.period - 0.07, g.n_angle)
+        rr, base = _pair_grid(cfg, g)
         # the sup lives in a steep layer at the direct/through-tip transition
         # |dtheta| = pi; pin a fixed cluster there so the coarse pass sees it
         cluster = np.array([0.03, 0.07, 0.15, 0.3, 0.6])
@@ -313,8 +317,6 @@ def gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) ->
         near_pi = near_pi[np.abs(near_pi) < 0.5 * cfg.period - 0.02]
         dth = np.unique(np.concatenate([base, near_pi]))
         ts = np.geomspace(0.1, 5.0, g.n_time) / cfg.b0
-        iu, ju = np.triu_indices(g.n_radius)
-        rr = r[iu] * r[ju]  # the kernel is symmetric in (r1, r2): one row per pair r1 <= r2
         # best-image angle per dtheta: the geodesic uses cos(theta_red), or -1 past pi
         red = np.abs(np.remainder(dth + cfg.period / 2.0, cfg.period) - cfg.period / 2.0)
         cosfac = np.where(red < math.pi, np.cos(red), -1.0)
@@ -377,8 +379,7 @@ def reduced_kernel_bound_scan(cfg: ConeConfig, grids: SweepGrids = SweepGrids())
 def angular_tail_l1_scan(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) -> list[SweepReport]:
     """sup over theta of int_0^inf |S(s, theta)| ds (finite, boundary-uniform)."""
     t0 = time.perf_counter()
-    rate = min(cfg.alpha, 1.0 / cfg.sigma - cfg.alpha)
-    s_hi = 45.0 / rate
+    s_hi = 45.0 / flux_distance(cfg)
 
     edges = np.concatenate([np.linspace(0.0, 2.0, 9), np.geomspace(2.0, s_hi, 12)])
     n_panels = edges.size - 1
@@ -537,15 +538,16 @@ def run_suite(name: str, cfg: ConeConfig, grids: SweepGrids = SweepGrids(), seed
     """Run one named sweep (or 'all', every sweep) on a configuration; reports come in SUITE_NAMES order.
 
     One weighted_dispersive_constant call makes the dispersive family's
-    reports (weighted at gamma, or at 0, kappa/2 and kappa without it),
-    after every other sweep, so its table is not held while they run.  A
-    gamma outside [0, kappa], or a half-wave shell past the work cap or
-    without a mode, raises before any sweep runs.  Each sweep is looked up
+    reports (dispersive, then for 'weighted' and 'all' weighted at gamma, or
+    at 0, kappa/2 and kappa without it), after every other sweep, so its
+    table is not held while they run.  A gamma outside [0, kappa], or a
+    half-wave shell past the work cap or without a mode, raises before any
+    sweep runs.  Each sweep is looked up
     by its module-level name when it runs, so a wrapper set on the module
     sees the call.
     """
     if name not in SUITE_NAMES + ("all",):
-        raise QuadratureError(f"unknown suite '{name}'; choose from {SUITE_NAMES + ('all',)}")
+        raise DomainError(f"unknown suite '{name}'; choose from {SUITE_NAMES + ('all',)}")
     if gamma is not None and name in ("weighted", "all"):
         _require_gamma(cfg, gamma)
     if name in ("halfwave", "all"):
@@ -565,4 +567,4 @@ def run_suite(name: str, cfg: ConeConfig, grids: SweepGrids = SweepGrids(), seed
     kappa = flux_distance(cfg)
     gammas = () if name == "dispersive" else (gamma,) if gamma is not None else (0.0, kappa / 2.0, kappa)
     # the family's two suites lead SUITE_NAMES, so its reports lead too
-    return weighted_dispersive_constant(cfg, gammas, grids, dispersive=name != "weighted") + reports
+    return weighted_dispersive_constant(cfg, gammas, grids) + reports

@@ -252,7 +252,7 @@ def test_criterion_5_estimate_certification():
     lines = []
     for cfg in REFERENCE_CONFIGS:
         kappa = flux_distance(cfg)
-        reports = weighted_dispersive_constant(cfg, (0.0, kappa / 2.0, kappa), grids, dispersive=True)
+        reports = weighted_dispersive_constant(cfg, (0.0, kappa / 2.0, kappa), grids)
         reports += gaussian_heat_constant(cfg, grids)
         reports += reduced_kernel_bound_scan(cfg, grids=grids)
         reports += angular_tail_l1_scan(cfg, grids)

@@ -14,7 +14,8 @@ import pytest
 from magcone.cli import (_DEFAULTS, EXIT_CONFIG, EXIT_FAILED_SWEEP, EXIT_OK, EXIT_SINGULAR, main,
                          parse_config_file)
 from magcone.errors import ConfigError
-from magcone.spectrum import load_field
+from magcone.geometry import ConeConfig
+from magcone.spectrum import ModeWindow, QuadratureSpec, load_field, random_field, save_field
 
 
 def run_cli(*args):
@@ -39,15 +40,26 @@ def test_config_file_parsing(tmp_path):
 
 
 def test_kernel_both_representation(tmp_path, capsys):
+    """`--repr both` writes a series row, then a closed row, under the one 9-column header.
+
+    The relative difference goes to stdout and to the JSON payload, not to the CSV.
+    """
     out = tmp_path / "out"
-    code = run_cli("--json", "--out", str(out), "kernel", "heat",
-                   "--repr", "both", "--t", "1.0", "--p", "1.0,0.0", "--q", "1.0,0.5")
-    assert code == EXIT_OK
+    argv = ["--out", str(out), "kernel", "heat", "--repr", "both", "--t", "1.0", "--p", "1.0,0.0", "--q", "1.0,0.5"]
+    assert run_cli("--json", *argv) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["relative_difference"] < 1e-8
-    csv_lines = (out / "kernel.csv").read_text().strip().splitlines()
-    assert csv_lines[0].startswith("t,r1,th1")
-    assert len(csv_lines) == 3  # header + two representations
+    header, *rows = (out / "kernel.csv").read_text().splitlines()
+    assert header == "t,r1,th1,r2,th2,re,im,largest_term,k_max_used"
+    assert len(rows) == 2
+    for row, name in zip(rows, ("series", "closed")):
+        cells = [float(cell) for cell in row.split(",")]
+        value = payload["values"][name]
+        assert cells == [1.0, 1.0, 0.0, 1.0, 0.5, value["re"], value["im"], value["largest_term"], 40.0], name
+    assert run_cli(*argv) == EXIT_OK
+    text = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in text] == ["heat series", "heat closed", "series/closed relative difference"]
+    assert text[2].split(": ")[1] == f"{payload['relative_difference']:.3e}"
 
 
 def test_kernel_mehler_value(tmp_path, capsys):
@@ -171,18 +183,24 @@ def test_verify_dispersive_alone_writes_its_table(tmp_path, capsys):
     assert len((out / "dispersive.csv").read_text(encoding="utf-8").splitlines()) == 1 + 5 * (7 * 8 // 2) * 11
 
 
-def test_verify_weighted_alone_writes_one_table_with_its_gamma_column(tmp_path, capsys):
-    cfgfile = tmp_path / "c.cfg"
-    cfgfile.write_text(_SMALL_GRIDS)
+@pytest.mark.parametrize("gamma", [None, "0.1"])
+def test_verify_weighted_alone_writes_the_family_table(tmp_path, capsys, gamma):
+    """`verify weighted` reports dispersive first and writes the family's one table as dispersive.csv.
+
+    It runs at the default grids, where every report saturates (on the small
+    test grids weighted-g0/omega2 does not).
+    """
     out = tmp_path / "o"
-    assert run_cli("--config", str(cfgfile), "--out", str(out), "verify", "weighted", "--gamma", "0.1") == EXIT_OK
-    capsys.readouterr()
-    reports = ("weighted-g0.1", "weighted-g0.1_omega1", "weighted-g0.1_omega2")
-    assert sorted(p.name for p in out.glob("*.json")) == [f"{name}.json" for name in reports]
-    assert [p.name for p in out.glob("*.csv")] == ["weighted-g0.1.csv"]
-    assert _header(out / "weighted-g0.1.csv") == ["t", "rho", "delta", "abs_series", "weighted-g0.1"]
-    for omega in reports[1:]:  # the split reports write no CSV
-        assert not (out / f"{omega}.csv").exists()
+    code = run_cli("--json", "--out", str(out), "verify", "weighted", *(("--gamma", gamma) if gamma else ()))
+    summary = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK and all(rep["pass"] for rep in summary)
+    names = ["weighted-g0.1"] if gamma else ["weighted-g0", "weighted-g0.125", "weighted-g0.25"]
+    reports = ["dispersive", *(name + suffix for name in names for suffix in ("", "/omega1", "/omega2"))]
+    assert [rep["name"] for rep in summary] == reports
+    assert sorted(p.name for p in out.glob("*.json")) == sorted(f"{n.replace('/', '_')}.json" for n in reports)
+    assert [p.name for p in out.glob("*.csv")] == ["dispersive.csv"]
+    assert _header(out / "dispersive.csv") == ["t", "rho", "delta", "abs_series", *names]
+    assert not list(out.glob("weighted-g*.csv"))
 
 
 def test_verify_gamma_precondition(tmp_path):
@@ -507,3 +525,30 @@ def test_closed_form_near_an_image_boundary_exits_4_within_2_gb(tmp_path):
     assert res.returncode == 4, res.stderr
     assert res.stderr.count("\n") == 1 and "nodes" in res.stderr
     assert not out.exists()
+
+
+def _readme_commands() -> list:
+    """The `magcone ...` lines of README's "Command line" block, the synopsis line excepted."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("magcone ") and "<command>" not in line]
+
+
+def test_readme_command_block_is_read():
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    assert {line.split()[1] for line in commands} == {"kernel", "spectrum", "verify"}
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_exits_0(tmp_path, monkeypatch, capsys, line):
+    """Each documented command runs at the default config in a directory holding its input files."""
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(3)
+    samples = np.column_stack([rng.uniform(0.1, 3.0, 30), rng.uniform(0.0, 6.0, 30), rng.normal(size=(30, 2))])
+    Path("samples.csv").write_text("r,theta,re,im\n" + "".join(",".join(map(repr, row)) + "\n"
+                                                               for row in samples.tolist()))
+    cone = ConeConfig(_DEFAULTS["sigma"], _DEFAULTS["b0"], _DEFAULTS["alpha"])
+    save_field(random_field(ModeWindow(4, 4), rng), cone, QuadratureSpec(), "field.csv")
+    assert main(line.split()[1:]) == EXIT_OK, capsys.readouterr().err
+    assert capsys.readouterr().out

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magcone.errors import DomainError
 from magcone.geometry import (
@@ -114,6 +115,15 @@ def test_flux_distance_bound_random(rng):
         # oracle: dense lattice scan
         lattice = np.arange(-6, 7) / sigma
         assert kappa == pytest.approx(np.abs(alpha - lattice).min(), abs=1e-14)
+
+
+@settings(max_examples=500, deadline=None)
+@given(sigma=st.floats(1.0, 100.0), data=st.data())
+def test_flux_distance_is_the_tail_rate_bitwise(sigma, data):
+    """On (0, 1/sigma), kappa is min(alpha, 1/sigma - alpha) to the bit: the rate both angular tails decay at."""
+    alpha = data.draw(st.floats(0.0, 1.0 / sigma, exclude_min=True, exclude_max=True))
+    kappa = flux_distance(ConeConfig(sigma, 1.0, alpha))
+    assert kappa.hex() == min(alpha, 1.0 / sigma - alpha).hex()
 
 
 @pytest.mark.parametrize("r,theta", [(math.inf, 0.0), (math.nan, 0.0), (-0.5, 0.0),

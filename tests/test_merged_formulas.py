@@ -2,7 +2,9 @@
 
 The oracles below are the earlier implementations kept word for word (module
 prefixes added where they call into the package): the separate heat and
-Schrodinger k-extension loops, the product-grid heat tail and the heat
+Schrodinger k-extension loops, each kernel representation's own pair
+geometry (t b0, x and Q for heat; rho, theta and the prefactor for
+Schrodinger), the product-grid heat tail and the heat
 bracket grid that contracted it with one complex gemm, the spectrum
 module's Laguerre rows and the old ``normalized_laguerre``, the per-mode
 ``spectral_kernel`` loop and ``lpbesov``'s point-kernel field, and the
@@ -406,6 +408,44 @@ def test_heat_kernel_closed_evaluates_the_tail_through_heat_angular_tail(cfg, mo
     after = heat_kernel_closed(t, p, q, cfg)
     assert calls
     assert _bits(after.value) == _bits(before.value)
+
+
+def oracle_pair_geometry(kind, t, p, q, cfg):
+    """(t b0, x, Q) or (rho, theta, prefactor) as each representation computed them for itself (verbatim)."""
+    if kind == "heat":
+        tb = t * cfg.b0
+        x = cfg.b0 * p.r * q.r / (2.0 * math.sinh(tb))
+        big_q = cfg.b0 * (p.r ** 2 + q.r ** 2) / (4.0 * math.tanh(tb))
+        return tb, x, big_q
+    sin_tb = math.sin(t * cfg.b0)
+    rho = cfg.b0 * p.r * q.r / (2.0 * sin_tb)
+    theta = t * cfg.b0 - (p.theta - q.theta)
+    tb = t * cfg.b0
+    pref = (
+        1j * cfg.b0 * cmath.exp(1j * tb * cfg.alpha) / (8.0 * math.pi * cfg.sigma * sin_tb)
+        * cmath.exp(cfg.b0 * (p.r ** 2 + q.r ** 2) / (4j * math.tan(tb)))
+    )
+    return rho, theta, pref
+
+
+@pytest.mark.parametrize("kind", ["heat", "schrodinger"])
+@pytest.mark.parametrize("representation", ["series", "closed"])
+def test_each_representation_takes_its_pair_geometry_from_its_kind_helper(cfg, monkeypatch, kind, representation):
+    """One call of _heat_time or _schrodinger_time per kernel value, giving the old per-representation numbers."""
+    kernel = getattr(kernels, f"{kind}_kernel_{representation}")
+    name = "_heat_time" if kind == "heat" else "_schrodinger_time"
+    helper, calls = getattr(kernels, name), []
+
+    def spy(*args):
+        calls.append(args)
+        return helper(*args)
+
+    monkeypatch.setattr(kernels, name, spy)
+    for t, p, q in admissible_points(cfg, kind, 20, seed=9):
+        calls.clear()
+        kernel(t, p, q, cfg)
+        assert calls == [(t, p, q, cfg)]
+        assert _bits(helper(t, p, q, cfg)) == _bits(oracle_pair_geometry(kind, t, p, q, cfg))
 
 
 def oracle_closed_form_range(x, tb, cfg):

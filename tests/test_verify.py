@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from magcone import verify
+from magcone import cli, verify
 from magcone.errors import DomainError, GammaOutOfRangeError, WindowTooSmallError
 from magcone.geometry import ConeConfig, flux_distance, make_point
 from magcone.kernels import schrodinger_kernel_series
@@ -26,15 +26,15 @@ SMALL = SweepGrids(n_time=3, n_radius=4, n_angle=6)
 
 
 def test_dispersive_sweep_passes(cfg):
-    rep = weighted_dispersive_constant(cfg, (), SMALL, dispersive=True)[0]
+    rep = weighted_dispersive_constant(cfg, (), SMALL)[0]
     assert rep.passed
     assert math.isfinite(rep.empirical_constant)
     assert rep.refinement_ratio <= 1.05
 
 
 def test_weighted_matches_dispersive_at_gamma_zero(cfg):
-    a = weighted_dispersive_constant(cfg, (), SMALL, dispersive=True)[0].empirical_constant
-    b = weighted_dispersive_constant(cfg, (0.0,), SMALL)[0].empirical_constant
+    a = weighted_dispersive_constant(cfg, (), SMALL)[0].empirical_constant
+    b = weighted_dispersive_constant(cfg, (0.0,), SMALL)[1].empirical_constant
     assert abs(a - b) <= 1e-12 * abs(a)
 
 
@@ -155,13 +155,20 @@ def test_no_report_writes_a_csv_without_rows(tmp_path):
 
 
 def test_run_suite_unknown_name(cfg):
-    with pytest.raises(Exception):
+    with pytest.raises(DomainError, match=r"^unknown suite 'nonsense'; choose from \('dispersive', "):
         run_suite("nonsense", cfg)
 
 
+def test_cli_unknown_suite_exits_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert cli.main(["--out", str(out), "verify", "nonsense"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: unknown suite 'nonsense'")
+    assert not out.exists()
+
+
 def test_reports_deterministic_and_serializable(tmp_path, cfg):
-    rep1 = weighted_dispersive_constant(cfg, (), SMALL, dispersive=True)[0]
-    rep2 = weighted_dispersive_constant(cfg, (), SMALL, dispersive=True)[0]
+    rep1 = weighted_dispersive_constant(cfg, (), SMALL)[0]
+    rep2 = weighted_dispersive_constant(cfg, (), SMALL)[0]
     d1 = tmp_path / "a"
     d2 = tmp_path / "b"
     j1, c1 = write_report(rep1, d1)

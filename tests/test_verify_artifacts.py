@@ -1,10 +1,12 @@
 """The files `magcone verify all` writes at the default grids.
 
 The dispersive sweep and the weighted sweep at each gamma share their grid,
-so their samples make one table, dispersive.csv: the columns t, rho, delta
-and abs_series, then one weighted-g<gamma> column per weighted report.
-Every report keeps its JSON; no other report of the family writes a CSV.
-The tests read the session's `verify all` output.
+so their samples make one table, dispersive.csv, the one CSV of the
+family's dispersive report: the columns t, rho, delta and abs_series, then
+one weighted-g<gamma> column per weighted report.  `verify dispersive` and
+`verify weighted` write the same file name (tests/test_cli.py).  Every
+report keeps its JSON; no weighted report writes a CSV.  The tests read the
+session's `verify all` output.
 """
 
 import json

@@ -251,12 +251,12 @@ def test_run_suite_gives_the_dispersive_family_one_table(suite):
     gammas = () if suite == "dispersive" else (0.0, kappa / 2.0, kappa)
     table, *rest = [rep for rep in verify.run_suite(suite, cfg, SMALL)
                     if rep.name.startswith(("dispersive", "weighted"))]
-    assert table.name == ("weighted-g0" if suite == "weighted" else "dispersive")
+    assert table.name == "dispersive"
     assert table.csv_header == ("t", "rho", "delta", "abs_series", *(f"weighted-g{g:.4g}" for g in gammas))
-    assert len(rest) == 3 * len(gammas) - (suite == "weighted")
+    assert len(rest) == 3 * len(gammas)
     for rep in rest:
         assert rep.csv_rows.shape == (0, 0) and rep.csv_header == ()
-    alone = verify.weighted_dispersive_constant(cfg, (), SMALL, dispersive=True)[0].csv_rows
+    alone = verify.weighted_dispersive_constant(cfg, (), SMALL)[0].csv_rows
     assert not table.csv_rows.flags.writeable
     assert np.array_equal(table.csv_rows[:, :4], alone)
     for i, g in enumerate(gammas):
@@ -265,26 +265,25 @@ def test_run_suite_gives_the_dispersive_family_one_table(suite):
 
 
 def test_single_weighted_sweep_matches_oracle(tmp_path, cfg):
-    """A family call at one gamma writes the oracle's bytes: every JSON, and the full-grid CSV.
+    """A family call at one gamma writes the oracle's bytes: every JSON, and the gamma's full-grid CSV.
 
-    The table names its weighted column after its report; the split reports
-    write no CSV.
+    The dispersive report comes first and carries the table, which names its
+    weighted column after the gamma's report; no other report writes a CSV.
     """
     gamma = flux_distance(cfg) / 3.0
     name = f"weighted-g{gamma:.4g}"
-    old = oracle_weighted_dispersive_constant(cfg, gamma, SMALL, name=name)
+    old = (oracle_weighted_dispersive_constant(cfg, 0.0, SMALL, name="dispersive")[:1]
+           + oracle_weighted_dispersive_constant(cfg, gamma, SMALL, name=name))
     new = verify.weighted_dispersive_constant(cfg, (gamma,), SMALL)
     for i, (old_rep, new_rep) in enumerate(zip(old, new, strict=True)):
-        (old_json, old_csv), (new_json, new_csv) = (oracle_write_report(old_rep, tmp_path / "old"),
-                                                    verify.write_report(new_rep, tmp_path / "new"))
+        (old_json, _), (new_json, new_csv) = (oracle_write_report(old_rep, tmp_path / "old"),
+                                              verify.write_report(new_rep, tmp_path / "new"))
         assert new_json.read_bytes() == old_json.read_bytes()
-        if i == 0:
-            old_header, old_body = old_csv.read_bytes().split(b"\n", 1)
-            new_header, new_body = new_csv.read_bytes().split(b"\n", 1)
-            assert new_header.split(b",") == [*old_header.split(b",")[:-1], name.encode()]
-            assert new_body == old_body
-        else:
-            assert new_csv is None
+        assert (new_csv is None) == (i > 0), new_rep.name
+    old_header, old_body = (tmp_path / "old" / f"{name}.csv").read_bytes().split(b"\n", 1)
+    new_header, new_body = (tmp_path / "new" / "dispersive.csv").read_bytes().split(b"\n", 1)
+    assert new_header.split(b",") == [*old_header.split(b",")[:-1], name.encode()]
+    assert new_body == old_body
 
 
 _FLOATS = st.one_of(
@@ -415,7 +414,7 @@ def test_verify_exits_4_on_a_non_finite_constant(tmp_path, monkeypatch, capsys):
 
 
 def test_csv_rows_are_a_read_only_float_array(cfg):
-    rep, omega1, _ = verify.weighted_dispersive_constant(cfg, (0.0,), SMALL)
+    rep, _, omega1, _ = verify.weighted_dispersive_constant(cfg, (0.0,), SMALL)
     fine = SMALL.refined()
     assert rep.csv_rows.dtype == np.float64
     assert rep.csv_rows.shape == (fine.n_time * fine.n_radius * (fine.n_radius + 1) // 2 * fine.n_angle, 5)
@@ -457,7 +456,7 @@ def test_standalone_weighted_sweep_builds_its_own_grids(monkeypatch):
     cfg = verify.REFERENCE_CONFIGS[0]
     calls = _count_kernel_calls(monkeypatch)
     verify.weighted_dispersive_constant(cfg, (0.1,), SMALL)
-    verify.weighted_dispersive_constant(cfg, (), SMALL, dispersive=True)
+    verify.weighted_dispersive_constant(cfg, (), SMALL)
     assert len(calls) == 2 * (SMALL.n_time + (2 * SMALL.n_time - 1))
 
 
@@ -466,7 +465,7 @@ def test_multi_gamma_family_call_builds_each_grid_once(monkeypatch):
     cfg = verify.REFERENCE_CONFIGS[2]
     kappa = flux_distance(cfg)
     calls = _count_kernel_calls(monkeypatch)
-    reports = verify.weighted_dispersive_constant(cfg, (0.0, kappa / 2.0, kappa), SMALL, dispersive=True)
+    reports = verify.weighted_dispersive_constant(cfg, (0.0, kappa / 2.0, kappa), SMALL)
     assert len(reports) == 1 + 3 * 3
     assert len(calls) == SMALL.n_time + SMALL.refined().n_time
 
@@ -482,7 +481,7 @@ def test_gamma_is_checked_before_any_kernel_call(monkeypatch):
 def test_reports_of_one_sweep_call_share_its_runtime(monkeypatch):
     ticks = iter(np.arange(0.0, 1000.0, 0.25))
     monkeypatch.setattr(verify, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
-    reports = verify.weighted_dispersive_constant(verify.REFERENCE_CONFIGS[0], (0.0, 0.1), SMALL, dispersive=True)
+    reports = verify.weighted_dispersive_constant(verify.REFERENCE_CONFIGS[0], (0.0, 0.1), SMALL)
     assert len(reports) == 7
     assert len({rep.runtime_ms for rep in reports}) == 1
     assert reports[0].runtime_ms > 0
