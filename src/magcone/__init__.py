@@ -38,7 +38,6 @@ from .spectrum import (
 )
 from .kernels import (
     KernelValue,
-    halfwave_kernel_truncated,
     heat_kernel_closed,
     heat_kernel_series,
     reduced_kernel,

@@ -100,13 +100,17 @@ def parse_config_file(path: str | None) -> dict:
             if not number.is_integer():
                 raise ConfigError(f"{path}:{lineno}: {key} must be an integer, got {val!r}")
             number = int(number)
+        if key == "seed" and number < 0:
+            raise ConfigError(f"{path}:{lineno}: seed must be >= 0, got {val!r}")
         values[key] = number
     return values
 
 
 def build_run_config(args) -> RunConfig:
     values = parse_config_file(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         values["seed"] = args.seed
     cone = ConeConfig(values["sigma"], values["b0"], values["alpha"])
     return RunConfig(
@@ -145,40 +149,56 @@ def _emit(args, payload, lines) -> None:
             print(line)
 
 
+def _pointwise(kv) -> tuple:
+    """A series or closed-form KernelValue as (value, largest_term, k_max_used), 40 being the series' first k range."""
+    return kv.value, kv.largest_term, _kernels._K_START
+
+
+def _spectral(multiplier, p, q, rc: RunConfig) -> tuple:
+    """The spectral kernel summed over the config window, as (value, |value|, k_max_used)."""
+    val = _kernels.spectral_kernel(multiplier, p, q, rc.cone, rc.window)
+    return val, abs(val), rc.window.k_max
+
+
+def _halfwave(args, rc: RunConfig, p, q) -> tuple:
+    """halfwave_kernel_grid at the pair, on the config window grown to the shell, as (value, |value|, k_max_used)."""
+    shell = _lpbesov.shell_window(args.j, rc.cone)
+    window = ModeWindow(max(rc.window.k_max, shell.k_max), max(rc.window.m_max, shell.m_max))
+    r_nodes = np.array([p.r]) if abs(p.r - q.r) < 1e-15 else np.array([p.r, q.r])
+    grid = _kernels.halfwave_kernel_grid(args.j, args.t, r_nodes, np.array([p.theta - q.theta]), rc.cone, window)
+    val = complex(grid[0, 0, -1])
+    return val, abs(val), window.k_max
+
+
+# (kind, --repr) -> (args, run config, p, q) -> (value, largest_term, k_max_used)
+_KERNELS = {
+    ("heat", "series"): lambda args, rc, p, q: _pointwise(_kernels.heat_kernel_series(args.t, p, q, rc.cone)),
+    ("heat", "closed"): lambda args, rc, p, q: _pointwise(_kernels.heat_kernel_closed(args.t, p, q, rc.cone)),
+    ("heat", "spectral"): lambda args, rc, p, q: _spectral(heat_multiplier(args.t), p, q, rc),
+    ("schrodinger", "series"):
+        lambda args, rc, p, q: _pointwise(_kernels.schrodinger_kernel_series(args.t, p, q, rc.cone)),
+    ("schrodinger", "closed"):
+        lambda args, rc, p, q: _pointwise(_kernels.schrodinger_kernel_closed(args.t, p, q, rc.cone)),
+    ("schrodinger", "spectral"): lambda args, rc, p, q: _spectral(schrodinger_multiplier(args.t), p, q, rc),
+    ("halfwave", "spectral"): _halfwave,
+}
+
+
 def cmd_kernel(args) -> int:
+    rep = args.repr or ("spectral" if args.kind == "halfwave" else "series")
+    reprs = ["series", "closed"] if rep == "both" else [rep]
+    for name in reprs:
+        if (args.kind, name) not in _KERNELS:
+            raise ConfigError(f"kernel {args.kind} has no --repr {rep}; it takes "
+                              + ", ".join(r for k, r in _KERNELS if k == args.kind))
     _require_finite(args, "t")
     rc = build_run_config(args)
-    cfg = rc.cone
-    p = _parse_point(cfg, args.p)
-    q = _parse_point(cfg, args.q)
-
-    def one(repr_name: str):
-        fn = {("heat", "series"): _kernels.heat_kernel_series,
-              ("heat", "closed"): _kernels.heat_kernel_closed,
-              ("schrodinger", "series"): _kernels.schrodinger_kernel_series,
-              ("schrodinger", "closed"): _kernels.schrodinger_kernel_closed}[args.kind, repr_name]
-        kv = fn(args.t, p, q, cfg)
-        return kv.value, kv.largest_term
-
-    reprs = ["series", "closed"] if args.repr == "both" else [args.repr]
-    k_used = _kernels._K_START
-    if args.kind == "halfwave":
-        # halfwave is only available spectrally; grow the window to the shell
-        shell = _lpbesov.shell_window(args.j, cfg)
-        window = ModeWindow(max(rc.window.k_max, shell.k_max), max(rc.window.m_max, shell.m_max))
-        val = _kernels.halfwave_kernel_truncated(args.j, args.t, p, q, cfg, window)
-        results = {"spectral": (val, abs(val))}
-        k_used = window.k_max
-    elif args.repr == "spectral":
-        mult = heat_multiplier(args.t) if args.kind == "heat" else schrodinger_multiplier(args.t)
-        val = _kernels.spectral_kernel(mult, p, q, cfg, rc.window)
-        results = {"spectral": (val, abs(val))}
-        k_used = rc.window.k_max
-    else:
-        results = {name: one(name) for name in reprs}
+    p = _parse_point(rc.cone, args.p)
+    q = _parse_point(rc.cone, args.q)
+    results = {name: _KERNELS[args.kind, name](args, rc, p, q) for name in reprs}
 
     rows = [(args.t, p.r, p.theta, q.r, q.theta, val.real, val.imag, largest, k_used)
-            for val, largest in results.values()]
+            for val, largest, k_used in results.values()]
     write_csv(Path(args.out) / "kernel.csv", _KERNEL_CSV_HEADER, rows, f"{args.kind} kernel", append=True)
 
     payload = {
@@ -187,12 +207,12 @@ def cmd_kernel(args) -> int:
         "p": [p.r, p.theta],
         "q": [q.r, q.theta],
         "values": {name: {"re": val.real, "im": val.imag, "largest_term": largest}
-                   for name, (val, largest) in results.items()},
+                   for name, (val, largest, _) in results.items()},
     }
     lines = [f"{args.kind} {name}: {val.real:+.12e} {val.imag:+.12e}i   largest_term {largest:.3e}"
-             for name, (val, largest) in results.items()]
+             for name, (val, largest, _) in results.items()]
     if len(results) == 2:
-        (v1, _), (v2, _) = results["series"], results["closed"]
+        (v1, *_), (v2, *_) = results["series"], results["closed"]
         payload["relative_difference"] = abs(v1 - v2) / max(abs(v1), 1e-300)
         lines.append(f"series/closed relative difference: {payload['relative_difference']:.3e}")
     _emit(args, payload, lines)
@@ -220,6 +240,7 @@ def cmd_spectrum(args) -> int:
     else:  # evolve
         if args.input is None:
             raise ConfigError("spectrum evolve needs --input field CSV")
+        _require_field_cone(args.input, cfg)
         field = load_field(args.input)
         field = spectral_apply(_named_multiplier(args), field, cfg)
         out = Path(args.out) / "field_evolved.csv"
@@ -250,9 +271,25 @@ def _named_multiplier(args):
         return schrodinger_multiplier(args.t)
     if name == "halfwave":
         return _halfwave_multiplier(args.j, args.t)
-    if name == "fractional":
-        return fractional_flow_multiplier(args.nu, args.t)
-    raise ConfigError(f"unknown multiplier {name!r}")
+    return fractional_flow_multiplier(args.nu, args.t)  # --mult's choices leave only "fractional"
+
+
+def _require_field_cone(path: str, cfg: ConeConfig) -> None:
+    """Refuse a field whose JSON sidecar (save_field's) names another cone than cfg or does not parse.
+
+    A field CSV without a sidecar passes.
+    """
+    sidecar = Path(path).with_suffix(".json")
+    if not sidecar.exists():
+        return
+    try:
+        cone = json.loads(sidecar.read_text(encoding="utf-8"))["cone"]
+        saved = (cone["sigma"], cone["b0"], cone["alpha"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{sidecar}: not a field sidecar with a cone ({type(exc).__name__}: {exc})") from exc
+    if saved != (cfg.sigma, cfg.b0, cfg.alpha):
+        raise ConfigError(f"{path} was saved on the cone sigma={saved[0]}, b0={saved[1]}, alpha={saved[2]}, "
+                          f"not the config's sigma={cfg.sigma}, b0={cfg.b0}, alpha={cfg.alpha}")
 
 
 def _load_samples(path: str):
@@ -269,6 +306,8 @@ def _load_samples(path: str):
             raise ConfigError(f"{path}:{lineno}: bad number") from exc
         if not all(map(math.isfinite, row)):
             raise ConfigError(f"{path}:{lineno}: samples must be finite")
+        if row[0] < 0.0:
+            raise ConfigError(f"{path}:{lineno}: sample radius r must be >= 0, got {parts[0]!r}")
         rows.append(row)
     if not rows:
         raise ConfigError(f"{path}: empty sample file")
@@ -323,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     k = sub.add_parser("kernel", help="evaluate a propagator kernel")
     k.add_argument("kind", choices=["heat", "schrodinger", "halfwave"])
-    k.add_argument("--repr", default="series", choices=["series", "closed", "spectral", "both"])
+    k.add_argument("--repr", default=None, choices=["series", "closed", "spectral", "both"],
+                   help="default: series for heat and schrodinger, spectral for halfwave")
     k.add_argument("--t", type=float, required=True)
     k.add_argument("--p", required=True, help="point as r,theta")
     k.add_argument("--q", required=True, help="point as r,theta")

@@ -57,6 +57,7 @@ _LADDER_SEED = 1e-300  # start value of each backward Bessel recurrence, near th
 _LADDER_GROWTH = 1300.0  # log of the growth allowed from there: values stay below e^(1300 - 690) ~ 1e264
 _HALFWAVE_T_CHUNK = 32  # times per accumulator in _halfwave_pair_chunks
 _HALFWAVE_K_CHUNK = 16  # angular blocks per phase contraction
+_REDUCED_BLOCK_CELLS = 1 << 20  # Bessel values reduced_kernel_matrix builds and contracts at a time
 
 
 @dataclass(frozen=True)
@@ -68,22 +69,16 @@ class KernelValue:
 
 
 def image_angles(theta: float, cfg: ConeConfig) -> np.ndarray:
-    """All representatives theta + 2 pi sigma j with modulus <= pi."""
+    """All representatives theta + 2 pi sigma j with modulus <= pi; one within 1e-9 of pi raises QuadratureError."""
     period = cfg.period
     j_lo = math.floor((-math.pi - theta) / period) - 1
     j_hi = math.ceil((math.pi - theta) / period) + 1
     cand = theta + period * np.arange(j_lo, j_hi + 1)
-    return cand[np.abs(cand) <= math.pi]
-
-
-def _check_off_boundary(theta: float, cfg: ConeConfig) -> None:
-    period = cfg.period
-    j = np.round((np.array([-math.pi, math.pi]) - theta) / period)
-    dist = np.abs(theta + period * j - np.array([-math.pi, math.pi])).min()
-    if dist < _BOUNDARY_EPS:
+    if np.abs(np.abs(cand) - math.pi).min() < _BOUNDARY_EPS:
         raise QuadratureError(
             f"angle {theta} sits on an image-sum boundary (|theta + 2 pi sigma j| = pi)"
         )
+    return cand[np.abs(cand) <= math.pi]
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +233,8 @@ def _heat_angular_series(cfg: ConeConfig, tb: float, x: float, theta: float, shi
     return _angular_series(terms_for, "heat")
 
 
-def _heat_time(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) -> tuple[float, float, float]:
-    """(t b0, x, Q) of the pair, after the checks both heat representations share."""
+def _heat_tb(t: float, cfg: ConeConfig) -> float:
+    """t b0, after the time checks every heat entry point shares: finite t > 0 and 0 < t b0 <= _HEAT_TB_MAX."""
     if not (0.0 < t < math.inf):
         raise DomainError(f"heat kernel needs a finite t > 0, got {t}")
     tb = t * cfg.b0
@@ -248,6 +243,12 @@ def _heat_time(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) -> tuple[f
     if tb > _HEAT_TB_MAX:
         raise DomainError(f"heat kernel needs t b0 <= {_HEAT_TB_MAX:g}, got {tb:.6g}: "
                           "its factor e^(-t b0) is below the normal float range there")
+    return tb
+
+
+def _heat_time(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) -> tuple[float, float, float]:
+    """(t b0, x, Q) of the pair, after the checks both heat representations share."""
+    tb = _heat_tb(t, cfg)
     x = cfg.b0 * p.r * q.r / (2.0 * math.sinh(tb))
     big_q = cfg.b0 * (p.r ** 2 + q.r ** 2) / (4.0 * math.tanh(tb))
     return tb, x, big_q
@@ -289,8 +290,6 @@ def heat_kernel_closed(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) ->
     if x == 0.0:  # a point at the tip: every mode vanishes there
         return KernelValue(0.0 + 0.0j, 0.0)
     theta = angular_difference(p.theta, q.theta, cfg)
-    _check_off_boundary(theta, cfg)
-
     images = image_angles(theta, cfg)
     jsum = sum(
         cmath.exp(x * cmath.cosh(complex(tb, -tj)) - big_q - 1j * cfg.alpha * tj) for tj in images
@@ -331,14 +330,16 @@ def heat_closed_bracket_grid(x_vec: np.ndarray, theta_vec: np.ndarray, t: float,
     is free of the deep cancellation the angular series hits when
     x (1 - cos theta cosh t b0) is large.  Fixed graded panels: dense near
     s = 0 (Laplace peak) and near s = t b0 (tail-pole proximity at image
-    boundaries); intended for sweep-grade accuracy (~1e-8 relative).
+    boundaries); intended for sweep-grade accuracy (~1e-8 relative).  It
+    refuses the t and angles heat_kernel_closed refuses, before any contraction.
     """
     x_vec = np.asarray(x_vec, dtype=float)
     theta_vec = np.asarray(theta_vec, dtype=float)
-    tb = t * cfg.b0
+    tb = _heat_tb(t, cfg)
     x_min = float(x_vec.min())
     if x_min <= 0.0:
         raise DomainError("heat_closed_bracket_grid needs strictly positive x")
+    images = [image_angles(float(th), cfg) for th in theta_vec]
     s_lo, s_hi = _heat_tail_range(x_min, tb, cfg)
     edges = np.unique(np.concatenate([
         np.linspace(-1.5, 1.5, 61),
@@ -367,9 +368,9 @@ def heat_closed_bracket_grid(x_vec: np.ndarray, theta_vec: np.ndarray, t: float,
     integral.imag = tail.imag @ envelope
 
     out = integral / (2j * math.pi * cfg.sigma)
-    for i_th, th in enumerate(theta_vec):
-        for tj in image_angles(float(th), cfg):
-            out[i_th] += np.exp(x_vec * cmath.cosh(complex(tb, -tj)) - 1j * cfg.alpha * tj)
+    for row, tjs in zip(out, images):
+        for tj in tjs:
+            row += np.exp(x_vec * cmath.cosh(complex(tb, -tj)) - 1j * cfg.alpha * tj)
     return out
 
 
@@ -427,7 +428,6 @@ def _closed_angular_bracket(cfg: ConeConfig, rho: float, theta: float) -> tuple[
     if rho < 0.0:
         bracket, peak = _closed_angular_bracket(cfg, -rho, -theta)
         return bracket.conjugate(), peak
-    _check_off_boundary(theta, cfg)
     images = image_angles(theta, cfg)
     jsum = sum(cmath.exp(1j * rho * math.cos(tj) - 1j * cfg.alpha * tj) for tj in images)
 
@@ -454,10 +454,17 @@ def schrodinger_kernel_closed(t: float, p: ConePoint, q: ConePoint, cfg: ConeCon
 # reduced angular kernel
 # ---------------------------------------------------------------------------
 
+def _reduced_args(rho, delta) -> tuple[np.ndarray, np.ndarray]:
+    """rho and delta as float arrays; DomainError unless every rho is finite and >= 0 and every delta finite."""
+    rho, delta = np.asarray(rho, dtype=float), np.asarray(delta, dtype=float)
+    if not (np.all((0.0 <= rho) & (rho < math.inf)) and np.isfinite(delta).all()):
+        raise DomainError("reduced kernel needs a finite rho >= 0 and a finite delta")
+    return rho, delta
+
+
 def reduced_kernel(rho: float, delta: float, cfg: ConeConfig) -> complex:
     """The universal angular series sum_k e^{i k delta / sigma} I_{a_k}(i rho)."""
-    if rho < 0.0:
-        raise DomainError(f"reduced_kernel needs rho >= 0, got {rho}")
+    _reduced_args(rho, delta)
     total, _, _ = _schrodinger_angular_series(cfg, rho, delta)
     return complex(total)
 
@@ -534,14 +541,13 @@ def _bessel_j_rows(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def reduced_kernel_matrix(rho: np.ndarray, delta: np.ndarray, cfg: ConeConfig) -> np.ndarray:
     """reduced_kernel on a product grid; shape (len(delta), len(rho)).
 
-    One Bessel matrix serves every delta, so sweeps over large grids cost a
-    single matrix product.  Its columns come from order recurrences scaled
-    to scipy's jv (_bessel_j_rows), within 1e-13 of jv itself.
+    One Bessel matrix serves every delta, so sweeps over large grids cost
+    one matrix product per block of radii, each block at most
+    _REDUCED_BLOCK_CELLS Bessel values whatever the number of orders.  Its
+    columns come from order recurrences scaled to scipy's jv
+    (_bessel_j_rows), within 1e-13 of jv itself.
     """
-    rho = np.asarray(rho, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    if np.any(rho < 0.0):
-        raise DomainError("reduced_kernel_matrix needs rho >= 0")
+    rho, delta = _reduced_args(rho, delta)
     rho_max = float(rho.max(initial=0.0))
     k_hi = _K_START
     while True:
@@ -554,9 +560,13 @@ def reduced_kernel_matrix(rho: np.ndarray, delta: np.ndarray, cfg: ConeConfig) -
         raise NonconvergenceError("reduced kernel k range exceeded the cap")
     ks = np.arange(-k_hi, k_hi + 1)
     a = angular_order(cfg, ks)
-    bessel = np.exp(1j * a * math.pi / 2.0)[:, None] * _bessel_j_rows(a, rho)
+    rotation = np.exp(1j * a * math.pi / 2.0)[:, None]
     phases = np.exp(1j * np.outer(delta, ks / cfg.sigma))
-    return phases @ bessel
+    out = np.empty((delta.size, rho.size), dtype=complex)
+    step = max(1, _REDUCED_BLOCK_CELLS // a.size)
+    for lo in range(0, rho.size, step):
+        out[:, lo:lo + step] = phases @ (rotation * _bessel_j_rows(a, rho[lo:lo + step]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -610,13 +620,24 @@ def _shell_blocks(j: int, cfg: ConeConfig, window: ModeWindow, r_nodes: np.ndarr
 def _halfwave_pair_chunks(blocks: list, ts: np.ndarray, dth_nodes: np.ndarray, n_r: int, cfg: ConeConfig):
     """Yield K[t, i_dtheta, pair] for successive chunks of _HALFWAVE_T_CHUNK times.
 
-    Each block is symmetric in (r_i, r_j), so only the pairs i <= j are
+    A t that is not finite, or a phase t sqrt(lam) past the float range on
+    the shell or of 2^52 or more on a mode of nonzero weight, raises
+    DomainError first.  Each block is symmetric in (r_i, r_j), so only the pairs i <= j are
     formed, in np.triu_indices(n_r) order.  Chunking the times bounds the
     accumulator and the pair products for any number of times: at the
     half-wave sweep's 41 radii (861 pairs) and 32 angles, a chunk of 32
     times holds 14 MB and 7 MB.  The sweep's 19 times fit in one chunk, so
     each block's pair products are formed once (8.4 MB and 4.2 MB).
     """
+    if not np.isfinite(ts).all():
+        raise DomainError(f"half-wave kernel needs a finite t, got {ts[~np.isfinite(ts)][0]}")
+    t_max = float(np.abs(ts).max(initial=0.0))
+    sq_max = max((float(sq.max(initial=0.0)) for _, sq, _, _ in blocks), default=0.0)
+    if math.isinf(t_max * sq_max):
+        raise DomainError(f"half-wave phase t sqrt(lam) overflows on its shell: |t| up to {t_max:g}, "
+                          f"sqrt(lam) up to {sq_max:.6g}")
+    _require_phase_digits("halfwave_kernel_grid",
+                          t_max * max((float(sq[w != 0.0].max(initial=0.0)) for _, sq, w, _ in blocks), default=0.0))
     iu, ju = np.triu_indices(n_r)
     for t0 in range(0, ts.size, _HALFWAVE_T_CHUNK):
         tc = ts[t0:t0 + _HALFWAVE_T_CHUNK]
@@ -644,12 +665,9 @@ def halfwave_kernel_grid(j: int, t: float, r_nodes: np.ndarray, dtheta_nodes: np
     Returns K[i_dtheta, i_r1, i_r2], symmetric in (i_r1, i_r2).  The k <= -1
     Landau branch is truncated by the evaluated radial magnitude on the
     requested radii (see _shell_blocks); a tail still above 1e-10 of its
-    peak at the window edge raises WindowTooSmallError, and a phase
-    t sqrt(lam) past the float range on the shell, or of 2^52 or more on a
-    mode of nonzero weight, raises DomainError.
+    peak at the window edge raises WindowTooSmallError, and t is checked
+    by _halfwave_pair_chunks.
     """
-    if not math.isfinite(t):
-        raise DomainError(f"half-wave kernel needs a finite t, got {t}")
     r_nodes = np.asarray(r_nodes, dtype=float)
     dtheta_nodes = np.asarray(dtheta_nodes, dtype=float)
     blocks, tail = _shell_blocks(j, cfg, window, r_nodes)
@@ -657,12 +675,6 @@ def halfwave_kernel_grid(j: int, t: float, r_nodes: np.ndarray, dtheta_nodes: np
         raise WindowTooSmallError(
             f"degenerate-branch tail still {tail:.2e} of its peak at k=-{window.k_max}; enlarge k_max"
         )
-    sq_max = max((float(sq.max(initial=0.0)) for _, sq, _, _ in blocks), default=0.0)
-    if math.isinf(t * sq_max):
-        raise DomainError(f"half-wave phase t sqrt(lam) overflows on shell j={j}: t={t:g}, "
-                          f"sqrt(lam) up to {sq_max:.6g}")
-    _require_phase_digits("halfwave_kernel_grid",
-                          t * max((float(sq[w != 0.0].max(initial=0.0)) for _, sq, w, _ in blocks), default=0.0))
     (pairs,) = _halfwave_pair_chunks(blocks, np.array([t]), dtheta_nodes, r_nodes.size, cfg)
     iu, ju = np.triu_indices(r_nodes.size)
     out = np.empty((dtheta_nodes.size, r_nodes.size, r_nodes.size), dtype=complex)
@@ -675,17 +687,11 @@ def halfwave_sup_curve(j: int, ts: np.ndarray, r_nodes: np.ndarray, dtheta_nodes
                        cfg: ConeConfig, window: ModeWindow) -> np.ndarray:
     """sup over the grid of |frequency-truncated half-wave kernel| at each time, shape (len(ts),).
 
-    The shell is assembled once for every time.  Unlike halfwave_kernel_grid,
-    the k <= -1 branch's tail at the window edge is not checked.
+    The shell is assembled once for every time, and each time is checked as
+    halfwave_kernel_grid's t is.  Unlike halfwave_kernel_grid, the k <= -1
+    branch's tail at the window edge is not checked.
     """
     blocks, _ = _shell_blocks(j, cfg, window, r_nodes)
     return np.concatenate([np.abs(acc).max(axis=(1, 2))
                            for acc in _halfwave_pair_chunks(blocks, ts, dtheta_nodes, r_nodes.size, cfg)])
 
-
-def halfwave_kernel_truncated(j: int, t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig,
-                              window: ModeWindow) -> complex:
-    """Frequency-truncated half-wave kernel at a pair of points."""
-    r_nodes = np.array([p.r]) if abs(p.r - q.r) < 1e-15 else np.array([p.r, q.r])
-    grid = halfwave_kernel_grid(j, t, r_nodes, np.array([p.theta - q.theta]), cfg, window)
-    return complex(grid[0, 0, -1])

@@ -99,12 +99,18 @@ def eigenvalue(cfg: ConeConfig, k, m) -> np.ndarray:
     """Eigenvalue (2m + 1 + |s_k| + s_k) b0, exact (2m+1) b0 on the s_k < 0 branch.
 
     The degenerate branch is taken by a sign test, never by subtracting
-    |s_k| from s_k, so the Landau levels carry no rounding drift.
+    |s_k| from s_k, so the Landau levels carry no rounding drift.  An
+    eigenvalue past the float range (b0 near the largest float) raises
+    DomainError.
     """
     s = signed_order(cfg, k)
     m = np.asarray(m, dtype=float)
     flux_part = np.where(s > 0.0, 2.0 * s, 0.0)
-    return (2.0 * m + 1.0 + flux_part) * cfg.b0
+    with np.errstate(over="ignore"):
+        lam = (2.0 * m + 1.0 + flux_part) * cfg.b0
+    if not np.isfinite(lam).all():
+        raise DomainError(f"eigenvalues pass the float range at b0 = {cfg.b0:g}")
+    return lam
 
 
 def log_norm_sq(cfg: ConeConfig, k, m) -> np.ndarray:

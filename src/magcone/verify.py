@@ -23,7 +23,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, GammaOutOfRangeError, NonconvergenceError, QuadratureError
+from .errors import DomainError, GammaOutOfRangeError, NonconvergenceError
 from .geometry import ConeConfig, flux_distance
 from .kernels import heat_closed_bracket_grid, halfwave_sup_curve, reduced_kernel_matrix, schrodinger_angular_tail
 from .lpbesov import shell_window
@@ -71,8 +71,8 @@ class SweepGrids:
     raise DomainError.  Those arrays are the reduced-kernel scan's fine
     matrix at rho_max = 200 (16 n_angle - 1 by 1280 n_radius - 1) and the
     half-wave accumulator (2 n_time + 10 times by max(2 n_angle, 32) angles
-    by the pairs of 6 n_radius - 1 radii); the refined grids' tables and
-    Bessel rows (per order) are smaller.
+    by the pairs of 6 n_radius - 1 radii); the refined grids' tables are
+    smaller, and reduced_kernel_matrix builds its Bessel rows in blocks.
     """
 
     n_time: int = 5
@@ -216,10 +216,7 @@ def _dispersive_grid(cfg: ConeConfig, grids: SweepGrids) -> list:
     rr, dth = _pair_grid(cfg, grids)
     grid = []
     for t in _time_grid(grids, cfg):
-        sin_tb = math.sin(t * cfg.b0)
-        if abs(sin_tb) < 0.05:
-            raise QuadratureError("dispersive time grid too close to a singular time")
-        rho = cfg.b0 * rr / (2.0 * sin_tb)
+        rho = cfg.b0 * rr / (2.0 * math.sin(t * cfg.b0))  # t b0 in [0.35, pi - 0.3]: |sin| >= 0.29
         delta = t * cfg.b0 - dth
         grid.append((t, rho, delta, np.abs(reduced_kernel_matrix(rho, delta, cfg))))
     return grid
@@ -316,6 +313,8 @@ def gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) ->
                                   -math.pi + cluster, -math.pi - cluster])
         near_pi = near_pi[np.abs(near_pi) < 0.5 * cfg.period - 0.02]
         dth = np.unique(np.concatenate([base, near_pi]))
+        # the grid kernel is within 5e-13 of the closed form from 0.01 off the image boundaries |dtheta| = pi
+        dth = dth[np.abs(np.abs(dth) - math.pi) >= 0.02]
         ts = np.geomspace(0.1, 5.0, g.n_time) / cfg.b0
         # best-image angle per dtheta: the geodesic uses cos(theta_red), or -1 past pi
         red = np.abs(np.remainder(dth + cfg.period / 2.0, cfg.period) - cfg.period / 2.0)

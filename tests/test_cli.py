@@ -552,3 +552,81 @@ def test_readme_command_exits_0(tmp_path, monkeypatch, capsys, line):
     save_field(random_field(ModeWindow(4, 4), rng), cone, QuadratureSpec(), "field.csv")
     assert main(line.split()[1:]) == EXIT_OK, capsys.readouterr().err
     assert capsys.readouterr().out
+
+
+def test_negative_seed_flag_exits_2_and_writes_nothing(tmp_path, capsys):
+    code = run_cli("--seed", "-1", "--out", str(tmp_path / "o"), "verify", "energy")
+    assert "--seed must be >= 0" in _assert_one_line_error(capsys, code)
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_seed_in_config_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("seed = -3\n")
+    code = run_cli("--config", str(cfgfile), "--out", str(tmp_path / "o"), "verify", "all")
+    assert f"{cfgfile}:1: seed must be >= 0" in _assert_one_line_error(capsys, code)
+    assert not (tmp_path / "o").exists()
+
+
+def _saved_field(tmp_path, cone: ConeConfig) -> Path:
+    field_csv = tmp_path / "saved" / "field.csv"
+    field_csv.parent.mkdir()
+    save_field(random_field(ModeWindow(3, 3), np.random.default_rng(4)), cone, QuadratureSpec(), field_csv)
+    return field_csv
+
+
+def test_spectrum_evolve_refuses_a_field_saved_on_another_cone(tmp_path, capsys):
+    field_csv = _saved_field(tmp_path, ConeConfig(2.0, 0.5, 0.3))
+    code = run_cli("--out", str(tmp_path / "o"), "spectrum", "evolve", "--input", str(field_csv), "--t", "0.5")
+    assert "was saved on the cone sigma=2.0, b0=0.5, alpha=0.3" in _assert_one_line_error(capsys, code)
+    assert not (tmp_path / "o").exists()
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("sigma = 2.0\nb0 = 0.5\nalpha = 0.3\n")
+    assert run_cli("--config", str(cfgfile), "--out", str(tmp_path / "o"), "spectrum", "evolve",
+                   "--input", str(field_csv), "--t", "0.5") == EXIT_OK
+    sidecar = json.loads((tmp_path / "o" / "field_evolved.json").read_text())
+    assert sidecar["cone"] == {"sigma": 2.0, "b0": 0.5, "alpha": 0.3}
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"window": {}}', '{"cone": {"sigma": 1.0}}', '{"cone": 3}'])
+def test_spectrum_evolve_refuses_a_malformed_sidecar(tmp_path, capsys, text):
+    field_csv = _saved_field(tmp_path, ConeConfig(1.0, 1.0, 0.25))
+    field_csv.with_suffix(".json").write_text(text)
+    code = run_cli("--out", str(tmp_path / "o"), "spectrum", "evolve", "--input", str(field_csv), "--t", "0.5")
+    assert "not a field sidecar with a cone" in _assert_one_line_error(capsys, code)
+    assert not (tmp_path / "o").exists()
+
+
+def test_spectrum_evolve_takes_a_field_without_sidecar_on_the_config_cone(tmp_path):
+    field_csv = _saved_field(tmp_path, ConeConfig(2.0, 0.5, 0.3))
+    field_csv.with_suffix(".json").unlink()
+    assert run_cli("--out", str(tmp_path / "o"), "spectrum", "evolve", "--input", str(field_csv),
+                   "--t", "0.5") == EXIT_OK
+    assert json.loads((tmp_path / "o" / "field_evolved.json").read_text())["cone"]["sigma"] == 1.0
+
+
+@pytest.mark.parametrize("rep", ["series", "closed", "both"])
+def test_kernel_halfwave_refuses_a_non_spectral_repr(tmp_path, capsys, rep):
+    code = run_cli("--out", str(tmp_path / "o"), "kernel", "halfwave", "--repr", rep,
+                   "--t", "0.5", "--p", "1.0,0.3", "--q", "0.8,2.1")
+    assert f"kernel halfwave has no --repr {rep}" in _assert_one_line_error(capsys, code)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind,rep,default", [("halfwave", "spectral", "spectral"), ("heat", "series", "series"),
+                                              ("schrodinger", "series", "series")])
+def test_kernel_repr_default_depends_on_the_kind(tmp_path, capsys, kind, rep, default):
+    point = ["--t", "0.5", "--p", "1.0,0.3", "--q", "0.8,2.1"]
+    assert run_cli("--json", "--out", str(tmp_path / "a"), "kernel", kind, *point) == EXIT_OK
+    unset = json.loads(capsys.readouterr().out)
+    assert run_cli("--json", "--out", str(tmp_path / "b"), "kernel", kind, "--repr", rep, *point) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == unset and list(unset["values"]) == [default]
+    assert (tmp_path / "a" / "kernel.csv").read_bytes() == (tmp_path / "b" / "kernel.csv").read_bytes()
+
+
+def test_expand_refuses_a_negative_sample_radius(tmp_path, capsys):
+    samples = tmp_path / "s.csv"
+    samples.write_text("r,theta,re,im\n1.0,0.5,1.0,0.0\n-0.2,0.1,1.0,0.0\n")
+    code = run_cli("--out", str(tmp_path / "o"), "spectrum", "expand", "--input", str(samples))
+    assert f"{samples}:3: sample radius r must be >= 0" in _assert_one_line_error(capsys, code)
+    assert not (tmp_path / "o").exists()

@@ -191,7 +191,7 @@ def test_kernels_reject_non_finite_time(cfg, t):
         with pytest.raises(DomainError, match="finite t"):
             fn(t, p, q, cfg)
     with pytest.raises(DomainError, match="finite t"):
-        kernels.halfwave_kernel_truncated(1, t, p, q, cfg, _window(1, cfg))
+        kernels.halfwave_kernel_grid(1, t, np.array([p.r, q.r]), np.array([p.theta - q.theta]), cfg, _window(1, cfg))
 
 
 @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])

@@ -1,14 +1,16 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, special as sp
 
+from magcone import kernels
 from magcone.errors import QuadratureError, SingularTimeError, WindowTooSmallError
 from magcone.geometry import ConeConfig, make_point
 from magcone.kernels import (
-    halfwave_kernel_truncated,
+    halfwave_kernel_grid,
     heat_angular_tail,
     heat_closed_bracket_grid,
     heat_kernel_closed,
@@ -358,7 +360,8 @@ def test_schrodinger_largest_term_diagnostic(cfg):
 
 
 def test_image_angle_count(cfg):
-    for th in np.linspace(-cfg.sigma * math.pi + 0.05, cfg.sigma * math.pi, 40):
+    # the grid stops short of sigma pi: at sigma = 1 that is an image boundary, which image_angles refuses
+    for th in np.linspace(-cfg.sigma * math.pi + 0.05, cfg.sigma * math.pi - 0.05, 40):
         count = len(image_angles(float(th), cfg))
         assert count <= 1 + 1.0 / cfg.sigma + 1
 
@@ -420,6 +423,30 @@ def test_reduced_kernel_sup_stabilizes(cfg):
     assert sup2 <= sup1 * 1.1 + 0.2
 
 
+def test_reduced_kernel_matrix_blocks_agree_with_one_block(monkeypatch):
+    cfg = ConeConfig(2.0, 0.5, 0.3)
+    rho = np.linspace(0.0, 60.0, 700)
+    delta = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 9)
+    whole = reduced_kernel_matrix(rho, delta, cfg)
+    monkeypatch.setattr(kernels, "_REDUCED_BLOCK_CELLS", 5000)  # 49 radii a block at these 101 orders
+    blocked = reduced_kernel_matrix(rho, delta, cfg)
+    assert np.all(np.abs(blocked - whole) <= 1e-13 * np.abs(whole).max())
+
+
+def test_reduced_kernel_matrix_memory_stays_bounded_across_blocks():
+    """rho_max = 200 at sigma = 2 needs 1,281 orders: on 8,959 radii one block would hold 275 MB of rows."""
+    cfg = ConeConfig(2.0, 0.5, 0.3)
+    rho = np.linspace(0.0, 200.0, 8959)
+    tracemalloc.start()
+    try:
+        mat = reduced_kernel_matrix(rho, np.array([-1.0, 0.5]), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(mat).all()
+    assert peak < 64e6
+
+
 # ---------------------------------------------------------------------------
 # half-wave kernel
 # ---------------------------------------------------------------------------
@@ -428,11 +455,10 @@ def test_halfwave_t0_hermitian(cfg):
     lam_hi = 4.0 ** 3
     window = ModeWindow(int(lam_hi / cfg.b0 * cfg.sigma / 2) + 8,
                         int((lam_hi / cfg.b0 - 1) / 2) + 1)
-    p = make_point(cfg, 1.0, 0.4)
-    q = make_point(cfg, 1.5, 2.2)
-    a = halfwave_kernel_truncated(2, 0.0, p, q, cfg, window)
-    b = halfwave_kernel_truncated(2, 0.0, q, p, cfg, window)
-    assert a == pytest.approx(b.conjugate(), rel=1e-10)
+    gap = 0.4 - 2.2
+    grid = halfwave_kernel_grid(2, 0.0, np.array([1.0, 1.5]), np.array([gap, -gap]), cfg, window)
+    # K(p, q) against conj K(q, p): the radii and the sign of the angle gap swap
+    assert grid[0, 0, 1] == pytest.approx(grid[1, 1, 0].conjugate(), rel=1e-10)
 
 
 def test_halfwave_multiplier_bound(cfg):
@@ -444,9 +470,8 @@ def test_halfwave_multiplier_bound(cfg):
 
 
 def test_halfwave_window_too_small(cfg):
-    p = make_point(cfg, 1.0, 0.4)
     with pytest.raises(WindowTooSmallError):
-        halfwave_kernel_truncated(3, 0.1, p, p, cfg, ModeWindow(10, 5))
+        halfwave_kernel_grid(3, 0.1, np.array([1.0]), np.array([0.0]), cfg, ModeWindow(10, 5))
 
 
 def test_halfwave_shell_work_bound(cfg):

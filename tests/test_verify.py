@@ -183,3 +183,24 @@ def test_reports_deterministic_and_serializable(tmp_path, cfg):
 def test_reference_configs_are_the_published_triple():
     got = [(c.sigma, c.alpha, c.b0) for c in REFERENCE_CONFIGS]
     assert got == [(1.0, 0.25, 1.0), (1.5, 0.4, 1.0), (2.0, 0.3, 0.5)]
+
+
+def test_gaussian_heat_sweep_keeps_its_angles_off_the_image_boundaries(monkeypatch):
+    """At sigma = 1.5 and n_angle = 20 a base angle sits 0.0011 from pi, inside the grid kernel's blind zone."""
+    cfg = REFERENCE_CONFIGS[1]
+    grids = SweepGrids(n_time=1, n_radius=1, n_angle=20)
+    base = verify._pair_grid(cfg, grids)[1]
+    assert np.abs(np.abs(base) - math.pi).min() < 0.02
+    seen = []
+    grid_kernel = verify.heat_closed_bracket_grid
+
+    def spy(x, theta, t, cone):
+        seen.append(np.array(theta))
+        return grid_kernel(x, theta, t, cone)
+
+    monkeypatch.setattr(verify, "heat_closed_bracket_grid", spy)
+    gaussian_heat_constant(cfg, grids)
+    angles = np.concatenate(seen)
+    assert len(seen) == 2  # one time in each pass, the coarse and the fine
+    # the image boundaries |dtheta + 2 pi sigma j| = pi within the angle range |dtheta| <= sigma pi are +-pi
+    assert np.abs(np.abs(angles) - math.pi).min() >= 0.02
