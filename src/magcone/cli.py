@@ -150,8 +150,8 @@ def _emit(args, payload, lines) -> None:
 
 
 def _pointwise(kv) -> tuple:
-    """A series or closed-form KernelValue as (value, largest_term, k_max_used), 40 being the series' first k range."""
-    return kv.value, kv.largest_term, _kernels._K_START
+    """A series or closed-form KernelValue as (value, largest_term, k_max_used): the largest |k| the series summed, 0 for a closed form."""
+    return kv.value, kv.largest_term, max(-kv.k_range[0], kv.k_range[1])
 
 
 def _spectral(multiplier, p, q, rc: RunConfig) -> tuple:

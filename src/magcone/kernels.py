@@ -53,9 +53,9 @@ _HEAT_TB_MAX = 700.0  # past it the heat kernel's factor e^{-t b0} leaves the no
 _HEAT_SHIFT_TB = 50.0  # any value well below 350 works; 50 leaves the t b0 the sweeps use unshifted
 _HEAT_X_MAX = 2.0 ** 30 - 1.0  # scipy's ive(a, x) is NaN from x = 2^30 - 1/2 on
 _BOUNDARY_EPS = 1e-9
+_GRID_BOUNDARY_GAP = 0.01  # heat_closed_bracket_grid's fixed panels keep ~1e-13 this far from a boundary
 _LADDER_SEED = 1e-300  # start value of each backward Bessel recurrence, near the bottom of the normal range
 _LADDER_GROWTH = 1300.0  # log of the growth allowed from there: values stay below e^(1300 - 690) ~ 1e264
-_HALFWAVE_T_CHUNK = 32  # times per accumulator in _halfwave_pair_chunks
 _HALFWAVE_K_CHUNK = 16  # angular blocks per phase contraction
 _REDUCED_BLOCK_CELLS = 1 << 20  # Bessel values reduced_kernel_matrix builds and contracts at a time
 
@@ -66,18 +66,23 @@ class KernelValue:
 
     value: complex
     largest_term: float
+    k_range: tuple[int, int] = (0, 0)  # the (k_lo, k_hi) the angular series summed; a closed form sums none
 
 
-def image_angles(theta: float, cfg: ConeConfig) -> np.ndarray:
-    """All representatives theta + 2 pi sigma j with modulus <= pi; one within 1e-9 of pi raises QuadratureError."""
+def image_angles(theta: float, cfg: ConeConfig, gap: float = _BOUNDARY_EPS) -> np.ndarray:
+    """All representatives theta + 2 pi sigma j with modulus <= pi.
+
+    One within 1e-9 of pi, or within gap of it when gap is larger, raises
+    QuadratureError.
+    """
     period = cfg.period
     j_lo = math.floor((-math.pi - theta) / period) - 1
     j_hi = math.ceil((math.pi - theta) / period) + 1
     cand = theta + period * np.arange(j_lo, j_hi + 1)
-    if np.abs(np.abs(cand) - math.pi).min() < _BOUNDARY_EPS:
-        raise QuadratureError(
-            f"angle {theta} sits on an image-sum boundary (|theta + 2 pi sigma j| = pi)"
-        )
+    off = float(np.abs(np.abs(cand) - math.pi).min())
+    if off < max(gap, _BOUNDARY_EPS):
+        where = "on" if off < _BOUNDARY_EPS else f"{off:.3g} from"
+        raise QuadratureError(f"angle {theta} sits {where} an image-sum boundary (|theta + 2 pi sigma j| = pi)")
     return cand[np.abs(cand) <= math.pi]
 
 
@@ -92,9 +97,8 @@ def schrodinger_angular_tail(s, theta, cfg: ConeConfig):
     complex s; this is what the deformed tail contour integrates.  The two
     winding directions are combined into numerator/denominator pairs that
     stay stable at the removable s -> 0, phi -> 0 (mod 2 pi) corner.
-    theta is one angle or an array of angles shaped like s, one per node;
-    the cosines and sines of the angles come from math either way, so a
-    node's value does not depend on which other nodes share the call.
+    theta is one angle or an array of angles shaped like s, one per node
+    (see _tail_trig).
     """
     s = np.asarray(s, dtype=complex)
     sg, al = cfg.sigma, cfg.alpha
@@ -120,18 +124,18 @@ def schrodinger_angular_tail(s, theta, cfg: ConeConfig):
 
 
 def _tail_trig(theta, sg: float):
-    """math.cos and math.sin of phi = (theta + pi)/sigma and of -(theta - pi)/sigma, once per distinct theta.
+    """cos and sin of phi = (theta + pi)/sigma and of -(theta - pi)/sigma.
 
-    numpy's cos and sin may differ from math's in the last bit, so an array
-    of angles is mapped through math one distinct angle (bit pattern) at a time.
+    One angle takes math's, a third of numpy's cost on a scalar; an array
+    takes numpy's, which agree with math's to the bit on the angles tested,
+    so a node's value does not depend on which nodes share the call.
     """
     if np.ndim(theta) == 0:
-        phi_plus, phi_minus = (theta + math.pi) / sg, -((theta - math.pi) / sg)
-        return math.cos(phi_plus), math.sin(phi_plus), math.cos(phi_minus), math.sin(phi_minus)
-    theta = np.asarray(theta, dtype=float)
-    bits, at = np.unique(theta.view(np.uint64), return_inverse=True)
-    table = np.array([_tail_trig(angle, sg) for angle in bits.view(float).tolist()])
-    return tuple(np.take(table.T, at.ravel(), axis=1).reshape((4, *theta.shape)))
+        cos, sin = math.cos, math.sin
+    else:
+        theta, cos, sin = np.asarray(theta, dtype=float), np.cos, np.sin
+    phi_plus, phi_minus = (theta + math.pi) / sg, -((theta - math.pi) / sg)
+    return cos(phi_plus), sin(phi_plus), cos(phi_minus), sin(phi_minus)
 
 
 def heat_angular_tail(s, theta, t: float, cfg: ConeConfig):
@@ -265,10 +269,10 @@ def heat_kernel_series(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) ->
     # past Q = 700 e^{-Q} underflows while the terms' e^{x} overflows; x <= Q,
     # so e^{-Q} moves into the terms instead
     q_shift = big_q if big_q >= 700 else 0.0
-    total, peak, _ = _heat_angular_series(cfg, tb, x, theta, shift + q_shift)
+    total, peak, k_range = _heat_angular_series(cfg, tb, x, theta, shift + q_shift)
     pref = cfg.b0 * math.exp(shift - tb * cfg.alpha) / (4.0 * math.pi * cfg.sigma * math.sinh(tb))
     scale = math.exp(-big_q) if q_shift == 0.0 else 1.0
-    return KernelValue(pref * scale * total, pref * scale * peak)
+    return KernelValue(pref * scale * total, pref * scale * peak, k_range)
 
 
 def _heat_tail_range(x: float, tb: float, cfg: ConeConfig) -> tuple[float, float]:
@@ -308,7 +312,7 @@ def heat_kernel_closed(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) ->
     # accuracy target is relative to the whole bracket, not the tail alone
     tol = max(1e-12 * max(mass, 2.0 * math.pi * cfg.sigma * abs(jsum)), 1e-320)
     edges = np.unique(np.concatenate([
-        np.array([s_lo, min(0.0, tb), 0.0, tb, s_hi]),
+        np.array([s_lo, 0.0, tb, s_hi]),
         np.linspace(s_lo, s_hi, 25),
     ]))
     integral = 0.0 + 0.0j
@@ -331,7 +335,9 @@ def heat_closed_bracket_grid(x_vec: np.ndarray, theta_vec: np.ndarray, t: float,
     x (1 - cos theta cosh t b0) is large.  Fixed graded panels: dense near
     s = 0 (Laplace peak) and near s = t b0 (tail-pole proximity at image
     boundaries); intended for sweep-grade accuracy (~1e-8 relative).  It
-    refuses the t and angles heat_kernel_closed refuses, before any contraction.
+    refuses the t heat_kernel_closed refuses and, since those panels do not
+    resolve the tail's pole closer in, any angle within _GRID_BOUNDARY_GAP
+    of an image boundary, before any contraction.
     """
     x_vec = np.asarray(x_vec, dtype=float)
     theta_vec = np.asarray(theta_vec, dtype=float)
@@ -339,7 +345,7 @@ def heat_closed_bracket_grid(x_vec: np.ndarray, theta_vec: np.ndarray, t: float,
     x_min = float(x_vec.min())
     if x_min <= 0.0:
         raise DomainError("heat_closed_bracket_grid needs strictly positive x")
-    images = [image_angles(float(th), cfg) for th in theta_vec]
+    images = [image_angles(float(th), cfg, _GRID_BOUNDARY_GAP) for th in theta_vec]
     s_lo, s_hi = _heat_tail_range(x_min, tb, cfg)
     edges = np.unique(np.concatenate([
         np.linspace(-1.5, 1.5, 61),
@@ -416,8 +422,8 @@ def _schrodinger_angular_series(cfg: ConeConfig, rho: float, theta: float):
 def schrodinger_kernel_series(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) -> KernelValue:
     """Schrodinger kernel by the angular Bessel series."""
     rho, theta, pref = _schrodinger_time(t, p, q, cfg)
-    total, peak, _ = _schrodinger_angular_series(cfg, rho, theta)
-    return KernelValue(pref * total, abs(pref) * peak)
+    total, peak, k_range = _schrodinger_angular_series(cfg, rho, theta)
+    return KernelValue(pref * total, abs(pref) * peak, k_range)
 
 
 def _closed_angular_bracket(cfg: ConeConfig, rho: float, theta: float) -> tuple[complex, float]:
@@ -617,17 +623,17 @@ def _shell_blocks(j: int, cfg: ConeConfig, window: ModeWindow, r_nodes: np.ndarr
     return blocks, tail
 
 
-def _halfwave_pair_chunks(blocks: list, ts: np.ndarray, dth_nodes: np.ndarray, n_r: int, cfg: ConeConfig):
-    """Yield K[t, i_dtheta, pair] for successive chunks of _HALFWAVE_T_CHUNK times.
+def _halfwave_pairs(blocks: list, ts: np.ndarray, dth_nodes: np.ndarray, n_r: int, cfg: ConeConfig) -> np.ndarray:
+    """K[t, i_dtheta, pair] for every time at once.
 
     A t that is not finite, or a phase t sqrt(lam) past the float range on
     the shell or of 2^52 or more on a mode of nonzero weight, raises
-    DomainError first.  Each block is symmetric in (r_i, r_j), so only the pairs i <= j are
-    formed, in np.triu_indices(n_r) order.  Chunking the times bounds the
-    accumulator and the pair products for any number of times: at the
-    half-wave sweep's 41 radii (861 pairs) and 32 angles, a chunk of 32
-    times holds 14 MB and 7 MB.  The sweep's 19 times fit in one chunk, so
-    each block's pair products are formed once (8.4 MB and 4.2 MB).
+    DomainError first.  Each block is symmetric in (r_i, r_j), so only the
+    pairs i <= j are formed, in np.triu_indices(n_r) order.  The blocks are
+    contracted _HALFWAVE_K_CHUNK at a time: at the half-wave sweep's 19
+    times, 41 radii (861 pairs) and 32 angles the accumulator holds 8.4 MB
+    and a chunk's pair products 4.2 MB; SweepGrids' cell cap counts the
+    accumulator.
     """
     if not np.isfinite(ts).all():
         raise DomainError(f"half-wave kernel needs a finite t, got {ts[~np.isfinite(ts)][0]}")
@@ -639,23 +645,21 @@ def _halfwave_pair_chunks(blocks: list, ts: np.ndarray, dth_nodes: np.ndarray, n
     _require_phase_digits("halfwave_kernel_grid",
                           t_max * max((float(sq[w != 0.0].max(initial=0.0)) for _, sq, w, _ in blocks), default=0.0))
     iu, ju = np.triu_indices(n_r)
-    for t0 in range(0, ts.size, _HALFWAVE_T_CHUNK):
-        tc = ts[t0:t0 + _HALFWAVE_T_CHUNK]
-        acc = np.zeros((tc.size, dth_nodes.size, iu.size), dtype=complex)
-        for k0 in range(0, len(blocks), _HALFWAVE_K_CHUNK):
-            chunk = blocks[k0:k0 + _HALFWAVE_K_CHUNK]
-            mk = np.empty((tc.size, len(chunk), iu.size), dtype=complex)
-            for i, (k, sq, w, rad) in enumerate(chunk):
-                weights = w * np.exp(1j * tc[:, None] * sq)
-                pairs = rad[:, iu]
-                pairs *= rad[:, ju]
-                mk[:, i].real = weights.real @ pairs
-                mk[:, i].imag = weights.imag @ pairs
-            ks = np.array([k for k, *_ in chunk], dtype=float)
-            phase = np.exp(1j * np.multiply.outer(dth_nodes, ks / cfg.sigma))
-            for i_t in range(tc.size):
-                acc[i_t] += phase @ mk[i_t]
-        yield acc
+    acc = np.zeros((ts.size, dth_nodes.size, iu.size), dtype=complex)
+    for k0 in range(0, len(blocks), _HALFWAVE_K_CHUNK):
+        chunk = blocks[k0:k0 + _HALFWAVE_K_CHUNK]
+        mk = np.empty((ts.size, len(chunk), iu.size), dtype=complex)
+        for i, (k, sq, w, rad) in enumerate(chunk):
+            weights = w * np.exp(1j * ts[:, None] * sq)
+            pairs = rad[:, iu]
+            pairs *= rad[:, ju]
+            mk[:, i].real = weights.real @ pairs
+            mk[:, i].imag = weights.imag @ pairs
+        ks = np.array([k for k, *_ in chunk], dtype=float)
+        phase = np.exp(1j * np.multiply.outer(dth_nodes, ks / cfg.sigma))
+        for acc_t, mk_t in zip(acc, mk):  # a product over all times at once would need a temporary the size of acc
+            acc_t += phase @ mk_t
+    return acc
 
 
 def halfwave_kernel_grid(j: int, t: float, r_nodes: np.ndarray, dtheta_nodes: np.ndarray,
@@ -666,7 +670,7 @@ def halfwave_kernel_grid(j: int, t: float, r_nodes: np.ndarray, dtheta_nodes: np
     Landau branch is truncated by the evaluated radial magnitude on the
     requested radii (see _shell_blocks); a tail still above 1e-10 of its
     peak at the window edge raises WindowTooSmallError, and t is checked
-    by _halfwave_pair_chunks.
+    by _halfwave_pairs.
     """
     r_nodes = np.asarray(r_nodes, dtype=float)
     dtheta_nodes = np.asarray(dtheta_nodes, dtype=float)
@@ -675,11 +679,11 @@ def halfwave_kernel_grid(j: int, t: float, r_nodes: np.ndarray, dtheta_nodes: np
         raise WindowTooSmallError(
             f"degenerate-branch tail still {tail:.2e} of its peak at k=-{window.k_max}; enlarge k_max"
         )
-    (pairs,) = _halfwave_pair_chunks(blocks, np.array([t]), dtheta_nodes, r_nodes.size, cfg)
+    (pairs,) = _halfwave_pairs(blocks, np.array([t]), dtheta_nodes, r_nodes.size, cfg)
     iu, ju = np.triu_indices(r_nodes.size)
     out = np.empty((dtheta_nodes.size, r_nodes.size, r_nodes.size), dtype=complex)
-    out[:, iu, ju] = pairs[0]
-    out[:, ju, iu] = pairs[0]
+    out[:, iu, ju] = pairs
+    out[:, ju, iu] = pairs
     return out
 
 
@@ -692,6 +696,5 @@ def halfwave_sup_curve(j: int, ts: np.ndarray, r_nodes: np.ndarray, dtheta_nodes
     branch's tail at the window edge is not checked.
     """
     blocks, _ = _shell_blocks(j, cfg, window, r_nodes)
-    return np.concatenate([np.abs(acc).max(axis=(1, 2))
-                           for acc in _halfwave_pair_chunks(blocks, ts, dtheta_nodes, r_nodes.size, cfg)])
+    return np.abs(_halfwave_pairs(blocks, ts, dtheta_nodes, r_nodes.size, cfg)).max(axis=(1, 2))
 

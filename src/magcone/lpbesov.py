@@ -13,6 +13,7 @@ the fixed evaluation grid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,12 +111,16 @@ def _require_shell_bounded(j: int, cfg: ConeConfig) -> None:
     anything: at most sigma * lam_hi / (2 b0) + 1 rows k >= 0 lie below
     lam_hi = 4^{j+1}, plus the degenerate row, each with at most
     lam_hi / (2 b0) + 1 levels m.  The exponent is capped only so that the
-    bound stays a finite float.
+    bound stays a finite float.  A shell that passes the cap (a huge b0)
+    but whose edge lam_hi passes the float range raises DomainError.
     """
     half_levels = 2.0 ** (2 * min(j, 500) + 1) / cfg.b0  # lam_hi / (2 b0)
     modes = (cfg.sigma * half_levels + 2.0) * (half_levels + 1.0)
     if modes > _SHELL_MODE_CAP:
         raise WindowTooSmallError(f"shell j={j} may hold {modes:.3g} modes, above the cap of {_SHELL_MODE_CAP}")
+    if 2 * (j + 1) >= sys.float_info.max_exp:
+        raise DomainError(f"half-wave shell j={j} ends at eigenvalue 4^(j+1) = 2^{2 * (j + 1)}, "
+                          "past the float range")
 
 
 def _shell_mode_lists(j: int, cfg: ConeConfig, window: ModeWindow):
@@ -160,7 +165,8 @@ def shell_window(j: int, cfg: ConeConfig) -> ModeWindow:
     """The smallest mode window covering dyadic shell j.
 
     Raises WindowTooSmallError first if the shell may hold more than
-    _SHELL_MODE_CAP modes, then DomainError if it holds no mode.  The lowest
+    _SHELL_MODE_CAP modes, then DomainError if it ends past the float range
+    or holds no mode.  The lowest
     eigenvalue is b0 and the levels lie at most 2 b0 apart, so a shell
     ending at or below b0 is the one way to miss every level; the integer
     power 4 ** (j + 1) is exact at any j.

@@ -18,7 +18,6 @@ from .errors import NonconvergenceError, QuadratureError
 from .geometry import ConeConfig
 
 _ORDER = 16  # Gauss-Legendre nodes per adaptive panel
-_DEPTH = 28  # bisections before adaptive_panel gives up on a panel
 _WALK_PANELS = 320  # top-level panels adaptive_panel bisects together, which bounds the nodes alive at once
 _WALK_NODES = 1 << 20  # most nodes of one integrand call; a converging sweep walk needs at most 15,360
 _N_RADIAL = 80  # radial nodes of the evaluation grid
@@ -36,10 +35,11 @@ def adaptive_panel(f, a, b, tol) -> np.ndarray | complex:
     A panel is accepted when halving changes it by < tol (per panel,
     halved with each bisection) or by less than its own rounding floor, a
     small multiple of its L1 mass, so integrands dominated by cancellation
-    noise cannot recurse forever.  A panel still above both after
-    _DEPTH bisections raises NonconvergenceError naming the leftmost
-    such panel, and so does a level whose split panels would need more than
-    _WALK_NODES nodes in one integrand call, naming the leftmost of them.
+    noise cannot recurse forever.  A panel still above both whose midpoint
+    rounds to one of its ends, so that floats cannot halve it, raises
+    NonconvergenceError naming the leftmost such panel of its level, and so
+    does a level whose split panels would need more than _WALK_NODES nodes
+    in one integrand call, naming the leftmost of them.
 
     f is called as f(s, panel): s holds Gauss-Legendre nodes and panel, an
     int array shaped like s, the index in the flattened a and b of the
@@ -96,11 +96,12 @@ def _walk(f, a, b, tol, first: int) -> np.ndarray:
         levels.append((fine, split))
         if not split.any():
             break
-        if len(levels) > _DEPTH:
-            i = int(np.argmax(split))
+        stuck = split & ((mid == a) | (mid == b))
+        if stuck.any():
+            i = int(np.argmax(stuck))
             raise NonconvergenceError(
                 f"adaptive_panel: [{float(a[i])!r}, {float(b[i])!r}] still changes by {change[i]:.3g} "
-                f"> tol {floor[i]:.3g} at the bisection depth limit")
+                f"> tol {floor[i]:.3g} at level {len(levels)}, where floats cannot halve it")
         n_split = int(split.sum())
         if 4 * _ORDER * n_split > _WALK_NODES:
             i = int(np.argmax(split))

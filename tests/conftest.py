@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magcone import cli, spectrum
-from magcone.geometry import ConeConfig
+from magcone import cli, kernels, spectrum
+from magcone.errors import QuadratureError
+from magcone.geometry import ConeConfig, make_point
 
 REFERENCE = (
     ConeConfig(sigma=1.0, b0=1.0, alpha=0.25),
@@ -82,3 +83,37 @@ def synthesis_bound():
 def norm_bound():
     """field, p, cfg, grid -> the bound on how far two L^p norms of syntheses of the field lie apart."""
     return _norm_bound
+
+
+def _grid_refuses(dtheta: float, cfg: ConeConfig) -> bool:
+    try:
+        kernels.image_angles(dtheta, cfg, kernels._GRID_BOUNDARY_GAP)
+    except QuadratureError:
+        return True
+    return False
+
+
+def _heat_kernel_row(cfg, t, p_r, p_theta, r, theta) -> np.ndarray:
+    """K_t((p_r, p_theta), (r_i, theta_j)) as a (n_theta, n_r) matrix.
+
+    heat_closed_bracket_grid gives every angle it accepts; the ones it
+    refuses, within 0.01 of an image boundary, take heat_kernel_closed
+    point by point.
+    """
+    x = cfg.b0 * p_r * r / (2.0 * np.sinh(t * cfg.b0))
+    qq = cfg.b0 * (p_r ** 2 + r ** 2) / (4.0 * np.tanh(t * cfg.b0))
+    dtheta = p_theta - theta
+    near = np.array([_grid_refuses(float(d), cfg) for d in dtheta])
+    bracket = np.empty((theta.size, r.size), dtype=complex)
+    bracket[~near] = kernels.heat_closed_bracket_grid(x, dtheta[~near], t, cfg)
+    row = cfg.b0 / (4.0 * np.pi * np.sinh(t * cfg.b0)) * np.exp(-qq)[None, :] * bracket
+    p = make_point(cfg, p_r, p_theta)
+    for i in np.flatnonzero(near):
+        row[i] = [kernels.heat_kernel_closed(t, p, make_point(cfg, r_i, theta[i]), cfg).value for r_i in r]
+    return row
+
+
+@pytest.fixture(scope="session")
+def heat_kernel_row():
+    """cfg, t, p_r, p_theta, r, theta -> the heat kernel from one point to a (theta, r) product grid."""
+    return _heat_kernel_row

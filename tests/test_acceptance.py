@@ -193,9 +193,7 @@ def test_criterion_3_spectral_correctness():
               f"round-trip {worst_rt:.2e} < 1e-8, runtime {elapsed:.0f}s < 60s")
 
 
-def _composition_error(cfg):
-    from magcone.kernels import heat_closed_bracket_grid
-
+def _composition_error(cfg, row):
     t1, t2 = 0.5 / cfg.b0, 0.3 / cfg.b0
     p = make_point(cfg, 1.2, 0.5)
     q = make_point(cfg, 0.9, 2.3)
@@ -204,24 +202,18 @@ def _composition_error(cfg):
     w_r = 0.5 * 8.0 * w_leg / math.sqrt(cfg.b0) * r
     theta = np.arange(192) * (cfg.period / 192)
 
-    def row(t, pr, pth):
-        x = cfg.b0 * pr * r / (2.0 * math.sinh(t * cfg.b0))
-        qq = cfg.b0 * (pr ** 2 + r ** 2) / (4.0 * math.tanh(t * cfg.b0))
-        return (cfg.b0 / (4.0 * math.pi * math.sinh(t * cfg.b0)) * np.exp(-qq)[None, :]
-                * heat_closed_bracket_grid(x, pth - theta, t, cfg))
-
-    k_p = row(t1, p.r, p.theta)
-    k_q = row(t2, q.r, q.theta).conj()
+    k_p = row(cfg, t1, p.r, p.theta, r, theta)
+    k_q = row(cfg, t2, q.r, q.theta, r, theta).conj()
     total = complex(np.sum(k_p * k_q * w_r[None, :]) * (cfg.period / 192))
     direct = heat_kernel_series(t1 + t2, p, q, cfg).value
     return abs(total - direct) / abs(direct)
 
 
-def test_criterion_4_semigroup_symmetry_unitarity():
+def test_criterion_4_semigroup_symmetry_unitarity(heat_kernel_row):
     worst_comp = worst_herm = worst_unit = 0.0
     rng = np.random.default_rng(11)
     for cfg in REFERENCE_CONFIGS:
-        worst_comp = max(worst_comp, _composition_error(cfg))
+        worst_comp = max(worst_comp, _composition_error(cfg, heat_kernel_row))
 
         t = 0.8 / cfg.b0
         p = make_point(cfg, 1.1, 0.4)

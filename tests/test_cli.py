@@ -55,7 +55,8 @@ def test_kernel_both_representation(tmp_path, capsys):
     for row, name in zip(rows, ("series", "closed")):
         cells = [float(cell) for cell in row.split(",")]
         value = payload["values"][name]
-        assert cells == [1.0, 1.0, 0.0, 1.0, 0.5, value["re"], value["im"], value["largest_term"], 40.0], name
+        k_used = 40.0 if name == "series" else 0.0  # the series' range here; the closed form sums no mode
+        assert cells == [1.0, 1.0, 0.0, 1.0, 0.5, value["re"], value["im"], value["largest_term"], k_used], name
     assert run_cli(*argv) == EXIT_OK
     text = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in text] == ["heat series", "heat closed", "series/closed relative difference"]
@@ -366,6 +367,19 @@ def test_halfwave_shell_work_bound(tmp_path, capsys, argv):
     assert "modes, above the cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "halfwave", "--j", "600", "--t", "0.5", "--p", "1.0,0.3", "--q", "0.8,2.1"],
+    ["verify", "halfwave", "--j", "600"],
+])
+def test_halfwave_shell_past_the_float_range_exits_2(tmp_path, capsys, argv):
+    """At b0 = 1e308 shell 600 passes the mode cap, but its edge 4^601 is past the float range."""
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("b0 = 1e308\n")
+    code = run_cli("--config", str(cfgfile), "--out", str(tmp_path / "o"), *argv)
+    assert "2^1202, past the float range" in _assert_one_line_error(capsys, code)
+    assert not (tmp_path / "o").exists()
+
+
 DEFAULT_PERIOD = 2.0 * math.pi  # the default cone has sigma = 1
 
 
@@ -422,9 +436,11 @@ def test_halfwave_csv_records_the_shell_window(tmp_path, cone, k_used):
 
 
 @pytest.mark.parametrize("kind", ["heat", "schrodinger"])
-@pytest.mark.parametrize("rep,window_k,k_used", [("spectral", None, 24), ("spectral", 7, 7), ("series", 7, 40)])
+@pytest.mark.parametrize("rep,window_k,k_used", [("spectral", None, 24), ("spectral", 7, 7), ("series", 7, 40),
+                                                 ("closed", None, 0)])
 def test_kernel_csv_records_the_k_range_it_summed(tmp_path, kind, rep, window_k, k_used):
-    # the spectral kernel sums the config window; the series starts from |k| <= 40 and extends from there
+    # the spectral kernel sums the config window, the series the largest |k| of its adaptive range (here
+    # its starting range |k| <= 40, whatever the window) and the closed form no angular mode
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text("" if window_k is None else f"window_k = {window_k}\nwindow_m = 5\n")
     out = tmp_path / "o"
@@ -432,6 +448,16 @@ def test_kernel_csv_records_the_k_range_it_summed(tmp_path, kind, rep, window_k,
                    "--t", "0.5", "--p", "1.0,0.3", "--q", "0.8,2.1") == EXIT_OK
     header, row = (out / "kernel.csv").read_text().splitlines()
     assert header.endswith(",k_max_used") and row.split(",")[-1] == str(k_used)
+
+
+@pytest.mark.parametrize("kind,k_used", [("heat", 72), ("schrodinger", 88)])
+def test_kernel_csv_records_a_series_range_past_its_start(tmp_path, kind, k_used):
+    """Here the series extends past |k| <= 40 (heat to k in [-72, 56], Schrodinger to [-88, 88]); the closed form sums none."""
+    out = tmp_path / "o"
+    assert run_cli("--out", str(out), "kernel", kind, "--repr", "both",
+                   "--t", "0.1", "--p", "3.0,0.3", "--q", "3.0,1.0") == EXIT_OK
+    rows = (out / "kernel.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == [str(k_used), "0"]
 
 
 @pytest.mark.parametrize("j", ["1100", "-1100"])

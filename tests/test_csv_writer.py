@@ -84,14 +84,15 @@ def oracle_spectrum_table(cfg: ConeConfig, window: ModeWindow) -> str:
 _KERNEL_CSV_HEADER = "t,r1,th1,r2,th2,re,im,largest_term,k_max_used"
 
 
-def oracle_kernel_rows(csv_path: Path, t, p, q, results: dict, k_used: int) -> None:
+def oracle_kernel_rows(csv_path: Path, t, p, q, results: dict, k_used: list) -> None:
+    """The kernel command's rows, one per result, with the k_max_used of each."""
     new_file = not csv_path.exists()
     with csv_path.open("a", encoding="utf-8") as fh:
         if new_file:
             fh.write(_KERNEL_CSV_HEADER + "\n")
-        for val, largest in results.values():
+        for (val, largest), k in zip(results.values(), k_used):
             fh.write(f"{t:.17g},{p.r:.17g},{p.theta:.17g},{q.r:.17g},{q.theta:.17g},"
-                     f"{val.real:.17g},{val.imag:.17g},{largest:.17g},{k_used}\n")
+                     f"{val.real:.17g},{val.imag:.17g},{largest:.17g},{k}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +148,7 @@ def test_kernel_rows_match_the_per_row_writer(tmp_path_factory, cells, k_used):
     rows = [(t, p.r, p.theta, q.r, q.theta, val.real, val.imag, largest, k_used)
             for val, largest in results.values()]
     for _ in range(2):  # a new file, then rows appended under its header
-        oracle_kernel_rows(out / "old.csv", t, p, q, results, k_used)
+        oracle_kernel_rows(out / "old.csv", t, p, q, results, [k_used] * len(results))
         write_csv(out / "new.csv", cli._KERNEL_CSV_HEADER, rows, "kernel", append=True)
     assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
 
@@ -176,7 +177,7 @@ def test_kernel_rows_match_the_printed_values(tmp_path, capsys, argv):
     names = ["series", "closed"] if "both" in argv else list(payload["values"])  # the rows' order
     results = {name: (complex(payload["values"][name]["re"], payload["values"][name]["im"]),
                       payload["values"][name]["largest_term"]) for name in names}
-    k_used = int((out / "kernel.csv").read_text().splitlines()[-1].split(",")[-1])
+    k_used = [int(row.split(",")[-1]) for row in (out / "kernel.csv").read_text().splitlines()[-len(names):]]
     for _ in range(2):
         oracle_kernel_rows(tmp_path / "old.csv", payload["t"], p, q, results, k_used)
     assert (out / "kernel.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

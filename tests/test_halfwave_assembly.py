@@ -98,6 +98,17 @@ def test_grid_and_sup_curve_share_one_assembly(cfg):
     assert sup[0] == np.abs(grid).max()
 
 
+def test_sup_curve_over_40_times_matches_the_grid_at_each_time(cfg):
+    """One accumulator holds every time; each time's sup is the one halfwave_kernel_grid gives at that time alone."""
+    j = 1
+    ts = np.linspace(-3.0, 3.0, 40)
+    dth = np.linspace(-0.5 * cfg.period, 0.5 * cfg.period, 7, endpoint=False) + 0.013
+    window = _window(j, cfg)
+    sup = kernels.halfwave_sup_curve(j, ts, R_NODES, dth, cfg, window)
+    want = [np.abs(kernels.halfwave_kernel_grid(j, t, R_NODES, dth, cfg, window)).max() for t in ts]
+    np.testing.assert_allclose(sup, want, rtol=1e-13, atol=0.0)
+
+
 def test_grid_raises_on_degenerate_tail(cfg):
     """On the sweep's window and its 41 radii, the k <= -1 branch is cut by the window edge."""
     j = 2

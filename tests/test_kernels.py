@@ -69,6 +69,15 @@ def test_schrodinger_angular_tail_vs_brute_force(cfg):
             assert got == pytest.approx(want, abs=5e-13)
 
 
+@pytest.mark.parametrize("sigma", [1.0, 1.5, 2.0])
+def test_tail_trig_of_an_angle_array_has_the_bits_of_each_angle_alone(sigma):
+    """An array takes numpy's cos and sin, one angle math's: on a host where they differ this fails."""
+    thetas = np.linspace(-sigma * math.pi, sigma * math.pi, 20001)  # one period of the cone
+    got = np.array(kernels._tail_trig(thetas, sigma))
+    want = np.array([kernels._tail_trig(float(theta), sigma) for theta in thetas]).T
+    assert np.array_equal(got, want)
+
+
 def test_schrodinger_tail_l1_and_envelope(cfg):
     rate = min(cfg.alpha, 1.0 / cfg.sigma - cfg.alpha)
     ss = np.linspace(8.0, 30.0, 23)
@@ -221,28 +230,38 @@ def _middle_grid(cfg, n_r=240, n_theta=192, r_max=8.0):
     return r, w_r, theta, cfg.period / n_theta
 
 
-def _heat_kernel_row(cfg, t, p_r, p_theta, r, theta):
-    """K_t((p_r, p_theta), (r_i, theta_j)) as a (n_theta, n_r) matrix."""
-    x = cfg.b0 * p_r * r / (2.0 * math.sinh(t * cfg.b0))
-    qq = cfg.b0 * (p_r ** 2 + r ** 2) / (4.0 * math.tanh(t * cfg.b0))
-    return (cfg.b0 / (4.0 * math.pi * math.sinh(t * cfg.b0)) * np.exp(-qq)[None, :]
-            * heat_closed_bracket_grid(x, p_theta - theta, t, cfg))
+@pytest.mark.parametrize("tb", [0.1, 0.8, 5.0])
+def test_heat_grid_refuses_an_angle_near_a_boundary_and_holds_12_digits_past_it(cfg, tb):
+    """Within 0.01 of |theta| = pi the grid's fixed panels lose digits (7e-3 at 0.001): it refuses there."""
+    t = tb / cfg.b0
+    r1, r2 = np.array([0.15, 1.2, 3.0]), 1.5
+    x = cfg.b0 * r1 * r2 / (2.0 * math.sinh(tb))
+    with pytest.raises(QuadratureError, match="image-sum boundary"):
+        heat_closed_bracket_grid(x, np.array([0.3, math.pi - 0.005]), t, cfg)
+    thetas = np.array([math.pi - 0.02, -(math.pi - 0.02)])
+    grid = heat_closed_bracket_grid(x, thetas, t, cfg)
+    for i_theta, theta in enumerate(thetas):
+        for i_r, r in enumerate(r1):
+            big_q = cfg.b0 * (r ** 2 + r2 ** 2) / (4.0 * math.tanh(tb))
+            got = cfg.b0 / (4.0 * math.pi * math.sinh(tb)) * math.exp(-big_q) * grid[i_theta, i_r]
+            want = heat_kernel_closed(t, make_point(cfg, r, theta), make_point(cfg, r2, 0.0), cfg).value
+            assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def test_heat_semigroup_composition(cfg):
+def test_heat_semigroup_composition(cfg, heat_kernel_row):
     t1, t2 = 0.5 / cfg.b0, 0.3 / cfg.b0
     p = make_point(cfg, 1.2, 0.5)
     q = make_point(cfg, 0.9, 2.3)
     r, w_r, theta, d_theta = _middle_grid(cfg)
-    k_p = _heat_kernel_row(cfg, t1, p.r, p.theta, r, theta)
+    k_p = heat_kernel_row(cfg, t1, p.r, p.theta, r, theta)
     # K_t(z, q) = conj(K_t(q, z)) by Hermitian symmetry
-    k_q = _heat_kernel_row(cfg, t2, q.r, q.theta, r, theta).conj()
+    k_q = heat_kernel_row(cfg, t2, q.r, q.theta, r, theta).conj()
     total = complex(np.sum((k_p * k_q) * w_r[None, :]) * d_theta)
     direct = heat_kernel_series(t1 + t2, p, q, cfg).value
     assert total == pytest.approx(direct, rel=1e-6)
 
 
-def test_heat_spectral_consistency(cfg, rng):
+def test_heat_spectral_consistency(cfg, rng, heat_kernel_row):
     # kernel-integrated action on a band-limited field == spectral_apply
     t = 0.6 / cfg.b0
     window = ModeWindow(3, 3)
@@ -250,7 +269,7 @@ def test_heat_spectral_consistency(cfg, rng):
     r, w_r, theta, d_theta = _middle_grid(cfg)
     f_vals = field_on_grid(field, r, theta, cfg)  # (n_r, n_theta)
     p = make_point(cfg, 1.1, 0.9)
-    k_p = _heat_kernel_row(cfg, t, p.r, p.theta, r, theta)
+    k_p = heat_kernel_row(cfg, t, p.r, p.theta, r, theta)
     integral = complex(np.sum(k_p.T * f_vals * w_r[:, None]) * d_theta)
     direct = field_on_grid(spectral_apply(heat_multiplier(t), field, cfg), [p.r], [p.theta], cfg)[0, 0]
     assert integral == pytest.approx(direct, rel=1e-6)

@@ -170,44 +170,54 @@ def on_panel(f, i):
     return lambda s: f(s, np.full(np.shape(s), i))
 
 
-def oracle_panels(f, a, b, tol, order=16, depth=28):
+def oracle_panels(f, a, b, tol, order=16):
     """The recursion in the engine's call shape: arrays of panel ends in, one value per panel out."""
     a, b, tol = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
                                     np.asarray(tol, dtype=float))
-    values = [oracle_adaptive_panel(on_panel(f, i), lo, hi, t, order, depth)
+    values = [oracle_adaptive_panel(on_panel(f, i), lo, hi, t, order, UNBOUNDED)
               for i, (lo, hi, t) in enumerate(zip(a.ravel(), b.ravel(), tol.ravel()))]
     return np.array(values).reshape(a.shape)[()]
 
 
-def oracle_walk(f, edges, tol, order=16, depth=28):
-    """The recursion on each panel between the edges, watched.
+UNBOUNDED = 1 << 30  # a depth the recursion never reaches: each float panel halves at most ~2100 times
+
+
+def oracle_walk(f, edges, tol, order=16):
+    """The recursion on each panel between the edges, watched, with no depth limit.
 
     f is the engine's integrand f(s, panel).  Returns the values, every
     panel visited as (a, b, levels below the top, index of its top-level
-    panel) and the panels accepted unconverged at the depth limit, where the
-    engine raises; panels in the order the recursion reaches them.
+    panel) and the panels that still change but that floats cannot halve
+    (midpoint equal to an end), where the engine raises, as (a, b, level,
+    top-level index); the recursion does not descend below them.  Panels
+    are in the order the recursion reaches them.
     """
     values, panels, exhausted = [], [], []
     verbatim = oracle_adaptive_panel
     top = [0]
 
-    def spy(f, a, b, tol, order=16, depth=28):
-        panels.append((a, b, top_depth - depth, top[0]))
-        if depth <= 0:
+    def spy(f, a, b, tol, order=16, depth=UNBOUNDED):
+        panels.append((a, b, UNBOUNDED - depth, top[0]))
+        mid = 0.5 * (a + b)
+        if mid in (a, b):
             coarse, l1 = _panel_with_l1(f, a, b, order)
-            mid = 0.5 * (a + b)
             fine = gauss_panel(f, a, mid, order) + gauss_panel(f, mid, b, order)
-            if abs(fine - coarse) > max(tol, 1e-15 * l1):
-                exhausted.append((a, b))
+            if not abs(fine - coarse) <= max(tol, 1e-15 * l1):
+                exhausted.append((a, b, UNBOUNDED - depth, top[0]))
+                return fine
         return verbatim(f, a, b, tol, order, depth)
 
-    top_depth = depth
     with pytest.MonkeyPatch.context() as m:
         m.setitem(globals(), "oracle_adaptive_panel", spy)  # the oracle recurses through this name
         for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
             top[0] = i
-            values.append(spy(on_panel(f, i), a, b, tol, order, depth))
+            values.append(spy(on_panel(f, i), a, b, tol, order))
     return values, panels, exhausted
+
+
+def first_exhausted(exhausted):
+    """The panel the engine names: in the first walk group that has one, the leftmost of the shallowest level."""
+    return min(exhausted, key=lambda e: (e[3] // quadrature._WALK_PANELS, e[2], e[0]))
 
 
 def oracle_level_nodes(panels, order):
@@ -276,13 +286,13 @@ INTEGRANDS = {  # the engine's f(s, panel); these are the same on every panel
        a=st.floats(-10.0, 10.0),
        width=st.floats(1e-3, 20.0),
        tol=st.floats(-14.0, -3.0).map(lambda e: 10.0 ** e))
-# rounding noise of about 1.7e-15 of the panel's L1 mass outlasts the depth limit here
+# rounding noise of about 1.7e-15 of the panel's L1 mass splits one panel down to where floats stop halving it
 @example(name="peak", a=0.0, width=18.99520339236654, tol=1e-11)
 # tol = 0 leaves the L1 rounding floor as the only way to accept a panel
 @example(name="gaussian", a=-2.0, width=4.0, tol=0.0)
 @example(name="oscillatory", a=-10.0, width=20.0, tol=0.0)
 def test_adaptive_panel_bitwise_matches_oracle(name, a, width, tol):
-    """Bitwise equal, except where the oracle accepted an unconverged panel at the depth limit."""
+    """Bitwise equal, except where the oracle meets a changing panel that floats cannot halve."""
     f = INTEGRANDS[name]
     (old,), _, exhausted = oracle_walk(f, (a, a + width), tol)
     if exhausted:
@@ -310,15 +320,16 @@ def test_engine_visits_the_oracle_panels(name, a, widths, tol):
         seen.append((np.array(x), np.array(panel)))
         return f(x, panel)
 
+    expected = oracle_level_nodes(panels, quadrature._ORDER)
     if exhausted:
         with pytest.raises(NonconvergenceError):
             adaptive_panel(recorded, edges[:-1], edges[1:], tol)
+        expected = expected[:first_exhausted(exhausted)[2] + 1]  # the engine stops at that level
     else:
         got = adaptive_panel(recorded, edges[:-1], edges[1:], tol)
         assert got.shape == (len(widths),)
         for new, old in zip(got, values):
             assert_bitwise(new, old)
-    expected = oracle_level_nodes(panels, quadrature._ORDER)
     assert len(seen) == len(expected)
     for (new, new_panel), (old, old_panel) in zip(seen, expected):
         assert np.array_equal(new, old)
@@ -424,7 +435,7 @@ def test_angular_tail_with_an_angle_per_node_bitwise_matches_one_angle_a_call(cf
 
 
 # ---------------------------------------------------------------------------
-# call-count contract and depth exhaustion
+# call-count contract and panels floats cannot halve
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("order", [quadrature._ORDER])
@@ -473,24 +484,30 @@ def test_walk_groups_keep_every_panel_value():
     assert panels_seen[0].size == 3 * quadrature._ORDER * quadrature._WALK_PANELS
 
 
-def test_depth_limit_in_a_later_walk_group_names_the_recursions_panel(monkeypatch):
-    """Steps in the second and third group only: the error names the panel the recursion exhausts first."""
-    monkeypatch.setattr(quadrature, "_DEPTH", 3)
-    edges = _walk_group_edges()
-    jumps = {quadrature._WALK_PANELS + 80: 1.0, 2 * quadrature._WALK_PANELS + 5: 5.0}
-    cuts = {i: edges[i] + 0.3 * (edges[i + 1] - edges[i]) for i in jumps}
+def _one_float_wide(edges, *panels):
+    """The edges with each given panel narrowed to [edge, next float]: floats cannot halve it."""
+    edges = np.array(edges, dtype=float)
+    for i in panels:
+        edges[i + 1] = np.nextafter(edges[i], math.inf)
+    return edges
 
-    def steps(x, panel):
-        out = np.zeros_like(x)
-        for i, height in jumps.items():
-            out += np.where((panel == i) & (x >= cuts[i]), height, 0.0)
-        return out
 
-    _, _, exhausted = oracle_walk(steps, edges, 1e-12, depth=3)
-    assert exhausted and edges[min(jumps)] <= exhausted[0][0] < edges[min(jumps) + 1]
-    first = exhausted[0]
-    with pytest.raises(NonconvergenceError, match=re.escape(f"[{float(first[0])!r}, {float(first[1])!r}]")):
-        adaptive_panel(steps, edges[:-1], edges[1:], 1e-12)
+def _nan_on(*panels):
+    """An integrand that never converges on the given top-level panels (NaN there) and is 0 elsewhere."""
+    return lambda x, panel: np.where(np.isin(panel, panels), np.nan, 0.0)
+
+
+def test_float_stop_in_a_later_walk_group_names_its_panel():
+    """Panels that floats cannot halve in the second and third group only: the error names the second group's."""
+    stuck = (quadrature._WALK_PANELS + 80, 2 * quadrature._WALK_PANELS + 5)
+    edges = _one_float_wide(_walk_group_edges(), *stuck)
+    f = _nan_on(*stuck)
+    _, _, exhausted = oracle_walk(f, edges, 1e-12)
+    assert sorted(e[3] for e in exhausted) == list(stuck)
+    a, b, _, top = first_exhausted(exhausted)
+    assert top == stuck[0]
+    with pytest.raises(NonconvergenceError, match=re.escape(f"[{float(a)!r}, {float(b)!r}]") + ".*level 1"):
+        adaptive_panel(f, edges[:-1], edges[1:], 1e-12)
 
 
 def test_one_engine_call_per_contour_and_per_sweep_pass(monkeypatch):
@@ -533,11 +550,23 @@ def test_sweep_walks_stay_below_4_mb(cfg, sweep):
     assert peak < 4 * 2 ** 20, peak
 
 
-def test_depth_exhaustion_raises():
-    # a step never converges, so the walk reaches the depth limit of 28
-    step = lambda x, panel: np.where(x < 1.0 / 3.0, 0.0, 1.0)
-    with pytest.raises(NonconvergenceError):
-        adaptive_panel(step, 0.0, 1.0, 1e-12)
+def test_a_step_converges_where_floats_stop_halving():
+    """A step splits one panel at every level until floats cannot halve it; there its halves agree exactly."""
+    sizes = []
+
+    def step(x, panel):
+        sizes.append(x.size)
+        return np.where(x < 1.0 / 3.0, 0.0, 1.0)
+
+    assert adaptive_panel(step, 0.0, 1.0, 1e-12) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert 50 <= len(sizes) <= 60 and max(sizes) <= 4 * quadrature._ORDER
+
+
+def test_a_panel_floats_cannot_halve_raises_if_it_still_changes():
+    """A NaN integrand never converges: on a panel one float wide the walk raises at once, naming it."""
+    edges = _one_float_wide([1.0, 2.0], 0)
+    with pytest.raises(NonconvergenceError, match=re.escape(f"[1.0, {float(edges[1])!r}]") + ".*level 1"):
+        adaptive_panel(_nan_on(0), edges[:-1], edges[1:], 1e-12)
 
 
 def test_a_level_past_the_node_cap_raises_before_calling_the_integrand():
@@ -554,24 +583,24 @@ def test_a_level_past_the_node_cap_raises_before_calling_the_integrand():
     assert max(sizes) <= quadrature._WALK_NODES < 2 * max(sizes)
 
 
-def test_depth_limit_names_the_panel_the_recursion_reaches_first(monkeypatch):
-    # both top panels end unconverged at the limit; the right one changes more
-    monkeypatch.setattr(quadrature, "_DEPTH", 3)
-    steps = lambda x, panel: np.where(x < 0.3, 0.0, 1.0) + np.where(x < 0.8, 0.0, 5.0)
-    edges = np.array([0.0, 0.5, 1.0])
-    _, _, exhausted = oracle_walk(steps, edges, 1e-12, depth=3)
-    assert len(exhausted) == 2
-    first = exhausted[0]
-    with pytest.raises(NonconvergenceError, match=re.escape(f"[{float(first[0])!r}, {float(first[1])!r}]")):
-        adaptive_panel(steps, edges[:-1], edges[1:], 1e-12)
+def test_float_stop_names_the_leftmost_panel_of_the_first_level_that_meets_it():
+    """The recursion reaches the left panel's stuck half first, but the walk meets the right panel a level earlier."""
+    edges = np.array([1.0, 1.0 + 2.0 ** -51, 1.5, 1.5 + 2.0 ** -52])  # two floats wide, one, one
+    f = _nan_on(0, 2)
+    _, _, exhausted = oracle_walk(f, edges, 1e-12)
+    assert [(e[2], e[3]) for e in exhausted] == [(1, 0), (1, 0), (0, 2)]
+    assert first_exhausted(exhausted)[:2] == (1.5, edges[3])
+    with pytest.raises(NonconvergenceError, match=re.escape(f"[1.5, {float(edges[3])!r}]") + ".*level 1"):
+        adaptive_panel(f, edges[:-1], edges[1:], 1e-12)
 
 
-def test_converged_panel_at_depth_zero_returns_fine(monkeypatch):
-    monkeypatch.setattr(quadrature, "_DEPTH", 0)
+def test_a_converged_panel_floats_cannot_halve_returns_fine():
+    """The float stop raises only for a panel that still changes; a converged one returns its halves' sum."""
     poly = lambda x: x ** 3 - 2.0 * x
-    value = adaptive_panel(lambda x, panel: poly(x), 0.0, 2.0, 1e-12)
-    assert_bitwise(value, oracle_adaptive_panel(poly, 0.0, 2.0, 1e-12, depth=0))
-    assert value == pytest.approx(0.0, abs=1e-13)
+    edges = _one_float_wide([1.0, 2.0], 0)
+    value = adaptive_panel(lambda x, panel: poly(x), edges[0], edges[1], 1e-12)
+    assert_bitwise(value, oracle_adaptive_panel(poly, edges[0], edges[1], 1e-12))
+    assert value == pytest.approx(-(edges[1] - edges[0]), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

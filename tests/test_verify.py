@@ -105,6 +105,14 @@ def test_tail_l1_scan(cfg):
     assert rep.passed
 
 
+def test_tail_l1_scan_at_a_wide_cone_bisects_until_it_converges():
+    """At sigma = 50, alpha = 0.01 a panel needs more than 28 bisections; with no fixed depth the scan passes."""
+    rep = angular_tail_l1_scan(ConeConfig(sigma=50.0, b0=1.0, alpha=0.01))[0]
+    assert rep.passed
+    assert rep.empirical_constant == pytest.approx(157.08, abs=0.01)
+    assert rep.refinement_ratio == pytest.approx(1.0, abs=1e-4)
+
+
 def test_subordination_check():
     rep = subordination_identity_check()[0]
     assert rep.passed

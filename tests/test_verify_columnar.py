@@ -522,15 +522,15 @@ def test_sweep_grid_bound_counts_the_arrays_the_sweeps_allocate(monkeypatch):
     calls = _count_kernel_calls(monkeypatch)
     verify.reduced_kernel_bound_scan(cfg, grids)
     assert max(n_rho * n_delta for _, n_rho, n_delta in calls) <= (16 * 5 - 1) * (1280 * 3 - 1)
-    chunks = []
-    pair_chunks = kernels._halfwave_pair_chunks
+    shapes = []
+    halfwave_pairs = kernels._halfwave_pairs
 
     def spy(*args):
-        for acc in pair_chunks(*args):
-            chunks.append(acc.shape)
-            yield acc
+        acc = halfwave_pairs(*args)
+        shapes.append(acc.shape)
+        return acc
 
-    monkeypatch.setattr(kernels, "_halfwave_pair_chunks", spy)
+    monkeypatch.setattr(kernels, "_halfwave_pairs", spy)
     verify.halfwave_decay_fit(cfg, 1, grids)
-    n_t, n_angle, n_pairs = max(chunks)
+    n_t, n_angle, n_pairs = max(shapes)
     assert n_t <= 2 * 3 + 10 and n_angle == max(2 * 5, 32) and n_pairs == 17 * 18 // 2
