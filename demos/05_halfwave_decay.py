@@ -24,7 +24,7 @@ ts = np.geomspace(t_lo, t_hi, 12)
 r_nodes = np.linspace(0.25, 9.0, 30)
 dth = np.linspace(-0.5 * cfg.period, 0.5 * cfg.period, 48, endpoint=False) + 0.013
 
-sups = halfwave_sup_curve(j, ts, r_nodes, dth, cfg, window)
+sups = halfwave_sup_curve(j, ts, r_nodes, dth, cfg, window).max(axis=(1, 2))  # sup over every radius pair
 print(f"shell j={j}: sqrt(lambda) in (2^{j - 1}, 2^{j + 1}), window "
       f"k_max={window.k_max}, m_max={window.m_max}")
 print(f"{'2^j t':>8}  {'sup|K|':>9}  {'sup * (1+2^j t)^1/2':>20}")

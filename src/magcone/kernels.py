@@ -589,9 +589,11 @@ def spectral_kernel(multiplier, p: ConePoint, q: ConePoint, cfg: ConeConfig,
 def _shell_blocks(j: int, cfg: ConeConfig, window: ModeWindow, r_nodes: np.ndarray):
     """Time-independent blocks (k, sqrt(lam), phi(2^-j sqrt(lam)), V_{k,m}(r_nodes)) of shell j.
 
-    The k <= -1 Landau branch shares one m-range and one set of weights.  Its
-    row k is kept while (max_m phi |V|)^2 exceeds 1e-13 of the branch peak;
-    the branch stops after three rows in a row below that, or at k = -k_max.
+    The k <= -1 Landau branch shares one m-range, and its blocks share one
+    sqrt(lam) and one weight array, so _halfwave_pairs forms their phases
+    once.  Its row k is kept while (max_m phi |V|)^2 exceeds 1e-13 of the
+    branch peak; the branch stops after three rows in a row below that, or
+    at k = -k_max.
     Returns (blocks, tail), tail being the last row's magnitude over that peak
     (1 if the window holds no k <= -1 row): far above 1e-13, the window cut the branch.
     """
@@ -605,7 +607,7 @@ def _shell_blocks(j: int, cfg: ConeConfig, window: ModeWindow, r_nodes: np.ndarr
     tail = 0.0
     if neg_ms.size:
         lam_neg = np.asarray(eigenvalue(cfg, -1, neg_ms), dtype=float)
-        w_neg = cutoff.shell_weights(j, lam_neg)
+        sq_neg, w_neg = np.sqrt(lam_neg), cutoff.shell_weights(j, lam_neg)
         scale, tail = 0.0, 1.0
         stall = 0
         for k, rad in _radial_rows(cfg, range(-1, -window.k_max - 1, -1), int(neg_ms.max()), r_nodes):
@@ -619,7 +621,7 @@ def _shell_blocks(j: int, cfg: ConeConfig, window: ModeWindow, r_nodes: np.ndarr
                     break
             else:
                 stall = 0
-                blocks.append((k, np.sqrt(lam_neg), w_neg, rad))
+                blocks.append((k, sq_neg, w_neg, rad))
     return blocks, tail
 
 
@@ -633,7 +635,8 @@ def _halfwave_pairs(blocks: list, ts: np.ndarray, dth_nodes: np.ndarray, n_r: in
     contracted _HALFWAVE_K_CHUNK at a time: at the half-wave sweep's 19
     times, 41 radii (861 pairs) and 32 angles the accumulator holds 8.4 MB
     and a chunk's pair products 4.2 MB; SweepGrids' cell cap counts the
-    accumulator.
+    accumulator.  Consecutive blocks holding the same sqrt(lam) and weight
+    arrays (the k <= -1 branch) share one w e^{i t sqrt(lam)}.
     """
     if not np.isfinite(ts).all():
         raise DomainError(f"half-wave kernel needs a finite t, got {ts[~np.isfinite(ts)][0]}")
@@ -646,11 +649,13 @@ def _halfwave_pairs(blocks: list, ts: np.ndarray, dth_nodes: np.ndarray, n_r: in
                           t_max * max((float(sq[w != 0.0].max(initial=0.0)) for _, sq, w, _ in blocks), default=0.0))
     iu, ju = np.triu_indices(n_r)
     acc = np.zeros((ts.size, dth_nodes.size, iu.size), dtype=complex)
+    formed_from = None  # ids of the sqrt(lam) and weight arrays the current weights were formed from
     for k0 in range(0, len(blocks), _HALFWAVE_K_CHUNK):
         chunk = blocks[k0:k0 + _HALFWAVE_K_CHUNK]
         mk = np.empty((ts.size, len(chunk), iu.size), dtype=complex)
         for i, (k, sq, w, rad) in enumerate(chunk):
-            weights = w * np.exp(1j * ts[:, None] * sq)
+            if (id(sq), id(w)) != formed_from:
+                formed_from, weights = (id(sq), id(w)), w * np.exp(1j * ts[:, None] * sq)
             pairs = rad[:, iu]
             pairs *= rad[:, ju]
             mk[:, i].real = weights.real @ pairs
@@ -680,21 +685,28 @@ def halfwave_kernel_grid(j: int, t: float, r_nodes: np.ndarray, dtheta_nodes: np
             f"degenerate-branch tail still {tail:.2e} of its peak at k=-{window.k_max}; enlarge k_max"
         )
     (pairs,) = _halfwave_pairs(blocks, np.array([t]), dtheta_nodes, r_nodes.size, cfg)
-    iu, ju = np.triu_indices(r_nodes.size)
-    out = np.empty((dtheta_nodes.size, r_nodes.size, r_nodes.size), dtype=complex)
-    out[:, iu, ju] = pairs
-    out[:, ju, iu] = pairs
+    return _symmetric(pairs, r_nodes.size)
+
+
+def _symmetric(pairs: np.ndarray, n_r: int) -> np.ndarray:
+    """out[..., i, j] = out[..., j, i] = pairs[..., p] for the p-th pair i <= j in np.triu_indices(n_r) order."""
+    iu, ju = np.triu_indices(n_r)
+    out = np.empty(pairs.shape[:-1] + (n_r, n_r), dtype=pairs.dtype)
+    out[..., iu, ju] = pairs
+    out[..., ju, iu] = pairs
     return out
 
 
 def halfwave_sup_curve(j: int, ts: np.ndarray, r_nodes: np.ndarray, dtheta_nodes: np.ndarray,
                        cfg: ConeConfig, window: ModeWindow) -> np.ndarray:
-    """sup over the grid of |frequency-truncated half-wave kernel| at each time, shape (len(ts),).
+    """S[i_t, i_r1, i_r2] = max over the angle gaps of |frequency-truncated half-wave kernel|; S is symmetric.
 
-    The shell is assembled once for every time, and each time is checked as
+    S.max(axis=(1, 2)) is the sup curve over the whole grid, and
+    S[:, ::2, ::2].max(axis=(1, 2)) the one over every other radius.  The
+    shell is assembled once for every time, and each time is checked as
     halfwave_kernel_grid's t is.  Unlike halfwave_kernel_grid, the k <= -1
     branch's tail at the window edge is not checked.
     """
     blocks, _ = _shell_blocks(j, cfg, window, r_nodes)
-    return np.abs(_halfwave_pairs(blocks, ts, dtheta_nodes, r_nodes.size, cfg)).max(axis=(1, 2))
+    return _symmetric(np.abs(_halfwave_pairs(blocks, ts, dtheta_nodes, r_nodes.size, cfg)).max(axis=1), r_nodes.size)
 

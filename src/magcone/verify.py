@@ -4,7 +4,12 @@ Every proved inequality becomes a sweep: evaluate the quantity the proof
 bounds over a deterministic grid, report the empirical constant, and check
 that it saturates under nested grid refinement (ratio <= 1.05).  "Bounded"
 is operationalized as refinement saturation because the underlying proofs
-give finiteness without numeric constants.
+give finiteness without numeric constants.  The dispersive-family,
+Gaussian-heat and half-wave sweeps evaluate their fine grid only: the
+coarse grid is its nodes at even indices on every axis, bit for bit, so
+the coarse sup is read from the fine values there.  The tail-L1 and
+reduced-kernel scans run their own coarse pass, whose grid also differs
+from the fine one in tolerance or in rho_max.
 
 Dispersive-type constants are reported in reduced-kernel units, i.e. as
 sup of rho^{-gamma} |sum_k e^{i k delta / sigma} I_{a_k}(i rho)| over the
@@ -67,6 +72,11 @@ _HALFWAVE_J = 2  # default dyadic level of the half-wave sweep, and of every CLI
 class SweepGrids:
     """Grid sizes for the certification sweeps over radii [r_min, r_max]; refined() nests the grids.
 
+    A sweep's coarse grid is self and its fine grid refined(): the pair
+    sweeps' times, radii and base angles are refined()'s at even indices,
+    and so are the half-wave sweep's 3 n_radius radii among its
+    6 n_radius - 1.
+
     Sizes below 1, or past _CELL_CAP cells in a sweep's largest array,
     raise DomainError.  Those arrays are the reduced-kernel scan's fine
     matrix at rho_max = 200 (16 n_angle - 1 by 1280 n_radius - 1) and the
@@ -92,7 +102,12 @@ class SweepGrids:
             raise DomainError(f"sweep grids {sizes} need an array of {cells} cells, above the cap of {_CELL_CAP}")
 
     def refined(self) -> "SweepGrids":
-        """The nested grid of the sweeps' fine pass, built unchecked: the bound on self counts its arrays."""
+        """The fine grid, 2n - 1 nodes per axis, whose nodes at even indices are self's, bit for bit.
+
+        Built unchecked: the bound on self counts its arrays.  The dispersive-family
+        and Gaussian-heat sweeps evaluate only this grid and read the sup over self
+        from its values at those nodes.
+        """
         fine = object.__new__(SweepGrids)
         fine.__dict__.update(n_time=2 * self.n_time - 1, n_radius=2 * self.n_radius - 1,
                              n_angle=2 * self.n_angle - 1)
@@ -211,6 +226,12 @@ def _pair_grid(cfg: ConeConfig, grids: SweepGrids) -> tuple[np.ndarray, np.ndarr
     return r[iu] * r[ju], np.linspace(-0.5 * cfg.period + 0.11, 0.5 * cfg.period - 0.07, grids.n_angle)
 
 
+def _coarse_pairs(grids: SweepGrids) -> np.ndarray:
+    """Indices of grids' radius pairs among refined()'s (_pair_grid): the pairs of even-index radii, in order."""
+    iu, ju = np.triu_indices(grids.refined().n_radius)
+    return np.flatnonzero((iu % 2 == 0) & (ju % 2 == 0))
+
+
 def _dispersive_grid(cfg: ConeConfig, grids: SweepGrids) -> list:
     """Per time, (t, rho, delta, |K|) over the induced grid; |K| is (delta, rho), rho ~ r1 r2 (_pair_grid)."""
     rr, dth = _pair_grid(cfg, grids)
@@ -258,7 +279,7 @@ def _require_gamma(cfg: ConeConfig, gamma: float) -> None:
 
 def weighted_dispersive_constant(cfg: ConeConfig, gammas: tuple[float, ...],
                                  grids: SweepGrids = SweepGrids()) -> list[SweepReport]:
-    """The dispersive family on one coarse and one fine grid, each built once.
+    """The dispersive family on one fine grid, built once; each coarse sup is its max at grids' nodes.
 
     Reports, in order: 'dispersive' (the unweighted sweep), then per gamma
     'weighted-g<gamma>' over the full grid and its rho >= 1 and rho < 1
@@ -274,7 +295,8 @@ def weighted_dispersive_constant(cfg: ConeConfig, gammas: tuple[float, ...],
         _require_gamma(cfg, gamma)
     names = [f"weighted-g{g:.4g}" for g in gammas]
     sweeps = [("dispersive", 0.0, ("",))] + [(name, g, ("", "/omega1", "/omega2")) for name, g in zip(names, gammas)]
-    coarse, fine = _dispersive_grid(cfg, grids), _dispersive_grid(cfg, grids.refined())
+    fine, pairs = _dispersive_grid(cfg, grids.refined()), _coarse_pairs(grids)
+    coarse = [(t, rho[pairs], delta[::2], mat[::2, pairs]) for t, rho, delta, mat in fine[::2]]
     results = []
     for name, gamma, suffixes in sweeps:
         spec = (f"t x r x dtheta = {grids.n_time} x {grids.n_radius}^2 x {grids.n_angle}, "
@@ -293,6 +315,23 @@ def weighted_dispersive_constant(cfg: ConeConfig, gammas: tuple[float, ...],
 # Gaussian heat bound
 # ---------------------------------------------------------------------------
 
+def _heat_time_grid(grids: SweepGrids, cfg: ConeConfig) -> np.ndarray:
+    return np.geomspace(0.1, 5.0, grids.n_time) / cfg.b0
+
+
+def _heat_angles(cfg: ConeConfig, base: np.ndarray) -> np.ndarray:
+    """The Gaussian-heat angles: the base angles and a fixed cluster near |dtheta| = pi, sorted."""
+    # the sup lives in a steep layer at the direct/through-tip transition
+    # |dtheta| = pi; pin a fixed cluster there so the coarse grid sees it
+    cluster = np.array([0.03, 0.07, 0.15, 0.3, 0.6])
+    near_pi = np.concatenate([math.pi + cluster, math.pi - cluster,
+                              -math.pi + cluster, -math.pi - cluster])
+    near_pi = near_pi[np.abs(near_pi) < 0.5 * cfg.period - 0.02]
+    dth = np.unique(np.concatenate([base, near_pi]))
+    # the grid kernel is within 5e-13 of the closed form from 0.01 off the image boundaries |dtheta| = pi
+    return dth[np.abs(np.abs(dth) - math.pi) >= 0.02]
+
+
 def gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) -> list[SweepReport]:
     """sup |K^H| sinh(t b0) e^{+b0 d_X(p,q)^2 / (4 tanh t b0)}.
 
@@ -300,40 +339,32 @@ def gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) ->
     its Bernstein application) actually uses, and the only refinement-stable
     reading: the raw (r1^2+r2^2) variant peaks like e^{x cosh t b0} at
     coinciding angles and never saturates under angular refinement.  That
-    raw variant is still recorded per sample in the CSV.
+    raw variant is still recorded per sample in the CSV.  Only the fine
+    grid is evaluated: the coarse sup is its max over every other time,
+    radius and base angle, and the near-pi cluster.
     """
     t0 = time.perf_counter()
+    fine = grids.refined()
+    rr, base = _pair_grid(cfg, fine)
+    dth = _heat_angles(cfg, base)
+    ts = _heat_time_grid(fine, cfg)
+    # best-image angle per dtheta: the geodesic uses cos(theta_red), or -1 past pi
+    red = np.abs(np.remainder(dth + cfg.period / 2.0, cfg.period) - cfg.period / 2.0)
+    cosfac = np.where(red < math.pi, np.cos(red), -1.0)
 
-    def samples(g: SweepGrids):
-        rr, base = _pair_grid(cfg, g)
-        # the sup lives in a steep layer at the direct/through-tip transition
-        # |dtheta| = pi; pin a fixed cluster there so the coarse pass sees it
-        cluster = np.array([0.03, 0.07, 0.15, 0.3, 0.6])
-        near_pi = np.concatenate([math.pi + cluster, math.pi - cluster,
-                                  -math.pi + cluster, -math.pi - cluster])
-        near_pi = near_pi[np.abs(near_pi) < 0.5 * cfg.period - 0.02]
-        dth = np.unique(np.concatenate([base, near_pi]))
-        # the grid kernel is within 5e-13 of the closed form from 0.01 off the image boundaries |dtheta| = pi
-        dth = dth[np.abs(np.abs(dth) - math.pi) >= 0.02]
-        ts = np.geomspace(0.1, 5.0, g.n_time) / cfg.b0
-        # best-image angle per dtheta: the geodesic uses cos(theta_red), or -1 past pi
-        red = np.abs(np.remainder(dth + cfg.period / 2.0, cfg.period) - cfg.period / 2.0)
-        cosfac = np.where(red < math.pi, np.cos(red), -1.0)
+    def blocks():
+        for t in ts:
+            tb = t * cfg.b0
+            x = cfg.b0 * rr / (2.0 * math.sinh(tb))
+            bracket = np.abs(heat_closed_bracket_grid(x, dth, t, cfg))
+            raw = cfg.b0 / (4.0 * math.pi) * bracket  # |K| sinh e^{+Q}
+            # distance envelope: e^{-Q + b0 d^2/(4 tanh)} = e^{-x cosh(tb) cosfac}
+            yield t, rr, dth, (raw, raw * np.exp(-x[None, :] * math.cosh(tb) * cosfac[:, None]))
 
-        def blocks():
-            for t in ts:
-                tb = t * cfg.b0
-                x = cfg.b0 * rr / (2.0 * math.sinh(tb))
-                bracket = np.abs(heat_closed_bracket_grid(x, dth, t, cfg))
-                raw = cfg.b0 / (4.0 * math.pi) * bracket  # |K| sinh e^{+Q}
-                # distance envelope: e^{-Q + b0 d^2/(4 tanh)} = e^{-x cosh(tb) cosfac}
-                yield t, rr, dth, (raw, raw * np.exp(-x[None, :] * math.cosh(tb) * cosfac[:, None]))
-
-        return _grid_table(blocks(), ts.size * dth.size * rr.size, 5)
-
-    c = samples(grids)[:, 4].max()
-    rows_f = samples(grids.refined())
-    cf = rows_f[:, 4].max()
+    rows_f = _grid_table(blocks(), ts.size * dth.size * rr.size, 5)
+    dist = rows_f[:, 4].reshape(ts.size, dth.size, rr.size)
+    c = dist[::2][:, np.isin(dth, _heat_angles(cfg, base[::2]))][:, :, _coarse_pairs(grids)].max()
+    cf = dist.max()
     ratio, passed = _refinement(c, cf)
     spec = (f"t geomspace(0.1,5)/b0 x {grids.n_time}, r x {grids.n_radius}^2, "
             f"dtheta x {grids.n_angle}; distance-squared envelope, raw (r1^2+r2^2) variant in CSV")
@@ -459,7 +490,9 @@ def halfwave_decay_fit(cfg: ConeConfig, j: int, grids: SweepGrids = SweepGrids()
     with a smaller constant before the magnetic revival at the window edge;
     the onset window is the one regime present at every j.
     Pass criterion is the band [-0.75, -0.35] around the proved -1/2 rate.
-    A shell that holds no mode raises DomainError before any sweep.
+    One halfwave_sup_curve call covers 6 n_radius - 1 radii; the refinement
+    ratio divides its slope by the slope over the 3 n_radius radii at even
+    indices.  A shell that holds no mode raises DomainError before any sweep.
     """
     t0 = time.perf_counter()
     window = shell_window(j, cfg)
@@ -475,15 +508,14 @@ def halfwave_decay_fit(cfg: ConeConfig, j: int, grids: SweepGrids = SweepGrids()
     dth = np.linspace(-0.5 * cfg.period, 0.5 * cfg.period, n_angle, endpoint=False) + 0.013
     r_max = min(2.5 + 2.0 ** j * math.pi / (2.0 * cfg.b0), 10.0)
 
-    def slope_for(n_r: int):
-        r_nodes = np.linspace(0.25, r_max, n_r)
-        sups = halfwave_sup_curve(j, ts, r_nodes, dth, cfg, window)
-        xdata = np.log(1.0 + 2.0 ** j * ts)
-        coeffs = np.polyfit(xdata[onset], np.log(sups[onset]), 1)
-        return float(coeffs[0]), sups
+    xdata = np.log(1.0 + 2.0 ** j * ts[onset])
 
-    slope_c, _ = slope_for(3 * grids.n_radius)
-    slope_f, sups = slope_for(6 * grids.n_radius - 1)
+    def slope(sups: np.ndarray) -> float:
+        return float(np.polyfit(xdata, np.log(sups[onset]), 1)[0])
+
+    by_pair = halfwave_sup_curve(j, ts, np.linspace(0.25, r_max, 6 * grids.n_radius - 1), dth, cfg, window)
+    sups = by_pair.max(axis=(1, 2))
+    slope_c, slope_f = slope(by_pair[:, ::2, ::2].max(axis=(1, 2))), slope(sups)
     ratio = slope_f / slope_c if slope_c != 0 else 1.0
     passed = math.isfinite(slope_f) and (-0.75 <= slope_f <= -0.35)
     rows = [(t, 1.0 + 2.0 ** j * t, s) for t, s in zip(ts, sups)]

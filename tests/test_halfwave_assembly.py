@@ -95,7 +95,8 @@ def test_grid_and_sup_curve_share_one_assembly(cfg):
     window = _window(j, cfg)
     grid = kernels.halfwave_kernel_grid(j, t, R_NODES, dth, cfg, window)
     sup = kernels.halfwave_sup_curve(j, np.array([t]), R_NODES, dth, cfg, window)
-    assert sup[0] == np.abs(grid).max()
+    assert np.array_equal(sup[0], np.abs(grid).max(axis=0))
+    assert sup.max(axis=(1, 2))[0] == np.abs(grid).max()
 
 
 def test_sup_curve_over_40_times_matches_the_grid_at_each_time(cfg):
@@ -104,7 +105,7 @@ def test_sup_curve_over_40_times_matches_the_grid_at_each_time(cfg):
     ts = np.linspace(-3.0, 3.0, 40)
     dth = np.linspace(-0.5 * cfg.period, 0.5 * cfg.period, 7, endpoint=False) + 0.013
     window = _window(j, cfg)
-    sup = kernels.halfwave_sup_curve(j, ts, R_NODES, dth, cfg, window)
+    sup = kernels.halfwave_sup_curve(j, ts, R_NODES, dth, cfg, window).max(axis=(1, 2))
     want = [np.abs(kernels.halfwave_kernel_grid(j, t, R_NODES, dth, cfg, window)).max() for t in ts]
     np.testing.assert_allclose(sup, want, rtol=1e-13, atol=0.0)
 

@@ -209,6 +209,6 @@ def test_gaussian_heat_sweep_keeps_its_angles_off_the_image_boundaries(monkeypat
     monkeypatch.setattr(verify, "heat_closed_bracket_grid", spy)
     gaussian_heat_constant(cfg, grids)
     angles = np.concatenate(seen)
-    assert len(seen) == 2  # one time in each pass, the coarse and the fine
+    assert len(seen) == 1  # the one time of the fine grid, the only one evaluated
     # the image boundaries |dtheta + 2 pi sigma j| = pi within the angle range |dtheta| <= sigma pi are +-pi
     assert np.abs(np.abs(angles) - math.pi).min() >= 0.02

@@ -5,7 +5,9 @@ per-time ``_dispersive_samples`` with its tuple rows, the tuple ``_report``,
 the per-value ``write_report`` and the columnar formatting that followed it,
 and the row loops of the gaussian-heat and reduced-kernel sweeps.  The
 dispersive and gaussian-heat oracles form their radius products over the
-unordered pairs r1 <= r2 (np.triu_indices order), as the sweeps do.  Every
+unordered pairs r1 <= r2 (np.triu_indices order), as the sweeps do, and take
+their coarse sup from their own fine rows at the coarse grid's nodes: even
+time, angle and radius indices, plus the gaussian-heat near-pi cluster.  Every
 artifact the columnar sweeps write must agree with the oracle's byte for
 byte; a non-finite sample, constant or ratio is refused before any file is
 written.
@@ -65,12 +67,12 @@ def _report(name, cfg, grid_spec, constant, ratio, passed, t0, header=(), rows=(
 
 
 def _dispersive_samples(cfg: ConeConfig, gamma: float, grids: SweepGrids):
-    """Rows (t, rho, delta, |K|, rho^-gamma |K|) over the induced grid."""
+    """Rows (t, rho, delta, |K|, rho^-gamma |K|) over the induced grid, and which sit on even indices only."""
     r = np.linspace(grids.r_min, grids.r_max, grids.n_radius)
     iu, ju = np.triu_indices(grids.n_radius)
     dth = np.linspace(-0.5 * cfg.period + 0.11, 0.5 * cfg.period - 0.07, grids.n_angle)
-    rows = []
-    for t in _time_grid(grids, cfg):
+    rows, even = [], []
+    for i_t, t in enumerate(_time_grid(grids, cfg)):
         sin_tb = math.sin(t * cfg.b0)
         if abs(sin_tb) < 0.05:
             raise QuadratureError("dispersive time grid too close to a singular time")
@@ -81,7 +83,8 @@ def _dispersive_samples(cfg: ConeConfig, gamma: float, grids: SweepGrids):
         for i_d, d in enumerate(delta):
             for i_r, rh in enumerate(rho):
                 rows.append((t, rh, d, mat[i_d, i_r], weighted[i_d, i_r]))
-    return rows
+                even.append(i_t % 2 == 0 and i_d % 2 == 0 and iu[i_r] % 2 == 0 and ju[i_r] % 2 == 0)
+    return rows, even
 
 
 def _dispersive_constant(rows, mask=None) -> float:
@@ -96,8 +99,8 @@ def oracle_weighted_dispersive_constant(cfg: ConeConfig, gamma: float,
     kappa = flux_distance(cfg)
     if not (0.0 <= gamma <= kappa + 1e-12):
         raise GammaOutOfRangeError(f"gamma={gamma} outside [0, kappa={kappa}]")
-    rows_coarse = _dispersive_samples(cfg, gamma, grids)
-    rows_fine = _dispersive_samples(cfg, gamma, grids.refined())
+    rows_fine, even = _dispersive_samples(cfg, gamma, grids.refined())
+    rows_coarse = [row for row, keep in zip(rows_fine, even) if keep]
     header = ("t", "rho", "delta", "abs_series", "weighted")
     spec = (f"t x r x dtheta = {grids.n_time} x {grids.n_radius}^2 x {grids.n_angle}, "
             f"gamma={gamma:.6g}, reduced-kernel units (kernel constant = value / (8 pi sigma))")
@@ -123,13 +126,14 @@ def oracle_gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrid
                                   -math.pi + cluster, -math.pi - cluster])
         near_pi = near_pi[np.abs(near_pi) < 0.5 * cfg.period - 0.02]
         dth = np.unique(np.concatenate([base, near_pi]))
+        coarse_dth = set(base[::2].tolist()) | set(near_pi.tolist())
         ts = np.geomspace(0.1, 5.0, g.n_time) / cfg.b0
-        rows = []
+        rows, even = [], []
         iu, ju = np.triu_indices(g.n_radius)
         rr = r[iu] * r[ju]
         red = np.abs(np.remainder(dth + cfg.period / 2.0, cfg.period) - cfg.period / 2.0)
         cosfac = np.where(red < math.pi, np.cos(red), -1.0)
-        for t in ts:
+        for i_t, t in enumerate(ts):
             tb = t * cfg.b0
             x = cfg.b0 * rr / (2.0 * math.sinh(tb))
             bracket = np.abs(heat_closed_bracket_grid(x, dth, t, cfg))
@@ -138,10 +142,11 @@ def oracle_gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrid
             for i_d in range(len(dth)):
                 for i_x in range(len(rr)):
                     rows.append((t, rr[i_x], dth[i_d], raw[i_d, i_x], dist_const[i_d, i_x]))
-        return rows
+                    even.append(i_t % 2 == 0 and dth[i_d] in coarse_dth and iu[i_x] % 2 == 0 and ju[i_x] % 2 == 0)
+        return rows, even
 
-    rows_c = samples(grids)
-    rows_f = samples(grids.refined())
+    rows_f, even = samples(grids.refined())
+    rows_c = [row for row, keep in zip(rows_f, even) if keep]
     c = max(r[4] for r in rows_c)
     cf = max(r[4] for r in rows_f)
     ratio = cf / c if c > 0 else 1.0
@@ -447,7 +452,7 @@ def test_verify_all_builds_each_kernel_grid_once(monkeypatch):
     # the dispersive grid has rho > 0; the reduced-kernel scan starts at rho = 0
     dispersive = [c for c in calls if c[0] > 0.0]
     scan = [c[1:] for c in calls if c[0] == 0.0]
-    assert len(dispersive) == SMALL.n_time + (2 * SMALL.n_time - 1)
+    assert len(dispersive) == SMALL.refined().n_time  # the fine grid only: the coarse sup is read from it
     assert len(scan) == len(set(scan))
     assert scan[-1][1] == 16 * SMALL.n_angle - 1
 
@@ -457,17 +462,17 @@ def test_standalone_weighted_sweep_builds_its_own_grids(monkeypatch):
     calls = _count_kernel_calls(monkeypatch)
     verify.weighted_dispersive_constant(cfg, (0.1,), SMALL)
     verify.weighted_dispersive_constant(cfg, (), SMALL)
-    assert len(calls) == 2 * (SMALL.n_time + (2 * SMALL.n_time - 1))
+    assert len(calls) == 2 * SMALL.refined().n_time
 
 
 def test_multi_gamma_family_call_builds_each_grid_once(monkeypatch):
-    """The dispersive report and three weighted ones come from one kernel matrix per time of each grid."""
+    """The dispersive report and three weighted ones come from one kernel matrix per fine time."""
     cfg = verify.REFERENCE_CONFIGS[2]
     kappa = flux_distance(cfg)
     calls = _count_kernel_calls(monkeypatch)
     reports = verify.weighted_dispersive_constant(cfg, (0.0, kappa / 2.0, kappa), SMALL)
     assert len(reports) == 1 + 3 * 3
-    assert len(calls) == SMALL.n_time + SMALL.refined().n_time
+    assert len(calls) == SMALL.refined().n_time
 
 
 def test_gamma_is_checked_before_any_kernel_call(monkeypatch):
