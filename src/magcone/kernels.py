@@ -53,7 +53,7 @@ _HEAT_TB_MAX = 700.0  # past it the heat kernel's factor e^{-t b0} leaves the no
 _HEAT_SHIFT_TB = 50.0  # any value well below 350 works; 50 leaves the t b0 the sweeps use unshifted
 _HEAT_X_MAX = 2.0 ** 30 - 1.0  # scipy's ive(a, x) is NaN from x = 2^30 - 1/2 on
 _BOUNDARY_EPS = 1e-9
-_GRID_BOUNDARY_GAP = 0.01  # heat_closed_bracket_grid's fixed panels keep ~1e-13 this far from a boundary
+_GRID_BOUNDARY_GAP = 0.01  # heat_closed_bracket_grid's fixed panels keep 5e-13 this far from a boundary
 _LADDER_SEED = 1e-300  # start value of each backward Bessel recurrence, near the bottom of the normal range
 _LADDER_GROWTH = 1300.0  # log of the growth allowed from there: values stay below e^(1300 - 690) ~ 1e264
 _HALFWAVE_K_CHUNK = 16  # angular blocks per phase contraction
@@ -73,8 +73,10 @@ def image_angles(theta: float, cfg: ConeConfig, gap: float = _BOUNDARY_EPS) -> n
     """All representatives theta + 2 pi sigma j with modulus <= pi.
 
     One within 1e-9 of pi, or within gap of it when gap is larger, raises
-    QuadratureError.
+    QuadratureError; a non-finite theta raises DomainError.
     """
+    if not math.isfinite(theta):
+        raise DomainError(f"image_angles needs a finite angle, got {theta}")
     period = cfg.period
     j_lo = math.floor((-math.pi - theta) / period) - 1
     j_hi = math.ceil((math.pi - theta) / period) + 1
@@ -138,23 +140,30 @@ def _tail_trig(theta, sg: float):
     return cos(phi_plus), sin(phi_plus), cos(phi_minus), sin(phi_minus)
 
 
-def heat_angular_tail(s, theta, t: float, cfg: ConeConfig):
-    """Winding-number resummation entering the heat line integral.
+def heat_angular_tail(s, factor, theta, t: float, cfg: ConeConfig):
+    """factor * b(s - t b0, theta), the winding-number resummation in the heat line integral.
 
-    Evaluates b(w, theta) at w = s - t b0 with
     b(w, theta) = e^{alpha w} [ e^{i alpha pi} / (e^{(w + i(theta+pi))/sigma} - 1)
-                              - e^{-i alpha pi} / (e^{(w + i(theta-pi))/sigma} - 1) ].
-    Decays like e^{alpha w} as w -> -inf and e^{(alpha - 1/sigma) w} as w -> +inf.
-    s is real and theta broadcasts against it (a column of angles against a
-    row of nodes gives the product grid).
+                              - e^{-i alpha pi} / (e^{(w + i(theta-pi))/sigma} - 1) ]
+    decays like e^{alpha w} as w -> -inf and e^{(alpha - 1/sigma) w} as w -> +inf.  Each
+    c / (e^{w/sigma} u - 1) is taken as c conj(u) / (e^{w/sigma} - conj(u)), with
+    e^{w/sigma} per node and u = e^{i phi/sigma} per angle; the real factor, shaped like
+    s, multiplies e^{alpha w} before the bracket.  theta is one angle (the result is
+    shaped like s) or a 1-D array of angles (one row per angle).
     """
     w = np.asarray(s, dtype=float) - t * cfg.b0
     sg, al = cfg.sigma, cfg.alpha
-    plus = np.exp((w + 1j * (theta + math.pi)) / sg)
-    minus = np.exp((w + 1j * (theta - math.pi)) / sg)
-    return np.exp(al * w) * (
-        cmath.exp(1j * al * math.pi) / (plus - 1.0) - cmath.exp(-1j * al * math.pi) / (minus - 1.0)
-    )
+    theta = np.asarray(theta, dtype=float)[..., None]
+    grow = np.exp(w / sg)
+    back_plus = np.exp(-1j * (theta + math.pi) / sg)
+    back_minus = np.exp(-1j * (theta - math.pi) / sg)
+    return (np.exp(al * w) * factor) * (cmath.exp(1j * al * math.pi) * back_plus / (grow - back_plus)
+                                        - cmath.exp(-1j * al * math.pi) * back_minus / (grow - back_minus))
+
+
+def _heat_images(x, images: np.ndarray, tb: float, shift: float, cfg: ConeConfig) -> np.ndarray:
+    """e^{x cosh(t b0 - i theta_j) - shift - i alpha theta_j}: one row, shaped like x, per image theta_j."""
+    return np.array([np.exp(x * cmath.cosh(complex(tb, -tj)) - shift - 1j * cfg.alpha * tj) for tj in images])
 
 
 # ---------------------------------------------------------------------------
@@ -294,17 +303,15 @@ def heat_kernel_closed(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) ->
     if x == 0.0:  # a point at the tip: every mode vanishes there
         return KernelValue(0.0 + 0.0j, 0.0)
     theta = angular_difference(p.theta, q.theta, cfg)
-    images = image_angles(theta, cfg)
-    jsum = sum(
-        cmath.exp(x * cmath.cosh(complex(tb, -tj)) - big_q - 1j * cfg.alpha * tj) for tj in images
-    )
-    peak = max((abs(cmath.exp(x * cmath.cosh(complex(tb, -tj)) - big_q)) for tj in images), default=0.0)
+    # past Q = 700 e^{x cosh} and e^{-Q} leave the float range apart, so e^{-Q} goes into each term
+    terms = _heat_images(x, image_angles(theta, cfg), tb, big_q, cfg)
+    jsum, peak = terms.sum(), float(np.abs(terms).max(initial=0.0))
 
     def integrand(s, _panel=None):
         s = np.asarray(s, dtype=float)
         with np.errstate(over="ignore"):  # cosh s past the float range: e^{-x cosh s} is 0 there
             envelope = np.exp(-x * np.cosh(s) - big_q)
-        return envelope * heat_angular_tail(s, theta, t, cfg)
+        return heat_angular_tail(s, envelope, theta, t, cfg)
 
     s_lo, s_hi = _heat_tail_range(x, tb, cfg)
     probes = np.linspace(s_lo, s_hi, 41)
@@ -315,7 +322,7 @@ def heat_kernel_closed(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) ->
         np.array([s_lo, 0.0, tb, s_hi]),
         np.linspace(s_lo, s_hi, 25),
     ]))
-    integral = 0.0 + 0.0j
+    integral = 0.0 + 0.0j  # added in panel order: a pairwise sum would move values by up to 4.7e-15
     for value in adaptive_panel(integrand, edges[:-1], edges[1:], tol / (edges.size - 1)):
         integral += value
     bracket = jsum + integral / (2j * math.pi * cfg.sigma)
@@ -328,25 +335,24 @@ def heat_closed_bracket_grid(x_vec: np.ndarray, theta_vec: np.ndarray, t: float,
                              cfg: ConeConfig) -> np.ndarray:
     """Closed-form heat bracket (without the e^{-Q} factor) on a product grid.
 
-    Returns M[i_theta, i_x] with
-        K^H = b0 / (4 pi sinh(t b0)) * e^{-Q} * M
-    evaluated through the image sum plus a shared-node line integral, which
-    is free of the deep cancellation the angular series hits when
-    x (1 - cos theta cosh t b0) is large.  Fixed graded panels: dense near
-    s = 0 (Laplace peak) and near s = t b0 (tail-pole proximity at image
-    boundaries); intended for sweep-grade accuracy (~1e-8 relative).  It
-    refuses the t heat_kernel_closed refuses and, since those panels do not
-    resolve the tail's pole closer in, any angle within _GRID_BOUNDARY_GAP
-    of an image boundary, before any contraction.
+    Returns M[i_theta, i_x] with K^H = b0 / (4 pi sinh(t b0)) * e^{-Q} * M, from
+    heat_kernel_closed's image terms and tail on a shared-node line integral:
+    free of the deep cancellation the angular series hits when
+    x (1 - cos theta cosh t b0) is large.  Its fixed graded panels, dense near
+    s = 0 (Laplace peak) and s = t b0 (the tail's pole near an image boundary),
+    keep M within 5e-13 of heat_kernel_closed from 0.01 off a boundary (4.8e-13
+    the worst measured, at 0.02, sigma = 1) but not closer in (7e-3 at 0.001).
+    Before any contraction it refuses an angle within _GRID_BOUNDARY_GAP of a
+    boundary, the t heat_kernel_closed refuses, and an x that is empty or holds
+    a value not finite and > 0.
     """
     x_vec = np.asarray(x_vec, dtype=float)
     theta_vec = np.asarray(theta_vec, dtype=float)
     tb = _heat_tb(t, cfg)
-    x_min = float(x_vec.min())
-    if x_min <= 0.0:
-        raise DomainError("heat_closed_bracket_grid needs strictly positive x")
+    if x_vec.size == 0 or not np.all((x_vec > 0.0) & (x_vec < math.inf)):
+        raise DomainError("heat_closed_bracket_grid needs a nonempty x, each value finite and > 0")
     images = [image_angles(float(th), cfg, _GRID_BOUNDARY_GAP) for th in theta_vec]
-    s_lo, s_hi = _heat_tail_range(x_min, tb, cfg)
+    s_lo, s_hi = _heat_tail_range(float(x_vec.min()), tb, cfg)
     edges = np.unique(np.concatenate([
         np.linspace(-1.5, 1.5, 61),
         np.linspace(tb - 0.8, tb + 0.8, 81),
@@ -358,16 +364,7 @@ def heat_closed_bracket_grid(x_vec: np.ndarray, theta_vec: np.ndarray, t: float,
     nodes = (mids[:, None] + halfs[:, None] * gl_x[None, :]).ravel()
     weights = (halfs[:, None] * gl_w[None, :]).ravel()
 
-    # heat_angular_tail on the product grid, with e^{(w + i phi)/sigma} split into
-    # e^{w/sigma} per node and e^{i phi/sigma} per angle:
-    # c / (e^{w/sigma} u - 1) = c conj(u) / (e^{w/sigma} - conj(u)) for |u| = 1
-    w = nodes - tb
-    sg, al = cfg.sigma, cfg.alpha
-    grow = np.exp(w / sg)
-    back_plus = np.exp(-1j * (theta_vec + math.pi) / sg)[:, None]
-    back_minus = np.exp(-1j * (theta_vec - math.pi) / sg)[:, None]
-    tail = (np.exp(al * w) * weights) * (cmath.exp(1j * al * math.pi) * back_plus / (grow - back_plus)
-                                         - cmath.exp(-1j * al * math.pi) * back_minus / (grow - back_minus))
+    tail = heat_angular_tail(nodes, weights, theta_vec, t, cfg)
     envelope = np.exp(-np.outer(np.cosh(nodes), x_vec))
     integral = np.empty((theta_vec.size, x_vec.size), dtype=complex)  # the envelope is real: two real gemms
     integral.real = tail.real @ envelope
@@ -375,8 +372,8 @@ def heat_closed_bracket_grid(x_vec: np.ndarray, theta_vec: np.ndarray, t: float,
 
     out = integral / (2j * math.pi * cfg.sigma)
     for row, tjs in zip(out, images):
-        for tj in tjs:
-            row += np.exp(x_vec * cmath.cosh(complex(tb, -tj)) - 1j * cfg.alpha * tj)
+        for term in _heat_images(x_vec, tjs, tb, 0.0, cfg):  # e^{-Q} stays outside the bracket
+            row += term
     return out
 
 

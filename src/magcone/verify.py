@@ -328,7 +328,7 @@ def _heat_angles(cfg: ConeConfig, base: np.ndarray) -> np.ndarray:
                               -math.pi + cluster, -math.pi - cluster])
     near_pi = near_pi[np.abs(near_pi) < 0.5 * cfg.period - 0.02]
     dth = np.unique(np.concatenate([base, near_pi]))
-    # the grid kernel is within 5e-13 of the closed form from 0.01 off the image boundaries |dtheta| = pi
+    # heat_closed_bracket_grid's docstring states its accuracy from 0.01 off the image boundaries |dtheta| = pi
     return dth[np.abs(np.abs(dth) - math.pi) >= 0.02]
 
 

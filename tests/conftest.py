@@ -2,6 +2,7 @@ import contextlib
 import io
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -117,3 +118,38 @@ def _heat_kernel_row(cfg, t, p_r, p_theta, r, theta) -> np.ndarray:
 def heat_kernel_row():
     """cfg, t, p_r, p_theta, r, theta -> the heat kernel from one point to a (theta, r) product grid."""
     return _heat_kernel_row
+
+
+def _heat_kernel_mp(t, p, q, cfg, dps=60) -> complex:
+    """The heat angular series in dps-digit arithmetic, both k-directions summed until 3 terms in a row are negligible.
+
+    It runs under mpmath.workdps, so the precision of later mpmath calls is untouched.
+    """
+    with mpmath.workdps(dps):
+        sg, al = mpmath.mpf(cfg.sigma), mpmath.mpf(cfg.alpha)
+        tb = mpmath.mpf(t) * cfg.b0
+        x = cfg.b0 * mpmath.mpf(p.r) * q.r / (2 * mpmath.sinh(tb))
+        big_q = cfg.b0 * (mpmath.mpf(p.r) ** 2 + mpmath.mpf(q.r) ** 2) / (4 * mpmath.tanh(tb))
+        theta = mpmath.mpf(p.theta) - mpmath.mpf(q.theta)
+
+        def term(k):
+            return mpmath.exp(1j * (k / sg) * (theta + 1j * tb)) * mpmath.besseli(abs(k / sg + al), x)
+
+        total = term(0)
+        peak = abs(total)
+        for step in (1, -1):
+            k, quiet = step, 0
+            while quiet < 3:
+                v = term(k)
+                total += v
+                peak = max(peak, abs(v))
+                quiet = quiet + 1 if abs(v) < mpmath.mpf(10) ** (-dps) * peak else 0
+                k += step
+        pref = cfg.b0 * mpmath.exp(-tb * al) / (4 * mpmath.pi * sg * mpmath.sinh(tb))
+        return complex(pref * mpmath.exp(-big_q) * total)
+
+
+@pytest.fixture(scope="session")
+def heat_kernel_mp():
+    """t, p, q, cfg, dps=60 -> the heat kernel from its angular series summed in mpmath."""
+    return _heat_kernel_mp

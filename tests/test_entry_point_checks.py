@@ -62,6 +62,24 @@ def test_closed_forms_refuse_an_angle_on_an_image_boundary(cfg):
     assert all("sits on an image-sum boundary" in m for m in messages)
 
 
+@pytest.mark.parametrize("x", [[0.2, math.nan], [math.inf], [], [0.2, 0.0], [-1.0, 0.5]],
+                         ids=["nan", "inf", "empty", "zero", "negative"])
+def test_heat_grid_refuses_an_x_that_is_empty_or_not_finite_and_positive(cfg, x):
+    messages = _refusals([lambda: kernels.heat_closed_bracket_grid(np.array(x), np.array([0.3, -1.1]),
+                                                                   0.5 / cfg.b0, cfg)],
+                         DomainError)
+    assert messages == ["heat_closed_bracket_grid needs a nonempty x, each value finite and > 0"]
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_image_angles_and_the_heat_grid_refuse_a_non_finite_angle(cfg, theta):
+    messages = _refusals([lambda: kernels.image_angles(theta, cfg),
+                          lambda: kernels.heat_closed_bracket_grid(np.array([0.2, 0.5]), np.array([0.3, theta]),
+                                                                   0.5 / cfg.b0, cfg)],
+                         DomainError)
+    assert len(set(messages)) == 1 and messages[0] == f"image_angles needs a finite angle, got {theta}"
+
+
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 1e300])
 def test_halfwave_entry_points_refuse_the_same_times(cfg, t):
     window = lpbesov.shell_window(1, cfg)

@@ -1,4 +1,4 @@
-"""Heat kernels at large t b0, against the angular series summed in 60-digit arithmetic.
+"""Heat kernels at large t b0, against the angular series summed in 60-digit arithmetic (conftest).
 
 At large t b0 the degenerate-branch terms (k <= -1) carry a factor
 e^{|k| t b0 / sigma} that brings orders with an underflowed ive back to a
@@ -29,38 +29,12 @@ from magcone.verify import REFERENCE_CONFIGS
 HEAT_TOL = 1e-8
 
 
-def heat_kernel_mp(t, p, q, cfg, dps=60) -> complex:
-    """The heat angular series, both k-directions summed until 3 terms in a row are negligible."""
-    with mpmath.workdps(dps):
-        sg, al = mpmath.mpf(cfg.sigma), mpmath.mpf(cfg.alpha)
-        tb = mpmath.mpf(t) * cfg.b0
-        x = cfg.b0 * mpmath.mpf(p.r) * q.r / (2 * mpmath.sinh(tb))
-        big_q = cfg.b0 * (mpmath.mpf(p.r) ** 2 + mpmath.mpf(q.r) ** 2) / (4 * mpmath.tanh(tb))
-        theta = mpmath.mpf(p.theta) - mpmath.mpf(q.theta)
-
-        def term(k):
-            return mpmath.exp(1j * (k / sg) * (theta + 1j * tb)) * mpmath.besseli(abs(k / sg + al), x)
-
-        total = term(0)
-        peak = abs(total)
-        for step in (1, -1):
-            k, quiet = step, 0
-            while quiet < 3:
-                v = term(k)
-                total += v
-                peak = max(peak, abs(v))
-                quiet = quiet + 1 if abs(v) < mpmath.mpf(10) ** (-dps) * peak else 0
-                k += step
-        pref = cfg.b0 * mpmath.exp(-tb * al) / (4 * mpmath.pi * sg * mpmath.sinh(tb))
-        return complex(pref * mpmath.exp(-big_q) * total)
-
-
 def _points(cfg):
     return make_point(cfg, 1.0, 0.3), make_point(cfg, 0.8, 2.1)
 
 
 @pytest.mark.parametrize("tb", [50.0, 100.0, 200.0, 400.0, 600.0, 700.0])
-def test_both_representations_match_mpmath(cfg, tb):
+def test_both_representations_match_mpmath(cfg, tb, heat_kernel_mp):
     p, q = _points(cfg)
     t = tb / cfg.b0
     exact = heat_kernel_mp(t, p, q, cfg)
@@ -79,7 +53,7 @@ def test_both_representations_reject_past_the_float_range(cfg, tb):
             kernel(tb / cfg.b0, p, q, cfg)
 
 
-def test_series_keeps_orders_whose_ive_underflows():
+def test_series_keeps_orders_whose_ive_underflows(heat_kernel_mp):
     # at t b0 = 400 (sigma = 1) ive underflows from the k = -2 term on, one of the sum's largest;
     # dropping those terms left the series 23% off
     cfg = REFERENCE_CONFIGS[0]
@@ -96,7 +70,7 @@ LARGE_Q = [(1.0, 46.8, 1.62, 0.0), (0.1, 16.7, 0.72, 0.2)]
 
 
 @pytest.mark.parametrize("tb,r1,r2,gap", LARGE_Q)
-def test_series_past_q_700_matches_mpmath(cfg, tb, r1, r2, gap):
+def test_series_past_q_700_matches_mpmath(cfg, tb, r1, r2, gap, heat_kernel_mp):
     t, scale = tb / cfg.b0, 1.0 / math.sqrt(cfg.b0)
     p, q = make_point(cfg, r1 * scale, 0.3), make_point(cfg, r2 * scale, 0.3 + gap)
     assert cfg.b0 * (p.r ** 2 + q.r ** 2) / (4.0 * math.tanh(tb)) > 700.0

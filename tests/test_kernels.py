@@ -8,7 +8,7 @@ from scipy import integrate, special as sp
 
 from magcone import kernels
 from magcone.errors import QuadratureError, SingularTimeError, WindowTooSmallError
-from magcone.geometry import ConeConfig, make_point
+from magcone.geometry import ConeConfig, ConePoint, make_point
 from magcone.kernels import (
     halfwave_kernel_grid,
     heat_angular_tail,
@@ -109,7 +109,7 @@ def test_heat_angular_tail_vs_geometric_series(cfg):
     t = 0.3
     for s in (t * cfg.b0 + 0.4, t * cfg.b0 + 1.7):
         for th in (-2.0, 0.0, 1.3):
-            got = complex(heat_angular_tail(np.array([s]), th, t, cfg)[0])
+            got = complex(heat_angular_tail(np.array([s]), 1.0, th, t, cfg)[0])
             want = brute_heat_tail(s, th, t, cfg)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -118,7 +118,7 @@ def test_heat_tail_examples(cfg):
     # s -> +inf envelope e^{(alpha - 1/sigma) s}
     t = 1.0
     ss = np.array([6.0, 10.0, 16.0])
-    vals = np.abs(heat_angular_tail(ss, 0.9, t, cfg))
+    vals = np.abs(heat_angular_tail(ss, 1.0, 0.9, t, cfg))
     rate = 1.0 / cfg.sigma - cfg.alpha
     assert (vals[1:] / vals[:-1] <= np.exp(-rate * np.diff(ss)) * 1.5).all()
 
@@ -132,7 +132,7 @@ def test_heat_tail_conjugate_structure_sigma1():
     plus = 1.0 / (cmath.exp(w + 1j * math.pi) - 1.0)
     minus = 1.0 / (cmath.exp(w - 1j * math.pi) - 1.0)
     assert plus == pytest.approx(minus.conjugate(), rel=1e-12)
-    got = complex(heat_angular_tail(np.array([s]), 0.0, t, cfg)[0])
+    got = complex(heat_angular_tail(np.array([s]), 1.0, 0.0, t, cfg)[0])
     expect = math.exp(cfg.alpha * w) * (
         cmath.exp(1j * cfg.alpha * math.pi) * plus - cmath.exp(-1j * cfg.alpha * math.pi) * minus)
     assert got == pytest.approx(expect, rel=1e-12)
@@ -144,7 +144,7 @@ def test_heat_tail_alpha_limit():
     w = s - t * cfg.b0
     x_val = 1.0 / (cmath.exp((w + 1j * (th + math.pi)) / cfg.sigma) - 1.0)
     y_val = 1.0 / (cmath.exp((w + 1j * (th - math.pi)) / cfg.sigma) - 1.0)
-    got = complex(heat_angular_tail(np.array([s]), th, t, cfg)[0])
+    got = complex(heat_angular_tail(np.array([s]), 1.0, th, t, cfg)[0])
     assert got == pytest.approx(x_val - y_val, rel=1e-9)
 
 
@@ -275,35 +275,19 @@ def test_heat_spectral_consistency(cfg, rng, heat_kernel_row):
     assert integral == pytest.approx(direct, rel=1e-6)
 
 
-def test_heat_closed_deep_regime_high_precision_oracle():
+def test_heat_closed_deep_regime_high_precision_oracle(heat_kernel_mp):
     # across-tip regime with x(1 + cosh t b0) ~ 29: the float64 series loses
     # ~20 digits to cancellation; the closed form must track a 60-digit
     # mode-sum oracle instead
-    import mpmath as mp
-
-    from magcone.geometry import ConePoint
-
-    mp.mp.dps = 60
     sigma, b0, alpha, t = 2.7, 1.9088115357418856, 0.22785354937120517, 0.27194807582671077
-    r1, th1 = 2.7601102258947656, 7.639708916231893
-    r2, th2 = 2.7796168649757806, 2.997167110531844
+    p, q = ConePoint(2.7601102258947656, 7.639708916231893), ConePoint(2.7796168649757806, 2.997167110531844)
     cfg = ConeConfig(sigma, b0, alpha)
+    exact = heat_kernel_mp(t, p, q, cfg)
 
-    tb = mp.mpf(t) * mp.mpf(b0)
-    x = mp.mpf(b0) * r1 * r2 / (2 * mp.sinh(tb))
-    qq = mp.mpf(b0) * (mp.mpf(r1) ** 2 + mp.mpf(r2) ** 2) / (4 * mp.tanh(tb))
-    th = mp.mpf(th1) - mp.mpf(th2)
-    total = mp.mpc(0)
-    for k in range(-220, 221):
-        a = abs(k / mp.mpf(sigma) + alpha)
-        total += mp.e ** (1j * (k / mp.mpf(sigma)) * (th + 1j * tb)) * mp.besseli(a, x)
-    pref = mp.mpf(b0) * mp.e ** (-tb * alpha) / (4 * mp.pi * sigma * mp.sinh(tb)) * mp.e ** (-qq)
-    exact = complex((pref * total).real, (pref * total).imag)
-
-    closed = heat_kernel_closed(t, ConePoint(r1, th1), ConePoint(r2, th2), cfg).value
+    closed = heat_kernel_closed(t, p, q, cfg).value
     assert abs(closed - exact) <= 1e-12 * abs(exact)
     # the series' conditioning diagnostic must flag the lost digits
-    series = heat_kernel_series(t, ConePoint(r1, th1), ConePoint(r2, th2), cfg)
+    series = heat_kernel_series(t, p, q, cfg)
     assert series.largest_term > 1e12 * abs(series.value)
 
 

@@ -23,11 +23,15 @@ value itself the difference grows with cancellation (one Schrodinger point
 in 180 reaches 1.03e-14; a heat-multiplier kernel at far-apart points that
 cancels to 1e-3 of its terms reaches 2e-13).  The heat bracket grid's
 separable tail and two real gemms regroup rounding too: 1e-12 per cell.
+That separable tail is now heat_kernel_closed's as well: it is checked
+against a 40-digit b(w, theta), and the closed form against the old complex
+tail to 1e-14.
 """
 
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special as _sp
@@ -394,20 +398,25 @@ def test_heat_bracket_grid_matches_tail_matrix_oracle(cfg):
         assert np.all(np.abs(new - old) <= HEAT_GRID_REL * np.abs(old))
 
 
-def test_heat_kernel_closed_evaluates_the_tail_through_heat_angular_tail(cfg, monkeypatch):
-    # the pointwise closed form keeps its own tail, independent of the grid's separable one
+def test_both_heat_closed_forms_take_the_one_tail_and_the_one_image_sum(cfg, monkeypatch):
     t, p, q = admissible_points(cfg, "heat", 1, seed=5)[0]
-    before = heat_kernel_closed(t, p, q, cfg)
-    tail, calls = kernels.heat_angular_tail, []
+    x_vec, theta_vec = np.array([0.3, 1.1, 4.0]), np.array([0.4, -1.0])
+    forms = {"pointwise": lambda: heat_kernel_closed(t, p, q, cfg).value,
+             "grid": lambda: heat_closed_bracket_grid(x_vec, theta_vec, t, cfg)}
+    before = {name: form() for name, form in forms.items()}
+    calls = {"heat_angular_tail": [], "_heat_images": []}
+    for name in calls:
+        def spy(*args, _name=name, _helper=getattr(kernels, name)):
+            calls[_name].append(args)
+            return _helper(*args)
 
-    def spy(*args):
-        calls.append(args)
-        return tail(*args)
-
-    monkeypatch.setattr(kernels, "heat_angular_tail", spy)
-    after = heat_kernel_closed(t, p, q, cfg)
-    assert calls
-    assert _bits(after.value) == _bits(before.value)
+        monkeypatch.setattr(kernels, name, spy)
+    for name, form in forms.items():
+        for made in calls.values():
+            made.clear()
+        after = form()
+        assert all(calls.values()), name
+        assert _bits(after) == _bits(before[name]), name
 
 
 def oracle_pair_geometry(kind, t, p, q, cfg):
@@ -474,18 +483,40 @@ def test_heat_tail_range_bitwise_equals_both_old_ranges(cfg):
             assert new == oracle_closed_form_range(x, tb, cfg) == oracle_bracket_grid_range(x, tb, cfg)
 
 
-def test_heat_tail_real_form_matches_complex_form(cfg):
-    s = np.linspace(-30.0, 30.0, 401)
-    for theta in (-2.0, 0.0, 0.4, 2.9):
-        new = kernels.heat_angular_tail(s, theta, 0.8, cfg)
-        old = oracle_heat_angular_tail(s, theta, 0.8, cfg)
-        assert np.all(np.abs(new - old) <= 4e-16 * np.abs(old))
+def mp_heat_tail(s: float, theta: float, t: float, cfg) -> complex:
+    """b(s - t b0, theta) in 40-digit arithmetic, from the exact s and t."""
+    with mpmath.workdps(40):
+        sg, al = mpmath.mpf(cfg.sigma), mpmath.mpf(cfg.alpha)
+        w, th = mpmath.mpf(s) - mpmath.mpf(t) * cfg.b0, mpmath.mpf(theta)
+        plus = mpmath.exp(1j * al * mpmath.pi) / (mpmath.exp((w + 1j * (th + mpmath.pi)) / sg) - 1)
+        minus = mpmath.exp(-1j * al * mpmath.pi) / (mpmath.exp((w + 1j * (th - mpmath.pi)) / sg) - 1)
+        return complex(mpmath.exp(al * w) * (plus - minus))
+
+
+TAIL_ROUNDINGS = 17  # eps kappa |b| each; measured up to 10.6 (sigma = 1.5), 4.3 and 6.5 at sigma = 1 and 2
+
+
+def test_heat_angular_tail_matches_mpmath(cfg):
+    """The one tail within 17 eps kappa |b| of b, kappa = max_+- (1 + e^{w/sigma}) / |e^{w/sigma} - conj(u_+-)|.
+
+    kappa bounds how much the denominators e^{w/sigma} - conj(u), u_+- = e^{i(theta +- pi)/sigma},
+    amplify a rounding of either of their terms; a handful of roundings each remain.
+    """
+    s, t, thetas = np.linspace(-30.0, 30.0, 401), 0.8, np.array([-2.0, 0.0, 0.4, 2.9])
+    got = kernels.heat_angular_tail(s, np.ones_like(s), thetas, t, cfg)
+    grow = np.exp((s - t * cfg.b0) / cfg.sigma)
+    for row, theta in zip(got, thetas):
+        exact = np.array([mp_heat_tail(node, theta, t, cfg) for node in s])
+        kappa = np.maximum(*[(1.0 + grow) / np.abs(grow - cmath.exp(-1j * (theta + shift) / cfg.sigma))
+                             for shift in (math.pi, -math.pi)])
+        assert np.all(np.abs(row - exact) <= TAIL_ROUNDINGS * np.finfo(float).eps * kappa * np.abs(exact))
 
 
 def test_heat_closed_matches_complex_tail(cfg, monkeypatch):
     points = admissible_points(cfg, "heat", 8, seed=13)
     new = [heat_kernel_closed(t, p, q, cfg).value for t, p, q in points]
-    monkeypatch.setattr(kernels, "heat_angular_tail", oracle_heat_angular_tail)
+    monkeypatch.setattr(kernels, "heat_angular_tail",
+                        lambda s, factor, theta, t, cfg: factor * oracle_heat_angular_tail(s, theta, t, cfg))
     old = [heat_kernel_closed(t, p, q, cfg).value for t, p, q in points]
     for a, b in zip(new, old):
         assert abs(a - b) <= 1e-14 * abs(b)
