@@ -133,9 +133,11 @@ def oscillatory_bessel_tail(f_analytic, rho: float, decay_rate: float, tol: floa
     g (hence f_analytic) must be analytic in Re s > 0 with |g| <= C e^{-decay_rate s}.
     The path is deformed: a short real segment [0, s0] (bounded oscillation),
     a vertical drop to Im s = -pi/2, then the horizontal line where
-    -i rho cosh s is pure decay.  f_analytic(s) takes complex s.  The three
-    legs are one adaptive_panel call, each leg's panels mapping their real
-    parameter onto the path.
+    -i rho cosh s is pure decay.  The three legs are one adaptive_panel
+    call, each leg's panels mapping their real parameter onto the path.
+    f_analytic, elementwise in s, is called once per level on the segment's
+    nodes as floats and once on the drop's and the line's as complex, so
+    the segment can take real arithmetic.
     """
     rho = float(rho)
     if rho < 0.0:
@@ -166,13 +168,11 @@ def oscillatory_bessel_tail(f_analytic, rho: float, decay_rate: float, tol: floa
     tols = np.concatenate((np.full(n_a, tol / n_a), np.full(n_b, tol / n_b), np.full(len(ends) - 1, tol)))
 
     def f_path(x, panel):
-        on_drop = (panel >= n_a) & (panel < n_a + n_b)
-        on_line = panel >= n_a + n_b
-        s = x.astype(complex)
-        s[on_drop] = s0 - 1j * x[on_drop]
-        s[on_line] = x[on_line] - 0.5j * math.pi
-        out = np.asarray(f_analytic(s))
-        out[on_drop] = out[on_drop] * (-1j)
+        on_seg, on_drop = panel < n_a, (panel >= n_a) & (panel < n_a + n_b)
+        out = np.empty(x.shape, dtype=complex)
+        out[on_seg] = f_analytic(x[on_seg])
+        out[~on_seg] = f_analytic(np.where(on_drop, s0 - 1j * x, x - 0.5j * math.pi)[~on_seg])
+        out[on_drop] *= -1j
         return out
 
     values = adaptive_panel(f_path, lo, hi, tols)

@@ -29,3 +29,19 @@ def test_verify_all_constants_stay_within_the_reference_gate(cfg, verify_all_out
     assert set(got) == set(expected)
     for name, value in expected.items():
         assert abs(got[name] - value) <= 1e-9 * abs(value) + 1e-13, (name, got[name], value)
+
+
+# int_0^{45/kappa} |S(s, theta)| ds at the angle where each config's fine tail-l1 pass peaks
+# (theta = -3.1115926535897933, 3.130110586991951 and 3.116102204604636 for sigma = 1, 1.5 and 2), by
+# mpmath: the textbook form of S (with cosh(s/sigma) - cos phi) at 40 digits, quad over the sweep's
+# 20 panels, each split in 8; every quad error estimate is below 1e-43
+TAIL_L1_MPMATH = {1.0: "4.23648778126209690639578882033",
+                  1.5: "4.79134526486273794696549400723",
+                  2.0: "6.31314060883395939001990287591"}
+
+
+@pytest.mark.parametrize("cfg", REFERENCE_CONFIGS, ids=lambda c: f"sigma{c.sigma}")
+def test_tail_l1_constant_matches_its_30_digit_value(cfg, verify_all_output):
+    report = json.loads((verify_all_output(cfg) / "tail-l1.json").read_text(encoding="utf-8"))
+    want = float(TAIL_L1_MPMATH[cfg.sigma])
+    assert abs(report["empirical_constant"] - want) <= 1e-14 * want

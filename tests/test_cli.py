@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -534,23 +535,39 @@ def _two_gb_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9))
 
 
-def test_closed_form_near_an_image_boundary_exits_4_within_2_gb(tmp_path):
-    """The angle sits 0.0053 from an image boundary, so the contour walk keeps splitting; the node cap ends it.
+def _kernel_in_a_2_gb_child(tmp_path, config: str, *args):
+    """`magcone kernel ...` in a child process under a 2 GB address-space limit, writing to tmp_path/out."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    return subprocess.run(
+        [sys.executable, "-m", "magcone.cli", "--config", str(cfg), "--out", str(tmp_path / "out"), "kernel", *args],
+        capture_output=True, text=True, timeout=300, preexec_fn=_two_gb_address_space)
+
+
+def test_schrodinger_closed_form_near_an_image_boundary_matches_the_series_within_2_gb(tmp_path):
+    """The angle sits 0.0053 from an image boundary: the closed form converges, under a 2 GB limit, to the series."""
+    point = ("--t", "1.0312671706753567", "--p", "1.4461387716534395,8.651054454871568",
+             "--q", "0.981527638804235,11.271676479409948")
+    for rep in ("closed", "series"):
+        res = _kernel_in_a_2_gb_child(tmp_path, "sigma = 2.0\nb0 = 0.5\nalpha = 0.3\n",
+                                      "schrodinger", "--repr", rep, *point)
+        assert res.returncode == 0, res.stderr
+    closed, series = [complex(float(row["re"]), float(row["im"]))
+                      for row in csv.DictReader((tmp_path / "out" / "kernel.csv").open())]
+    assert abs(closed - series) <= 1e-6 * abs(series)
+
+
+def test_contour_that_keeps_splitting_exits_4_within_2_gb(tmp_path):
+    """A heat angle 1e-6 from an image boundary: the walk keeps splitting until the node cap ends it.
 
     It runs in a child under a 2 GB address-space limit, which a walk without
     a bound on its integrand calls would exhaust.
     """
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("sigma = 2.0\nb0 = 0.5\nalpha = 0.3\n")
-    out = tmp_path / "out"
-    res = subprocess.run(
-        [sys.executable, "-m", "magcone.cli", "--config", str(cfg), "--out", str(out), "kernel", "schrodinger",
-         "--repr", "closed", "--t", "1.0312671706753567", "--p", "1.4461387716534395,8.651054454871568",
-         "--q", "0.981527638804235,11.271676479409948"],
-        capture_output=True, text=True, timeout=300, preexec_fn=_two_gb_address_space)
+    res = _kernel_in_a_2_gb_child(tmp_path, "sigma = 1.0\nb0 = 1.0\nalpha = 0.25\n", "heat", "--repr", "closed",
+                                  "--t", "0.5", "--p", "1.0,3.1415916535897933", "--q", "1.2,0.0")
     assert res.returncode == 4, res.stderr
     assert res.stderr.count("\n") == 1 and "nodes" in res.stderr
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
 
 
 def _readme_commands() -> list:

@@ -1,7 +1,9 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special as sp
@@ -69,9 +71,76 @@ def test_schrodinger_angular_tail_vs_brute_force(cfg):
             assert got == pytest.approx(want, abs=5e-13)
 
 
+def mp_schrodinger_tail(s, phi_plus, phi_minus, cfg):
+    """S from its winding angles phi_+- in mpmath, by the textbook form with cosh(s/sigma) - cos phi.
+
+    At 50 digits the cancellation of that difference (about 16 digits at
+    the points below) leaves well over float precision.
+    """
+    sg, al = mpmath.mpf(cfg.sigma), mpmath.mpf(cfg.alpha)
+    out = mpmath.exp(-al * s) * mpmath.sin(al * mpmath.pi)
+    for sign, phi in ((1, phi_plus), (-1, phi_minus)):
+        num = (mpmath.cosh(al * s) * mpmath.sin(phi)
+               + 1j * sign * mpmath.sinh(al * s) * (mpmath.cos(phi) - mpmath.exp(-s / sg)))
+        out += mpmath.expjpi(sign * al) / 2 * num / (mpmath.cosh(s / sg) - mpmath.cos(phi))
+    return out
+
+
+def tail_rounding_bound(s, theta, cfg):
+    """(S(s, theta), how far schrodinger_angular_tail may lie from it), the bound from the formula's conditioning.
+
+    Input: the winding angles (theta +- pi)/sigma are formed in floats, each
+    off by at most 2u (|theta| + pi)/sigma, which moves S by |dS/dphi| times
+    that.  Formula: every factor of the half-angle form is correct to a few
+    ulps of its magnitude M (|sinh z| for real z, cosh(Re z) for complex z,
+    where (e^z - e^{-z})/2 is exact only to ulps of |e^z| + |e^{-z}|; the
+    arguments s/2sigma and alpha s carry a relative rounding that exp turns
+    into u |s| at most).  Each half is N/D with N and D sums of such products,
+    so it moves by at most the roundings on its path (fewer than 32) times
+    u (1 + |s|) M_N/|D| (1 + M_D/|D|).
+    """
+    u = 2.0 ** -53
+    with mpmath.workdps(50):
+        sg, al, th = mpmath.mpf(cfg.sigma), mpmath.mpf(cfg.alpha), mpmath.mpf(theta)
+        s_mp = mpmath.mpc(s) if isinstance(s, complex) else mpmath.mpf(s)
+        phis = ((th + mpmath.pi) / sg, -(th - mpmath.pi) / sg)
+        z, w = s_mp / (2 * sg), al * s_mp
+
+        def mag_sinh(x):
+            return abs(mpmath.sinh(x)) if isinstance(s, float) else mpmath.cosh(mpmath.re(x))
+
+        scale = mpmath.exp(-mpmath.re(w)) * mpmath.sin(al * mpmath.pi)
+        for phi in phis:
+            sq = mpmath.sin(phi / 2) ** 2
+            den = abs(mpmath.sinh(z) ** 2 + sq)
+            num_mag = (mpmath.cosh(mpmath.re(w)) * abs(mpmath.sin(phi))
+                       + 2 * mag_sinh(w) * (mag_sinh(z) * mpmath.exp(-mpmath.re(z)) + sq))
+            scale += num_mag / (4 * den) * (1 + (mag_sinh(z) ** 2 + sq) / den)
+        slope = (abs(mpmath.diff(lambda x: mp_schrodinger_tail(s_mp, x, phis[1], cfg), phis[0]))
+                 + abs(mpmath.diff(lambda x: mp_schrodinger_tail(s_mp, phis[0], x, cfg), phis[1])))
+        want = complex(mp_schrodinger_tail(s_mp, *phis, cfg))
+    return want, float(2 * u * (abs(th) + mpmath.pi) / sg * slope + 32 * u * (1 + abs(s)) * scale)
+
+
+CORNER_D = (1e-8, 1e-4, 1e-2)  # distance of phi_+ from 0 mod 2 pi
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-4, 1e-2, 0.5,  # real nodes, down to the removable corner
+                               complex(0.5, -0.1), complex(0.5, -0.8), complex(0.5, -0.5 * math.pi),  # drop leg
+                               complex(3.0, -0.5 * math.pi), complex(20.0, -0.5 * math.pi)])  # line leg
+def test_schrodinger_angular_tail_vs_mpmath_at_the_removable_corner(cfg, s):
+    """phi_+ = (theta + pi)/sigma at d, -d and 2 pi - d, so phi_+ -> 0 (mod 2 pi) meets s -> 0."""
+    for d in CORNER_D:
+        for phi in (d, -d, 2.0 * math.pi - d):
+            theta = cfg.sigma * phi - math.pi
+            got = complex(schrodinger_angular_tail(np.array([s]), theta, cfg)[0])
+            want, bound = tail_rounding_bound(s, theta, cfg)
+            assert abs(got - want) <= bound, (d, phi, got, want, bound)
+
+
 @pytest.mark.parametrize("sigma", [1.0, 1.5, 2.0])
 def test_tail_trig_of_an_angle_array_has_the_bits_of_each_angle_alone(sigma):
-    """An array takes numpy's cos and sin, one angle math's: on a host where they differ this fails."""
+    """An array takes numpy's sin, one angle math's: on a host where they differ this fails."""
     thetas = np.linspace(-sigma * math.pi, sigma * math.pi, 20001)  # one period of the cone
     got = np.array(kernels._tail_trig(thetas, sigma))
     want = np.array([kernels._tail_trig(float(theta), sigma) for theta in thetas]).T
@@ -319,6 +388,28 @@ def test_schrodinger_cross_representation(cfg):
         a = schrodinger_kernel_series(t, p, q, cfg).value
         b = schrodinger_kernel_closed(t, p, q, cfg).value
         assert abs(a - b) <= 1e-6 * abs(a), (t, p, q)
+
+
+def assert_closed_matches_the_series_without_a_warning(t, p, q, cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed = schrodinger_kernel_closed(t, p, q, cfg).value
+        series = schrodinger_kernel_series(t, p, q, cfg).value
+    assert abs(closed - series) <= 1e-12 * abs(series)
+
+
+@pytest.mark.parametrize("d", [1e-2, 1e-3, 1e-4, 1e-6, 1e-8])
+def test_schrodinger_closed_near_an_image_boundary_matches_the_series(cfg, d):
+    """theta = t b0 - dtheta at pi - d: the tail's corner s -> 0, phi -> 0 is a Lorentzian of width d."""
+    tb = 0.9
+    p, q = make_point(cfg, 1.4, tb - (math.pi - d)), make_point(cfg, 0.9, 0.0)
+    assert_closed_matches_the_series_without_a_warning(tb / cfg.b0, p, q, cfg)
+
+
+def test_schrodinger_closed_at_the_kernel_points_case_0_0401_from_a_boundary():
+    """One benchmark kernel point (theta -3.10147, 0.0401 from -pi) whose closed form once hit the node cap."""
+    p, q = ConePoint(2.0779379115418646, 7.834637297722077), ConePoint(0.5785829789792208, 3.8658977986715484)
+    assert_closed_matches_the_series_without_a_warning(1.7345446794734158, p, q, ConeConfig(2.0, 0.5, 0.3))
 
 
 def test_schrodinger_time_reversal(cfg):
