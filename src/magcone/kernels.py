@@ -108,40 +108,43 @@ def schrodinger_angular_tail(s, theta, cfg: ConeConfig):
     so every factor stays correct to a few ulps at the removable s -> 0,
     phi -> 0 (mod 2 pi) corner, where each half is a Lorentzian in s of
     width sigma |phi| (down to the 1e-9 boundary guard of image_angles).
+    Each half's numerator and denominator are scaled by e^{-s/sigma}, so
+    every factor is built from e^{-alpha s} and e^{(alpha - 1/sigma) s},
+    both at most 1 in modulus for Re s >= 0 (alpha < 1/sigma): nothing
+    overflows at any s, and a factor that underflows leaves a finite value.
 
     S is analytic in Re s > 0 (poles only on the imaginary axis), so it
     accepts complex s, which the deformed tail contour integrates.  s's
-    dtype picks the arithmetic: real s takes the real sinh, cosh and exp,
-    and never cancels; complex s takes one complex exp per scale,
-    e^{s/2sigma} and e^{alpha s}, and its reciprocal.  sinh z = (e^z -
-    e^{-z})/2 is then correct to a few ulps of |e^z| + |e^{-z}|, which is a
-    few ulps of sinh z only where |Re z| is not small: a complex node loses
-    about log10(1/|Re z|) digits of the term it enters.  The contour's
-    complex nodes have Re s >= 0.5.  Measured there against 40-digit
-    mpmath, the error is at most 5e-15 of the terms' magnitude on the
-    reference configurations, as with numpy's complex sinh, and 1.6e-14
-    (numpy's sinh: 2.9e-15) at sigma = 50, alpha = 0.01.  theta is one
-    angle or an array of angles shaped like s, one per node (see _tail_trig).
+    dtype picks the arithmetic: real s takes the real exp and expm1 and
+    never cancels; complex s takes two complex exps, and e^{-s/sigma} - 1
+    and e^{-2 alpha s} - 1 in place of expm1 (numpy's complex expm1 costs
+    two exps).  Those lose about log10(1/|s/sigma|) and log10(1/|alpha s|)
+    digits of the term they enter, which the contour of
+    oscillatory_bessel_tail bounds: its complex nodes have Re s >= 0.5.
+    Measured there against 40-digit mpmath, the error is at most
+    2.5e-15 of the terms' magnitude on the reference configurations and
+    3.1e-15 at sigma = 50, alpha = 0.01.  theta is one angle or an array
+    of angles shaped like s, one per node (see _tail_trig).
     """
     s = np.asarray(s)
     sg, al = cfg.sigma, cfg.alpha
+    back_al, lead = np.exp(-al * s), np.exp((al - 1.0 / sg) * s)  # e^{-alpha s}, e^{(alpha - 1/sigma) s}
+    decay = back_al * lead  # e^{-s/sigma}
     if np.iscomplexobj(s):
-        grow, grow_al = np.exp(s / (2.0 * sg)), np.exp(s * al)
-        back, back_al = 1.0 / grow, 1.0 / grow_al
-        sinh_half = (grow - back) * 0.5  # * 0.5, exact like / 2, skips a complex division
-        cosh_al, sinh_al = (grow_al + back_al) * 0.5, (grow_al - back_al) * 0.5
+        decay_m1, back_al_sq_m1 = decay - 1.0, back_al * back_al - 1.0
     else:
-        sinh_half, back = np.sinh(s / (2.0 * sg)), np.exp(-s / (2.0 * sg))
-        cosh_al, sinh_al, back_al = np.cosh(s * al), np.sinh(s * al), np.exp(-s * al)
-    shrink = sinh_half * back  # (1 - e^{-s/sigma}) / 2
-    sinh_sq = sinh_half * sinh_half
+        decay_m1, back_al_sq_m1 = np.expm1(-s / sg), np.expm1(-2.0 * al * s)
+    shrink = -0.5 * decay_m1  # (1 - e^{-s/sigma}) / 2 = sinh(s/2sigma) e^{-s/2sigma}
+    sinh_al = -0.5 * back_al_sq_m1 * lead  # sinh(alpha s) e^{-s/sigma}
+    cosh_al = lead - sinh_al  # cosh(alpha s) e^{-s/sigma}
+    shrink_sq = shrink * shrink  # sinh^2(s/2sigma) e^{-s/sigma}
 
     def half(sin_phi, sin_half_phi, phase_sign: float):
         # e^{i sign alpha pi}/4 (cosh_al sin phi + 2i sign sinh_al (shrink - sin^2(phi/2)))
-        #                       / (sinh^2(s/2sigma) + sin^2(phi/2))
+        #                       / (shrink^2 + sin^2(phi/2) e^{-s/sigma})
         sq = sin_half_phi * sin_half_phi
         num = 2j * phase_sign * (sinh_al * (shrink - sq)) + cosh_al * sin_phi
-        return cmath.exp(1j * phase_sign * al * math.pi) / 4.0 * (num / (sinh_sq + sq))
+        return cmath.exp(1j * phase_sign * al * math.pi) / 4.0 * (num / (shrink_sq + sq * decay))
 
     sin_plus, half_plus, sin_minus, half_minus = _tail_trig(theta, sg)
     return (back_al * math.sin(al * math.pi) + half(sin_plus, half_plus, +1.0)
@@ -449,8 +452,12 @@ def schrodinger_kernel_series(t: float, p: ConePoint, q: ConePoint, cfg: ConeCon
 def _closed_angular_bracket(cfg: ConeConfig, rho: float, theta: float) -> tuple[complex, float]:
     """Image sum minus tail integral for sum_k e^{ik theta/sigma} I_{a_k}(i rho)/sigma.
 
-    Returns (bracket, peak) with  sum_k ... = sigma * bracket.
+    Returns (bracket, peak) with  sum_k ... = sigma * bracket.  At rho = 0
+    every I_{a_k}(0) is 0 (a_k > 0), so the bracket is 0, as in the series,
+    and no contour is walked.
     """
+    if rho == 0.0:
+        return 0.0 + 0.0j, 0.0
     if rho < 0.0:
         bracket, peak = _closed_angular_bracket(cfg, -rho, -theta)
         return bracket.conjugate(), peak
@@ -458,7 +465,7 @@ def _closed_angular_bracket(cfg: ConeConfig, rho: float, theta: float) -> tuple[
     jsum = sum(cmath.exp(1j * rho * math.cos(tj) - 1j * cfg.alpha * tj) for tj in images)
 
     def f(s):
-        # a complex node's cosh s from one exp, as in the tail: the contour keeps Re s >= 0.5 there
+        # a complex node's cosh s from one exp and its reciprocal, sound on the contour (see oscillatory_bessel_tail)
         if np.iscomplexobj(s):
             grow = np.exp(s)
             cosh = (grow + 1.0 / grow) * 0.5

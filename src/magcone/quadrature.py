@@ -137,7 +137,10 @@ def oscillatory_bessel_tail(f_analytic, rho: float, decay_rate: float, tol: floa
     call, each leg's panels mapping their real parameter onto the path.
     f_analytic, elementwise in s, is called once per level on the segment's
     nodes as floats and once on the drop's and the line's as complex, so
-    the segment can take real arithmetic.
+    the segment can take real arithmetic.  Every complex node has
+    Re s >= s0 >= 0.5, so f_analytic may build its hyperbolic functions of
+    complex s from exponentials, as (e^s + e^{-s})/2 or e^s - 1, without
+    cancellation.
     """
     rho = float(rho)
     if rho < 0.0:

@@ -9,11 +9,14 @@ gate; this test reads the JSON files of the session's `verify all` run.
 """
 
 import json
+import math
+import warnings
 from pathlib import Path
 
 import pytest
 
-from magcone.verify import REFERENCE_CONFIGS
+from magcone.geometry import ConeConfig
+from magcone.verify import REFERENCE_CONFIGS, SweepGrids, angular_tail_l1_scan
 
 REFERENCE_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
@@ -45,3 +48,16 @@ def test_tail_l1_constant_matches_its_30_digit_value(cfg, verify_all_output):
     report = json.loads((verify_all_output(cfg) / "tail-l1.json").read_text(encoding="utf-8"))
     want = float(TAIL_L1_MPMATH[cfg.sigma])
     assert abs(report["empirical_constant"] - want) <= 1e-14 * want
+
+
+def test_tail_l1_sweep_out_to_4500_sigma_stays_finite():
+    """kappa = 0.01 takes the sweep to s = 45/kappa = 4500, where sinh(s/2sigma) overflows.
+
+    The textbook form in complex arithmetic, whose cosh(s/sigma) overflows
+    to inf harmlessly there, gives 3.2258226248007995 on the default grids.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report, = angular_tail_l1_scan(ConeConfig(1.0, 1.0, 0.01), SweepGrids(1, 1, 1))
+    assert math.isfinite(report.empirical_constant) and report.passed
+    assert report.empirical_constant == pytest.approx(3.2258226248007995, rel=1e-12)

@@ -91,31 +91,38 @@ def tail_rounding_bound(s, theta, cfg):
 
     Input: the winding angles (theta +- pi)/sigma are formed in floats, each
     off by at most 2u (|theta| + pi)/sigma, which moves S by |dS/dphi| times
-    that.  Formula: every factor of the half-angle form is correct to a few
-    ulps of its magnitude M (|sinh z| for real z, cosh(Re z) for complex z,
-    where (e^z - e^{-z})/2 is exact only to ulps of |e^z| + |e^{-z}|; the
-    arguments s/2sigma and alpha s carry a relative rounding that exp turns
-    into u |s| at most).  Each half is N/D with N and D sums of such products,
-    so it moves by at most the roundings on its path (fewer than 32) times
-    u (1 + |s|) M_N/|D| (1 + M_D/|D|).
+    that.  Formula: each half is N/D, both scaled by e^{-s/sigma}, with
+    N = 2i sign sinh(alpha s) e^{-s/sigma} (shrink - sin^2(phi/2))
+        + cosh(alpha s) e^{-s/sigma} sin phi,
+    D = shrink^2 + sin^2(phi/2) e^{-s/sigma},  shrink = (1 - e^{-s/sigma})/2.
+    Its exps carry their arguments' relative rounding, u |s| at most
+    (alpha, 1/sigma <= 1).  Every factor is then correct to a few ulps of
+    (1 + |s|) times its magnitude M: its own modulus for real s, where expm1
+    gives 1 - e^{-s/sigma} and 1 - e^{-2 alpha s}; for complex s, where
+    they are e^x - 1, the modulus of e^x plus that of e^x - 1.  N and D are
+    sums of products of such factors, so each half moves by at most the
+    roundings on its path (fewer than 32) times u (1 + |s|) M_N/|D| (1 + M_D/|D|).
     """
     u = 2.0 ** -53
     with mpmath.workdps(50):
         sg, al, th = mpmath.mpf(cfg.sigma), mpmath.mpf(cfg.alpha), mpmath.mpf(theta)
         s_mp = mpmath.mpc(s) if isinstance(s, complex) else mpmath.mpf(s)
         phis = ((th + mpmath.pi) / sg, -(th - mpmath.pi) / sg)
-        z, w = s_mp / (2 * sg), al * s_mp
+        back_al, lead, decay = mpmath.exp(-al * s_mp), mpmath.exp((al - 1 / sg) * s_mp), mpmath.exp(-s_mp / sg)
+        if isinstance(s, complex):
+            mag_shrink = (abs(decay - 1) + abs(decay)) / 2
+            mag_sinh = abs(lead) * (abs(back_al ** 2 - 1) + abs(back_al) ** 2) / 2
+        else:
+            mag_shrink, mag_sinh = abs(1 - decay) / 2, abs(lead * (1 - back_al ** 2)) / 2
+        mag_cosh = abs(lead) + mag_sinh
+        shrink = (1 - decay) / 2
 
-        def mag_sinh(x):
-            return abs(mpmath.sinh(x)) if isinstance(s, float) else mpmath.cosh(mpmath.re(x))
-
-        scale = mpmath.exp(-mpmath.re(w)) * mpmath.sin(al * mpmath.pi)
+        scale = abs(back_al) * mpmath.sin(al * mpmath.pi)
         for phi in phis:
             sq = mpmath.sin(phi / 2) ** 2
-            den = abs(mpmath.sinh(z) ** 2 + sq)
-            num_mag = (mpmath.cosh(mpmath.re(w)) * abs(mpmath.sin(phi))
-                       + 2 * mag_sinh(w) * (mag_sinh(z) * mpmath.exp(-mpmath.re(z)) + sq))
-            scale += num_mag / (4 * den) * (1 + (mag_sinh(z) ** 2 + sq) / den)
+            den = abs(shrink ** 2 + sq * decay)
+            num_mag = mag_cosh * abs(mpmath.sin(phi)) + 2 * mag_sinh * (mag_shrink + sq)
+            scale += num_mag / (4 * den) * (1 + (mag_shrink ** 2 + sq * abs(decay)) / den)
         slope = (abs(mpmath.diff(lambda x: mp_schrodinger_tail(s_mp, x, phis[1], cfg), phis[0]))
                  + abs(mpmath.diff(lambda x: mp_schrodinger_tail(s_mp, phis[0], x, cfg), phis[1])))
         want = complex(mp_schrodinger_tail(s_mp, *phis, cfg))
@@ -136,6 +143,18 @@ def test_schrodinger_angular_tail_vs_mpmath_at_the_removable_corner(cfg, s):
             got = complex(schrodinger_angular_tail(np.array([s]), theta, cfg)[0])
             want, bound = tail_rounding_bound(s, theta, cfg)
             assert abs(got - want) <= bound, (d, phi, got, want, bound)
+
+
+@pytest.mark.parametrize("alpha, s", [(0.01, 2000.0), (0.01, 4500.0),  # the tail-l1 sweep's last panel at kappa = 0.01
+                                      (0.95, 4000.0), (0.95, complex(4000.0, -0.5 * math.pi))])  # cosh(alpha s) overflows
+def test_schrodinger_angular_tail_far_out_is_finite_and_correct(alpha, s):
+    """sinh(s/2sigma) and cosh(alpha s) overflow past s ~ 1420 sigma and 710/alpha; the tail's scaled factors do not."""
+    cfg = ConeConfig(1.0, 1.0, alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = complex(schrodinger_angular_tail(np.array([s]), 0.3, cfg)[0])
+    want, bound = tail_rounding_bound(s, 0.3, cfg)
+    assert abs(got - want) <= bound, (got, want, bound)
 
 
 @pytest.mark.parametrize("sigma", [1.0, 1.5, 2.0])
@@ -410,6 +429,12 @@ def test_schrodinger_closed_at_the_kernel_points_case_0_0401_from_a_boundary():
     """One benchmark kernel point (theta -3.10147, 0.0401 from -pi) whose closed form once hit the node cap."""
     p, q = ConePoint(2.0779379115418646, 7.834637297722077), ConePoint(0.5785829789792208, 3.8658977986715484)
     assert_closed_matches_the_series_without_a_warning(1.7345446794734158, p, q, ConeConfig(2.0, 0.5, 0.3))
+
+
+def test_schrodinger_closed_at_the_tip_is_zero_like_the_series():
+    """rho = 0 (p at r = 0): at kappa = 0.01 a contour's line would run past s = 710, where exp(s) overflows."""
+    p, q = ConePoint(0.0, 0.3), ConePoint(1.0, 0.0)
+    assert_closed_matches_the_series_without_a_warning(0.9, p, q, ConeConfig(1.0, 1.0, 0.01))
 
 
 def test_schrodinger_time_reversal(cfg):
