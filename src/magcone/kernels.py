@@ -157,11 +157,21 @@ def _tail_trig(theta, sg: float):
     One angle takes math's sin, a third of numpy's cost on a scalar; an
     array takes numpy's, which agrees with math's to the bit on the angles
     tested, so a node's value does not depend on which nodes share the call.
+    An array's sines are taken once per run of equal neighbouring angles
+    and repeated along the run: a walk's nodes come grouped by panel, so
+    the tail-l1 sweep takes four sines per angle, not per node.
     """
     if np.ndim(theta) == 0:
-        sin = math.sin
-    else:
-        theta, sin = np.asarray(theta, dtype=float), np.sin
+        return _winding_sines(theta, sg, math.sin)
+    theta = np.asarray(theta, dtype=float)
+    flat = theta.ravel()
+    first = np.flatnonzero(np.diff(flat, prepend=math.nan) != 0.0)  # where each run starts
+    run = np.diff(first, append=flat.size)
+    sines = np.repeat(np.stack(_winding_sines(flat[first], sg, np.sin)), run, axis=1)
+    return tuple(row.reshape(theta.shape) for row in sines)
+
+
+def _winding_sines(theta, sg: float, sin):
     phi_plus, phi_minus = (theta + math.pi) / sg, -((theta - math.pi) / sg)
     return sin(phi_plus), sin(phi_plus / 2.0), sin(phi_minus), sin(phi_minus / 2.0)
 

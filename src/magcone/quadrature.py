@@ -137,16 +137,27 @@ def oscillatory_bessel_tail(f_analytic, rho: float, decay_rate: float, tol: floa
     call, each leg's panels mapping their real parameter onto the path.
     f_analytic, elementwise in s, is called once per level on the segment's
     nodes as floats and once on the drop's and the line's as complex, so
-    the segment can take real arithmetic.  Every complex node has
-    Re s >= s0 >= 0.5, so f_analytic may build its hyperbolic functions of
-    complex s from exponentials, as (e^s + e^{-s})/2 or e^s - 1, without
-    cancellation.
+    the segment can take real arithmetic.
+
+    The segment runs through one oscillation of the phase rho (cosh s - 1),
+    s0 = acosh(1 + 2 pi / rho) kept in [0.5, 6].  That covers the
+    stationary point s = 0; past it the drop turns the oscillation into
+    decay, |e^{-i rho cosh(s0 - i v)}| = e^{-rho sinh(s0) sin v}, at most
+    e^{-2 pi} at its foot (rho sinh s0 >= 2 pi unless the cap 6 holds, at
+    rho < 0.032, where the phase turns less than once on [0, 6] anyway).
+    Following more oscillations on the real axis only adds panels: each leg
+    takes about one panel per oscillation, and a drop from a higher s0
+    crosses rho cosh(s0) / 2 pi of them (13 top-level panels at rho = 1
+    against 30 for ten oscillations).  The floor 0.5 keeps every complex
+    node at Re s >= s0 >= 0.5, so f_analytic may build its hyperbolic
+    functions of complex s from exponentials, as (e^s + e^{-s})/2 or
+    e^s - 1, without cancellation.
     """
     rho = float(rho)
     if rho < 0.0:
         # e^{+i rho cosh s}: conjugate path; handled by conjugating the whole problem
         raise QuadratureError("oscillatory_bessel_tail expects rho >= 0")
-    s0 = min(max(0.5, math.acosh(1.0 + 20.0 * math.pi / max(rho, 1e-12))), 6.0)
+    s0 = min(max(0.5, math.acosh(1.0 + 2.0 * math.pi / max(rho, 1e-12))), 6.0)
 
     # real segment s = u, apportioned so each panel spans O(2 pi) of phase
     n_a = max(4, int(math.ceil(rho * (math.cosh(s0) - 1.0) / (2.0 * math.pi))) + 4)

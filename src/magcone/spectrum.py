@@ -348,13 +348,14 @@ def _csv_body(rows: np.ndarray) -> str:
     """The rows as %.17g CSV lines.
 
     Tables repeat most values (grid coordinates, mode indices), so each
-    distinct float64 bit pattern is formatted once and the lines are
-    assembled from those strings.
+    distinct float64 bit pattern is formatted once, all in one %-format,
+    and the cells are gathered from those strings through an object array.
     """
     bits, inverse = np.unique(rows.view(np.uint64).ravel(), return_inverse=True)
-    text = ["%.17g" % v for v in bits.view(float).tolist()]
+    values = bits.view(float).tolist()
+    text = np.array((("%.17g\n" * len(values)) % tuple(values)).split("\n")[:-1], dtype=object)
     line = ",".join(["%s"] * rows.shape[1]) + "\n"
-    return (line * rows.shape[0]) % tuple([text[i] for i in inverse.tolist()])
+    return (line * rows.shape[0]) % tuple(text[inverse].tolist())
 
 
 def write_csv(path: str | Path, header, rows, what: str, *, append: bool = False) -> Path:

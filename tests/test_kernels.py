@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate, special as sp
 
 from magcone import kernels
-from magcone.errors import QuadratureError, SingularTimeError, WindowTooSmallError
+from magcone.errors import NonconvergenceError, QuadratureError, SingularTimeError, WindowTooSmallError
 from magcone.geometry import ConeConfig, ConePoint, make_point
 from magcone.kernels import (
     halfwave_kernel_grid,
@@ -164,6 +164,18 @@ def test_tail_trig_of_an_angle_array_has_the_bits_of_each_angle_alone(sigma):
     got = np.array(kernels._tail_trig(thetas, sigma))
     want = np.array([kernels._tail_trig(float(theta), sigma) for theta in thetas]).T
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1.5, 2.0])
+def test_tail_trig_of_runs_of_equal_angles_has_the_bits_of_each_angle_alone(sigma, rng):
+    """A walk's nodes come in runs of one angle, whose sines are taken once; -0.0 and 0.0 share a run."""
+    thetas = np.concatenate((rng.uniform(-sigma * math.pi, sigma * math.pi, 40), [0.0, -0.0, 0.0]))
+    nodes = np.repeat(thetas, rng.integers(1, 100, thetas.size))
+    nodes = nodes[:nodes.size // 2 * 2].reshape(-1, 2)
+    got = np.array(kernels._tail_trig(nodes, sigma))
+    want = np.array([kernels._tail_trig(float(theta), sigma) for theta in nodes.ravel()]).T.reshape(got.shape)
+    assert np.array_equal(got, want)
+    assert [v.shape for v in kernels._tail_trig(np.empty(0), sigma)] == [(0,)] * 4
 
 
 def test_schrodinger_tail_l1_and_envelope(cfg):
@@ -423,6 +435,45 @@ def test_schrodinger_closed_near_an_image_boundary_matches_the_series(cfg, d):
     tb = 0.9
     p, q = make_point(cfg, 1.4, tb - (math.pi - d)), make_point(cfg, 0.9, 0.0)
     assert_closed_matches_the_series_without_a_warning(tb / cfg.b0, p, q, cfg)
+
+
+# the worst |closed - series| / |series| at each rho over the reference configs and the four angles
+# below, with a real segment of ten oscillations; one oscillation moves single cases by ~1e-15
+SCHRODINGER_CLOSED_ERR = {1e-3: 5.7e-15, 0.02: 3.1e-15, 0.3: 2.9e-15, 1.0: 1.8e-15,
+                          4.0: 2.8e-14, 15.0: 5.0e-14, 50.0: 1.6e-14}
+
+
+@pytest.mark.parametrize("rho", sorted(SCHRODINGER_CLOSED_ERR))
+def test_schrodinger_closed_bracket_keeps_its_error_against_the_series(cfg, rho):
+    """A generic angle and angles 1e-2, 1e-4 and 1e-8 off a boundary, within a quarter more than the table."""
+    for theta in (0.7, math.pi - 1e-2, math.pi - 1e-4, math.pi - 1e-8):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bracket, _ = kernels._closed_angular_bracket(cfg, rho, theta)
+            series = reduced_kernel(rho, theta, cfg)
+        assert abs(cfg.sigma * bracket - series) <= 1.25 * SCHRODINGER_CLOSED_ERR[rho] * abs(series), theta
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the walk has no node budget, so it ends at the node cap "
+                                        "after 3 million tail nodes")
+def test_schrodinger_closed_at_rho_200_1e_4_from_a_boundary_matches_the_series_or_refuses_early(monkeypatch):
+    """sigma = 1: a value within 1e-12 of the series, or a refusal within 100,000 nodes (converging walks take < 10,000)."""
+    cfg, theta = ConeConfig(1.0, 1.0, 0.25), math.pi - 1e-4
+    nodes = []
+    tail = kernels.schrodinger_angular_tail
+
+    def counted(s, *args):
+        nodes.append(np.size(s))
+        return tail(s, *args)
+
+    monkeypatch.setattr(kernels, "schrodinger_angular_tail", counted)
+    try:
+        bracket, _ = kernels._closed_angular_bracket(cfg, 200.0, theta)
+    except NonconvergenceError:
+        assert sum(nodes) <= 100_000
+        return
+    series = reduced_kernel(200.0, theta, cfg)
+    assert abs(cfg.sigma * bracket - series) <= 1e-12 * abs(series)
 
 
 def test_schrodinger_closed_at_the_kernel_points_case_0_0401_from_a_boundary():

@@ -132,7 +132,8 @@ def oracle_oscillatory_bessel_tail(f_analytic, rho: float, decay_rate: float, to
     -i rho cosh s is pure decay.  f_analytic(s) takes complex s.
     """
     rho = float(rho)
-    s0 = min(max(0.5, math.acosh(1.0 + 20.0 * math.pi / max(rho, 1e-12))), 6.0)
+    # the production drop point: one oscillation of phase on the real segment
+    s0 = min(max(0.5, math.acosh(1.0 + 2.0 * math.pi / max(rho, 1e-12))), 6.0)
 
     # real segment, apportioned so each panel spans O(2 pi) of phase
     n_a = max(4, int(math.ceil(rho * (math.cosh(s0) - 1.0) / (2.0 * math.pi))) + 4)
@@ -390,6 +391,20 @@ def test_oscillatory_tail_bitwise_matches_three_leg_oracle(i_cfg, rho, theta, to
     f = lambda s: np.exp(-1j * rho * np.cosh(np.asarray(s, dtype=complex))) * schrodinger_angular_tail(s, theta, cfg)
     assert_bitwise(quadrature.oscillatory_bessel_tail(f, rho, rate, tol),
                    oracle_oscillatory_bessel_tail(f, rho, rate, tol))
+
+
+def test_contour_at_rho_1_walks_13_top_level_panels(cfg, monkeypatch):
+    """One oscillation of real segment: 6 segment, 6 drop and 1 line panel (ten oscillations took 30)."""
+    sizes = []
+    engine = quadrature.adaptive_panel
+
+    def counted(f, a, b, tol):
+        sizes.append(np.size(a))
+        return engine(f, a, b, tol)
+
+    monkeypatch.setattr(quadrature, "adaptive_panel", counted)
+    kernels._closed_angular_bracket(cfg, 1.0, 0.7)
+    assert sizes == [13]
 
 
 @pytest.mark.parametrize("theta", [-2.9, -1.0, 0.03, 1.7, 3.1])
