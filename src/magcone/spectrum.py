@@ -213,7 +213,6 @@ def expand(
         )
     theta = _angular_nodes(cfg, quad.n_theta)
     coeffs = np.zeros(window.shape, dtype=complex)
-    ms = window.m_values
 
     for ik, k in enumerate(window.k_values):
         a = float(angular_order(cfg, k))
@@ -221,13 +220,9 @@ def expand(
         r = np.sqrt(2.0 * u / cfg.b0)
         samples = np.asarray(f(r[:, None], theta[None, :]), dtype=complex)
         fk = samples @ np.exp(-1j * (k / cfg.sigma) * theta) / quad.n_theta
-
-        # node factors: weight * exp(u/2 - (a/2) ln u + (a/2) ln(2/b0)), in log space
-        g = np.exp(np.log(w) + u / 2.0 - (a / 2.0) * np.log(u) + (a / 2.0) * math.log(2.0 / cfg.b0))
-        polys = normalized_laguerre_rows(a, window.m_max, u)
-        log_norm = log_norm_sq(cfg, k, ms)
-        pref = math.sqrt(cfg.period) / cfg.b0 * np.exp(-0.5 * log_norm)
-        coeffs[ik] = pref * (polys @ (g * fk))
+        # the rule's weight function u^a e^{-u} divided out; period / b0 from the angular mean and r dr = du / b0
+        weights = np.exp(np.log(w) + u - a * np.log(u)) * cfg.period / cfg.b0
+        coeffs[ik] = radial_profiles(cfg, k, window.m_max, r) @ (weights * fk)
     return SpectralField(window=window, coeffs=coeffs)
 
 

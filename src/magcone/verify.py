@@ -4,12 +4,10 @@ Every proved inequality becomes a sweep: evaluate the quantity the proof
 bounds over a deterministic grid, report the empirical constant, and check
 that it saturates under nested grid refinement (ratio <= 1.05).  "Bounded"
 is operationalized as refinement saturation because the underlying proofs
-give finiteness without numeric constants.  The dispersive-family,
-Gaussian-heat and half-wave sweeps evaluate their fine grid only: the
-coarse grid is its nodes at even indices on every axis, bit for bit, so
-the coarse sup is read from the fine values there.  The tail-L1 and
-reduced-kernel scans run their own coarse pass, whose grid also differs
-from the fine one in tolerance or in rho_max.
+give finiteness without numeric constants.  Every refinement sweep
+evaluates its fine grid only: the coarse grid is its nodes at even indices
+on every axis, bit for bit, so the coarse sup is read from the fine values
+there, and each of the five sup sweeps' ratios is at least 1.
 
 Dispersive-type constants are reported in reduced-kernel units, i.e. as
 sup of rho^{-gamma} |sum_k e^{i k delta / sigma} I_{a_k}(i rho)| over the
@@ -75,7 +73,9 @@ class SweepGrids:
     A sweep's coarse grid is self and its fine grid refined(): the pair
     sweeps' times, radii and base angles are refined()'s at even indices,
     and so are the half-wave sweep's 3 n_radius radii among its
-    6 n_radius - 1.
+    6 n_radius - 1, the tail-L1 scan's 8 n_angle angles among its
+    16 n_angle - 1, and the reduced-kernel scan's n_rho radii and
+    8 n_angle deltas among its 2 n_rho - 1 and 16 n_angle - 1.
 
     Sizes below 1, or past _CELL_CAP cells in a sweep's largest array,
     raise DomainError.  Those arrays are the reduced-kernel scan's fine
@@ -377,8 +377,8 @@ def gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) ->
 # ---------------------------------------------------------------------------
 
 def reduced_kernel_bound_scan(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) -> list[SweepReport]:
-    """sup over rho in [0, rho_max], |delta| <= _SCAN_DELTA, with rho_max grown
-    until the sup moves < 1% per doubling."""
+    """sup over rho in [0, rho_max], |delta| <= _SCAN_DELTA, with rho_max grown from 12.5 until
+    the coarse sup moves < 1% per doubling; each doubling evaluates the fine grid only."""
     t0 = time.perf_counter()
 
     def abs_kernel(rho_max: float, n_rho: int, n_delta: int):
@@ -390,10 +390,10 @@ def reduced_kernel_bound_scan(cfg: ConeConfig, grids: SweepGrids = SweepGrids())
     coarse = float(abs_kernel(rho_max, n_rho, 8 * grids.n_angle)[2].max())
     for _ in range(_SCAN_DOUBLINGS):
         rho_max, n_rho, last = 2.0 * rho_max, 2 * n_rho, coarse
-        coarse = float(abs_kernel(rho_max, n_rho, 8 * grids.n_angle)[2].max())
+        rho, delta, mat = abs_kernel(rho_max, 2 * n_rho - 1, 16 * grids.n_angle - 1)
+        coarse = float(mat[::2, ::2].max())
         if abs(coarse - last) < 0.01 * coarse:
             break
-    rho, delta, mat = abs_kernel(rho_max, 2 * n_rho - 1, 16 * grids.n_angle - 1)
     fine = float(mat.max())
     ratio, passed = _refinement(coarse, fine)
     rows = np.column_stack([delta, rho[mat.argmax(axis=1)], mat.max(axis=1)])
@@ -407,28 +407,22 @@ def reduced_kernel_bound_scan(cfg: ConeConfig, grids: SweepGrids = SweepGrids())
 # ---------------------------------------------------------------------------
 
 def angular_tail_l1_scan(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) -> list[SweepReport]:
-    """sup over theta of int_0^inf |S(s, theta)| ds (finite, boundary-uniform)."""
+    """sup over theta of int_0^inf |S(s, theta)| ds (finite, boundary-uniform): one walk, a row of panels per angle."""
     t0 = time.perf_counter()
     s_hi = 45.0 / flux_distance(cfg)
-
     edges = np.concatenate([np.linspace(0.0, 2.0, 9), np.geomspace(2.0, s_hi, 12)])
     n_panels = edges.size - 1
-
-    def sweep(n_theta: int, tol: float):
-        """int_0^inf |S(s, theta)| ds at each angle: one adaptive_panel call, a row of panels per angle."""
-        thetas = np.linspace(-0.5 * cfg.period + 0.03, 0.5 * cfg.period, n_theta)
-        f = lambda s, panel: np.abs(schrodinger_angular_tail(s, thetas[panel // n_panels], cfg))
-        rows = np.broadcast_to(edges, (n_theta, edges.size))
-        values = adaptive_panel(f, rows[:, :-1], rows[:, 1:], tol)
-        return [(th, float(np.real(sum(row)))) for th, row in zip(thetas, values)]
-
-    rows_c = sweep(8 * grids.n_angle, 1e-9)
-    rows_f = sweep(16 * grids.n_angle - 1, 1e-10)
-    c = max(v for _, v in rows_c)
-    cf = max(v for _, v in rows_f)
-    ratio, passed = _refinement(c, cf)
-    spec = f"theta x {16 * grids.n_angle - 1} over one period, adaptive quadrature to 1e-10"
-    return [_report("tail-l1", cfg, spec, cf, ratio, passed, _ms_since(t0), ("theta", "l1_norm"), rows_f)]
+    n_theta = 16 * grids.n_angle - 1
+    thetas = np.linspace(-0.5 * cfg.period + 0.03, 0.5 * cfg.period, n_theta)
+    f = lambda s, panel: np.abs(schrodinger_angular_tail(s, thetas[panel // n_panels], cfg))
+    rows = np.broadcast_to(edges, (n_theta, edges.size))
+    values = adaptive_panel(f, rows[:, :-1], rows[:, 1:], 1e-10)
+    l1 = np.array([float(np.real(sum(row))) for row in values])
+    cf = float(l1.max())
+    ratio, passed = _refinement(float(l1[::2].max()), cf)
+    spec = f"theta x {n_theta} over one period, adaptive quadrature to 1e-10"
+    return [_report("tail-l1", cfg, spec, cf, ratio, passed, _ms_since(t0),
+                    ("theta", "l1_norm"), np.column_stack([thetas, l1]))]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Refinement sweeps read their coarse sup from the fine grid's nodes at even indices.
 
-SweepGrids.refined() has 2n - 1 nodes per axis, and the half-wave sweep 6n - 1
-radii against 3n, so each coarse grid is its fine grid at even indices.  The
-tests check that nesting bit for bit on every input the coarse pass used to
-build, that each coarse sup read from the fine values agrees with a direct
-evaluation on the coarse grid to 1e-14 relative, and that the
-dispersive-family and Gaussian-heat ratios, a max over a set divided by the
-max over a subset of it, are at least 1.
+SweepGrids.refined() has 2n - 1 nodes per axis, the half-wave sweep 6n - 1
+radii against 3n, and the tail-L1 and reduced-kernel scans 16 n_angle - 1
+angles against 8 n_angle and 2 n_rho - 1 radii against n_rho, so each coarse
+grid is its fine grid at even indices.  The tests check that nesting bit for
+bit on every input the coarse pass used to build, that each coarse sup read
+from the fine values agrees with a direct evaluation on the coarse grid to
+1e-14 relative, that each sup sweep's ratio, a max over a set divided by the
+max over a subset of it, is at least 1, and that a maximum planted off the
+coarse grid is skipped by the coarse sup.
 """
 
 import math
@@ -47,6 +49,14 @@ def test_coarse_inputs_are_the_fine_inputs_at_even_indices(cfg, grids):
         r_max = min(2.5 + 2.0 ** j * math.pi / (2.0 * cfg.b0), 10.0)
         assert _same_bits(np.linspace(0.25, r_max, 6 * grids.n_radius - 1)[::2],
                           np.linspace(0.25, r_max, 3 * grids.n_radius))
+    n_angle = 8 * grids.n_angle  # the tail-L1 angles and the reduced-kernel scan's deltas
+    assert _same_bits(np.linspace(-0.5 * cfg.period + 0.03, 0.5 * cfg.period, 2 * n_angle - 1)[::2],
+                      np.linspace(-0.5 * cfg.period + 0.03, 0.5 * cfg.period, n_angle))
+    assert _same_bits(np.linspace(-verify._SCAN_DELTA, verify._SCAN_DELTA, 2 * n_angle - 1)[::2],
+                      np.linspace(-verify._SCAN_DELTA, verify._SCAN_DELTA, n_angle))
+    for i in range(1, verify._SCAN_DOUBLINGS + 1):  # the scan's radii at every rho_max a doubling reaches
+        n_rho = 40 * grids.n_radius * 2 ** i
+        assert _same_bits(np.linspace(0.0, 12.5 * 2 ** i, 2 * n_rho - 1)[::2], np.linspace(0.0, 12.5 * 2 ** i, n_rho))
 
 
 @pytest.mark.parametrize("grids", GRIDS, ids=GRID_IDS)
@@ -175,3 +185,83 @@ def test_gaussian_heat_coarse_sup_skips_the_nodes_off_the_coarse_grid(cfg, axis,
     assert len(calls) == fine.n_time
     assert rep.empirical_constant == pytest.approx(2.0, rel=1e-12)
     assert rep.refinement_ratio == pytest.approx(2.0, rel=1e-12)
+
+
+def _spy(monkeypatch, name: str, calls: list):
+    """Record each call of verify.<name> with its arguments and result."""
+    fn = getattr(verify, name)
+
+    def spy(*args):
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(verify, name, spy)
+
+
+@pytest.mark.parametrize("grids", GRIDS, ids=GRID_IDS)
+def test_tail_l1_reads_its_coarse_sup_from_the_one_walk(cfg, grids, monkeypatch):
+    """The walk's rows at even indices are, bit for bit, a walk over the coarse angles alone."""
+    calls = []
+    _spy(monkeypatch, "adaptive_panel", calls)
+    (rep,) = verify.angular_tail_l1_scan(cfg, grids)
+    (((f, lo, hi, tol), _),) = calls
+    assert (lo.shape[0], tol) == (16 * grids.n_angle - 1, 1e-10)
+    thetas, l1 = rep.csv_rows.T
+    n_panels = lo.shape[1]
+    coarse = thetas[::2]
+    direct = verify.adaptive_panel(
+        lambda s, panel: np.abs(kernels.schrodinger_angular_tail(s, coarse[panel // n_panels], cfg)),
+        lo[::2], hi[::2], 1e-10)
+    assert _same_bits(l1[::2], [float(np.real(sum(row))) for row in direct])
+    assert rep.refinement_ratio == rep.empirical_constant / l1[::2].max()
+    assert rep.refinement_ratio >= 1.0
+
+
+def test_reduced_kernel_scan_reads_its_coarse_sup_from_the_fine_matrix(cfg, monkeypatch):
+    """Two kernel calls on a reference config: the coarse baseline at rho_max = 12.5 and the fine grid at 25."""
+    grids = SweepGrids()
+    calls = []
+    _spy(monkeypatch, "reduced_kernel_matrix", calls)
+    (rep,) = verify.reduced_kernel_bound_scan(cfg, grids)
+    assert [args[0].size for args, _ in calls] == [40 * grids.n_radius, 160 * grids.n_radius - 1]
+    assert [args[0][-1] for args, _ in calls] == [12.5, 25.0]
+    (rho, delta, _), mat = calls[-1]
+    sub = float(np.abs(mat[::2, ::2]).max())
+    assert _close(sub, float(np.abs(kernels.reduced_kernel_matrix(rho[::2], delta[::2], cfg)).max()))
+    assert rep.empirical_constant == float(np.abs(mat).max())
+    assert rep.refinement_ratio == rep.empirical_constant / sub
+    assert rep.refinement_ratio >= 1.0
+
+
+def test_tail_l1_coarse_sup_skips_the_angles_off_the_coarse_grid(cfg, monkeypatch):
+    """Each angle's integral planted as 2 at odd indices and 1 at even ones: the ratio reads 2."""
+    calls = []
+
+    def planted(f, lo, hi, tol):
+        calls.append(tol)
+        values = np.zeros(lo.shape)
+        values[:, 0] = 1.0 + np.arange(lo.shape[0]) % 2
+        return values
+
+    monkeypatch.setattr(verify, "adaptive_panel", planted)
+    (rep,) = verify.angular_tail_l1_scan(cfg, SweepGrids(3, 4, 6))
+    assert calls == [1e-10]
+    assert (rep.empirical_constant, rep.refinement_ratio) == (2.0, 2.0)
+
+
+@pytest.mark.parametrize("axis", ["rho", "delta"])
+def test_reduced_kernel_coarse_sup_skips_the_cells_off_the_coarse_grid(cfg, axis, monkeypatch):
+    """|K| planted as 2 at odd indices along one axis of the fine grid and 1 elsewhere: the ratio reads 2."""
+    calls = []
+
+    def planted(rho, delta, cone):
+        calls.append(rho[-1])
+        mat = np.ones((delta.size, rho.size), dtype=complex)
+        if len(calls) > 1:  # the fine grids; the coarse baseline holds 1 only
+            mat[(slice(None), slice(1, None, 2)) if axis == "rho" else slice(1, None, 2)] = 2.0
+        return mat
+
+    monkeypatch.setattr(verify, "reduced_kernel_matrix", planted)
+    (rep,) = verify.reduced_kernel_bound_scan(cfg, SweepGrids(3, 4, 6))
+    assert calls == [12.5, 25.0]
+    assert (rep.empirical_constant, rep.refinement_ratio) == (2.0, 2.0)

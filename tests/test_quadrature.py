@@ -426,8 +426,8 @@ def test_subordination_rows_bitwise_match_oracle(use_oracle):
 
 
 def test_tail_l1_rows_bitwise_match_oracle(use_oracle, cfg):
-    """Both passes of the sweep, every angle x 20 panels in one engine call, against one recursion per panel."""
-    grids = verify.SweepGrids(n_angle=2)  # the fine pass walks 31 angles x 20 panels: two walk groups
+    """The sweep's one pass, every angle x 20 panels in one engine call, against one recursion per panel."""
+    grids = verify.SweepGrids(n_angle=2)  # the pass walks 31 angles x 20 panels: two walk groups
     assert (16 * grids.n_angle - 1) * 20 > quadrature._WALK_PANELS
     new = verify.angular_tail_l1_scan(cfg, grids)[0]
     old = use_oracle(verify.angular_tail_l1_scan, cfg, grids)[0]
@@ -526,7 +526,7 @@ def test_float_stop_in_a_later_walk_group_names_its_panel():
 
 
 def test_one_engine_call_per_contour_and_per_sweep_pass(monkeypatch):
-    """The Schrodinger contour's three legs share one call, and so does each pass of a sweep."""
+    """The Schrodinger contour's three legs share one call, and so does each sweep's one pass."""
     calls = []
     engine = quadrature.adaptive_panel
 
@@ -547,7 +547,7 @@ def test_one_engine_call_per_contour_and_per_sweep_pass(monkeypatch):
     p, q = make_point(cfg, 1.1, 0.9), make_point(cfg, 0.7, 0.4)
     assert count(schrodinger_kernel_closed, t, p, q, cfg) == 1
     assert count(heat_kernel_closed, t, p, q, cfg) == 1
-    assert count(verify.angular_tail_l1_scan, cfg) == 2  # the coarse and the fine pass
+    assert count(verify.angular_tail_l1_scan, cfg) == 1  # the fine pass; the coarse sup is read from it
     assert count(verify.subordination_identity_check) == 1
 
 

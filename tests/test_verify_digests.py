@@ -8,7 +8,8 @@ A change that moves digits rewrites the file with
 
     PYTHONPATH=src python tests/test_verify_digests.py
 
-and lists each changed digest in CHANGES.md.
+which prints each config/file whose digest it rewrites, with the first 16
+hex digits before and after, for the change to list in CHANGES.md.
 """
 
 import hashlib
@@ -66,6 +67,12 @@ def test_verify_all_is_byte_identical_to_the_recorded_digests(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory() as scratch:
-        DIGESTS.write_text(json.dumps(verify_all_digests(Path(scratch)), indent=1, sort_keys=True) + "\n",
-                           encoding="utf-8")
+        got = verify_all_digests(Path(scratch))
+    for cfg in sorted(recorded.keys() | got.keys()):
+        for name in sorted(recorded.get(cfg, {}).keys() | got.get(cfg, {}).keys()):
+            before, after = recorded.get(cfg, {}).get(name, "-"), got.get(cfg, {}).get(name, "-")
+            if before != after:
+                print(f"{cfg}/{name}: {before[:16]} -> {after[:16]}")
+    DIGESTS.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
