@@ -36,6 +36,7 @@ from .geometry import ConeConfig, ConePoint, angular_difference, flux_distance
 from .lpbesov import _shell_mode_lists, make_cutoff
 from .quadrature import adaptive_panel, gauss_legendre_rule, oscillatory_bessel_tail
 from .spectrum import (
+    _PHASE_DIGITS,
     ModeWindow,
     _radial_rows,
     _require_phase_digits,
@@ -418,14 +419,17 @@ def heat_closed_bracket_grid(x_vec: np.ndarray, theta_vec: np.ndarray, t: float,
 # ---------------------------------------------------------------------------
 
 def _schrodinger_time(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) -> tuple[float, float, complex]:
-    """(rho, theta, prefactor) of the pair, after the check both Schrodinger representations share.
+    """(rho, theta, prefactor) of the pair, after the checks both Schrodinger representations share.
 
-    A non-finite t raises DomainError, and |sin(t b0)| < _SIN_GUARD raises
-    SingularTimeError.
+    A non-finite t, or a phase |t b0| >= 2^52 whose e^{i t b0} has no
+    significant digit, raises DomainError, and |sin(t b0)| < _SIN_GUARD
+    raises SingularTimeError.
     """
     if not math.isfinite(t):
         raise DomainError(f"Schrodinger kernel needs a finite t, got {t}")
     tb = t * cfg.b0
+    if abs(tb) >= _PHASE_DIGITS:
+        raise DomainError(f"Schrodinger kernel: phase up to {abs(tb):.6g} has no significant digit (|t b0| >= 2^52)")
     sin_tb = math.sin(tb)
     if abs(sin_tb) < _SIN_GUARD:
         raise SingularTimeError(
@@ -502,10 +506,16 @@ def schrodinger_kernel_closed(t: float, p: ConePoint, q: ConePoint, cfg: ConeCon
 # ---------------------------------------------------------------------------
 
 def _reduced_args(rho, delta) -> tuple[np.ndarray, np.ndarray]:
-    """rho and delta as float arrays; DomainError unless every rho is finite and >= 0 and every delta finite."""
+    """rho and delta as float arrays; DomainError unless every rho is finite and >= 0 and every delta finite.
+
+    A finite delta with |delta| >= 2^52 raises DomainError too: e^{i k delta / sigma} has no significant digit there.
+    """
     rho, delta = np.asarray(rho, dtype=float), np.asarray(delta, dtype=float)
     if not (np.all((0.0 <= rho) & (rho < math.inf)) and np.isfinite(delta).all()):
         raise DomainError("reduced kernel needs a finite rho >= 0 and a finite delta")
+    if (np.abs(delta) >= _PHASE_DIGITS).any():
+        raise DomainError(f"reduced kernel: delta up to {float(np.abs(delta).max()):.6g} "
+                          "has no significant digit (|delta| >= 2^52)")
     return rho, delta
 
 

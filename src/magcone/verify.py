@@ -232,40 +232,38 @@ def _coarse_pairs(grids: SweepGrids) -> np.ndarray:
     return np.flatnonzero((iu % 2 == 0) & (ju % 2 == 0))
 
 
-def _dispersive_grid(cfg: ConeConfig, grids: SweepGrids) -> list:
-    """Per time, (t, rho, delta, |K|) over the induced grid; |K| is (delta, rho), rho ~ r1 r2 (_pair_grid)."""
-    rr, dth = _pair_grid(cfg, grids)
-    grid = []
-    for t in _time_grid(grids, cfg):
-        rho = cfg.b0 * rr / (2.0 * math.sin(t * cfg.b0))  # t b0 in [0.35, pi - 0.3]: |sin| >= 0.29
-        delta = t * cfg.b0 - dth
-        grid.append((t, rho, delta, np.abs(reduced_kernel_matrix(rho, delta, cfg))))
-    return grid
+def _dispersive_grid(cfg: ConeConfig, grids: SweepGrids) -> tuple[np.ndarray, ...]:
+    """(t[t], rho[t, pair], delta[t, angle], |K|[t, angle, pair]) over the induced grid, laid out [t, angle, pair].
 
-
-def _grid_table(blocks, n_rows: int, n_cols: int) -> np.ndarray:
-    """Rows (t, x, angle, then one column per value matrix), ordered by t, then angle, then x.
-
-    blocks yields (t, x, angle, mats) per time, each mat of shape
-    (len(angle), len(x)); each block is written as it comes.
+    rho ~ r1 r2 runs over the unordered radius pairs (_pair_grid); one reduced_kernel_matrix call per time.
     """
-    rows = np.empty((n_rows, n_cols))
-    lo = 0
-    for t, x, angle, mats in blocks:
-        block = rows[lo:lo + angle.size * x.size]
-        block[:, 0] = t
-        block[:, 1] = np.tile(x, angle.size)
-        block[:, 2] = np.repeat(angle, x.size)
-        for i, mat in enumerate(mats, 3):
-            block[:, i] = mat.ravel()
-        lo += len(block)
-    return rows
+    rr, dth = _pair_grid(cfg, grids)
+    ts = _time_grid(grids, cfg)
+    # t b0 in [0.35, pi - 0.3]: |sin| >= 0.29
+    rho = np.array([cfg.b0 * rr / (2.0 * math.sin(t * cfg.b0)) for t in ts])
+    delta = ts[:, None] * cfg.b0 - dth
+    return ts, rho, delta, np.array([np.abs(reduced_kernel_matrix(r, d, cfg)) for r, d in zip(rho, delta)])
 
 
-def _split_sups(grid: list, gamma: float) -> tuple[float, float, float]:
+def _grid_table(t: np.ndarray, x: np.ndarray, angle: np.ndarray, *values: np.ndarray) -> np.ndarray:
+    """Rows (t, x, angle, then one column per value array), ordered by t, then angle, then x.
+
+    Each value array is laid out [t, angle, x]; x and angle hold one row per
+    time, [t, x] and [t, angle], or one row shared by every time.
+    """
+    rows = np.empty(values[0].shape + (3 + len(values),))
+    rows[..., 0] = t[:, None, None]
+    rows[..., 1] = x[..., None, :]
+    rows[..., 2] = angle[..., None]
+    for i, value in enumerate(values, 3):
+        rows[..., i] = value
+    return rows.reshape(-1, rows.shape[-1])
+
+
+def _split_sups(grid: tuple, gamma: float) -> tuple[float, float, float]:
     """sup of rho^-gamma |K| over the grid, over rho >= 1 and over rho < 1 (0 on an empty part)."""
-    rho = np.concatenate([r for _, r, _, _ in grid])
-    weighted = np.concatenate([(mat * r[None, :] ** (-gamma)).max(axis=0) for _, r, _, mat in grid])
+    _, rho, _, mat = grid
+    weighted = (mat * rho[:, None, :] ** (-gamma)).max(axis=1)
     return tuple(float(w.max()) if w.size else 0.0
                  for w in (weighted, weighted[rho >= 1.0], weighted[rho < 1.0]))
 
@@ -295,8 +293,9 @@ def weighted_dispersive_constant(cfg: ConeConfig, gammas: tuple[float, ...],
         _require_gamma(cfg, gamma)
     names = [f"weighted-g{g:.4g}" for g in gammas]
     sweeps = [("dispersive", 0.0, ("",))] + [(name, g, ("", "/omega1", "/omega2")) for name, g in zip(names, gammas)]
-    fine, pairs = _dispersive_grid(cfg, grids.refined()), _coarse_pairs(grids)
-    coarse = [(t, rho[pairs], delta[::2], mat[::2, pairs]) for t, rho, delta, mat in fine[::2]]
+    ts, rho, delta, mat = fine = _dispersive_grid(cfg, grids.refined())
+    pairs = _coarse_pairs(grids)
+    coarse = (ts[::2], rho[::2, pairs], delta[::2, ::2], mat[::2, ::2, pairs])
     results = []
     for name, gamma, suffixes in sweeps:
         spec = (f"t x r x dtheta = {grids.n_time} x {grids.n_radius}^2 x {grids.n_angle}, "
@@ -304,8 +303,7 @@ def weighted_dispersive_constant(cfg: ConeConfig, gammas: tuple[float, ...],
         for suffix, c, cf in zip(suffixes, _split_sups(coarse, gamma), _split_sups(fine, gamma)):
             results.append((name + suffix, spec, cf, *_refinement(c, cf)))
     header = ("t", "rho", "delta", "abs_series", *names)
-    blocks = ((t, rho, delta, (mat, *(mat * rho[None, :] ** (-g) for g in gammas))) for t, rho, delta, mat in fine)
-    table = _grid_table(blocks, sum(mat.size for *_, mat in fine), len(header))
+    table = _grid_table(ts, rho, delta, mat, *(mat * rho[:, None, :] ** (-g) for g in gammas))
     runtime_ms = _ms_since(t0)
     return [_report(name, cfg, spec, cf, ratio, passed, runtime_ms, *((header, table) if i == 0 else ()))
             for i, (name, spec, cf, ratio, passed) in enumerate(results)]
@@ -351,25 +349,22 @@ def gaussian_heat_constant(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) ->
     # best-image angle per dtheta: the geodesic uses cos(theta_red), or -1 past pi
     red = np.abs(np.remainder(dth + cfg.period / 2.0, cfg.period) - cfg.period / 2.0)
     cosfac = np.where(red < math.pi, np.cos(red), -1.0)
-
-    def blocks():
-        for t in ts:
-            tb = t * cfg.b0
-            x = cfg.b0 * rr / (2.0 * math.sinh(tb))
-            bracket = np.abs(heat_closed_bracket_grid(x, dth, t, cfg))
-            raw = cfg.b0 / (4.0 * math.pi) * bracket  # |K| sinh e^{+Q}
-            # distance envelope: e^{-Q + b0 d^2/(4 tanh)} = e^{-x cosh(tb) cosfac}
-            yield t, rr, dth, (raw, raw * np.exp(-x[None, :] * math.cosh(tb) * cosfac[:, None]))
-
-    rows_f = _grid_table(blocks(), ts.size * dth.size * rr.size, 5)
-    dist = rows_f[:, 4].reshape(ts.size, dth.size, rr.size)
+    raw = np.empty((ts.size, dth.size, rr.size))
+    dist = np.empty_like(raw)
+    for i, t in enumerate(ts):
+        tb = t * cfg.b0
+        x = cfg.b0 * rr / (2.0 * math.sinh(tb))
+        raw[i] = cfg.b0 / (4.0 * math.pi) * np.abs(heat_closed_bracket_grid(x, dth, t, cfg))  # |K| sinh e^{+Q}
+        # distance envelope: e^{-Q + b0 d^2/(4 tanh)} = e^{-x cosh(tb) cosfac}
+        dist[i] = raw[i] * np.exp(-x[None, :] * math.cosh(tb) * cosfac[:, None])
     c = dist[::2][:, np.isin(dth, _heat_angles(cfg, base[::2]))][:, :, _coarse_pairs(grids)].max()
     cf = dist.max()
     ratio, passed = _refinement(c, cf)
     spec = (f"t geomspace(0.1,5)/b0 x {grids.n_time}, r x {grids.n_radius}^2, "
             f"dtheta x {grids.n_angle}; distance-squared envelope, raw (r1^2+r2^2) variant in CSV")
     header = ("t", "r1r2", "dtheta", "raw_const", "distance_const")
-    return [_report("gaussian-heat", cfg, spec, cf, ratio, passed, _ms_since(t0), header, rows_f)]
+    return [_report("gaussian-heat", cfg, spec, cf, ratio, passed, _ms_since(t0), header,
+                    _grid_table(ts, rr, dth, raw, dist))]
 
 
 # ---------------------------------------------------------------------------

@@ -239,7 +239,7 @@ def test_verify_reproducible_outputs(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["window_k = 40.7", "window_k = inf", "window_k = nan",
-                                  "b0 = inf", "sigma = nan"])
+                                  "b0 = inf", "sigma = nan", "alpha = abc"])
 def test_config_rejects_non_finite_and_fractional_values(tmp_path, capsys, line):
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text(line + "\n")
@@ -249,6 +249,7 @@ def test_config_rejects_non_finite_and_fractional_values(tmp_path, capsys, line)
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and line.split()[0] in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_accepts_integral_float_for_integer_key(tmp_path):
@@ -665,6 +666,37 @@ def test_kernel_repr_default_depends_on_the_kind(tmp_path, capsys, kind, rep, de
     assert run_cli("--json", "--out", str(tmp_path / "b"), "kernel", kind, "--repr", rep, *point) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == unset and list(unset["values"]) == [default]
     assert (tmp_path / "a" / "kernel.csv").read_bytes() == (tmp_path / "b" / "kernel.csv").read_bytes()
+
+
+@pytest.mark.parametrize("action", ["expand", "evolve"])
+def test_spectrum_expand_and_evolve_need_an_input(tmp_path, capsys, action):
+    code = run_cli("--out", str(tmp_path / "o"), "spectrum", action, "--t", "0.5")
+    assert f"spectrum {action} needs --input" in _assert_one_line_error(capsys, code)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text,why", [("r,theta,re,im\n1.0,0.5,1.0\n", ":2: expected r,theta,re,im"),
+                                      ("r,theta,re,im\n1.0,abc,1.0,0.0\n", ":2: bad number"),
+                                      ("", ": empty sample file")],
+                         ids=["three-cells", "non-numeric", "empty"])
+def test_expand_refuses_a_malformed_samples_file(tmp_path, capsys, text, why):
+    samples = tmp_path / "s.csv"
+    samples.write_text(text)
+    code = run_cli("--out", str(tmp_path / "o"), "spectrum", "expand", "--input", str(samples))
+    assert f"{samples}{why}" in _assert_one_line_error(capsys, code)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text,why", [("k,m,re,im\n0,0,1.0,0.0\n", "not a spectral-field CSV (bad header)"),
+                                      ("", "not a spectral-field CSV (bad header)"),
+                                      ("k,m,re_c,im_c\n", "empty coefficient table")],
+                         ids=["bad-header", "empty", "no-rows"])
+def test_spectrum_evolve_refuses_a_field_file_without_a_table(tmp_path, capsys, text, why):
+    field_csv = tmp_path / "field.csv"
+    field_csv.write_text(text)
+    code = run_cli("--out", str(tmp_path / "o"), "spectrum", "evolve", "--input", str(field_csv), "--t", "0.5")
+    assert f"{field_csv}: {why}" in _assert_one_line_error(capsys, code)
+    assert not (tmp_path / "o").exists()
 
 
 def test_expand_refuses_a_negative_sample_radius(tmp_path, capsys):

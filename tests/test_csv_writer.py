@@ -321,11 +321,14 @@ _NO_DIGIT = "has no significant digit"
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv,what", [
     (["kernel", "schrodinger", "--repr", "spectral", *_POINTS, "--t", "1e300"], "schrodinger_multiplier"),
+    (["kernel", "schrodinger", "--repr", "series", *_POINTS, "--t", "1e300"], "Schrodinger kernel"),
+    (["kernel", "schrodinger", "--repr", "closed", *_POINTS, "--t", "1e300"], "Schrodinger kernel"),
     (["spectrum", "evolve", "--mult", "schrodinger", "--t", "1e300"], "schrodinger_multiplier"),
     (["spectrum", "evolve", "--mult", "fractional", "--nu", "2", "--t", "1e300"], "fractional_flow_multiplier"),
     (["spectrum", "evolve", "--mult", "halfwave", "--j", "2", "--t", "1e300"], "_halfwave_multiplier"),
     (["kernel", "halfwave", "--j", "1", *_POINTS, "--t", "1e300"], "halfwave_kernel_grid"),
-], ids=["kernel-schrodinger", "evolve-schrodinger", "evolve-fractional", "evolve-halfwave", "kernel-halfwave"])
+], ids=["kernel-schrodinger", "kernel-schrodinger-series", "kernel-schrodinger-closed", "evolve-schrodinger",
+        "evolve-fractional", "evolve-halfwave", "kernel-halfwave"])
 def test_phase_without_a_significant_digit_exits_2_and_writes_nothing(tmp_path, capsys, argv, what):
     """Every phase is finite at t = 1e300, and each holds no digit: exit 2, one line, nothing written."""
     out = tmp_path / "o"

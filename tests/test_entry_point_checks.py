@@ -46,6 +46,20 @@ def test_heat_entry_points_refuse_the_same_times(cfg, t_of):
     assert len(set(messages)) == 1 and messages[0].startswith("heat kernel needs")
 
 
+@pytest.mark.parametrize("t_of", [lambda cfg: math.nan, lambda cfg: math.inf, lambda cfg: 2.0 ** 52 / cfg.b0,
+                                  lambda cfg: 1e300],
+                         ids=["nan", "inf", "tb2^52", "1e300"])
+def test_schrodinger_entry_points_refuse_the_same_times(cfg, t_of):
+    """A phase t b0 of 2^52 or more holds no digit of e^{i t b0}: both representations refuse it alike."""
+    t = t_of(cfg)
+    p, q = make_point(cfg, 1.0, 0.3), make_point(cfg, 1.2, 1.4)
+    messages = _refusals([lambda: kernels.schrodinger_kernel_series(t, p, q, cfg),
+                          lambda: kernels.schrodinger_kernel_closed(t, p, q, cfg)],
+                         DomainError)
+    assert messages[0] == messages[1]
+    assert ("needs a finite t" if not math.isfinite(t) else "has no significant digit (|t b0| >= 2^52)") in messages[0]
+
+
 def test_closed_forms_refuse_an_angle_on_an_image_boundary(cfg):
     p, q = make_point(cfg, 1.0, math.pi), make_point(cfg, 1.2, 0.0)  # angle gap exactly pi
     t = 0.5 / cfg.b0
@@ -99,6 +113,15 @@ def test_reduced_kernel_entry_points_refuse_the_same_arguments(cfg, rho, delta):
                           lambda: kernels.reduced_kernel_matrix(np.array([0.5, rho]), np.array([delta, 0.1]), cfg)],
                          DomainError)
     assert messages[0] == messages[1] == "reduced kernel needs a finite rho >= 0 and a finite delta"
+
+
+@pytest.mark.parametrize("delta", [2.0 ** 52, -2.0 ** 52, 0.7 + 2.0 * math.pi * 1e15])
+def test_reduced_kernel_entry_points_refuse_a_delta_without_a_significant_digit(cfg, delta):
+    messages = _refusals([lambda: kernels.reduced_kernel(1.3, delta, cfg),
+                          lambda: kernels.reduced_kernel_matrix(np.array([0.5, 1.3]), np.array([delta, 0.1]), cfg)],
+                         DomainError)
+    assert messages[0] == messages[1]
+    assert messages[0].endswith("has no significant digit (|delta| >= 2^52)")
 
 
 # ---------------------------------------------------------------------------

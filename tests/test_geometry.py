@@ -133,6 +133,13 @@ def test_cone_point_rejects_non_finite_and_negative(r, theta):
         ConePoint(r, theta)
 
 
+@pytest.mark.parametrize("sigma", [1.0, 1.5, 2.0])
+def test_make_point_wraps_a_tiny_negative_angle_to_zero(sigma):
+    """-1e-20 + period rounds to the period itself, which lies outside [0, period): the seam maps it to 0."""
+    p = make_point(ConeConfig(sigma, 1.0, 0.25), 1.0, -1e-20)
+    assert p.theta == 0.0
+
+
 def test_make_point_rejects_non_finite():
     cfg = ConeConfig(1.5, 1.0, 0.4)
     with pytest.raises(DomainError):

@@ -483,9 +483,24 @@ def test_schrodinger_closed_at_the_kernel_points_case_0_0401_from_a_boundary():
 
 
 def test_schrodinger_closed_at_the_tip_is_zero_like_the_series():
-    """rho = 0 (p at r = 0): at kappa = 0.01 a contour's line would run past s = 710, where exp(s) overflows."""
-    p, q = ConePoint(0.0, 0.3), ConePoint(1.0, 0.0)
-    assert_closed_matches_the_series_without_a_warning(0.9, p, q, ConeConfig(1.0, 1.0, 0.01))
+    """rho = 0 (p at r = 0): at kappa = 0.01 a contour's line would run past s = 710, where exp(s) overflows.
+
+    The heat pair meets the tip as x = 0; all four kernels return 0 there, with largest_term 0.
+    """
+    p, q, cfg = ConePoint(0.0, 0.3), ConePoint(1.0, 0.0), ConeConfig(1.0, 1.0, 0.01)
+    assert_closed_matches_the_series_without_a_warning(0.9, p, q, cfg)
+    for kernel in (heat_kernel_series, heat_kernel_closed, schrodinger_kernel_series, schrodinger_kernel_closed):
+        kv = kernel(0.9, p, q, cfg)
+        assert kv.value == 0.0 and kv.largest_term == 0.0, kernel.__name__
+
+
+@pytest.mark.parametrize("tb", [math.pi + 0.4, 1.5 * math.pi, 2.0 * math.pi - 0.5, -0.9, -2.0])
+def test_schrodinger_closed_matches_the_series_where_sin_t_b0_is_negative(cfg, tb):
+    """sin(t b0) < 0 gives rho < 0, where the closed form conjugates its bracket at (-rho, -theta)."""
+    assert math.sin(tb) < 0.0
+    for r1, r2, dth in ((1.4, 0.9, 0.7), (0.5, 2.0, 2.1), (1.1, 1.1, -0.4)):
+        assert_closed_matches_the_series_without_a_warning(tb / cfg.b0, make_point(cfg, r1, dth),
+                                                           make_point(cfg, r2, 0.0), cfg)
 
 
 def test_schrodinger_time_reversal(cfg):
@@ -642,6 +657,16 @@ def test_halfwave_multiplier_bound(cfg):
 def test_halfwave_window_too_small(cfg):
     with pytest.raises(WindowTooSmallError):
         halfwave_kernel_grid(3, 0.1, np.array([1.0]), np.array([0.0]), cfg, ModeWindow(10, 5))
+
+
+@pytest.mark.parametrize("cone,window,why", [
+    (ConeConfig(1.0, 1.0, 0.25), ModeWindow(1, 40), "shell j=1 extends past k_max=1 on the k >= 0 side"),
+    (ConeConfig(1.0, 1.0, 0.75), ModeWindow(16, 6), "shell j=1 needs m up to 7 on the degenerate branch"),
+], ids=["k-side", "degenerate-branch-m"])
+def test_halfwave_window_short_of_the_shell_on_either_branch(cone, window, why):
+    """Every k >= 0 mode list fits in m, so the refusal comes from the k range or the k <= -1 branch."""
+    with pytest.raises(WindowTooSmallError, match=why):
+        halfwave_kernel_grid(1, 0.1, np.array([1.0]), np.array([0.0]), cone, window)
 
 
 def test_halfwave_shell_work_bound(cfg):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from magcone.errors import QuadratureError
+from magcone.errors import DomainError, QuadratureError
 from magcone.geometry import ConeConfig, make_point
 from magcone.quadrature import genlaguerre_rule
 from magcone.spectrum import (
@@ -193,6 +193,12 @@ def test_synthesize_empty_and_linear(cfg):
     single = SpectralField(window, coeffs)
     direct = (2.0 + 1.0j) * eigenfunction_at(cfg, 1, 0, p)
     assert field_on_grid(single, [p.r], [p.theta], cfg)[0, 0] == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(5, 2), (3, 5), (6, 3)])
+def test_spectral_field_refuses_a_table_that_does_not_match_its_window(shape):
+    with pytest.raises(DomainError, match=r"coefficient table shape .* != window shape \(5, 3\)"):
+        SpectralField(ModeWindow(2, 2), np.zeros(shape, dtype=complex))
 
 
 def test_spectral_apply_identity_unitarity_semigroup(cfg, rng):
