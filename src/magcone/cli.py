@@ -258,7 +258,7 @@ def _halfwave_multiplier(j: int, t: float):
 
     def multiplier(lam):
         weights = cutoff.shell_weights(j, lam)
-        _require_phase_digits("_halfwave_multiplier", t * np.sqrt(lam[weights != 0.0]))
+        _require_phase_digits("spectral multiplier _halfwave_multiplier", t * np.sqrt(lam[weights != 0.0]))
         return weights * np.exp(1j * t * np.sqrt(lam))
     return multiplier
 

@@ -30,7 +30,6 @@ from .spectrum import (
     point_field,
     random_field,
     signed_order,
-    spectral_apply,
 )
 
 _SHELL_MODE_CAP = 1 << 20  # half-wave shell work bound; j <= 3 holds <= 132k on the reference configs
@@ -180,30 +179,43 @@ def shell_window(j: int, cfg: ConeConfig) -> ModeWindow:
                       m_max=int(math.floor((lam_hi / cfg.b0 - 1.0) / 2.0)) + 1)
 
 
+def _shell_weights(shells, cfg: ConeConfig, window: ModeWindow) -> list[np.ndarray]:
+    """phi(2^-j sqrt(lam)) over the window for each j of shells, all from one eigenvalue table.
+
+    The one shell weighting: every shell piece the package makes has the
+    coefficients field.coeffs * weights, so each keeps shell_project's bits.
+    """
+    lam = eigenvalue_table(cfg, window)
+    return [_CUTOFF.shell_weights(j, lam) for j in shells]
+
+
 def shell_project(field: SpectralField, j: int, cfg: ConeConfig) -> SpectralField:
     """phi(2^-j sqrt(H)) f on the coefficient table."""
-    return spectral_apply(lambda lam: _CUTOFF.shell_weights(j, lam), field, cfg)
+    (weights,) = _shell_weights([j], cfg, field.window)
+    return SpectralField(field.window, field.coeffs * weights)
 
 
 def _shell_norms(field: SpectralField, p: float, cfg: ConeConfig) -> list[tuple[int, float]]:
     """(j, ||shell_j f||_{L^p}) for every shell meeting the field's window.
 
-    p = 2 comes from coefficients; other p synthesize every shell on the
-    evaluation grid in one pass.
+    Every shell weighting comes from one eigenvalue table.  p = 2 comes from
+    coefficients; other p synthesize every shell on the evaluation grid in
+    one pass.
     """
     shells = shell_range(cfg, field.window)
+    pieces = [SpectralField(field.window, field.coeffs * w) for w in _shell_weights(shells, cfg, field.window)]
     if p == 2.0:
-        return [(j, shell_project(field, j, cfg).coefficient_norm()) for j in shells]
+        return [(j, piece.coefficient_norm()) for j, piece in zip(shells, pieces)]
     grid = evaluation_grid(cfg)
-    values = fields_on_grid([shell_project(field, j, cfg) for j in shells], grid.r, grid.theta, cfg)
+    values = fields_on_grid(pieces, grid.r, grid.theta, cfg)
     return [(j, grid.lp_norm(v, p)) for j, v in zip(shells, values)]
 
 
 def _besov(field: SpectralField, s: float, p: float, q: float,
            cfg: ConeConfig) -> tuple[list[tuple[int, float]], float]:
     """The shell norms and their ell^q sum of 2^{js} ||shell_j f||_{L^p}."""
-    if q < 1.0 or p < 1.0:
-        raise DomainError("besov_norm needs p, q >= 1")
+    if not (p >= 1.0 and q >= 1.0 and math.isfinite(s)):
+        raise DomainError(f"besov_norm needs p, q >= 1 and a finite s, got s={s}, p={p}, q={q}")
     pieces = _shell_norms(field, p, cfg)
     if math.isinf(q):
         return pieces, max(2.0 ** (j * s) * n for j, n in pieces)
@@ -233,7 +245,9 @@ def besov_report(field: SpectralField, s: float, p: float, q: float, cfg: ConeCo
 
 
 def sobolev_norm(field: SpectralField, s: float, cfg: ConeConfig) -> float:
-    """Homogeneous Sobolev norm (sum |lambda^{s/2} c|^2)^{1/2}, exact."""
+    """Homogeneous Sobolev norm (sum |lambda^{s/2} c|^2)^{1/2}, exact; a non-finite s raises DomainError."""
+    if not math.isfinite(s):
+        raise DomainError(f"sobolev_norm needs a finite s, got s={s}")
     lam = eigenvalue_table(cfg, field.window)
     return float(np.linalg.norm(lam ** (s / 2.0) * field.coeffs))
 
@@ -265,17 +279,18 @@ def bernstein_ratio(j: int, p: float, q_exp: float, cfg: ConeConfig, window: Mod
 
     if grid is None:
         grid = evaluation_grid(cfg)
+    (weights,) = _shell_weights([j], cfg, window)
     rng = np.random.default_rng(seed)
     fields = [random_field(window, rng) for _ in range(trials)]
     for r0 in (0.35, 0.9, 1.7):
         point = point_field(ConePoint(r0, 0.0), cfg, window)
         fields.append(point)
         # shell-localized variant: the L1-side extremizer shape
-        fields.append(shell_project(point, j, cfg))
+        fields.append(SpectralField(window, point.coeffs * weights))
     inv_q = 0.0 if math.isinf(q_exp) else 1.0 / q_exp
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
     scale = 2.0 ** (2 * j * (inv_q - inv_p))
-    pairs = [g for f in fields for g in (shell_project(f, j, cfg), f)]
+    pairs = [g for f in fields for g in (SpectralField(window, f.coeffs * weights), f)]
     values = fields_on_grid(pairs, grid.r, grid.theta, cfg)  # every trial field lives on the window
     best = 0.0
     for v_piece, v_f in zip(values, values):

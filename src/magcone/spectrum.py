@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
@@ -169,22 +170,55 @@ def radial_profiles(cfg: ConeConfig, k, m_max: int, r) -> np.ndarray:
 _ROW_BLOCK = 1 << 15  # most radial values one _radial_rows block builds: 256 KB of float64
 
 
+def _radial_blocks(cfg: ConeConfig, ks, m_max: int, r) -> Iterator[tuple[slice, np.ndarray]]:
+    """(s, radial_profiles(cfg, ks[s], m_max, r)) for consecutive slices s of the sequence ks, one call per block.
+
+    A block holds at most _ROW_BLOCK values, or one k if its rows alone are more.
+    """
+    step = max(1, _ROW_BLOCK // ((m_max + 1) * max(1, np.size(r))))
+    for lo in range(0, len(ks), step):
+        block = slice(lo, lo + step)
+        yield block, radial_profiles(cfg, np.asarray(ks[block]), m_max, r)
+
+
 def _radial_rows(cfg: ConeConfig, ks, m_max: int, r) -> Iterator[tuple[int, np.ndarray]]:
     """(k, radial_profiles(cfg, k, m_max, r)) for each k of the sequence ks, in order, one call per block of ks.
 
     Each rows is a view into its block: a caller that keeps rows keeps a copy, or it holds the whole block.
     """
-    step = max(1, _ROW_BLOCK // ((m_max + 1) * max(1, np.size(r))))
-    for lo in range(0, len(ks), step):
-        yield from zip(ks[lo:lo + step], radial_profiles(cfg, np.asarray(ks[lo:lo + step]), m_max, r))
+    for block, rows in _radial_blocks(cfg, ks, m_max, r):
+        yield from zip(ks[block], rows)
+
+
+def _require_synthesis_points(ks, r: np.ndarray, theta: np.ndarray, cfg: ConeConfig) -> None:
+    """Refuse with DomainError, naming the first bad value, points the eigenfunctions of modes ks cannot take.
+
+    Each radius must be finite and >= 0 with u = b0 r^2 / 2 finite, each
+    angle finite, and every phase k theta / sigma below 2^52
+    (_require_phase_digits); a phase that overflows counts as the largest
+    float.  The largest u and phase sit at the largest r, |k| and |theta|,
+    so scalars decide, and the arrays are searched only to name a bad value.
+    """
+    r_top = float(r.max(initial=0.0))
+    if not (r.min(initial=0.0) >= 0.0 and cfg.b0 * r_top * r_top / 2.0 < math.inf):
+        with np.errstate(over="ignore"):
+            bad = ~((r >= 0.0) & np.isfinite(cfg.b0 * r * r / 2.0))
+        raise DomainError(f"synthesis needs each radius finite and >= 0, with u = b0 r^2 / 2 finite, "
+                          f"got r = {r[np.argmax(bad)]:g}")
+    theta_top = float(np.abs(theta).max(initial=0.0))
+    if not theta_top < math.inf:
+        raise DomainError(f"synthesis needs each angle finite, got theta = {theta[np.argmax(~np.isfinite(theta))]:g}")
+    if np.size(ks):
+        _require_phase_digits("synthesis", min(float(np.abs(ks).max()) / cfg.sigma * theta_top, sys.float_info.max))
 
 
 def point_field(q: ConePoint, cfg: ConeConfig, window: ModeWindow) -> SpectralField:
     """Coefficients c[k, m] = conj(V_{k,m}(q)): the window's part of the delta at q.
 
     Synthesizing F(H) applied to it at p gives the truncated kernel of F(H)
-    at (p, q).
+    at (p, q).  A q whose radius or phases synthesis refuses raises DomainError.
     """
+    _require_synthesis_points(window.k_values, np.array([q.r]), np.array([q.theta]), cfg)
     rad = radial_profiles(cfg, window.k_values, window.m_max, [q.r])[:, :, 0]
     return SpectralField(window, rad * np.exp(-1j * (window.k_values / cfg.sigma) * q.theta)[:, None])
 
@@ -229,11 +263,16 @@ def expand(
 def fields_on_grid(fields, r, theta, cfg: ConeConfig) -> Iterator[np.ndarray]:
     """Synthesize fields sharing one window on the grid r x theta; yields one grid each, in order.
 
-    Each k's radial_profiles rows are built once if some field is nonzero
-    there and reduced to each such field's radial part V[f, k] = c_k @ rows,
-    so one _radial_rows block is held at a time.  Each grid is then one
-    product V[f].T @ E with the phases E[k, theta] = e^{i k theta / sigma}.
-    Fields on two windows raise DomainError.
+    The ks where some field is nonzero are walked in _radial_blocks' blocks:
+    each block's radial_profiles rows R[k, m, r] are built once, and every
+    field's radial part V[k, f, r] = sum_m c[k, f, m] R[k, m, r] is formed
+    by one batched matmul for the real parts of the coefficients and one
+    for the imaginary parts.  So one block of rows is held at a time.  Each
+    grid is then one product V[:, f].T @ E with the phases
+    E[k, theta] = e^{i k theta / sigma}.  Fields on two windows, a negative
+    or non-finite radius, one whose u = b0 r^2 / 2 overflows, a non-finite
+    angle, or a phase k theta / sigma of 2^52 or more on a live k raise
+    DomainError before any work.
     """
     fields = list(fields)
     if not fields:
@@ -243,14 +282,24 @@ def fields_on_grid(fields, r, theta, cfg: ConeConfig) -> Iterator[np.ndarray]:
         raise DomainError(f"fields_on_grid needs one window, got {sorted({str(f.window) for f in fields})}")
     r = np.atleast_1d(np.asarray(r, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    live = np.array([np.any(f.coeffs, axis=1) for f in fields]).T  # [k][field]
-    iks = np.flatnonzero(live.any(axis=1))
-    radial = np.zeros((len(fields), iks.size, r.size), dtype=complex)  # V[f, k, r]
-    for i, (ik, (_, rows)) in enumerate(zip(iks, _radial_rows(cfg, window.k_values[iks], window.m_max, r))):
-        on = np.flatnonzero(live[ik])
-        radial[on, i] = np.array([fields[f].coeffs[ik] for f in on]) @ rows
-    phase = np.exp(1j * (window.k_values[iks] / cfg.sigma)[:, None] * theta)
-    return (v.T @ phase for v in radial)
+    iks = np.flatnonzero(np.any([np.any(f.coeffs, axis=1) for f in fields], axis=0))
+    ks = window.k_values[iks]
+    _require_synthesis_points(ks, r, theta, cfg)
+    parts = np.empty((2, iks.size, len(fields), r.size))  # real and imaginary radial parts V[k, f, r]
+    for block, rows in _radial_blocks(cfg, ks, window.m_max, r):
+        coeffs = np.empty((rows.shape[0], len(fields), window.m_max + 1))  # c[k, f, m], one part at a time
+        for out, part in zip(parts, (np.real, np.imag)):
+            for i, f in enumerate(fields):
+                coeffs[:, i] = part(f.coeffs)[iks[block]]
+            np.matmul(coeffs, rows, out=out[block])
+    phase = np.exp(1j * (ks / cfg.sigma)[:, None] * theta)
+
+    def grids() -> Iterator[np.ndarray]:
+        v = np.empty((iks.size, r.size), dtype=complex)
+        for i in range(len(fields)):
+            v.real, v.imag = parts[0, :, i], parts[1, :, i]
+            yield v.T @ phase
+    return grids()
 
 
 def field_on_grid(field: SpectralField, r, theta, cfg: ConeConfig) -> np.ndarray:
@@ -299,7 +348,7 @@ _PHASE_DIGITS = 2.0 ** 52  # from here on a float's spacing is >= 1, so phase mo
 
 
 def _require_phase_digits(name: str, phase) -> None:
-    """Refuse a finite phase with |phase| >= 2^52 with DomainError naming the multiplier.
+    """Refuse a finite phase with |phase| >= 2^52 with DomainError naming `name`, the multiplier or function.
 
     e^{i phase} of such a phase has no significant digit.  A phase that
     overflows is left to spectral_apply, which refuses the multiplier as
@@ -307,14 +356,14 @@ def _require_phase_digits(name: str, phase) -> None:
     """
     mag = np.abs(phase)
     if np.isfinite(mag).all() and (mag >= _PHASE_DIGITS).any():
-        raise DomainError(f"spectral multiplier {name}: phase up to {float(mag.max()):.6g} "
+        raise DomainError(f"{name}: phase up to {float(mag.max()):.6g} "
                           f"has no significant digit (|phase| >= 2^52)")
 
 
 def schrodinger_multiplier(t: float):
     """e^{i t lam}; a finite phase t lam of 2^52 or more raises DomainError."""
     def multiplier(lam):
-        _require_phase_digits("schrodinger_multiplier", t * lam)
+        _require_phase_digits("spectral multiplier schrodinger_multiplier", t * lam)
         return np.exp(1j * t * lam)
     return multiplier
 
@@ -322,7 +371,7 @@ def schrodinger_multiplier(t: float):
 def fractional_flow_multiplier(nu: float, t: float):
     """e^{i t lam^nu}; a finite phase t lam^nu of 2^52 or more raises DomainError."""
     def multiplier(lam):
-        _require_phase_digits("fractional_flow_multiplier", t * lam ** nu)
+        _require_phase_digits("spectral multiplier fractional_flow_multiplier", t * lam ** nu)
         return np.exp(1j * t * lam ** nu)
     return multiplier
 

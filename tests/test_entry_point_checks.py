@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from magcone import cli, kernels, lpbesov
+from magcone import cli, kernels, lpbesov, spectrum
 from magcone.errors import DomainError, QuadratureError
-from magcone.geometry import make_point
-from magcone.spectrum import ModeWindow
+from magcone.geometry import ConePoint, make_point
+from magcone.spectrum import ModeWindow, SpectralField
 
 
 def _refusals(calls, error):
@@ -122,6 +122,41 @@ def test_reduced_kernel_entry_points_refuse_a_delta_without_a_significant_digit(
                          DomainError)
     assert messages[0] == messages[1]
     assert messages[0].endswith("has no significant digit (|delta| >= 2^52)")
+
+
+@pytest.mark.parametrize("r,theta,named", [(-1.0, 0.3, "got r = -1"), (math.nan, 0.3, "got r = nan"),
+                                           (math.inf, 0.3, "got r = inf"), (1e200, 0.3, "got r = 1e+200"),
+                                           (0.8, math.nan, "got theta = nan"),
+                                           (0.8, 1e300, "has no significant digit (|phase| >= 2^52)")],
+                         ids=["negative-r", "nan-r", "inf-r", "u-overflows", "nan-theta", "phase-2^52"])
+def test_synthesis_entry_points_refuse_the_same_points(cfg, r, theta, named):
+    """Synthesis refuses the points ConePoint refuses, and a u = b0 r^2 / 2 or a phase that holds no digit.
+
+    The message names the first bad value.  A point ConePoint holds is also
+    refused as either point of spectral_kernel.
+    """
+    window = ModeWindow(4, 3)
+    field = spectrum.random_field(window, np.random.default_rng(2))
+    calls = [lambda: spectrum.fields_on_grid([field, field], [0.5, r], [0.1, theta], cfg),
+             lambda: spectrum.field_on_grid(field, [r, 0.5], [theta], cfg)]
+    if math.isfinite(r) and r >= 0.0 and math.isfinite(theta):
+        point, inside, heat = ConePoint(r, theta), ConePoint(0.5, 0.1), spectrum.heat_multiplier(0.5)
+        calls += [lambda: kernels.spectral_kernel(heat, point, inside, cfg, window),
+                  lambda: kernels.spectral_kernel(heat, inside, point, cfg, window)]
+    else:
+        _refusals([lambda: ConePoint(r, theta)], DomainError)
+    messages = _refusals(calls, DomainError)
+    assert len(set(messages)) == 1 and messages[0].endswith(named)
+
+
+def test_synthesis_takes_any_finite_angle_on_the_k_0_row(cfg):
+    """The phase rule reads the live ks only: on k = 0 alone every phase is 0."""
+    window = ModeWindow(4, 3)
+    coeffs = np.zeros(window.shape, dtype=complex)
+    coeffs[window.k_max] = [0.5, -0.25j, 0.125, 1.0]
+    field = SpectralField(window, coeffs)
+    far, near = (spectrum.field_on_grid(field, [0.7], [theta], cfg)[0, 0] for theta in (1e300, 0.0))
+    assert far == near
 
 
 # ---------------------------------------------------------------------------

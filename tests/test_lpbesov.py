@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from magcone import lpbesov
 from magcone.errors import DomainError
 from magcone.geometry import ConeConfig
 from magcone.lpbesov import (
@@ -22,6 +23,7 @@ from magcone.spectrum import (
     eigenvalue_table,
     field_on_grid,
     random_field,
+    spectral_apply,
 )
 
 
@@ -150,6 +152,62 @@ def test_besov_invalid_exponents(cfg, rng):
     f = random_field(ModeWindow(2, 2), rng)
     with pytest.raises(DomainError):
         besov_norm(f, 0.0, 0.5, 2.0, cfg)
+
+
+@pytest.mark.parametrize("s,p,q", [(math.nan, 2.0, 2.0), (0.0, math.nan, 2.0), (0.0, 2.0, math.nan),
+                                   (0.5, math.nan, math.nan), (math.inf, 4.0, 2.0), (-math.inf, 2.0, 2.0)])
+def test_besov_and_sobolev_refuse_a_nan_or_infinite_exponent(cfg, s, p, q):
+    f = random_field(ModeWindow(3, 3), np.random.default_rng(8))
+    for call in (lambda: besov_norm(f, s, p, q, cfg), lambda: besov_report(f, s, p, q, cfg)):
+        with pytest.raises(DomainError, match="besov_norm needs p, q >= 1 and a finite s"):
+            call()
+    if not math.isfinite(s):
+        with pytest.raises(DomainError, match="sobolev_norm needs a finite s"):
+            sobolev_norm(f, s, cfg)
+
+
+def _spy_fields_on_grid(monkeypatch) -> list:
+    """Record the list of fields each lpbesov fields_on_grid call synthesizes."""
+    seen = []
+    original = lpbesov.fields_on_grid
+
+    def spy(fields, *args):
+        seen.append(list(fields))
+        return original(seen[-1], *args)
+
+    monkeypatch.setattr(lpbesov, "fields_on_grid", spy)
+    return seen
+
+
+def _shell_apply(f, j, cfg):
+    """phi(2^-j sqrt(H)) f as a plain spectral multiplier."""
+    return spectral_apply(lambda lam: make_cutoff().shell_weights(j, lam), f, cfg).coeffs
+
+
+def test_shell_pieces_of_bernstein_and_besov_have_the_bits_of_shell_project(cfg, monkeypatch):
+    seen = _spy_fields_on_grid(monkeypatch)
+    j, trials = 1, 3
+    bernstein_ratio(j, 4.0, 2.0, cfg, _shell_window(cfg, j), trials=trials, seed=2)
+    (pairs,) = seen
+    pieces, fields = pairs[0::2], pairs[1::2]
+    # each field comes after its shell piece; after the random trials, each point field is followed by
+    # its shell-localized variant
+    for f, piece in zip(fields, pieces):
+        assert piece.coeffs.tobytes() == shell_project(f, j, cfg).coeffs.tobytes() == _shell_apply(f, j, cfg).tobytes()
+    for point, local in zip(fields[trials::2], fields[trials + 1::2]):
+        assert local.coeffs.tobytes() == shell_project(point, j, cfg).coeffs.tobytes()
+    seen.clear()
+    field = random_field(ModeWindow(8, 8), np.random.default_rng(11))
+    shells = shell_range(cfg, field.window)
+    besov_report(field, 0.5, 4.0, 2.0, cfg)
+    (pieces,) = seen
+    assert len(pieces) == len(shells) > 1
+    for jj, piece in zip(shells, pieces):
+        assert piece.coeffs.tobytes() == shell_project(field, jj, cfg).coeffs.tobytes()
+        assert piece.coeffs.tobytes() == _shell_apply(field, jj, cfg).tobytes()
+    # p = 2 reads the coefficients: each shell norm is its shell_project piece's, bit for bit
+    assert [n for _, n in lpbesov._shell_norms(field, 2.0, cfg)] == [
+        shell_project(field, jj, cfg).coefficient_norm() for jj in shells]
 
 
 def _shell_window(cfg, j):

@@ -589,22 +589,23 @@ def test_spectral_kernel_matches_mode_loop(cfg):
 # one Besov shell loop
 # ---------------------------------------------------------------------------
 
-def _count_shell_projects(monkeypatch) -> list:
+def _count_shell_weightings(monkeypatch) -> list:
+    """Record each j a shell weighting is formed for; shell_project forms one, a Besov call one per shell."""
     calls = []
-    original = lpbesov.shell_project
+    original = lpbesov._shell_weights
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+    def counted(shells, *args):
+        calls.extend(shells)
+        return original(shells, *args)
 
-    monkeypatch.setattr(lpbesov, "shell_project", counted)
+    monkeypatch.setattr(lpbesov, "_shell_weights", counted)
     return calls
 
 
 @pytest.mark.parametrize("s,p,q", [(0.5, 4.0, 2.0), (0.0, 2.0, 2.0), (-0.3, 2.0, math.inf), (1.0, math.inf, 1.0)])
 def test_besov_matches_oracle_with_half_the_shells(cfg, monkeypatch, norm_bound, s, p, q):
     field = random_field(ModeWindow(8, 8), np.random.default_rng(4))
-    calls = _count_shell_projects(monkeypatch)
+    calls = _count_shell_weightings(monkeypatch)
     report = besov_report(field, s, p, q, cfg)
     n_shells = len(shell_range(cfg, field.window))
     assert len(calls) == n_shells

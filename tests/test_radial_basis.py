@@ -243,21 +243,29 @@ def test_fields_on_grid_of_mixed_fields_matches_oracle_within_rounding(i_cfg, sy
 
 @st.composite
 def _synthesis_case(draw):
-    """(cfg, window, seed, n_fields, r, theta): random radii and non-uniform angles, negative or past the period."""
+    """(cfg, window, seed, n_fields, r, theta, dead): random radii and non-uniform angles, negative or past the period.
+
+    dead holds (field, lo, hi) triples: that field's k rows lo:hi are zero.
+    """
     cfg = REFERENCE_CONFIGS[draw(st.integers(0, 2))]
     window = ModeWindow(draw(st.integers(0, 6)), draw(st.integers(0, 5)))
     r = draw(st.lists(st.floats(0.0, 6.0), max_size=5))
     theta = draw(st.lists(st.floats(-3.0 * cfg.period, 3.0 * cfg.period), max_size=6))
-    return cfg, window, draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(1, 3)), r, theta
+    return cfg, window, draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(1, 3)), r, theta, ()
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=_synthesis_case())
-@example(case=(REFERENCE_CONFIGS[0], ModeWindow(5, 4), 1, 2, [0.8], [-1.3]))  # one point: spectral_kernel
-@example(case=(REFERENCE_CONFIGS[1], ModeWindow(4, 3), 2, 3, [], [0.1, 7.0, -2.0]))
-@example(case=(REFERENCE_CONFIGS[2], ModeWindow(4, 3), 3, 3, [0.0, 1.2], []))
+@example(case=(REFERENCE_CONFIGS[0], ModeWindow(5, 4), 1, 2, [0.8], [-1.3], ()))  # one point: spectral_kernel
+@example(case=(REFERENCE_CONFIGS[1], ModeWindow(4, 3), 2, 3, [], [0.1, 7.0, -2.0], ()))
+@example(case=(REFERENCE_CONFIGS[2], ModeWindow(4, 3), 3, 3, [0.0, 1.2], [], ()))
+# live ks spanning 3 or more _radial_blocks blocks, with fields zero on whole blocks the others fill
+@example(case=(REFERENCE_CONFIGS[1], ModeWindow(6, 40), 4, 3, list(np.linspace(0.0, 9.0, 200)),
+               [0.3, -2.0, 11.0], ((0, 0, 6), (2, 7, 13))))
+@example(case=(REFERENCE_CONFIGS[2], ModeWindow(40, 30), 5, 2, list(np.linspace(0.05, 7.0, 60)),
+               [0.0, 1.1, -5.0, 20.0], ((0, 0, 40), (1, 50, 81))))
 def test_fields_on_grid_of_any_grid_matches_oracle_within_rounding(case, synthesis_bound):
-    cfg, window, seed, n_fields, r, theta = case
+    cfg, window, seed, n_fields, r, theta, dead = case
     r, theta = np.array(r, dtype=float), np.array(theta, dtype=float)
     rng = np.random.default_rng(seed)
     fields = []
@@ -265,6 +273,14 @@ def test_fields_on_grid_of_any_grid_matches_oracle_within_rounding(case, synthes
         coeffs = random_field(window, rng).coeffs.copy()
         coeffs[rng.uniform(size=window.shape[0]) < 0.4] = 0.0  # some all-zero k rows, at times all of them
         fields.append(SpectralField(window, coeffs))
+    for f, lo, hi in dead:
+        fields[f].coeffs[lo:hi] = 0.0
+    if dead:
+        live = np.array([np.any(f.coeffs, axis=1) for f in fields])  # [field, k]
+        iks = np.flatnonzero(live.any(axis=0))
+        step = spectrum._ROW_BLOCK // ((window.m_max + 1) * r.size)
+        blocks = [iks[lo:lo + step] for lo in range(0, iks.size, step)]
+        assert len(blocks) >= 3 and all(any(not live[f, b].any() for b in blocks) for f, _, _ in dead)
     values = list(fields_on_grid(fields, r, theta, cfg))
     assert [v.shape for v in values] == [(r.size, theta.size)] * n_fields
     for f, v in zip(fields, values):
