@@ -33,15 +33,15 @@ from scipy import special as _sp
 
 from .errors import DomainError, NonconvergenceError, QuadratureError, SingularTimeError, WindowTooSmallError
 from .geometry import ConeConfig, ConePoint, angular_difference, flux_distance
-from .lpbesov import _shell_mode_lists, make_cutoff
+from .lpbesov import _shell_table
 from .quadrature import adaptive_panel, gauss_legendre_rule, oscillatory_bessel_tail
 from .spectrum import (
     _PHASE_DIGITS,
     ModeWindow,
     _radial_rows,
     _require_phase_digits,
+    _require_synthesis_points,
     angular_order,
-    eigenvalue,
     field_on_grid,
     point_field,
     spectral_apply,
@@ -648,19 +648,20 @@ def _shell_blocks(j: int, cfg: ConeConfig, window: ModeWindow, r_nodes: np.ndarr
     Returns (blocks, tail), tail being the last row's magnitude over that peak
     (1 if the window holds no k <= -1 row): far above 1e-13, the window cut the branch.
     """
-    cutoff = make_cutoff()
-    pos, neg_ms = _shell_mode_lists(j, cfg, window)
-    blocks = []
-    rows = _radial_rows(cfg, [k for k, _ in pos], max((int(ms.max()) for _, ms in pos), default=0), r_nodes)
-    for (k, ms), (_, rad) in zip(pos, rows):
-        lam = np.asarray(eigenvalue(cfg, k, ms), dtype=float)
-        blocks.append((k, np.sqrt(lam), cutoff.shell_weights(j, lam), rad[ms, :]))
-    tail = 0.0
-    if neg_ms.size:
-        lam_neg = np.asarray(eigenvalue(cfg, -1, neg_ms), dtype=float)
-        sq_neg, w_neg = np.sqrt(lam_neg), cutoff.shell_weights(j, lam_neg)
-        scale, tail = 0.0, 1.0
-        stall = 0
+    lam, weights, mask, branch = _shell_table(j, cfg, window)
+    shell = []  # (k, ms, sqrt(lam), weights) of each k >= 0 row holding shell modes
+    for k, i in enumerate(range(window.k_max, 2 * window.k_max + 1)):
+        ms = np.flatnonzero(mask[i])
+        if ms.size:
+            shell.append((k, ms, np.sqrt(lam[i, ms]), weights[i, ms]))
+    neg_ms = np.flatnonzero(branch)  # every k <= -1 row holds it; at k_max = 0 the row read here is unused
+    sq_neg, w_neg = np.sqrt(lam[window.k_max - 1, neg_ms]), weights[window.k_max - 1, neg_ms]
+    del lam, weights, mask  # the blocks keep copies of their rows only
+    rows = _radial_rows(cfg, [k for k, *_ in shell], max((int(ms.max()) for _, ms, *_ in shell), default=0), r_nodes)
+    blocks = [(k, sq_k, w_k, rad[ms, :]) for (k, ms, sq_k, w_k), (_, rad) in zip(shell, rows)]
+    tail = 1.0 if neg_ms.size else 0.0
+    if neg_ms.size and window.k_max:
+        scale, stall = 0.0, 0
         for k, rad in _radial_rows(cfg, range(-1, -window.k_max - 1, -1), int(neg_ms.max()), r_nodes):
             rad = rad[neg_ms, :]
             mag = float((w_neg[:, None] * np.abs(rad)).max()) ** 2
@@ -718,6 +719,15 @@ def _halfwave_pairs(blocks: list, ts: np.ndarray, dth_nodes: np.ndarray, n_r: in
     return acc
 
 
+def _halfwave_grid(r_nodes, dtheta_nodes, cfg: ConeConfig, window: ModeWindow) -> tuple[np.ndarray, np.ndarray]:
+    """The grid as float arrays; DomainError if it is empty or synthesis refuses a point for some |k| <= k_max."""
+    r_nodes, dtheta_nodes = np.asarray(r_nodes, dtype=float), np.asarray(dtheta_nodes, dtype=float)
+    if not (r_nodes.size and dtheta_nodes.size):
+        raise DomainError(f"half-wave kernel needs a grid, got {r_nodes.size} radii and {dtheta_nodes.size} angle gaps")
+    _require_synthesis_points(window.k_values, r_nodes, dtheta_nodes, cfg)
+    return r_nodes, dtheta_nodes
+
+
 def halfwave_kernel_grid(j: int, t: float, r_nodes: np.ndarray, dtheta_nodes: np.ndarray,
                          cfg: ConeConfig, window: ModeWindow) -> np.ndarray:
     """Frequency-truncated half-wave kernel on a grid of radii and angle gaps.
@@ -725,11 +735,10 @@ def halfwave_kernel_grid(j: int, t: float, r_nodes: np.ndarray, dtheta_nodes: np
     Returns K[i_dtheta, i_r1, i_r2], symmetric in (i_r1, i_r2).  The k <= -1
     Landau branch is truncated by the evaluated radial magnitude on the
     requested radii (see _shell_blocks); a tail still above 1e-10 of its
-    peak at the window edge raises WindowTooSmallError, and t is checked
-    by _halfwave_pairs.
+    peak at the window edge raises WindowTooSmallError.  The grid is checked
+    by _halfwave_grid and t by _halfwave_pairs.
     """
-    r_nodes = np.asarray(r_nodes, dtype=float)
-    dtheta_nodes = np.asarray(dtheta_nodes, dtype=float)
+    r_nodes, dtheta_nodes = _halfwave_grid(r_nodes, dtheta_nodes, cfg, window)
     blocks, tail = _shell_blocks(j, cfg, window, r_nodes)
     if tail > 1e-10:
         raise WindowTooSmallError(
@@ -754,10 +763,11 @@ def halfwave_sup_curve(j: int, ts: np.ndarray, r_nodes: np.ndarray, dtheta_nodes
 
     S.max(axis=(1, 2)) is the sup curve over the whole grid, and
     S[:, ::2, ::2].max(axis=(1, 2)) the one over every other radius.  The
-    shell is assembled once for every time, and each time is checked as
-    halfwave_kernel_grid's t is.  Unlike halfwave_kernel_grid, the k <= -1
+    shell is assembled once for every time; the grid and each time are checked
+    as halfwave_kernel_grid's are.  Unlike halfwave_kernel_grid, the k <= -1
     branch's tail at the window edge is not checked.
     """
+    r_nodes, dtheta_nodes = _halfwave_grid(r_nodes, dtheta_nodes, cfg, window)
     blocks, _ = _shell_blocks(j, cfg, window, r_nodes)
     return _symmetric(np.abs(_halfwave_pairs(blocks, ts, dtheta_nodes, r_nodes.size, cfg)).max(axis=1), r_nodes.size)
 

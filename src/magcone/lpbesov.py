@@ -5,9 +5,10 @@ own dyadic dilates, which makes the partition of unity exact by
 construction and guarantees at most two overlapping shells at any
 frequency.  The package pins one cutoff; this module also holds the shell
 bookkeeping every user of "dyadic shell j" shares: which modes the shell
-holds, the window covering it, and the bound on its size.  Norms operate on SpectralField coefficient tables: L^2
-quantities come straight from coefficients (Parseval), other L^p norms use
-the fixed evaluation grid.
+holds (_shell_table, read off the eigenvalue table its weights come from),
+the window covering it, and the bound on its size.  Norms operate on
+SpectralField coefficient tables: L^2 quantities come straight from
+coefficients (Parseval), other L^p norms use the fixed evaluation grid.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .spectrum import (
     fields_on_grid,
     point_field,
     random_field,
-    signed_order,
 )
 
 _SHELL_MODE_CAP = 1 << 20  # half-wave shell work bound; j <= 3 holds <= 132k on the reference configs
@@ -122,42 +122,26 @@ def _require_shell_bounded(j: int, cfg: ConeConfig) -> None:
                           "past the float range")
 
 
-def _shell_mode_lists(j: int, cfg: ConeConfig, window: ModeWindow):
-    """Modes with sqrt(lambda) inside the dyadic shell (2^{j-1}, 2^{j+1}).
+def _shell_table(j: int, cfg: ConeConfig, window: ModeWindow):
+    """(lam, weights, mask, branch): the window's eigenvalue table, phi(2^-j sqrt(lam)), 4^{j-1} <= lam <= 4^{j+1}.
 
-    Returns [(k, m_array)] for k >= 0 (finite by growth in k) and the shell
-    m-range shared by every k <= -1.  Raises WindowTooSmallError if the
-    window cannot contain the shell, or if the shell holds more than
-    _SHELL_MODE_CAP modes.
+    branch is that mask on the degenerate ladder (2m + 1) b0, m <= m_max, which
+    every k <= -1 row holds, even on a window without such a row.  After
+    _require_shell_bounded, WindowTooSmallError if eigenvalue(k_max + 1, 0)
+    lies below 4^{j+1}, or the ladder's level m_max + 1, the lowest mode past
+    m_max, at or below it.
     """
     _require_shell_bounded(j, cfg)
     lam_lo, lam_hi = 4.0 ** (j - 1), 4.0 ** (j + 1)
-    pos = []
-    for k in range(0, window.k_max + 1):
-        lam0 = float(eigenvalue(cfg, k, 0))
-        if lam0 >= lam_hi:
-            break
-        m_lo = max(0, math.ceil((lam_lo / cfg.b0 - 1.0 - 2.0 * float(signed_order(cfg, k))) / 2.0))
-        m_hi = math.floor((lam_hi / cfg.b0 - 1.0 - 2.0 * float(signed_order(cfg, k))) / 2.0)
-        if m_hi > window.m_max:
-            raise WindowTooSmallError(
-                f"shell j={j} needs m up to {m_hi} at k={k}, window has m_max={window.m_max}"
-            )
-        if m_hi >= m_lo:
-            pos.append((k, np.arange(m_lo, m_hi + 1)))
-    else:
-        if float(eigenvalue(cfg, window.k_max + 1, 0)) < lam_hi:
-            raise WindowTooSmallError(
-                f"shell j={j} extends past k_max={window.k_max} on the k >= 0 side"
-            )
-    m_lo_neg = max(0, math.ceil((lam_lo / cfg.b0 - 1.0) / 2.0))
-    m_hi_neg = math.floor((lam_hi / cfg.b0 - 1.0) / 2.0)
-    if m_hi_neg > window.m_max:
-        raise WindowTooSmallError(
-            f"shell j={j} needs m up to {m_hi_neg} on the degenerate branch, window has m_max={window.m_max}"
-        )
-    neg_ms = np.arange(m_lo_neg, m_hi_neg + 1) if m_hi_neg >= m_lo_neg else np.arange(0)
-    return pos, neg_ms
+    if float(eigenvalue(cfg, window.k_max + 1, 0)) < lam_hi:
+        raise WindowTooSmallError(f"shell j={j} extends past k_max={window.k_max} on the k >= 0 side")
+    ladder = eigenvalue(cfg, -1, np.arange(window.m_max + 2))
+    if ladder[-1] <= lam_hi:
+        raise WindowTooSmallError(f"shell j={j} needs m up to {math.floor((lam_hi / cfg.b0 - 1.0) / 2.0)} "
+                                  f"on the degenerate branch, window has m_max={window.m_max}")
+    lam = eigenvalue_table(cfg, window)
+    return (lam, _CUTOFF.shell_weights(j, lam), (lam_lo <= lam) & (lam <= lam_hi),
+            (lam_lo <= ladder[:-1]) & (ladder[:-1] <= lam_hi))
 
 
 def shell_window(j: int, cfg: ConeConfig) -> ModeWindow:
@@ -275,11 +259,9 @@ def bernstein_ratio(j: int, p: float, q_exp: float, cfg: ConeConfig, window: Mod
     """
     if not (1.0 <= q_exp <= p):
         raise DomainError("bernstein_ratio needs 1 <= q_exp <= p")
-    _shell_mode_lists(j, cfg, window)  # raises unless the window covers the shell
-
+    _, weights, _, _ = _shell_table(j, cfg, window)  # raises unless the window covers the shell
     if grid is None:
         grid = evaluation_grid(cfg)
-    (weights,) = _shell_weights([j], cfg, window)
     rng = np.random.default_rng(seed)
     fields = [random_field(window, rng) for _ in range(trials)]
     for r0 in (0.35, 0.9, 1.7):

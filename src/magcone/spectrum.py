@@ -152,19 +152,19 @@ def radial_profiles(cfg: ConeConfig, k, m_max: int, r) -> np.ndarray:
 
     k is an int or an int array.  The full normalized eigenfunction is R[m, i] * exp(i k theta / sigma);
     the angular normalization 1/sqrt(2 pi sigma) is folded into R.
-    The Laguerre recurrence runs in the at-zero-normalized scale.
+    The Laguerre recurrence runs in the at-zero-normalized scale; where it overflows, at large r,
+    the Gaussian scale is already 0 and so is R, every other value keeping the product's bits.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     a = angular_order(cfg, k)[..., None]
     u = cfg.b0 * r * r / 2.0
-    polys = np.moveaxis(normalized_laguerre_rows(a, m_max, u), 0, -2)
-
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        polys = np.moveaxis(normalized_laguerre_rows(a, m_max, u), 0, -2)
         log_radial = np.where(r > 0.0, a * np.log(np.where(r > 0.0, r, 1.0)), np.where(a > 0, -np.inf, 0.0))
     log_radial = log_radial - u / 2.0 - 0.5 * math.log(cfg.period)
     log_norm = log_norm_sq(cfg, np.asarray(k)[..., None], np.arange(m_max + 1))
     scale = np.exp(log_radial[..., None, :] - 0.5 * log_norm[..., :, None])
-    return np.multiply(polys, scale, out=scale)
+    return np.multiply(polys, scale, out=scale, where=(scale != 0.0) | np.isfinite(polys))
 
 
 _ROW_BLOCK = 1 << 15  # most radial values one _radial_rows block builds: 256 KB of float64
@@ -239,7 +239,8 @@ def expand(
     The angular projection is the exact trapezoid rule on the uniform circle
     grid (spectrally exact for band-limited f); the radial integral uses the
     generalized Gauss-Laguerre rule matched to each mode's order, which is
-    exact whenever f lies in the window's span.
+    exact whenever f lies in the window's span.  A sample that is not finite
+    raises DomainError naming its (r, theta) before it is projected.
     """
     if window.k_max > quad.n_theta // 2 - 1:
         raise QuadratureError(
@@ -253,6 +254,10 @@ def expand(
         u, w = genlaguerre_rule(quad.n_radial, a)
         r = np.sqrt(2.0 * u / cfg.b0)
         samples = np.asarray(f(r[:, None], theta[None, :]), dtype=complex)
+        bad = np.broadcast_to(~np.isfinite(samples), (r.size, theta.size))
+        if bad.any():
+            i, it = np.argwhere(bad)[0]
+            raise DomainError(f"expand needs finite samples, f(r={r[i]:g}, theta={theta[it]:g}) is not finite")
         fk = samples @ np.exp(-1j * (k / cfg.sigma) * theta) / quad.n_theta
         # the rule's weight function u^a e^{-u} divided out; period / b0 from the angular mean and r dr = du / b0
         weights = np.exp(np.log(w) + u - a * np.log(u)) * cfg.period / cfg.b0

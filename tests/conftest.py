@@ -1,13 +1,14 @@
 import contextlib
 import io
+import math
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
-from magcone import cli, kernels, spectrum
-from magcone.errors import QuadratureError
+from magcone import cli, kernels, lpbesov, spectrum
+from magcone.errors import QuadratureError, WindowTooSmallError
 from magcone.geometry import ConeConfig, make_point
 
 REFERENCE = (
@@ -84,6 +85,39 @@ def synthesis_bound():
 def norm_bound():
     """field, p, cfg, grid -> the bound on how far two L^p norms of syntheses of the field lie apart."""
     return _norm_bound
+
+
+def _shell_modes(j, cfg, window):
+    """Brute force: dyadic shell j's modes on the window, each eigenvalue checked against [4^(j-1), 4^(j+1)].
+
+    Returns [(k, m_array)] for the k >= 0 rows holding a shell mode and the
+    m_array of the degenerate ladder (row k = -1, which every k <= -1 row
+    repeats, even when the window has no such row).  Raises
+    WindowTooSmallError when a shell mode lies past k_max on the k >= 0 side
+    or past m_max in a row the window's k range reaches (the ladder counts
+    always); a shell may hold 2^20 modes, so the work cap is checked first.
+    Every mode with eigenvalue <= 4^(j+1) lies in the box searched.
+    """
+    lpbesov._require_shell_bounded(j, cfg)
+    lo, hi = 4.0 ** (j - 1), 4.0 ** (j + 1)
+    k_box = max(window.k_max, math.ceil(hi / cfg.b0 * cfg.sigma / 2.0)) + 1
+    m_box = max(window.m_max, math.ceil(hi / cfg.b0 / 2.0)) + 1
+    inside = {}  # k -> which of the levels m = 0..m_box of row k lie in the shell
+    for k in range(-1, k_box + 1):
+        lam = spectrum.eigenvalue(cfg, k, np.arange(m_box + 1))
+        inside[k] = (lo <= lam) & (lam <= hi)
+    if any(inside[k].any() for k in range(window.k_max + 1, k_box + 1)):
+        raise WindowTooSmallError(f"shell j={j} extends past k_max={window.k_max} on the k >= 0 side")
+    if any(inside[k][window.m_max + 1:].any() for k in range(-1, window.k_max + 1)):
+        raise WindowTooSmallError(f"shell j={j} needs m past m_max={window.m_max}")
+    pos = [(k, np.flatnonzero(inside[k][:window.m_max + 1])) for k in range(window.k_max + 1)]
+    return [(k, ms) for k, ms in pos if ms.size], np.flatnonzero(inside[-1][:window.m_max + 1])
+
+
+@pytest.fixture(scope="session")
+def shell_modes():
+    """j, cfg, window -> the brute-force mode lists of dyadic shell j on the window, or WindowTooSmallError."""
+    return _shell_modes
 
 
 def _grid_refuses(dtheta: float, cfg: ConeConfig) -> bool:

@@ -369,6 +369,30 @@ def test_halfwave_shell_work_bound(tmp_path, capsys, argv):
     assert "modes, above the cap" in err
 
 
+def test_kernel_halfwave_refuses_a_radius_synthesis_refuses(tmp_path, capsys):
+    """r = 1e200 makes u = b0 r^2 / 2 overflow: a one-line DomainError, exit 2, and no CSV."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("--out", str(tmp_path / "o"), "kernel", "halfwave", "--j", "1", "--t", "0.5",
+                       "--p", "1e200,0", "--q", "0.8,2.1")
+    assert "u = b0 r^2 / 2 finite, got r = 1e+200" in _assert_one_line_error(capsys, code)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("window,p", [("window_k = 4\nwindow_m = 128\n", "400,0"), ("", "1e20,0")])
+def test_kernel_heat_spectral_far_from_the_tip_is_zero(tmp_path, window, p):
+    """Past the Gaussian's reach every radial profile is 0, so the truncated kernel is 0, not NaN (exit 4)."""
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(window)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("--config", str(cfgfile), "--out", str(tmp_path / "o"), "kernel", "heat", "--repr", "spectral",
+                       "--t", "0.5", "--p", p, "--q", "0.8,2.1")
+    assert code == EXIT_OK
+    (row,) = list(csv.DictReader((tmp_path / "o" / "kernel.csv").open()))
+    assert float(row["re"]) == 0.0 and float(row["im"]) == 0.0
+
+
 @pytest.mark.parametrize("argv", [
     ["kernel", "halfwave", "--j", "600", "--t", "0.5", "--p", "1.0,0.3", "--q", "0.8,2.1"],
     ["verify", "halfwave", "--j", "600"],

@@ -2,8 +2,9 @@
 
 Holds a statement-for-statement oracle of the earlier per-k einsum grid
 assembly, the degenerate-branch tail check, the shell windows against the
-window cap, the shell weights at extreme dyadic levels, and the rejection of
-non-finite times.
+window cap, the shell table against the brute-force shell_modes oracle, the
+shell weights at extreme dyadic levels, and the rejection of non-finite
+times and of grids synthesis refuses.
 """
 
 import math
@@ -12,19 +13,19 @@ import warnings
 import numpy as np
 import pytest
 
-from magcone import kernels, lpbesov, verify
+from magcone import kernels, lpbesov, spectrum, verify
 from magcone.errors import DomainError, WindowTooSmallError
 from magcone.geometry import ConeConfig, make_point
 from magcone.lpbesov import make_cutoff
 from magcone.spectrum import ModeWindow, eigenvalue, eigenvalue_table, radial_profiles
 
 
-def oracle_halfwave_kernel_grid(j, t, r_nodes, dtheta_nodes, cfg, window):
+def oracle_halfwave_kernel_grid(j, t, r_nodes, dtheta_nodes, cfg, window, shell_modes):
     """The per-k einsum assembly with its own degenerate-branch rule, as it stood before the merge."""
     cutoff = make_cutoff()
     r_nodes = np.asarray(r_nodes, dtype=float)
     dtheta_nodes = np.asarray(dtheta_nodes, dtype=float)
-    pos, neg_ms = lpbesov._shell_mode_lists(j, cfg, window)
+    pos, neg_ms = shell_modes(j, cfg, window)
 
     def k_block(k, ms):
         lam = np.asarray(eigenvalue(cfg, k, ms), dtype=float)
@@ -80,11 +81,11 @@ R_NODES = np.array([0.3, 0.8, 1.4, 2.0])
 
 @pytest.mark.parametrize("j", [1, 2])
 @pytest.mark.parametrize("t", [0.0, 0.7, -1.3])
-def test_grid_matches_einsum_oracle(cfg, j, t):
+def test_grid_matches_einsum_oracle(cfg, j, t, shell_modes):
     dth = np.linspace(-0.5 * cfg.period, 0.5 * cfg.period, 5, endpoint=False) + 0.013
     window = _window(j, cfg)
     grid = kernels.halfwave_kernel_grid(j, t, R_NODES, dth, cfg, window)
-    old = oracle_halfwave_kernel_grid(j, t, R_NODES, dth, cfg, window)
+    old = oracle_halfwave_kernel_grid(j, t, R_NODES, dth, cfg, window, shell_modes)
     assert np.abs(grid - old).max() <= 1e-12 * np.abs(old).max()
     assert np.array_equal(grid, grid.transpose(0, 2, 1))
 
@@ -145,13 +146,13 @@ def test_shell_window_is_the_sweep_window(cfg):
 
 
 @pytest.mark.parametrize("b0,j_lowest", [(1.0, 0), (0.5, -1), (16.0, 2)])
-def test_shell_window_refuses_a_shell_without_modes(b0, j_lowest):
+def test_shell_window_refuses_a_shell_without_modes(b0, j_lowest, shell_modes):
     """The lowest eigenvalue is b0: a shell j with 4^(j+1) <= b0 holds no mode, and the next one does."""
     cfg = ConeConfig(sigma=1.0, b0=b0, alpha=0.25)
     with pytest.raises(DomainError, match="holds no mode"):
         lpbesov.shell_window(j_lowest - 1, cfg)
     window = lpbesov.shell_window(j_lowest, cfg)
-    pos, neg_ms = lpbesov._shell_mode_lists(j_lowest, cfg, window)
+    pos, neg_ms = shell_modes(j_lowest, cfg, window)
     assert sum(ms.size for _, ms in pos) + neg_ms.size > 0
 
 
@@ -210,3 +211,120 @@ def test_kernels_reject_non_finite_time(cfg, t):
 def test_make_point_rejects_non_finite_angle(cfg, theta):
     with pytest.raises(DomainError, match="theta must be finite"):
         make_point(cfg, 1.0, theta)
+
+
+# ---------------------------------------------------------------------------
+# the shell table against the brute-force oracle
+# ---------------------------------------------------------------------------
+
+def _seeded_cones(n):
+    rng = np.random.default_rng(20251021)
+    cones = []
+    for _ in range(n):
+        sigma = float(rng.uniform(1.0, 3.0))
+        cones.append(ConeConfig(sigma, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.02, 0.98)) / sigma))
+    return cones
+
+
+def _windows_around(j, cfg):
+    """Windows at, inside and past shell_window(j, cfg) in each direction, k_max = 0 and 1 among them."""
+    try:
+        shell = lpbesov.shell_window(j, cfg)
+    except DomainError:  # no mode in the shell: any window covers it
+        shell = ModeWindow(3, 3)
+    return sorted({ModeWindow(max(0, shell.k_max + dk), max(0, shell.m_max + dm))
+                   for dk in (-shell.k_max, 1 - shell.k_max, -9, -8, -1, 0, 3)
+                   for dm in (-shell.m_max, -2, -1, 0, 2)}, key=lambda w: (w.k_max, w.m_max))
+
+
+@pytest.mark.parametrize("cone", list(verify.REFERENCE_CONFIGS) + _seeded_cones(5), ids=lambda c: f"s{c.sigma:.3g}-b{c.b0:.3g}")
+def test_shell_table_holds_the_modes_the_oracle_finds(cone, shell_modes):
+    """Mode sets, the degenerate ladder at any k_max, and refusals match a mode-by-mode check of the interval."""
+    refused = 0
+    for j in range(-2, 4):
+        for window in _windows_around(j, cone):
+            try:
+                pos, neg_ms = shell_modes(j, cone, window)
+            except WindowTooSmallError:
+                refused += 1
+                with pytest.raises(WindowTooSmallError):
+                    lpbesov._shell_table(j, cone, window)
+                continue
+            lam, weights, mask, branch = lpbesov._shell_table(j, cone, window)
+            assert np.array_equal(lam, eigenvalue_table(cone, window))
+            (shared,) = lpbesov._shell_weights([j], cone, window)
+            assert np.array_equal(weights.view(np.int64), shared.view(np.int64))
+            rows = [(k, np.flatnonzero(mask[window.k_max + k])) for k in range(window.k_max + 1)]
+            assert [(k, ms.tolist()) for k, ms in rows if ms.size] == [(k, ms.tolist()) for k, ms in pos]
+            assert np.flatnonzero(branch).tolist() == neg_ms.tolist()
+            for k in range(1, window.k_max + 1):  # every k <= -1 row holds the ladder
+                assert np.array_equal(mask[window.k_max - k], branch)
+    assert refused > 0
+
+
+def test_a_window_short_in_m_is_refused_on_the_degenerate_branch():
+    """Short in m on a k >= 0 row and on the ladder below it: the refusal names the degenerate branch."""
+    cfg = ConeConfig(1.0, 1.0, 0.25)
+    window = ModeWindow(16, 2)
+    assert lpbesov._shell_table(1, cfg, lpbesov.shell_window(1, cfg))[2][16, 3]  # mode (0, 3) is in shell 1
+    with pytest.raises(WindowTooSmallError, match="needs m up to 7 on the degenerate branch, window has m_max=2"):
+        lpbesov._shell_table(1, cfg, window)
+
+
+def _eigenvalue_calls(monkeypatch) -> list:
+    """Record (shape of k, shape of m, k, m) for each eigenvalue call, through spectrum or lpbesov."""
+    calls = []
+    original = spectrum.eigenvalue
+
+    def spy(cfg, k, m):
+        calls.append((np.shape(k), np.shape(m), k, m))
+        return original(cfg, k, m)
+
+    monkeypatch.setattr(spectrum, "eigenvalue", spy)
+    monkeypatch.setattr(lpbesov, "eigenvalue", spy)
+    return calls
+
+
+@pytest.mark.parametrize("k_extra", [0, 60])
+def test_shell_blocks_and_bernstein_make_no_per_mode_eigenvalue_call(cfg, monkeypatch, k_extra):
+    """One table, the ladder and one window edge, however wide the window: no walk of scalar eigenvalues."""
+    j = 1
+    shell = lpbesov.shell_window(j, cfg)
+    window = ModeWindow(shell.k_max + k_extra, shell.m_max)
+    calls = _eigenvalue_calls(monkeypatch)
+    kernels._shell_blocks(j, cfg, window, np.array([0.5, 1.0]))
+    blocks_calls, calls[:] = list(calls), []
+    lpbesov.bernstein_ratio(j, math.inf, 2.0, cfg, window, trials=1)
+    for made in (blocks_calls, calls):
+        assert sorted((ks, ms) for ks, ms, _, _ in made) == [((), ()), ((), (window.m_max + 2,)),
+                                                             ((2 * window.k_max + 1, 1), (1, window.m_max + 1))]
+        (edge,) = [(k, m) for ks, ms, k, m in made if ks == ms == ()]
+        assert edge == (window.k_max + 1, 0)  # the one scalar call: the first mode past k_max
+
+
+# ---------------------------------------------------------------------------
+# grids synthesis refuses
+# ---------------------------------------------------------------------------
+
+_SIGMA1 = ConeConfig(1.0, 1.0, 0.25)
+
+
+@pytest.mark.parametrize("r_nodes,dtheta_nodes,why", [
+    ([math.nan, 1.0], [0.1], "each radius finite and >= 0"),
+    ([1.0, -0.5], [0.1], "each radius finite and >= 0"),
+    ([1e200], [0.1], "u = b0 r.2 / 2 finite"),
+    ([1.0], [math.nan], "each angle finite"),
+    ([1.0], [math.inf, 0.1], "each angle finite"),
+    ([1.0], [1e17], "no significant digit"),
+    ([], [0.1], "needs a grid, got 0 radii"),
+    ([1.0], [], "needs a grid, got 1 radii and 0 angle gaps"),
+], ids=["nan-r", "negative-r", "huge-r", "nan-gap", "inf-gap", "phase-2^52", "no-radius", "no-gap"])
+def test_halfwave_refuses_a_grid_synthesis_refuses(monkeypatch, r_nodes, dtheta_nodes, why):
+    """halfwave_kernel_grid and halfwave_sup_curve raise DomainError before any shell work."""
+    window = lpbesov.shell_window(1, _SIGMA1)
+    monkeypatch.setattr(kernels, "_shell_blocks", None)  # a call would fail with TypeError
+    r, dth = np.array(r_nodes, dtype=float), np.array(dtheta_nodes, dtype=float)
+    with pytest.raises(DomainError, match=why):
+        kernels.halfwave_kernel_grid(1, 0.5, r, dth, _SIGMA1, window)
+    with pytest.raises(DomainError, match=why):
+        kernels.halfwave_sup_curve(1, np.array([0.5, 1.0]), r, dth, _SIGMA1, window)

@@ -669,10 +669,10 @@ def test_halfwave_window_short_of_the_shell_on_either_branch(cone, window, why):
         halfwave_kernel_grid(1, 0.1, np.array([1.0]), np.array([0.0]), cone, window)
 
 
-def test_halfwave_shell_work_bound(cfg):
+def test_halfwave_shell_work_bound(cfg, shell_modes):
     """Shells past the mode cap raise before any mode is listed; j <= 3 stays inside it."""
     from magcone.kernels import halfwave_kernel_grid
-    from magcone.lpbesov import _SHELL_MODE_CAP, _shell_mode_lists, bernstein_ratio
+    from magcone.lpbesov import _SHELL_MODE_CAP, bernstein_ratio
 
     huge = ModeWindow(k_max=1023, m_max=2047)  # 2047 x 2048 modes, just inside the window cap
     r = np.array([0.5, 1.0])
@@ -685,5 +685,5 @@ def test_halfwave_shell_work_bound(cfg):
         lam_hi = 4.0 ** (j + 1)
         window = ModeWindow(int(math.ceil(lam_hi / cfg.b0 * cfg.sigma / 2.0)) + 8,
                             int(math.floor((lam_hi / cfg.b0 - 1.0) / 2.0)) + 1)
-        pos, neg_ms = _shell_mode_lists(j, cfg, window)
+        pos, neg_ms = shell_modes(j, cfg, window)
         assert sum(ms.size for _, ms in pos) + neg_ms.size <= _SHELL_MODE_CAP

@@ -28,7 +28,7 @@ from magcone import kernels, quadrature, verify
 from magcone.errors import NonconvergenceError
 from magcone.geometry import make_point
 from magcone.kernels import heat_kernel_closed, schrodinger_angular_tail, schrodinger_kernel_closed
-from magcone.lpbesov import _shell_mode_lists, make_cutoff
+from magcone.lpbesov import make_cutoff
 from magcone.quadrature import adaptive_panel, gauss_legendre_rule
 from magcone.spectrum import ModeWindow, eigenvalue, radial_profiles
 
@@ -72,10 +72,10 @@ def oracle_adaptive_panel(f, a: float, b: float, tol: float, order: int = 16, de
     )
 
 
-def oracle_halfwave_sup_curve(cfg, j, ts, r_nodes, dth_nodes, window):
+def oracle_halfwave_sup_curve(cfg, j, ts, r_nodes, dth_nodes, window, shell_modes):
     """sup_{p,q} |frequency-truncated half-wave kernel| at each time."""
     cutoff = make_cutoff()
-    pos, neg_ms = _shell_mode_lists(j, cfg, window)
+    pos, neg_ms = shell_modes(j, cfg, window)
 
     blocks = []  # (k, sqrt(lam), phi weights, radial matrix)
     for k, ms in pos:
@@ -623,7 +623,7 @@ def test_a_converged_panel_floats_cannot_halve_returns_fine():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("j", [1, 2])
-def test_halfwave_sup_curve_matches_einsum_oracle(cfg, j):
+def test_halfwave_sup_curve_matches_einsum_oracle(cfg, j, shell_modes):
     lam_hi = 4.0 ** (j + 1)
     window = ModeWindow(k_max=int(math.ceil((lam_hi / cfg.b0) * cfg.sigma / 2.0)) + 8,
                         m_max=int(math.floor((lam_hi / cfg.b0 - 1.0) / 2.0)) + 1)
@@ -631,5 +631,5 @@ def test_halfwave_sup_curve_matches_einsum_oracle(cfg, j):
     r_nodes = np.linspace(0.25, 4.0, 6)
     dth = np.linspace(-0.5 * cfg.period, 0.5 * cfg.period, 10, endpoint=False) + 0.013
     new = kernels.halfwave_sup_curve(j, ts, r_nodes, dth, cfg, window).max(axis=(1, 2))
-    old = oracle_halfwave_sup_curve(cfg, j, ts, r_nodes, dth, window)
+    old = oracle_halfwave_sup_curve(cfg, j, ts, r_nodes, dth, window, shell_modes)
     np.testing.assert_allclose(new, old, rtol=1e-13, atol=0.0)

@@ -89,10 +89,10 @@ def oracle_shell_norms(field, p, cfg, grid):
             for j in lpbesov.shell_range(cfg, field.window)]
 
 
-def oracle_bernstein_ratio(j, p, q_exp, cfg, window, trials=8, seed=0, grid=None) -> float:
+def oracle_bernstein_ratio(j, p, q_exp, cfg, window, shell_modes, trials=8, seed=0, grid=None) -> float:
     if not (1.0 <= q_exp <= p):
         raise DomainError("bernstein_ratio needs 1 <= q_exp <= p")
-    lpbesov._shell_mode_lists(j, cfg, window)  # raises unless the window covers the shell
+    shell_modes(j, cfg, window)  # raises unless the window covers the shell
 
     if grid is None:
         grid = evaluation_grid(cfg)
@@ -171,12 +171,12 @@ def _bernstein_interval(j, p, q_exp, cfg, window, trials, seed, norm_bound) -> t
 
 
 @pytest.mark.parametrize("i_cfg,j", _BERNSTEIN_CASES)
-def test_bernstein_ratio_matches_oracle_within_rounding(i_cfg, j, norm_bound):
+def test_bernstein_ratio_matches_oracle_within_rounding(i_cfg, j, norm_bound, shell_modes):
     cfg = REFERENCE_CONFIGS[i_cfg]
     window = shell_window(j, cfg)
     for p, q_exp, seed in ((math.inf, 2.0, 5 + j), (4.0, 1.0, 17)):
         new = bernstein_ratio(j, p, q_exp, cfg, window, trials=2, seed=seed)
-        old = oracle_bernstein_ratio(j, p, q_exp, cfg, window, trials=2, seed=seed)
+        old = oracle_bernstein_ratio(j, p, q_exp, cfg, window, shell_modes, trials=2, seed=seed)
         lo, hi = _bernstein_interval(j, p, q_exp, cfg, window, 2, seed, norm_bound)
         assert lo <= old <= hi and lo <= new <= hi, (p, q_exp, new, old, lo, hi)
 
@@ -466,7 +466,7 @@ def test_shell_blocks_peak_memory_stays_near_the_blocks_it_returns():
 
 
 # ---------------------------------------------------------------------------
-# structure: the radial formula has one caller module
+# structure: the radial formula has one caller module, the shell rule one home
 # ---------------------------------------------------------------------------
 
 def _radial_calls(path: Path) -> list[int]:
@@ -480,3 +480,14 @@ def test_radial_profiles_is_called_only_inside_spectrum():
     callers = {path.stem: _radial_calls(path) for path in PACKAGE.glob("*.py")}
     assert callers.pop("spectrum")
     assert {stem: lines for stem, lines in callers.items() if lines} == {}
+
+
+def test_kernels_reads_its_shells_from_the_shell_table():
+    """kernels computes no eigenvalue or shell weight itself: from lpbesov it imports the shell table alone."""
+    tree = ast.parse((PACKAGE / "kernels.py").read_text(encoding="utf-8"))
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None)) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    assert called.isdisjoint({"eigenvalue", "shell_weights", "make_cutoff"}), called
+    from_lpbesov = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    and node.module == "lpbesov" for alias in node.names]
+    assert from_lpbesov == ["_shell_table"]

@@ -19,6 +19,7 @@ from magcone.spectrum import (
     heat_multiplier,
     load_field,
     log_norm_sq,
+    normalized_laguerre_rows,
     radial_profiles,
     random_field,
     save_field,
@@ -245,3 +246,73 @@ def test_eigenvalue_table_shape(cfg):
     lam = eigenvalue_table(cfg, window)
     assert lam.shape == window.shape
     assert (lam > 0).all()
+
+
+# ---------------------------------------------------------------------------
+# radial profiles at large radii; expand's samples
+# ---------------------------------------------------------------------------
+
+def oracle_radial_profiles(cfg, k, m_max, r):
+    """radial_profiles as it stood before large radii were handled: the plain product polys * scale."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    a = angular_order(cfg, k)[..., None]
+    u = cfg.b0 * r * r / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        polys = np.moveaxis(normalized_laguerre_rows(a, m_max, u), 0, -2)
+    with np.errstate(divide="ignore"):
+        log_radial = np.where(r > 0.0, a * np.log(np.where(r > 0.0, r, 1.0)), np.where(a > 0, -np.inf, 0.0))
+    log_radial = log_radial - u / 2.0 - 0.5 * math.log(cfg.period)
+    log_norm = log_norm_sq(cfg, np.asarray(k)[..., None], np.arange(m_max + 1))
+    scale = np.exp(log_radial[..., None, :] - 0.5 * log_norm[..., :, None])
+    with np.errstate(invalid="ignore"):
+        return polys * scale
+
+
+def test_radial_profiles_are_finite_up_to_r_1e150(cfg):
+    """Past the Gaussian's reach the Laguerre rows overflow while their scale is 0: the profiles are 0, not NaN.
+
+    Every finite value of the plain product keeps its bits, a -0.0 included; no warning is raised.
+    """
+    r = np.concatenate([[0.0], np.geomspace(1.0, 1e150, 61)])
+    ks = np.array([-600, -257, -1, 0, 1, 3, 256, 600])
+    for m_max in (0, 1, 64, 256):
+        rows = radial_profiles(cfg, ks, m_max, r)
+        old = oracle_radial_profiles(cfg, ks, m_max, r)
+        assert np.isfinite(rows).all(), m_max
+        finite = np.isfinite(old)
+        assert finite.all() == (m_max <= 1)  # the plain product is NaN somewhere on this range from m = 64
+        assert np.array_equal(rows[finite].view(np.int64), old[finite].view(np.int64))
+        assert (rows[~finite] == 0.0).all()
+
+
+@pytest.mark.parametrize("window,r_nan", [(ModeWindow(4, 128), 300.0), (ModeWindow(4, 64), 1e5)])
+def test_field_on_grid_is_zero_far_out(window, r_nan):
+    """Where the plain product of rows and scale was NaN, a field is 0; the values nearer in are unchanged."""
+    cfg = ConeConfig(1.0, 1.0, 0.25)
+    field = random_field(window, np.random.default_rng(8))
+    values = field_on_grid(field, [1.0, 2.5, r_nan, 1e150], [0.1, 2.0], cfg)
+    assert np.isfinite(values).all()
+    assert (values[2:] == 0.0).all()
+    np.testing.assert_allclose(values[:2], field_on_grid(field, [1.0, 2.5], [0.1, 2.0], cfg), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_expand_refuses_a_non_finite_sample(cfg, bad):
+    """The first sample that is not finite is named by its (r, theta), before any projection."""
+    window = ModeWindow(2, 2)
+    quad = QuadratureSpec(8, 16)
+    calls = []
+
+    def f(r, theta):
+        calls.append(r)
+        values = np.ones(np.broadcast(r, theta).shape, dtype=complex)
+        values[3, 5] = bad
+        return values
+
+    with pytest.raises(DomainError, match=r"expand needs finite samples, f\(r=[0-9.e+-]+, theta=[0-9.e+-]+\) is not finite"):
+        expand(f, window, cfg, quad)
+    assert len(calls) == 1  # refused at the first mode's samples
+    u, _ = genlaguerre_rule(quad.n_radial, float(angular_order(cfg, -window.k_max)))
+    theta = np.arange(quad.n_theta) * (cfg.period / quad.n_theta)
+    with pytest.raises(DomainError, match=f"r={np.sqrt(2.0 * u / cfg.b0)[3]:g}, theta={theta[5]:g}"):
+        expand(f, window, cfg, quad)
