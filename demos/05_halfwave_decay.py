@@ -22,9 +22,10 @@ window = shell_window(j, cfg)  # the smallest window covering shell j
 t_lo, t_hi = 2.0 ** -j, 2.0 ** j * math.pi / (2.0 * cfg.b0)
 ts = np.geomspace(t_lo, t_hi, 12)
 r_nodes = np.linspace(0.25, 9.0, 30)
-dth = np.linspace(-0.5 * cfg.period, 0.5 * cfg.period, 48, endpoint=False) + 0.013
+# 48 uniform angle gaps -pi sigma + 0.013 + 2 pi sigma n / 48: one FFT per time reads them all
+dtheta0, n_angle = -0.5 * cfg.period + 0.013, 48
 
-sups = halfwave_sup_curve(j, ts, r_nodes, dth, cfg, window).max(axis=(1, 2))  # sup over every radius pair
+sups = halfwave_sup_curve(j, ts, r_nodes, dtheta0, n_angle, cfg, window).max(axis=(1, 2))  # sup over every pair
 print(f"shell j={j}: sqrt(lambda) in (2^{j - 1}, 2^{j + 1}), window "
       f"k_max={window.k_max}, m_max={window.m_max}")
 print(f"{'2^j t':>8}  {'sup|K|':>9}  {'sup * (1+2^j t)^1/2':>20}")

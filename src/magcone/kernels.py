@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +56,9 @@ _HEAT_TB_MAX = 700.0  # past it the heat kernel's factor e^{-t b0} leaves the no
 _HEAT_SHIFT_TB = 50.0  # any value well below 350 works; 50 leaves the t b0 the sweeps use unshifted
 _HEAT_X_MAX = 2.0 ** 30 - 1.0  # scipy's ive(a, x) is NaN from x = 2^30 - 1/2 on
 _BOUNDARY_EPS = 1e-9
-_GRID_BOUNDARY_GAP = 0.01  # heat_closed_bracket_grid's fixed panels keep 5e-13 this far from a boundary
+_GRID_BOUNDARY_GAP = 0.01  # heat_closed_bracket_grid's panels keep 1e-12 of |K| this far from a boundary
 _LADDER_SEED = 1e-300  # start value of each backward Bessel recurrence, near the bottom of the normal range
 _LADDER_GROWTH = 1300.0  # log of the growth allowed from there: values stay below e^(1300 - 690) ~ 1e264
-_HALFWAVE_K_CHUNK = 16  # angular blocks per phase contraction
 _REDUCED_BLOCK_CELLS = 1 << 20  # Bessel values reduced_kernel_matrix builds and contracts at a time
 
 
@@ -375,13 +376,18 @@ def heat_closed_bracket_grid(x_vec: np.ndarray, theta_vec: np.ndarray, t: float,
     Returns M[i_theta, i_x] with K^H = b0 / (4 pi sinh(t b0)) * e^{-Q} * M, from
     heat_kernel_closed's image terms and tail on a shared-node line integral:
     free of the deep cancellation the angular series hits when
-    x (1 - cos theta cosh t b0) is large.  Its fixed graded panels, dense near
-    s = 0 (Laplace peak) and s = t b0 (the tail's pole near an image boundary),
-    keep M within 5e-13 of heat_kernel_closed from 0.01 off a boundary (4.8e-13
-    the worst measured, at 0.02, sigma = 1) but not closer in (7e-3 at 0.001).
+    x (1 - cos theta cosh t b0) is large.  Its 16-point Gauss panels are
+    0.1 wide on [-1.5, 1.5] (Laplace peak), 0.02 wide on t b0 +- 0.8 (the
+    tail's pole near an image boundary) and at most 2 wide out to the tail's
+    reach.  On the three reference configs, from 0.01 off a boundary, M
+    agrees with heat_kernel_closed to 1.1e-13 of |K| for t b0 <= 5, 2.4e-13
+    at 20, 5.6e-13 at 50 and 9.7e-13 from 100 to 700 (3.9e-13 of the largest
+    term), where the pointwise walk's own 1e-12 target is the limit.  Closer
+    in it fails (2.4e-9 at 0.005, 7e-3 at 0.001).
     Before any contraction it refuses an angle within _GRID_BOUNDARY_GAP of a
-    boundary, the t heat_kernel_closed refuses, and an x that is empty or holds
-    a value not finite and > 0.
+    boundary, the t heat_kernel_closed refuses, an x that is empty or holds
+    a value not finite and > 0, and an x past which an image term
+    e^{x cosh(t b0 - i theta_j)} leaves the float range.
     """
     x_vec = np.asarray(x_vec, dtype=float)
     theta_vec = np.asarray(theta_vec, dtype=float)
@@ -389,11 +395,20 @@ def heat_closed_bracket_grid(x_vec: np.ndarray, theta_vec: np.ndarray, t: float,
     if x_vec.size == 0 or not np.all((x_vec > 0.0) & (x_vec < math.inf)):
         raise DomainError("heat_closed_bracket_grid needs a nonempty x, each value finite and > 0")
     images = [image_angles(float(th), cfg, _GRID_BOUNDARY_GAP) for th in theta_vec]
+    # without e^{-Q} an image term e^{x cosh(t b0 - i theta_j)} has modulus e^{x cosh(t b0) cos theta_j}
+    x_top = sys.float_info.max / math.cosh(tb)  # past it x cosh(t b0 - i theta_j) itself overflows
+    for tjs in images:
+        lift = math.cosh(tb) * float(np.cos(tjs).max(initial=0.0))
+        if lift > 0.0:
+            x_top = min(x_top, math.log(sys.float_info.max / tjs.size) / lift)
+    if float(x_vec.max()) > x_top:
+        raise DomainError(f"heat_closed_bracket_grid needs x <= {x_top:.6g} at t b0 = {tb:g} on these angles, "
+                          f"got x = {float(x_vec.max()):g}: past it the image terms leave the float range")
     s_lo, s_hi = _heat_tail_range(float(x_vec.min()), tb, cfg)
     edges = np.unique(np.concatenate([
-        np.linspace(-1.5, 1.5, 61),
+        np.linspace(-1.5, 1.5, 31),
         np.linspace(tb - 0.8, tb + 0.8, 81),
-        np.linspace(s_lo, s_hi, 97),
+        np.linspace(s_lo, s_hi, math.ceil((s_hi - s_lo) / 2.0) + 1),
     ]))
     gl_x, gl_w = gauss_legendre_rule(16)
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -402,7 +417,8 @@ def heat_closed_bracket_grid(x_vec: np.ndarray, theta_vec: np.ndarray, t: float,
     weights = (halfs[:, None] * gl_w[None, :]).ravel()
 
     tail = heat_angular_tail(nodes, weights, theta_vec, t, cfg)
-    envelope = np.exp(-np.outer(np.cosh(nodes), x_vec))
+    with np.errstate(over="ignore"):  # cosh s past the float range: e^{-x cosh s} is 0 there
+        envelope = np.exp(-np.outer(np.cosh(nodes), x_vec))
     integral = np.empty((theta_vec.size, x_vec.size), dtype=complex)  # the envelope is real: two real gemms
     integral.real = tail.real @ envelope
     integral.imag = tail.imag @ envelope
@@ -677,18 +693,18 @@ def _shell_blocks(j: int, cfg: ConeConfig, window: ModeWindow, r_nodes: np.ndarr
     return blocks, tail
 
 
-def _halfwave_pairs(blocks: list, ts: np.ndarray, dth_nodes: np.ndarray, n_r: int, cfg: ConeConfig) -> np.ndarray:
-    """K[t, i_dtheta, pair] for every time at once.
+def _halfwave_products(blocks: list, ts: np.ndarray, n_r: int, cfg: ConeConfig, dtheta0: float = 0.0):
+    """Iterator of (k, P[part, t, pair]), one shell block at a time.
 
-    A t that is not finite, or a phase t sqrt(lam) past the float range on
-    the shell or of 2^52 or more on a mode of nonzero weight, raises
-    DomainError first.  Each block is symmetric in (r_i, r_j), so only the
-    pairs i <= j are formed, in np.triu_indices(n_r) order.  The blocks are
-    contracted _HALFWAVE_K_CHUNK at a time: at the half-wave sweep's 19
-    times, 41 radii (861 pairs) and 32 angles the accumulator holds 8.4 MB
-    and a chunk's pair products 4.2 MB; SweepGrids' cell cap counts the
-    accumulator.  Consecutive blocks holding the same sqrt(lam) and weight
-    arrays (the k <= -1 branch) share one w e^{i t sqrt(lam)}.
+    P[0] and P[1] are the real and imaginary parts of
+    e^{i k dtheta0 / sigma} sum_m w e^{i t sqrt(lam)} V_m(r_i) V_m(r_j), from
+    one real gemm.  t may be complex with Im t >= 0, where e^{i t sqrt(lam)}
+    is damped.  A t that is not finite, or a phase t sqrt(lam) past the float
+    range on the shell or of 2^52 or more on a mode of nonzero weight, raises
+    DomainError here, before any block is formed.  Each block is symmetric in
+    (r_i, r_j), so only the pairs i <= j are formed, in np.triu_indices(n_r)
+    order.  Consecutive blocks holding the same sqrt(lam) and weight arrays
+    (the k <= -1 branch) share one w e^{i t sqrt(lam)}.
     """
     if not np.isfinite(ts).all():
         raise DomainError(f"half-wave kernel needs a finite t, got {ts[~np.isfinite(ts)][0]}")
@@ -700,23 +716,17 @@ def _halfwave_pairs(blocks: list, ts: np.ndarray, dth_nodes: np.ndarray, n_r: in
     _require_phase_digits("halfwave_kernel_grid",
                           t_max * max((float(sq[w != 0.0].max(initial=0.0)) for _, sq, w, _ in blocks), default=0.0))
     iu, ju = np.triu_indices(n_r)
-    acc = np.zeros((ts.size, dth_nodes.size, iu.size), dtype=complex)
-    formed_from = None  # ids of the sqrt(lam) and weight arrays the current weights were formed from
-    for k0 in range(0, len(blocks), _HALFWAVE_K_CHUNK):
-        chunk = blocks[k0:k0 + _HALFWAVE_K_CHUNK]
-        mk = np.empty((ts.size, len(chunk), iu.size), dtype=complex)
-        for i, (k, sq, w, rad) in enumerate(chunk):
+
+    def products():
+        formed_from = None  # ids of the sqrt(lam) and weight arrays the current weights were formed from
+        for k, sq, w, rad in blocks:
             if (id(sq), id(w)) != formed_from:
                 formed_from, weights = (id(sq), id(w)), w * np.exp(1j * ts[:, None] * sq)
+            turned = weights * cmath.exp(1j * (k * dtheta0 / cfg.sigma)) if dtheta0 else weights
             pairs = rad[:, iu]
             pairs *= rad[:, ju]
-            mk[:, i].real = weights.real @ pairs
-            mk[:, i].imag = weights.imag @ pairs
-        ks = np.array([k for k, *_ in chunk], dtype=float)
-        phase = np.exp(1j * np.multiply.outer(dth_nodes, ks / cfg.sigma))
-        for acc_t, mk_t in zip(acc, mk):  # a product over all times at once would need a temporary the size of acc
-            acc_t += phase @ mk_t
-    return acc
+            yield k, (np.concatenate([turned.real, turned.imag]) @ pairs).reshape(2, ts.size, iu.size)
+    return products()
 
 
 def _halfwave_grid(r_nodes, dtheta_nodes, cfg: ConeConfig, window: ModeWindow) -> tuple[np.ndarray, np.ndarray]:
@@ -736,7 +746,9 @@ def halfwave_kernel_grid(j: int, t: float, r_nodes: np.ndarray, dtheta_nodes: np
     Landau branch is truncated by the evaluated radial magnitude on the
     requested radii (see _shell_blocks); a tail still above 1e-10 of its
     peak at the window edge raises WindowTooSmallError.  The grid is checked
-    by _halfwave_grid and t by _halfwave_pairs.
+    by _halfwave_grid and t by _halfwave_products.  Each block's products
+    take their angle phases e^{i k dtheta / sigma} directly, in one gemm, so
+    the gaps may be any finite angles.
     """
     r_nodes, dtheta_nodes = _halfwave_grid(r_nodes, dtheta_nodes, cfg, window)
     blocks, tail = _shell_blocks(j, cfg, window, r_nodes)
@@ -744,8 +756,13 @@ def halfwave_kernel_grid(j: int, t: float, r_nodes: np.ndarray, dtheta_nodes: np
         raise WindowTooSmallError(
             f"degenerate-branch tail still {tail:.2e} of its peak at k=-{window.k_max}; enlarge k_max"
         )
-    (pairs,) = _halfwave_pairs(blocks, np.array([t]), dtheta_nodes, r_nodes.size, cfg)
-    return _symmetric(pairs, r_nodes.size)
+    ks, parts = [], []
+    for k, part in _halfwave_products(blocks, np.array([t]), r_nodes.size, cfg):
+        ks.append(k)
+        parts.append(part[:, 0])
+    parts = np.array(parts).reshape(len(ks), 2, r_nodes.size * (r_nodes.size + 1) // 2)
+    phase = np.exp(1j * np.multiply.outer(dtheta_nodes, np.array(ks, dtype=float) / cfg.sigma))
+    return _symmetric(phase @ (parts[:, 0] + 1j * parts[:, 1]), r_nodes.size)
 
 
 def _symmetric(pairs: np.ndarray, n_r: int) -> np.ndarray:
@@ -757,17 +774,47 @@ def _symmetric(pairs: np.ndarray, n_r: int) -> np.ndarray:
     return out
 
 
-def halfwave_sup_curve(j: int, ts: np.ndarray, r_nodes: np.ndarray, dtheta_nodes: np.ndarray,
-                       cfg: ConeConfig, window: ModeWindow) -> np.ndarray:
-    """S[i_t, i_r1, i_r2] = max over the angle gaps of |frequency-truncated half-wave kernel|; S is symmetric.
+def _halfwave_residues(blocks: list, ts: np.ndarray, dtheta0: float, n_angle: int, n_r: int,
+                       cfg: ConeConfig) -> np.ndarray:
+    """H[part, t, k mod n_angle, pair]: the real and imaginary parts of the sum of the blocks' P_k.
 
-    S.max(axis=(1, 2)) is the sup curve over the whole grid, and
-    S[:, ::2, ::2].max(axis=(1, 2)) the one over every other radius.  The
-    shell is assembled once for every time; the grid and each time are checked
-    as halfwave_kernel_grid's are.  Unlike halfwave_kernel_grid, the k <= -1
-    branch's tail at the window edge is not checked.
+    The blocks' products come from _halfwave_products turned by
+    e^{i k dtheta0 / sigma}.  On the uniform circle
+    dtheta_n = dtheta0 + 2 pi sigma n / n_angle,
+    e^{i k dtheta_n / sigma} = e^{i k dtheta0 / sigma} e^{2 pi i k n / n_angle},
+    so the kernel at the n_angle gaps is the discrete Fourier transform of
+    H[0] + i H[1] over its residue axis.  At the half-wave sweep's 19 times,
+    41 radii (861 pairs) and 32 angles H holds 8.4 MB; SweepGrids' cell cap
+    counts it.
     """
-    r_nodes, dtheta_nodes = _halfwave_grid(r_nodes, dtheta_nodes, cfg, window)
-    blocks, _ = _shell_blocks(j, cfg, window, r_nodes)
-    return _symmetric(np.abs(_halfwave_pairs(blocks, ts, dtheta_nodes, r_nodes.size, cfg)).max(axis=1), r_nodes.size)
+    table = np.zeros((2, ts.size, n_angle, n_r * (n_r + 1) // 2))
+    for k, part in _halfwave_products(blocks, ts, n_r, cfg, dtheta0):
+        table[:, :, k % n_angle] += part
+    return table
 
+
+def halfwave_sup_curve(j: int, ts: np.ndarray, r_nodes: np.ndarray, dtheta0: float, n_angle: int,
+                       cfg: ConeConfig, window: ModeWindow) -> np.ndarray:
+    """S[i_t, i_r1, i_r2] = max over the n_angle gaps dtheta0 + 2 pi sigma n / n_angle of |half-wave kernel|.
+
+    The frequency-truncated half-wave kernel is halfwave_kernel_grid's; S is
+    symmetric.  S.max(axis=(1, 2)) is the sup curve over the whole grid, and
+    S[:, ::2, ::2].max(axis=(1, 2)) the one over every other radius.  The
+    shell is assembled once for every time, from the same per-block products
+    as halfwave_kernel_grid, and each time's angles are read from the residue
+    table (_halfwave_residues) by one FFT.  n_angle must be a whole number;
+    the grid and each time are checked as halfwave_kernel_grid's are.  Unlike
+    halfwave_kernel_grid, the k <= -1 branch's tail at the window edge is not
+    checked.
+    """
+    if not (isinstance(n_angle, numbers.Integral) and n_angle >= 0):
+        raise DomainError(f"half-wave sup curve needs a whole number of angle gaps, got n_angle = {n_angle!r}")
+    dtheta0 = float(dtheta0)
+    circle = dtheta0 + np.arange(n_angle) * (cfg.period / max(n_angle, 1))
+    r_nodes, _ = _halfwave_grid(r_nodes, circle, cfg, window)
+    blocks, _ = _shell_blocks(j, cfg, window, r_nodes)
+    re, im = _halfwave_residues(blocks, ts, dtheta0, int(n_angle), r_nodes.size, cfg)
+    sups = np.empty((ts.size, re.shape[-1]))
+    for sup, h_re, h_im in zip(sups, re, im):  # one time at a time: a transform of the whole table would add its size
+        sup[:] = np.abs(np.fft.fft(h_re + 1j * h_im, axis=0)).max(axis=0)
+    return _symmetric(sups, r_nodes.size)

@@ -80,9 +80,10 @@ class SweepGrids:
     Sizes below 1, or past _CELL_CAP cells in a sweep's largest array,
     raise DomainError.  Those arrays are the reduced-kernel scan's fine
     matrix at rho_max = 200 (16 n_angle - 1 by 1280 n_radius - 1) and the
-    half-wave accumulator (2 n_time + 10 times by max(2 n_angle, 32) angles
-    by the pairs of 6 n_radius - 1 radii); the refined grids' tables are
-    smaller, and reduced_kernel_matrix builds its Bessel rows in blocks.
+    half-wave residue table (2 n_time + 10 times by max(2 n_angle, 32)
+    residues k mod n_angle by the pairs of 6 n_radius - 1 radii), which one
+    FFT per time reads at as many uniform angles; the refined grids' tables
+    are smaller, and reduced_kernel_matrix builds its Bessel rows in blocks.
     """
 
     n_time: int = 5
@@ -479,7 +480,8 @@ def halfwave_decay_fit(cfg: ConeConfig, j: int, grids: SweepGrids = SweepGrids()
     with a smaller constant before the magnetic revival at the window edge;
     the onset window is the one regime present at every j.
     Pass criterion is the band [-0.75, -0.35] around the proved -1/2 rate.
-    One halfwave_sup_curve call covers 6 n_radius - 1 radii; the refinement
+    One halfwave_sup_curve call covers 6 n_radius - 1 radii and a uniform
+    circle of max(2 n_angle, 32) angle gaps; the refinement
     ratio divides its slope by the slope over the 3 n_radius radii at even
     indices.  A shell that holds no mode raises DomainError before any sweep.
     """
@@ -494,7 +496,6 @@ def halfwave_decay_fit(cfg: ConeConfig, j: int, grids: SweepGrids = SweepGrids()
     onset = 2.0 ** j * ts <= _ONSET_TAU + 1e-12
     # angular bandwidth of the shell is ~ its k extent; radial wavelength ~ 2 pi / 2^j
     n_angle = max(2 * grids.n_angle, 32)
-    dth = np.linspace(-0.5 * cfg.period, 0.5 * cfg.period, n_angle, endpoint=False) + 0.013
     r_max = min(2.5 + 2.0 ** j * math.pi / (2.0 * cfg.b0), 10.0)
 
     xdata = np.log(1.0 + 2.0 ** j * ts[onset])
@@ -502,7 +503,8 @@ def halfwave_decay_fit(cfg: ConeConfig, j: int, grids: SweepGrids = SweepGrids()
     def slope(sups: np.ndarray) -> float:
         return float(np.polyfit(xdata, np.log(sups[onset]), 1)[0])
 
-    by_pair = halfwave_sup_curve(j, ts, np.linspace(0.25, r_max, 6 * grids.n_radius - 1), dth, cfg, window)
+    by_pair = halfwave_sup_curve(j, ts, np.linspace(0.25, r_max, 6 * grids.n_radius - 1),
+                                 -0.5 * cfg.period + 0.013, n_angle, cfg, window)
     sups = by_pair.max(axis=(1, 2))
     slope_c, slope_f = slope(by_pair[:, ::2, ::2].max(axis=(1, 2))), slope(sups)
     ratio = slope_f / slope_c if slope_c != 0 else 1.0

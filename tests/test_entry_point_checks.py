@@ -98,8 +98,8 @@ def test_image_angles_and_the_heat_grid_refuse_a_non_finite_angle(cfg, theta):
 def test_halfwave_entry_points_refuse_the_same_times(cfg, t):
     window = lpbesov.shell_window(1, cfg)
     window = ModeWindow(max(window.k_max, 40), window.m_max)
-    r, dth = np.array([0.5, 1.0]), np.array([0.1, 1.7])
-    sup_curve = lambda: kernels.halfwave_sup_curve(1, np.array([0.5, t]), r, dth, cfg, window).max(axis=(1, 2))
+    r, dth = np.array([0.5, 1.0]), 0.1 + np.arange(2) * (cfg.period / 2)  # the uniform circle (0.1, 2)
+    sup_curve = lambda: kernels.halfwave_sup_curve(1, np.array([0.5, t]), r, 0.1, 2, cfg, window).max(axis=(1, 2))
     messages = _refusals([lambda: kernels.halfwave_kernel_grid(1, t, r, dth, cfg, window), sup_curve],
                          DomainError)
     assert messages[0] == messages[1]

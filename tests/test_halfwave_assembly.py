@@ -90,23 +90,63 @@ def test_grid_matches_einsum_oracle(cfg, j, t, shell_modes):
     assert np.array_equal(grid, grid.transpose(0, 2, 1))
 
 
-def test_grid_and_sup_curve_share_one_assembly(cfg):
+def _circle(cfg, n_angle):
+    """The sweep's uniform circle of n_angle angle gaps, as (dtheta0, n_angle) and as the gaps themselves."""
+    dtheta0 = -0.5 * cfg.period + 0.013
+    return dtheta0, n_angle, dtheta0 + np.arange(n_angle) * (cfg.period / n_angle)
+
+
+def test_grid_and_sup_curve_share_one_assembly(cfg, monkeypatch):
+    """Both entry points draw their block products from _halfwave_products; they differ in how they read angles."""
     j, t = 2, 0.6
-    dth = np.linspace(-0.5 * cfg.period, 0.5 * cfg.period, 7, endpoint=False) + 0.013
+    dtheta0, n_angle, dth = _circle(cfg, 7)
     window = _window(j, cfg)
+    calls = []
+    products = kernels._halfwave_products
+
+    def spy(blocks, ts, *rest):
+        calls.append(ts.size)
+        return products(blocks, ts, *rest)
+
+    monkeypatch.setattr(kernels, "_halfwave_products", spy)
     grid = kernels.halfwave_kernel_grid(j, t, R_NODES, dth, cfg, window)
-    sup = kernels.halfwave_sup_curve(j, np.array([t]), R_NODES, dth, cfg, window)
-    assert np.array_equal(sup[0], np.abs(grid).max(axis=0))
-    assert sup.max(axis=(1, 2))[0] == np.abs(grid).max()
+    sup = kernels.halfwave_sup_curve(j, np.array([t]), R_NODES, dtheta0, n_angle, cfg, window)
+    assert calls == [1, 1]
+    want = np.abs(grid).max(axis=0)
+    assert np.abs(sup[0] - want).max() <= 1e-13 * want.max()
+    assert abs(sup[0].max() - want.max()) <= 1e-13 * want.max()
+
+
+@pytest.mark.parametrize("n_angle", [1, 5, 7, 32, 48, 200])
+def test_sup_curve_fft_matches_direct_phases(cfg, n_angle):
+    """The residue table's FFT gives max_n |K| of halfwave_kernel_grid on the same uniform gaps, cell by cell.
+
+    The shell's blocks span 64, 96 and 187 values of k (sigma = 1, 1.5, 2),
+    so n_angle up to 48 aliases residues and 200 does not; the times include
+    a negative one and complex ones with Im t > 0, where e^{i t sqrt(lam)}
+    is damped.  Each cell is held to 1e-13
+    of its time's sup (7.1e-15 the worst seen, sigma = 1.5, n_angle = 1): at
+    one angle a cell can be a cancelled sum of the blocks, which the two
+    summation orders round apart by up to 7.6e-13 of the cell itself.
+    """
+    j = 2
+    dtheta0, _, dth = _circle(cfg, n_angle)
+    window = _window(j, cfg)
+    ts = np.array([0.6, -1.3, 0.4 + 0.3j, -2.0 + 1.0j])
+    sup = kernels.halfwave_sup_curve(j, ts, R_NODES, dtheta0, n_angle, cfg, window)
+    for t, sup_t in zip(ts, sup):
+        want = np.abs(kernels.halfwave_kernel_grid(j, t, R_NODES, dth, cfg, window)).max(axis=0)
+        assert np.abs(sup_t - want).max() <= 1e-13 * want.max()
+        assert abs(sup_t.max() - want.max()) <= 1e-13 * want.max()
 
 
 def test_sup_curve_over_40_times_matches_the_grid_at_each_time(cfg):
-    """One accumulator holds every time; each time's sup is the one halfwave_kernel_grid gives at that time alone."""
+    """One residue table holds every time; each time's sup is the one halfwave_kernel_grid gives at that time alone."""
     j = 1
     ts = np.linspace(-3.0, 3.0, 40)
-    dth = np.linspace(-0.5 * cfg.period, 0.5 * cfg.period, 7, endpoint=False) + 0.013
+    dtheta0, n_angle, dth = _circle(cfg, 7)
     window = _window(j, cfg)
-    sup = kernels.halfwave_sup_curve(j, ts, R_NODES, dth, cfg, window).max(axis=(1, 2))
+    sup = kernels.halfwave_sup_curve(j, ts, R_NODES, dtheta0, n_angle, cfg, window).max(axis=(1, 2))
     want = [np.abs(kernels.halfwave_kernel_grid(j, t, R_NODES, dth, cfg, window)).max() for t in ts]
     np.testing.assert_allclose(sup, want, rtol=1e-13, atol=0.0)
 
@@ -309,22 +349,30 @@ def test_shell_blocks_and_bernstein_make_no_per_mode_eigenvalue_call(cfg, monkey
 _SIGMA1 = ConeConfig(1.0, 1.0, 0.25)
 
 
-@pytest.mark.parametrize("r_nodes,dtheta_nodes,why", [
-    ([math.nan, 1.0], [0.1], "each radius finite and >= 0"),
-    ([1.0, -0.5], [0.1], "each radius finite and >= 0"),
-    ([1e200], [0.1], "u = b0 r.2 / 2 finite"),
-    ([1.0], [math.nan], "each angle finite"),
-    ([1.0], [math.inf, 0.1], "each angle finite"),
-    ([1.0], [1e17], "no significant digit"),
-    ([], [0.1], "needs a grid, got 0 radii"),
-    ([1.0], [], "needs a grid, got 1 radii and 0 angle gaps"),
+@pytest.mark.parametrize("r_nodes,dtheta_nodes,circle,why", [
+    ([math.nan, 1.0], [0.1], (0.1, 1), "each radius finite and >= 0"),
+    ([1.0, -0.5], [0.1], (0.1, 1), "each radius finite and >= 0"),
+    ([1e200], [0.1], (0.1, 1), "u = b0 r.2 / 2 finite"),
+    ([1.0], [math.nan], (math.nan, 1), "each angle finite"),
+    ([1.0], [math.inf, 0.1], (math.inf, 2), "each angle finite"),
+    ([1.0], [1e17], (1e17, 1), "no significant digit"),
+    ([], [0.1], (0.1, 1), "needs a grid, got 0 radii"),
+    ([1.0], [], (0.1, 0), "needs a grid, got 1 radii and 0 angle gaps"),
 ], ids=["nan-r", "negative-r", "huge-r", "nan-gap", "inf-gap", "phase-2^52", "no-radius", "no-gap"])
-def test_halfwave_refuses_a_grid_synthesis_refuses(monkeypatch, r_nodes, dtheta_nodes, why):
-    """halfwave_kernel_grid and halfwave_sup_curve raise DomainError before any shell work."""
+def test_halfwave_refuses_a_grid_synthesis_refuses(monkeypatch, r_nodes, dtheta_nodes, circle, why):
+    """halfwave_kernel_grid and halfwave_sup_curve (on the circle (dtheta0, n_angle)) raise DomainError before any shell work."""
     window = lpbesov.shell_window(1, _SIGMA1)
     monkeypatch.setattr(kernels, "_shell_blocks", None)  # a call would fail with TypeError
     r, dth = np.array(r_nodes, dtype=float), np.array(dtheta_nodes, dtype=float)
     with pytest.raises(DomainError, match=why):
         kernels.halfwave_kernel_grid(1, 0.5, r, dth, _SIGMA1, window)
     with pytest.raises(DomainError, match=why):
-        kernels.halfwave_sup_curve(1, np.array([0.5, 1.0]), r, dth, _SIGMA1, window)
+        kernels.halfwave_sup_curve(1, np.array([0.5, 1.0]), r, *circle, _SIGMA1, window)
+
+
+@pytest.mark.parametrize("n_angle", [-1, 2.0, 2.5, None])
+def test_sup_curve_refuses_a_circle_without_a_whole_number_of_gaps(monkeypatch, n_angle):
+    window = lpbesov.shell_window(1, _SIGMA1)
+    monkeypatch.setattr(kernels, "_shell_blocks", None)
+    with pytest.raises(DomainError, match="whole number of angle gaps"):
+        kernels.halfwave_sup_curve(1, np.array([0.5]), np.array([1.0]), 0.1, n_angle, _SIGMA1, window)

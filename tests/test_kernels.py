@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special as sp
 
-from magcone import kernels
-from magcone.errors import NonconvergenceError, QuadratureError, SingularTimeError, WindowTooSmallError
+from magcone import kernels, verify
+from magcone.errors import DomainError, NonconvergenceError, QuadratureError, SingularTimeError, WindowTooSmallError
 from magcone.geometry import ConeConfig, ConePoint, make_point
 from magcone.kernels import (
     halfwave_kernel_grid,
@@ -346,6 +347,64 @@ def test_heat_grid_refuses_an_angle_near_a_boundary_and_holds_12_digits_past_it(
             got = cfg.b0 / (4.0 * math.pi * math.sinh(tb)) * math.exp(-big_q) * grid[i_theta, i_r]
             want = heat_kernel_closed(t, make_point(cfg, r, theta), make_point(cfg, r2, 0.0), cfg).value
             assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def _heat_grid_misses(cfg, t, r1, r2, thetas) -> float:
+    """Worst |grid - heat_kernel_closed| over heat_kernel_closed's largest term, on r1 x thetas against (r2, 0)."""
+    tb = t * cfg.b0
+    x = cfg.b0 * r1 * r2 / (2.0 * math.sinh(tb))
+    big_q = cfg.b0 * (r1 ** 2 + r2 ** 2) / (4.0 * math.tanh(tb))
+    grid = cfg.b0 / (4.0 * math.pi * math.sinh(tb)) * np.exp(-big_q)[None, :] * heat_closed_bracket_grid(x, thetas, t, cfg)
+    worst = 0.0
+    for row, theta in zip(grid, thetas):
+        for got, r in zip(row, r1):
+            want = heat_kernel_closed(t, make_point(cfg, r, theta), make_point(cfg, r2, 0.0), cfg)
+            worst = max(worst, abs(got - want.value) / want.largest_term)
+    return worst
+
+
+def test_heat_grid_matches_the_pointwise_closed_form(cfg):
+    """The grid's fewer panels against heat_kernel_closed's adaptive walk, to 1e-12 of its largest term.
+
+    On the Gaussian-heat sweep's own angles (the near-pi cluster included)
+    at its first and last t, and 0.0101 off a boundary from t b0 = 0.01 to
+    700.  The scale is the largest term because heat_kernel_closed itself
+    aims at 1e-12 of the bracket's mass: against |K| the two part by up to
+    9.7e-13 at t b0 = 100 (3.8e-13 of the largest term).
+    """
+    fine = verify.SweepGrids().refined()
+    thetas = verify._heat_angles(cfg, verify._pair_grid(cfg, fine)[1])
+    ts = verify._heat_time_grid(fine, cfg)
+    for t in (ts[0], ts[-1]):
+        assert _heat_grid_misses(cfg, t, np.array([0.15, 1.2, 3.0]), 1.5, thetas) <= 1e-12
+    near = np.array([math.pi - 0.0101, -(math.pi - 0.0101)])
+    for tb in (0.01, 1.0, 20.0, 100.0, 700.0):
+        # one radius: at sigma = 2, t b0 = 100 each pointwise walk takes 0.2-0.5 s
+        assert _heat_grid_misses(cfg, tb / cfg.b0, np.array([1.2]), 1.5, near) <= 1e-12, tb
+
+
+@pytest.mark.xfail(strict=True, raises=NonconvergenceError,
+                   reason="ROADMAP item 5: the heat tail's pole 0.0101 off a boundary defeats the walk at tiny x")
+def test_heat_closed_at_tb_100_0_0101_from_a_boundary_converges():
+    """sigma = 2, t b0 = 100, r = (0.15, 1.5), theta = pi - 0.0101 (x ~ 1e-44): the grid holds there, the walk does not."""
+    cfg = ConeConfig(2.0, 0.5, 0.3)
+    assert _heat_grid_misses(cfg, 100.0 / cfg.b0, np.array([0.15, 0.5]), 1.5, np.array([math.pi - 0.0101])) <= 1e-12
+
+
+def test_heat_grid_refuses_an_x_whose_image_terms_overflow():
+    """Without e^{-Q} an image term is e^{x cosh(t b0) cos theta_j}: past the float range the grid refuses x up front.
+
+    sigma = 1, t = 1, theta = 0.3 once gave -inf+infj at x = 700 and
+    inf-infj at x = 800, with a RuntimeWarning only.
+    """
+    cfg = ConeConfig(1.0, 1.0, 0.25)
+    x_top = math.log(sys.float_info.max) / (math.cosh(1.0) * math.cos(0.3))
+    for x in (700.0, 800.0):
+        with pytest.raises(DomainError, match=f"needs x <= {x_top:.6g} at t b0 = 1 .* got x = {x:g}"):
+            heat_closed_bracket_grid(np.array([0.5, x]), np.array([0.3, -1.1]), 1.0, cfg)
+    assert np.isfinite(heat_closed_bracket_grid(np.array([0.5, 0.999 * x_top]), np.array([0.3, -1.1]), 1.0, cfg)).all()
+    # an angle whose images all have cos theta_j <= 0 only bounds x where x cosh(t b0) overflows
+    assert heat_closed_bracket_grid(np.array([1e300]), np.array([2.5]), 1.0, cfg)[0, 0] == 0.0
 
 
 def test_heat_semigroup_composition(cfg, heat_kernel_row):

@@ -117,20 +117,21 @@ def test_gaussian_heat_reads_its_coarse_sup_from_the_fine_table(cfg, grids):
 def test_halfwave_sweep_reads_its_coarse_curve_from_one_sup_table(cfg, grids, monkeypatch):
     calls = []
 
-    def spy(j, ts, r_nodes, dth, cone, window):
-        calls.append((j, ts, r_nodes, dth, window, kernels.halfwave_sup_curve(j, ts, r_nodes, dth, cone, window)))
+    def spy(j, ts, r_nodes, dtheta0, n_angle, cone, window):
+        calls.append((j, ts, r_nodes, (dtheta0, n_angle), window,
+                      kernels.halfwave_sup_curve(j, ts, r_nodes, dtheta0, n_angle, cone, window)))
         return calls[-1][-1]
 
     monkeypatch.setattr(verify, "halfwave_sup_curve", spy)
     (rep,) = verify.halfwave_decay_fit(cfg, verify._HALFWAVE_J, grids)
-    ((j, ts, r_nodes, dth, window, by_pair),) = calls
+    ((j, ts, r_nodes, circle, window, by_pair),) = calls
     assert window == shell_window(j, cfg)
     assert r_nodes.size == 6 * grids.n_radius - 1
     assert _same_bits(r_nodes[::2], np.linspace(0.25, r_nodes[-1], 3 * grids.n_radius))
     assert np.array_equal(by_pair, by_pair.transpose(0, 2, 1))
     assert _same_bits(rep.csv_rows[:, 2], by_pair.max(axis=(1, 2)))
     sub = by_pair[:, ::2, ::2].max(axis=(1, 2))
-    direct = kernels.halfwave_sup_curve(j, ts, r_nodes[::2], dth, cfg, window).max(axis=(1, 2))
+    direct = kernels.halfwave_sup_curve(j, ts, r_nodes[::2], *circle, cfg, window).max(axis=(1, 2))
     assert np.all(np.abs(sub - direct) <= 1e-14 * direct), np.abs(sub / direct - 1.0).max()
     onset = 2.0 ** j * ts <= verify._ONSET_TAU + 1e-12
     slope = lambda curve: np.polyfit(np.log(1.0 + 2.0 ** j * ts[onset]), np.log(curve[onset]), 1)[0]

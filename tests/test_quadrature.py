@@ -629,7 +629,8 @@ def test_halfwave_sup_curve_matches_einsum_oracle(cfg, j, shell_modes):
                         m_max=int(math.floor((lam_hi / cfg.b0 - 1.0) / 2.0)) + 1)
     ts = np.geomspace(2.0 ** -j, 2.0 ** j * math.pi / (2.0 * cfg.b0), 7)
     r_nodes = np.linspace(0.25, 4.0, 6)
-    dth = np.linspace(-0.5 * cfg.period, 0.5 * cfg.period, 10, endpoint=False) + 0.013
-    new = kernels.halfwave_sup_curve(j, ts, r_nodes, dth, cfg, window).max(axis=(1, 2))
+    dtheta0 = -0.5 * cfg.period + 0.013
+    dth = dtheta0 + np.arange(10) * (cfg.period / 10)
+    new = kernels.halfwave_sup_curve(j, ts, r_nodes, dtheta0, 10, cfg, window).max(axis=(1, 2))
     old = oracle_halfwave_sup_curve(cfg, j, ts, r_nodes, dth, window, shell_modes)
     np.testing.assert_allclose(new, old, rtol=1e-13, atol=0.0)

@@ -521,21 +521,22 @@ def test_sweep_grids_refuse_sizes_past_the_cell_cap():
 
 
 def test_sweep_grid_bound_counts_the_arrays_the_sweeps_allocate(monkeypatch):
-    """The scan's kernel matrices and the half-wave accumulators stay within the factors the bound counts."""
+    """The scan's kernel matrices and the half-wave residue table stay within the factors the bound counts."""
     grids = SweepGrids(n_time=3, n_radius=3, n_angle=5)
     cfg = verify.REFERENCE_CONFIGS[0]
     calls = _count_kernel_calls(monkeypatch)
     verify.reduced_kernel_bound_scan(cfg, grids)
     assert max(n_rho * n_delta for _, n_rho, n_delta in calls) <= (16 * 5 - 1) * (1280 * 3 - 1)
     shapes = []
-    halfwave_pairs = kernels._halfwave_pairs
+    halfwave_residues = kernels._halfwave_residues
 
     def spy(*args):
-        acc = halfwave_pairs(*args)
-        shapes.append(acc.shape)
-        return acc
+        table = halfwave_residues(*args)
+        shapes.append(table.shape)
+        return table
 
-    monkeypatch.setattr(kernels, "_halfwave_pairs", spy)
+    monkeypatch.setattr(kernels, "_halfwave_residues", spy)
     verify.halfwave_decay_fit(cfg, 1, grids)
-    n_t, n_angle, n_pairs = max(shapes)
+    parts, n_t, n_angle, n_pairs = max(shapes)
+    assert parts == 2  # real and imaginary parts: the bytes of one complex cell each
     assert n_t <= 2 * 3 + 10 and n_angle == max(2 * 5, 32) and n_pairs == 17 * 18 // 2
