@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .errors import DomainError, NonconvergenceError, QuadratureError, SingularTimeError, WindowTooSmallError
+from .errors import DomainError, NonconvergenceError, QuadratureError, SingularTimeError
 from .geometry import ConeConfig, ConePoint, angular_difference, flux_distance
 from .lpbesov import _shell_table
 from .quadrature import adaptive_panel, gauss_legendre_rule, oscillatory_bessel_tail
@@ -653,44 +653,51 @@ def spectral_kernel(multiplier, p: ConePoint, q: ConePoint, cfg: ConeConfig,
     return complex(field_on_grid(field, [p.r], [p.theta], cfg)[0, 0])
 
 
-def _shell_blocks(j: int, cfg: ConeConfig, window: ModeWindow, r_nodes: np.ndarray):
+def _shell_blocks(j: int, cfg: ConeConfig, window: ModeWindow, r_nodes: np.ndarray) -> list:
     """Time-independent blocks (k, sqrt(lam), phi(2^-j sqrt(lam)), V_{k,m}(r_nodes)) of shell j.
 
-    The k <= -1 Landau branch shares one m-range, and its blocks share one
-    sqrt(lam) and one weight array, so _halfwave_pairs forms their phases
-    once.  Its row k is kept while (max_m phi |V|)^2 exceeds 1e-13 of the
-    branch peak; the branch stops after three rows in a row below that, or
-    at k = -k_max.
-    Returns (blocks, tail), tail being the last row's magnitude over that peak
-    (1 if the window holds no k <= -1 row): far above 1e-13, the window cut the branch.
+    The k >= 0 rows are the window's.  Every k <= -1 row holds the Landau
+    ladder (2m + 1) b0, so only the radial factor ends that branch, never
+    the window edge: its blocks share one sqrt(lam) and one weight array,
+    and _halfwave_products forms their phases once.  Row k's factor
+    u^{a_k/2} e^{-u/2} (u = b0 r^2 / 2) peaks near a_k = u, so every row up
+    to |k| = sigma (b0 r_max^2 / 2 + alpha) is kept.  Past it the rows fall
+    at every radius: row k is kept while (max_m phi |V|)^2 exceeds 1e-13 of
+    the branch's running peak, and the branch ends after three rows in a
+    row below that.  It is walked max(k_max, 16) rows a call.  A peak at or
+    past _K_CAP raises NonconvergenceError before any radial row is built,
+    and so does a branch that has not ended by k = -_K_CAP.
     """
-    lam, weights, mask, branch = _shell_table(j, cfg, window)
+    lam, weights, mask, (neg_ms, lam_neg, w_neg) = _shell_table(j, cfg, window)
+    k_peak = cfg.sigma * (cfg.b0 * float(r_nodes.max()) ** 2 / 2.0 + cfg.alpha)
+    if neg_ms.size and k_peak >= _K_CAP:
+        raise NonconvergenceError(f"half-wave shell j={j}: at r = {float(r_nodes.max()):g} the k <= -1 branch "
+                                  f"peaks at |k| = {k_peak:.6g}, past the cap of {_K_CAP}")
     shell = []  # (k, ms, sqrt(lam), weights) of each k >= 0 row holding shell modes
     for k, i in enumerate(range(window.k_max, 2 * window.k_max + 1)):
         ms = np.flatnonzero(mask[i])
         if ms.size:
             shell.append((k, ms, np.sqrt(lam[i, ms]), weights[i, ms]))
-    neg_ms = np.flatnonzero(branch)  # every k <= -1 row holds it; at k_max = 0 the row read here is unused
-    sq_neg, w_neg = np.sqrt(lam[window.k_max - 1, neg_ms]), weights[window.k_max - 1, neg_ms]
     del lam, weights, mask  # the blocks keep copies of their rows only
     rows = _radial_rows(cfg, [k for k, *_ in shell], max((int(ms.max()) for _, ms, *_ in shell), default=0), r_nodes)
     blocks = [(k, sq_k, w_k, rad[ms, :]) for (k, ms, sq_k, w_k), (_, rad) in zip(shell, rows)]
-    tail = 1.0 if neg_ms.size else 0.0
-    if neg_ms.size and window.k_max:
-        scale, stall = 0.0, 0
-        for k, rad in _radial_rows(cfg, range(-1, -window.k_max - 1, -1), int(neg_ms.max()), r_nodes):
+    if not neg_ms.size:
+        return blocks
+    sq_neg, branch, chunk = np.sqrt(lam_neg), range(-1, -_K_CAP - 1, -1), max(window.k_max, 16)
+    scale, stall = 0.0, 0
+    for lo in range(0, len(branch), chunk):
+        for k, rad in _radial_rows(cfg, branch[lo:lo + chunk], int(neg_ms.max()), r_nodes):
             rad = rad[neg_ms, :]
             mag = float((w_neg[:, None] * np.abs(rad)).max()) ** 2
             scale = max(scale, mag)
-            tail = mag / max(scale, 1e-300)
-            if mag <= 1e-13 * max(scale, 1e-300):
-                stall += 1
-                if stall >= 3:
-                    break
-            else:
+            if -k <= k_peak or mag > 1e-13 * max(scale, 1e-300):
                 stall = 0
                 blocks.append((k, sq_neg, w_neg, rad))
-    return blocks, tail
+            else:
+                stall += 1
+                if stall == 3:
+                    return blocks
+    raise NonconvergenceError(f"half-wave shell j={j}: the k <= -1 branch has not ended by k = -{_K_CAP}")
 
 
 def _halfwave_products(blocks: list, ts: np.ndarray, n_r: int, cfg: ConeConfig, dtheta0: float = 0.0):
@@ -729,33 +736,35 @@ def _halfwave_products(blocks: list, ts: np.ndarray, n_r: int, cfg: ConeConfig, 
     return products()
 
 
-def _halfwave_grid(r_nodes, dtheta_nodes, cfg: ConeConfig, window: ModeWindow) -> tuple[np.ndarray, np.ndarray]:
-    """The grid as float arrays; DomainError if it is empty or synthesis refuses a point for some |k| <= k_max."""
+def _halfwave_shell(j: int, r_nodes, dtheta_nodes, cfg: ConeConfig, window: ModeWindow):
+    """(r_nodes, dtheta_nodes, blocks): the grid as float arrays and _shell_blocks on its radii.
+
+    DomainError if the grid is empty or synthesis refuses a point for some k
+    of the window, before any shell work, or for some k a block holds, once
+    the branch has been walked and before any product is formed.
+    """
     r_nodes, dtheta_nodes = np.asarray(r_nodes, dtype=float), np.asarray(dtheta_nodes, dtype=float)
     if not (r_nodes.size and dtheta_nodes.size):
         raise DomainError(f"half-wave kernel needs a grid, got {r_nodes.size} radii and {dtheta_nodes.size} angle gaps")
     _require_synthesis_points(window.k_values, r_nodes, dtheta_nodes, cfg)
-    return r_nodes, dtheta_nodes
+    blocks = _shell_blocks(j, cfg, window, r_nodes)
+    _require_synthesis_points([k for k, *_ in blocks], r_nodes, dtheta_nodes, cfg)
+    return r_nodes, dtheta_nodes, blocks
 
 
 def halfwave_kernel_grid(j: int, t: float, r_nodes: np.ndarray, dtheta_nodes: np.ndarray,
                          cfg: ConeConfig, window: ModeWindow) -> np.ndarray:
     """Frequency-truncated half-wave kernel on a grid of radii and angle gaps.
 
-    Returns K[i_dtheta, i_r1, i_r2], symmetric in (i_r1, i_r2).  The k <= -1
-    Landau branch is truncated by the evaluated radial magnitude on the
-    requested radii (see _shell_blocks); a tail still above 1e-10 of its
-    peak at the window edge raises WindowTooSmallError.  The grid is checked
-    by _halfwave_grid and t by _halfwave_products.  Each block's products
-    take their angle phases e^{i k dtheta / sigma} directly, in one gemm, so
-    the gaps may be any finite angles.
+    Returns K[i_dtheta, i_r1, i_r2], symmetric in (i_r1, i_r2).  The window
+    covers the shell's k >= 0 rows; the k <= -1 Landau branch runs past its
+    edge until the radial magnitude on the requested radii ends it
+    (_shell_blocks).  The grid is checked by _halfwave_shell and t by
+    _halfwave_products.  Each block's products take their angle phases
+    e^{i k dtheta / sigma} directly, in one gemm, so the gaps may be any
+    finite angles.
     """
-    r_nodes, dtheta_nodes = _halfwave_grid(r_nodes, dtheta_nodes, cfg, window)
-    blocks, tail = _shell_blocks(j, cfg, window, r_nodes)
-    if tail > 1e-10:
-        raise WindowTooSmallError(
-            f"degenerate-branch tail still {tail:.2e} of its peak at k=-{window.k_max}; enlarge k_max"
-        )
+    r_nodes, dtheta_nodes, blocks = _halfwave_shell(j, r_nodes, dtheta_nodes, cfg, window)
     ks, parts = [], []
     for k, part in _halfwave_products(blocks, np.array([t]), r_nodes.size, cfg):
         ks.append(k)
@@ -803,16 +812,14 @@ def halfwave_sup_curve(j: int, ts: np.ndarray, r_nodes: np.ndarray, dtheta0: flo
     shell is assembled once for every time, from the same per-block products
     as halfwave_kernel_grid, and each time's angles are read from the residue
     table (_halfwave_residues) by one FFT.  n_angle must be a whole number;
-    the grid and each time are checked as halfwave_kernel_grid's are.  Unlike
-    halfwave_kernel_grid, the k <= -1 branch's tail at the window edge is not
-    checked.
+    the grid and each time are checked, and the k <= -1 branch ended, as
+    halfwave_kernel_grid's are.
     """
     if not (isinstance(n_angle, numbers.Integral) and n_angle >= 0):
         raise DomainError(f"half-wave sup curve needs a whole number of angle gaps, got n_angle = {n_angle!r}")
     dtheta0 = float(dtheta0)
     circle = dtheta0 + np.arange(n_angle) * (cfg.period / max(n_angle, 1))
-    r_nodes, _ = _halfwave_grid(r_nodes, circle, cfg, window)
-    blocks, _ = _shell_blocks(j, cfg, window, r_nodes)
+    r_nodes, _, blocks = _halfwave_shell(j, r_nodes, circle, cfg, window)
     re, im = _halfwave_residues(blocks, ts, dtheta0, int(n_angle), r_nodes.size, cfg)
     sups = np.empty((ts.size, re.shape[-1]))
     for sup, h_re, h_im in zip(sups, re, im):  # one time at a time: a transform of the whole table would add its size

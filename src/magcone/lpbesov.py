@@ -125,11 +125,11 @@ def _require_shell_bounded(j: int, cfg: ConeConfig) -> None:
 def _shell_table(j: int, cfg: ConeConfig, window: ModeWindow):
     """(lam, weights, mask, branch): the window's eigenvalue table, phi(2^-j sqrt(lam)), 4^{j-1} <= lam <= 4^{j+1}.
 
-    branch is that mask on the degenerate ladder (2m + 1) b0, m <= m_max, which
-    every k <= -1 row holds, even on a window without such a row.  After
-    _require_shell_bounded, WindowTooSmallError if eigenvalue(k_max + 1, 0)
-    lies below 4^{j+1}, or the ladder's level m_max + 1, the lowest mode past
-    m_max, at or below it.
+    branch is (ms, lam, weights) of the shell's levels on the degenerate
+    ladder (2m + 1) b0, m <= m_max, which every k <= -1 row holds, at any
+    k_max.  After _require_shell_bounded, WindowTooSmallError if
+    eigenvalue(k_max + 1, 0) lies below 4^{j+1}, or the ladder's level
+    m_max + 1, the lowest mode past m_max, at or below it.
     """
     _require_shell_bounded(j, cfg)
     lam_lo, lam_hi = 4.0 ** (j - 1), 4.0 ** (j + 1)
@@ -140,8 +140,9 @@ def _shell_table(j: int, cfg: ConeConfig, window: ModeWindow):
         raise WindowTooSmallError(f"shell j={j} needs m up to {math.floor((lam_hi / cfg.b0 - 1.0) / 2.0)} "
                                   f"on the degenerate branch, window has m_max={window.m_max}")
     lam = eigenvalue_table(cfg, window)
+    ms = np.flatnonzero((lam_lo <= ladder[:-1]) & (ladder[:-1] <= lam_hi))
     return (lam, _CUTOFF.shell_weights(j, lam), (lam_lo <= lam) & (lam <= lam_hi),
-            (lam_lo <= ladder[:-1]) & (ladder[:-1] <= lam_hi))
+            (ms, ladder[ms], _CUTOFF.shell_weights(j, ladder[ms])))
 
 
 def shell_window(j: int, cfg: ConeConfig) -> ModeWindow:

@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magcone.cli import (_DEFAULTS, EXIT_CONFIG, EXIT_FAILED_SWEEP, EXIT_OK, EXIT_SINGULAR, main,
-                         parse_config_file)
+from magcone.cli import (_DEFAULTS, EXIT_CONFIG, EXIT_FAILED_SWEEP, EXIT_NONCONVERGENCE, EXIT_OK, EXIT_SINGULAR,
+                         main, parse_config_file)
+from magcone import kernels, lpbesov
 from magcone.errors import ConfigError
-from magcone.geometry import ConeConfig
+from magcone.geometry import ConeConfig, make_point
 from magcone.spectrum import ModeWindow, QuadratureSpec, load_field, random_field, save_field
 
 
@@ -377,6 +378,47 @@ def test_kernel_halfwave_refuses_a_radius_synthesis_refuses(tmp_path, capsys):
                        "--p", "1e200,0", "--q", "0.8,2.1")
     assert "u = b0 r^2 / 2 finite, got r = 1e+200" in _assert_one_line_error(capsys, code)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("r,want", [("40", 0.0048713788521591705 + 0.0020327499716835747j),
+                                    ("55", -0.0026171096494013234 + 0.0004549455555985444j)])
+def test_kernel_halfwave_sums_the_degenerate_branch_past_the_window(tmp_path, r, want):
+    """The k <= -1 branch runs past k_max = 40 to where it ends; at r = 55 its first rows underflow to 0."""
+    out = tmp_path / "o"
+    assert run_cli("--out", str(out), "kernel", "halfwave", "--j", "2", "--t", "0.7",
+                   "--p", f"{r},0.1", "--q", f"{r},0") == EXIT_OK
+    (row,) = list(csv.DictReader((out / "kernel.csv").open()))
+    assert abs(complex(float(row["re"]), float(row["im"])) - want) <= 1e-12 * abs(want)
+    assert row["k_max_used"] == "40"
+
+
+def test_kernel_halfwave_refuses_a_branch_past_the_cap_at_once(tmp_path, capsys):
+    """At r = 150 the branch peaks near |k| = u = 11250, past _K_CAP: exit 4 before any radial row."""
+    start = time.perf_counter()
+    code = run_cli("--out", str(tmp_path / "o"), "kernel", "halfwave", "--j", "2", "--t", "0.7",
+                   "--p", "150,0.1", "--q", "150,0")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_NONCONVERGENCE
+    assert "past the cap of 8192" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_kernel_halfwave_reduces_the_gap_before_the_branch_phase_check(tmp_path):
+    """theta = 5e13 reaches the kernel modulo 2 pi sigma, so no k the branch holds (-126 here) loses the phase.
+
+    The library refuses the unreduced gap (its k dtheta / sigma reaches 6.3e15
+    at k = -126); the CLI's gap is at most 2 pi sigma, and |k| stays below
+    _K_CAP, so its phase never reaches 2^52.
+    """
+    out = tmp_path / "o"
+    assert run_cli("--out", str(out), "kernel", "halfwave", "--j", "2", "--t", "0.7",
+                   "--p", "6,5e13", "--q", "8,0") == EXIT_OK
+    (row,) = list(csv.DictReader((out / "kernel.csv").open()))
+    cfg = ConeConfig(_DEFAULTS["sigma"], _DEFAULTS["b0"], _DEFAULTS["alpha"])
+    gap = make_point(cfg, 6.0, 5e13).theta
+    want = kernels.halfwave_kernel_grid(2, 0.7, np.array([6.0, 8.0]), np.array([gap]), cfg,
+                                        lpbesov.shell_window(2, cfg))[0, 0, 1]
+    assert complex(float(row["re"]), float(row["im"])) == want
 
 
 @pytest.mark.parametrize("window,p", [("window_k = 4\nwindow_m = 128\n", "400,0"), ("", "1e20,0")])

@@ -1,10 +1,11 @@
 """The half-wave shell assembly that halfwave_kernel_grid and the verify sup curve share.
 
 Holds a statement-for-statement oracle of the earlier per-k einsum grid
-assembly, the degenerate-branch tail check, the shell windows against the
-window cap, the shell table against the brute-force shell_modes oracle, the
-shell weights at extreme dyadic levels, and the rejection of non-finite
-times and of grids synthesis refuses.
+assembly, the degenerate branch run past the window edge, the subordination
+identity against the heat closed form, the shell windows against the window
+cap, the shell table against the brute-force shell_modes oracle, the shell
+weights at extreme dyadic levels, and the rejection of non-finite times and
+of grids synthesis refuses.
 """
 
 import math
@@ -14,9 +15,10 @@ import numpy as np
 import pytest
 
 from magcone import kernels, lpbesov, spectrum, verify
-from magcone.errors import DomainError, WindowTooSmallError
+from magcone.errors import DomainError, NonconvergenceError, WindowTooSmallError
 from magcone.geometry import ConeConfig, make_point
 from magcone.lpbesov import make_cutoff
+from magcone.quadrature import gauss_legendre_rule
 from magcone.spectrum import ModeWindow, eigenvalue, eigenvalue_table, radial_profiles
 
 
@@ -76,6 +78,11 @@ def _window(j, cfg):
     return ModeWindow(max(shell.k_max, 40), shell.m_max)
 
 
+def _reach(window):
+    """window widened to k_max = 2000, past every k the k <= -1 branch reaches here, for the oracles' own edge rule."""
+    return ModeWindow(2000, window.m_max)
+
+
 R_NODES = np.array([0.3, 0.8, 1.4, 2.0])
 
 
@@ -85,7 +92,7 @@ def test_grid_matches_einsum_oracle(cfg, j, t, shell_modes):
     dth = np.linspace(-0.5 * cfg.period, 0.5 * cfg.period, 5, endpoint=False) + 0.013
     window = _window(j, cfg)
     grid = kernels.halfwave_kernel_grid(j, t, R_NODES, dth, cfg, window)
-    old = oracle_halfwave_kernel_grid(j, t, R_NODES, dth, cfg, window, shell_modes)
+    old = oracle_halfwave_kernel_grid(j, t, R_NODES, dth, cfg, _reach(window), shell_modes)
     assert np.abs(grid - old).max() <= 1e-12 * np.abs(old).max()
     assert np.array_equal(grid, grid.transpose(0, 2, 1))
 
@@ -151,29 +158,133 @@ def test_sup_curve_over_40_times_matches_the_grid_at_each_time(cfg):
     np.testing.assert_allclose(sup, want, rtol=1e-13, atol=0.0)
 
 
-def test_grid_raises_on_degenerate_tail(cfg):
-    """On the sweep's window and its 41 radii, the k <= -1 branch is cut by the window edge."""
-    j = 2
+def _sweep_radii(j, cfg):
+    """The half-wave sweep's 6 n_radius - 1 radii at level j."""
     r_max = min(2.5 + 2.0 ** j * math.pi / (2.0 * cfg.b0), 10.0)
+    return np.linspace(0.25, r_max, 6 * verify.SweepGrids().n_radius - 1)
+
+
+def test_grid_runs_the_degenerate_branch_past_the_window_edge(cfg, shell_modes):
+    """On the sweep's j = 2 window and 41 radii the branch outruns k_max; the grid still matches the oracle."""
+    j = 2
     window = lpbesov.shell_window(j, cfg)
-    with pytest.raises(WindowTooSmallError, match="degenerate-branch tail"):
-        kernels.halfwave_kernel_grid(j, 0.5, np.linspace(0.25, r_max, 41), np.array([0.1]), cfg, window)
+    r_nodes = _sweep_radii(j, cfg)
+    assert min(k for k, *_ in kernels._shell_blocks(j, cfg, window, r_nodes)) < -window.k_max
+    grid = kernels.halfwave_kernel_grid(j, 0.5, r_nodes, np.array([0.1]), cfg, window)
+    old = oracle_halfwave_kernel_grid(j, 0.5, r_nodes, np.array([0.1]), cfg, _reach(window), shell_modes)
+    assert np.abs(grid - old).max() <= 1e-12 * np.abs(old).max()
 
 
-@pytest.mark.xfail(strict=True, reason="the sweep cuts the k <= -1 branch at the window edge (ROADMAP.md, "
-                                        "degenerate Landau branch)")
-def test_sweep_degenerate_branch_tail_is_below_1e_10(cfg):
-    """The tail _shell_blocks reports on the sweep's j = 2 window and 41 fine radii is at most 1e-10.
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_sweep_degenerate_branch_tail_is_below_1e_10(cfg, j):
+    """On the sweep's window and 41 fine radii the k <= -1 branch ends at most 1e-10 of its peak, past k_max or not.
 
-    It reads 0.114, 0.0762 and 0.0448 (sigma = 1, 1.5, 2) while the branch
-    stops at the window edge.  Once it runs under its own rule this passes,
-    and the strict xfail fails the suite until the marker goes.
+    The magnitude is _shell_blocks' own, (max_m phi |V_k|)^2 over the radii:
+    the three rows past the last block kept are each at most 1e-10 of the
+    largest kept row.  At the window edge, before the branch ran past it,
+    the j = 2 tail was 0.114, 0.0762 and 0.0448 of the peak (sigma = 1, 1.5, 2).
     """
-    j = 2
-    r_max = min(2.5 + 2.0 ** j * math.pi / (2.0 * cfg.b0), 10.0)
-    r_nodes = np.linspace(0.25, r_max, 6 * verify.SweepGrids().n_radius - 1)
-    _, tail = kernels._shell_blocks(j, cfg, lpbesov.shell_window(j, cfg), r_nodes)
-    assert tail <= 1e-10
+    window = lpbesov.shell_window(j, cfg)
+    r_nodes = _sweep_radii(j, cfg)
+    branch = [(k, w, rad) for k, _, w, rad in kernels._shell_blocks(j, cfg, window, r_nodes) if k < 0]
+    mags = [float((w[:, None] * np.abs(rad)).max()) ** 2 for _, w, rad in branch]
+    k_end, w, ms = branch[-1][0], branch[-1][1], lpbesov._shell_table(j, cfg, window)[3][0]
+    past = radial_profiles(cfg, np.arange(k_end - 1, k_end - 4, -1), int(ms.max()), r_nodes)[:, ms, :]
+    assert (w[:, None] * np.abs(past)).max() ** 2 <= 1e-10 * max(mags)
+
+
+_SIGMA1 = ConeConfig(1.0, 1.0, 0.25)
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-300, 1.0, 55.0, 60.0])
+def test_grid_matches_a_wide_window_spectral_kernel_at_any_radius(r):
+    """From r = 54 on the first branch rows underflow to 0; the branch is still summed where it lives, |k| ~ r^2 / 2.
+
+    The oracle synthesizes the shell's multiplier on ModeWindow(2600, 32),
+    whose k range covers the branch at r = 60 (it ends at k = -2421).  At
+    gap 0.1 and r = 55 the kernel is 1/670 of its value at gap 0, the
+    shell's scale there, and the branch's end at 1e-13 of its squared peak
+    sets the error it is held to, 1e-12 of that scale: 8e-15 seen, 5e-12
+    of the value at gap 0.1 itself.
+    """
+    j, t, gaps = 2, 0.7, np.array([0.0, 0.1])
+    grid = kernels.halfwave_kernel_grid(j, t, np.array([r]), gaps, _SIGMA1, lpbesov.shell_window(j, _SIGMA1))[:, 0, 0]
+    weights = make_cutoff().shell_weights
+    want = np.array([kernels.spectral_kernel(lambda lam: weights(j, lam) * np.exp(1j * t * np.sqrt(lam)),
+                                             make_point(_SIGMA1, r, gap), make_point(_SIGMA1, r, 0.0), _SIGMA1,
+                                             ModeWindow(2600, 32)) for gap in gaps])
+    if r == 0.0:
+        assert np.array_equal(grid, np.zeros(2))
+    assert np.abs(grid - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_a_branch_that_outruns_the_cap_raises_nonconvergence(monkeypatch):
+    """At r = 120 the branch runs to k = -8192 and raises; at r = 150 its peak lies past the cap and no row is built."""
+    window = lpbesov.shell_window(2, _SIGMA1)
+    with pytest.raises(NonconvergenceError, match="has not ended by k = -8192"):
+        kernels.halfwave_kernel_grid(2, 0.7, np.array([120.0]), np.array([0.1]), _SIGMA1, window)
+    monkeypatch.setattr(kernels, "_radial_rows", None)  # a call would fail with TypeError
+    for run in (lambda: kernels.halfwave_kernel_grid(2, 0.7, np.array([150.0]), np.array([0.1]), _SIGMA1, window),
+                lambda: kernels.halfwave_sup_curve(2, np.array([0.7]), np.array([150.0]), 0.1, 4, _SIGMA1, window)):
+        with pytest.raises(NonconvergenceError, match="peaks at .k. = 11250.2, past the cap of 8192"):
+            run()
+
+
+def test_branch_reads_the_ladder_at_k_max_0():
+    """A window without k <= -1 rows gives the branch the ladder (2m + 1) b0, as a wider one does."""
+    cfg = ConeConfig(1.0, 2.0, 0.25)
+    r_nodes, gaps = np.linspace(0.2, 2.5, 6), np.array([0.3])
+    narrow = kernels.halfwave_kernel_grid(0, 0.4, r_nodes, gaps, cfg, ModeWindow(0, 1))
+    assert np.array_equal(narrow, kernels.halfwave_kernel_grid(0, 0.4, r_nodes, gaps, cfg, ModeWindow(3, 1)))
+
+
+def test_a_gap_whose_phase_loses_its_digits_past_the_window_is_refused(monkeypatch):
+    """The window's k_max = 40 leaves k dtheta below 2^52 at dtheta = 5e13; the branch reaches k = -126 there."""
+    j, window, r_nodes = 2, lpbesov.shell_window(2, _SIGMA1), np.array([6.0, 8.0])
+    assert window.k_max * 5e13 < 2.0 ** 52 <= 126 * 5e13
+    monkeypatch.setattr(kernels, "_halfwave_products", None)  # a call would fail with TypeError
+    with pytest.raises(DomainError, match="phase up to 6.3e[+]15 has no significant digit"):
+        kernels.halfwave_kernel_grid(j, 0.7, r_nodes, np.array([5e13]), _SIGMA1, window)
+    with pytest.raises(DomainError, match="phase up to 6.3e[+]15 has no significant digit"):
+        kernels.halfwave_sup_curve(j, np.array([0.7]), r_nodes, 5e13, 1, _SIGMA1, window)
+
+
+_POISSON_POINTS = ((0.7, 1.1, 0.9), (1.5, 1.5, 0.2), (3.0, 2.5, 1.3))  # (r1, r2, dtheta)
+
+
+def test_shells_at_imaginary_time_sum_to_the_subordinated_heat_kernel(cfg):
+    """Sum_j phi(2^-j sqrt(H)) e^{-z sqrt(H)} against z/(2 sqrt(pi)) int s^{-3/2} e^{-z^2/4s} K_heat(s) ds, z = 4.
+
+    The shells sum to 1 on the spectrum, so at t = i z they give the Poisson
+    kernel, which subordination writes through the heat closed form (image
+    sum plus tail integral), a representation sharing no code with the
+    eigenbasis.  Each shell runs on its own shell_window, from the lowest
+    holding a mode up to j = 3: past it sqrt(lam) >= 8 and e^{-32} is below
+    the bound (sigma = 2's j = 4 passes the shell mode cap).  The s integral
+    takes 120 Gauss-Legendre nodes in log s on [z^2/240, 70/b0] (400 agree
+    to 3.5e-14).  3.1e-14 the worst seen; with the branch cut at the window
+    edge the miss reached 8.7e-5.
+    """
+    z = 4.0
+    radii = np.unique([r for point in _POISSON_POINTS for r in point[:2]])
+    gaps = np.array([gap for *_, gap in _POISSON_POINTS])
+    poisson = 0.0
+    for j in range(-3, 4):
+        try:
+            window = lpbesov.shell_window(j, cfg)
+        except DomainError:  # the shell holds no mode
+            continue
+        poisson = poisson + kernels.halfwave_kernel_grid(j, 1j * z, radii, gaps, cfg, window)
+    x, w = gauss_legendre_rule(120)
+    lo, hi = math.log(z * z / 240.0), math.log(70.0 / cfg.b0)
+    s = np.exp(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
+    ds = 0.5 * (hi - lo) * w * s
+    for i, (r1, r2, gap) in enumerate(_POISSON_POINTS):
+        p, q = make_point(cfg, r1, gap), make_point(cfg, r2, 0.0)
+        heat = np.array([kernels.heat_kernel_closed(s_n, p, q, cfg).value for s_n in s])
+        want = np.sum(ds * z / (2.0 * math.sqrt(math.pi)) * s ** -1.5 * np.exp(-z * z / (4.0 * s)) * heat)
+        got = poisson[i, np.searchsorted(radii, r1), np.searchsorted(radii, r2)]
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_shell_window_is_the_sweep_window(cfg):
@@ -290,15 +401,19 @@ def test_shell_table_holds_the_modes_the_oracle_finds(cone, shell_modes):
                 with pytest.raises(WindowTooSmallError):
                     lpbesov._shell_table(j, cone, window)
                 continue
-            lam, weights, mask, branch = lpbesov._shell_table(j, cone, window)
+            lam, weights, mask, (ladder_ms, ladder, ladder_weights) = lpbesov._shell_table(j, cone, window)
             assert np.array_equal(lam, eigenvalue_table(cone, window))
             (shared,) = lpbesov._shell_weights([j], cone, window)
             assert np.array_equal(weights.view(np.int64), shared.view(np.int64))
             rows = [(k, np.flatnonzero(mask[window.k_max + k])) for k in range(window.k_max + 1)]
             assert [(k, ms.tolist()) for k, ms in rows if ms.size] == [(k, ms.tolist()) for k, ms in pos]
-            assert np.flatnonzero(branch).tolist() == neg_ms.tolist()
+            assert ladder_ms.tolist() == neg_ms.tolist()
+            assert np.array_equal(ladder, (2.0 * neg_ms + 1.0) * cone.b0)
+            assert np.array_equal(ladder_weights, make_cutoff().shell_weights(j, ladder))
             for k in range(1, window.k_max + 1):  # every k <= -1 row holds the ladder
-                assert np.array_equal(mask[window.k_max - k], branch)
+                assert np.flatnonzero(mask[window.k_max - k]).tolist() == neg_ms.tolist()
+                assert np.array_equal(lam[window.k_max - k, neg_ms], ladder)
+                assert np.array_equal(weights[window.k_max - k, neg_ms], ladder_weights)
     assert refused > 0
 
 
@@ -345,9 +460,6 @@ def test_shell_blocks_and_bernstein_make_no_per_mode_eigenvalue_call(cfg, monkey
 # ---------------------------------------------------------------------------
 # grids synthesis refuses
 # ---------------------------------------------------------------------------
-
-_SIGMA1 = ConeConfig(1.0, 1.0, 0.25)
-
 
 @pytest.mark.parametrize("r_nodes,dtheta_nodes,circle,why", [
     ([math.nan, 1.0], [0.1], (0.1, 1), "each radius finite and >= 0"),

@@ -453,7 +453,7 @@ def test_shell_blocks_peak_memory_stays_near_the_blocks_it_returns():
         "cfg = verify.REFERENCE_CONFIGS[2]\n"
         "window = lpbesov.shell_window(3, cfg)\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "blocks, _ = kernels._shell_blocks(3, cfg, window, np.linspace(0.25, 10.0, 41))\n"
+        "blocks = kernels._shell_blocks(3, cfg, window, np.linspace(0.25, 10.0, 41))\n"
         "peak = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024\n"
         "print(peak, sum(b[3].nbytes for b in blocks))\n"
     )
