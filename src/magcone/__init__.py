@@ -7,16 +7,7 @@ harness for the decay estimates they satisfy.
 
 from types import ModuleType as _ModuleType
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    GammaOutOfRangeError,
-    MagconeError,
-    NonconvergenceError,
-    QuadratureError,
-    SingularTimeError,
-    WindowTooSmallError,
-)
+from .errors import DomainError, MagconeError, NonconvergenceError, SingularTimeError
 from .geometry import (
     ConeConfig,
     ConePoint,

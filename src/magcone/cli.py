@@ -25,7 +25,7 @@ import numpy as np
 from . import kernels as _kernels
 from . import lpbesov as _lpbesov
 from . import verify as _verify
-from .errors import ConfigError, MagconeError, NonconvergenceError, SingularTimeError
+from .errors import DomainError, MagconeError, NonconvergenceError, SingularTimeError
 from .geometry import ConeConfig, make_point
 from .spectrum import (
     ModeWindow,
@@ -84,24 +84,24 @@ def parse_config_file(path: str | None) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
         if key not in values:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
         val = val.strip()
         try:
             number = float(val)
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
+            raise DomainError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
         if not math.isfinite(number):
-            raise ConfigError(f"{path}:{lineno}: {key} must be finite, got {val!r}")
+            raise DomainError(f"{path}:{lineno}: {key} must be finite, got {val!r}")
         if isinstance(_DEFAULTS[key], int):
             if not number.is_integer():
-                raise ConfigError(f"{path}:{lineno}: {key} must be an integer, got {val!r}")
+                raise DomainError(f"{path}:{lineno}: {key} must be an integer, got {val!r}")
             number = int(number)
         if key == "seed" and number < 0:
-            raise ConfigError(f"{path}:{lineno}: seed must be >= 0, got {val!r}")
+            raise DomainError(f"{path}:{lineno}: seed must be >= 0, got {val!r}")
         values[key] = number
     return values
 
@@ -110,7 +110,7 @@ def build_run_config(args) -> RunConfig:
     values = parse_config_file(args.config)
     if args.seed is not None:
         if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+            raise DomainError(f"--seed must be >= 0, got {args.seed}")
         values["seed"] = args.seed
     cone = ConeConfig(values["sigma"], values["b0"], values["alpha"])
     return RunConfig(
@@ -127,7 +127,7 @@ def _parse_point(cfg: ConeConfig, text: str):
         r_s, th_s = text.split(",")
         return make_point(cfg, float(r_s), float(th_s))
     except ValueError as exc:
-        raise ConfigError(f"point must be 'r,theta', got {text!r}") from exc
+        raise DomainError(f"point must be 'r,theta', got {text!r}") from exc
 
 
 _KERNEL_CSV_HEADER = ("t", "r1", "th1", "r2", "th2", "re", "im", "largest_term", "k_max_used")
@@ -137,7 +137,7 @@ def _require_finite(args, *names: str) -> None:
     for name in names:
         value = getattr(args, name)
         if not math.isfinite(value):
-            raise ConfigError(f"--{name} must be finite, got {value}")
+            raise DomainError(f"--{name} must be finite, got {value}")
 
 
 def _emit(args, payload, lines) -> None:
@@ -189,7 +189,7 @@ def cmd_kernel(args) -> int:
     reprs = ["series", "closed"] if rep == "both" else [rep]
     for name in reprs:
         if (args.kind, name) not in _KERNELS:
-            raise ConfigError(f"kernel {args.kind} has no --repr {rep}; it takes "
+            raise DomainError(f"kernel {args.kind} has no --repr {rep}; it takes "
                               + ", ".join(r for k, r in _KERNELS if k == args.kind))
     _require_finite(args, "t")
     rc = build_run_config(args)
@@ -234,12 +234,12 @@ def cmd_spectrum(args) -> int:
 
     if args.action == "expand":
         if args.input is None:
-            raise ConfigError("spectrum expand needs --input CSV of samples r,theta,re,im")
+            raise DomainError("spectrum expand needs --input CSV of samples r,theta,re,im")
         field = _expand_samples(_load_samples(args.input), rc)
         out = Path(args.out) / "field.csv"
     else:  # evolve
         if args.input is None:
-            raise ConfigError("spectrum evolve needs --input field CSV")
+            raise DomainError("spectrum evolve needs --input field CSV")
         _require_field_cone(args.input, cfg)
         field = load_field(args.input)
         field = spectral_apply(_named_multiplier(args), field, cfg)
@@ -286,9 +286,9 @@ def _require_field_cone(path: str, cfg: ConeConfig) -> None:
         cone = json.loads(sidecar.read_text(encoding="utf-8"))["cone"]
         saved = (cone["sigma"], cone["b0"], cone["alpha"])
     except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"{sidecar}: not a field sidecar with a cone ({type(exc).__name__}: {exc})") from exc
+        raise DomainError(f"{sidecar}: not a field sidecar with a cone ({type(exc).__name__}: {exc})") from exc
     if saved != (cfg.sigma, cfg.b0, cfg.alpha):
-        raise ConfigError(f"{path} was saved on the cone sigma={saved[0]}, b0={saved[1]}, alpha={saved[2]}, "
+        raise DomainError(f"{path} was saved on the cone sigma={saved[0]}, b0={saved[1]}, alpha={saved[2]}, "
                           f"not the config's sigma={cfg.sigma}, b0={cfg.b0}, alpha={cfg.alpha}")
 
 
@@ -299,18 +299,18 @@ def _load_samples(path: str):
             continue
         parts = line.split(",")
         if len(parts) != 4:
-            raise ConfigError(f"{path}:{lineno}: expected r,theta,re,im")
+            raise DomainError(f"{path}:{lineno}: expected r,theta,re,im")
         try:
             row = tuple(float(x) for x in parts)
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad number") from exc
+            raise DomainError(f"{path}:{lineno}: bad number") from exc
         if not all(map(math.isfinite, row)):
-            raise ConfigError(f"{path}:{lineno}: samples must be finite")
+            raise DomainError(f"{path}:{lineno}: samples must be finite")
         if row[0] < 0.0:
-            raise ConfigError(f"{path}:{lineno}: sample radius r must be >= 0, got {parts[0]!r}")
+            raise DomainError(f"{path}:{lineno}: sample radius r must be >= 0, got {parts[0]!r}")
         rows.append(row)
     if not rows:
-        raise ConfigError(f"{path}: empty sample file")
+        raise DomainError(f"{path}: empty sample file")
     return np.asarray(rows)
 
 
@@ -398,7 +398,7 @@ def main(argv=None) -> int:
     except NonconvergenceError as exc:
         print(f"nonconvergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (ConfigError, MagconeError, OSError) as exc:
+    except (MagconeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

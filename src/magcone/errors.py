@@ -1,33 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one class per refusal exit code of the CLI."""
 
 
 class MagconeError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; the CLI maps each subclass to its exit code."""
 
 
 class DomainError(MagconeError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """An input lies outside what an operation accepts (CLI exit 2, "error:").
 
-
-class NonconvergenceError(MagconeError, ArithmeticError):
-    """A series or iteration hit its term cap with the tail still above tolerance."""
-
-
-class QuadratureError(MagconeError, ValueError):
-    """A requested resolution exceeds what the quadrature grid can represent."""
+    That covers arguments outside the mathematical domain, angles on an
+    image-sum boundary, gamma outside [0, kappa], mode windows too small
+    for a shell or too fine for the quadrature, and malformed run
+    configurations, sample files and field sidecars.
+    """
 
 
 class SingularTimeError(MagconeError, ValueError):
-    """Propagator evaluation requested too close to a singular time."""
+    """Propagator evaluation requested too close to a singular time (CLI exit 3, "singular time:")."""
 
 
-class WindowTooSmallError(MagconeError, ValueError):
-    """A mode window does not cover the spectral content it is asked to represent."""
-
-
-class GammaOutOfRangeError(MagconeError, ValueError):
-    """Weight exponent outside the admissible range set by the flux distance."""
-
-
-class ConfigError(MagconeError, ValueError):
-    """Malformed run configuration."""
+class NonconvergenceError(MagconeError, ArithmeticError):
+    """A series or iteration hit its cap with the tail still above tolerance (CLI exit 4, "nonconvergence:")."""

@@ -33,12 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .errors import DomainError, NonconvergenceError, QuadratureError, SingularTimeError
+from .errors import DomainError, NonconvergenceError, SingularTimeError
 from .geometry import ConeConfig, ConePoint, angular_difference, flux_distance
 from .lpbesov import _shell_table
 from .quadrature import adaptive_panel, gauss_legendre_rule, oscillatory_bessel_tail
 from .spectrum import (
-    _PHASE_DIGITS,
     ModeWindow,
     _radial_rows,
     _require_phase_digits,
@@ -50,6 +49,7 @@ from .spectrum import (
 )
 
 _SIN_GUARD = 1e-6
+_ANGLE_LIMIT = 2.0 ** 22  # from this |t b0| or |delta| on, rounding k theta / sigma may cost the angular sum 1e-7
 _K_START = 40  # first |k| range of the angular series and reduced_kernel_matrix; both extend from there
 _K_CAP = 8192
 _HEAT_TB_MAX = 700.0  # past it the heat kernel's factor e^{-t b0} leaves the normal float range
@@ -74,8 +74,8 @@ class KernelValue:
 def image_angles(theta: float, cfg: ConeConfig, gap: float = _BOUNDARY_EPS) -> np.ndarray:
     """All representatives theta + 2 pi sigma j with modulus <= pi.
 
-    One within 1e-9 of pi, or within gap of it when gap is larger, raises
-    QuadratureError; a non-finite theta raises DomainError.
+    One within 1e-9 of pi, or within gap of it when gap is larger, or a
+    non-finite theta, raises DomainError.
     """
     if not math.isfinite(theta):
         raise DomainError(f"image_angles needs a finite angle, got {theta}")
@@ -86,7 +86,7 @@ def image_angles(theta: float, cfg: ConeConfig, gap: float = _BOUNDARY_EPS) -> n
     off = float(np.abs(np.abs(cand) - math.pi).min())
     if off < max(gap, _BOUNDARY_EPS):
         where = "on" if off < _BOUNDARY_EPS else f"{off:.3g} from"
-        raise QuadratureError(f"angle {theta} sits {where} an image-sum boundary (|theta + 2 pi sigma j| = pi)")
+        raise DomainError(f"angle {theta} sits {where} an image-sum boundary (|theta + 2 pi sigma j| = pi)")
     return cand[np.abs(cand) <= math.pi]
 
 
@@ -437,15 +437,15 @@ def heat_closed_bracket_grid(x_vec: np.ndarray, theta_vec: np.ndarray, t: float,
 def _schrodinger_time(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) -> tuple[float, float, complex]:
     """(rho, theta, prefactor) of the pair, after the checks both Schrodinger representations share.
 
-    A non-finite t, or a phase |t b0| >= 2^52 whose e^{i t b0} has no
-    significant digit, raises DomainError, and |sin(t b0)| < _SIN_GUARD
-    raises SingularTimeError.
+    A non-finite t, or a phase |t b0| >= _ANGLE_LIMIT, raises DomainError,
+    and |sin(t b0)| < _SIN_GUARD raises SingularTimeError.
     """
     if not math.isfinite(t):
         raise DomainError(f"Schrodinger kernel needs a finite t, got {t}")
     tb = t * cfg.b0
-    if abs(tb) >= _PHASE_DIGITS:
-        raise DomainError(f"Schrodinger kernel: phase up to {abs(tb):.6g} has no significant digit (|t b0| >= 2^52)")
+    if abs(tb) >= _ANGLE_LIMIT:
+        raise DomainError(f"Schrodinger kernel: phase up to {abs(tb):.6g} reaches the angle limit, past which rounding "
+                          "k theta / sigma may cost the angular sum 1e-7 (|t b0| >= 2^22)")
     sin_tb = math.sin(tb)
     if abs(sin_tb) < _SIN_GUARD:
         raise SingularTimeError(
@@ -524,14 +524,14 @@ def schrodinger_kernel_closed(t: float, p: ConePoint, q: ConePoint, cfg: ConeCon
 def _reduced_args(rho, delta) -> tuple[np.ndarray, np.ndarray]:
     """rho and delta as float arrays; DomainError unless every rho is finite and >= 0 and every delta finite.
 
-    A finite delta with |delta| >= 2^52 raises DomainError too: e^{i k delta / sigma} has no significant digit there.
+    A finite delta with |delta| >= _ANGLE_LIMIT raises DomainError too: e^{i k delta / sigma} may lose 1e-7 there.
     """
     rho, delta = np.asarray(rho, dtype=float), np.asarray(delta, dtype=float)
     if not (np.all((0.0 <= rho) & (rho < math.inf)) and np.isfinite(delta).all()):
         raise DomainError("reduced kernel needs a finite rho >= 0 and a finite delta")
-    if (np.abs(delta) >= _PHASE_DIGITS).any():
-        raise DomainError(f"reduced kernel: delta up to {float(np.abs(delta).max()):.6g} "
-                          "has no significant digit (|delta| >= 2^52)")
+    if (np.abs(delta) >= _ANGLE_LIMIT).any():
+        raise DomainError(f"reduced kernel: delta up to {float(np.abs(delta).max()):.6g} reaches the angle limit, "
+                          "past which rounding k delta / sigma may cost the angular sum 1e-7 (|delta| >= 2^22)")
     return rho, delta
 
 

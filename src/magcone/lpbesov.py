@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, WindowTooSmallError
+from .errors import DomainError
 from .geometry import ConeConfig, ConePoint
 from .quadrature import EvaluationGrid, evaluation_grid
 from .spectrum import (
@@ -104,7 +104,7 @@ def shell_range(cfg: ConeConfig, window: ModeWindow) -> range:
 
 
 def _require_shell_bounded(j: int, cfg: ConeConfig) -> None:
-    """Raise WindowTooSmallError if dyadic shell j may hold more than _SHELL_MODE_CAP modes.
+    """Raise DomainError if dyadic shell j may hold more than _SHELL_MODE_CAP modes.
 
     A closed form, so callers check it before they iterate or allocate
     anything: at most sigma * lam_hi / (2 b0) + 1 rows k >= 0 lie below
@@ -116,7 +116,7 @@ def _require_shell_bounded(j: int, cfg: ConeConfig) -> None:
     half_levels = 2.0 ** (2 * min(j, 500) + 1) / cfg.b0  # lam_hi / (2 b0)
     modes = (cfg.sigma * half_levels + 2.0) * (half_levels + 1.0)
     if modes > _SHELL_MODE_CAP:
-        raise WindowTooSmallError(f"shell j={j} may hold {modes:.3g} modes, above the cap of {_SHELL_MODE_CAP}")
+        raise DomainError(f"shell j={j} may hold {modes:.3g} modes, above the cap of {_SHELL_MODE_CAP}")
     if 2 * (j + 1) >= sys.float_info.max_exp:
         raise DomainError(f"half-wave shell j={j} ends at eigenvalue 4^(j+1) = 2^{2 * (j + 1)}, "
                           "past the float range")
@@ -127,17 +127,17 @@ def _shell_table(j: int, cfg: ConeConfig, window: ModeWindow):
 
     branch is (ms, lam, weights) of the shell's levels on the degenerate
     ladder (2m + 1) b0, m <= m_max, which every k <= -1 row holds, at any
-    k_max.  After _require_shell_bounded, WindowTooSmallError if
+    k_max.  After _require_shell_bounded, DomainError if
     eigenvalue(k_max + 1, 0) lies below 4^{j+1}, or the ladder's level
     m_max + 1, the lowest mode past m_max, at or below it.
     """
     _require_shell_bounded(j, cfg)
     lam_lo, lam_hi = 4.0 ** (j - 1), 4.0 ** (j + 1)
     if float(eigenvalue(cfg, window.k_max + 1, 0)) < lam_hi:
-        raise WindowTooSmallError(f"shell j={j} extends past k_max={window.k_max} on the k >= 0 side")
+        raise DomainError(f"shell j={j} extends past k_max={window.k_max} on the k >= 0 side")
     ladder = eigenvalue(cfg, -1, np.arange(window.m_max + 2))
     if ladder[-1] <= lam_hi:
-        raise WindowTooSmallError(f"shell j={j} needs m up to {math.floor((lam_hi / cfg.b0 - 1.0) / 2.0)} "
+        raise DomainError(f"shell j={j} needs m up to {math.floor((lam_hi / cfg.b0 - 1.0) / 2.0)} "
                                   f"on the degenerate branch, window has m_max={window.m_max}")
     lam = eigenvalue_table(cfg, window)
     ms = np.flatnonzero((lam_lo <= ladder[:-1]) & (ladder[:-1] <= lam_hi))
@@ -148,9 +148,8 @@ def _shell_table(j: int, cfg: ConeConfig, window: ModeWindow):
 def shell_window(j: int, cfg: ConeConfig) -> ModeWindow:
     """The smallest mode window covering dyadic shell j.
 
-    Raises WindowTooSmallError first if the shell may hold more than
-    _SHELL_MODE_CAP modes, then DomainError if it ends past the float range
-    or holds no mode.  The lowest
+    Raises DomainError if the shell may hold more than _SHELL_MODE_CAP
+    modes, ends past the float range or holds no mode.  The lowest
     eigenvalue is b0 and the levels lie at most 2 b0 apart, so a shell
     ending at or below b0 is the one way to miss every level; the integer
     power 4 ** (j + 1) is exact at any j.
@@ -282,5 +281,5 @@ def bernstein_ratio(j: int, p: float, q_exp: float, cfg: ConeConfig, window: Mod
         if den > 0.0:
             best = max(best, num / (scale * den))
     if best == 0.0:
-        raise WindowTooSmallError(f"no spectral mass in shell {j} for the given window")
+        raise DomainError(f"no spectral mass in shell {j} for the given window")
     return best

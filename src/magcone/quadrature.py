@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _sp
 
-from .errors import NonconvergenceError, QuadratureError
+from .errors import NonconvergenceError
 from .geometry import ConeConfig
 
 _ORDER = 16  # Gauss-Legendre nodes per adaptive panel
@@ -130,7 +130,7 @@ def _walk(f, a, b, tol, first: int) -> np.ndarray:
 def oscillatory_bessel_tail(f_analytic, rho: float, decay_rate: float, tol: float) -> complex:
     """Integrate f(s) = e^{-i rho cosh s} g(s) over [0, inf) for decaying analytic g.
 
-    g (hence f_analytic) must be analytic in Re s > 0 with |g| <= C e^{-decay_rate s}.
+    rho >= 0, and g (hence f_analytic) must be analytic in Re s > 0 with |g| <= C e^{-decay_rate s}.
     The path is deformed: a short real segment [0, s0] (bounded oscillation),
     a vertical drop to Im s = -pi/2, then the horizontal line where
     -i rho cosh s is pure decay.  The three legs are one adaptive_panel
@@ -154,9 +154,6 @@ def oscillatory_bessel_tail(f_analytic, rho: float, decay_rate: float, tol: floa
     e^s - 1, without cancellation.
     """
     rho = float(rho)
-    if rho < 0.0:
-        # e^{+i rho cosh s}: conjugate path; handled by conjugating the whole problem
-        raise QuadratureError("oscillatory_bessel_tail expects rho >= 0")
     s0 = min(max(0.5, math.acosh(1.0 + 2.0 * math.pi / max(rho, 1e-12))), 6.0)
 
     # real segment s = u, apportioned so each panel spans O(2 pi) of phase

@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy import special as _sp
 
-from .errors import DomainError, NonconvergenceError, QuadratureError
+from .errors import DomainError, NonconvergenceError
 from .geometry import ConeConfig, ConePoint
 from .quadrature import genlaguerre_rule
 
@@ -235,7 +235,11 @@ def expand(
 ) -> SpectralField:
     """Project a function onto the eigenbasis over the window.
 
-    f(r, theta) must accept broadcast ndarrays and return the sampled values.
+    f is called once per k as f(r[:, None], theta[None, :]) on the radial
+    nodes and the angular grid, and its values are broadcast to that
+    (n_radial, n_theta) grid: an f of r alone, or a constant, is sampled as
+    the function it is.  Values that do not broadcast to the grid raise
+    DomainError naming their shape.
     The angular projection is the exact trapezoid rule on the uniform circle
     grid (spectrally exact for band-limited f); the radial integral uses the
     generalized Gauss-Laguerre rule matched to each mode's order, which is
@@ -243,9 +247,7 @@ def expand(
     raises DomainError naming its (r, theta) before it is projected.
     """
     if window.k_max > quad.n_theta // 2 - 1:
-        raise QuadratureError(
-            f"k_max={window.k_max} exceeds the angular resolution of n_theta={quad.n_theta}"
-        )
+        raise DomainError(f"k_max={window.k_max} exceeds the angular resolution of n_theta={quad.n_theta}")
     theta = _angular_nodes(cfg, quad.n_theta)
     coeffs = np.zeros(window.shape, dtype=complex)
 
@@ -254,7 +256,13 @@ def expand(
         u, w = genlaguerre_rule(quad.n_radial, a)
         r = np.sqrt(2.0 * u / cfg.b0)
         samples = np.asarray(f(r[:, None], theta[None, :]), dtype=complex)
-        bad = np.broadcast_to(~np.isfinite(samples), (r.size, theta.size))
+        if samples.shape != (r.size, theta.size):
+            try:  # a contiguous copy, so the product below sums as it does for a full-shape f
+                samples = np.broadcast_to(samples, (r.size, theta.size)).copy()
+            except ValueError:
+                raise DomainError(f"expand needs f(r, theta) to broadcast to the grid shape {(r.size, theta.size)}, "
+                                  f"got shape {samples.shape}") from None
+        bad = ~np.isfinite(samples)
         if bad.any():
             i, it = np.argwhere(bad)[0]
             raise DomainError(f"expand needs finite samples, f(r={r[i]:g}, theta={theta[it]:g}) is not finite")

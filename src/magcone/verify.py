@@ -26,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, GammaOutOfRangeError, NonconvergenceError
+from .errors import DomainError, NonconvergenceError
 from .geometry import ConeConfig, flux_distance
 from .kernels import heat_closed_bracket_grid, halfwave_sup_curve, reduced_kernel_matrix, schrodinger_angular_tail
 from .lpbesov import shell_window
@@ -270,10 +270,10 @@ def _split_sups(grid: tuple, gamma: float) -> tuple[float, float, float]:
 
 
 def _require_gamma(cfg: ConeConfig, gamma: float) -> None:
-    """Raise GammaOutOfRangeError unless 0 <= gamma <= kappa, the flux distance."""
+    """Raise DomainError unless 0 <= gamma <= kappa, the flux distance."""
     kappa = flux_distance(cfg)
     if not (0.0 <= gamma <= kappa + 1e-12):
-        raise GammaOutOfRangeError(f"gamma={gamma} outside [0, kappa={kappa}]")
+        raise DomainError(f"gamma={gamma} outside [0, kappa={kappa}]")
 
 
 def weighted_dispersive_constant(cfg: ConeConfig, gammas: tuple[float, ...],
@@ -428,10 +428,11 @@ def angular_tail_l1_scan(cfg: ConeConfig, grids: SweepGrids = SweepGrids()) -> l
 _SUBORDINATION_GRID = np.geomspace(0.1, 10.0, 10)  # the z and the y grid of subordination_identity_check
 
 
-def subordination_identity_check(cfg: ConeConfig = REFERENCE_CONFIGS[0]) -> list[SweepReport]:
+def subordination_identity_check(cfg: ConeConfig) -> list[SweepReport]:
     """max relative error of e^{-z sqrt(y)} = z/(2 sqrt(pi)) int_0^inf e^{-s y - z^2/(4 s)} s^{-3/2} ds.
 
-    The substitution s = (z / 2 sqrt(y)) e^u centers the saddle and factors
+    The identity does not depend on the cone: cfg only names the report's
+    config, and every cfg gives the same rows.  The substitution s = (z / 2 sqrt(y)) e^u centers the saddle and factors
     out e^{-z sqrt(y)}, so both sides are compared at O(1) scale even deep
     in the exponential tail.
     """

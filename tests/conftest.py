@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from magcone import cli, kernels, lpbesov, spectrum
-from magcone.errors import QuadratureError, WindowTooSmallError
+from magcone.errors import DomainError
 from magcone.geometry import ConeConfig, make_point
 
 REFERENCE = (
@@ -93,7 +93,7 @@ def _shell_modes(j, cfg, window):
     Returns [(k, m_array)] for the k >= 0 rows holding a shell mode and the
     m_array of the degenerate ladder (row k = -1, which every k <= -1 row
     repeats, even when the window has no such row).  Raises
-    WindowTooSmallError when a shell mode lies past k_max on the k >= 0 side
+    DomainError when a shell mode lies past k_max on the k >= 0 side
     or past m_max in a row the window's k range reaches (the ladder counts
     always); a shell may hold 2^20 modes, so the work cap is checked first.
     Every mode with eigenvalue <= 4^(j+1) lies in the box searched.
@@ -107,23 +107,23 @@ def _shell_modes(j, cfg, window):
         lam = spectrum.eigenvalue(cfg, k, np.arange(m_box + 1))
         inside[k] = (lo <= lam) & (lam <= hi)
     if any(inside[k].any() for k in range(window.k_max + 1, k_box + 1)):
-        raise WindowTooSmallError(f"shell j={j} extends past k_max={window.k_max} on the k >= 0 side")
+        raise DomainError(f"shell j={j} extends past k_max={window.k_max} on the k >= 0 side")
     if any(inside[k][window.m_max + 1:].any() for k in range(-1, window.k_max + 1)):
-        raise WindowTooSmallError(f"shell j={j} needs m past m_max={window.m_max}")
+        raise DomainError(f"shell j={j} needs m past m_max={window.m_max}")
     pos = [(k, np.flatnonzero(inside[k][:window.m_max + 1])) for k in range(window.k_max + 1)]
     return [(k, ms) for k, ms in pos if ms.size], np.flatnonzero(inside[-1][:window.m_max + 1])
 
 
 @pytest.fixture(scope="session")
 def shell_modes():
-    """j, cfg, window -> the brute-force mode lists of dyadic shell j on the window, or WindowTooSmallError."""
+    """j, cfg, window -> the brute-force mode lists of dyadic shell j on the window, or DomainError."""
     return _shell_modes
 
 
 def _grid_refuses(dtheta: float, cfg: ConeConfig) -> bool:
     try:
         kernels.image_angles(dtheta, cfg, kernels._GRID_BOUNDARY_GAP)
-    except QuadratureError:
+    except DomainError:
         return True
     return False
 

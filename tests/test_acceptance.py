@@ -272,7 +272,7 @@ def test_criterion_6_halfwave_decay_rate():
 
 
 def test_criterion_7_identity_checks():
-    rep = subordination_identity_check()[0]
+    rep = subordination_identity_check(REFERENCE_CONFIGS[0])[0]
     assert rep.empirical_constant < 1e-10
 
     rng = np.random.default_rng(99)

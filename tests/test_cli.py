@@ -14,8 +14,8 @@ import pytest
 
 from magcone.cli import (_DEFAULTS, EXIT_CONFIG, EXIT_FAILED_SWEEP, EXIT_NONCONVERGENCE, EXIT_OK, EXIT_SINGULAR,
                          main, parse_config_file)
-from magcone import kernels, lpbesov
-from magcone.errors import ConfigError
+from magcone import cli, kernels, lpbesov
+from magcone.errors import DomainError, MagconeError, NonconvergenceError, SingularTimeError
 from magcone.geometry import ConeConfig, make_point
 from magcone.spectrum import ModeWindow, QuadratureSpec, load_field, random_field, save_field
 
@@ -33,11 +33,11 @@ def test_config_file_parsing(tmp_path):
     assert values["n_theta"] == 128
     bad = tmp_path / "bad.cfg"
     bad.write_text("sigma: 1.5\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError, match="expected 'key = value'"):
         parse_config_file(str(bad))
     unknown = tmp_path / "unknown.cfg"
     unknown.write_text("flux = 0.3\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError, match="unknown key 'flux'"):
         parse_config_file(str(unknown))
 
 
@@ -81,6 +81,29 @@ def test_kernel_singular_time_exit(tmp_path):
     code = run_cli("--out", str(tmp_path / "o"), "kernel", "schrodinger",
                    "--repr", "series", "--t", str(math.pi), "--p", "1.0,0.0", "--q", "1.0,0.5")
     assert code == EXIT_SINGULAR
+
+
+@pytest.mark.parametrize("error,code,prefix", [(DomainError, EXIT_CONFIG, "error: "),
+                                               (SingularTimeError, EXIT_SINGULAR, "singular time: "),
+                                               (NonconvergenceError, EXIT_NONCONVERGENCE, "nonconvergence: ")])
+def test_each_refusal_class_has_one_exit_code(tmp_path, capsys, monkeypatch, error, code, prefix):
+    """One MagconeError subclass per refusal exit code, each mapped by main with its stderr prefix."""
+    assert set(MagconeError.__subclasses__()) == {DomainError, SingularTimeError, NonconvergenceError}
+
+    def refuse(args):
+        raise error("refused here")
+    monkeypatch.setattr(cli, "cmd_verify", refuse)
+    assert run_cli("--out", str(tmp_path / "o"), "verify", "all") == code
+    assert capsys.readouterr().err == prefix + "refused here\n"
+
+
+def test_kernel_schrodinger_refuses_a_phase_past_the_angle_limit(tmp_path, capsys):
+    """t b0 = 1e9 is past 2^22, where the angular terms' phases may cost 1e-7: exit 2 for both forms."""
+    code = run_cli("--out", str(tmp_path / "o"), "kernel", "schrodinger", "--repr", "both",
+                   "--t", "1e9", "--p", "1.0,0.3", "--q", "0.8,2.1")
+    err = _assert_one_line_error(capsys, code)
+    assert "(|t b0| >= 2^22)" in err
+    assert not (tmp_path / "o" / "kernel.csv").exists()
 
 
 def test_spectrum_table(tmp_path, capsys):
@@ -244,7 +267,8 @@ def test_verify_reproducible_outputs(tmp_path):
 def test_config_rejects_non_finite_and_fractional_values(tmp_path, capsys, line):
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text(line + "\n")
-    with pytest.raises(ConfigError):
+    why = {"window_k = 40.7": "window_k must be an integer", "alpha = abc": "bad value for alpha"}
+    with pytest.raises(DomainError, match=why.get(line, "must be finite")):
         parse_config_file(str(cfgfile))
     code = run_cli("--config", str(cfgfile), "--out", str(tmp_path / "o"), "spectrum", "table")
     assert code == EXIT_CONFIG

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from magcone import cli, kernels, lpbesov, spectrum
-from magcone.errors import DomainError, QuadratureError
+from magcone.errors import DomainError
 from magcone.geometry import ConePoint, make_point
 from magcone.spectrum import ModeWindow, SpectralField
 
@@ -46,18 +46,29 @@ def test_heat_entry_points_refuse_the_same_times(cfg, t_of):
     assert len(set(messages)) == 1 and messages[0].startswith("heat kernel needs")
 
 
-@pytest.mark.parametrize("t_of", [lambda cfg: math.nan, lambda cfg: math.inf, lambda cfg: 2.0 ** 52 / cfg.b0,
-                                  lambda cfg: 1e300],
-                         ids=["nan", "inf", "tb2^52", "1e300"])
+@pytest.mark.parametrize("t_of", [lambda cfg: math.nan, lambda cfg: math.inf,
+                                  lambda cfg: kernels._ANGLE_LIMIT / cfg.b0, lambda cfg: 1e300],
+                         ids=["nan", "inf", "tb2^22", "1e300"])
 def test_schrodinger_entry_points_refuse_the_same_times(cfg, t_of):
-    """A phase t b0 of 2^52 or more holds no digit of e^{i t b0}: both representations refuse it alike."""
+    """From a phase t b0 of 2^22 on, rounding k theta / sigma may cost 1e-7: both representations refuse it alike."""
     t = t_of(cfg)
     p, q = make_point(cfg, 1.0, 0.3), make_point(cfg, 1.2, 1.4)
     messages = _refusals([lambda: kernels.schrodinger_kernel_series(t, p, q, cfg),
                           lambda: kernels.schrodinger_kernel_closed(t, p, q, cfg)],
                          DomainError)
     assert messages[0] == messages[1]
-    assert ("needs a finite t" if not math.isfinite(t) else "has no significant digit (|t b0| >= 2^52)") in messages[0]
+    assert ("needs a finite t" if not math.isfinite(t) else "(|t b0| >= 2^22)") in messages[0]
+
+
+@pytest.mark.parametrize("point", [((1.0, 0.3), (0.8, 2.1)), ((2.5, 1.0), (1.7, 0.2)), ((0.3, 2.0), (2.9, 0.6))])
+def test_schrodinger_representations_agree_just_below_the_angle_limit(cfg, point):
+    """At the largest |t b0| below 2^22 both forms run and agree within 1e-7."""
+    p, q = (make_point(cfg, *xy) for xy in point)
+    for tb in (math.nextafter(kernels._ANGLE_LIMIT, 0.0), -math.nextafter(kernels._ANGLE_LIMIT, 0.0)):
+        t = tb / cfg.b0
+        series = kernels.schrodinger_kernel_series(t, p, q, cfg).value
+        closed = kernels.schrodinger_kernel_closed(t, p, q, cfg).value
+        assert abs(series - closed) <= 1e-7 * abs(closed)
 
 
 def test_closed_forms_refuse_an_angle_on_an_image_boundary(cfg):
@@ -71,7 +82,7 @@ def test_closed_forms_refuse_an_angle_on_an_image_boundary(cfg):
                           lambda: kernels.heat_closed_bracket_grid(np.array([0.2, 0.5]), np.array([0.3, math.pi]),
                                                                    t, cfg),
                           lambda: kernels.schrodinger_kernel_closed(t_s, p_s, q_s, cfg)],
-                         QuadratureError)
+                         DomainError)
     assert len(set(messages[:3])) == 1
     assert all("sits on an image-sum boundary" in m for m in messages)
 
@@ -115,13 +126,13 @@ def test_reduced_kernel_entry_points_refuse_the_same_arguments(cfg, rho, delta):
     assert messages[0] == messages[1] == "reduced kernel needs a finite rho >= 0 and a finite delta"
 
 
-@pytest.mark.parametrize("delta", [2.0 ** 52, -2.0 ** 52, 0.7 + 2.0 * math.pi * 1e15])
+@pytest.mark.parametrize("delta", [kernels._ANGLE_LIMIT, -kernels._ANGLE_LIMIT, 0.7 + 2.0 * math.pi * 1e15])
 def test_reduced_kernel_entry_points_refuse_a_delta_without_a_significant_digit(cfg, delta):
     messages = _refusals([lambda: kernels.reduced_kernel(1.3, delta, cfg),
                           lambda: kernels.reduced_kernel_matrix(np.array([0.5, 1.3]), np.array([delta, 0.1]), cfg)],
                          DomainError)
     assert messages[0] == messages[1]
-    assert messages[0].endswith("has no significant digit (|delta| >= 2^52)")
+    assert messages[0].endswith("(|delta| >= 2^22)")
 
 
 @pytest.mark.parametrize("r,theta,named", [(-1.0, 0.3, "got r = -1"), (math.nan, 0.3, "got r = nan"),

@@ -420,8 +420,8 @@ def test_tail_l1_integrand_bitwise_matches_oracle(cfg, theta):
 
 
 def test_subordination_rows_bitwise_match_oracle(use_oracle):
-    new = verify.subordination_identity_check()[0]
-    old = use_oracle(verify.subordination_identity_check)[0]
+    new = verify.subordination_identity_check(REFERENCE[0])[0]
+    old = use_oracle(verify.subordination_identity_check, REFERENCE[0])[0]
     assert np.array_equal(new.csv_rows, old.csv_rows)
 
 
@@ -548,7 +548,7 @@ def test_one_engine_call_per_contour_and_per_sweep_pass(monkeypatch):
     assert count(schrodinger_kernel_closed, t, p, q, cfg) == 1
     assert count(heat_kernel_closed, t, p, q, cfg) == 1
     assert count(verify.angular_tail_l1_scan, cfg) == 1  # the fine pass; the coarse sup is read from it
-    assert count(verify.subordination_identity_check) == 1
+    assert count(verify.subordination_identity_check, cfg) == 1
 
 
 @pytest.mark.parametrize("sweep", ["tail-l1", "subordination"])

@@ -29,7 +29,7 @@ import pytest
 
 import magcone
 from magcone import lpbesov, spectrum
-from magcone.errors import DomainError, WindowTooSmallError
+from magcone.errors import DomainError
 from magcone.geometry import ConePoint
 from magcone.lpbesov import besov_report, bernstein_ratio, shell_project, shell_window
 from magcone.quadrature import evaluation_grid
@@ -114,7 +114,7 @@ def oracle_bernstein_ratio(j, p, q_exp, cfg, window, shell_modes, trials=8, seed
         if den > 0.0:
             best = max(best, num / (scale * den))
     if best == 0.0:
-        raise WindowTooSmallError(f"no spectral mass in shell {j} for the given window")
+        raise DomainError(f"no spectral mass in shell {j} for the given window")
     return best
 
 

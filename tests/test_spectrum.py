@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import special as sp
 
-from magcone.errors import DomainError, QuadratureError
+from magcone.errors import DomainError
 from magcone.geometry import ConeConfig, make_point
 from magcone.quadrature import genlaguerre_rule
 from magcone.spectrum import (
@@ -155,7 +156,7 @@ def test_expand_radial_function_kills_nonzero_k(cfg):
 
 
 def test_expand_angular_resolution_guard(cfg):
-    with pytest.raises(QuadratureError):
+    with pytest.raises(DomainError, match="k_max=40 exceeds the angular resolution of n_theta=64"):
         expand(lambda r, th: np.zeros(np.broadcast(r, th).shape), ModeWindow(40, 2), cfg,
                QuadratureSpec(40, 64))
 
@@ -294,6 +295,22 @@ def test_field_on_grid_is_zero_far_out(window, r_nan):
     assert np.isfinite(values).all()
     assert (values[2:] == 0.0).all()
     np.testing.assert_allclose(values[:2], field_on_grid(field, [1.0, 2.5], [0.1, 2.0], cfg), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("f,full", [(lambda r, th: np.exp(-r ** 2), lambda r, th: np.exp(-r ** 2) + 0.0 * th),
+                                    (lambda r, th: 1.0, lambda r, th: np.ones(np.broadcast(r, th).shape)),
+                                    (lambda r, th: np.cos(th), lambda r, th: np.cos(th) + 0.0 * r)],
+                         ids=["radial", "constant", "angular"])
+def test_expand_broadcasts_the_values_of_f_to_the_grid(cfg, f, full):
+    """An f of r alone, of theta alone or a constant gives the coefficients of its full-shape form, bit for bit."""
+    window = ModeWindow(2, 2)
+    assert np.array_equal(expand(f, window, cfg).coeffs, expand(full, window, cfg).coeffs)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 1, 1)])
+def test_expand_refuses_values_that_do_not_broadcast_to_the_grid(cfg, shape):
+    with pytest.raises(DomainError, match=re.escape(f"grid shape (8, 16), got shape {shape}")):
+        expand(lambda r, th: np.ones(shape), ModeWindow(2, 2), cfg, QuadratureSpec(8, 16))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magcone import cli, kernels, spectrum, verify
-from magcone.errors import DomainError, GammaOutOfRangeError, NonconvergenceError, QuadratureError
+from magcone.errors import DomainError, NonconvergenceError
 from magcone.geometry import ConeConfig, flux_distance
 from magcone.kernels import heat_closed_bracket_grid, reduced_kernel_matrix
 from magcone.verify import SweepGrids, SweepReport, _time_grid
@@ -75,7 +75,7 @@ def _dispersive_samples(cfg: ConeConfig, gamma: float, grids: SweepGrids):
     for i_t, t in enumerate(_time_grid(grids, cfg)):
         sin_tb = math.sin(t * cfg.b0)
         if abs(sin_tb) < 0.05:
-            raise QuadratureError("dispersive time grid too close to a singular time")
+            raise DomainError("dispersive time grid too close to a singular time")
         rho = cfg.b0 * (r[iu] * r[ju]) / (2.0 * sin_tb)
         delta = t * cfg.b0 - dth
         mat = np.abs(reduced_kernel_matrix(rho, delta, cfg))
@@ -98,7 +98,7 @@ def oracle_weighted_dispersive_constant(cfg: ConeConfig, gamma: float,
     t0 = time.perf_counter()
     kappa = flux_distance(cfg)
     if not (0.0 <= gamma <= kappa + 1e-12):
-        raise GammaOutOfRangeError(f"gamma={gamma} outside [0, kappa={kappa}]")
+        raise DomainError(f"gamma={gamma} outside [0, kappa={kappa}]")
     rows_fine, even = _dispersive_samples(cfg, gamma, grids.refined())
     rows_coarse = [row for row, keep in zip(rows_fine, even) if keep]
     header = ("t", "rho", "delta", "abs_series", "weighted")
@@ -478,7 +478,7 @@ def test_multi_gamma_family_call_builds_each_grid_once(monkeypatch):
 def test_gamma_is_checked_before_any_kernel_call(monkeypatch):
     cfg = verify.REFERENCE_CONFIGS[0]
     calls = _count_kernel_calls(monkeypatch)
-    with pytest.raises(GammaOutOfRangeError):
+    with pytest.raises(DomainError, match=r"gamma=-0.1 outside \[0, kappa="):
         verify.run_suite("weighted", cfg, SMALL, gamma=-0.1)
     assert calls == []
 
