@@ -31,7 +31,7 @@ from .spectrum import (
     ModeWindow,
     QuadratureSpec,
     SpectralField,
-    _require_phase_digits,
+    _require_phase,
     eigenvalue_table,
     expand,
     fractional_flow_multiplier,
@@ -161,9 +161,8 @@ def _spectral(multiplier, p, q, rc: RunConfig) -> tuple:
 
 
 def _halfwave(args, rc: RunConfig, p, q) -> tuple:
-    """halfwave_kernel_grid at the pair, on the config window grown to the shell, as (value, |value|, k_max_used)."""
-    shell = _lpbesov.shell_window(args.j, rc.cone)
-    window = ModeWindow(max(rc.window.k_max, shell.k_max), max(rc.window.m_max, shell.m_max))
+    """halfwave_kernel_grid at the pair, on the shell's own window, as (value, |value|, k_max_used)."""
+    window = _lpbesov.shell_window(args.j, rc.cone)
     r_nodes = np.array([p.r]) if abs(p.r - q.r) < 1e-15 else np.array([p.r, q.r])
     grid = _kernels.halfwave_kernel_grid(args.j, args.t, r_nodes, np.array([p.theta - q.theta]), rc.cone, window)
     val = complex(grid[0, 0, -1])
@@ -252,14 +251,19 @@ def cmd_spectrum(args) -> int:
 def _halfwave_multiplier(j: int, t: float):
     """phi(2^-j sqrt(H)) e^{it sqrt(H)}, from a named factory so that spectral_apply's refusal can name it.
 
-    A finite phase t sqrt(lam) of 2^52 or more on a mode of the shell raises DomainError.
+    The phase t sqrt(lam) is formed on the modes of nonzero weight only, and
+    one that _require_phase refuses raises DomainError; every other factor is 0.
     """
     cutoff = _lpbesov.make_cutoff()
 
     def multiplier(lam):
         weights = cutoff.shell_weights(j, lam)
-        _require_phase_digits("spectral multiplier _halfwave_multiplier", t * np.sqrt(lam[weights != 0.0]))
-        return weights * np.exp(1j * t * np.sqrt(lam))
+        live = weights != 0.0
+        sq = np.sqrt(lam[live])
+        _require_phase("spectral multiplier _halfwave_multiplier", t * sq)
+        factors = np.zeros(lam.shape, dtype=complex)
+        factors[live] = weights[live] * np.exp(1j * t * sq)
+        return factors
     return multiplier
 
 

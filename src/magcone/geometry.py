@@ -105,6 +105,5 @@ def cone_distance(p: ConePoint, q: ConePoint, cfg: ConeConfig) -> float:
 
 
 def flux_distance(cfg: ConeConfig) -> float:
-    """kappa: distance of alpha to the nearest gauge-trivial flux n/sigma, n integer."""
-    n_hi = math.ceil(cfg.sigma * cfg.alpha) + 1
-    return min(abs(cfg.alpha - n / cfg.sigma) for n in range(-n_hi, n_hi + 1))
+    """kappa = min(alpha, 1/sigma - alpha): alpha's distance to the nearest gauge-trivial flux n/sigma, n integer."""
+    return min(cfg.alpha, 1.0 / cfg.sigma - cfg.alpha)

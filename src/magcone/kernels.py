@@ -39,8 +39,9 @@ from .lpbesov import _shell_table
 from .quadrature import adaptive_panel, gauss_legendre_rule, oscillatory_bessel_tail
 from .spectrum import (
     ModeWindow,
+    _ANGLE_LIMIT,
     _radial_rows,
-    _require_phase_digits,
+    _require_phase,
     _require_synthesis_points,
     angular_order,
     field_on_grid,
@@ -49,7 +50,6 @@ from .spectrum import (
 )
 
 _SIN_GUARD = 1e-6
-_ANGLE_LIMIT = 2.0 ** 22  # from this |t b0| or |delta| on, rounding k theta / sigma may cost the angular sum 1e-7
 _K_START = 40  # first |k| range of the angular series and reduced_kernel_matrix; both extend from there
 _K_CAP = 8192
 _HEAT_TB_MAX = 700.0  # past it the heat kernel's factor e^{-t b0} leaves the normal float range
@@ -437,15 +437,11 @@ def heat_closed_bracket_grid(x_vec: np.ndarray, theta_vec: np.ndarray, t: float,
 def _schrodinger_time(t: float, p: ConePoint, q: ConePoint, cfg: ConeConfig) -> tuple[float, float, complex]:
     """(rho, theta, prefactor) of the pair, after the checks both Schrodinger representations share.
 
-    A non-finite t, or a phase |t b0| >= _ANGLE_LIMIT, raises DomainError,
+    A t b0 that _require_phase refuses at _ANGLE_LIMIT raises DomainError,
     and |sin(t b0)| < _SIN_GUARD raises SingularTimeError.
     """
-    if not math.isfinite(t):
-        raise DomainError(f"Schrodinger kernel needs a finite t, got {t}")
     tb = t * cfg.b0
-    if abs(tb) >= _ANGLE_LIMIT:
-        raise DomainError(f"Schrodinger kernel: phase up to {abs(tb):.6g} reaches the angle limit, past which rounding "
-                          "k theta / sigma may cost the angular sum 1e-7 (|t b0| >= 2^22)")
+    _require_phase("Schrodinger kernel", tb, _ANGLE_LIMIT)
     sin_tb = math.sin(tb)
     if abs(sin_tb) < _SIN_GUARD:
         raise SingularTimeError(
@@ -522,16 +518,14 @@ def schrodinger_kernel_closed(t: float, p: ConePoint, q: ConePoint, cfg: ConeCon
 # ---------------------------------------------------------------------------
 
 def _reduced_args(rho, delta) -> tuple[np.ndarray, np.ndarray]:
-    """rho and delta as float arrays; DomainError unless every rho is finite and >= 0 and every delta finite.
+    """rho and delta as float arrays; DomainError unless every rho is finite and >= 0.
 
-    A finite delta with |delta| >= _ANGLE_LIMIT raises DomainError too: e^{i k delta / sigma} may lose 1e-7 there.
+    A delta that _require_phase refuses at _ANGLE_LIMIT raises DomainError too.
     """
     rho, delta = np.asarray(rho, dtype=float), np.asarray(delta, dtype=float)
-    if not (np.all((0.0 <= rho) & (rho < math.inf)) and np.isfinite(delta).all()):
-        raise DomainError("reduced kernel needs a finite rho >= 0 and a finite delta")
-    if (np.abs(delta) >= _ANGLE_LIMIT).any():
-        raise DomainError(f"reduced kernel: delta up to {float(np.abs(delta).max()):.6g} reaches the angle limit, "
-                          "past which rounding k delta / sigma may cost the angular sum 1e-7 (|delta| >= 2^22)")
+    if not np.all((0.0 <= rho) & (rho < math.inf)):
+        raise DomainError("reduced kernel needs a finite rho >= 0")
+    _require_phase("reduced kernel", delta, _ANGLE_LIMIT)
     return rho, delta
 
 
@@ -706,22 +700,14 @@ def _halfwave_products(blocks: list, ts: np.ndarray, n_r: int, cfg: ConeConfig, 
     P[0] and P[1] are the real and imaginary parts of
     e^{i k dtheta0 / sigma} sum_m w e^{i t sqrt(lam)} V_m(r_i) V_m(r_j), from
     one real gemm.  t may be complex with Im t >= 0, where e^{i t sqrt(lam)}
-    is damped.  A t that is not finite, or a phase t sqrt(lam) past the float
-    range on the shell or of 2^52 or more on a mode of nonzero weight, raises
-    DomainError here, before any block is formed.  Each block is symmetric in
-    (r_i, r_j), so only the pairs i <= j are formed, in np.triu_indices(n_r)
-    order.  Consecutive blocks holding the same sqrt(lam) and weight arrays
+    is damped.  A phase |t| sqrt(lam) on a mode of nonzero weight that
+    _require_phase refuses raises DomainError here, before any block is
+    formed.  Each block is symmetric in (r_i, r_j), so only the pairs i <= j
+    are formed, in np.triu_indices(n_r) order.  Consecutive blocks holding the same sqrt(lam) and weight arrays
     (the k <= -1 branch) share one w e^{i t sqrt(lam)}.
     """
-    if not np.isfinite(ts).all():
-        raise DomainError(f"half-wave kernel needs a finite t, got {ts[~np.isfinite(ts)][0]}")
-    t_max = float(np.abs(ts).max(initial=0.0))
-    sq_max = max((float(sq.max(initial=0.0)) for _, sq, _, _ in blocks), default=0.0)
-    if math.isinf(t_max * sq_max):
-        raise DomainError(f"half-wave phase t sqrt(lam) overflows on its shell: |t| up to {t_max:g}, "
-                          f"sqrt(lam) up to {sq_max:.6g}")
-    _require_phase_digits("halfwave_kernel_grid",
-                          t_max * max((float(sq[w != 0.0].max(initial=0.0)) for _, sq, w, _ in blocks), default=0.0))
+    _require_phase("halfwave_kernel_grid", float(np.abs(ts).max(initial=0.0))
+                   * max((float(sq[w != 0.0].max(initial=0.0)) for _, sq, w, _ in blocks), default=0.0))
     iu, ju = np.triu_indices(n_r)
 
     def products():

@@ -36,7 +36,10 @@ from .spectrum import (
     ModeWindow,
     _require_finite_cells,
     eigenvalue_table,
+    fractional_flow_multiplier,
+    heat_multiplier,
     random_field,
+    schrodinger_multiplier,
     spectral_apply,
     write_csv,
 )
@@ -77,8 +80,9 @@ class SweepGrids:
     16 n_angle - 1, and the reduced-kernel scan's n_rho radii and
     8 n_angle deltas among its 2 n_rho - 1 and 16 n_angle - 1.
 
-    Sizes below 1, or past _CELL_CAP cells in a sweep's largest array,
-    raise DomainError.  Those arrays are the reduced-kernel scan's fine
+    Sizes below 1, one node on every axis (refined() would be the same grid,
+    so no sweep could compare two), or past _CELL_CAP cells in a sweep's
+    largest array, raise DomainError.  Those arrays are the reduced-kernel scan's fine
     matrix at rho_max = 200 (16 n_angle - 1 by 1280 n_radius - 1) and the
     half-wave residue table (2 n_time + 10 times by max(2 n_angle, 32)
     residues k mod n_angle by the pairs of 6 n_radius - 1 radii), which one
@@ -96,6 +100,8 @@ class SweepGrids:
         sizes = f"n_time={self.n_time}, n_radius={self.n_radius}, n_angle={self.n_angle}"
         if min(self.n_time, self.n_radius, self.n_angle) < 1:
             raise DomainError(f"sweep grid sizes must be >= 1, got {sizes}")
+        if max(self.n_time, self.n_radius, self.n_angle) == 1:
+            raise DomainError(f"a refinement check needs two nodes on some sweep grid axis, got {sizes}")
         n_r = 6 * self.n_radius - 1
         cells = max((16 * self.n_angle - 1) * (2 * 40 * 2 ** _SCAN_DOUBLINGS * self.n_radius - 1),
                     (2 * self.n_time + 10) * max(2 * self.n_angle, 32) * n_r * (n_r + 1) // 2)
@@ -533,15 +539,14 @@ def energy_conservation_check(cfg: ConeConfig, seed: int = _SEED) -> list[SweepR
         f = random_field(_ENERGY_WINDOW, rng)
         t = float(rng.uniform(-6.0, 6.0))
         n0 = f.coefficient_norm()
-        for mult_name, mult in (("schrodinger", np.exp(1j * t * lam)),
-                                ("halfwave", np.exp(1j * t * np.sqrt(lam)))):
-            g = spectral_apply(lambda _lam, m=mult: m, f, cfg)
+        for mult in (schrodinger_multiplier(t), fractional_flow_multiplier(0.5, t)):
+            g = spectral_apply(mult, f, cfg)
             dev = abs(g.coefficient_norm() - n0)
             worst = max(worst, dev)
             rows.append((float(i), t, float(dev)))
         # heat flow contracts at least as fast as the window's ground level
         th = float(rng.uniform(0.0, 2.0))
-        g = spectral_apply(lambda lam_: np.exp(-th * lam_), f, cfg)
+        g = spectral_apply(heat_multiplier(th), f, cfg)
         bound = math.exp(-th * float(lam.min())) * n0
         if g.coefficient_norm() > bound * (1.0 + 1e-12):
             worst = max(worst, g.coefficient_norm() - bound)

@@ -58,6 +58,6 @@ def test_tail_l1_sweep_out_to_4500_sigma_stays_finite():
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report, = angular_tail_l1_scan(ConeConfig(1.0, 1.0, 0.01), SweepGrids(1, 1, 1))
+        report, = angular_tail_l1_scan(ConeConfig(1.0, 1.0, 0.01), SweepGrids(2, 1, 1))
     assert math.isfinite(report.empirical_constant) and report.passed
     assert report.empirical_constant == pytest.approx(3.2258226248007995, rel=1e-12)

@@ -102,7 +102,7 @@ def test_kernel_schrodinger_refuses_a_phase_past_the_angle_limit(tmp_path, capsy
     code = run_cli("--out", str(tmp_path / "o"), "kernel", "schrodinger", "--repr", "both",
                    "--t", "1e9", "--p", "1.0,0.3", "--q", "0.8,2.1")
     err = _assert_one_line_error(capsys, code)
-    assert "(|t b0| >= 2^22)" in err
+    assert "Schrodinger kernel: phase up to 1e+09 is not below its limit 2^22" in err
     assert not (tmp_path / "o" / "kernel.csv").exists()
 
 
@@ -432,7 +432,7 @@ def test_kernel_halfwave_reduces_the_gap_before_the_branch_phase_check(tmp_path)
 
     The library refuses the unreduced gap (its k dtheta / sigma reaches 6.3e15
     at k = -126); the CLI's gap is at most 2 pi sigma, and |k| stays below
-    _K_CAP, so its phase never reaches 2^52.
+    _K_CAP, so its phase stays below 2 pi _K_CAP, far below the limit 2^29.
     """
     out = tmp_path / "o"
     assert run_cli("--out", str(out), "kernel", "halfwave", "--j", "2", "--t", "0.7",
@@ -525,6 +525,29 @@ def test_halfwave_csv_records_the_shell_window(tmp_path, cone, k_used):
                    "--t", "0.5", "--p", "1.0,0.3", "--q", "0.8,2.1") == EXIT_OK
     header, row = (out / "kernel.csv").read_text().splitlines()
     assert header.endswith(",k_max_used") and row.split(",")[-1] == str(k_used)
+
+
+def test_halfwave_kernel_ignores_the_config_window(tmp_path):
+    """kernel halfwave sums lpbesov.shell_window(j): a wider config window changes neither k_max_used nor the value."""
+    rows = []
+    for window_k in (None, 60):
+        cfgfile = tmp_path / f"c{window_k}.cfg"
+        cfgfile.write_text("" if window_k is None else f"window_k = {window_k}\n")
+        out = tmp_path / f"o{window_k}"
+        assert run_cli("--config", str(cfgfile), "--out", str(out), "kernel", "halfwave", "--j", "2",
+                       "--t", "0.5", "--p", "1.0,0.3", "--q", "0.8,2.1") == EXIT_OK
+        rows.append((out / "kernel.csv").read_text().splitlines()[1])
+    assert rows[0] == rows[1] and rows[1].split(",")[-1] == "40"
+
+
+def test_verify_all_refuses_one_node_sweep_grids(tmp_path, capsys):
+    """One node on every axis would make each refinement check compare a grid with itself."""
+    cfgfile = tmp_path / "one.cfg"
+    cfgfile.write_text("n_time = 1\nn_radius = 1\nn_angle = 1\n")
+    out = tmp_path / "o"
+    code = run_cli("--config", str(cfgfile), "--out", str(out), "verify", "all")
+    assert "a refinement check needs two nodes on some sweep grid axis" in _assert_one_line_error(capsys, code)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["heat", "schrodinger"])

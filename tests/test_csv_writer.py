@@ -12,6 +12,7 @@ of the package.
 import ast
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -30,6 +31,7 @@ from magcone.spectrum import (
     SpectralField,
     eigenvalue_table,
     heat_multiplier,
+    load_field,
     log_norm_sq,
     mode_rows,
     random_field,
@@ -234,10 +236,10 @@ def _exit_2_naming(capsys, code, what):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_evolve_to_nan_coefficients_exits_4(tmp_path, capsys):
-    # the Schrodinger phase t lam overflows, so spectral_apply refuses the multiplier before the writer sees a NaN
+    # the Schrodinger phase t lam overflows, so the multiplier refuses it before the writer sees a NaN
     code = cli.main(["--out", str(tmp_path / "o"), "spectrum", "evolve", "--input", str(_two_mode_field(tmp_path)),
                      "--mult", "schrodinger", "--t", "1e308"])
-    _exit_2_naming(capsys, code, "spectral multiplier schrodinger_multiplier is not finite")
+    _exit_2_naming(capsys, code, "spectral multiplier schrodinger_multiplier: phase up to inf is not below its limit")
     assert not (tmp_path / "o").exists()
 
 
@@ -272,17 +274,20 @@ def test_spectrum_table_with_overflowing_norms_exits_4(tmp_path, capsys):
         assert np.isinf(np.exp(log_norm_sq(CFG, window.k_values[:, None], window.m_values))).sum() == 897
 
 
+_INF_PHASE = "schrodinger_multiplier: phase up to inf is not below its limit 2^29"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nan_kernel_row_exits_4_and_appends_nothing(tmp_path, capsys):
     # the overflowing Schrodinger phase is refused (exit 2) before a NaN row reaches the writer
     out = tmp_path / "o"
     argv = ["kernel", "schrodinger", "--repr", "spectral", "--p", "1,0.3", "--q", "0.8,2.1"]
-    _exit_2_naming(capsys, cli.main(["--out", str(out), *argv, "--t", "1e308"]), "not finite")
+    _exit_2_naming(capsys, cli.main(["--out", str(out), *argv, "--t", "1e308"]), _INF_PHASE)
     assert not out.exists()
     assert cli.main(["--out", str(out), *argv, "--t", "0.5"]) == cli.EXIT_OK
     before = (out / "kernel.csv").read_bytes()
     capsys.readouterr()
-    _exit_2_naming(capsys, cli.main(["--out", str(out), *argv, "--t", "1e308"]), "not finite")
+    _exit_2_naming(capsys, cli.main(["--out", str(out), *argv, "--t", "1e308"]), _INF_PHASE)
     assert (out / "kernel.csv").read_bytes() == before
 
 
@@ -292,9 +297,9 @@ _POINTS = ["--p", "1,0.3", "--q", "0.8,2.1"]
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv,what", [
     (["spectrum", "evolve", "--mult", "fractional", "--nu", "1000", "--t", "1"],
-     "fractional_flow_multiplier is not finite"),
-    (["spectrum", "evolve", "--mult", "halfwave", "--j", "5", "--t", "1e308"], "_halfwave_multiplier is not finite"),
-    (["kernel", "halfwave", "--j", "1", *_POINTS, "--t", "1e308"], "half-wave phase t sqrt(lam) overflows"),
+     "fractional_flow_multiplier: phase up to inf"),
+    (["spectrum", "evolve", "--mult", "halfwave", "--j", "1", "--t", "1e308"], "_halfwave_multiplier: phase up to inf"),
+    (["kernel", "halfwave", "--j", "1", *_POINTS, "--t", "1e308"], "halfwave_kernel_grid: phase up to inf"),
 ], ids=["evolve-fractional", "evolve-halfwave", "kernel-halfwave"])
 def test_overflowing_phase_exits_2_with_one_line_and_writes_nothing(tmp_path, capsys, argv, what):
     """Each phase overflows the float range, and numpy's warning is an error here, so none may be raised.
@@ -315,7 +320,15 @@ def test_overflowing_phase_exits_2_with_one_line_and_writes_nothing(tmp_path, ca
         assert (out / "kernel.csv").read_bytes() == before
 
 
-_NO_DIGIT = "has no significant digit"
+def test_halfwave_evolve_forms_no_phase_off_its_shell(tmp_path):
+    """Shell j = 5 holds no mode of the two-mode field's window, so no phase is formed and t = 1e308 gives zeros."""
+    out = tmp_path / "o"
+    assert cli.main(["--out", str(out), "spectrum", "evolve", "--input", str(_two_mode_field(tmp_path)),
+                     "--mult", "halfwave", "--j", "5", "--t", "1e308"]) == cli.EXIT_OK
+    assert not load_field(out / "field_evolved.csv").coeffs.any()
+
+
+_PAST_LIMIT = "is not below its limit 2^29"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -330,7 +343,7 @@ _NO_DIGIT = "has no significant digit"
 ], ids=["kernel-schrodinger", "kernel-schrodinger-series", "kernel-schrodinger-closed", "evolve-schrodinger",
         "evolve-fractional", "evolve-halfwave", "kernel-halfwave"])
 def test_phase_without_a_significant_digit_exits_2_and_writes_nothing(tmp_path, capsys, argv, what):
-    """Every phase is finite at t = 1e300, and each holds no digit: exit 2, one line, nothing written."""
+    """Every phase is finite at t = 1e300 and past its limit: exit 2, one line, nothing written."""
     out = tmp_path / "o"
     if argv[0] == "spectrum":
         argv = argv + ["--input", str(_two_mode_field(tmp_path))]
@@ -338,19 +351,19 @@ def test_phase_without_a_significant_digit_exits_2_and_writes_nothing(tmp_path, 
     assert not out.exists()
 
 
-def _times_around_the_phase_limit(lam_max):
-    """The largest t with t lam_max below 2^52 and the next float up, which reaches it."""
-    below = 2.0 ** 52 / lam_max
-    while below * lam_max >= 2.0 ** 52:
+def _times_around_the_phase_limit(lam_max, limit=spectrum._PHASE_LIMIT):
+    """The largest t with t lam_max below limit and the next float up, which reaches it."""
+    below = limit / lam_max
+    while below * lam_max >= limit:
         below = math.nextafter(below, 0.0)
-    while math.nextafter(below, math.inf) * lam_max < 2.0 ** 52:
+    while math.nextafter(below, math.inf) * lam_max < limit:
         below = math.nextafter(below, math.inf)
     return below, math.nextafter(below, math.inf)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_schrodinger_kernel_just_below_the_phase_limit_runs(tmp_path, capsys):
-    """kernel schrodinger --repr spectral at the default window: exit 0 below 2^52, exit 2 at the next float."""
+    """kernel schrodinger --repr spectral at the default window: exit 0 below 2^29, exit 2 at the next float."""
     lam_max = float(eigenvalue_table(CFG, ModeWindow(24, 24)).max())
     below, above = _times_around_the_phase_limit(lam_max)
     out = tmp_path / "o"
@@ -359,15 +372,14 @@ def test_schrodinger_kernel_just_below_the_phase_limit_runs(tmp_path, capsys):
     value = json.loads(capsys.readouterr().out)["values"]["spectral"]
     assert math.isfinite(value["re"]) and math.isfinite(value["im"])
     before = (out / "kernel.csv").read_bytes()
-    _exit_2_naming(capsys, cli.main([*argv, "--t", repr(above)]), _NO_DIGIT)
+    _exit_2_naming(capsys, cli.main([*argv, "--t", repr(above)]), _PAST_LIMIT)
     assert (out / "kernel.csv").read_bytes() == before
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_halfwave_kernel_just_below_the_phase_limit_runs(tmp_path, capsys):
-    """kernel halfwave --j 1: exit 0 below 2^52 on the modes of nonzero shell weight, exit 2 at the next float."""
-    shell = lpbesov.shell_window(1, CFG)
-    lam = eigenvalue_table(CFG, ModeWindow(max(24, shell.k_max), max(24, shell.m_max)))  # the window the CLI uses
+    """kernel halfwave --j 1: exit 0 below 2^29 on the modes of nonzero shell weight, exit 2 at the next float."""
+    lam = eigenvalue_table(CFG, lpbesov.shell_window(1, CFG))  # the window the CLI uses
     sq_max = float(np.sqrt(lam[lpbesov.make_cutoff().shell_weights(1, lam) != 0.0]).max())
     below, above = _times_around_the_phase_limit(sq_max)
     out = tmp_path / "o"
@@ -382,7 +394,7 @@ def test_halfwave_kernel_just_below_the_phase_limit_runs(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["schrodinger", "fractional", "halfwave"])
 def test_each_multiplier_refuses_from_the_phase_limit_on(kind):
-    """On one eigenvalue: the unchanged factor below 2^52, DomainError from the next float up."""
+    """On one eigenvalue: the unchanged factor below 2^29, DomainError from the next float up."""
     lam = np.array([[16.0]])  # sqrt(lam) = 4 is the middle of shell j = 2
     power, make, factor = {
         "schrodinger": (1.0, spectrum.schrodinger_multiplier, lambda t: np.exp(1j * t * lam)),
@@ -392,7 +404,7 @@ def test_each_multiplier_refuses_from_the_phase_limit_on(kind):
     }[kind]
     below, above = _times_around_the_phase_limit(float(lam[0, 0] ** power))
     assert make(below)(lam).tobytes() == factor(below).tobytes()
-    with pytest.raises(DomainError, match=_NO_DIGIT):
+    with pytest.raises(DomainError, match=re.escape(_PAST_LIMIT)):
         make(above)(lam)
 
 

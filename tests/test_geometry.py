@@ -152,3 +152,19 @@ def test_make_point_rejects_non_finite():
 def test_config_rejects_non_finite(sigma, b0):
     with pytest.raises(DomainError):
         ConeConfig(sigma=sigma, b0=b0, alpha=0.2)
+
+
+def _flux_distance_by_loop(cfg):
+    """Oracle: the nearest n / sigma over every integer n that could be nearest."""
+    n_hi = math.ceil(cfg.sigma * cfg.alpha) + 1
+    return min(abs(cfg.alpha - n / cfg.sigma) for n in range(-n_hi, n_hi + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sigma=st.floats(1.0, 1e6), u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_flux_distance_matches_the_nearest_integer_flux(sigma, u):
+    alpha = u / sigma
+    if not 0.0 < alpha < 1.0 / sigma:
+        return
+    cfg = ConeConfig(sigma, 1.0, alpha)
+    assert flux_distance(cfg) == _flux_distance_by_loop(cfg)

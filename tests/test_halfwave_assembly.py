@@ -240,14 +240,14 @@ def test_branch_reads_the_ladder_at_k_max_0():
 
 
 def test_a_gap_whose_phase_loses_its_digits_past_the_window_is_refused(monkeypatch):
-    """The window's k_max = 40 leaves k dtheta below 2^52 at dtheta = 5e13; the branch reaches k = -126 there."""
+    """The window's k_max = 40 leaves k dtheta below 2^29 at dtheta = 5e6; the branch reaches k = -126 there."""
     j, window, r_nodes = 2, lpbesov.shell_window(2, _SIGMA1), np.array([6.0, 8.0])
-    assert window.k_max * 5e13 < 2.0 ** 52 <= 126 * 5e13
+    assert window.k_max * 5e6 < spectrum._PHASE_LIMIT <= 126 * 5e6
     monkeypatch.setattr(kernels, "_halfwave_products", None)  # a call would fail with TypeError
-    with pytest.raises(DomainError, match="phase up to 6.3e[+]15 has no significant digit"):
-        kernels.halfwave_kernel_grid(j, 0.7, r_nodes, np.array([5e13]), _SIGMA1, window)
-    with pytest.raises(DomainError, match="phase up to 6.3e[+]15 has no significant digit"):
-        kernels.halfwave_sup_curve(j, np.array([0.7]), r_nodes, 5e13, 1, _SIGMA1, window)
+    with pytest.raises(DomainError, match="synthesis: phase up to 6.3e[+]08 is not below its limit 2.29"):
+        kernels.halfwave_kernel_grid(j, 0.7, r_nodes, np.array([5e6]), _SIGMA1, window)
+    with pytest.raises(DomainError, match="synthesis: phase up to 6.3e[+]08 is not below its limit 2.29"):
+        kernels.halfwave_sup_curve(j, np.array([0.7]), r_nodes, 5e6, 1, _SIGMA1, window)
 
 
 _POISSON_POINTS = ((0.7, 1.1, 0.9), (1.5, 1.5, 0.2), (3.0, 2.5, 1.3))  # (r1, r2, dtheta)
@@ -352,11 +352,14 @@ def test_cutoff_vanishes_at_infinity():
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
 def test_kernels_reject_non_finite_time(cfg, t):
     p, q = make_point(cfg, 1.0, 0.3), make_point(cfg, 0.8, 2.1)
-    for fn in (kernels.heat_kernel_series, kernels.heat_kernel_closed,
-               kernels.schrodinger_kernel_series, kernels.schrodinger_kernel_closed):
+    for fn in (kernels.heat_kernel_series, kernels.heat_kernel_closed):
         with pytest.raises(DomainError, match="finite t"):
             fn(t, p, q, cfg)
-    with pytest.raises(DomainError, match="finite t"):
+    past_limit = "phase up to (inf|nan) is not below its limit"  # the phase t b0 or t sqrt(lam) is not finite
+    for fn in (kernels.schrodinger_kernel_series, kernels.schrodinger_kernel_closed):
+        with pytest.raises(DomainError, match="Schrodinger kernel: " + past_limit):
+            fn(t, p, q, cfg)
+    with pytest.raises(DomainError, match="halfwave_kernel_grid: " + past_limit):
         kernels.halfwave_kernel_grid(1, t, np.array([p.r, q.r]), np.array([p.theta - q.theta]), cfg, _window(1, cfg))
 
 
@@ -469,10 +472,10 @@ def test_shell_blocks_and_bernstein_make_no_per_mode_eigenvalue_call(cfg, monkey
     ([1e200], [0.1], (0.1, 1), "u = b0 r.2 / 2 finite"),
     ([1.0], [math.nan], (math.nan, 1), "each angle finite"),
     ([1.0], [math.inf, 0.1], (math.inf, 2), "each angle finite"),
-    ([1.0], [1e17], (1e17, 1), "no significant digit"),
+    ([1.0], [1e17], (1e17, 1), "not below its limit 2.29"),
     ([], [0.1], (0.1, 1), "needs a grid, got 0 radii"),
     ([1.0], [], (0.1, 0), "needs a grid, got 1 radii and 0 angle gaps"),
-], ids=["nan-r", "negative-r", "huge-r", "nan-gap", "inf-gap", "phase-2^52", "no-radius", "no-gap"])
+], ids=["nan-r", "negative-r", "huge-r", "nan-gap", "inf-gap", "phase-limit", "no-radius", "no-gap"])
 def test_halfwave_refuses_a_grid_synthesis_refuses(monkeypatch, r_nodes, dtheta_nodes, circle, why):
     """halfwave_kernel_grid and halfwave_sup_curve (on the circle (dtheta0, n_angle)) raise DomainError before any shell work."""
     window = lpbesov.shell_window(1, _SIGMA1)

@@ -21,8 +21,8 @@ from magcone.geometry import flux_distance
 from magcone.lpbesov import shell_window
 from magcone.verify import SweepGrids
 
-GRIDS = [SweepGrids(), SweepGrids(3, 4, 6), SweepGrids(1, 1, 1)]
-GRID_IDS = ["default", "3x4x6", "1x1x1"]
+GRIDS = [SweepGrids(), SweepGrids(3, 4, 6), SweepGrids(2, 1, 1)]  # one node on two axes; three is refused
+GRID_IDS = ["default", "3x4x6", "2x1x1"]
 
 
 def _same_bits(a, b) -> bool:

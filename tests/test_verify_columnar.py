@@ -502,9 +502,12 @@ def test_sweep_grids_reject_empty_or_bad_ranges(bad):
         SweepGrids(**bad)
 
 
-def test_single_point_sweep_grids_are_valid():
-    grids = SweepGrids(n_time=1, n_radius=1, n_angle=1)
-    assert grids.refined() == grids
+def test_single_point_sweep_grids_are_refused():
+    """On one node per axis refined() would be the same grid, so a sweep would compare a grid with itself."""
+    with pytest.raises(DomainError, match="a refinement check needs two nodes on some sweep grid axis"):
+        SweepGrids(n_time=1, n_radius=1, n_angle=1)
+    for sizes in [(2, 1, 1), (1, 2, 1), (1, 1, 2)]:
+        assert SweepGrids(*sizes).refined() != SweepGrids(*sizes)
 
 
 def test_sweep_grids_refuse_sizes_past_the_cell_cap():
