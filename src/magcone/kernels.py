@@ -50,7 +50,7 @@ from .spectrum import (
 )
 
 _SIN_GUARD = 1e-6
-_K_START = 40  # first |k| range of the angular series and reduced_kernel_matrix; both extend from there
+_K_START = 40  # first |k| range of _angular_series, the one k-range rule of every angular series
 _K_CAP = 8192
 _HEAT_TB_MAX = 700.0  # past it the heat kernel's factor e^{-t b0} leaves the normal float range
 _HEAT_SHIFT_TB = 50.0  # any value well below 350 works; 50 leaves the t b0 the sweeps use unshifted
@@ -608,24 +608,21 @@ def _bessel_j_rows(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def reduced_kernel_matrix(rho: np.ndarray, delta: np.ndarray, cfg: ConeConfig) -> np.ndarray:
     """reduced_kernel on a product grid; shape (len(delta), len(rho)).
 
-    One Bessel matrix serves every delta, so sweeps over large grids cost
-    one matrix product per block of radii, each block at most
-    _REDUCED_BLOCK_CELLS Bessel values whatever the number of orders.  Its
-    columns come from order recurrences scaled to scipy's jv
-    (_bessel_j_rows), within 1e-13 of jv itself.
+    Its orders are the (k_lo, k_hi) _angular_series picks for the Bessel
+    terms at the grid's largest rho, the range reduced_kernel sums there.
+    For a > rho, |J_a(rho)| grows with rho, so the edge terms at rho_max
+    bound every column's terms at those orders, and J has decayed at the
+    largest order for every rho, as _bessel_j_rows needs.  One Bessel
+    matrix serves every delta, so sweeps over large grids cost one matrix
+    product per block of radii, each block at most _REDUCED_BLOCK_CELLS
+    Bessel values whatever the number of orders.  Its columns come from
+    order recurrences scaled to scipy's jv (_bessel_j_rows), within 1e-13
+    of jv itself.
     """
     rho, delta = _reduced_args(rho, delta)
     rho_max = float(rho.max(initial=0.0))
-    k_hi = _K_START
-    while True:
-        a_edge = float(angular_order(cfg, np.array([k_hi])).max())
-        env = math.exp(a_edge * math.log(max(math.e * rho_max / (2.0 * (1.0 + a_edge)), 1e-300)))
-        if env < 1e-15 or k_hi >= _K_CAP:
-            break
-        k_hi *= 2
-    if k_hi >= _K_CAP:
-        raise NonconvergenceError("reduced kernel k range exceeded the cap")
-    ks = np.arange(-k_hi, k_hi + 1)
+    _, _, (k_lo, k_hi) = _angular_series(lambda ks: _rotated_bessel(cfg, ks, rho_max), "reduced kernel")
+    ks = np.arange(k_lo, k_hi + 1)
     a = angular_order(cfg, ks)
     rotation = np.exp(1j * a * math.pi / 2.0)[:, None]
     phases = np.exp(1j * np.outer(delta, ks / cfg.sigma))

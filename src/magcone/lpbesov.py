@@ -201,16 +201,54 @@ def _besov(field: SpectralField, s: float, p: float, q: float,
     if not (p >= 1.0 and q >= 1.0 and math.isfinite(s)):
         raise DomainError(f"besov_norm needs p, q >= 1 and a finite s, got s={s}, p={p}, q={q}")
     pieces = _shell_norms(field, p, cfg)
+    terms = [_dyadic_term(j, s, n) for j, n in pieces]
     if math.isinf(q):
-        return pieces, max(2.0 ** (j * s) * n for j, n in pieces)
-    return pieces, float(sum((2.0 ** (j * s) * n) ** q for j, n in pieces) ** (1.0 / q))
+        return pieces, max(terms)
+    try:
+        total = sum(t ** q for t in terms)
+    except OverflowError:
+        total = math.inf
+    if sys.float_info.min <= total < math.inf:
+        return pieces, float(total ** (1.0 / q))
+    return pieces, _lq_from_top(np.array(terms), q, f"besov_norm at s={s}, q={q}")
+
+
+def _dyadic_term(j: int, s: float, norm: float) -> float:
+    """2^{js} norm; DomainError naming s and shell j where it leaves the float range."""
+    try:
+        term = 2.0 ** (j * s) * norm
+    except OverflowError:
+        term = math.inf
+    if not term < math.inf:
+        raise DomainError(f"besov_norm: 2^(j s) ||shell_j f|| leaves the float range at shell j={j}, s={s}")
+    return term
+
+
+def _lq_from_top(terms: np.ndarray, q: float, what: str) -> float:
+    """(sum terms^q)^{1/q} of finite terms >= 0, taken relative to the largest.
+
+    The fallback for an ell^q sum whose plain form leaves the normal float
+    range, where it would lose digits, read 0 or overflow; DomainError if
+    the norm itself leaves the float range.
+    """
+    top = float(terms.max(initial=0.0))
+    if top == 0.0:
+        return 0.0
+    with np.errstate(over="ignore"):
+        value = top * float(np.sum((terms / top) ** q)) ** (1.0 / q)
+    if not value < math.inf:
+        raise DomainError(f"{what}: the norm leaves the float range")
+    return value
 
 
 def besov_norm(field: SpectralField, s: float, p: float, q: float, cfg: ConeConfig) -> float:
     """Homogeneous Besov norm: ell^q over shells of 2^{js} ||shell_j f||_{L^p}.
 
     p = 2 is exact from coefficients; other p are quadrature norms on the
-    fixed evaluation grid; p = inf means the grid maximum.
+    fixed evaluation grid; p = inf means the grid maximum.  Where the plain
+    ell^q sum leaves the normal float range it is taken relative to its
+    largest term; an s at which some 2^{js} ||shell_j f|| leaves the float
+    range raises DomainError.
     """
     return _besov(field, s, p, q, cfg)[1]
 
@@ -229,11 +267,28 @@ def besov_report(field: SpectralField, s: float, p: float, q: float, cfg: ConeCo
 
 
 def sobolev_norm(field: SpectralField, s: float, cfg: ConeConfig) -> float:
-    """Homogeneous Sobolev norm (sum |lambda^{s/2} c|^2)^{1/2}, exact; a non-finite s raises DomainError."""
+    """Homogeneous Sobolev norm (sum |lambda^{s/2} c|^2)^{1/2}, exact.
+
+    A non-finite s raises DomainError, and so does an s at which some
+    lambda^{s/2} c of the window leaves the float range (a large s, or at
+    b0 < 1 a large negative one), naming the eigenvalue.  Where the plain
+    sum of squares leaves the normal float range, the norm is taken
+    relative to the largest term.
+    """
     if not math.isfinite(s):
         raise DomainError(f"sobolev_norm needs a finite s, got s={s}")
     lam = eigenvalue_table(cfg, field.window)
-    return float(np.linalg.norm(lam ** (s / 2.0) * field.coeffs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = lam ** (s / 2.0) * field.coeffs
+    bad = ~np.isfinite(weighted)
+    if bad.any():
+        at = float(lam[bad].min() if s > 0.0 else lam[bad].max())
+        raise DomainError(f"sobolev_norm: lambda^(s/2) leaves the float range at eigenvalue {at:.6g}, s={s}")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(weighted))
+    if sys.float_info.min <= norm * norm < math.inf:
+        return norm
+    return _lq_from_top(np.abs(weighted).ravel(), 2.0, f"sobolev_norm at s={s}")
 
 
 def square_function_l2(field: SpectralField, cfg: ConeConfig) -> float:

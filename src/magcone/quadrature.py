@@ -8,13 +8,14 @@ products, and the fixed "published" grid behind every L^p evaluation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
 
-from .errors import NonconvergenceError
+from .errors import DomainError, NonconvergenceError
 from .geometry import ConeConfig
 
 _ORDER = 16  # Gauss-Legendre nodes per adaptive panel
@@ -244,6 +245,9 @@ class EvaluationGrid:
 
 
 def evaluation_grid(cfg: ConeConfig, n_theta: int = 128) -> EvaluationGrid:
+    """The evaluation grid: _N_RADIAL Laguerre radii by n_theta uniform angles, a whole number >= 1."""
+    if not (isinstance(n_theta, numbers.Integral) and n_theta >= 1):
+        raise DomainError(f"evaluation grid needs a whole number of angles >= 1, got n_theta = {n_theta!r}")
     u, omega = laguerre_flat_rule(_N_RADIAL)
     r = np.sqrt(2.0 * u / cfg.b0)
     # measure r dr = du / b0

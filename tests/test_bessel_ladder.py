@@ -140,7 +140,9 @@ def test_bessel_i_imaginary_axis_vs_integral_representation():
 
 # The orders |k/sigma + alpha| for |k| <= 640 sigma reach 640, past e rho / 2
 # for every rho <= 400, so J has decayed at the largest of them (the condition
-# _bessel_j_rows states; reduced_kernel_matrix's k range meets it the same way).
+# _bessel_j_rows states).  reduced_kernel_matrix meets it through its orders,
+# those _angular_series picks at the grid's largest rho: for a > rho, J_a(rho)
+# grows with rho, so the edge terms there bound every column's.
 # sigma = 1, 1.5, 2 are the reference configurations (2, 6 and 4 ladders);
 # 2.5 and 3 also form ladders, 1.3 and pi/2 do not and take jv.
 LADDER_SIGMAS = [1.0, 1.5, 2.0, 2.5, 3.0, 1.3, math.pi / 2.0]

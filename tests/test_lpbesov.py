@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -279,3 +281,73 @@ def test_besov_infinity_exponents(cfg, rng):
     v_inf_q = besov_norm(f, 0.0, 2.0, math.inf, cfg)
     # ell^inf over shells <= ell^2 over shells
     assert v_inf_q <= besov_norm(f, 0.0, 2.0, 2.0, cfg) + 1e-12
+
+
+@pytest.mark.parametrize("s", [0.0, 1.0])
+def test_besov_at_a_large_q_lies_within_1e_3_of_q_inf(cfg, s):
+    """At q = 5000 every (2^{js} ||shell_j f||)^q underflows (s = 0) or one overflows: the sum is taken
+    relative to its largest term, and lies between the q = inf value and 1 + 1e-3 times it."""
+    f = random_field(ModeWindow(4, 4), np.random.default_rng(1))
+    top = besov_norm(f, s, 2.0, math.inf, cfg)
+    for value in (besov_norm(f, s, 2.0, 5000.0, cfg), besov_report(f, s, 2.0, 5000.0, cfg)["value"]):
+        assert top <= value <= top * (1.0 + 1e-3)
+
+
+@pytest.mark.parametrize("scale", [1e-107, 1e110])
+def test_besov_whose_ell_q_sum_leaves_the_normal_range_scales_with_the_field(cfg, scale):
+    """At q = 3 the plain sum of cubes is subnormal (1e-107) or overflows (1e110)."""
+    f = random_field(ModeWindow(4, 4), np.random.default_rng(1))
+    g = SpectralField(f.window, f.coeffs * scale)
+    assert besov_norm(g, 0.0, 2.0, 3.0, cfg) == pytest.approx(scale * besov_norm(f, 0.0, 2.0, 3.0, cfg),
+                                                              rel=1e-13, abs=0.0)
+
+
+def test_an_ell_q_norm_past_the_float_range_is_refused():
+    with pytest.raises(DomainError, match="^besov_norm at s=0: the norm leaves the float range$"):
+        lpbesov._lq_from_top(np.array([1e308, 1e308]), 1.0, "besov_norm at s=0")
+
+
+# sigma = 2, b0 = 0.5: its shells run j = -1..2 on the window (4, 4), and its lowest eigenvalue is 0.5
+SMALL_B0 = ConeConfig(2.0, 0.5, 0.3)
+
+
+@pytest.mark.parametrize("s,shell", [(600.0, 2), (-1100.0, -1)])
+def test_besov_refuses_an_s_where_2_to_the_js_leaves_the_float_range(s, shell):
+    f = random_field(ModeWindow(4, 4), np.random.default_rng(1))
+    for call in (lambda: besov_norm(f, s, 2.0, 2.0, SMALL_B0), lambda: besov_report(f, s, 4.0, math.inf, SMALL_B0)):
+        with pytest.raises(DomainError, match=re.escape(f"leaves the float range at shell j={shell}, s={s}")):
+            call()
+
+
+@pytest.mark.parametrize("s", [2000.0, -3000.0])
+def test_sobolev_refuses_an_s_where_a_weight_leaves_the_float_range(s):
+    f = random_field(ModeWindow(4, 4), np.random.default_rng(1))
+    lam = eigenvalue_table(SMALL_B0, f.window)
+    over = lam[np.log(lam) * (s / 2.0) > math.log(sys.float_info.max)]  # lambda^(s/2) past the float range
+    edge = over.min() if s > 0.0 else over.max()
+    with pytest.raises(DomainError, match=re.escape(f"leaves the float range at eigenvalue {edge:.6g}, s={s}")):
+        sobolev_norm(f, s, SMALL_B0)
+
+
+@pytest.mark.parametrize("s,scale", [(380.0, 1.0), (0.5, 1e-200), (0.5, 1e-156)])
+def test_sobolev_norm_whose_squares_leave_the_float_range_matches_a_log_space_sum(cfg, s, scale):
+    """|lambda^{s/2} c|^2 overflows at s = 380, underflows for coefficients of 1e-200 and is subnormal at 1e-156."""
+    f = random_field(ModeWindow(4, 4), np.random.default_rng(1))
+    f = SpectralField(f.window, f.coeffs * scale)
+    lam = eigenvalue_table(cfg, f.window)
+    logs = np.log(np.abs(f.coeffs)) + (s / 2.0) * np.log(lam)
+    top = float(logs.max())
+    want = math.exp(top) * math.sqrt(float(np.sum(np.exp(2.0 * (logs - top)))))
+    assert sobolev_norm(f, s, cfg) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n_theta", [0, -3, 2.5, 64.0, math.nan, "8", None])
+def test_evaluation_grid_refuses_anything_but_a_whole_number_of_angles(cfg, n_theta):
+    with pytest.raises(DomainError, match=re.escape(f"whole number of angles >= 1, got n_theta = {n_theta!r}")):
+        evaluation_grid(cfg, n_theta=n_theta)
+
+
+def test_evaluation_grid_takes_one_angle_and_a_numpy_integer(cfg):
+    one = evaluation_grid(cfg, n_theta=1)
+    assert one.theta.tolist() == [0.0] and one.d_theta == cfg.period
+    assert np.array_equal(evaluation_grid(cfg, np.int64(512)).theta, evaluation_grid(cfg, 512).theta)
